@@ -20,7 +20,7 @@ import random
 import pytest
 
 from repro.core import GuttmanRTree, KDBTree, PMRQuadtree, RPlusTree, UniformGrid
-from repro.core.queries import nearest_segment, segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.core.rtree import RStarTree, split_linear, split_quadratic
 from repro.data.query_points import random_endpoint_queries, random_windows
 from repro.harness import build_structure
@@ -55,7 +55,7 @@ def test_split_policy_ablation(benchmark, county_maps):
             idx.ctx.pool.clear()
             before = idx.ctx.counters.snapshot()
             for w in wins:
-                window_query(idx, w)
+                execute_spec(idx, QuerySpec.window(w))
             delta = idx.ctx.counters.since(before)
             out[name] = {
                 "pages": idx.page_count(),
@@ -118,7 +118,7 @@ def test_pmr_bbox_variant_ablation(benchmark, county_maps):
             built.ctx.pool.clear()
             before = built.ctx.counters.snapshot()
             for p, _ in queries:
-                segments_at_point(built.index, p)
+                execute_spec(built.index, QuerySpec.point(p))
             delta = built.ctx.counters.since(before)
             out[label] = {
                 "size_kb": built.size_kbytes,
@@ -152,7 +152,7 @@ def test_kdb_vs_hybrid_ablation(benchmark, county_maps):
             idx.ctx.pool.clear()
             before = idx.ctx.counters.snapshot()
             for p, _ in queries:
-                segments_at_point(idx, p)
+                execute_spec(idx, QuerySpec.point(p))
             delta = idx.ctx.counters.since(before)
             out[name] = {
                 "pages": idx.page_count(),
@@ -210,7 +210,7 @@ def test_uniform_grid_vs_pmr_on_skewed_data(benchmark, county_maps):
             built.ctx.pool.clear()
             before = built.ctx.counters.snapshot()
             for point, _ in p:
-                nearest_segment(built.index, point)
+                execute_spec(built.index, QuerySpec.nearest(point))
             delta = built.ctx.counters.since(before)
             out[label] = {
                 "size_kb": built.size_kbytes,

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.core.queries import segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.core.rtree import RStarTree, bulk_load_str
 from repro.data.query_points import random_endpoint_queries, random_windows
 from repro.harness import build_structure
@@ -68,7 +68,7 @@ def test_true_rplus_vs_hybrid(benchmark, county_maps):
             built.ctx.pool.clear()
             before = built.ctx.counters.snapshot()
             for p, _ in queries:
-                segments_at_point(built.index, p)
+                execute_spec(built.index, QuerySpec.point(p))
             delta = built.ctx.counters.since(before)
             out[name] = {
                 "pages": built.index.page_count(),
@@ -111,7 +111,7 @@ def test_str_bulk_loading(benchmark, county_maps):
 
             ctx.pool.clear()
             before = ctx.counters.snapshot()
-            results = sum(len(window_query(idx, w)) for w in windows)
+            results = sum(len(execute_spec(idx, QuerySpec.window(w))) for w in windows)
             delta = ctx.counters.since(before)
             out[label] = {
                 "pages": idx.page_count(),
@@ -143,7 +143,9 @@ def test_hilbert_vs_morton_curve(benchmark, county_maps):
             built = build_structure("PMR", baltimore, curve=curve)
             built.ctx.pool.clear()
             before = built.ctx.counters.snapshot()
-            results = sum(len(window_query(built.index, w)) for w in windows)
+            results = sum(
+                len(execute_spec(built.index, QuerySpec.window(w))) for w in windows
+            )
             delta = built.ctx.counters.since(before)
             out[curve] = {
                 "window_disk": delta.disk_reads / len(windows),

@@ -11,12 +11,13 @@ zoom levels and reports disk reads per repaint for each structure.
 
 from repro import (
     PMRQuadtree,
-    Rect,
+    QuerySpec,
     RPlusTree,
     RStarTree,
+    Rect,
     StorageContext,
+    execute_spec,
     generate_county,
-    window_query,
 )
 
 
@@ -58,7 +59,9 @@ def main() -> None:
             repaints = 0
             segments_drawn = 0
             for viewport_rect in pan_path(world, viewport):
-                segments_drawn += len(window_query(index, viewport_rect))
+                segments_drawn += len(
+                    execute_spec(index, QuerySpec.window(viewport_rect))
+                )
                 repaints += 1
             delta = ctx.counters.since(before)
             print(

@@ -9,14 +9,11 @@ import random
 from repro import (
     PMRQuadtree,
     Point,
+    QuerySpec,
     Rect,
     StorageContext,
-    enclosing_polygon,
+    execute_spec,
     generate_county,
-    nearest_segment,
-    segments_at_other_endpoint,
-    segments_at_point,
-    window_query,
 )
 
 
@@ -43,26 +40,26 @@ def main() -> None:
     endpoint = county.segments[seg_id].start
 
     # Query 1: who meets this road at this intersection?
-    incident = segments_at_point(index, endpoint)
+    incident = execute_spec(index, QuerySpec.point(endpoint))
     print(f"\nQ1  segments incident at {endpoint}: {incident}")
 
     # Query 2: who meets it at the *other* end?
-    other, at_other = segments_at_other_endpoint(index, endpoint, seg_id)
+    other, at_other = execute_spec(index, QuerySpec.other_endpoint(endpoint, seg_id))
     print(f"Q2  other endpoint {other} touches segments {at_other}")
 
     # Query 3: nearest road to an arbitrary point.
     p = Point(8000, 8000)
-    nearest = nearest_segment(index, p)
+    nearest = execute_spec(index, QuerySpec.nearest(p))[0]
     print(f"Q3  nearest segment to {p}: id={nearest[0]}, dist={nearest[1] ** 0.5:.1f}")
 
     # Query 4: the city block (polygon) containing that point.
-    polygon = enclosing_polygon(index, p)
+    polygon = execute_spec(index, QuerySpec.polygon(p))
     kind = "outer face" if polygon.is_outer else "polygon"
     print(f"Q4  enclosing {kind} has {polygon.size} edges")
 
     # Query 5: everything in a 0.01 %-of-the-map window.
     window = Rect(7900, 7900, 8400, 8400)
-    hits = window_query(index, window)
+    hits = execute_spec(index, QuerySpec.window(window))
     print(f"Q5  window {window} contains {len(hits)} segments")
 
     # The paper's three metrics, accumulated over everything above.

@@ -19,14 +19,13 @@ import random
 
 from repro import (
     PMRQuadtree,
-    Rect,
+    QuerySpec,
     RPlusTree,
     RStarTree,
+    Rect,
     StorageContext,
-    enclosing_polygon,
+    execute_spec,
     generate_county,
-    nearest_segment,
-    window_query,
 )
 from repro.data import two_stage_points
 
@@ -65,8 +64,8 @@ def main() -> None:
         blocks_notified = 0
         roads_closed = 0
         for p in incidents:
-            seg_id, dist2 = nearest_segment(index, p)
-            polygon = enclosing_polygon(index, p)
+            seg_id, dist2 = execute_spec(index, QuerySpec.nearest(p))[0]
+            polygon = execute_spec(index, QuerySpec.polygon(p))
             if polygon is not None and not polygon.is_outer:
                 blocks_notified += 1
             window = Rect(
@@ -75,7 +74,7 @@ def main() -> None:
                 p.x + closure_radius,
                 p.y + closure_radius,
             )
-            roads_closed += len(window_query(index, window))
+            roads_closed += len(execute_spec(index, QuerySpec.window(window)))
 
         delta = ctx.counters.since(before)
         print(

@@ -18,11 +18,11 @@ from pathlib import Path
 
 from repro import (
     Point,
+    QuerySpec,
     RStarTree,
     StorageContext,
-    nearest_segment,
+    execute_spec,
     normalize_segments,
-    segments_at_point,
 )
 from repro.data import read_type1, write_type1
 from repro.geometry import Segment
@@ -64,11 +64,11 @@ def main() -> None:
 
         # Queries run on grid coordinates after normalization.
         some_corner = segments[0].start
-        incident = segments_at_point(index, Point(*some_corner))
+        incident = execute_spec(index, QuerySpec.point(Point(*some_corner)))
         print(f"\nsegments incident at {some_corner}: {incident}")
 
         center = Point(8192, 8192)
-        seg_id, dist2 = nearest_segment(index, center)
+        seg_id, dist2 = execute_spec(index, QuerySpec.nearest(center))[0]
         print(f"nearest segment to the map centre: id={seg_id}, "
               f"distance={dist2 ** 0.5:.0f} pixels")
         print(f"\nmetrics: {ctx.counters.disk_accesses} disk accesses, "

@@ -53,13 +53,8 @@ from repro.core.interface import TraversalBackend
 from repro.core.queries import (
     PolygonResult,
     QuerySpec,
-    enclosing_polygon,
     execute_spec,
     iter_nearest,
-    nearest_segment,
-    segments_at_other_endpoint,
-    segments_at_point,
-    window_query,
 )
 from repro.data import (
     COUNTY_NAMES,
@@ -115,16 +110,11 @@ __all__ = [
     "WORLD_SIZE",
     "ScalarBackend",
     "TraversalBackend",
-    "enclosing_polygon",
     "execute_spec",
     "generate_county",
     "generate_map",
     "iter_nearest",
-    "nearest_segment",
     "normalize_segments",
-    "segments_at_other_endpoint",
-    "segments_at_point",
     "resolve_backend",
-    "window_query",
     "__version__",
 ]

@@ -331,33 +331,6 @@ def _cmd_bench_serve(args) -> int:
             connect = [parse_address(spec) for spec in args.connect]
         except ValueError as exc:
             sys.exit(f"error: {exc}")
-    if args.use_async:
-        from repro.aio import bench_serve_async, format_async_bench_report
-
-        try:
-            areport = bench_serve_async(
-                county=args.county,
-                scale=args.scale,
-                structure=args.structure,
-                connections=args.threads,
-                pipeline=args.pipeline,
-                requests=args.requests,
-                snapshot=args.snapshot,
-                cache_capacity=args.cache_size,
-                seed=args.seed,
-                connect=connect,
-                wal_dir=args.wal,
-                mutate_frac=args.mutate_frac,
-            )
-        except FileNotFoundError:
-            sys.exit(f"error: snapshot not found: {args.snapshot}")
-        except CodecError as exc:
-            sys.exit(f"error: cannot open {args.snapshot}: {exc}")
-        print(format_async_bench_report(areport))
-        deadlocks = _sanitizer_verdict()
-        if areport.errors or not areport.counters_consistent or deadlocks:
-            return 1
-        return 0
     try:
         report = bench_serve(
             county=args.county,
@@ -371,6 +344,10 @@ def _cmd_bench_serve(args) -> int:
             trace=args.trace,
             slow_ms=args.slow_ms,
             connect=connect,
+            use_async=args.use_async,
+            pipeline=args.pipeline,
+            wal_dir=args.wal,
+            mutate_frac=args.mutate_frac,
         )
     except FileNotFoundError:
         sys.exit(f"error: snapshot not found: {args.snapshot}")
@@ -1039,7 +1016,7 @@ def main(argv=None) -> int:
         p.add_argument("--wal", required=True, help="durable-store directory")
         p.add_argument("--group-commit", type=int, default=1)
 
-    p = sub.add_parser("bench-serve", help="drive a server with K client threads")
+    p = sub.add_parser("bench-serve", help="drive a server with K connections")
     _add_common(p)
     p.add_argument("--structure", default="R*", choices=["R*", "R+", "PMR", "R"])
     p.add_argument("--snapshot", default=None, help="open this snapshot instead of building")
@@ -1078,27 +1055,29 @@ def main(argv=None) -> int:
         "--async",
         dest="use_async",
         action="store_true",
-        help="drive an AsyncMapServer with pipelined v2 connections "
-        "(--threads becomes the connection count)",
+        help="start the in-process AsyncMapServer instead of the threaded "
+        "server (the wire is negotiated per connection; no effect with "
+        "--connect)",
     )
     p.add_argument(
         "--pipeline",
         type=int,
         default=8,
-        help="requests kept in flight per connection (--async only)",
+        help="requests kept in flight per connection on servers that "
+        "accept the v2 upgrade",
     )
     p.add_argument(
         "--mutate-frac",
         type=float,
         default=0.0,
-        help="share of requests that are inserts (--async only; pair with "
-        "--wal to measure group commit)",
+        help="share of requests that are inserts (pair with --wal to "
+        "measure group commit)",
     )
     p.add_argument(
         "--wal",
         default=None,
-        help="serve durably from this directory for the async bench "
-        "(enables the group-commit measurement)",
+        help="serve durably from this directory for the bench (enables "
+        "the group-commit measurement)",
     )
 
     p = sub.add_parser(

@@ -6,8 +6,10 @@ serves the same engine (and the same shard-router core) from a single
 event loop with a bounded executor, adds the negotiated length-prefixed
 v2 framing for pipelining, admission control with structured
 ``server_overloaded`` errors, per-client fair scheduling, and
-backpressure-aware group commit across connections. The threaded server
-remains the v1 oracle the protocol-equivalence suite compares against.
+backpressure-aware group commit across connections. Both servers call
+the same protocol core (:mod:`repro.service.protocol`); the threaded
+one remains the v1 oracle the protocol-equivalence suite compares
+against.
 """
 
 from repro.aio.client import AsyncMapClient, send_request_async
@@ -22,33 +24,21 @@ from repro.aio.frames import (
     decode_payload,
     encode_frame,
 )
-from repro.aio.loadgen import (
-    AsyncBenchReport,
-    bench_serve_async,
-    format_async_bench_report,
-    run_async_load,
-)
-from repro.aio.router import AsyncShardRouter, RouterBackend
-from repro.aio.server import AsyncMapServer, EngineBackend
+from repro.aio.router import AsyncShardRouter
+from repro.aio.server import AsyncMapServer
 
 __all__ = [
-    "AsyncBenchReport",
     "AsyncMapClient",
     "AsyncMapServer",
     "AsyncShardRouter",
-    "EngineBackend",
     "FLAG_RESPONSE",
     "FRAME_HEADER",
     "GroupCommitter",
     "HEADER_BYTES",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION_2",
-    "RouterBackend",
-    "bench_serve_async",
     "decode_header",
     "decode_payload",
     "encode_frame",
-    "format_async_bench_report",
-    "run_async_load",
     "send_request_async",
 ]

@@ -85,11 +85,19 @@ class AsyncMapClient:
         self.features: Dict[str, Any] = {}
 
     @classmethod
-    async def connect(
+    async def negotiate(
         cls, address: Tuple[str, int], timeout: float = 10.0
-    ) -> "AsyncMapClient":
-        """Open a connection and negotiate v2; raises if the server
-        refuses the upgrade (e.g. it is the threaded v1-only server)."""
+    ) -> Tuple[
+        Optional["AsyncMapClient"], asyncio.StreamReader, asyncio.StreamWriter
+    ]:
+        """Open a connection and offer the v2 upgrade.
+
+        Returns ``(client, reader, writer)``. ``client`` is ``None`` when
+        the server refused (the threaded v1-only server answers the pin
+        with ``bad_args``): the refusal *is* the downgrade path, so the
+        connection is still a good v1 line connection the caller may
+        keep using through ``reader``/``writer``.
+        """
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(*address), timeout
         )
@@ -99,10 +107,7 @@ class AsyncMapClient:
         line = await asyncio.wait_for(reader.readline(), timeout)
         ack = json.loads(line) if line else {}
         if not ack.get("ok") or ack.get("v") != PROTOCOL_VERSION_2:
-            writer.close()
-            raise ConnectionError(
-                f"server at {address} refused the v2 upgrade: {ack!r}"
-            )
+            return None, reader, writer
         client = cls(reader, writer)
         features = ack.get("features")
         if isinstance(features, dict):
@@ -110,6 +115,18 @@ class AsyncMapClient:
         client._reader_task = asyncio.get_running_loop().create_task(
             client._read_loop()
         )
+        return client, reader, writer
+
+    @classmethod
+    async def connect(
+        cls, address: Tuple[str, int], timeout: float = 10.0
+    ) -> "AsyncMapClient":
+        """Open a connection and negotiate v2; raises if the server
+        refuses the upgrade (e.g. it is the threaded v1-only server)."""
+        client, _reader, writer = await cls.negotiate(address, timeout)
+        if client is None:
+            writer.close()
+            raise ConnectionError(f"server at {address} refused the v2 upgrade")
         return client
 
     async def request(

@@ -1,86 +1,23 @@
 """The shard router behind the asyncio front end.
 
 :class:`AsyncShardRouter` is an :class:`~repro.aio.server.AsyncMapServer`
-whose backend is the *same* :class:`~repro.shard.router.RouterCore` the
-threaded router serves -- scatter, merge, drain gate, reload, partial
+whose protocol target is the *same* :class:`~repro.shard.router.RouterCore`
+the threaded router serves -- scatter, merge, drain gate, reload, partial
 results: one implementation, now reachable over v1 lines *and* v2
 frames. A pipelining client can hold thousands of routed requests in
 flight on one connection; each one still fans out to the shard workers
-over the core's blocking client pool (the async server runs dispatch on
-its executor, which is exactly where blocking scatter belongs).
+over the core's blocking client pool (the async server runs requests on
+its executor, which is exactly where blocking scatter belongs). Routed
+requests have no LSN to defer -- durability lives in the shard workers --
+so the server never engages its group committer.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict
 
 from repro.aio.server import AsyncMapServer
-from repro.obs import dtrace
-from repro.obs.trace import TRACER
 from repro.shard.router import RouterCore
-
-
-class RouterBackend:
-    """Adapts :class:`RouterCore` to the async server's backend slot.
-
-    Routed requests have no LSN to defer (durability lives in the shard
-    workers), so ``dispatch`` always returns ``(result, None, extras)``
-    and the async server never engages its group committer (``store`` is
-    None). ``extras`` carries the trace attachment (ids and, for sampled
-    requests, the stitched span tree reference) when tracing is armed --
-    the same ``"tc"`` envelope field the threaded router serves.
-    """
-
-    store = None
-
-    def __init__(self, core: RouterCore) -> None:
-        self.core = core
-        self.registry = core.registry
-
-    def open_conn(self, conn_id: int) -> None:
-        return None
-
-    def dispatch(
-        self, raw: Dict[str, Any], state: Any
-    ) -> Tuple[Any, None, Optional[Dict[str, Any]]]:
-        core = self.core
-        op = str(raw.get("op"))
-        traced = TRACER.enabled
-        try:
-            if op == "reload":
-                # reload *is* the drainer; entering the gate would
-                # deadlock on itself (same carve-out as the threaded
-                # router's respond()).
-                result = core.reload()
-            else:
-                core._enter_gate()
-                try:
-                    result = core.dispatch_traced(raw)
-                finally:
-                    core._exit_gate()
-        except Exception as exc:
-            core.registry.counter(
-                "repro_router_requests_total", op=op, status="error"
-            ).inc()
-            if traced:
-                # The error envelope is built on the event-loop thread;
-                # carry the attachment across on the exception itself.
-                attachment = dtrace.take_outbound()
-                if attachment is not None:
-                    exc.trace_attachment = attachment
-            raise
-        core.registry.counter(
-            "repro_router_requests_total", op=op, status="ok"
-        ).inc()
-        extras: Optional[Dict[str, Any]] = None
-        if traced:
-            attachment = dtrace.take_outbound()
-            if attachment is not None:
-                extras = {"tc": attachment}
-        return result, None, extras
-
-    def close(self) -> None:
-        self.core.close_clients()
 
 
 class AsyncShardRouter(AsyncMapServer):
@@ -94,9 +31,12 @@ class AsyncShardRouter(AsyncMapServer):
         timeout: float = 5.0,
         **kwargs: Any,
     ) -> None:
-        core = RouterCore(root, timeout=timeout)
-        super().__init__(backend=RouterBackend(core), host=host, port=port, **kwargs)
-        self.core = core
+        self.core = RouterCore(root, timeout=timeout)
+        super().__init__(self.core, host=host, port=port, **kwargs)
+
+    async def shutdown(self) -> None:
+        await super().shutdown()
+        self.core.close_clients()
 
     # Conveniences mirroring the threaded router's surface.
     @property

@@ -34,10 +34,12 @@ await the :class:`~repro.aio.commit.GroupCommitter` -- mutations from
 previous fsync is in flight, with commit-before-ack preserved per
 request: no response is written before an fsync covers its LSN.
 
-The dispatch itself is the *shared* service code path --
-``parse_request``, ``QueryEngine.execute``, ``error_envelope``,
-``shape_result`` -- not a fork of it, so the two servers cannot drift
-semantically (the protocol-equivalence suite holds them to that).
+What a request *means* -- decoding, the ``"v"`` pin, trace context,
+execution, the envelope -- is the sans-IO protocol core
+(:mod:`repro.service.protocol`), the same one the threaded server
+calls; this module is framing, admission, scheduling and the group
+commit wait, so the two servers differ in IO only (the
+protocol-equivalence suite holds them to that).
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Deque, Dict, Optional, Set, Tuple
 
-from repro.errors import ProtocolError, ServerOverloadedError
+from repro.errors import ServerOverloadedError
 from repro.aio.commit import GroupCommitter
 from repro.aio.frames import (
     HEADER_BYTES,
@@ -60,90 +62,9 @@ from repro.aio.frames import (
     encode_frame,
     split_trace_trailer,
 )
-from repro.obs import dtrace
-from repro.obs.clock import clock_info
-from repro.obs.profile import PROFILER
-from repro.obs.trace import TRACER
-from repro.service.api import Delete, Insert, parse_request
-from repro.service.server import (
-    _COMPACT,
-    DEFAULT_IDLE_TIMEOUT,
-    MAX_LINE_BYTES,
-    error_envelope,
-    oversized_envelope,
-    shape_result,
-)
-
-
-class EngineBackend:
-    """Dispatch target wrapping one :class:`QueryEngine`.
-
-    ``dispatch`` runs on an executor thread (the engine's latch already
-    makes that safe -- it is exactly what the threaded server's handler
-    threads do) and returns ``(result, lsn, extras)``: ``lsn`` is set
-    only for durable mutations, whose ack the server defers to the group
-    committer; ``extras`` is ``None`` or envelope-level additions (the
-    ``"tc"`` trace attachment). A request runs start-to-finish on one
-    executor thread, which is what makes the thread-local trace-context
-    handoff (:mod:`repro.obs.dtrace`) sound here too.
-    """
-
-    def __init__(self, engine) -> None:
-        self.engine = engine
-        self.registry = engine.registry
-        self.store = engine.store
-
-    def open_conn(self, conn_id: int):
-        return self.engine.session(f"aconn-{conn_id}")
-
-    def dispatch(
-        self, raw: Dict[str, Any], session
-    ) -> Tuple[Any, Optional[int], Optional[Dict[str, Any]]]:
-        op = raw.get("op")
-        if op == "ping":
-            return "pong", None, None
-        if op == "clock":
-            return clock_info(), None, None
-        if op == "profile":
-            return (
-                PROFILER.run(
-                    seconds=raw.get("seconds", 1.0), hz=raw.get("hz", 97)
-                ),
-                None,
-                None,
-            )
-        traced = False
-        if TRACER.enabled:
-            traced = True
-            tc_raw = raw.get("tc")
-            dtrace.set_incoming(
-                None if tc_raw is None else dtrace.TraceContext.from_wire(tc_raw)
-            )
-        try:
-            request = parse_request(raw)
-            if self.engine.durable and isinstance(request, (Insert, Delete)):
-                result, lsn = self.engine.execute_deferred(
-                    request, session=session
-                )
-            else:
-                result, lsn = self.engine.execute(request, session=session), None
-        except Exception as exc:
-            if traced:
-                attachment = dtrace.take_outbound()
-                if attachment is not None:
-                    # Ride the exception: _run builds the error envelope
-                    # on the loop thread, where the slot is unreachable.
-                    exc.trace_attachment = attachment
-            raise
-        extras = None
-        if traced:
-            attachment = dtrace.take_outbound()
-            if attachment is not None:
-                extras = {"tc": attachment}
-        return shape_result(op, result), lsn, extras
-
-    def close(self) -> None:
-        pass
+from repro.service.api import PROTOCOL_VERSION
+from repro.service.protocol import Envelope, Protocol, Request
+from repro.service.server import _COMPACT, DEFAULT_IDLE_TIMEOUT, MAX_LINE_BYTES
 
 
 class _WireReader:
@@ -213,13 +134,12 @@ class _WireReader:
 
 
 class _Req:
-    __slots__ = ("raw", "wire", "request_id", "echo_v", "arrived", "future")
+    __slots__ = ("request", "wire", "request_id", "arrived", "future")
 
-    def __init__(self, raw, wire, request_id, echo_v, arrived) -> None:
-        self.raw = raw
+    def __init__(self, request: Request, wire, request_id, arrived) -> None:
+        self.request = request
         self.wire = wire  # 1 = line framing, 2 = v2 frames
         self.request_id = request_id
-        self.echo_v = echo_v
         self.arrived = arrived
         self.future: Optional[asyncio.Future] = None  # v1 ordering slot
 
@@ -229,7 +149,7 @@ class _Conn:
         "conn_id",
         "wire",
         "writer",
-        "state",
+        "session",
         "mode",
         "pending",
         "in_ready",
@@ -238,11 +158,11 @@ class _Conn:
         "closed",
     )
 
-    def __init__(self, conn_id, wire, writer, state) -> None:
+    def __init__(self, conn_id, wire, writer, session) -> None:
         self.conn_id = conn_id
         self.wire = wire
         self.writer = writer
-        self.state = state
+        self.session = session
         self.mode = 1  # until a request pins "v": 2
         self.pending: Deque[_Req] = deque()
         self.in_ready = False
@@ -252,21 +172,21 @@ class _Conn:
 
 
 class AsyncMapServer:
-    """Event-loop server speaking v1 and v2 over one backend.
+    """Event-loop server speaking v1 and v2 over one protocol target.
 
-    ``backend`` defaults to an :class:`EngineBackend` over ``engine``;
-    the async shard router passes its own. Use :meth:`start_background`
-    from synchronous code (tests, benches) or ``await`` :meth:`start` /
-    :meth:`serve_forever` from an event loop (the CLI).
+    ``target`` is a :class:`~repro.service.engine.QueryEngine` or a
+    router (see :mod:`repro.service.protocol`). Use
+    :meth:`start_background` from synchronous code (tests, benches) or
+    ``await`` :meth:`start` / :meth:`serve_forever` from an event loop
+    (the CLI).
     """
 
     def __init__(
         self,
-        engine=None,
+        target,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        backend=None,
         idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
         max_line_bytes: int = MAX_LINE_BYTES,
         max_frame_bytes: int = MAX_FRAME_BYTES,
@@ -274,12 +194,7 @@ class AsyncMapServer:
         max_inflight_total: int = 1024,
         executor_workers: int = 4,
     ) -> None:
-        if backend is None:
-            if engine is None:
-                raise ValueError("AsyncMapServer needs an engine or a backend")
-            backend = EngineBackend(engine)
-        self.engine = engine
-        self.backend = backend
+        self.protocol = Protocol(target, (PROTOCOL_VERSION, PROTOCOL_VERSION_2))
         self.host = host
         self.port = port
         self.idle_timeout = idle_timeout
@@ -288,7 +203,7 @@ class AsyncMapServer:
         self.max_inflight_per_conn = max_inflight_per_conn
         self.max_inflight_total = max_inflight_total
         self.executor_workers = executor_workers
-        self.registry = backend.registry
+        self.registry = target.registry
         self.committer: Optional[GroupCommitter] = None
         self.address: Tuple[str, int] = (host, port)
 
@@ -333,7 +248,7 @@ class AsyncMapServer:
         self._executor = ThreadPoolExecutor(
             max_workers=self.executor_workers, thread_name_prefix="aio-engine"
         )
-        store = getattr(self.backend, "store", None)
+        store = getattr(self.protocol.target, "store", None)
         if store is not None:
             # Fsyncs get their own single thread so a burst of engine
             # work cannot queue ahead of the durability path.
@@ -371,7 +286,6 @@ class AsyncMapServer:
             self._executor.shutdown(wait=True, cancel_futures=True)
         if self._fsync_executor is not None:
             self._fsync_executor.shutdown(wait=True, cancel_futures=True)
-        self.backend.close()
 
     # -- background-thread mode (tests, benches, loadgen) ---------------
     def start_background(self) -> threading.Thread:
@@ -430,7 +344,7 @@ class AsyncMapServer:
             conn_id,
             _WireReader(reader, self.max_line_bytes, self.max_frame_bytes),
             writer,
-            self.backend.open_conn(conn_id),
+            self.protocol.session(f"aconn-{conn_id}"),
         )
         self._conns.add(conn)
         self._g_connections.set(len(self._conns))
@@ -473,78 +387,38 @@ class AsyncMapServer:
                 return
             if kind == "eof":
                 return
+            wire = conn.mode  # the framing this request is answered in
             if kind == "oversized":
                 self._c_oversized.inc()
-                limit = (
-                    self.max_line_bytes if conn.mode == 1 else self.max_frame_bytes
-                )
+                limit = self.max_line_bytes if wire == 1 else self.max_frame_bytes
                 request_id = value if value is not None else 0
                 self._respond_immediate(
-                    conn, oversized_envelope(limit), conn.mode, request_id
+                    conn, self.protocol.oversized(limit), wire, request_id
                 )
                 continue
-            if conn.mode == 1:
-                self._on_v1_line(conn, value)
+            if wire == 1:
+                request_id = 0
+                request = self.protocol.decode_line(value)
+                if request is None:
+                    continue  # blank line: no reply is owed
+                if request.version == PROTOCOL_VERSION_2:
+                    # Upgrade: this request is answered in v1 with "v": 2
+                    # echoed; every byte the client sends after it is
+                    # parsed as frames.
+                    conn.mode = 2
             else:
                 flags, request_id, body = value
-                self._on_v2_frame(conn, flags, request_id, body)
-
-    def _on_v1_line(self, conn: _Conn, line: bytes) -> None:
-        echo_v: Optional[int] = None
-        try:
-            raw = json.loads(line)
-            if not isinstance(raw, dict):
-                raise ProtocolError(
-                    f"request must be a JSON object, got {type(raw).__name__}"
+                request = self.protocol.decode_frame(
+                    *split_trace_trailer(flags, body)
                 )
-            v = raw.get("v")
-            if v is not None:
-                if (
-                    isinstance(v, bool)
-                    or not isinstance(v, int)
-                    or v not in (1, PROTOCOL_VERSION_2)
-                ):
-                    raise ProtocolError(
-                        f"unsupported protocol version {v!r}; this server "
-                        f"speaks v1 and v{PROTOCOL_VERSION_2}"
-                    )
-                echo_v = v
-        except Exception as exc:  # a bad line answers, never disconnects
-            self._respond_immediate(
-                conn, {"ok": False, "error": error_envelope(exc)}, 1, 0
-            )
-            return
-        if echo_v == PROTOCOL_VERSION_2:
-            # Upgrade: this request is answered in v1 with "v": 2 echoed;
-            # every byte the client sends after it is parsed as frames.
-            conn.mode = 2
-        self._admit(
-            conn, _Req(raw, 1, 0, echo_v, self._loop.time())
-        )
-
-    def _on_v2_frame(
-        self, conn: _Conn, flags: int, request_id: int, body: bytes
-    ) -> None:
-        try:
-            body, trailer = split_trace_trailer(flags, body)
-            raw = json.loads(body)
-            if not isinstance(raw, dict):
-                raise ProtocolError(
-                    f"frame payload must be a JSON object, got "
-                    f"{type(raw).__name__}"
+            if request.error is not None:
+                # Undecodable: nothing to queue or block on, so the
+                # reader answers in place.
+                self._respond_immediate(
+                    conn, self.protocol.run(request)[0], wire, request_id
                 )
-            if trailer is not None:
-                ctx = dtrace.TraceContext.from_trailer(trailer)
-                if ctx is not None:
-                    # Normalize to the v1 JSON form: downstream (the
-                    # backend dispatch) handles both wires identically.
-                    raw["tc"] = ctx.to_wire()
-        except Exception as exc:
-            self._respond_immediate(
-                conn, {"ok": False, "error": error_envelope(exc)}, 2, request_id
-            )
-            return
-        self._admit(conn, _Req(raw, 2, request_id, None, self._loop.time()))
+                continue
+            self._admit(conn, _Req(request, wire, request_id, self._loop.time()))
 
     # ------------------------------------------------------------------
     # Admission, scheduling, dispatch
@@ -556,19 +430,15 @@ class AsyncMapServer:
             or self._inflight_total >= self.max_inflight_total
         ):
             self._c_overloaded.inc()
-            envelope = {
-                "ok": False,
-                "error": error_envelope(
-                    ServerOverloadedError(
-                        f"server overloaded: connection has {conn.inflight} "
-                        f"requests in flight "
-                        f"(limits: {self.max_inflight_per_conn}/connection, "
-                        f"{self.max_inflight_total} total); retry later"
-                    )
+            envelope = self.protocol.failed(
+                req.request,
+                ServerOverloadedError(
+                    f"server overloaded: connection has {conn.inflight} "
+                    f"requests in flight "
+                    f"(limits: {self.max_inflight_per_conn}/connection, "
+                    f"{self.max_inflight_total} total); retry later"
                 ),
-            }
-            if req.echo_v is not None:
-                envelope["v"] = req.echo_v
+            )
             self._respond_immediate(conn, envelope, req.wire, req.request_id)
             return
         conn.inflight += 1
@@ -616,31 +486,20 @@ class AsyncMapServer:
         try:
             self._h_queue_wait.observe(self._loop.time() - req.arrived)
             if conn.closed:
-                envelope: Dict[str, Any] = {"ok": False}
+                envelope: Envelope = {"ok": False}
             else:
                 try:
-                    result, lsn, extras = await self._loop.run_in_executor(
-                        self._executor, self.backend.dispatch, req.raw, conn.state
+                    envelope, lsn = await self._loop.run_in_executor(
+                        self._executor,
+                        self.protocol.run,
+                        req.request,
+                        conn.session,
+                        self.committer is not None,
                     )
-                    if lsn is not None and self.committer is not None:
+                    if lsn is not None:
                         await self.committer.wait_durable(lsn)
-                    envelope = {"ok": True, "result": result}
-                    if extras:
-                        envelope.update(extras)
-                except Exception as exc:  # structured error, never a drop
-                    envelope = {"ok": False, "error": error_envelope(exc)}
-                    partial = getattr(exc, "partial", None)
-                    if partial is not None:
-                        envelope["partial"] = partial
-                    attachment = getattr(exc, "trace_attachment", None)
-                    if attachment is not None:
-                        envelope["tc"] = attachment
-            if req.echo_v is not None:
-                envelope["v"] = req.echo_v
-                if req.echo_v == PROTOCOL_VERSION_2 and req.wire == 1:
-                    # The upgrade ack advertises optional capabilities;
-                    # clients that predate them ignore the extra key.
-                    envelope["features"] = {"tc": True}
+                except Exception as exc:  # commit-before-ack: no fsync, no ack
+                    envelope = self.protocol.failed(req.request, exc)
             self._send(conn, req, envelope)
         finally:
             self._sem.release()

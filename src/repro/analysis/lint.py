@@ -32,13 +32,6 @@ invariant of this repository:
   ``repro.core``: arguments of the locational-code functions and
   ``PMRBlock``, and operands of bitwise shifts/masks, must be integer
   expressions (a float silently truncates a Morton code).
-* **RP06** -- no new calls to the deprecated legacy query shims
-  (``window_query``, ``segments_at_point`` and friends) outside
-  ``repro.core.queries`` itself. Queries are expressed as a
-  :class:`~repro.core.queries.spec.QuerySpec` and executed through a
-  :class:`~repro.core.interface.TraversalBackend`; a direct legacy call
-  sidesteps backend selection, so the vectorized path silently never
-  runs for it.
 
 Suppression: append ``# repro-lint: disable=RPxx -- <justification>`` to
 the offending line. The justification is mandatory -- a disable without
@@ -61,7 +54,6 @@ RP02 = LINT_RULES.register("RP02", "Latch acquired/released outside a with block
 RP03 = LINT_RULES.register("RP03", "MetricsCounters field mutated outside its layer")
 RP04 = LINT_RULES.register("RP04", "bare except / except Exception: pass")
 RP05 = LINT_RULES.register("RP05", "float literal in a grid-coordinate position")
-RP06 = LINT_RULES.register("RP06", "legacy query shim called outside repro.core.queries")
 
 _IO_FIELDS = frozenset(IO_FIELDS)
 _COMP_FIELDS = frozenset(COMP_FIELDS)
@@ -78,19 +70,6 @@ _GRID_CALLS = frozenset(
     }
 )
 _BITWISE_OPS = (ast.LShift, ast.RShift, ast.BitAnd, ast.BitOr, ast.BitXor)
-#: Deprecated pre-QuerySpec entry points; callable only from their home
-#: package (the shims delegate to spec execution there).
-_LEGACY_QUERY_CALLS = frozenset(
-    {
-        "window_query",
-        "segments_at_point",
-        "segments_at_other_endpoint",
-        "incident_segments_with_geometry",
-        "nearest_segment",
-        "nearest_k_segments",
-        "enclosing_polygon",
-    }
-)
 
 _DISABLE_RE = re.compile(
     r"#\s*repro-lint:\s*disable=([A-Z]{2}\d{2}(?:\s*,\s*[A-Z]{2}\d{2})*)"
@@ -130,7 +109,6 @@ class _Scope:
         self.in_core = "/repro/core/" in p
         self.is_latch_module = p.endswith("repro/storage/latch.py")
         self.is_metric_names = p.endswith("repro/metric_names.py")
-        self.is_legacy_home = "/repro/core/queries/" in p
 
 
 class _Visitor(ast.NodeVisitor):
@@ -143,20 +121,9 @@ class _Visitor(ast.NodeVisitor):
     def _flag(self, rule: str, node: ast.AST, detail: str) -> None:
         self.raw.append((rule, getattr(node, "lineno", 0), detail))
 
-    # -- RP01 / RP02 / RP06: method-call rules -------------------------
+    # -- RP01 / RP02: method-call rules --------------------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        callee = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else ""
-        )
-        if callee in _LEGACY_QUERY_CALLS and not self.scope.is_legacy_home:
-            self._flag(
-                RP06,
-                node,
-                f"`{callee}(...)` is a deprecated legacy shim; build a "
-                f"QuerySpec and run it through a backend "
-                f"(engine/execute_spec) so backend selection applies",
-            )
         if isinstance(func, ast.Attribute):
             target = _chain_tail(func.value)
             if (

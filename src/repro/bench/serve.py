@@ -3,9 +3,10 @@
 ``python -m repro bench --serve --json BENCH_serve.json`` runs the same
 seeded workload through both front ends over one built index:
 
-* **threaded** -- the closed-loop ``bench-serve`` shape: K client
-  threads, one connection and one in-flight request each, against the
-  threaded :class:`~repro.service.server.MapServer`;
+* **threaded** -- the closed-loop ``bench-serve`` shape: K connections,
+  one in-flight request each (the threaded
+  :class:`~repro.service.server.MapServer` refuses the v2 upgrade, so
+  the load generator drives it over v1 lines);
 * **async** -- the saturation shape: ``async_multiplier`` x K pipelined
   v2 connections against the :class:`~repro.aio.server.AsyncMapServer`
   (the acceptance floor for the async front end is sustaining at least
@@ -25,7 +26,6 @@ from __future__ import annotations
 import tempfile
 from typing import Dict, List, Optional
 
-from repro.aio.loadgen import bench_serve_async
 from repro.bench.runner import BENCH_SCHEMA_VERSION
 from repro.obs.buildinfo import git_sha
 from repro.service.loadgen import bench_serve
@@ -88,14 +88,15 @@ def run_serve_bench(
     finally:
         TRACER.disarm()
     with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
-        awaited = bench_serve_async(
+        awaited = bench_serve(
             county=str(p["county"]),
             scale=float(p["scale"]),
             structure=str(p["structure"]),
-            connections=async_connections,
-            pipeline=pipeline,
+            threads=async_connections,
             requests=requests,
             seed=int(p["seed"]),
+            use_async=True,
+            pipeline=pipeline,
             wal_dir=tmp + "/wal",
             mutate_frac=float(p["mutate_frac"]),
         )
@@ -130,7 +131,7 @@ def run_serve_bench(
                 },
             },
             "async": {
-                "connections": awaited.connections,
+                "connections": awaited.threads,
                 "pipeline": awaited.pipeline,
                 "requests": awaited.requests,
                 "errors": awaited.errors,

@@ -1,45 +1,28 @@
 """The five queries of Section 5, written once against the
-:class:`~repro.core.interface.SpatialIndex` interface.
+:class:`~repro.core.interface.SpatialIndex` interface. Each is a
+:class:`QuerySpec` run through :func:`execute_spec`:
 
-1. :func:`segments_at_point` -- all segments incident at an endpoint.
-2. :func:`segments_at_other_endpoint` -- incidences at a segment's other
+1. ``QuerySpec.point`` -- all segments incident at an endpoint.
+2. ``QuerySpec.other_endpoint`` -- incidences at a segment's other
    endpoint.
-3. :func:`nearest_segment` (and the incremental :func:`iter_nearest`) --
-   the nearest segment to a point, Euclidean metric.
-4. :func:`enclosing_polygon` -- the minimal polygon enclosing a point.
-5. :func:`window_query` -- all segments meeting a rectangular window.
+3. ``QuerySpec.nearest`` (and the incremental :func:`iter_nearest`) --
+   the nearest segment(s) to a point, Euclidean metric.
+4. ``QuerySpec.polygon`` -- the minimal polygon enclosing a point.
+5. ``QuerySpec.window`` -- all segments meeting a rectangular window.
 """
 
 from repro.core.queries.join import brute_force_join, quadtree_join, rtree_join
-from repro.core.queries.nearest import (
-    iter_nearest,
-    nearest_k_segments,
-    nearest_segment,
-    nearest_segment_to_segment,
-)
-from repro.core.queries.point import (
-    incident_segments_with_geometry,
-    segments_at_other_endpoint,
-    segments_at_point,
-)
-from repro.core.queries.polygon import PolygonResult, enclosing_polygon
+from repro.core.queries.nearest import iter_nearest, nearest_segment_to_segment
+from repro.core.queries.polygon import PolygonResult
 from repro.core.queries.spec import QuerySpec, execute_spec
-from repro.core.queries.window import window_query
 
 __all__ = [
     "PolygonResult",
     "QuerySpec",
     "brute_force_join",
-    "enclosing_polygon",
     "execute_spec",
-    "incident_segments_with_geometry",
     "iter_nearest",
-    "nearest_k_segments",
-    "nearest_segment",
     "nearest_segment_to_segment",
     "quadtree_join",
     "rtree_join",
-    "segments_at_other_endpoint",
-    "segments_at_point",
-    "window_query",
 ]

@@ -91,29 +91,6 @@ def iter_nearest(
                 )
 
 
-def nearest_segment(
-    index: SpatialIndex, p: Point
-) -> Optional[Tuple[int, float]]:
-    """**Query 3**: the nearest segment to ``p`` (or ``None`` if empty).
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.nearest(p, 1)`` through a
-        :class:`~repro.core.interface.TraversalBackend` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "nearest_segment() is deprecated; execute QuerySpec.nearest() "
-        "through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.queries.spec import QuerySpec, execute_spec
-
-    out = execute_spec(index, QuerySpec.nearest(p, 1))
-    return out[0] if out else None
-
-
 def scalar_nearest_segment(
     index: SpatialIndex, p: Point
 ) -> Optional[Tuple[int, float]]:
@@ -121,28 +98,6 @@ def scalar_nearest_segment(
     for seg_id, dist2 in iter_nearest(index, p):
         return seg_id, dist2
     return None
-
-
-def nearest_k_segments(
-    index: SpatialIndex, p: Point, k: int
-) -> "list[Tuple[int, float]]":
-    """The ``k`` nearest segments, by resuming the incremental search.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.nearest(p, k)`` through a
-        :class:`~repro.core.interface.TraversalBackend` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "nearest_k_segments() is deprecated; execute QuerySpec.nearest() "
-        "through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.queries.spec import QuerySpec, execute_spec
-
-    return execute_spec(index, QuerySpec.nearest(p, k))
 
 
 def scalar_nearest_k(

@@ -7,18 +7,17 @@ is fetched (the id is stored in the node, so no real implementation would
 fetch a segment twice), then verified against the segment table -- each
 verification is one of the paper's segment comparisons.
 
-The public callables are deprecated shims over
-:class:`~repro.core.queries.spec.QuerySpec`; the scalar implementations
-(``scalar_*``) stay here and are what the reference backend runs.
+Callers execute ``QuerySpec.point`` / ``incident`` / ``other_endpoint``
+through a backend; the scalar implementations here are what the
+reference backend runs.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, List, Tuple
 
 from repro.core.interface import SpatialIndex
-from repro.core.queries.spec import QuerySpec, execute_spec
+from repro.core.queries.spec import QuerySpec
 from repro.geometry import Point, Segment
 from repro.obs.explain import (
     CAUSE_SEGMENT_TABLE,
@@ -28,24 +27,6 @@ from repro.obs.explain import (
     COUNT_SEGMENT_FETCHES,
 )
 from repro.obs.trace import TRACER
-
-
-def incident_segments_with_geometry(
-    index: SpatialIndex, p: Point
-) -> List[Tuple[int, Segment]]:
-    """Segments incident at ``p``, with their fetched geometry.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.incident(p)`` through a
-        :class:`~repro.core.interface.TraversalBackend` instead.
-    """
-    warnings.warn(
-        "incident_segments_with_geometry() is deprecated; execute "
-        "QuerySpec.incident() through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.incident(p))
 
 
 def scalar_incident_segments(
@@ -101,39 +82,6 @@ def verify_incident_profiled(
             out.append((seg_id, seg))
             prof.count(COUNT_RESULTS)
     return out
-
-
-def segments_at_point(index: SpatialIndex, p: Point) -> List[int]:
-    """**Query 1**: ids of all segments with an endpoint at ``p``.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.point(p)`` through a backend.
-    """
-    warnings.warn(
-        "segments_at_point() is deprecated; execute QuerySpec.point() "
-        "through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.point(p))
-
-
-def segments_at_other_endpoint(
-    index: SpatialIndex, p: Point, seg_id: int
-) -> Tuple[Point, List[int]]:
-    """**Query 2**: incidences at the other endpoint of a given segment.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.other_endpoint(p, seg_id)``
-        through a backend.
-    """
-    warnings.warn(
-        "segments_at_other_endpoint() is deprecated; execute "
-        "QuerySpec.other_endpoint() through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.other_endpoint(p, seg_id))
 
 
 def other_endpoint_via(index: SpatialIndex, p: Point, seg_id: int, backend):

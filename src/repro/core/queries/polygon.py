@@ -67,28 +67,6 @@ def _signed_area2(vertices: List[Point]) -> float:
     return total
 
 
-def enclosing_polygon(
-    index: SpatialIndex, p: Point, max_steps: int = 100_000
-) -> Optional[PolygonResult]:
-    """**Query 4**: the boundary of the polygon containing ``p``.
-
-    .. deprecated::
-        Thin shim; execute ``QuerySpec.polygon(p)`` through a
-        :class:`~repro.core.interface.TraversalBackend` instead.
-    """
-    import warnings
-
-    warnings.warn(
-        "enclosing_polygon() is deprecated; execute QuerySpec.polygon() "
-        "through a TraversalBackend",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.queries.spec import execute_spec
-
-    return execute_spec(index, QuerySpec.polygon(p, max_steps))
-
-
 def walk_enclosing_polygon(
     index: SpatialIndex, p: Point, max_steps: int, backend
 ) -> Optional[PolygonResult]:

@@ -1,14 +1,12 @@
 """The query plan object both traversal backends consume.
 
-Historically each of the paper's five queries was its own ad-hoc entry
-point (``window_query``, ``segments_at_point``, ...). With more than one
-traversal backend (the scalar reference path and the vectorized
-``repro.core.vector`` backend) every caller would have to know which
-implementation to dispatch to; instead, a :class:`QuerySpec` names the
-query *plan* -- operation plus arguments -- and :func:`execute_spec`
-hands it to a :class:`~repro.core.interface.TraversalBackend`. The
-legacy callables survive as thin deprecated shims that build a spec
-(``repro-lint`` rule RP06 flags new direct calls that bypass it).
+With more than one traversal backend (the scalar reference path and
+the vectorized ``repro.core.vector`` backend) a caller of a per-query
+function would have to know which implementation to dispatch to;
+instead, a :class:`QuerySpec` names the query *plan* -- operation plus
+arguments -- and :func:`execute_spec` hands it to a
+:class:`~repro.core.interface.TraversalBackend`. There is no other
+entry into query traversal.
 
 Cache-key compatibility is part of the contract: ``QuerySpec.cache_key``
 returns exactly the tuples the typed wire requests
@@ -145,8 +143,7 @@ def execute_spec(index, spec: QuerySpec, backend=None):
 
     ``backend`` defaults to the scalar reference backend; pass the
     engine's resolved backend to pick the vectorized path. This is the
-    single sanctioned entry into query traversal -- the legacy
-    callables all route through here.
+    single entry into query traversal.
     """
     if backend is None:
         from repro.core.backends import SCALAR_BACKEND  # avoid cycle

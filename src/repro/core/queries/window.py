@@ -10,11 +10,9 @@ same verify helpers so the two paths stay charge-identical.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, List
 
 from repro.core.interface import SpatialIndex
-from repro.core.queries.spec import QuerySpec, execute_spec
 from repro.geometry import Rect
 from repro.obs.explain import (
     CAUSE_SEGMENT_TABLE,
@@ -24,26 +22,6 @@ from repro.obs.explain import (
     COUNT_SEGMENT_FETCHES,
 )
 from repro.obs.trace import TRACER
-
-
-def window_query(
-    index: SpatialIndex, window: Rect, mode: str = "intersects"
-) -> List[int]:
-    """**Query 5**: ids of all segments in the closed window.
-
-    .. deprecated::
-        Thin shim kept for callers of the historical entry point; build
-        ``QuerySpec.window(window, mode)`` and run it through
-        :func:`~repro.core.queries.spec.execute_spec` (or the engine's
-        backend) instead. The cache key is unchanged either way.
-    """
-    warnings.warn(
-        "window_query() is deprecated; execute QuerySpec.window() through "
-        "a TraversalBackend (repro.core.queries.spec.execute_spec)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return execute_spec(index, QuerySpec.window(window, mode))
 
 
 def scalar_window_query(

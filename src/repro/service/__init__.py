@@ -15,13 +15,16 @@ this package *serves* them:
 * :mod:`repro.service.batch` -- :class:`BatchExecutor`, which reorders
   grouped queries by the Morton key of their centroid to maximize
   buffer-pool reuse.
-* :mod:`repro.service.server` -- :class:`MapServer`, a threaded
-  line-delimited-JSON TCP server (``python -m repro serve``). With
+* :mod:`repro.service.protocol` -- :class:`Protocol`, the sans-IO core
+  every transport calls: request bytes in, response envelope out.
+* :mod:`repro.service.server` -- :class:`MapServer`, the threaded
+  line-delimited-JSON transport (``python -m repro serve``). With
   ``--wal DIR`` it serves a durable store (:mod:`repro.wal`): mutations
   are write-ahead logged before they are applied and
   ``{"op": "checkpoint"}`` folds the log into a fresh snapshot.
-* :mod:`repro.service.loadgen` -- ``python -m repro bench-serve``: a
-  multi-threaded load generator reporting throughput, latency
+* :mod:`repro.service.loadgen` -- ``python -m repro bench-serve``: the
+  load generator (pipelined v2 where the server speaks it, closed-loop
+  v1 lines where it does not) reporting throughput, latency
   percentiles, cache hit rate, and disk accesses.
 * :mod:`repro.service.api` -- the typed request dataclasses
   (:class:`PointQuery`, :class:`WindowQuery`, ...) every surface parses
@@ -48,9 +51,21 @@ from repro.service.api import (
 from repro.service.batch import BatchExecutor, BatchResult, morton_key
 from repro.service.cache import ResultCache
 from repro.service.engine import QueryEngine, QuerySession
-from repro.service.loadgen import BenchReport, bench_serve, format_bench_report
-from repro.service.server import MapServer, error_envelope, send_request
+from repro.service.protocol import Protocol, error_envelope
+from repro.service.server import MapServer, send_request
 from repro.service.snapshot import open_index, save_index, snapshot_info
+
+
+def __getattr__(name: str):
+    # The load generator drives both transports, so importing it pulls in
+    # asyncio, repro.aio and repro.shard; a server process that imports
+    # this package should not carry those (~6 MiB of peak RSS in `serve`).
+    if name in ("BenchReport", "bench_serve", "format_bench_report"):
+        from repro.service import loadgen
+
+        return getattr(loadgen, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BatchExecutor",
@@ -66,6 +81,7 @@ __all__ = [
     "NearestQuery",
     "PROTOCOL_VERSION",
     "PointQuery",
+    "Protocol",
     "QueryEngine",
     "QuerySession",
     "ResultCache",

@@ -411,19 +411,6 @@ REQUEST_TYPES = (
 BATCH_OPS = ("point", "window", "nearest", "insert", "delete")
 
 
-def request_version(raw: Dict[str, Any]) -> Optional[int]:
-    """Validate and return the request's pinned protocol version."""
-    v = raw.get("v")
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, int) or v != PROTOCOL_VERSION:
-        raise ProtocolError(
-            f"unsupported protocol version {v!r}; this server speaks "
-            f"v{PROTOCOL_VERSION}"
-        )
-    return v
-
-
 def parse_request(raw: Dict[str, Any]) -> Any:
     """Build the typed request a wire-protocol dict describes.
 

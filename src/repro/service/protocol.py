@@ -1,0 +1,297 @@
+"""The sans-IO protocol core: request bytes in, response envelope out.
+
+Every transport -- the threaded line server, the asyncio server, both
+shard-router fronts -- hands this module the bytes of one complete
+request and gets back the complete response envelope (plus, for a
+durable mutation whose commit the transport batches, the LSN its ack
+must wait for). The module touches no socket, thread or event loop, so
+the wire *policy* exists once:
+
+* a request is one JSON object; a blank line is framing noise and gets
+  no reply at all;
+* the ``"v"`` pin is checked against the versions the transport speaks
+  and echoed on the reply (the upgrade ack also advertises ``features``);
+* the trace context arrives as the ``"tc"`` field or the v2 frame
+  trailer and leaves as the ``"tc"`` attachment, collected on the
+  thread that ran the request;
+* ``ping`` / ``clock`` / ``profile`` are answered here, everything else
+  is ``parse_request`` -> ``engine.execute``;
+* any exception becomes the structured error object of
+  :func:`error_envelope`, with a router's ``partial`` answer attached.
+
+Framing, size caps and their draining, idle timeouts, admission,
+scheduling and waiting for the group commit are IO and stay in the
+transports; they call :meth:`Protocol.oversized` and
+:meth:`Protocol.failed` for the envelopes those decisions need.
+
+A *target* is either a :class:`~repro.service.engine.QueryEngine` or a
+router: an object with ``route(raw)`` (it forwards the wire dict to its
+shards, so it takes the request undigested) and
+``count_request(op, ok)``.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Dict, Optional, Sequence, Tuple
+
+from repro.errors import FrameTooLargeError, ProtocolError
+from repro.metric_names import DISK_ACCESSES
+from repro.obs import dtrace
+from repro.obs.clock import clock_info
+from repro.obs.profile import PROFILER
+from repro.obs.trace import TRACER
+from repro.service.api import PROTOCOL_VERSION, Delete, Insert, parse_request
+
+Envelope = Dict[str, Any]
+
+
+def error_envelope(exc: BaseException) -> Dict[str, str]:
+    """Map an exception to the wire error object -- the ONE place the
+    exception-class -> error-code policy lives.
+
+    * :class:`ProtocolError` carries its own code (``unknown_op``,
+      ``bad_args``, ``not_durable``, ``shard_unavailable``, ...).
+    * ``KeyError`` is how the engine reports an unknown segment id.
+    * Other ``ValueError``/``TypeError`` are argument problems.
+    * Anything else is ``internal`` -- a bug, surfaced but contained.
+
+    When the exception names an originating shard (the router relaying a
+    worker failure sets ``shard_id``), the envelope carries it through so
+    clients see *which* process failed, not just that one did.
+    """
+    if isinstance(exc, ProtocolError):
+        code = exc.code
+        message = str(exc)
+    elif isinstance(exc, KeyError):
+        code = "unknown_seg"
+        message = str(exc.args[0]) if exc.args else str(exc)
+    elif isinstance(exc, (ValueError, TypeError)):
+        code = "bad_args"
+        message = str(exc)
+    else:
+        code = "internal"
+        message = str(exc)
+    envelope = {"code": code, "message": message, "type": type(exc).__name__}
+    shard_id = getattr(exc, "shard_id", None)
+    if shard_id is not None:
+        envelope["shard"] = shard_id
+    return envelope
+
+
+class Request:
+    """One decoded wire request -- or the reason it cannot be served.
+
+    ``error`` is set for an undecodable request (``raw`` is then ``None``)
+    and for a refused ``"v"`` pin. Either still flows through
+    :meth:`Protocol.run`, so its error envelope and its count are
+    produced where every other request's are.
+    """
+
+    __slots__ = ("raw", "version", "error")
+
+    def __init__(
+        self,
+        raw: Optional[Dict[str, Any]] = None,
+        version: Optional[int] = None,
+        error: Optional[Exception] = None,
+    ) -> None:
+        self.raw = raw
+        self.version = version
+        self.error = error
+
+
+class Protocol:
+    """Bytes -> envelope over one target, for a transport that speaks
+    the wire ``versions`` given."""
+
+    def __init__(
+        self, target: Any, versions: Sequence[int] = (PROTOCOL_VERSION,)
+    ) -> None:
+        self.target = target
+        self.versions = tuple(versions)
+        self._route = getattr(target, "route", None)
+        self._count = getattr(target, "count_request", None)
+
+    def session(self, name: str) -> Any:
+        """Per-connection state: an engine attributes counters to it."""
+        return None if self._route is not None else self.target.session(name)
+
+    # ------------------------------------------------------------------
+    # Decoding
+    # ------------------------------------------------------------------
+    def decode_line(self, line: Any) -> Optional[Request]:
+        """One v1 line; ``None`` for a blank one (no reply is owed)."""
+        if not line or line.isspace():
+            return None
+        try:
+            raw = _loads_object(line)
+        except Exception as exc:  # answered by run(), never a disconnect
+            return Request(error=exc)
+        version = raw.get("v")
+        if version is not None and (
+            isinstance(version, bool)
+            or not isinstance(version, int)
+            or version not in self.versions
+        ):
+            speaks = " and ".join(f"v{v}" for v in self.versions)
+            return Request(
+                raw,
+                error=ProtocolError(
+                    f"unsupported protocol version {version!r}; this server "
+                    f"speaks {speaks}"
+                ),
+            )
+        return Request(raw, version)
+
+    def decode_frame(self, body: bytes, trailer: Optional[bytes] = None) -> Request:
+        """One v2 frame payload plus its trace trailer, if flagged.
+
+        The trailer is normalized to the ``"tc"`` field, so everything
+        downstream handles both wires identically. Inside v2 the version
+        is settled: a ``"v"`` key in a frame is neither checked nor echoed.
+        """
+        try:
+            raw = _loads_object(body)
+            if trailer is not None:
+                ctx = dtrace.TraceContext.from_trailer(trailer)
+                if ctx is not None:
+                    raw["tc"] = ctx.to_wire()
+        except Exception as exc:
+            return Request(error=exc)
+        return Request(raw)
+
+    # ------------------------------------------------------------------
+    # Execution
+    # ------------------------------------------------------------------
+    def run(
+        self, request: Request, session: Any = None, deferred: bool = False
+    ) -> Tuple[Envelope, Optional[int]]:
+        """Execute one decoded request; never raises.
+
+        Returns ``(envelope, lsn)``. ``lsn`` is set only when ``deferred``
+        is true and a durable mutation logged it: the engine skipped its
+        inline fsync, and the caller must not send the envelope before an
+        fsync covers that LSN (or must send :meth:`failed` instead).
+
+        Call it on the thread that may block: the trace-context handoff
+        is thread-local, so decode-to-envelope has to stay on one thread.
+        """
+        lsn: Optional[int] = None
+        traced = False
+        raw = request.raw
+        op = "invalid" if raw is None else raw.get("op")
+        try:
+            if request.error is not None:
+                raise request.error
+            if TRACER.enabled:
+                # Park the wire context (or clear a stale one an aborted
+                # request left on this thread) for the tracer to consume.
+                # Disabled tracing pays exactly the attribute check above.
+                traced = True
+                tc_raw = raw.get("tc")
+                dtrace.set_incoming(
+                    None
+                    if tc_raw is None
+                    else dtrace.TraceContext.from_wire(tc_raw)
+                )
+            if self._route is not None:
+                result = self._route(raw)
+            else:
+                result, lsn = self._execute(raw, session, deferred)
+            envelope: Envelope = {"ok": True, "result": result}
+        except Exception as exc:  # serve errors back, keep the connection
+            envelope = _error(exc)
+        if self._count is not None:
+            self._count(str(op), envelope["ok"])
+        if traced:
+            attachment = dtrace.take_outbound()
+            if attachment is not None:
+                envelope["tc"] = attachment
+        return _echo(envelope, request.version), lsn
+
+    def respond_line(self, line: Any, session: Any = None) -> Optional[Envelope]:
+        """One v1 line -> its envelope, committed inline (``None`` for a
+        blank line). The whole protocol for a one-request-at-a-time
+        transport."""
+        request = self.decode_line(line)
+        if request is None:
+            return None
+        return self.run(request, session)[0]
+
+    def _execute(
+        self, raw: Dict[str, Any], session: Any, deferred: bool
+    ) -> Tuple[Any, Optional[int]]:
+        op = raw.get("op")
+        if op == "ping":
+            return "pong", None
+        if op == "clock":
+            return clock_info(), None
+        if op == "profile":
+            return (
+                PROFILER.run(
+                    seconds=raw.get("seconds", 1.0), hz=raw.get("hz", 97)
+                ),
+                None,
+            )
+        engine = self.target
+        request = parse_request(raw)
+        if deferred and engine.durable and isinstance(request, (Insert, Delete)):
+            result, lsn = engine.execute_deferred(request, session=session)
+        else:
+            result, lsn = engine.execute(request, session=session), None
+        if op == "batch":
+            # A dataclass engine-side; one JSON shape on every transport.
+            result = {
+                "results": result.results,
+                "order": result.order,
+                DISK_ACCESSES: result.disk_accesses,
+            }
+        return result, lsn
+
+    # ------------------------------------------------------------------
+    # Envelopes for decisions the transports make
+    # ------------------------------------------------------------------
+    @staticmethod
+    def oversized(limit: int) -> Envelope:
+        """The reply to a request the transport drained instead of read."""
+        return _error(
+            FrameTooLargeError(
+                f"request exceeds the {limit}-byte frame cap; it was discarded"
+            )
+        )
+
+    @staticmethod
+    def failed(request: Request, exc: BaseException) -> Envelope:
+        """The reply when the transport itself fails a decoded request:
+        admission control refused to queue it, or -- after the envelope
+        was built -- the fsync its ack waits for failed, which must turn
+        the ack into an error (commit-before-ack)."""
+        return _echo(_error(exc), request.version)
+
+
+def _loads_object(data: Any) -> Dict[str, Any]:
+    raw = json.loads(data)
+    if not isinstance(raw, dict):
+        raise ProtocolError(
+            f"request must be a JSON object, got {type(raw).__name__}"
+        )
+    return raw
+
+
+def _error(exc: BaseException) -> Envelope:
+    envelope: Envelope = {"ok": False, "error": error_envelope(exc)}
+    partial = getattr(exc, "partial", None)
+    if partial is not None:
+        envelope["partial"] = partial
+    return envelope
+
+
+def _echo(envelope: Envelope, version: Optional[int]) -> Envelope:
+    if version is not None:
+        envelope["v"] = version
+        if version != PROTOCOL_VERSION:
+            # The upgrade ack advertises optional capabilities; clients
+            # that predate them ignore the extra key.
+            envelope["features"] = {"tc": True}
+    return envelope

@@ -1,4 +1,9 @@
-"""JSON-over-TCP front end for the query engine.
+"""The threaded transport: JSON lines over TCP, a thread per connection.
+
+This module is IO only -- the listening socket, blocking ``readline``
+with its idle timeout and size cap, the handler threads. What a line
+means is decided by the protocol core (:mod:`repro.service.protocol`),
+which the asyncio transport (:mod:`repro.aio.server`) calls too.
 
 Protocol: newline-delimited JSON objects, one request per line, one
 response per line, over a plain TCP connection. Each connection gets its
@@ -58,14 +63,8 @@ import socketserver
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import FrameTooLargeError, ProtocolError
-from repro.metric_names import DISK_ACCESSES
-from repro.obs import dtrace
-from repro.obs.clock import clock_info
-from repro.obs.profile import PROFILER
-from repro.obs.trace import TRACER
-from repro.service.api import parse_request, request_version
 from repro.service.engine import QueryEngine
+from repro.service.protocol import Envelope, Protocol
 
 #: Close a connection that has sent nothing for this long (seconds).
 #: A stalled client used to pin its handler thread forever; both the
@@ -77,84 +76,19 @@ DEFAULT_IDLE_TIMEOUT = 300.0
 #: instead of being buffered whole -- one client cannot exhaust memory.
 MAX_LINE_BYTES = 1 << 20
 
-
-def error_envelope(exc: BaseException) -> Dict[str, str]:
-    """Map an exception to the wire error object -- the ONE place the
-    exception-class -> error-code policy lives.
-
-    * :class:`ProtocolError` carries its own code (``unknown_op``,
-      ``bad_args``, ``not_durable``, ``shard_unavailable``, ...).
-    * ``KeyError`` is how the engine reports an unknown segment id.
-    * Other ``ValueError``/``TypeError`` are argument problems.
-    * Anything else is ``internal`` -- a bug, surfaced but contained.
-
-    When the exception names an originating shard (the router relaying a
-    worker failure sets ``shard_id``), the envelope carries it through so
-    clients see *which* process failed, not just that one did.
-    """
-    if isinstance(exc, ProtocolError):
-        code = exc.code
-        message = str(exc)
-    elif isinstance(exc, KeyError):
-        code = "unknown_seg"
-        message = str(exc.args[0]) if exc.args else str(exc)
-    elif isinstance(exc, (ValueError, TypeError)):
-        code = "bad_args"
-        message = str(exc)
-    else:
-        code = "internal"
-        message = str(exc)
-    envelope = {"code": code, "message": message, "type": type(exc).__name__}
-    shard_id = getattr(exc, "shard_id", None)
-    if shard_id is not None:
-        envelope["shard"] = shard_id
-    return envelope
-
-
 #: Compact separators: responses carry segment lists, so the default
 #: ``", "``/``": "`` padding costs real encode time and wire bytes.
 _COMPACT = (",", ":")
 
 
-def shape_result(op: Any, result: Any) -> Any:
-    """Shape an engine result for the wire (shared with the async server).
-
-    Batch results are a dataclass engine-side; every server flattens them
-    to the same JSON shape here, so v1, v2, threaded, and async responses
-    stay byte-for-byte interchangeable.
-    """
-    if op == "batch":
-        return {
-            "results": result.results,
-            "order": result.order,
-            DISK_ACCESSES: result.disk_accesses,
-        }
-    return result
-
-
-def oversized_envelope(limit: int, version: Optional[int] = None) -> Dict[str, Any]:
-    """The ``frame_too_large`` error response, shared by both servers."""
-    response: Dict[str, Any] = {
-        "ok": False,
-        "error": error_envelope(
-            FrameTooLargeError(
-                f"request exceeds the {limit}-byte frame cap; "
-                f"it was discarded"
-            )
-        ),
-    }
-    if version is not None:
-        response["v"] = version
-    return response
-
-
 def serve_json_lines(
     handler: socketserver.StreamRequestHandler,
-    respond_line,
+    protocol: Protocol,
+    session: Any,
     idle_timeout: Optional[float],
     max_line_bytes: int,
 ) -> None:
-    """The v1 request loop shared by the map server and shard router.
+    """The blocking v1 request loop: one line in, one line out.
 
     Reads newline-delimited requests with an idle timeout (a stalled
     client no longer pins its thread forever) and a line-size cap: an
@@ -178,14 +112,13 @@ def serve_json_lines(
             # answer with a structured error, keep serving the stream.
             if not _drain_line(readline, max_line_bytes):
                 return
-            response = oversized_envelope(max_line_bytes)
+            response = protocol.oversized(max_line_bytes)
         elif not raw.endswith(b"\n"):
             return  # EOF mid-line: nothing trustworthy to answer
         else:
-            line = raw.strip()
-            if not line:
-                continue
-            response = respond_line(line)
+            response = protocol.respond_line(raw, session)
+            if response is None:
+                continue  # blank line: no reply is owed
         write(dumps(response, separators=_COMPACT).encode("utf-8") + b"\n")
         flush()
 
@@ -207,21 +140,23 @@ def _drain_line(readline, chunk: int) -> bool:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        server: "MapServer" = self.server  # type: ignore[assignment]
-        session = server.engine.session(f"conn-{next(server.connection_ids)}")
+        server: "LineServer" = self.server  # type: ignore[assignment]
         serve_json_lines(
             self,
-            lambda line: server.respond(line, session),
+            server.protocol,
+            server.protocol.session(f"conn-{next(server.connection_ids)}"),
             server.idle_timeout,
             server.max_line_bytes,
         )
 
 
-class MapServer(socketserver.ThreadingTCPServer):
-    """A threaded map server over one :class:`QueryEngine`.
+class LineServer(socketserver.ThreadingTCPServer):
+    """The threaded transport: v1 lines, a thread per connection.
 
-    Worker threads (one per connection) share the engine's buffer pool
-    under its latch; the cache and batch executor are shared too.
+    It owns the listening socket, the handler threads, the idle timeout
+    and the line cap; what a line *means* is ``protocol``'s business.
+    The map server and the shard router are this class over an engine
+    and a router target respectively.
     """
 
     allow_reuse_address = True
@@ -229,18 +164,19 @@ class MapServer(socketserver.ThreadingTCPServer):
 
     def __init__(
         self,
-        engine: QueryEngine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
-        max_line_bytes: int = MAX_LINE_BYTES,
+        protocol: Protocol,
+        host: str,
+        port: int,
+        idle_timeout: Optional[float],
+        max_line_bytes: int,
+        thread_name: str,
     ) -> None:
         super().__init__((host, port), _Handler)
-        self.engine = engine
-        self.batch = engine.batch
+        self.protocol = protocol
         self.idle_timeout = idle_timeout
         self.max_line_bytes = max_line_bytes
         self.connection_ids = itertools.count(1)
+        self._thread_name = thread_name
         self._serve_thread: Optional[threading.Thread] = None
 
     @property
@@ -256,7 +192,7 @@ class MapServer(socketserver.ThreadingTCPServer):
         orderly shutdown must not race the accept loop.
         """
         thread = threading.Thread(
-            target=self.serve_forever, name="map-server", daemon=True
+            target=self.serve_forever, name=self._thread_name, daemon=True
         )
         self._serve_thread = thread
         thread.start()
@@ -273,66 +209,30 @@ class MapServer(socketserver.ThreadingTCPServer):
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
 
-    # ------------------------------------------------------------------
-    # Request dispatch
-    # ------------------------------------------------------------------
-    def respond(self, line: Any, session) -> Dict[str, Any]:
+
+class MapServer(LineServer):
+    """A threaded map server over one :class:`QueryEngine`.
+
+    Worker threads (one per connection) share the engine's buffer pool
+    under its latch; the cache and batch executor are shared too.
+    """
+
+    def __init__(
+        self,
+        engine: QueryEngine,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
+        max_line_bytes: int = MAX_LINE_BYTES,
+    ) -> None:
+        super().__init__(
+            Protocol(engine), host, port, idle_timeout, max_line_bytes, "map-server"
+        )
+        self.engine = engine
+
+    def respond(self, line: Any, session) -> Optional[Envelope]:
         """One wire request -> one envelope; never raises."""
-        version: Optional[int] = None
-        traced = False
-        try:
-            request = json.loads(line)
-            if not isinstance(request, dict):
-                raise ProtocolError(
-                    f"request must be a JSON object, got "
-                    f"{type(request).__name__}"
-                )
-            if request.get("v") is not None:
-                version = request_version(request)
-            if TRACER.enabled:
-                # Park the wire trace context (or clear a stale one left
-                # by an aborted request on this handler thread) for the
-                # tracer to consume at start_trace. Disabled tracing pays
-                # exactly the one attribute check above.
-                traced = True
-                tc_raw = request.get("tc")
-                dtrace.set_incoming(
-                    None
-                    if tc_raw is None
-                    else dtrace.TraceContext.from_wire(tc_raw)
-                )
-            response: Dict[str, Any] = {
-                "ok": True,
-                "result": self.dispatch(request, session),
-            }
-        except Exception as exc:  # serve errors back, keep the connection
-            response = {"ok": False, "error": error_envelope(exc)}
-        if traced:
-            attachment = dtrace.take_outbound()
-            if attachment is not None:
-                response["tc"] = attachment
-        if version is not None:
-            response["v"] = version
-        return response
-
-    def dispatch(self, request: Dict[str, Any], session) -> Any:
-        op = request.get("op")
-        if op == "ping":
-            return "pong"
-        if op == "clock":
-            return clock_info()
-        if op == "profile":
-            return PROFILER.run(
-                seconds=request.get("seconds", 1.0),
-                hz=request.get("hz", 97),
-            )
-        result = self.engine.execute(parse_request(request), session=session)
-        return shape_result(op, result)
-
-    def metrics_text(self) -> str:
-        """The engine registry as Prometheus text exposition."""
-        self.engine.sync_mirrored_counters()
-        return self.engine.registry.render_prom()
+        return self.protocol.respond_line(line, session)
 
 
 def send_request(

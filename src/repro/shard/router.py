@@ -41,12 +41,9 @@ the shard-split CLI relies on.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import socket
-import socketserver
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -75,14 +72,13 @@ from repro.service.api import (
     WindowQuery,
     parse_batch_item,
     parse_request,
-    request_version,
 )
+from repro.service.protocol import Envelope, Protocol
 from repro.service.server import (
     _COMPACT,
     DEFAULT_IDLE_TIMEOUT,
     MAX_LINE_BYTES,
-    error_envelope,
-    serve_json_lines,
+    LineServer,
 )
 from repro.shard.manifest import ShardMap, ShardSpec
 from repro.shard.worker import read_addr
@@ -309,13 +305,14 @@ def _merge_same_value(values: List[Any], what: str) -> Any:
 class RouterCore:
     """The router's logic, transport-free: clients, gate, scatter, merge.
 
-    :class:`ShardRouter` mixes this into a ``ThreadingTCPServer`` (the
-    v1 threaded front end); :class:`repro.aio.router.AsyncShardRouter`
-    mounts the same core behind the asyncio server, so both transports
-    route and merge identically -- one implementation, two wire fronts.
-    All methods here are thread-safe: the drain gate is a condition
-    variable and the scatter pool is shared, exactly as they were when
-    this logic lived on the threaded server class.
+    It is a *target* of the protocol core
+    (:mod:`repro.service.protocol`): :class:`ShardRouter` serves it over
+    the threaded line transport and
+    :class:`repro.aio.router.AsyncShardRouter` over the asyncio server,
+    so both fronts decode, route, merge and answer identically -- one
+    implementation, two transports. All methods here are thread-safe:
+    the drain gate is a condition variable and the scatter pool is
+    shared.
     """
 
     def __init__(self, root: str, timeout: float = 5.0) -> None:
@@ -329,6 +326,7 @@ class RouterCore:
         self.clients: Dict[str, ShardClient] = {}
         self._pool: Optional[ThreadPoolExecutor] = None
         self._build_clients()
+        self.protocol = Protocol(self)
 
     def _build_clients(self) -> None:
         smap = self.shard_map
@@ -399,67 +397,44 @@ class RouterCore:
         }
 
     # ------------------------------------------------------------------
-    # Wire entry point
+    # Wire entry point (the protocol core's router-target surface)
     # ------------------------------------------------------------------
-    def respond(self, line: Any) -> Dict[str, Any]:
+    def respond(self, line: Any) -> Optional[Envelope]:
         """One wire request -> one envelope; never raises, never hangs."""
-        version: Optional[int] = None
-        op = "invalid"
-        try:
-            raw = json.loads(line)
-            if not isinstance(raw, dict):
-                raise ProtocolError(
-                    f"request must be a JSON object, got {type(raw).__name__}"
-                )
-            op = str(raw.get("op"))
-            if raw.get("v") is not None:
-                version = request_version(raw)
-            if op == "reload":
-                # The reload op bypasses the gate: it *is* the drainer,
-                # and entering the gate would deadlock on itself.
-                result = self.reload()
-            else:
-                self._enter_gate()
-                try:
-                    result = self.dispatch_traced(raw)
-                finally:
-                    self._exit_gate()
-            response: Dict[str, Any] = {"ok": True, "result": result}
-            self.registry.counter(
-                "repro_router_requests_total", op=op, status="ok"
-            ).inc()
-        except Exception as exc:  # serve errors back, keep the connection
-            response = {"ok": False, "error": error_envelope(exc)}
-            partial = getattr(exc, "partial", None)
-            if partial is not None:
-                response["partial"] = partial
-            self.registry.counter(
-                "repro_router_requests_total", op=op, status="error"
-            ).inc()
-        if TRACER.enabled:
-            attachment = dtrace.take_outbound()
-            if attachment is not None:
-                response["tc"] = attachment
-        if version is not None:
-            response["v"] = version
-        return response
+        return self.protocol.respond_line(line)
 
-    def dispatch_traced(self, raw: Dict[str, Any]) -> Any:
+    def route(self, raw: Dict[str, Any]) -> Any:
+        """One decoded request through the drain gate to its result.
+
+        ``reload`` bypasses the gate: it *is* the drainer, and entering
+        the gate would deadlock on itself.
+        """
+        if raw.get("op") == "reload":
+            return self.reload()
+        self._enter_gate()
+        try:
+            return self._dispatch_traced(raw)
+        finally:
+            self._exit_gate()
+
+    def count_request(self, op: str, ok: bool) -> None:
+        self.registry.counter(
+            "repro_router_requests_total",
+            op=op,
+            status="ok" if ok else "error",
+        ).inc()
+
+    def _dispatch_traced(self, raw: Dict[str, Any]) -> Any:
         """Dispatch under a router root span when tracing is armed.
 
-        Both wire fronts call this between the gate enter/exit. The
-        router consumes any client-sent ``"tc"`` context (parenting its
-        root under the caller), scatter/merge phases become child spans,
-        and ``finish_trace`` parks the response attachment for the
-        transport to collect. With tracing off this adds exactly one
-        attribute check on top of :meth:`dispatch`.
+        The root consumes the client's ``"tc"`` context the protocol
+        core parked (parenting it under the caller), scatter/merge
+        phases become child spans, and ``finish_trace`` parks the
+        response attachment for the core to collect. With tracing off
+        this adds exactly one attribute check on top of :meth:`dispatch`.
         """
         if not TRACER.enabled:
             return self.dispatch(raw)
-        tc_raw = raw.get("tc")
-        dtrace.set_incoming(
-            None if tc_raw is None else dtrace.TraceContext.from_wire(tc_raw)
-        )
         root = TRACER.start_trace(str(raw.get("op")))
         error: Optional[str] = None
         try:
@@ -1089,16 +1064,14 @@ class RouterCore:
         return merged
 
 
-class ShardRouter(socketserver.ThreadingTCPServer, RouterCore):
+class ShardRouter(LineServer, RouterCore):
     """Scatter-gather front end over the shard set rooted at ``root``.
 
-    The threaded transport for :class:`RouterCore`: one handler thread
-    per client connection, same idle timeout and line cap as the
-    threaded map server. ``python -m repro route --async`` serves the
-    identical core behind the asyncio server instead."""
-
-    allow_reuse_address = True
-    daemon_threads = True
+    The threaded line transport with a :class:`RouterCore` as its
+    protocol target: one handler thread per client connection, same
+    idle timeout and line cap as the threaded map server. ``python -m
+    repro route --async`` serves the identical core behind the asyncio
+    server instead."""
 
     def __init__(
         self,
@@ -1109,44 +1082,21 @@ class ShardRouter(socketserver.ThreadingTCPServer, RouterCore):
         idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
         max_line_bytes: int = MAX_LINE_BYTES,
     ) -> None:
-        socketserver.ThreadingTCPServer.__init__(
-            self, (host, port), _RouterHandler
-        )
         RouterCore.__init__(self, root, timeout=timeout)
-        self.idle_timeout = idle_timeout
-        self.max_line_bytes = max_line_bytes
-        self.connection_ids = itertools.count(1)
-        self._serve_thread: Optional[threading.Thread] = None
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        host, port = self.server_address[:2]
-        return host, port
-
-    def start_background(self) -> threading.Thread:
-        thread = threading.Thread(
-            target=self.serve_forever, name="shard-router", daemon=True
+        LineServer.__init__(
+            self,
+            self.protocol,
+            host,
+            port,
+            idle_timeout,
+            max_line_bytes,
+            "shard-router",
         )
-        self._serve_thread = thread  # repro-lint: disable=CC03 -- lifecycle field: start_background/close are called by the single owning thread, never concurrently with each other
-        thread.start()
-        return thread
 
     def close(self) -> None:
-        """Shut down deterministically: stop serving, join the
-        background accept thread (if one was started), then release every
-        client connection and the scatter pool. After close() returns no
-        router thread is live and no socket is open."""
-        self.shutdown()
-        self.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-            self._serve_thread = None  # repro-lint: disable=CC03 -- lifecycle field: see start_background; close runs after serving stopped
+        """Shut down deterministically: stop serving and join the accept
+        thread, then release every client connection and the scatter
+        pool. After close() returns no router thread is live and no
+        socket is open."""
+        self.stop()
         self.close_clients()
-
-
-class _RouterHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        server: ShardRouter = self.server  # type: ignore[assignment]
-        serve_json_lines(
-            self, server.respond, server.idle_timeout, server.max_line_bytes
-        )

@@ -8,6 +8,7 @@ structured partial the threaded router serves.
 """
 
 import asyncio
+import socket
 
 import pytest
 
@@ -119,3 +120,59 @@ class TestRoutedEquivalence:
             [{"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world}],
         )
         assert resp["ok"], resp
+
+
+class TestRequestCounters:
+    """``route`` and ``route --async`` count identically -- above all the
+    requests that never decode (``op="invalid"``), which the async front
+    used to drop from ``repro_router_requests_total``."""
+
+    BAD_SCRIPT = (
+        b"this is not json\n"
+        b"[1, 2, 3]\n"
+        b'"ping"\n'
+        b'{"op": "ping", "v": 9}\n'
+        b'{"op": "bogus"}\n'
+        b'{"op": "insert", "x1": "abc", "y1": 0, "x2": 1, "y2": 1}\n'
+        b'{"op": "ping"}\n'
+    )
+
+    @staticmethod
+    def _counts(registry):
+        return {
+            counter.labels: counter.value
+            for counter in registry.counters()
+            if counter.name == "repro_router_requests_total"
+        }
+
+    def _drive(self, address):
+        with socket.create_connection(address, timeout=10) as sock:
+            with sock.makefile("rwb") as fh:
+                fh.write(self.BAD_SCRIPT)
+                fh.flush()
+                return [
+                    fh.readline() for _ in range(self.BAD_SCRIPT.count(b"\n"))
+                ]
+
+    def test_bad_requests_count_the_same_on_both_routers(self, routers):
+        threaded, async_router, _shards, _map_data = routers
+        deltas = []
+        for router, registry in (
+            (threaded, threaded.registry),
+            (async_router, async_router.core.registry),
+        ):
+            before = self._counts(registry)
+            replies = self._drive(router.address)
+            assert all(replies), "every request owes a reply"
+            after = self._counts(registry)
+            deltas.append(
+                {
+                    labels: after[labels] - before.get(labels, 0)
+                    for labels in after
+                    if after[labels] != before.get(labels, 0)
+                }
+            )
+        assert deltas[0] == deltas[1]
+        invalid = (("op", "invalid"), ("status", "error"))
+        assert deltas[0][invalid] == 3
+        assert deltas[0][(("op", "ping"), ("status", "error"))] == 1  # refused pin

@@ -3,7 +3,7 @@
 Wire-level behaviour is exercised over real loopback sockets against a
 background server -- blocking sockets for v1 (any v1 client must work
 unchanged), :class:`AsyncMapClient` for v2. Completion-order tests use a
-gate backend whose dispatch blocks on a :class:`threading.Event`, so the
+gate target whose routing blocks on a :class:`threading.Event`, so the
 tests *control* which request finishes first instead of racing timers.
 """
 
@@ -39,24 +39,20 @@ def _recv_frame(sock_file):
 
 
 class GateBackend:
-    """Dispatch blocks on a per-op event: tests pick the completion order."""
-
-    store = None
+    """A router-shaped protocol target whose routing blocks on a per-op
+    event: tests pick the completion order."""
 
     def __init__(self, gated=()):
         self.registry = MetricsRegistry()
         self.gates = {op: threading.Event() for op in gated}
 
-    def open_conn(self, conn_id):
-        return conn_id
-
-    def dispatch(self, raw, state):
+    def route(self, raw):
         gate = self.gates.get(raw.get("op"))
         if gate is not None:
             assert gate.wait(10.0), "test forgot to open a gate"
-        return raw.get("op"), None, None
+        return raw.get("op")
 
-    def close(self):
+    def count_request(self, op, ok):
         pass
 
 
@@ -72,7 +68,7 @@ def server():
 @pytest.fixture()
 def gated():
     backend = GateBackend(gated=("slow",))
-    srv = AsyncMapServer(backend=backend, executor_workers=2)
+    srv = AsyncMapServer(backend, executor_workers=2)
     srv.start_background()
     yield srv, backend.gates["slow"]
     backend.gates["slow"].set()  # never leave an executor thread parked
@@ -271,7 +267,7 @@ class TestAdmissionControl:
     def test_per_connection_cap(self):
         backend = GateBackend(gated=("slow",))
         srv = AsyncMapServer(
-            backend=backend, executor_workers=2, max_inflight_per_conn=2
+            backend, executor_workers=2, max_inflight_per_conn=2
         )
         srv.start_background()
         gate = backend.gates["slow"]
@@ -304,7 +300,7 @@ class TestAdmissionControl:
     def test_global_cap_spans_connections(self):
         backend = GateBackend(gated=("slow",))
         srv = AsyncMapServer(
-            backend=backend, executor_workers=2, max_inflight_total=1
+            backend, executor_workers=2, max_inflight_total=1
         )
         srv.start_background()
         gate = backend.gates["slow"]

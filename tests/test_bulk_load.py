@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.queries import nearest_segment, segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.core.rtree import GuttmanRTree, RStarTree, bulk_load_str
 from repro.geometry import Point, Rect
 from repro.storage import StorageContext
@@ -86,13 +86,15 @@ class TestQueriesOnPackedTree:
         idx = str_build(segs, capacity=8)
         idx.check_invariants()
         for s in segs[:15]:
-            assert set(segments_at_point(idx, s.start)) == set(
+            assert set(execute_spec(idx, QuerySpec.point(s.start))) == set(
                 oracle_at_point(segs, s.start)
             )
         w = Rect(100, 200, 650, 800)
-        assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+        assert set(execute_spec(idx, QuerySpec.window(w))) == set(
+            oracle_in_window(segs, w)
+        )
         p = Point(512, 300)
-        assert nearest_segment(idx, p)[1] == pytest.approx(
+        assert execute_spec(idx, QuerySpec.nearest(p))[0][1] == pytest.approx(
             oracle_nearest_dist2(segs, p)
         )
 

@@ -162,7 +162,7 @@ class TestDatabaseSnapshot:
     def test_dump_load_full_index(self):
         """Persist a whole built structure and query the reloaded copy."""
         from repro.core import PMRQuadtree, RStarTree
-        from repro.core.queries import window_query
+        from repro.core.queries import QuerySpec, execute_spec
         from tests.conftest import lattice_map
 
         segs = lattice_map(n=8, pitch=110)
@@ -183,10 +183,10 @@ class TestDatabaseSnapshot:
 
         # Transplant the reloaded pages under the original index and
         # re-run a query: results must be identical.
-        expected = set(window_query(idx, Rect(0, 0, 1024, 1024)))
+        expected = set(execute_spec(idx, QuerySpec.window(Rect(0, 0, 1024, 1024))))
         ctx.disk._pages = disk2._pages
         ctx.pool.clear()
-        got = set(window_query(idx, Rect(0, 0, 1024, 1024)))
+        got = set(execute_spec(idx, QuerySpec.window(Rect(0, 0, 1024, 1024))))
         assert got == expected
 
     def test_dump_pmr_btree(self):
@@ -215,7 +215,7 @@ class TestDatabaseSnapshot:
         """R+ regions split at midpoints carry .5^k coordinates; they
         must survive the float32 on-disk format exactly."""
         from repro.core import RPlusTree
-        from repro.core.queries import window_query
+        from repro.core.queries import QuerySpec, execute_spec
         from tests.conftest import TEST_WORLD, lattice_map
 
         segs = lattice_map(n=9, pitch=100, jitter=13, seed=6)
@@ -225,7 +225,7 @@ class TestDatabaseSnapshot:
             idx.insert(sid)
         ctx.pool.flush()
 
-        expected = set(window_query(idx, Rect(50, 50, 900, 900)))
+        expected = set(execute_spec(idx, QuerySpec.window(Rect(50, 50, 900, 900))))
         buf = io.BytesIO()
         dump_database(ctx.disk, buf)
         buf.seek(0)
@@ -233,4 +233,5 @@ class TestDatabaseSnapshot:
         ctx.disk._pages = disk2._pages
         ctx.pool.clear()
         idx.check_invariants()  # exact tiling must survive serialization
-        assert set(window_query(idx, Rect(50, 50, 900, 900))) == expected
+        got = set(execute_spec(idx, QuerySpec.window(Rect(50, 50, 900, 900))))
+        assert got == expected

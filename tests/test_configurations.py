@@ -10,7 +10,7 @@ import random
 import pytest
 
 from repro.core import GuttmanRTree, KDBTree, PMRQuadtree, RPlusTree, RStarTree, UniformGrid
-from repro.core.queries import nearest_segment, segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.geometry import Point, Rect
 from repro.storage import StorageContext
 from repro.storage.policies import ClockPolicy, FIFOPolicy
@@ -55,11 +55,11 @@ def test_correct_under_every_page_size(kind, page_size):
     idx.check_invariants()
 
     p = segs[3].start
-    assert set(segments_at_point(idx, p)) == set(oracle_at_point(segs, p))
+    assert set(execute_spec(idx, QuerySpec.point(p))) == set(oracle_at_point(segs, p))
     w = Rect(150, 150, 700, 700)
-    assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+    assert set(execute_spec(idx, QuerySpec.window(w))) == set(oracle_in_window(segs, w))
     q = Point(500, 280)
-    assert nearest_segment(idx, q)[1] == pytest.approx(
+    assert execute_spec(idx, QuerySpec.nearest(q))[0][1] == pytest.approx(
         oracle_nearest_dist2(segs, q)
     )
 
@@ -75,7 +75,7 @@ def test_correct_under_tiny_and_big_pools(pool_pages):
         idx.insert(sid)
     idx.check_invariants()
     w = Rect(100, 100, 800, 800)
-    assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+    assert set(execute_spec(idx, QuerySpec.window(w))) == set(oracle_in_window(segs, w))
 
 
 @pytest.mark.parametrize("policy_cls", [FIFOPolicy, ClockPolicy])
@@ -89,7 +89,7 @@ def test_correct_under_alternate_replacement_policies(kind, policy_cls):
         idx.insert(sid)
     idx.check_invariants()
     p = segs[0].end
-    assert set(segments_at_point(idx, p)) == set(oracle_at_point(segs, p))
+    assert set(execute_spec(idx, QuerySpec.point(p))) == set(oracle_at_point(segs, p))
 
 
 def test_smaller_pages_mean_more_pages():
@@ -119,10 +119,10 @@ def test_page_size_changes_capacities():
 
 
 def test_polygon_area_helper():
-    from repro.core.queries import enclosing_polygon
+    from repro.core.queries import QuerySpec, execute_spec
     from tests.conftest import build_index, lattice_map
 
     segs = lattice_map(n=4, pitch=150)
     idx = build_index("R*", segs)
-    r = enclosing_polygon(idx, Point(225, 225))
+    r = execute_spec(idx, QuerySpec.polygon(Point(225, 225)))
     assert r.area() == pytest.approx(150 * 150)

@@ -16,10 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.queries import (
-    enclosing_polygon,
-    nearest_segment,
-    segments_at_point,
-    window_query,
+    QuerySpec,
+    execute_spec,
 )
 from repro.geometry import Point, Rect
 from repro.storage import StorageContext
@@ -59,7 +57,7 @@ def test_differential_operations(seed):
                 i for i in alive if segments[i].has_endpoint(p)
             }
             for kind, (idx, ids) in stacks.items():
-                got = set(segments_at_point(idx, p))
+                got = set(execute_spec(idx, QuerySpec.point(p)))
                 assert got == {ids[i] for i in expected}, (kind, p)
 
         # Q5 over a random window.
@@ -69,7 +67,7 @@ def test_differential_operations(seed):
             i for i in alive if segments[i].intersects_rect(w)
         }
         for kind, (idx, ids) in stacks.items():
-            got = set(window_query(idx, w))
+            got = set(execute_spec(idx, QuerySpec.window(w)))
             assert got == {ids[i] for i in expected_w}, (kind, w)
 
         # Q3 from a random point.
@@ -77,7 +75,7 @@ def test_differential_operations(seed):
             q = Point(rng.randint(0, TEST_WORLD - 1), rng.randint(0, TEST_WORLD - 1))
             best = min(segments[i].distance2_to_point(q) for i in alive)
             for kind, (idx, ids) in stacks.items():
-                sid, d2 = nearest_segment(idx, q)
+                sid, d2 = execute_spec(idx, QuerySpec.nearest(q))[0]
                 assert d2 == pytest.approx(best), (kind, q)
 
     ops = 0
@@ -120,6 +118,6 @@ def test_differential_polygon_walks(seed):
         p = Point(rng.randint(100, 900), rng.randint(100, 900))
         outcomes = set()
         for kind, idx in stacks.items():
-            r = enclosing_polygon(idx, p)
+            r = execute_spec(idx, QuerySpec.polygon(p))
             outcomes.add((frozenset(r.seg_ids), r.is_outer, r.size))
         assert len(outcomes) == 1, (p, outcomes)

@@ -118,12 +118,12 @@ class TestOnCounties:
 
     def test_agrees_with_enclosing_polygon_query(self):
         """Query 4's face must appear in the exhaustive inventory."""
-        from repro.core.queries import enclosing_polygon
+        from repro.core.queries import QuerySpec, execute_spec
         from tests.conftest import build_index
 
         segs = lattice_map(n=5, pitch=120)
         fs = extract_faces(segs)
         idx = build_index("R*", segs)
-        r = enclosing_polygon(idx, Point(350, 290))
+        r = execute_spec(idx, QuerySpec.polygon(Point(350, 290)))
         keys = {frozenset(f.seg_ids) for f in fs.faces}
         assert frozenset(r.seg_ids) in keys

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.core.pmr import PMRQuadtree
 from repro.core.pmr.blocks import PMRBlock
 from repro.core.pmr.locational import hilbert_code, hilbert_index
-from repro.core.queries import nearest_segment, segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.geometry import Point, Rect
 from repro.storage import StorageContext
 
@@ -105,13 +105,15 @@ class TestHilbertPMR:
         idx = self.build(segs, "hilbert")
         idx.check_invariants()
         for s in segs[:10]:
-            assert set(segments_at_point(idx, s.start)) == set(
+            assert set(execute_spec(idx, QuerySpec.point(s.start))) == set(
                 oracle_at_point(segs, s.start)
             )
         w = Rect(120, 220, 700, 660)
-        assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+        assert set(execute_spec(idx, QuerySpec.window(w))) == set(
+            oracle_in_window(segs, w)
+        )
         p = Point(600, 480)
-        assert nearest_segment(idx, p)[1] == pytest.approx(
+        assert execute_spec(idx, QuerySpec.nearest(p))[0][1] == pytest.approx(
             oracle_nearest_dist2(segs, p)
         )
 

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.core.queries import (
+    QuerySpec,
+    execute_spec,
     iter_nearest,
-    nearest_segment,
-    segments_at_point,
-    window_query,
 )
 from repro.geometry import Point, Rect, Segment
 from repro.storage import StorageContext
@@ -36,7 +35,7 @@ class TestEmptyIndex:
     def test_queries_empty(self, empty_index):
         assert empty_index.candidate_ids_at_point(Point(1, 1)) == []
         assert empty_index.candidate_ids_in_rect(Rect(0, 0, 100, 100)) == []
-        assert nearest_segment(empty_index, Point(5, 5)) is None
+        assert execute_spec(empty_index, QuerySpec.nearest(Point(5, 5))) == []
         assert list(iter_nearest(empty_index, Point(5, 5))) == []
 
     def test_invariants_hold(self, empty_index):
@@ -73,7 +72,9 @@ class TestPopulatedContract:
             b.insert(sid)
 
         w = Rect(0, 0, TEST_WORLD, TEST_WORLD)
-        assert set(window_query(a, w)) == set(window_query(b, w))
+        assert set(execute_spec(a, QuerySpec.window(w))) == set(
+            execute_spec(b, QuerySpec.window(w))
+        )
 
     def test_candidates_never_false_negative_on_endpoints(self, any_structure):
         idx = build_index(any_structure, SEGS)
@@ -83,13 +84,13 @@ class TestPopulatedContract:
 
     def test_query_layer_results_sorted_ids_unique(self, any_structure):
         idx = build_index(any_structure, SEGS)
-        got = window_query(idx, Rect(0, 0, TEST_WORLD, TEST_WORLD))
+        got = execute_spec(idx, QuerySpec.window(Rect(0, 0, TEST_WORLD, TEST_WORLD)))
         assert len(got) == len(set(got))
 
     def test_point_query_counts_metrics(self, any_structure):
         idx = build_index(any_structure, SEGS)
         before = idx.ctx.counters.snapshot()
-        segments_at_point(idx, Point(100, 100))
+        execute_spec(idx, QuerySpec.point(Point(100, 100)))
         delta = idx.ctx.counters.since(before)
         assert delta.segment_comps >= 1
         assert delta.bbox_comps >= 1
@@ -98,5 +99,5 @@ class TestPopulatedContract:
         a = build_index(any_structure, SEGS)
         b = build_index(any_structure, SEGS)
         before_b = b.ctx.counters.snapshot()
-        segments_at_point(a, Point(100, 100))
+        execute_spec(a, QuerySpec.point(Point(100, 100)))
         assert b.ctx.counters.snapshot() == before_b

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import KDBTree, RPlusTree, UniformGrid
-from repro.core.queries import nearest_segment, segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.geometry import Point, Rect, Segment
 from repro.storage import StorageContext
 
@@ -64,7 +64,9 @@ class TestKDB:
         rplus_cands = rplus.candidate_ids_at_point(p)
         assert set(kdb_cands) >= set(rplus_cands)
         assert len(kdb_cands) >= len(rplus_cands)
-        assert set(segments_at_point(kdb, p)) == set(oracle_at_point(segs, p))
+        assert set(execute_spec(kdb, QuerySpec.point(p))) == set(
+            oracle_at_point(segs, p)
+        )
 
     def test_more_segment_comps_than_hybrid(self):
         """Paper: point search is slightly slower without leaf MBRs."""
@@ -78,10 +80,10 @@ class TestKDB:
         total_kdb = total_rplus = 0
         for s in segs[:40]:
             b = kdb.ctx.counters.segment_comps
-            segments_at_point(kdb, s.start)
+            execute_spec(kdb, QuerySpec.point(s.start))
             total_kdb += kdb.ctx.counters.segment_comps - b
             b = rplus.ctx.counters.segment_comps
-            segments_at_point(rplus, s.start)
+            execute_spec(rplus, QuerySpec.point(s.start))
             total_rplus += rplus.ctx.counters.segment_comps - b
         assert total_kdb > total_rplus
 
@@ -90,9 +92,11 @@ class TestKDB:
         segs = random_planar_segments(rng)
         kdb = build_kdb(segs, capacity=6)
         w = Rect(100, 100, 500, 500)
-        assert set(window_query(kdb, w)) == set(oracle_in_window(segs, w))
+        assert set(execute_spec(kdb, QuerySpec.window(w))) == set(
+            oracle_in_window(segs, w)
+        )
         p = Point(333, 444)
-        sid, d2 = nearest_segment(kdb, p)
+        sid, d2 = execute_spec(kdb, QuerySpec.nearest(p))[0]
         assert d2 == pytest.approx(oracle_nearest_dist2(segs, p))
 
 
@@ -121,11 +125,15 @@ class TestUniformGrid:
         grid = build_grid(segs)
         for s in segs[:20]:
             p = s.start
-            assert set(segments_at_point(grid, p)) == set(oracle_at_point(segs, p))
+            assert set(execute_spec(grid, QuerySpec.point(p))) == set(
+                oracle_at_point(segs, p)
+            )
         w = Rect(200, 150, 640, 700)
-        assert set(window_query(grid, w)) == set(oracle_in_window(segs, w))
+        assert set(execute_spec(grid, QuerySpec.window(w))) == set(
+            oracle_in_window(segs, w)
+        )
         p = Point(511, 300)
-        sid, d2 = nearest_segment(grid, p)
+        sid, d2 = execute_spec(grid, QuerySpec.nearest(p))[0]
         assert d2 == pytest.approx(oracle_nearest_dist2(segs, p))
 
     def test_delete(self):

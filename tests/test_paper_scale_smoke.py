@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from repro.core.queries import nearest_segment, segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.data import generate_county
 from repro.geometry import Point, Rect
 from repro.harness import build_structure
@@ -36,7 +36,7 @@ def test_paper_scale_build_and_agree():
     for _ in range(20):
         seg = county.segments[rng.randrange(len(county))]
         results = {
-            name: frozenset(segments_at_point(b.index, seg.start))
+            name: frozenset(execute_spec(b.index, QuerySpec.point(seg.start)))
             for name, b in built.items()
         }
         assert len(set(results.values())) == 1, results
@@ -44,7 +44,8 @@ def test_paper_scale_build_and_agree():
     for _ in range(10):
         p = Point(rng.randrange(16384), rng.randrange(16384))
         dists = {
-            name: nearest_segment(b.index, p)[1] for name, b in built.items()
+            name: execute_spec(b.index, QuerySpec.nearest(p))[0][1]
+            for name, b in built.items()
         }
         assert max(dists.values()) == pytest.approx(min(dists.values()))
 
@@ -52,7 +53,7 @@ def test_paper_scale_build_and_agree():
         x, y = rng.randrange(16000), rng.randrange(16000)
         w = Rect(x, y, x + 300, y + 300)
         results = {
-            name: frozenset(window_query(b.index, w))
+            name: frozenset(execute_spec(b.index, QuerySpec.window(w)))
             for name, b in built.items()
         }
         assert len(set(results.values())) == 1

@@ -6,9 +6,8 @@ import pytest
 
 from repro.core import PM1Quadtree, PM2Quadtree, PM3Quadtree, PMRQuadtree
 from repro.core.queries import (
-    nearest_segment,
-    segments_at_point,
-    window_query,
+    QuerySpec,
+    execute_spec,
 )
 from repro.geometry import Point, Rect, Segment
 from repro.storage import StorageContext
@@ -67,7 +66,7 @@ class TestPMBasics:
         ]
         idx = build(cls, spokes)
         idx.check_invariants()
-        assert set(segments_at_point(idx, hub)) == set(range(len(spokes)))
+        assert set(execute_spec(idx, QuerySpec.point(hub))) == set(range(len(spokes)))
 
     def test_queries_match_oracle(self, cls):
         rng = random.Random(17)
@@ -75,12 +74,14 @@ class TestPMBasics:
         idx = build(cls, segs)
         idx.check_invariants()
         for s in segs[:10]:
-            got = set(segments_at_point(idx, s.start))
+            got = set(execute_spec(idx, QuerySpec.point(s.start)))
             assert got == set(oracle_at_point(segs, s.start))
         w = Rect(150, 150, 760, 600)
-        assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+        assert set(execute_spec(idx, QuerySpec.window(w))) == set(
+            oracle_in_window(segs, w)
+        )
         p = Point(333, 617)
-        assert nearest_segment(idx, p)[1] == pytest.approx(
+        assert execute_spec(idx, QuerySpec.nearest(p))[0][1] == pytest.approx(
             oracle_nearest_dist2(segs, p)
         )
 

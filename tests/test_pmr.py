@@ -277,15 +277,15 @@ class TestStoreBBoxesVariant:
         plain = build(segs, store_bboxes=False)
         withbb = build(segs, store_bboxes=True)
 
-        from repro.core.queries import segments_at_point
+        from repro.core.queries import QuerySpec, execute_spec
 
         p = Point(segs[17].x1, segs[17].y1)
         b0 = plain.ctx.counters.segment_comps
-        r_plain = segments_at_point(plain, p)
+        r_plain = execute_spec(plain, QuerySpec.point(p))
         c_plain = plain.ctx.counters.segment_comps - b0
 
         b0 = withbb.ctx.counters.segment_comps
-        r_bb = segments_at_point(withbb, p)
+        r_bb = execute_spec(withbb, QuerySpec.point(p))
         c_bb = withbb.ctx.counters.segment_comps - b0
 
         assert set(r_plain) == set(r_bb)

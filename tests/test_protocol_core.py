@@ -1,0 +1,304 @@
+"""The sans-IO protocol core, driven without a server: bytes in, envelope out.
+
+Every transport is framing around :class:`repro.service.protocol.Protocol`,
+so what a request *means* is tested here once, table-driven, over both
+kinds of target: a :class:`QueryEngine` and a :class:`RouterCore` (whose
+shard workers are live, because routing is what that target does -- the
+protocol core itself is never handed a socket).
+"""
+
+import ast
+import json
+import os
+
+import pytest
+
+from repro.data.counties import generate_county
+from repro.errors import ERROR_CODES, ServerOverloadedError
+from repro.obs import dtrace
+from repro.obs.trace import TRACER
+from repro.service import Protocol, QueryEngine
+from repro.service import protocol as protocol_module
+from repro.shard import LocalShardSet, RouterCore, init_shard_set
+from repro.wal.store import DurableStore
+
+from tests.conftest import build_index, lattice_map
+
+PONG = {"ok": True, "result": "pong"}
+
+
+def _engine():
+    return QueryEngine(build_index("R*", lattice_map(n=8)))
+
+
+@pytest.fixture(scope="module")
+def routed(tmp_path_factory):
+    root = tmp_path_factory.mktemp("protocol_core_shards")
+    map_data = generate_county("cecil", scale=0.01)
+    init_shard_set(root, "R*", map_data=map_data, n_shards=2, page_size=2048)
+    with LocalShardSet(root) as shards:
+        core = RouterCore(root)
+        yield core, shards, map_data.world_size
+        core.close_clients()
+
+
+@pytest.fixture(params=["engine", "router"])
+def target(request):
+    if request.param == "engine":
+        return _engine()
+    return request.getfixturevalue("routed")[0]
+
+
+#: ``(line, speaks, expected)`` -- ``expected`` is the whole envelope, or
+#: ``None`` for "no reply", or a ``(code, type)`` pair for an error (the
+#: message is free text; code and exception class are the contract).
+LINE_TABLE = [
+    (b'{"op":"ping"}', (1,), PONG),
+    (b'  {"op": "ping"}  \n', (1,), PONG),
+    ('{"op":"ping"}', (1,), PONG),  # str works as well as bytes
+    (b"", (1,), None),
+    (b"\n", (1,), None),
+    (b"  \t \r\n", (1, 2), None),
+    (b"this is not json", (1,), ("bad_args", "JSONDecodeError")),
+    (b"[1, 2]", (1,), ("bad_args", "ProtocolError")),
+    (b'"ping"', (1, 2), ("bad_args", "ProtocolError")),
+    (b'{"op":"bogus"}', (1,), ("unknown_op", "ProtocolError")),
+    (b'{"no_op":1}', (1,), ("unknown_op", "ProtocolError")),
+    (b'{"op":"insert","x1":"abc","y1":0,"x2":1,"y2":1}', (1,), ("bad_args", None)),
+    (b'{"op":"insert","x1":0,"y1":0,"x2":10}', (1,), ("bad_args", None)),
+    (b'{"op":"delete","seg_id":true}', (1,), ("bad_args", None)),
+    # "v" pins: echoed when spoken, refused (naming what is spoken) when not.
+    (b'{"op":"ping","v":1}', (1,), dict(PONG, v=1)),
+    (b'{"op":"ping","v":1}', (1, 2), dict(PONG, v=1)),
+    (b'{"op":"ping","v":2}', (1, 2), dict(PONG, v=2, features={"tc": True})),
+    (b'{"op":"ping","v":2}', (1,), ("bad_args", "ProtocolError")),
+    (b'{"op":"ping","v":3}', (1, 2), ("bad_args", "ProtocolError")),
+    (b'{"op":"ping","v":true}', (1, 2), ("bad_args", "ProtocolError")),
+    (b'{"op":"ping","v":"1"}', (1,), ("bad_args", "ProtocolError")),
+    (b'{"op":"ping","v":null}', (1,), PONG),
+]
+
+
+class TestLines:
+    @pytest.mark.parametrize("line,speaks,expected", LINE_TABLE)
+    def test_line_table(self, target, line, speaks, expected):
+        envelope = Protocol(target, speaks).respond_line(line)
+        if expected is None or isinstance(expected, dict):
+            assert envelope == expected
+            return
+        code, type_name = expected
+        assert envelope["ok"] is False
+        assert envelope["error"]["code"] == code
+        if type_name is not None:
+            assert envelope["error"]["type"] == type_name
+        assert "v" not in envelope  # an unparsed pin is never echoed
+
+    def test_version_refusal_names_what_is_spoken(self, target):
+        line = b'{"op":"ping","v":9}'
+        v1 = Protocol(target).respond_line(line)["error"]["message"]
+        both = Protocol(target, (1, 2)).respond_line(line)["error"]["message"]
+        assert v1.endswith("this server speaks v1")
+        assert both.endswith("this server speaks v1 and v2")
+
+    def test_frames_neither_check_nor_echo_a_pin(self, target):
+        protocol = Protocol(target, (1, 2))
+        envelope, lsn = protocol.run(protocol.decode_frame(b'{"op":"ping","v":7}'))
+        assert envelope == PONG and lsn is None
+        bad = protocol.run(protocol.decode_frame(b"\x00\x01"))[0]
+        assert bad["error"]["code"] == "bad_args"
+        empty = protocol.run(protocol.decode_frame(b"", b"x" * dtrace.TRAILER_BYTES))[0]
+        assert empty["error"]["code"] == "bad_args"
+
+
+class TestErrorClasses:
+    """Every code in ``ERROR_CODES`` is reachable through the core."""
+
+    def test_engine_target_classes(self):
+        engine = _engine()
+        protocol = Protocol(engine, (1, 2))
+        seen = {}
+
+        def code_of(envelope):
+            assert envelope["ok"] is False
+            seen[envelope["error"]["code"]] = envelope["error"]["type"]
+            return envelope["error"]["code"]
+
+        assert code_of(protocol.respond_line(b'{"op":"bogus"}')) == "unknown_op"
+        assert code_of(protocol.respond_line(b"nope")) == "bad_args"
+        assert (
+            code_of(protocol.respond_line(b'{"op":"delete","seg_id":999999}'))
+            == "unknown_seg"
+        )
+        assert code_of(protocol.respond_line(b'{"op":"checkpoint"}')) == "not_durable"
+
+        pinned = protocol.decode_line(b'{"op":"ping","v":2}')
+        over = protocol.failed(pinned, ServerOverloadedError("server overloaded: test"))
+        assert code_of(over) == "server_overloaded"
+        assert over["v"] == 2 and over["error"]["message"].endswith("test")
+        big = protocol.oversized(512)
+        assert code_of(big) == "frame_too_large" and "512-byte" in big["error"]["message"]
+        failed = protocol.failed(pinned, OSError("fsync: disk on fire"))
+        assert code_of(failed) == "internal" and failed["v"] == 2
+        assert seen["internal"] == "OSError"
+
+        engine.execute = lambda request, session=None: 1 / 0  # a server-side bug
+        boom = protocol.respond_line(b'{"op":"stats"}')
+        assert code_of(boom) == "internal" and boom["error"]["type"] == "ZeroDivisionError"
+        assert set(seen) == set(ERROR_CODES) - {"shard_unavailable"}
+
+    def test_routed_error_carries_shard_and_partial(self, routed):
+        core, shards, world = routed
+        line = b'{"op":"window","x1":0,"y1":0,"x2":%d,"y2":%d,"v":1}' % (world, world)
+        whole = core.respond(line)
+        assert whole["ok"] and whole["v"] == 1
+        down = sorted(core.clients)[0]
+        shards.stop(down)
+        try:
+            envelope = core.respond(line)
+        finally:
+            shards.start(down)
+        assert envelope["ok"] is False and envelope["v"] == 1
+        assert envelope["error"]["code"] == "shard_unavailable"
+        assert envelope["error"]["shard"] == down
+        assert envelope["partial"]["shards"] == sorted(set(core.clients) - {down})
+        assert set(envelope["partial"]["result"]) < set(whole["result"])
+
+    def test_router_counts_every_request_once(self, routed):
+        core = routed[0]
+
+        def count(op, status):
+            return core.registry.counter(
+                "repro_router_requests_total", op=op, status=status
+            ).value
+
+        labels = [
+            ("invalid", "error"),
+            ("ping", "error"),
+            ("ping", "ok"),
+            ("bogus", "error"),
+        ]
+        before = [count(*pair) for pair in labels]
+        for line in (b"garbage", b"[]", b'{"op":"ping","v":5}', b"\n"):
+            core.respond(line)
+        core.respond(b'{"op":"ping"}')
+        core.respond(b'{"op":"bogus"}')
+        after = [count(*pair) for pair in labels]
+        assert [b - a for a, b in zip(before, after)] == [2, 1, 1, 1]
+
+
+class TestTraceContext:
+    @pytest.fixture()
+    def traced(self):
+        TRACER.clear()
+        TRACER.arm(1.0)
+        yield
+        TRACER.disarm()
+        TRACER.clear()
+
+    def _assert_parented(self, envelope, ctx, op):
+        assert envelope["ok"], envelope
+        tc = envelope["tc"]
+        assert tc["t"] == ctx.trace_id
+        assert tc["span"]["parent_id"] == ctx.span_id
+        assert tc["span"]["name"] == op
+
+    def test_tc_as_json_field_and_as_v2_trailer(self, traced, target):
+        protocol = Protocol(target, (1, 2))
+        ctx = dtrace.TraceContext(dtrace.new_trace_id(), dtrace.new_span_id(), True)
+        op = {"op": "point", "x": 100, "y": 100}
+        as_field = json.dumps(dict(op, tc=ctx.to_wire()))
+        self._assert_parented(protocol.respond_line(as_field), ctx, "point")
+        framed = protocol.decode_frame(json.dumps(op).encode(), ctx.to_trailer())
+        assert framed.raw["tc"] == ctx.to_wire()
+        self._assert_parented(protocol.run(framed)[0], ctx, "point")
+
+    def test_bad_context_degrades_to_untraced_and_errors_keep_tc(self, traced):
+        protocol = Protocol(_engine())
+        envelope = protocol.respond_line(b'{"op":"point","x":1,"y":1,"tc":"junk"}')
+        # No usable caller context: the server roots its own trace and
+        # returns its identity only (there is no caller to graft under).
+        assert envelope["ok"] and "span" not in envelope["tc"]
+        failed = protocol.respond_line(b'{"op":"delete","seg_id":999999}')
+        assert failed["error"]["code"] == "unknown_seg"
+        assert failed["tc"]["t"] != envelope["tc"]["t"]
+
+    def test_disabled_tracing_attaches_nothing(self, target):
+        assert not TRACER.enabled
+        envelope = Protocol(target).respond_line(b'{"op":"point","x":100,"y":100}')
+        assert envelope["ok"] and "tc" not in envelope
+
+
+class TestDeferredCommit:
+    """``run(deferred=True)`` hands the fsync to the transport: it returns
+    the LSN the ack must wait for and leaves the WAL unsynced."""
+
+    INSERT = b'{"op":"insert","x1":5,"y1":5,"x2":30,"y2":35}'
+
+    @pytest.fixture()
+    def durable(self, tmp_path):
+        index = build_index("R*", lattice_map(n=8))
+        store = DurableStore.create(str(tmp_path / "store"), index, group_commit=1)
+        yield QueryEngine(index, store=store), store
+        store.close()
+
+    def test_inline_commit_fsyncs_before_returning(self, durable):
+        engine, store = durable
+        protocol = Protocol(engine)
+        fsyncs = store.wal.stats()["fsyncs"]
+        envelope, lsn = protocol.run(protocol.decode_line(self.INSERT))
+        assert envelope["ok"] and lsn is None
+        assert store.wal.stats()["fsyncs"] == fsyncs + 1
+
+    def test_deferred_insert_returns_its_lsn_unsynced(self, durable):
+        engine, store = durable
+        protocol = Protocol(engine, (1, 2))
+        fsyncs = store.wal.stats()["fsyncs"]
+        request = protocol.decode_frame(self.INSERT)
+        envelope, lsn = protocol.run(request, engine.session("t"), deferred=True)
+        assert envelope["ok"] and lsn == store.last_lsn == 1
+        assert store.wal.stats()["fsyncs"] == fsyncs  # the ack is not yet owed
+        # The transport's fsync fails: the built envelope must not go out.
+        ack = protocol.failed(request, OSError("fsync failed"))
+        assert ack["ok"] is False and ack["error"]["code"] == "internal"
+
+    def test_reads_and_failures_defer_nothing(self, durable):
+        engine, _store = durable
+        protocol = Protocol(engine, (1, 2))
+        for line in (b'{"op":"point","x":5,"y":5}', b'{"op":"delete","seg_id":999999}'):
+            _envelope, lsn = protocol.run(protocol.decode_line(line), deferred=True)
+            assert lsn is None
+
+
+class TestOnePolicyOnePlace:
+    """The acceptance greps, as a test: the policy calls exist once."""
+
+    SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+
+    def _files_calling(self, call):
+        hits = set()
+        for dirpath, _dirs, files in os.walk(self.SRC):
+            for fname in files:
+                if fname.endswith(".py"):
+                    path = os.path.join(dirpath, fname)
+                    with open(path, encoding="utf-8") as fh:
+                        source = fh.read().replace(f"def {call}(", "")
+                    if f"{call}(" in source:
+                        hits.add(os.path.relpath(path, self.SRC))
+        return hits
+
+    @pytest.mark.parametrize(
+        "call", ["error_envelope", "dtrace.set_incoming", "dtrace.take_outbound"]
+    )
+    def test_policy_calls_live_in_the_core_only(self, call):
+        assert self._files_calling(call) == {os.path.join("service", "protocol.py")}
+
+    def test_core_is_sans_io(self):
+        with open(protocol_module.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert not imported & {"socket", "socketserver", "asyncio", "threading"}

@@ -10,19 +10,32 @@ reads, mutations, every error class -- through three transports:
 Deterministic ops must produce *identical* envelopes; ``stats`` (which
 leaks session names and timings) is compared on its deterministic
 projection. This is the suite that keeps the async server from drifting
-semantically from the threaded one.
+semantically from the threaded one. The same three transports are then
+compared in front of the shard router (:class:`TestRoutedEquivalence`).
 """
 
 import asyncio
 import json
+import re
+import shutil
 import socket
 
 import pytest
 
-from repro.aio import AsyncMapClient, AsyncMapServer
+from repro.aio import (
+    HEADER_BYTES,
+    AsyncMapClient,
+    AsyncMapServer,
+    AsyncShardRouter,
+    decode_header,
+    decode_payload,
+    encode_frame,
+)
+from repro.data.counties import generate_county
 from repro.obs import dtrace
 from repro.obs.trace import TRACER
 from repro.service import MapServer, QueryEngine, send_request
+from repro.shard import LocalShardSet, ShardRouter, init_shard_set
 
 from tests.conftest import build_index, lattice_map
 
@@ -76,13 +89,13 @@ def _resolve(op, inserted):
     return op
 
 
-def _run_script_v1(address):
+def _run_script_v1(address, ops=GOLDEN_OPS):
     """The whole script down one persistent v1 connection."""
     envelopes = []
     inserted = None
     with socket.create_connection(address, timeout=10) as sock:
         with sock.makefile("rwb") as fh:
-            for op in GOLDEN_OPS:
+            for op in ops:
                 op = _resolve(op, inserted)
                 fh.write(json.dumps(op).encode() + b"\n")
                 fh.flush()
@@ -93,7 +106,7 @@ def _run_script_v1(address):
     return envelopes
 
 
-def _run_script_v2(address):
+def _run_script_v2(address, ops=GOLDEN_OPS):
     """The whole script down one pipelined v2 connection, in order."""
 
     async def main():
@@ -101,7 +114,7 @@ def _run_script_v2(address):
         inserted = None
         client = await AsyncMapClient.connect(address)
         try:
-            for op in GOLDEN_OPS:
+            for op in ops:
                 op = _resolve(op, inserted)
                 if op.get("v") is not None:
                     # The "v" pin is v1 framing business; inside v2 the
@@ -171,9 +184,9 @@ def async_server():
 
 
 class TestEquivalence:
-    def _compare(self, golden, candidate, transport):
+    def _compare(self, golden, candidate, transport, ops=GOLDEN_OPS):
         assert len(golden) == len(candidate)
-        for op, want, got in zip(GOLDEN_OPS, golden, candidate):
+        for op, want, got in zip(ops, golden, candidate):
             if got is None:
                 continue  # inexpressible on this transport (bad v1 pin)
             if op["op"] == "stats":
@@ -207,6 +220,164 @@ class TestEquivalence:
             if not envelope["ok"]
         }
         assert {"unknown_op", "bad_args", "unknown_seg", "not_durable"} <= codes
+
+
+class TestBlankLines:
+    """A blank or whitespace-only v1 line is framing noise: no transport
+    answers it. v1 has no request ids -- order *is* the correlation -- so
+    one stray reply would desync every response behind it."""
+
+    BLANKS = b"\n  \n"
+
+    @pytest.mark.parametrize("which", ["threaded", "async"])
+    def test_v1_blank_lines_get_no_reply(self, which, oracle, async_server):
+        address = (oracle if which == "threaded" else async_server).address
+        with socket.create_connection(address, timeout=10) as sock:
+            with sock.makefile("rwb") as fh:
+                fh.write(self.BLANKS + b'{"op":"ping"}\n' + self.BLANKS)
+                fh.write(b'{"op":"ping","v":1}\n')
+                fh.flush()
+                # Exactly one reply per real request, in order: a reply
+                # to a blank line would show up in the first slot.
+                assert json.loads(fh.readline()) == {"ok": True, "result": "pong"}
+                assert json.loads(fh.readline()) == {
+                    "ok": True,
+                    "result": "pong",
+                    "v": 1,
+                }
+
+    def test_blank_lines_before_the_v2_upgrade(self, async_server):
+        with socket.create_connection(async_server.address, timeout=10) as sock:
+            with sock.makefile("rwb") as fh:
+                fh.write(self.BLANKS + b'{"op":"ping","v":2}\n')
+                fh.write(encode_frame(7, {"op": "ping"}))
+                fh.flush()
+                ack = json.loads(fh.readline())
+                assert ack["ok"] and ack["v"] == 2, ack
+                _flags, length, request_id = decode_header(fh.read(HEADER_BYTES))
+                assert request_id == 7
+                assert decode_payload(fh.read(length)) == {
+                    "ok": True,
+                    "result": "pong",
+                }
+
+
+# ----------------------------------------------------------------------
+# The same three transports in front of the shard router
+# ----------------------------------------------------------------------
+ROUTED_SHARDS = 3
+
+#: World-relative script (``W`` is replaced by the map's world size).
+#: No ``stats``: routed stats carry per-shard session names and timings.
+ROUTED_OPS = [
+    {"op": "ping"},
+    {"op": "ping", "v": 1},
+    {"op": "point", "x": 0.5, "y": 0.5},
+    {"op": "window", "x1": 0, "y1": 0, "x2": 1, "y2": 1},
+    {"op": "window", "x1": 0.2, "y1": 0.2, "x2": 0.6, "y2": 0.6, "mode": "contains"},
+    {"op": "nearest", "x": 0.25, "y": 0.25, "k": 5},
+    {
+        "op": "batch",
+        "order": "morton",
+        "requests": [
+            {"op": "point", "x": 0.5, "y": 0.5},
+            {"op": "window", "x1": 0, "y1": 0, "x2": 0.4, "y2": 0.4},
+            {"op": "nearest", "x": 0.7, "y": 0.7, "k": 2},
+        ],
+    },
+    {"op": "insert", "x1": 0.01, "y1": 0.01, "x2": 0.02, "y2": 0.03},
+    {"op": "point", "x": 0.01, "y": 0.01},
+    {"op": "delete", "seg_id": "INSERTED"},
+    {"op": "delete", "seg_id": "INSERTED"},
+    {"op": "point", "x": 0.01, "y": 0.01},
+    {"op": "check"},
+    {"op": "bogus"},
+    {"op": "insert", "x1": "abc", "y1": 0, "x2": 1, "y2": 1},
+    {"op": "insert", "x1": 0, "y1": 0, "x2": 10},
+    {"op": "delete", "seg_id": True},
+    {"op": "ping", "v": 3},
+]
+
+
+def _scaled(ops, world):
+    """Multiply every coordinate in the script by the world size."""
+
+    def scale(op):
+        out = {}
+        for key, value in op.items():
+            if key in ("x", "y", "x1", "y1", "x2", "y2") and not isinstance(
+                value, str
+            ):
+                value = value * world
+            elif key == "requests":
+                value = [scale(member) for member in value]
+            out[key] = value
+        return out
+
+    return [scale(op) for op in ops]
+
+
+def _portless(envelope):
+    """Each shard set has its own worker ports; nothing else may differ."""
+    error = dict(envelope["error"])
+    error["message"] = re.sub(r"127\.0\.0\.1:\d+", "HOST:PORT", error["message"])
+    return dict(envelope, error=error)
+
+
+@pytest.fixture(scope="module")
+def routed_sets(tmp_path_factory):
+    """Three byte-identical shard sets, one per transport under test
+    (the script mutates, so the runs cannot share one)."""
+    base = tmp_path_factory.mktemp("routed_golden")
+    map_data = generate_county("cecil", scale=0.01)
+    roots = [base / name for name in ("threaded", "async_v1", "async_v2")]
+    init_shard_set(
+        roots[0], "R*", map_data=map_data, n_shards=ROUTED_SHARDS, page_size=2048
+    )
+    for copy in roots[1:]:
+        shutil.copytree(roots[0], copy)
+    return roots, map_data.world_size
+
+
+class TestRoutedEquivalence:
+    def test_three_transports_answer_identically(self, routed_sets):
+        roots, world = routed_sets
+        ops = _scaled(ROUTED_OPS, world)
+        window = {"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world}
+        runs = []
+        degraded = []
+        for root, make_router, run_script in (
+            (roots[0], ShardRouter, _run_script_v1),
+            (roots[1], AsyncShardRouter, _run_script_v1),
+            (roots[2], AsyncShardRouter, _run_script_v2),
+        ):
+            with LocalShardSet(root) as shards:
+                router = make_router(root)
+                router.start_background()
+                try:
+                    runs.append(run_script(router.address, ops))
+                    down = sorted(router.clients)[0]
+                    shards.stop(down)
+                    if run_script is _run_script_v1:
+                        degraded.append(send_request(router.address, window))
+                    else:
+                        degraded.extend(_run_script_v2(router.address, [window]))
+                finally:
+                    (router.close if make_router is ShardRouter else router.stop)()
+        golden = runs[0]
+        codes = {e["error"]["code"] for e in golden if not e["ok"]}
+        assert {"unknown_op", "bad_args", "unknown_seg"} <= codes
+        compare = TestEquivalence()._compare
+        compare(golden, runs[1], "async-router-v1", ops)
+        compare(golden, runs[2], "async-router-v2", ops)
+
+        want = _portless(degraded[0])
+        assert want["error"]["code"] == "shard_unavailable"
+        assert want["error"]["shard"] == "s0"
+        assert want["partial"]["shards"] == ["s1", "s2"]
+        assert want["partial"]["result"]
+        for got in degraded[1:]:
+            assert _portless(got) == want
 
 
 # ----------------------------------------------------------------------

@@ -12,12 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.queries import (
-    enclosing_polygon,
+    QuerySpec,
+    execute_spec,
     iter_nearest,
-    nearest_segment,
-    segments_at_other_endpoint,
-    segments_at_point,
-    window_query,
 )
 from repro.geometry import Point, Rect, Segment
 
@@ -39,17 +36,19 @@ class TestQuery1PointIncidence:
         idx = build_index(any_structure, segs)
         for s in segs:
             for p in (s.start, s.end):
-                assert set(segments_at_point(idx, p)) == set(oracle_at_point(segs, p))
+                assert set(execute_spec(idx, QuerySpec.point(p))) == set(
+                    oracle_at_point(segs, p)
+                )
 
     def test_point_not_an_endpoint(self, any_structure):
         segs = lattice_map(n=4, pitch=150)
         idx = build_index(any_structure, segs)
-        assert segments_at_point(idx, Point(3, 3)) == []
+        assert execute_spec(idx, QuerySpec.point(Point(3, 3))) == []
 
     def test_interior_point_of_segment_not_incident(self, any_structure):
         segs = [Segment(100, 100, 300, 100)]
         idx = build_index(any_structure, segs)
-        assert segments_at_point(idx, Point(200, 100)) == []
+        assert execute_spec(idx, QuerySpec.point(Point(200, 100))) == []
 
 
 class TestQuery2OtherEndpoint:
@@ -58,7 +57,7 @@ class TestQuery2OtherEndpoint:
         idx = build_index(any_structure, segs)
         seg_id = 7
         s = segs[seg_id]
-        other, incident = segments_at_other_endpoint(idx, s.start, seg_id)
+        other, incident = execute_spec(idx, QuerySpec.other_endpoint(s.start, seg_id))
         assert other == s.end
         expected = set(oracle_at_point(segs, s.end)) - {seg_id}
         assert set(incident) == expected
@@ -67,7 +66,7 @@ class TestQuery2OtherEndpoint:
         segs = lattice_map(n=4, pitch=150)
         idx = build_index(any_structure, segs)
         with pytest.raises(KeyError):
-            segments_at_other_endpoint(idx, Point(1, 1), 0)
+            execute_spec(idx, QuerySpec.other_endpoint(Point(1, 1), 0))
 
 
 class TestQuery3Nearest:
@@ -77,7 +76,7 @@ class TestQuery3Nearest:
         idx = build_index(any_structure, segs)
         for _ in range(25):
             p = Point(rng.randint(0, 1023), rng.randint(0, 1023))
-            sid, d2 = nearest_segment(idx, p)
+            sid, d2 = execute_spec(idx, QuerySpec.nearest(p))[0]
             assert d2 == pytest.approx(oracle_nearest_dist2(segs, p))
             # The returned segment actually achieves that distance.
             assert segs[sid].distance2_to_point(p) == pytest.approx(d2)
@@ -87,13 +86,13 @@ class TestQuery3Nearest:
         from tests.conftest import make_index
 
         idx = make_index(any_structure, StorageContext.create())
-        assert nearest_segment(idx, Point(5, 5)) is None
+        assert execute_spec(idx, QuerySpec.nearest(Point(5, 5))) == []
 
     def test_point_on_segment_gives_zero(self, any_structure):
         segs = lattice_map(n=4, pitch=150)
         idx = build_index(any_structure, segs)
         p = Point(segs[0].x1, segs[0].y1)
-        sid, d2 = nearest_segment(idx, p)
+        sid, d2 = execute_spec(idx, QuerySpec.nearest(p))[0]
         assert d2 == 0
 
     def test_iter_nearest_is_sorted_and_complete(self, any_structure):
@@ -116,7 +115,7 @@ class TestQuery4Polygon:
         segs = lattice_map(n=4, pitch=150)
         idx = build_index(any_structure, segs)
         # A point inside the cell between lattice points (0,0) and (1,1).
-        r = enclosing_polygon(idx, Point(225, 225))
+        r = execute_spec(idx, QuerySpec.polygon(Point(225, 225)))
         assert r is not None and r.closed
         assert not r.is_outer
         assert r.size == 4
@@ -127,14 +126,14 @@ class TestQuery4Polygon:
         results = {}
         for kind in ALL_STRUCTURES:
             idx = build_index(kind, segs)
-            r = enclosing_polygon(idx, Point(350, 290))
+            r = execute_spec(idx, QuerySpec.polygon(Point(350, 290)))
             results[kind] = (tuple(sorted(r.seg_ids)), r.is_outer, r.size)
         assert len(set(results.values())) == 1, results
 
     def test_outer_face_detected(self, any_structure):
         segs = lattice_map(n=3, pitch=100)  # occupies [100..300]^2
         idx = build_index(any_structure, segs)
-        r = enclosing_polygon(idx, Point(900, 900))
+        r = execute_spec(idx, QuerySpec.polygon(Point(900, 900)))
         assert r is not None and r.closed
         assert r.is_outer
 
@@ -150,7 +149,7 @@ class TestQuery4Polygon:
             Segment(300, 200, 200, 200),  # dangling stub into the face
         ]
         idx = build_index(any_structure, segs)
-        r = enclosing_polygon(idx, Point(150, 150))
+        r = execute_spec(idx, QuerySpec.polygon(Point(150, 150)))
         assert r.closed
         assert not r.is_outer
         # 5 boundary edges + the stub twice = 7 edge steps.
@@ -162,12 +161,12 @@ class TestQuery4Polygon:
         from tests.conftest import make_index
 
         idx = make_index(any_structure, StorageContext.create())
-        assert enclosing_polygon(idx, Point(5, 5)) is None
+        assert execute_spec(idx, QuerySpec.polygon(Point(5, 5))) is None
 
     def test_isolated_segment_degenerate_face(self, any_structure):
         segs = [Segment(100, 100, 300, 200)]
         idx = build_index(any_structure, segs)
-        r = enclosing_polygon(idx, Point(200, 300))
+        r = execute_spec(idx, QuerySpec.polygon(Point(200, 300)))
         assert r.closed
         assert r.size == 2  # out and back along the only edge
 
@@ -179,7 +178,7 @@ class TestQuery4Polygon:
         caps = [Segment(100, 400, 100, 600), Segment(740, 400, 740, 600)]
         segs = top + bottom + caps
         idx = build_index(any_structure, segs)
-        r = enclosing_polygon(idx, Point(400, 500))
+        r = execute_spec(idx, QuerySpec.polygon(Point(400, 500)))
         assert r.closed and not r.is_outer
         assert r.size == len(segs)
 
@@ -192,23 +191,25 @@ class TestQuery5Window:
         for _ in range(25):
             x, y = rng.randint(0, 900), rng.randint(0, 900)
             w = Rect(x, y, x + rng.randint(5, 200), y + rng.randint(5, 200))
-            assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+            assert set(execute_spec(idx, QuerySpec.window(w))) == set(
+                oracle_in_window(segs, w)
+            )
 
     def test_empty_window(self, any_structure):
         segs = lattice_map(n=3, pitch=100)  # occupies [100..300]^2
         idx = build_index(any_structure, segs)
-        assert window_query(idx, Rect(700, 700, 800, 800)) == []
+        assert execute_spec(idx, QuerySpec.window(Rect(700, 700, 800, 800))) == []
 
     def test_window_touching_endpoint_only(self, any_structure):
         segs = [Segment(100, 100, 300, 100)]
         idx = build_index(any_structure, segs)
-        assert window_query(idx, Rect(300, 100, 400, 200)) == [0]
+        assert execute_spec(idx, QuerySpec.window(Rect(300, 100, 400, 200))) == [0]
 
     def test_window_crossing_interior_only(self, any_structure):
         """A window the segment passes through without any endpoint."""
         segs = [Segment(100, 150, 500, 150)]
         idx = build_index(any_structure, segs)
-        assert window_query(idx, Rect(250, 100, 300, 200)) == [0]
+        assert execute_spec(idx, QuerySpec.window(Rect(250, 100, 300, 200))) == [0]
 
 
 class TestCrossStructureAgreement:
@@ -220,15 +221,48 @@ class TestCrossStructureAgreement:
         indexes = {k: build_index(k, segs) for k in ALL_STRUCTURES}
 
         p_end = segs[rng.randrange(len(segs))].start
-        q1 = {k: set(segments_at_point(idx, p_end)) for k, idx in indexes.items()}
+        q1 = {
+            k: set(execute_spec(idx, QuerySpec.point(p_end)))
+            for k, idx in indexes.items()
+        }
         assert len({frozenset(v) for v in q1.values()}) == 1
 
         p = Point(rng.randint(0, 1023), rng.randint(0, 1023))
-        q3 = {k: nearest_segment(idx, p)[1] for k, idx in indexes.items()}
+        q3 = {
+            k: execute_spec(idx, QuerySpec.nearest(p))[0][1]
+            for k, idx in indexes.items()
+        }
         base = next(iter(q3.values()))
         for v in q3.values():
             assert v == pytest.approx(base)
 
         w = Rect(100, 100, 600, 600)
-        q5 = {k: frozenset(window_query(idx, w)) for k, idx in indexes.items()}
+        q5 = {
+            k: frozenset(execute_spec(idx, QuerySpec.window(w)))
+            for k, idx in indexes.items()
+        }
         assert len(set(q5.values())) == 1
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "window_query",
+        "segments_at_point",
+        "segments_at_other_endpoint",
+        "incident_segments_with_geometry",
+        "nearest_segment",
+        "nearest_k_segments",
+        "enclosing_polygon",
+    ],
+)
+def test_legacy_query_shims_are_gone(name):
+    """QuerySpec + execute_spec is the only entry into traversal."""
+    import repro
+    import repro.core.queries as queries
+
+    for module in (repro, queries):
+        assert not hasattr(module, name)
+        assert name not in module.__all__
+    with pytest.raises(ImportError):
+        exec(f"from repro.core.queries import {name}")

@@ -256,14 +256,19 @@ class TestShutdown:
     def test_loadgen_worker_threads_are_named_and_joined(self):
         from repro.service import bench_serve
 
-        report = bench_serve(
-            county="cecil", scale=0.01, threads=2, requests=8, seed=0
-        )
-        assert report.errors == 0
-        # No loadgen or map-server thread may outlive the bench.
-        lingering = [
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith(("loadgen-", "map-server"))
-        ]
-        assert lingering == []
+        for use_async in (False, True):
+            report = bench_serve(
+                county="cecil", scale=0.01, threads=2, requests=8, seed=0,
+                use_async=use_async,
+            )
+            assert report.errors == 0
+            # The load generator is one event loop (it has no worker
+            # threads left to name), and whichever server the bench
+            # started -- accept thread, loop thread, engine and fsync
+            # executors -- is joined by stop(): nothing outlives the bench.
+            lingering = [
+                t.name
+                for t in threading.enumerate()
+                if t.name.startswith(("loadgen-", "map-server", "aio-", "asyncio_"))
+            ]
+            assert lingering == []

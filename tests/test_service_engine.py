@@ -63,10 +63,12 @@ class TestAttribution:
         assert engine.ctx.counters.snapshot() == base
 
     def test_query_answers_match_direct_calls(self, engine):
-        from repro.core.queries import window_query
+        from repro.core.queries import QuerySpec, execute_spec
         from repro.geometry import Rect
 
-        direct = sorted(window_query(engine.index, Rect(0, 0, 450, 450)))
+        direct = sorted(
+            execute_spec(engine.index, QuerySpec.window(Rect(0, 0, 450, 450)))
+        )
         served = sorted(engine.window(0, 0, 450, 450))
         assert served == direct
 

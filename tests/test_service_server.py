@@ -197,6 +197,65 @@ class TestBenchServe:
             report.batch_comparison["morton"] <= report.batch_comparison["arrival"]
         )
 
+    @pytest.mark.parametrize("use_async", [False, True])
+    def test_one_loadgen_drives_either_server(self, use_async):
+        """In-process and ``connect`` mode, threaded and async: the same
+        driver works the wire out from what the server answers."""
+        from repro.aio import AsyncMapServer
+        from repro.obs.metrics import MetricsRegistry
+
+        report = bench_serve(
+            county="cecil", scale=0.01, threads=3, requests=45, pipeline=4,
+            use_async=use_async,
+        )
+        assert (report.errors, report.overloaded, report.requests) == (0, 0, 45)
+        assert report.counters_consistent is True
+        assert report.batch_comparison["morton"] <= report.batch_comparison["arrival"]
+
+        engine = QueryEngine(
+            build_index("R*", lattice_map(n=8)), registry=MetricsRegistry()
+        )
+        server = (AsyncMapServer if use_async else MapServer)(engine)
+        server.start_background()
+        try:
+            remote = bench_serve(
+                threads=3, requests=45, pipeline=4, connect=[server.address],
+                world_size=1000.0,
+            )
+            # The target's own accounting saw exactly this load, on the
+            # wire it speaks: v2 frames if it took the upgrade, v1 lines
+            # (one hello refusal per connection) if it did not.
+            if use_async:
+                assert engine.registry.counter(
+                    "repro_server_requests_total", proto="v2"
+                ).value == 45
+            assert engine.counters_consistent()
+        finally:
+            server.stop()
+        assert (remote.errors, remote.overloaded, remote.requests) == (0, 0, 45)
+        assert remote.counters_consistent is True
+        assert remote.structure == "R*" and remote.source.startswith("connect:")
+
+    def test_mutating_load_reports_group_commit(self, tmp_path):
+        from repro.service import format_bench_report
+
+        for use_async in (False, True):
+            report = bench_serve(
+                county="cecil", scale=0.01, threads=6, requests=60, pipeline=4,
+                use_async=use_async, mutate_frac=0.3,
+                wal_dir=str(tmp_path / f"wal-{use_async}"),
+            )
+            gc = report.group_commit
+            assert report.errors == 0 and report.counters_consistent
+            assert gc["mutations"] > 0
+            assert ("batches" in gc) == use_async
+            if not use_async:
+                # The threaded server commits inline: one fsync a mutation.
+                assert gc["fsyncs"] == gc["mutations"]
+            assert f"{gc['mutations']} mutations -> {gc['fsyncs']} fsyncs" in (
+                format_bench_report(report)
+            )
+
     def test_report_formats(self):
         from repro.service import format_bench_report
 

@@ -12,11 +12,8 @@ import random
 import pytest
 
 from repro.core.queries import (
-    enclosing_polygon,
-    nearest_segment,
-    segments_at_other_endpoint,
-    segments_at_point,
-    window_query,
+    QuerySpec,
+    execute_spec,
 )
 from repro.data import generate_county
 from repro.geometry import Point, Rect, Segment
@@ -63,8 +60,8 @@ class TestRoundTripQueries:
         index, opened, county = pair
         for seg in county.segments[:20]:
             p = Point(seg.x1, seg.y1)
-            assert sorted(segments_at_point(opened, p)) == sorted(
-                segments_at_point(index, p)
+            assert sorted(execute_spec(opened, QuerySpec.point(p))) == sorted(
+                execute_spec(index, QuerySpec.point(p))
             )
 
     def test_query2_other_endpoint(self, pair):
@@ -72,8 +69,8 @@ class TestRoundTripQueries:
         for seg_id in range(10):
             seg = county.segments[seg_id]
             p = Point(seg.x1, seg.y1)
-            got = segments_at_other_endpoint(opened, p, seg_id)
-            want = segments_at_other_endpoint(index, p, seg_id)
+            got = execute_spec(opened, QuerySpec.other_endpoint(p, seg_id))
+            want = execute_spec(index, QuerySpec.other_endpoint(p, seg_id))
             assert got[0] == want[0]
             assert sorted(got[1]) == sorted(want[1])
 
@@ -82,14 +79,15 @@ class TestRoundTripQueries:
         rng = random.Random(7)
         for _ in range(15):
             p = Point(rng.uniform(0, 16384), rng.uniform(0, 16384))
-            assert nearest_segment(opened, p) == nearest_segment(index, p)
+            spec = QuerySpec.nearest(p)
+            assert execute_spec(opened, spec) == execute_spec(index, spec)
 
     def test_query4_polygon(self, pair):
         index, opened, county = pair
         seg = county.segments[0]
         p = Point((seg.x1 + seg.x2) / 2 + 0.25, (seg.y1 + seg.y2) / 2 + 0.25)
-        got = enclosing_polygon(opened, p)
-        want = enclosing_polygon(index, p)
+        got = execute_spec(opened, QuerySpec.polygon(p))
+        want = execute_spec(index, QuerySpec.polygon(p))
         assert got == want
 
     def test_query5_window(self, pair):
@@ -98,8 +96,8 @@ class TestRoundTripQueries:
         for _ in range(10):
             x, y = rng.uniform(0, 15000), rng.uniform(0, 15000)
             w = Rect(x, y, x + rng.uniform(100, 1500), y + rng.uniform(100, 1500))
-            assert sorted(window_query(opened, w)) == sorted(
-                window_query(index, w)
+            assert sorted(execute_spec(opened, QuerySpec.window(w))) == sorted(
+                execute_spec(index, QuerySpec.window(w))
             )
 
     def test_snapshot_still_mutable(self, pair):
@@ -107,9 +105,9 @@ class TestRoundTripQueries:
         _, opened, _ = pair
         seg_id = opened.ctx.segments.append(Segment(3.0, 3.0, 40.0, 41.0))
         opened.insert(seg_id)
-        assert seg_id in segments_at_point(opened, Point(3.0, 3.0))
+        assert seg_id in execute_spec(opened, QuerySpec.point(Point(3.0, 3.0)))
         opened.delete(seg_id)
-        assert seg_id not in segments_at_point(opened, Point(3.0, 3.0))
+        assert seg_id not in execute_spec(opened, QuerySpec.point(Point(3.0, 3.0)))
 
 
 class TestManifest:

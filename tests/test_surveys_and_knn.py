@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.queries import nearest_k_segments
+from repro.core.queries import QuerySpec, execute_spec
 from repro.data import generate_county
 from repro.geometry import Point
 from repro.harness import polygon_size_survey
@@ -25,7 +25,7 @@ class TestNearestK:
         idx = build_index(any_structure, segs)
         p = Point(400, 650)
         k = min(8, len(segs))
-        got = nearest_k_segments(idx, p, k)
+        got = execute_spec(idx, QuerySpec.nearest(p, k))
         brute = sorted(
             ((s.distance2_to_point(p), i) for i, s in enumerate(segs))
         )[:k]
@@ -34,21 +34,21 @@ class TestNearestK:
     def test_k_larger_than_index(self, any_structure):
         segs = random_planar_segments(random.Random(72), n_cells=3)
         idx = build_index(any_structure, segs)
-        got = nearest_k_segments(idx, Point(10, 10), k=10_000)
+        got = execute_spec(idx, QuerySpec.nearest(Point(10, 10), k=10_000))
         assert len(got) == len(segs)
 
     def test_k_validation(self):
         segs = random_planar_segments(random.Random(73), n_cells=3)
         idx = build_index("PMR", segs)
         with pytest.raises(ValueError):
-            nearest_k_segments(idx, Point(0, 0), k=0)
+            execute_spec(idx, QuerySpec.nearest(Point(0, 0), k=0))
 
     def test_first_of_k_is_the_nearest(self, any_structure):
         rng = random.Random(74)
         segs = random_planar_segments(rng)
         idx = build_index(any_structure, segs)
         p = Point(512, 512)
-        got = nearest_k_segments(idx, p, 3)
+        got = execute_spec(idx, QuerySpec.nearest(p, 3))
         assert got[0][1] == pytest.approx(oracle_nearest_dist2(segs, p))
         dists = [d for _, d in got]
         assert dists == sorted(dists)

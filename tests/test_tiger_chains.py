@@ -86,7 +86,7 @@ class TestChainAssembly:
     def test_chain_pipeline_to_index(self, chain_files):
         """Full path: chains -> normalize -> index -> query."""
         from repro.core import RStarTree
-        from repro.core.queries import segments_at_point
+        from repro.core.queries import QuerySpec, execute_spec
         from repro.data import normalize_segments
         from repro.geometry import Point
         from repro.storage import StorageContext
@@ -105,5 +105,5 @@ class TestChainAssembly:
                 counts[p] = counts.get(p, 0) + 1
         interior = [p for p, c in counts.items() if c == 2]
         assert interior
-        got = segments_at_point(idx, Point(*interior[0]))
+        got = execute_spec(idx, QuerySpec.point(Point(*interior[0])))
         assert len(got) == 2

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core import RPlusTree, TrueRPlusTree
-from repro.core.queries import nearest_segment, segments_at_point, window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.geometry import Point, Rect, Segment
 from repro.storage import StorageContext
 
@@ -36,12 +36,14 @@ class TestCorrectness:
         idx = build(TrueRPlusTree, segs, capacity=6)
         idx.check_invariants()
         for s in segs[:15]:
-            got = set(segments_at_point(idx, s.start))
+            got = set(execute_spec(idx, QuerySpec.point(s.start)))
             assert got == set(oracle_at_point(segs, s.start))
         w = Rect(120, 180, 700, 660)
-        assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+        assert set(execute_spec(idx, QuerySpec.window(w))) == set(
+            oracle_in_window(segs, w)
+        )
         p = Point(444, 333)
-        assert nearest_segment(idx, p)[1] == pytest.approx(
+        assert execute_spec(idx, QuerySpec.nearest(p))[0][1] == pytest.approx(
             oracle_nearest_dist2(segs, p)
         )
 
@@ -105,7 +107,7 @@ class TestDeadSpacePruning:
         segs = self._clustered_map()
         true_rp = build(TrueRPlusTree, segs, capacity=8)
         p = Point(100, 100)
-        sid, d2 = nearest_segment(true_rp, p)
+        sid, d2 = execute_spec(true_rp, QuerySpec.nearest(p))[0]
         assert d2 == pytest.approx(oracle_nearest_dist2(segs, p))
 
     def test_build_charges_more_bbox_work(self):
@@ -126,4 +128,6 @@ class TestPropertyBased:
             idx = build(TrueRPlusTree, segs, capacity=6)
             idx.check_invariants()
             w = Rect(100, 100, 700, 700)
-            assert set(window_query(idx, w)) == set(oracle_in_window(segs, w))
+            assert set(execute_spec(idx, QuerySpec.window(w))) == set(
+                oracle_in_window(segs, w)
+            )

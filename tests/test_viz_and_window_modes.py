@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.queries import window_query
+from repro.core.queries import QuerySpec, execute_spec
 from repro.geometry import Rect, Segment
 from repro.viz import render_pmr_blocks, render_rtree_leaves, render_segments
 
@@ -17,33 +17,40 @@ class TestWindowModes:
 
     def test_intersects_includes_crossers(self):
         idx = self._index()
-        got = window_query(idx, Rect(140, 90, 200, 120), mode="intersects")
+        got = execute_spec(
+            idx, QuerySpec.window(Rect(140, 90, 200, 120), mode="intersects")
+        )
         assert set(got) == {0, 1}
 
     def test_contains_requires_full_containment(self):
         idx = self._index()
-        got = window_query(idx, Rect(140, 90, 200, 120), mode="contains")
+        got = execute_spec(
+            idx, QuerySpec.window(Rect(140, 90, 200, 120), mode="contains")
+        )
         assert got == []
-        got = window_query(idx, Rect(90, 90, 310, 110), mode="contains")
+        got = execute_spec(
+            idx, QuerySpec.window(Rect(90, 90, 310, 110), mode="contains")
+        )
         assert got == [0]
 
     def test_default_is_intersects(self):
         idx = self._index()
-        assert window_query(idx, Rect(140, 90, 200, 120)) == window_query(
-            idx, Rect(140, 90, 200, 120), mode="intersects"
+        window = Rect(140, 90, 200, 120)
+        assert execute_spec(idx, QuerySpec.window(window)) == execute_spec(
+            idx, QuerySpec.window(window, mode="intersects")
         )
 
     def test_bad_mode_rejected(self):
         idx = self._index()
         with pytest.raises(ValueError):
-            window_query(idx, Rect(0, 0, 1, 1), mode="touches")
+            execute_spec(idx, QuerySpec.window(Rect(0, 0, 1, 1), mode="touches"))
 
     def test_contains_subset_of_intersects(self):
         segs = lattice_map(n=6, pitch=110)
         idx = build_index("PMR", segs)
         w = Rect(150, 150, 600, 600)
-        inside = set(window_query(idx, w, mode="contains"))
-        crossing = set(window_query(idx, w, mode="intersects"))
+        inside = set(execute_spec(idx, QuerySpec.window(w, mode="contains")))
+        crossing = set(execute_spec(idx, QuerySpec.window(w, mode="intersects")))
         assert inside <= crossing
 
 
