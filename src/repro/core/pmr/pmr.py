@@ -24,7 +24,7 @@ fewer segment comparisons; it is exercised by the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, List, Optional, Set
 
 from repro.btree import BPlusTree, ScanStats
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
@@ -218,53 +218,23 @@ class PMRQuadtree(SpatialIndex):
     # ------------------------------------------------------------------
     # Searches
     # ------------------------------------------------------------------
-    def _leaf_block_at(self, p: Point) -> PMRBlock:
-        """The unique leaf whose half-open pixel region contains ``p``."""
-        block = self.root
-        while block.children is not None:
-            block = block.child_containing(p.x, p.y, self.world_size)
-        return block
-
     def candidate_ids_at_point(self, p: Point) -> List[int]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return self._point_profiled(prof, p)
-        block = self._leaf_block_at(p)
-        self.ctx.counters.bbox_comps += 1  # one bucket examined
-        values = self.btree.scan_eq(self._code(block))
-        if self.store_bboxes:
-            return [
-                v[0]
-                for v in values
-                if v[1][0] <= p.x <= v[1][2] and v[1][1] <= p.y <= v[1][3]
-            ]
-        return [self._seg_id_of(v) for v in values]
+        """One in-memory directory descent, then one bucket scan.
 
-    def _point_profiled(self, prof, p: Point) -> List[int]:
-        """``candidate_ids_at_point`` with EXPLAIN attribution.
-
-        Same storage traffic and counter charges as the plain path; the
-        in-memory directory descent is additionally recorded as node
-        visits per level (it moves no counters, so those buckets show
-        zero disk work -- which is itself the finding: the PMR pays for
-        buckets and B-tree pages, never for directory levels).
+        Under EXPLAIN the descent is recorded as node visits per level;
+        it moves no counters, so those buckets show zero disk work --
+        which is itself the finding: the PMR pays for buckets and B-tree
+        pages, never for directory levels.
         """
-        counters = self.ctx.counters
+        prof = TRACER.current_profile() if TRACER.profiling else None
         block = self.root
-        decoded = 1
         while block.children is not None:
-            prof.level(block.depth).node_visits += 1
+            if prof is not None:
+                prof.level(block.depth).node_visits += 1
             block = block.child_containing(p.x, p.y, self.world_size)
-            decoded += 1
-        prof.count(COUNT_BLOCKS_DECODED, decoded)
-        with prof.charge_level(block.depth, counters) as bucket:
-            counters.bbox_comps += 1  # one bucket examined
-            bucket.node_visits += 1
-            bucket.entries_examined += 1
-            bucket.entries_matched += 1
-        acct = ScanStats()
-        with prof.charge(CAUSE_BTREE, counters):
-            values = self.btree.scan_eq(self._code(block), acct)
-        self._note_btree_scans(prof, acct, scans=1)
+        if prof is not None:
+            prof.count(COUNT_BLOCKS_DECODED, block.depth + 1)
+        values = self._scan_bucket(prof, block)
         if self.store_bboxes:
             return [
                 v[0]
@@ -273,9 +243,26 @@ class PMRQuadtree(SpatialIndex):
             ]
         return [self._seg_id_of(v) for v in values]
 
-    def _note_btree_scans(self, prof, acct: ScanStats, scans: int) -> None:
-        cause = prof.cause(CAUSE_BTREE)
-        cause.node_visits += acct.internal + acct.leaves
+    def _scan_bucket(self, prof, block: PMRBlock) -> List[Any]:
+        """Examine one leaf bucket: one bounding-box comparison charged
+        to the block's level, then its B-tree scan charged to ``btree``."""
+        counters = self.ctx.counters
+        acct = None
+        if prof is not None:
+            prof.open(counters)
+        counters.bbox_comps += 1
+        if prof is not None:
+            prof.close_level(block.depth, examined=1, matched=1)
+            acct = ScanStats()
+            prof.open(counters)
+        values = self.btree.scan_eq(self._code(block), acct)
+        if prof is not None:
+            self._close_btree_scans(prof, acct, scans=1)
+        return values
+
+    @staticmethod
+    def _close_btree_scans(prof, acct: ScanStats, scans: int) -> None:
+        prof.close_cause(CAUSE_BTREE, visits=acct.internal + acct.leaves)
         prof.count(COUNT_BTREE_SCANS, scans)
         prof.count(COUNT_BTREE_LEAVES, acct.leaves)
         prof.count(COUNT_BTREE_INTERNAL, acct.internal)
@@ -289,24 +276,36 @@ class PMRQuadtree(SpatialIndex):
         window therefore costs one descent per time the Z curve enters
         the window, not one per bucket -- which is what makes the linear
         quadtree competitive on range queries despite its many buckets.
+
+        Under EXPLAIN each bucket comparison lands in its block's level
+        and the interval scans' B-tree traffic in the ``btree`` cause,
+        with leaf/internal visit tallies from :class:`~repro.btree.ScanStats`.
         """
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return self._window_profiled(prof, rect)
+        prof = TRACER.current_profile() if TRACER.profiling else None
+        counters = self.ctx.counters
         intervals: List[List[int]] = []  # [lo, hi] code intervals
 
         def walk(block: PMRBlock) -> None:
             if block.children is not None:
+                if prof is not None:
+                    prof.level(block.depth).node_visits += 1
+                    prof.count(COUNT_BLOCKS_DECODED)
                 for child in block.children:
                     if self._rect(child).intersects(rect):
                         walk(child)
                 return
+            if prof is not None:
+                prof.open(counters)
+            counters.bbox_comps += 1  # one bucket examined
+            if prof is not None:
+                prof.close_level(block.depth, examined=1, matched=1)
+                prof.count(COUNT_BLOCKS_DECODED)
             lo = self._code(block)
             intervals.append(
                 [lo, lo + (1 << (2 * (self.max_depth - block.depth))) - 1]
             )
 
         walk(self.root)
-        self.ctx.counters.bbox_comps += len(intervals)
 
         # Coalesce adjacent code intervals into maximal runs. The DFS
         # emits Z-order for Morton codes but not for Hilbert, so sort by
@@ -320,91 +319,43 @@ class PMRQuadtree(SpatialIndex):
                 runs.append([lo, hi])
 
         out: List[int] = []
+        acct = None
+        if prof is not None:
+            acct = ScanStats()
+            prof.open(counters)
         for lo, hi in runs:
-            for _, v in self.btree.scan_range(lo, hi):
+            for _, v in self.btree.scan_range(lo, hi, acct):
                 if self.store_bboxes:
                     if Rect(v[1][0], v[1][1], v[1][2], v[1][3]).intersects(rect):
                         out.append(v[0])
                 else:
                     out.append(self._seg_id_of(v))
-        return out
-
-    def _window_profiled(self, prof, rect: Rect) -> List[int]:
-        """``candidate_ids_in_rect`` with EXPLAIN attribution.
-
-        The bucket comparisons the plain path charges in one lump
-        (``bbox_comps += len(intervals)``) are charged per decomposition
-        depth here -- same total, attributed -- and the interval scans'
-        B-tree traffic lands in the ``btree`` cause bucket with leaf/
-        internal visit tallies from :class:`~repro.btree.ScanStats`.
-        """
-        counters = self.ctx.counters
-        intervals: List[Tuple[int, int, int]] = []  # (lo, hi, depth)
-        decoded = 0
-
-        def walk(block: PMRBlock) -> None:
-            nonlocal decoded
-            decoded += 1
-            if block.children is not None:
-                prof.level(block.depth).node_visits += 1
-                for child in block.children:
-                    if self._rect(child).intersects(rect):
-                        walk(child)
-                return
-            lo = self._code(block)
-            intervals.append(
-                (lo, lo + (1 << (2 * (self.max_depth - block.depth))) - 1, block.depth)
-            )
-
-        walk(self.root)
-        prof.count(COUNT_BLOCKS_DECODED, decoded)
-        by_depth: Dict[int, int] = {}
-        for _, _, depth in intervals:
-            by_depth[depth] = by_depth.get(depth, 0) + 1
-        for depth in sorted(by_depth):
-            n = by_depth[depth]
-            with prof.charge_level(depth, counters) as bucket:
-                counters.bbox_comps += n
-                bucket.node_visits += n
-                bucket.entries_examined += n
-                bucket.entries_matched += n
-
-        pairs = sorted([lo, hi] for lo, hi, _ in intervals)
-        runs: List[List[int]] = []
-        for lo, hi in pairs:
-            if runs and runs[-1][1] + 1 == lo:
-                runs[-1][1] = hi
-            else:
-                runs.append([lo, hi])
-
-        out: List[int] = []
-        acct = ScanStats()
-        with prof.charge(CAUSE_BTREE, counters):
-            for lo, hi in runs:
-                for _, v in self.btree.scan_range(lo, hi, acct):
-                    if self.store_bboxes:
-                        if Rect(v[1][0], v[1][1], v[1][2], v[1][3]).intersects(rect):
-                            out.append(v[0])
-                    else:
-                        out.append(self._seg_id_of(v))
-        self._note_btree_scans(prof, acct, scans=len(runs))
+        if prof is not None:
+            self._close_btree_scans(prof, acct, scans=len(runs))
         return out
 
     def nn_start(self, p: Point) -> List[NNItem]:
         return [NNItem(0.0, False, self.root)]
 
     def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return self._nn_expand_profiled(prof, ref, p)
+        """Expand one block (EXPLAIN levels are block depths)."""
+        prof = TRACER.current_profile() if TRACER.profiling else None
         block: PMRBlock = ref
+        if prof is not None:
+            prof.count(COUNT_NN_EXPANSIONS)
         if block.children is not None:
+            if prof is not None:
+                # Directory expansion: in-memory, moves no counters.
+                prof.count(COUNT_BLOCKS_DECODED)
+                bucket = prof.level(block.depth)
+                bucket.node_visits += 1
+                bucket.entries_examined += len(block.children)
+                bucket.entries_matched += len(block.children)
             return [
                 NNItem(query_lower_bound(p, self._rect(c)), False, c)
                 for c in block.children
             ]
-        self.ctx.counters.bbox_comps += 1  # bucket whose contents we examine
-        d_block = query_lower_bound(p, self._rect(block))
-        values = self.btree.scan_eq(self._code(block))
+        values = self._scan_bucket(prof, block)
         if self.store_bboxes:
             return [
                 NNItem(
@@ -414,43 +365,7 @@ class PMRQuadtree(SpatialIndex):
                 )
                 for v in values
             ]
-        return [NNItem(d_block, True, self._seg_id_of(v)) for v in values]
-
-    def _nn_expand_profiled(self, prof, ref: Any, p: Point) -> List[NNItem]:
-        """``nn_expand`` with EXPLAIN attribution (levels = block depths)."""
-        counters = self.ctx.counters
-        block: PMRBlock = ref
-        prof.count(COUNT_NN_EXPANSIONS, 1)
-        if block.children is not None:
-            # Directory expansion: in-memory, moves no counters.
-            bucket = prof.level(block.depth)
-            bucket.node_visits += 1
-            bucket.entries_examined += len(block.children)
-            bucket.entries_matched += len(block.children)
-            prof.count(COUNT_BLOCKS_DECODED, 1)
-            return [
-                NNItem(query_lower_bound(p, self._rect(c)), False, c)
-                for c in block.children
-            ]
-        with prof.charge_level(block.depth, counters) as bucket:
-            counters.bbox_comps += 1  # bucket whose contents we examine
-            bucket.node_visits += 1
-            bucket.entries_examined += 1
-            bucket.entries_matched += 1
         d_block = query_lower_bound(p, self._rect(block))
-        acct = ScanStats()
-        with prof.charge(CAUSE_BTREE, counters):
-            values = self.btree.scan_eq(self._code(block), acct)
-        self._note_btree_scans(prof, acct, scans=1)
-        if self.store_bboxes:
-            return [
-                NNItem(
-                    query_lower_bound(p, Rect(*v[1])),
-                    True,
-                    v[0],
-                )
-                for v in values
-            ]
         return [NNItem(d_block, True, self._seg_id_of(v)) for v in values]
 
     # ------------------------------------------------------------------

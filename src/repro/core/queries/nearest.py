@@ -73,12 +73,11 @@ def iter_nearest(
             resolved.add(ref)
             if prof is not None:
                 prof.count(COUNT_CANDIDATES)
-                with prof.charge(CAUSE_SEGMENT_TABLE, index.ctx.counters) as b:
-                    seg = index.ctx.segments.fetch(ref)
-                b.node_visits += 1
+                prof.open(index.ctx.counters)
+            seg = index.ctx.segments.fetch(ref)
+            if prof is not None:
+                prof.close_cause(CAUSE_SEGMENT_TABLE)
                 prof.count(COUNT_SEGMENT_FETCHES)
-            else:
-                seg = index.ctx.segments.fetch(ref)
             true_d2 = _true_distance2(query, seg)
             heapq.heappush(heap, (true_d2, _VERIFIED, ref, ref))
         else:

@@ -14,18 +14,12 @@ reference backend runs.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 from repro.core.interface import SpatialIndex
 from repro.core.queries.spec import QuerySpec
 from repro.geometry import Point, Segment
-from repro.obs.explain import (
-    CAUSE_SEGMENT_TABLE,
-    COUNT_CANDIDATES,
-    COUNT_DUPLICATES,
-    COUNT_RESULTS,
-    COUNT_SEGMENT_FETCHES,
-)
+from repro.obs.explain import CAUSE_SEGMENT_TABLE
 from repro.obs.trace import TRACER
 
 
@@ -38,49 +32,23 @@ def scalar_incident_segments(
     the directions of the incident edges, so the fetched geometry is
     returned rather than thrown away.
     """
-    if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-        return verify_incident_profiled(
-            index, index.candidate_ids_at_point(p), p, prof
-        )
-    return verify_incident(index, index.candidate_ids_at_point(p), p)
-
-
-def verify_incident(
-    index: SpatialIndex, candidates: Iterable[int], p: Point
-) -> List[Tuple[int, Segment]]:
-    """Dedup/fetch/verify loop shared by both backends."""
+    prof = TRACER.current_profile() if TRACER.profiling else None
+    candidates = index.candidate_ids_at_point(p)
     out: List[Tuple[int, Segment]] = []
     seen = set()
     for seg_id in candidates:
         if seg_id in seen:
             continue
         seen.add(seg_id)
+        if prof is not None:
+            prof.open(index.ctx.counters)
         seg = index.ctx.segments.fetch(seg_id)
+        if prof is not None:
+            prof.close_cause(CAUSE_SEGMENT_TABLE)
         if seg.has_endpoint(p):
             out.append((seg_id, seg))
-    return out
-
-
-def verify_incident_profiled(
-    index: SpatialIndex, candidates: Iterable[int], p: Point, prof
-) -> List[Tuple[int, Segment]]:
-    """The same dedup/verify loop, attributing the segment-table fetches."""
-    counters = index.ctx.counters
-    out: List[Tuple[int, Segment]] = []
-    seen = set()
-    for seg_id in candidates:
-        prof.count(COUNT_CANDIDATES)
-        if seg_id in seen:
-            prof.count(COUNT_DUPLICATES)
-            continue
-        seen.add(seg_id)
-        with prof.charge(CAUSE_SEGMENT_TABLE, counters) as bucket:
-            seg = index.ctx.segments.fetch(seg_id)
-        bucket.node_visits += 1
-        prof.count(COUNT_SEGMENT_FETCHES)
-        if seg.has_endpoint(p):
-            out.append((seg_id, seg))
-            prof.count(COUNT_RESULTS)
+    if prof is not None:
+        prof.count_verify(len(candidates), len(seen), len(out))
     return out
 
 

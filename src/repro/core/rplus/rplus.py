@@ -26,10 +26,9 @@ from __future__ import annotations
 from math import ceil
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.interface import WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
-from repro.core.profiled import profiled_nn_expand, profiled_tree_search
+from repro.core.interface import WORLD_SIZE, NNItem, SpatialIndex
 from repro.core.rplus.node import Entry, RPlusNode
-from repro.obs.trace import TRACER
+from repro.core.treesearch import expand_node, search_tree
 from repro.geometry import Point, Rect, Segment
 from repro.storage.context import StorageContext
 from repro.storage.layout import (
@@ -130,78 +129,16 @@ class RPlusTree(SpatialIndex):
     # Searches
     # ------------------------------------------------------------------
     def candidate_ids_at_point(self, p: Point) -> List[int]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return profiled_tree_search(
-                prof,
-                self.ctx.pool,
-                self.ctx.counters,
-                self._root_id,
-                lambda r: r.contains_point(p),
-            )
-        out: List[int] = []
-        pool = self.ctx.pool
-        counters = self.ctx.counters
-        stack = [self._root_id]
-        while stack:
-            node: RPlusNode = pool.get(stack.pop())
-            counters.bbox_comps += len(node.entries)
-            if node.is_leaf:
-                out.extend(ref for r, ref in node.entries if r.contains_point(p))
-            else:
-                # Disjoint regions: at most the boundary-sharing children match.
-                stack.extend(ref for r, ref in node.entries if r.contains_point(p))
-        return out
+        return search_tree(self.ctx, self._root_id, Rect.contains_point, p)
 
     def candidate_ids_in_rect(self, rect: Rect) -> List[int]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return profiled_tree_search(
-                prof,
-                self.ctx.pool,
-                self.ctx.counters,
-                self._root_id,
-                lambda r: r.intersects(rect),
-            )
-        out: List[int] = []
-        pool = self.ctx.pool
-        counters = self.ctx.counters
-        stack = [self._root_id]
-        while stack:
-            node: RPlusNode = pool.get(stack.pop())
-            counters.bbox_comps += len(node.entries)
-            if node.is_leaf:
-                out.extend(ref for r, ref in node.entries if r.intersects(rect))
-            else:
-                stack.extend(ref for r, ref in node.entries if r.intersects(rect))
-        return out
+        return search_tree(self.ctx, self._root_id, Rect.intersects, rect)
 
     def nn_start(self, p: Point) -> List[NNItem]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            prof.set_node_level(self._root_id, 0)
         return [NNItem(0.0, False, self._root_id)]
 
     def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return profiled_nn_expand(
-                prof,
-                self.ctx.pool,
-                self.ctx.counters,
-                ref,
-                p,
-                lambda node: Rect.union_of(r for r, _ in node.entries),
-            )
-        node: RPlusNode = self.ctx.pool.get(ref)
-        self.ctx.counters.bbox_comps += len(node.entries)
-        if node.is_leaf:
-            # Examining a leaf examines its segments (see the R-tree note):
-            # candidates inherit the leaf's lower bound.
-            if not node.entries:
-                return []
-            d = query_lower_bound(p, Rect.union_of(r for r, _ in node.entries))
-            return [NNItem(d, True, child) for _, child in node.entries]
-        return [
-            NNItem(query_lower_bound(p, r), False, child)
-            for r, child in node.entries
-        ]
+        return expand_node(self.ctx, ref, p)
 
     # ------------------------------------------------------------------
     # Statistics

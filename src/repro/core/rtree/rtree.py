@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.interface import NNItem, SpatialIndex, query_lower_bound
-from repro.core.profiled import profiled_nn_expand, profiled_tree_search
+from repro.core.interface import NNItem, SpatialIndex
 from repro.core.rtree.node import Entry, RTreeNode
 from repro.core.rtree.splits import split_quadratic
-from repro.obs.trace import TRACER
+from repro.core.treesearch import expand_node, search_tree
 from repro.geometry import Point, Rect
 from repro.storage.context import StorageContext
 from repro.storage.layout import (
@@ -87,80 +86,16 @@ class GuttmanRTree(SpatialIndex):
     # Searches
     # ------------------------------------------------------------------
     def candidate_ids_at_point(self, p: Point) -> List[int]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return profiled_tree_search(
-                prof,
-                self.ctx.pool,
-                self.ctx.counters,
-                self._root_id,
-                lambda r: r.contains_point(p),
-            )
-        out: List[int] = []
-        pool = self.ctx.pool
-        counters = self.ctx.counters
-        stack = [self._root_id]
-        while stack:
-            node: RTreeNode = pool.get(stack.pop())
-            counters.bbox_comps += len(node.entries)
-            if node.is_leaf:
-                out.extend(ref for r, ref in node.entries if r.contains_point(p))
-            else:
-                stack.extend(ref for r, ref in node.entries if r.contains_point(p))
-        return out
+        return search_tree(self.ctx, self._root_id, Rect.contains_point, p)
 
     def candidate_ids_in_rect(self, rect: Rect) -> List[int]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return profiled_tree_search(
-                prof,
-                self.ctx.pool,
-                self.ctx.counters,
-                self._root_id,
-                lambda r: r.intersects(rect),
-            )
-        out: List[int] = []
-        pool = self.ctx.pool
-        counters = self.ctx.counters
-        stack = [self._root_id]
-        while stack:
-            node: RTreeNode = pool.get(stack.pop())
-            counters.bbox_comps += len(node.entries)
-            if node.is_leaf:
-                out.extend(ref for r, ref in node.entries if r.intersects(rect))
-            else:
-                stack.extend(ref for r, ref in node.entries if r.intersects(rect))
-        return out
+        return search_tree(self.ctx, self._root_id, Rect.intersects, rect)
 
     def nn_start(self, p: Point) -> List[NNItem]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            prof.set_node_level(self._root_id, 0)
         return [NNItem(0.0, False, self._root_id)]
 
     def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
-        if TRACER.profiling and (prof := TRACER.current_profile()) is not None:
-            return profiled_nn_expand(
-                prof,
-                self.ctx.pool,
-                self.ctx.counters,
-                ref,
-                p,
-                lambda node: node.mbr(),
-            )
-        node: RTreeNode = self.ctx.pool.get(ref)
-        self.ctx.counters.bbox_comps += len(node.entries)
-        if node.is_leaf:
-            # As in the paper's implementations, examining a leaf examines
-            # its segments: candidates inherit the leaf's own lower bound,
-            # so every entry of a leaf nearer than the answer is fetched
-            # and compared (per-entry MBR distances would prune further,
-            # but would not reproduce the measured segment comparisons).
-            if not node.entries:
-                return []
-            d = query_lower_bound(p, node.mbr())
-            return [NNItem(d, True, child) for _, child in node.entries]
-        return [
-            NNItem(query_lower_bound(p, r), False, child)
-            for r, child in node.entries
-        ]
+        return expand_node(self.ctx, ref, p)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -56,20 +56,14 @@ except ImportError:  # pragma: no cover
 from repro.core.interface import SpatialIndex, TraversalBackend
 from repro.core.pmr.pmr import PMRQuadtree
 from repro.core.queries.nearest import scalar_nearest_k
-from repro.core.queries.point import (
-    other_endpoint_via,
-    scalar_incident_segments,
-    verify_incident_profiled,
-)
+from repro.core.queries.point import other_endpoint_via, scalar_incident_segments
 from repro.core.queries.polygon import walk_enclosing_polygon
 from repro.core.queries.spec import QuerySpec
-from repro.core.queries.window import (
-    scalar_window_query,
-    verify_window_profiled,
-)
+from repro.core.queries.window import scalar_window_query
 from repro.core.rplus.rplus import RPlusTree
 from repro.core.rtree.rtree import GuttmanRTree
 from repro.geometry import Point, Rect
+from repro.obs.explain import CAUSE_SEGMENT_TABLE
 from repro.obs.trace import TRACER
 
 
@@ -568,33 +562,41 @@ class VectorBackend(TraversalBackend):
             pool.get_runs(zip(run_pages, run_lens))
         return coords[all_ids]
 
+    def _verify(self, index: SpatialIndex, candidates, keep_mask) -> List[int]:
+        """Array pass over the scalar dedup/fetch/verify loop.
+
+        Fetches are charged in the scalar order (first-seen unique ids)
+        and ``keep_mask(rows)`` is the geometry predicate over their
+        coordinate rows. Under EXPLAIN the whole charge is one
+        ``segment_table`` window, one visit per id fetched.
+        """
+        prof = TRACER.current_profile() if TRACER.profiling else None
+        uniq = _unique_first_seen(candidates)
+        if prof is not None:
+            prof.open(index.ctx.counters)
+        rows = self._charge_and_rows(index, [uniq])
+        if rows is None:
+            return []
+        kept = uniq[keep_mask(rows)].tolist()
+        if prof is not None:
+            prof.close_cause(CAUSE_SEGMENT_TABLE, visits=int(uniq.size))
+            prof.count_verify(len(candidates), int(uniq.size), len(kept))
+        return kept
+
     def _verify_window(
         self, index: SpatialIndex, candidates, window: Rect, mode: str
     ) -> List[int]:
-        """Vectorized twin of :func:`repro.core.queries.window.verify_window`."""
-        uniq = _unique_first_seen(candidates)
-        rows = self._charge_and_rows(index, [uniq])
-        if rows is None:
-            return []
-        if mode == "intersects":
-            keep = _segments_meet_rect(rows, window)
-        else:
-            keep = _segments_in_rect(rows, window)
-        return uniq[keep].tolist()
+        keep = _segments_meet_rect if mode == "intersects" else _segments_in_rect
+        return self._verify(index, candidates, lambda rows: keep(rows, window))
 
     def _verify_incident(self, index: SpatialIndex, candidates, p: Point):
-        """Vectorized twin of :func:`repro.core.queries.point.verify_incident`.
-
-        The returned pairs materialize their segments with ``peek``: the
-        fetch charges were already paid for every candidate above.
-        """
-        uniq = _unique_first_seen(candidates)
-        rows = self._charge_and_rows(index, [uniq])
-        if rows is None:
-            return []
-        keep = _segments_have_endpoint(rows, p)
+        """The returned pairs materialize their segments with ``peek``:
+        the fetch charges were already paid for every candidate."""
         table = index.ctx.segments
-        return [(sid, table.peek(sid)) for sid in uniq[keep].tolist()]
+        kept = self._verify(
+            index, candidates, lambda rows: _segments_have_endpoint(rows, p)
+        )
+        return [(sid, table.peek(sid)) for sid in kept]
 
     def _verify_windows_batch(
         self, index: SpatialIndex, cands_list, windows, mode: str
@@ -674,32 +676,20 @@ class VectorBackend(TraversalBackend):
             raise ValueError(
                 f"mode must be 'intersects' or 'contains', got {mode!r}"
             )
-        prof = TRACER.current_profile() if TRACER.profiling else None
         if self._tree_vectorizable(index):
-            if prof is not None:
-                candidates = self._profiled_tree_candidates(
-                    index, prof, "window", window
-                )
-                return verify_window_profiled(
-                    index, candidates, window, mode, prof
-                )
             candidates = self._tree_candidates(index, "window", window)
             return self._verify_window(index, candidates, window, mode)
+        prof = TRACER.current_profile() if TRACER.profiling else None
         if prof is None and self._pmr_vectorizable(index):
             candidates = self._pmr_rect_candidates(index, window)
             return self._verify_window(index, candidates, window, mode)
-        # Profiled PMR windows and unsupported structures: the scalar
-        # path is the reference and already attributes every charge.
+        # Unsupported structures run the scalar reference; so does a PMR
+        # window under EXPLAIN, because the mask decomposition never
+        # visits the directory blocks whose levels the plan reports.
         return scalar_window_query(index, window, mode)
 
     def _incident(self, index: SpatialIndex, p: Point):
-        prof = TRACER.current_profile() if TRACER.profiling else None
         if self._tree_vectorizable(index):
-            if prof is not None:
-                candidates = self._profiled_tree_candidates(
-                    index, prof, "point", p
-                )
-                return verify_incident_profiled(index, candidates, p, prof)
             candidates = self._tree_candidates(index, "point", p)
             return self._verify_incident(index, candidates, p)
         # The PMR point search is a single in-memory descent plus one
@@ -710,9 +700,11 @@ class VectorBackend(TraversalBackend):
         """Scalar DFS with a vectorized per-node predicate.
 
         Same ``pool.get`` order, same ``bbox_comps`` charges, matched
-        refs extracted in entry order -- counters and candidate order
-        are identical to ``candidate_ids_at_point``/``_in_rect``.
+        refs extracted in entry order -- counters, candidate order and
+        EXPLAIN windows are identical to
+        :func:`repro.core.treesearch.search_tree`.
         """
+        prof = TRACER.current_profile() if TRACER.profiling else None
         pool = index.ctx.pool
         counters = index.ctx.counters
         mirror = self._tree_mirror(index)
@@ -720,6 +712,8 @@ class VectorBackend(TraversalBackend):
         stack = [index._root_id]
         while stack:
             page_id = stack.pop()
+            if prof is not None:
+                prof.open(counters)
             node = pool.get(page_id)
             counters.bbox_comps += len(node.entries)
             blk = mirror.block(page_id, node)
@@ -732,44 +726,14 @@ class VectorBackend(TraversalBackend):
                 matched = blk.refs[mask].tolist()
             else:
                 matched = []
+            if prof is not None:
+                prof.close_node(
+                    page_id, len(node.entries), matched, node.is_leaf
+                )
             if node.is_leaf:
                 out.extend(matched)
             else:
                 stack.extend(matched)
-        return out
-
-    def _profiled_tree_candidates(
-        self, index: SpatialIndex, prof, kind: str, query
-    ):
-        """Vector twin of :func:`repro.core.profiled.profiled_tree_search`."""
-        pool = index.ctx.pool
-        counters = index.ctx.counters
-        mirror = self._tree_mirror(index)
-        out: List[int] = []
-        stack: List[Tuple[int, int]] = [(index._root_id, 0)]
-        while stack:
-            page_id, depth = stack.pop()
-            with prof.charge_level(depth, counters) as bucket:
-                node = pool.get(page_id)
-                counters.bbox_comps += len(node.entries)
-                blk = mirror.block(page_id, node)
-                if blk.refs.size:
-                    mask = (
-                        blk.window_mask(query)
-                        if kind == "window"
-                        else blk.point_mask(query)
-                    )
-                    matched = blk.refs[mask].tolist()
-                else:
-                    matched = []
-                bucket.node_visits += 1
-                bucket.entries_examined += len(node.entries)
-                bucket.entries_matched += len(matched)
-                bucket.entries_pruned += len(node.entries) - len(matched)
-            if node.is_leaf:
-                out.extend(matched)
-            else:
-                stack.extend((ref, depth + 1) for ref in matched)
         return out
 
     def _pmr_rect_candidates(self, index: "PMRQuadtree", rect: Rect):
@@ -914,7 +878,12 @@ class VectorBackend(TraversalBackend):
         specs = list(specs)
         results: List[Any] = [None] * len(specs)
         fused: set = set()
-        if not TRACER.profiling and self._tree_vectorizable(index):
+        # A fused descent shares node visits between queries, so it runs
+        # only when this thread has no EXPLAIN profile to attribute them
+        # to. ``TRACER.profiling`` alone counts attached threads process-
+        # wide: an EXPLAIN elsewhere must not unfuse this batch.
+        prof = TRACER.current_profile() if TRACER.profiling else None
+        if prof is None and self._tree_vectorizable(index):
             # One fused descent per mode group: every member of a group
             # shares one candidate sweep and one batched verify pass.
             for mode in ("intersects", "contains"):
@@ -953,7 +922,7 @@ class VectorBackend(TraversalBackend):
                         else [sid for sid, _ in pairs]
                     )
                 fused.update(point_ix)
-        elif not TRACER.profiling and self._pmr_vectorizable(index):
+        elif prof is None and self._pmr_vectorizable(index):
             # PMR has no shared descent to fuse (each window charges its
             # own decomposition + scans), but the verify pass batches:
             # group same-mode windows behind one predicate sweep.

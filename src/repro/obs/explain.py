@@ -11,17 +11,21 @@ how much of the bill was the segment table verifying geometry.
 Mechanics: the engine builds a profile, attaches it to the executing
 thread through the tracer's span context
 (:meth:`repro.obs.trace.Tracer.attach_profile`), and runs the query.
-Each core traversal call site checks ``TRACER.profiling`` (one attribute
-load when off) and, when a profile is attached, routes through a
-profiled variant that performs *the same pool traffic and counter
-charges in the same order* but brackets each unit of work in a
-:meth:`ExplainProfile.charge_level` / :meth:`ExplainProfile.charge`
-delta window. A window snapshots the live scratch counters on entry and
-adds the deltas to its bucket on exit -- so summing every bucket of the
-profile reproduces the engine's aggregate counters for the query
-*exactly*, by construction (the ``exact`` field of the explain report;
-the test suite asserts it over fixed-seed workloads on all three
-structures).
+There is one traversal loop per query. Each fetches the thread's profile
+once on entry (``TRACER.profiling`` guards the thread-local, so the
+served path pays one attribute load) and, when one is attached, brackets
+each unit of work -- a node visit, a bucket examined, a B-tree scan, a
+segment-table fetch -- with :meth:`ExplainProfile.open` and one of the
+``close_*`` calls. A *window* is that bracket: ``open`` notes where the
+live scratch counters stand, ``close_*`` adds how far they moved since to
+one level or cause bucket. The traversal under EXPLAIN is therefore the
+traversal that is served, and the per-level figures are its real charges.
+
+Counter movement outside every window lands in no bucket. The engine
+compares the buckets' sum with the query's observed deltas and reports
+the difference as ``unattributed`` with ``exact: false`` -- which is what
+a structure that brackets nothing (kdB, ``R+t``, the uniform grid)
+returns, and what a forgotten bracket in an instrumented one would.
 
 The profile object itself never mutates any ``MetricsCounters`` (it only
 reads them), keeping lint rule RP03's ownership story intact: counters
@@ -30,7 +34,7 @@ are still charged only by storage and core code.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence
 
 from repro.metric_names import (
     BBOX_COMPS,
@@ -91,40 +95,6 @@ class Bucket:
         return out
 
 
-class _ChargeWindow:
-    """Context manager adding the counter movement inside it to a bucket.
-
-    Reads the *live* counters object it was handed (under the engine's
-    attribution this is the per-query scratch set), so nesting windows
-    would double-charge -- call sites keep them flat.
-    """
-
-    __slots__ = ("_bucket", "_counters", "_base")
-
-    def __init__(self, bucket: Bucket, counters) -> None:
-        self._bucket = bucket
-        self._counters = counters
-
-    def __enter__(self) -> Bucket:
-        c = self._counters
-        self._base = (
-            c.disk_reads,
-            c.disk_writes,
-            c.buffer_hits,
-            c.segment_comps,
-            c.bbox_comps,
-        )
-        return self._bucket
-
-    def __exit__(self, *exc) -> None:
-        c, base, b = self._counters, self._base, self._bucket
-        b.disk_reads += c.disk_reads - base[0]
-        b.disk_writes += c.disk_writes - base[1]
-        b.buffer_hits += c.buffer_hits - base[2]
-        b.segment_comps += c.segment_comps - base[3]
-        b.bbox_comps += c.bbox_comps - base[4]
-
-
 class ExplainProfile:
     """Per-level and per-cause attribution for one explained query.
 
@@ -137,10 +107,13 @@ class ExplainProfile:
         self.levels: Dict[int, Bucket] = {}
         self.causes: Dict[str, Bucket] = {}
         self.counts: Dict[str, int] = {}
-        #: Node ref -> tree level, maintained by the profiled nearest-
-        #: neighbour expansions so heap-ordered visits still attribute to
-        #: the right level (root = 0).
+        #: Node ref -> tree level (root = 0, the default), filled in by
+        #: :meth:`close_node` as parents are visited, so the traversal's
+        #: own stack or heap carries bare refs and any visiting order
+        #: still attributes to the right level.
         self._node_levels: Dict[Any, int] = {}
+        self._counters = None
+        self._base = (0, 0, 0, 0, 0)
 
     # -- attribution windows -------------------------------------------
     def level(self, depth: int) -> Bucket:
@@ -155,23 +128,76 @@ class ExplainProfile:
             bucket = self.causes[name] = Bucket()
         return bucket
 
-    def charge_level(self, depth: int, counters) -> _ChargeWindow:
-        """Window attributing counter movement to tree level ``depth``."""
-        return _ChargeWindow(self.level(depth), counters)
+    def open(self, counters) -> None:
+        """Open a window on the *live* counters object (under the
+        engine's attribution, the per-query scratch set).
 
-    def charge(self, cause: str, counters) -> _ChargeWindow:
-        """Window attributing counter movement to a named cause."""
-        return _ChargeWindow(self.cause(cause), counters)
+        Windows are flat: opening a second one before closing the first
+        drops the first's movement, which then shows as unattributed.
+        """
+        self._counters = counters
+        self._base = (
+            counters.disk_reads,
+            counters.disk_writes,
+            counters.buffer_hits,
+            counters.segment_comps,
+            counters.bbox_comps,
+        )
+
+    def _close(self, bucket: Bucket, visits: int) -> Bucket:
+        c, base = self._counters, self._base
+        bucket.disk_reads += c.disk_reads - base[0]
+        bucket.disk_writes += c.disk_writes - base[1]
+        bucket.buffer_hits += c.buffer_hits - base[2]
+        bucket.segment_comps += c.segment_comps - base[3]
+        bucket.bbox_comps += c.bbox_comps - base[4]
+        bucket.node_visits += visits
+        self._counters = None  # a close with no matching open must fail
+        return bucket
+
+    def close_level(self, depth: int, examined: int = 0, matched: int = 0) -> None:
+        """Close the window into tree level ``depth`` (one node visit)."""
+        bucket = self._close(self.level(depth), 1)
+        bucket.entries_examined += examined
+        bucket.entries_matched += matched
+        bucket.entries_pruned += examined - matched
+
+    def close_node(
+        self, ref: Any, examined: int, followed: Sequence[Any], is_leaf: bool
+    ) -> None:
+        """Close the window into the level of node ``ref``.
+
+        ``followed`` are the entry refs that matched; below an internal
+        node they are the pages the traversal visits next, so they are
+        recorded one level down.
+        """
+        depth = self._node_levels.get(ref, 0)
+        if not is_leaf:
+            for child in followed:
+                self._node_levels[child] = depth + 1
+        self.close_level(depth, examined, len(followed))
+
+    def close_cause(self, name: str, visits: int = 1) -> None:
+        """Close the window into a named cause bucket."""
+        self._close(self.cause(name), visits)
 
     def count(self, name: str, n: int = 1) -> None:
         self.counts[name] = self.counts.get(name, 0) + n
 
-    # -- nearest-neighbour level bookkeeping ---------------------------
-    def node_level(self, ref: Any) -> int:
-        return self._node_levels.get(ref, 0)
+    def count_verify(self, candidates: int, fetched: int, results: int) -> None:
+        """Tally one dedup/fetch/verify pass (zero tallies leave no key).
 
-    def set_node_level(self, ref: Any, depth: int) -> None:
-        self._node_levels[ref] = depth
+        Candidates minus unique fetches is the number of extra copies
+        the structure's tiling (R+, PMR) produced for the query.
+        """
+        for name, n in (
+            (COUNT_CANDIDATES, candidates),
+            (COUNT_DUPLICATES, candidates - fetched),
+            (COUNT_SEGMENT_FETCHES, fetched),
+            (COUNT_RESULTS, results),
+        ):
+            if n:
+                self.count(name, n)
 
     # -- totals and reporting ------------------------------------------
     def attributed(self) -> Dict[str, int]:

@@ -1,19 +1,32 @@
 """EXPLAIN: exact per-level attribution, goldens, and invariance.
 
-The headline property is *exactness by construction*: the profiled
-traversal paths perform identical pool traffic and counter charges, in
-identical order, as the plain paths -- so summing a profile's buckets
-reproduces the engine's counters to the unit, and an explained query
-costs exactly what the plain query would have.
+The headline property is *exactness by construction*: there is one
+traversal loop per query, and EXPLAIN only brackets its units of work in
+windows that read the live counters -- so summing a profile's buckets
+reproduces the engine's counters to the unit, an explained query costs
+exactly what the plain query would have, and work nobody bracketed
+shows up as ``unattributed`` instead of vanishing.
 """
 
+import ast
+import importlib.util
+import os
 import random
+import sys
 
 import pytest
 
 from repro.analysis import check_index
+from repro.core import GuttmanRTree, RPlusTree, treesearch
+from repro.core.vector import HAVE_NUMPY
 from repro.metric_names import COUNTER_FIELDS
-from repro.obs import MetricsRegistry, format_explain, merge_attributed
+from repro.obs import (
+    TRACER,
+    ExplainProfile,
+    MetricsRegistry,
+    format_explain,
+    merge_attributed,
+)
 from repro.service import QueryEngine
 from repro.service.api import Explain, NearestQuery, PointQuery, WindowQuery
 from repro.storage.counters import MetricsCounters
@@ -67,9 +80,11 @@ GOLDEN_COUNTS = {
 }
 
 
-def make_engine(kind: str) -> QueryEngine:
+def make_engine(kind: str, backend: str = "scalar") -> QueryEngine:
     return QueryEngine(
-        build_index(kind, lattice_map(n=8)), registry=MetricsRegistry()
+        build_index(kind, lattice_map(n=8)),
+        registry=MetricsRegistry(),
+        backend=backend,
     )
 
 
@@ -116,14 +131,59 @@ class TestExactness:
 
     def test_explain_charges_exactly_what_plain_query_would(self):
         """Invariance: an explained query moves every MetricsCounters
-        field identically to the plain query on a twin engine."""
-        for kind in EXPLAIN_STRUCTURES:
-            plain, explained = make_engine(kind), make_engine(kind)
-            plain.cold_start()
-            explained.cold_start()
-            plain.window(0, 0, 350, 350, use_cache=False)
-            explained.execute(Explain(WindowQuery(0, 0, 350, 350)))
-            assert plain.totals == explained.totals, kind
+        field identically to the plain query on a twin engine, and a
+        query run with a profile attached returns the same ids."""
+        requests = (
+            PointQuery(100, 100, use_cache=False),
+            WindowQuery(0, 0, 350, 350, use_cache=False),
+            NearestQuery(321, 321, k=3, use_cache=False),
+        )
+        backends = ("scalar", "vector") if HAVE_NUMPY else ("scalar",)
+        for kind in EXPLAIN_STRUCTURES + ["R"]:
+            for backend in backends:
+                for req in requests:
+                    case = (kind, backend, req.OP)
+                    plain = make_engine(kind, backend)
+                    explained = make_engine(kind, backend)
+                    plain.cold_start()
+                    explained.cold_start()
+                    want = plain.execute(req)
+                    report = explained.execute(Explain(req))
+                    assert report["exact"] is True, case
+                    assert report["result_count"] == len(want), case
+                    assert plain.totals == explained.totals, case
+                    # EXPLAIN reports a count, not ids: run the same
+                    # dispatch with a profile attached to see them.
+                    TRACER.attach_profile(ExplainProfile(req.OP, kind))
+                    try:
+                        got = explained.execute(req)
+                    finally:
+                        TRACER.detach_profile()
+                    assert got == want, case
+
+    @pytest.mark.parametrize("kind", ["kdB", "R+t", "grid"])
+    def test_unbracketed_work_surfaces_as_unattributed(self, kind):
+        """The self-check: a structure whose traversal opens no window
+        still moves the counters, and the report says by how much."""
+        engine = make_engine(kind)
+        for req in (
+            PointQuery(100, 100),
+            WindowQuery(0, 0, 350, 350),
+            NearestQuery(321, 321, k=3),
+        ):
+            report = engine.execute(Explain(req))
+            assert report["exact"] is False, req.OP
+            observed = report["observed"]
+            attributed = report["plan"]["attributed"]
+            unattributed = report["unattributed"]
+            for name in COUNTER_FIELDS:
+                assert (
+                    unattributed.get(name, 0) == observed[name] - attributed[name]
+                ), (req.OP, name)
+            # The traversal brackets nothing; the shared verify loop does.
+            assert unattributed["bbox_comps"] == observed["bbox_comps"] > 0
+            assert "segment_comps" not in unattributed
+            assert set(unattributed) <= set(COUNTER_FIELDS)
 
     def test_explain_leaves_fsck_clean(self, explain_engine):
         _, engine = explain_engine
@@ -206,3 +266,47 @@ class TestRendering:
             parse_request({"op": "explain", "query": {"op": "stats"}})
         with pytest.raises(ProtocolError):
             parse_request({"op": "explain"})
+
+
+class TestOneLoopPerQuery:
+    """The acceptance greps, as a test: no traversal exists twice."""
+
+    SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+
+    def test_no_profiled_twin_is_defined(self):
+        twins = []
+        for dirpath, _dirs, files in os.walk(self.SRC):
+            for fname in files:
+                if fname.endswith(".py"):
+                    path = os.path.join(dirpath, fname)
+                    with open(path, encoding="utf-8") as fh:
+                        tree = ast.parse(fh.read())
+                    twins += [
+                        f"{os.path.relpath(path, self.SRC)}:{node.name}"
+                        for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and "profiled" in node.name
+                    ]
+        assert twins == []
+        assert importlib.util.find_spec("repro.core.profiled") is None
+
+    def test_charge_windows_are_gone_from_the_profile(self):
+        with open(os.path.join(self.SRC, "obs", "explain.py"), encoding="utf-8") as fh:
+            source = fh.read()
+        assert "_ChargeWindow" not in source
+        assert "charge_level" not in source
+
+    @pytest.mark.parametrize(
+        "method, shared",
+        [
+            ("candidate_ids_at_point", "search_tree"),
+            ("candidate_ids_in_rect", "search_tree"),
+            ("nn_expand", "expand_node"),
+        ],
+    )
+    def test_rtree_family_shares_its_searches(self, method, shared):
+        for cls in (GuttmanRTree, RPlusTree):
+            code = getattr(cls, method).__code__
+            assert code.co_names.count(shared) == 1, (cls.__name__, code.co_names)
+            module = sys.modules[cls.__module__]
+            assert getattr(module, shared) is getattr(treesearch, shared)

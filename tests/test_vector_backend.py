@@ -11,12 +11,15 @@ the two backends never share buffer-pool state.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.backends import SCALAR_BACKEND, ScalarBackend, resolve_backend
 from repro.core.queries.spec import QuerySpec
 from repro.core.vector import HAVE_NUMPY, VectorBackend
 from repro.geometry import Point, Rect
+from repro.obs import TRACER, ExplainProfile
 from repro.service.api import BatchRequest, Explain, PointQuery, WindowQuery
 from repro.service.engine import QueryEngine
 
@@ -166,6 +169,47 @@ class TestEngineIntegration:
         out_s = eng_s.execute(batch)
         out_v = eng_v.execute(batch)
         assert out_s.results == out_v.results
+
+    def test_explain_on_another_thread_does_not_unfuse_a_batch(self):
+        # EXPLAIN attaches its profile before it waits for the latch, so
+        # a batch can run while another thread's profile is attached.
+        # ``TRACER.profiling`` counts those threads process-wide; the
+        # batch must decide from its own thread's profile.
+        segs = lattice_map(n=16, pitch=60)
+        specs = [
+            QuerySpec.window(Rect(x, y, x + 150, y + 150))
+            for x in range(0, 960, 120)
+            for y in range(0, 960, 120)
+        ]
+        assert len(specs) == 64
+
+        def batch_cost(explain_elsewhere):
+            idx = build_index("R*", segs, pool_pages=4)
+            vec = resolve_backend("vector")
+            attached, release = threading.Event(), threading.Event()
+
+            def hold_profile():
+                TRACER.attach_profile(ExplainProfile("window", "R*"))
+                try:
+                    attached.set()
+                    release.wait(30)
+                finally:
+                    TRACER.detach_profile()
+
+            holder = threading.Thread(target=hold_profile)
+            if explain_elsewhere:
+                holder.start()
+                assert attached.wait(30)
+            try:
+                return _delta(idx, lambda: vec.run_batch(idx, specs))
+            finally:
+                release.set()
+                if explain_elsewhere:
+                    holder.join(30)
+                    assert not holder.is_alive()
+
+        undisturbed = batch_cost(explain_elsewhere=False)
+        assert batch_cost(explain_elsewhere=True) == undisturbed
 
     def test_stats_report_backend(self):
         idx = build_index("R*", SEGS)
