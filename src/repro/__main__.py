@@ -1005,7 +1005,9 @@ def main(argv=None) -> int:
         "--executor-workers",
         type=int,
         default=4,
-        help="engine executor threads behind the event loop (--async only)",
+        help="threads for long and blocking requests (mutations, batch, "
+        "stats, check, big scans, routed scatter); short reads run on the "
+        "event loop thread itself (--async only)",
     )
 
     for name, helptext in (

@@ -3,7 +3,8 @@
 The threaded :class:`~repro.service.server.MapServer` spends a thread
 per connection and serializes each connection's requests; this package
 serves the same engine (and the same shard-router core) from a single
-event loop with a bounded executor, adds the negotiated length-prefixed
+event loop -- short reads on the loop thread, long and blocking requests
+on a bounded executor -- and adds the negotiated length-prefixed
 v2 framing for pipelining, admission control with structured
 ``server_overloaded`` errors, per-client fair scheduling, and
 backpressure-aware group commit across connections. Both servers call

@@ -9,8 +9,9 @@ mutation that lands meanwhile just parks a future here, and the next
 fsync covers them all. One disk flush per *batch*, not per request.
 
 Commit-before-ack is preserved per request: a waiter's future resolves
-only once an fsync has covered its LSN, and the response frame is not
-written until that future resolves. The engine side of the contract is
+only once an fsync has covered its LSN (or fails with the exception the
+fsync raised), and the response frame is not written until that future
+resolves. The engine side of the contract is
 :meth:`repro.service.engine.QueryEngine.execute_deferred`, which
 suppresses the inline commit barrier and reports the mutation's LSN.
 
@@ -63,9 +64,18 @@ class GroupCommitter:
                 # including mutations that raced in after their barrier
                 # but before this snapshot of last_lsn.
                 target = self.store.last_lsn
-                await self._loop.run_in_executor(
-                    self._executor, self.store.wal.sync
-                )
+                try:
+                    await self._loop.run_in_executor(
+                        self._executor, self.store.wal.sync
+                    )
+                except Exception as exc:
+                    # No fsync, no ack: every waiter of this batch gets
+                    # the failure (its ack becomes an error envelope),
+                    # and the loop goes on to serve the next batch.
+                    for _lsn, future in batch:
+                        if not future.done():
+                            future.set_exception(exc)
+                    continue
                 self.synced_lsn = max(self.synced_lsn, target)
                 self.batches += 1
                 self.committed += len(batch)

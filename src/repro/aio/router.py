@@ -6,8 +6,9 @@ the threaded router serves -- scatter, merge, drain gate, reload, partial
 results: one implementation, now reachable over v1 lines *and* v2
 frames. A pipelining client can hold thousands of routed requests in
 flight on one connection; each one still fans out to the shard workers
-over the core's blocking client pool (the async server runs requests on
-its executor, which is exactly where blocking scatter belongs). Routed
+over the core's blocking client pool (no routed request is ever short:
+the async server runs them all on its executor, which is exactly where
+blocking scatter belongs). Routed
 requests have no LSN to defer -- durability lives in the shard workers --
 so the server never engages its group committer.
 """

@@ -1,26 +1,51 @@
 """The asyncio map server: one event loop, thousands of connections.
 
 :class:`AsyncMapServer` replaces thread-per-connection with a single
-event loop plus a bounded executor for engine calls. It speaks both
-wire protocols -- v1 newline-JSON exactly as the threaded
-:class:`~repro.service.server.MapServer` does, and the negotiated v2
-framing (:mod:`repro.aio.frames`) that lets one connection pipeline
-many outstanding requests and receive responses out of order.
+event loop. It speaks both wire protocols -- v1 newline-JSON exactly as
+the threaded :class:`~repro.service.server.MapServer` does, and the
+negotiated v2 framing (:mod:`repro.aio.frames`) that lets one connection
+pipeline many outstanding requests and receive responses out of order.
 
-Architecture, per connection:
+Which thread runs what, and why. The engine's traversals are serialized
+twice over -- by the GIL, and by ``QueryEngine.latch``, a plain mutex
+around the single-threaded buffer pool -- so a thread pool buys a short
+read no parallelism; it only costs two cross-core wake-ups per request
+(loop -> worker -> loop). So:
 
-* a **reader** coroutine parses lines/frames off the socket (with the
-  same idle timeout and size caps as the threaded server), runs
-  admission control, and appends accepted requests to the connection's
-  pending deque;
-* one global **scheduler** drains those deques round-robin -- one
-  request per connection per turn -- so a client pipelining thousands
-  of requests cannot starve its neighbours (per-client fairness), and
-  hands each request to the bounded executor;
-* a **writer** coroutine owns the socket's write side: v1 responses go
-  out in arrival order (the protocol has no ids, order *is* the
-  correlation), v2 responses go out in completion order carrying their
-  request id.
+* a **short read** (:meth:`Protocol.is_short
+  <repro.service.protocol.Protocol.is_short>`: ``ping``/``clock``/
+  ``point``, small ``nearest``/``window``, engine target) runs **on the
+  loop thread**, but only while no request is inside the executor: then
+  no worker can hold the latch or any other lock the read needs, and the
+  loop never waits;
+* everything else -- mutations (the WAL fsyncs under its log lock),
+  ``batch``, ``checkpoint``, ``check``, ``stats``, ``profile``, big
+  windows, every request of a router target (blocking scatter), and any
+  read that arrives while a worker is busy -- runs on the bounded
+  **executor** (``executor_workers`` threads);
+* WAL fsyncs have their own single thread.
+
+What the loop thread may never do: wait on a lock a worker can hold,
+fsync, or scatter over sockets.
+
+Per connection:
+
+* a **reader** coroutine parses lines/frames off the socket (same size
+  caps as the threaded server), runs admission control, and appends
+  accepted requests to the connection's pending deque. It awaits the
+  transport's ``drain()`` before each read, so a peer that does not
+  read its responses stops being read from (backpressure);
+* an **idle timer** -- one re-armed ``call_at`` keyed on the last
+  *complete* request, so a frame trickled byte by byte still times out;
+* one global **scheduler** drains the pending deques round-robin -- one
+  request per connection per pass, yielding to the loop between passes
+  -- so a client pipelining thousands of requests cannot starve its
+  neighbours, nor inline work starve accepts, reads and timers;
+* responses are written straight to the transport: v2 frames in
+  completion order carrying their request id, v1 lines through the
+  connection's ordered slots (the protocol has no ids, arrival order
+  *is* the correlation; a v2 frame completed while a v1 slot -- the
+  upgrade ack -- is still open queues behind it).
 
 Admission control: past ``max_inflight_per_conn`` (or the global
 ``max_inflight_total`` high-water mark) a request is answered
@@ -35,10 +60,10 @@ previous fsync is in flight, with commit-before-ack preserved per
 request: no response is written before an fsync covers its LSN.
 
 What a request *means* -- decoding, the ``"v"`` pin, trace context,
-execution, the envelope -- is the sans-IO protocol core
-(:mod:`repro.service.protocol`), the same one the threaded server
-calls; this module is framing, admission, scheduling and the group
-commit wait, so the two servers differ in IO only (the
+execution, the envelope, and whether it is short -- is the sans-IO
+protocol core (:mod:`repro.service.protocol`), the same one the
+threaded server calls; this module is framing, admission, scheduling
+and the group commit wait, so the two servers differ in IO only (the
 protocol-equivalence suite holds them to that).
 """
 
@@ -48,11 +73,13 @@ import asyncio
 import itertools
 import json
 import threading
+import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ServerOverloadedError
+from repro.metric_names import SERVER_DISPATCH_TOTAL, SERVER_LOOP_HOLD_SECONDS
 from repro.aio.commit import GroupCommitter
 from repro.aio.frames import (
     HEADER_BYTES,
@@ -63,7 +90,7 @@ from repro.aio.frames import (
     split_trace_trailer,
 )
 from repro.service.api import PROTOCOL_VERSION
-from repro.service.protocol import Envelope, Protocol, Request
+from repro.service.protocol import Protocol, Request
 from repro.service.server import _COMPACT, DEFAULT_IDLE_TIMEOUT, MAX_LINE_BYTES
 
 
@@ -134,14 +161,14 @@ class _WireReader:
 
 
 class _Req:
-    __slots__ = ("request", "wire", "request_id", "arrived", "future")
+    __slots__ = ("request", "wire", "request_id", "arrived", "slot")
 
     def __init__(self, request: Request, wire, request_id, arrived) -> None:
         self.request = request
         self.wire = wire  # 1 = line framing, 2 = v2 frames
         self.request_id = request_id
         self.arrived = arrived
-        self.future: Optional[asyncio.Future] = None  # v1 ordering slot
+        self.slot: Optional[List[Optional[bytes]]] = None  # v1 ordering slot
 
 
 class _Conn:
@@ -150,24 +177,32 @@ class _Conn:
         "wire",
         "writer",
         "session",
+        "task",
         "mode",
         "pending",
         "in_ready",
         "inflight",
-        "write_q",
+        "ordered",
+        "last_request",
+        "idle_timer",
         "closed",
     )
 
-    def __init__(self, conn_id, wire, writer, session) -> None:
+    def __init__(self, conn_id, wire, writer, session, task, now) -> None:
         self.conn_id = conn_id
         self.wire = wire
         self.writer = writer
         self.session = session
+        self.task = task  # the connection's reader task
         self.mode = 1  # until a request pins "v": 2
         self.pending: Deque[_Req] = deque()
         self.in_ready = False
         self.inflight = 0
-        self.write_q: asyncio.Queue = asyncio.Queue()
+        # Responses that must leave in order: one-element slots, filled
+        # (``[bytes]``) or still waiting for their request (``[None]``).
+        self.ordered: Deque[List[Optional[bytes]]] = deque()
+        self.last_request = now
+        self.idle_timer: Optional[asyncio.TimerHandle] = None
         self.closed = False
 
 
@@ -178,7 +213,9 @@ class AsyncMapServer:
     router (see :mod:`repro.service.protocol`). Use
     :meth:`start_background` from synchronous code (tests, benches) or
     ``await`` :meth:`start` / :meth:`serve_forever` from an event loop
-    (the CLI).
+    (the CLI). ``executor_workers`` is the number of threads for long
+    and blocking requests; short reads run on the loop thread (see the
+    module docstring).
     """
 
     def __init__(
@@ -207,11 +244,19 @@ class AsyncMapServer:
         self.committer: Optional[GroupCommitter] = None
         self.address: Tuple[str, int] = (host, port)
 
+        # Everything from here to the metric handles is touched by the
+        # loop thread only (start_background/stop own the last three).
         self._conn_ids = itertools.count(1)
         self._conns: Set[_Conn] = set()
         self._ready: Deque[_Conn] = deque()
         self._queued = 0
         self._inflight_total = 0
+        #: Requests handed to the executor whose worker has not returned.
+        #: Bounded (fairness: the executor's own queue is FIFO across
+        #: connections), and zero is what lets a short read run inline.
+        self._in_executor = 0
+        self._executor_handoffs = max(2, executor_workers * 2)
+        self._loop_hold_max = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -220,7 +265,7 @@ class AsyncMapServer:
         self._conn_tasks: Set[asyncio.Task] = set()
         self._run_tasks: Set[asyncio.Task] = set()
         self._work: Optional[asyncio.Event] = None
-        self._sem: Optional[asyncio.Semaphore] = None
+        self._worker_done: Optional[asyncio.Event] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
         self._thread_ready: Optional[threading.Event] = None
@@ -238,6 +283,9 @@ class AsyncMapServer:
         self._c_oversized = reg.counter("repro_server_frames_oversized_total")
         self._c_idle_timeouts = reg.counter("repro_server_idle_timeouts_total")
         self._h_queue_wait = reg.histogram("repro_server_queue_wait_seconds")
+        self._c_on_loop = reg.counter(SERVER_DISPATCH_TOTAL, path="loop")
+        self._c_on_executor = reg.counter(SERVER_DISPATCH_TOTAL, path="executor")
+        self._h_loop_hold = reg.histogram(SERVER_LOOP_HOLD_SECONDS)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -257,7 +305,7 @@ class AsyncMapServer:
             )
             self.committer = GroupCommitter(store, self._loop, self._fsync_executor)
         self._work = asyncio.Event()
-        self._sem = asyncio.Semaphore(max(2, self.executor_workers * 2))
+        self._worker_done = asyncio.Event()
         self._server = await asyncio.start_server(
             self._client_connected, self.host, self.port
         )
@@ -294,7 +342,7 @@ class AsyncMapServer:
         thread = threading.Thread(
             target=self._thread_main, name="aio-map-server", daemon=True
         )
-        self._thread = thread  # repro-lint: disable=CC03 -- lifecycle field: start_background/stop are called by the single owning thread, never concurrently
+        self._thread = thread
         thread.start()
         if not self._thread_ready.wait(timeout=10.0):
             raise RuntimeError("async server failed to start within 10s")
@@ -329,7 +377,7 @@ class AsyncMapServer:
             except RuntimeError:
                 pass  # loop already closed: the thread is on its way out
         self._thread.join(timeout=10.0)
-        self._thread = None  # repro-lint: disable=CC03 -- lifecycle field: see start_background; stop runs after the loop thread exited
+        self._thread = None
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -345,24 +393,23 @@ class AsyncMapServer:
             _WireReader(reader, self.max_line_bytes, self.max_frame_bytes),
             writer,
             self.protocol.session(f"aconn-{conn_id}"),
+            task,
+            self._loop.time(),
         )
         self._conns.add(conn)
         self._g_connections.set(len(self._conns))
-        writer_task = self._loop.create_task(self._writer_loop(conn))
+        if self.idle_timeout is not None:
+            self._arm_idle_timer(conn)
         try:
             await self._read_loop(conn)
         except asyncio.CancelledError:
-            pass  # shutdown cancelled us; fall through to the teardown below
+            pass  # idle timer or shutdown cancelled us; tear down below
         finally:
             conn.closed = True
+            if conn.idle_timer is not None:
+                conn.idle_timer.cancel()
             self._conns.discard(conn)
             self._g_connections.set(len(self._conns))
-            conn.write_q.put_nowait(None)  # sentinel: writer drains out
-            writer_task.cancel()
-            try:
-                await asyncio.gather(writer_task, return_exceptions=True)
-            except asyncio.CancelledError:
-                pass  # shutdown cancelled the teardown await itself
             writer.close()
             try:
                 await writer.wait_closed()
@@ -370,29 +417,41 @@ class AsyncMapServer:
                 pass  # peer already gone; the close still released the fd
             self._conn_tasks.discard(task)
 
+    def _arm_idle_timer(self, conn: _Conn) -> None:
+        conn.idle_timer = self._loop.call_at(
+            conn.last_request + self.idle_timeout, self._idle_check, conn
+        )
+
+    def _idle_check(self, conn: _Conn) -> None:
+        """One timer per connection, re-armed here -- never per request."""
+        if self._loop.time() < conn.last_request + self.idle_timeout:
+            self._arm_idle_timer(conn)  # a request completed since arming
+        else:
+            self._c_idle_timeouts.inc()
+            conn.task.cancel()  # idle connection: close it cleanly
+
     async def _read_loop(self, conn: _Conn) -> None:
         while True:
-            read = (
-                conn.wire.read_line() if conn.mode == 1 else conn.wire.read_frame()
-            )
             try:
-                if self.idle_timeout is not None:
-                    kind, value = await asyncio.wait_for(read, self.idle_timeout)
+                # Backpressure: while the peer is not reading its
+                # responses (transport above its high-water mark), stop
+                # reading its requests.
+                await conn.writer.drain()
+                if conn.mode == 1:
+                    kind, value = await conn.wire.read_line()
                 else:
-                    kind, value = await read
-            except asyncio.TimeoutError:
-                self._c_idle_timeouts.inc()
-                return  # idle connection: close it cleanly
+                    kind, value = await conn.wire.read_frame()
             except (ConnectionError, OSError):
                 return
             if kind == "eof":
                 return
+            now = conn.last_request = self._loop.time()
             wire = conn.mode  # the framing this request is answered in
             if kind == "oversized":
                 self._c_oversized.inc()
                 limit = self.max_line_bytes if wire == 1 else self.max_frame_bytes
                 request_id = value if value is not None else 0
-                self._respond_immediate(
+                self._respond(
                     conn, self.protocol.oversized(limit), wire, request_id
                 )
                 continue
@@ -414,11 +473,11 @@ class AsyncMapServer:
             if request.error is not None:
                 # Undecodable: nothing to queue or block on, so the
                 # reader answers in place.
-                self._respond_immediate(
+                self._respond(
                     conn, self.protocol.run(request)[0], wire, request_id
                 )
                 continue
-            self._admit(conn, _Req(request, wire, request_id, self._loop.time()))
+            self._admit(conn, _Req(request, wire, request_id, now))
 
     # ------------------------------------------------------------------
     # Admission, scheduling, dispatch
@@ -439,18 +498,18 @@ class AsyncMapServer:
                     f"{self.max_inflight_total} total); retry later"
                 ),
             )
-            self._respond_immediate(conn, envelope, req.wire, req.request_id)
+            self._respond(conn, envelope, req.wire, req.request_id)
             return
         conn.inflight += 1
-        self._inflight_total += 1  # repro-lint: disable=CC03 -- event-loop confined: _admit and _run both run on the loop thread; _sem bounds executor handoffs, it guards no state
+        self._inflight_total += 1
         self._g_inflight.set(self._inflight_total)
         if req.wire == 1:
             # v1 has no request ids: the response slot is reserved *now*
             # so responses leave in arrival order however execution lands.
-            req.future = self._loop.create_future()
-            conn.write_q.put_nowait(("fut", req))
+            req.slot = [None]
+            conn.ordered.append(req.slot)
         conn.pending.append(req)
-        self._queued += 1  # repro-lint: disable=CC03 -- event-loop confined: only the loop thread mutates the queue depth
+        self._queued += 1
         self._g_queue_depth.set(self._queued)
         if not conn.in_ready:
             conn.in_ready = True
@@ -458,54 +517,90 @@ class AsyncMapServer:
         self._work.set()
 
     async def _scheduler(self) -> None:
-        """Round-robin drain: one request per ready connection per turn."""
-        while True:
-            await self._work.wait()
-            if not self._ready:
-                self._work.clear()
-                continue
-            conn = self._ready.popleft()
-            if not conn.pending:
-                conn.in_ready = False
-                continue
-            req = conn.pending.popleft()
-            self._queued -= 1  # repro-lint: disable=CC03 -- event-loop confined: the scheduler is a loop task
-            self._g_queue_depth.set(self._queued)
-            if conn.pending:
-                self._ready.append(conn)
-            else:
-                conn.in_ready = False
-            # The semaphore bounds concurrent executor handoffs; waiting
-            # here (not in the task) keeps the round-robin order honest.
-            await self._sem.acquire()  # repro-lint: disable=CC04 -- acquired here, released in _run's finally: the slot spans the task boundary by design, so `with` cannot express it
-            task = self._loop.create_task(self._run(conn, req))
-            self._run_tasks.add(task)
-            task.add_done_callback(self._run_tasks.discard)
+        """Round-robin drain: one request per ready connection per pass.
 
-    async def _run(self, conn: _Conn, req: _Req) -> None:
-        try:
-            self._h_queue_wait.observe(self._loop.time() - req.arrived)
-            if conn.closed:
-                envelope: Envelope = {"ok": False}
+        Every pass is preceded by exactly one yield to the loop, so
+        requests run inline cannot starve accepts, reads and timers.
+        """
+        ready = self._ready
+        while True:
+            if ready:
+                await asyncio.sleep(0)
             else:
-                try:
-                    envelope, lsn = await self._loop.run_in_executor(
+                self._work.clear()
+                await self._work.wait()
+            for _ in range(len(ready)):
+                # In _ready <=> in_ready <=> pending is non-empty.
+                conn = ready.popleft()
+                req = conn.pending.popleft()
+                self._queued -= 1
+                self._g_queue_depth.set(self._queued)
+                if conn.pending:
+                    ready.append(conn)
+                else:
+                    conn.in_ready = False
+                self._h_queue_wait.observe(self._loop.time() - req.arrived)
+                if conn.closed:
+                    self._finish(conn)  # peer gone: nobody to answer
+                elif self._in_executor == 0 and self.protocol.is_short(req.request):
+                    self._run_on_loop(conn, req)
+                else:
+                    # Waiting here (not in the task) keeps the
+                    # round-robin order honest.
+                    while self._in_executor >= self._executor_handoffs:
+                        self._worker_done.clear()
+                        await self._worker_done.wait()
+                    self._in_executor += 1
+                    worker = self._loop.run_in_executor(
                         self._executor,
                         self.protocol.run,
                         req.request,
                         conn.session,
                         self.committer is not None,
                     )
-                    if lsn is not None:
-                        await self.committer.wait_durable(lsn)
-                except Exception as exc:  # commit-before-ack: no fsync, no ack
-                    envelope = self.protocol.failed(req.request, exc)
+                    worker.add_done_callback(self._worker_returned)
+                    task = self._loop.create_task(
+                        self._answer_from_executor(conn, req, worker)
+                    )
+                    self._run_tasks.add(task)
+                    task.add_done_callback(self._run_tasks.discard)
+
+    def _worker_returned(self, _worker: asyncio.Future) -> None:
+        self._in_executor -= 1
+        self._worker_done.set()
+
+    def _run_on_loop(self, conn: _Conn, req: _Req) -> None:
+        """A short read, run where it stands: no worker is inside the
+        executor, so no lock it takes can be held by another thread."""
+        start = time.perf_counter()
+        try:
+            self._send(conn, req, self.protocol.run(req.request, conn.session)[0])
+        finally:
+            self._finish(conn)
+            held = time.perf_counter() - start
+            self._h_loop_hold.observe_and_count(held, self._c_on_loop)
+            if held > self._loop_hold_max:
+                self._loop_hold_max = held
+
+    async def _answer_from_executor(
+        self, conn: _Conn, req: _Req, worker: asyncio.Future
+    ) -> None:
+        self._c_on_executor.inc()
+        try:
+            try:
+                envelope, lsn = await worker
+                if lsn is not None:
+                    await self.committer.wait_durable(lsn)
+            except Exception as exc:  # commit-before-ack: no fsync, no ack
+                envelope = self.protocol.failed(req.request, exc)
             self._send(conn, req, envelope)
         finally:
-            self._sem.release()
-            conn.inflight -= 1
-            self._inflight_total -= 1  # repro-lint: disable=CC03 -- event-loop confined: _run is a loop task; see _admit
-            self._g_inflight.set(self._inflight_total)
+            self._finish(conn)
+
+    def _finish(self, conn: _Conn) -> None:
+        conn.inflight -= 1
+        self._inflight_total -= 1
+        self._g_inflight.set(self._inflight_total)
 
     # ------------------------------------------------------------------
     # Responses
@@ -517,35 +612,34 @@ class AsyncMapServer:
         return encode_frame(request_id, envelope, response=True)
 
     def _send(self, conn: _Conn, req: _Req, envelope: Dict[str, Any]) -> None:
-        data = self._encode(envelope, req.wire, req.request_id)
-        if req.wire == 1:
-            if not req.future.done():
-                req.future.set_result(data)
-        else:
-            conn.write_q.put_nowait(("data", data))
+        """The response of an admitted request."""
+        if req.slot is None:
+            self._respond(conn, envelope, req.wire, req.request_id)
+            return
+        req.slot[0] = self._encode(envelope, req.wire, req.request_id)
+        ordered = conn.ordered
+        while ordered and ordered[0][0] is not None:
+            self._write(conn, ordered.popleft()[0])
 
-    def _respond_immediate(
+    def _respond(
         self, conn: _Conn, envelope: Dict[str, Any], wire: int, request_id: int
     ) -> None:
-        """Reader-side responses (parse errors, admission, oversized).
-
-        Enqueued directly: the write queue is FIFO, so relative to v1
-        futures (enqueued at arrival) this still answers in order.
+        """A response with no reserved slot: a v2 frame, or the reader's
+        own answers (parse errors, admission, oversized). Straight to
+        the transport -- unless ordered slots are open, which it may not
+        overtake: a v1 answer is then later in arrival order, and a v2
+        frame must not precede the upgrade ack.
         """
-        conn.write_q.put_nowait(("data", self._encode(envelope, wire, request_id)))
+        data = self._encode(envelope, wire, request_id)
+        if conn.ordered:
+            conn.ordered.append([data])
+        else:
+            self._write(conn, data)
 
-    async def _writer_loop(self, conn: _Conn) -> None:
-        while True:
-            item = await conn.write_q.get()
-            if item is None:
-                return
-            kind, value = item
-            data = await value.future if kind == "fut" else value
-            try:
-                conn.writer.write(data)
-                await conn.writer.drain()
-            except (ConnectionError, OSError):
-                return  # peer gone: responses have nowhere to go
+    @staticmethod
+    def _write(conn: _Conn, data: bytes) -> None:
+        if not conn.closed:  # else the peer is gone: nowhere to go
+            conn.writer.write(data)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -555,6 +649,15 @@ class AsyncMapServer:
             "connections": len(self._conns),
             "inflight": self._inflight_total,
             "queued": self._queued,
+            "dispatch": {
+                "loop": self._c_on_loop.value,
+                "executor": self._c_on_executor.value,
+            },
+            "loop_hold": {
+                "count": self._h_loop_hold.total,
+                "p99_seconds": self._h_loop_hold.percentile(0.99),
+                "max_seconds": self._loop_hold_max,
+            },
         }
         if self.committer is not None:
             out["group_commit"] = self.committer.stats()

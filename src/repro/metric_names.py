@@ -8,6 +8,10 @@ silently diverge from the counter it claims to report, so every layer
 imports the names from here; lint rule RP03 flags counter-name string
 literals anywhere else under ``src/``.
 
+The async server's two dispatch families are named here as well: the
+server records them, and the Prometheus help table and the CI smoke
+look them up by the same names.
+
 This module is deliberately import-free (no ``repro`` imports at all):
 ``repro.storage.counters`` and ``repro.obs.metrics`` both depend on it,
 and it must never complete that cycle.
@@ -47,3 +51,10 @@ IO_FIELDS: Tuple[str, ...] = (DISK_READS, DISK_WRITES, BUFFER_HITS)
 
 #: Fields ``repro.core`` may also charge (the measurement instrument).
 COMP_FIELDS: Tuple[str, ...] = (SEGMENT_COMPS, BBOX_COMPS)
+
+#: Requests the async server dispatched, by the thread that ran them:
+#: label ``path`` is ``"loop"`` (short read, run inline on the event
+#: loop) or ``"executor"`` (handed to a worker thread).
+SERVER_DISPATCH_TOTAL = "repro_server_dispatch_total"
+#: How long each loop-run request held the event loop (histogram).
+SERVER_LOOP_HOLD_SECONDS = "repro_server_loop_hold_seconds"

@@ -18,6 +18,8 @@ import math
 import re
 from typing import Dict, List, Tuple
 
+from repro.metric_names import SERVER_DISPATCH_TOTAL, SERVER_LOOP_HOLD_SECONDS
+
 _NAME_RE = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
@@ -54,6 +56,8 @@ HELP_TEXT = {
     "repro_router_requests_total": "Requests served by the shard router, by op and status.",
     "repro_router_shards": "Shard workers the router currently fans out to.",
     "repro_router_epoch": "Shard-map epoch the router last loaded.",
+    SERVER_DISPATCH_TOTAL: "Async-server requests by the thread that ran them (path: loop/executor).",
+    SERVER_LOOP_HOLD_SECONDS: "How long each loop-run request held the async server's event loop.",
 }
 
 

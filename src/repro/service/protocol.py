@@ -22,7 +22,10 @@ the wire *policy* exists once:
 Framing, size caps and their draining, idle timeouts, admission,
 scheduling and waiting for the group commit are IO and stay in the
 transports; they call :meth:`Protocol.oversized` and
-:meth:`Protocol.failed` for the envelopes those decisions need.
+:meth:`Protocol.failed` for the envelopes those decisions need, and
+:meth:`Protocol.is_short` to learn which requests can neither block nor
+run long (:func:`is_short_read` -- what a transport does with the
+answer is its own business).
 
 A *target* is either a :class:`~repro.service.engine.QueryEngine` or a
 router: an object with ``route(raw)`` (it forwards the wire dict to its
@@ -35,6 +38,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Sequence, Tuple
 
+from repro.core.interface import WORLD_SIZE
 from repro.errors import FrameTooLargeError, ProtocolError
 from repro.metric_names import DISK_ACCESSES
 from repro.obs import dtrace
@@ -44,6 +48,57 @@ from repro.obs.trace import TRACER
 from repro.service.api import PROTOCOL_VERSION, Delete, Insert, parse_request
 
 Envelope = Dict[str, Any]
+
+#: The most result rows a request may be *expected* to return and still
+#: count as short. Measured at the paper's scale (50 998 segments, 1 KiB
+#: pages, 16-page pool) 256 rows is <= ~4 ms of traversal on R* and PMR:
+#: under CPython's 5 ms switch interval, so a worker thread would not
+#: have been preempted while computing it either.
+#:
+#: A window's expectation assumes segments spread *uniformly* over the
+#: world. On a clustered map a small window over a dense region returns
+#: more than this and still counts as short; nothing bounds that run, so
+#: the tail of ``repro_server_loop_hold_seconds`` is the number to alert
+#: on (docs/metrics.md).
+SHORT_READ_ROWS = 256
+
+
+def is_short_read(raw: Dict[str, Any], segment_count: int, world_size: float) -> bool:
+    """Can this request, against an engine, neither block nor run long?
+
+    True for ``ping``/``clock``/``point`` and for a ``nearest``/``window``
+    whose expected result -- ``k``, or the window's share of the world's
+    area times the segment count -- is at most :data:`SHORT_READ_ROWS`.
+    Everything else is long or blocking: mutations (the WAL fsyncs under
+    its log lock), ``batch``, ``checkpoint``, ``check``, ``health``,
+    ``stats``, ``metrics``, ``explain``, ``trace``, ``profile`` (it
+    sleeps), whole-map windows, large ``k``. A malformed read is not
+    short either, so its ``bad_args`` is built where every other slow
+    answer is. A pure function of the decoded request and two facts
+    about the engine.
+
+    Total: ``raw`` is wire JSON nobody has validated yet, and the caller
+    is a transport's scheduler, so no argument may make this raise.
+    """
+    op = raw.get("op")
+    if op in ("ping", "clock", "point"):
+        return True
+    try:
+        if op == "nearest":
+            return raw.get("k", 1) <= SHORT_READ_ROWS
+        if op == "window":
+            share = (
+                abs(raw["x2"] - raw["x1"])
+                * abs(raw["y2"] - raw["y1"])
+                / (world_size * world_size)
+            )
+            return share * segment_count <= SHORT_READ_ROWS
+    except (KeyError, TypeError, ValueError, ArithmeticError):
+        # All that JSON values can raise above: a missing or non-numeric
+        # argument, an integer no float holds (OverflowError). Malformed,
+        # so not short, like every op not named above.
+        pass
+    return False
 
 
 def error_envelope(exc: BaseException) -> Dict[str, str]:
@@ -116,6 +171,20 @@ class Protocol:
     def session(self, name: str) -> Any:
         """Per-connection state: an engine attributes counters to it."""
         return None if self._route is not None else self.target.session(name)
+
+    def is_short(self, request: Request) -> bool:
+        """:func:`is_short_read` for this target. Never for a router: its
+        ``route`` scatters over blocking sockets whatever the op."""
+        if self._route is not None or request.raw is None:
+            return False
+        index = self.target.index
+        return is_short_read(
+            request.raw,
+            len(index.ctx.segments),
+            # PMR and grid carry their world; the R-trees have no notion
+            # of one and are built over the default.
+            getattr(index, "world_size", WORLD_SIZE),
+        )
 
     # ------------------------------------------------------------------
     # Decoding

@@ -161,6 +161,10 @@ class LineServer(socketserver.ThreadingTCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    # socketserver's backlog of 5 drops SYNs when one client opens 8
+    # connections at once (the load generator does): each drop is a 1 s
+    # retransmit that no request latency shows.
+    request_queue_size = 128
 
     def __init__(
         self,

@@ -8,6 +8,7 @@ tests *control* which request finishes first instead of racing timers.
 """
 
 import asyncio
+import errno
 import json
 import socket
 import threading
@@ -263,6 +264,158 @@ class TestPipelining:
         asyncio.run(main())
 
 
+def _settles(predicate, timeout=2.0):
+    """The loop thread finishes a request just after writing its answer:
+    give state read from the test thread a moment to catch up."""
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return predicate()
+
+
+def _dispatched(srv):
+    return dict(srv.stats()["dispatch"])
+
+
+class TestDispatch:
+    """Short reads run on the loop thread -- while no worker is busy."""
+
+    def test_short_reads_never_start_a_worker_thread(self):
+        def workers():
+            return {t for t in threading.enumerate() if t.name.startswith("aio-engine")}
+
+        before = workers()
+        engine = QueryEngine(
+            build_index("R*", lattice_map(n=8)), registry=MetricsRegistry()
+        )
+        srv = AsyncMapServer(engine)
+        srv.start_background()
+        try:
+
+            async def main():
+                client = await AsyncMapClient.connect(srv.address)
+                try:
+                    for i in range(100):
+                        at = 50.0 * (i % 16)
+                        r = await client.request({"op": "point", "x": at, "y": at})
+                        assert r["ok"]
+                        r = await client.request(
+                            {"op": "window", "x1": at, "y1": at,
+                             "x2": at + 150, "y2": at + 150}
+                        )
+                        assert r["ok"]
+                finally:
+                    await client.close()
+
+            asyncio.run(main())
+            assert workers() == before  # the pool spawns lazily: never used
+            # 200 reads and the upgrade ping.
+            assert _settles(
+                lambda: _dispatched(srv) == {"loop": 201, "executor": 0}
+            ), _dispatched(srv)
+            hold = srv.stats()["loop_hold"]
+            assert hold["count"] == 201
+            assert 0 < hold["p99_seconds"] and 0 < hold["max_seconds"] < 0.25
+            # Both families are in the registry `metrics` exports.
+            reg = engine.registry
+            assert reg.counter("repro_server_dispatch_total", path="loop").value == 201
+            assert reg.histogram("repro_server_loop_hold_seconds").total == 201
+        finally:
+            srv.stop()
+
+    def test_loop_runs_nothing_while_a_worker_is_busy(self, server):
+        """A read arriving while ``profile`` sits in the executor goes to
+        the executor too (a worker could hold the latch), is answered
+        before it, and the loop stays responsive throughout."""
+
+        idle = _dispatched(server)
+
+        async def main():
+            slow_conn = await AsyncMapClient.connect(server.address)
+            fast_conn = await AsyncMapClient.connect(server.address)
+            try:
+                # The two upgrade pings are answered, maybe not yet counted.
+                assert _settles(
+                    lambda: _dispatched(server)["loop"] == idle["loop"] + 2
+                )
+                before = _dispatched(server)
+                slow = asyncio.ensure_future(
+                    slow_conn.request({"op": "profile", "seconds": 0.5})
+                )
+                await asyncio.sleep(0.1)  # profile is parked in a worker
+                r = await fast_conn.request({"op": "point", "x": 100, "y": 100})
+                assert r["ok"] and not slow.done()
+                start = time.monotonic()
+                assert (await fast_conn.request({"op": "ping"}))["result"] == "pong"
+                assert time.monotonic() - start < 0.05
+                assert not slow.done()
+                after = _dispatched(server)
+                assert after["executor"] - before["executor"] == 3
+                assert after["loop"] == before["loop"]
+                assert (await slow)["ok"]
+                # The worker is back: the next read runs on the loop again.
+                assert (await fast_conn.request({"op": "ping"}))["ok"]
+                assert _settles(
+                    lambda: _dispatched(server)["loop"] == before["loop"] + 1
+                )
+            finally:
+                await slow_conn.close()
+                await fast_conn.close()
+
+        asyncio.run(main())
+
+    def test_a_router_target_never_runs_on_the_loop(self, gated):
+        srv, _gate = gated
+        for op in ("ping", "point", "fast"):
+            assert send_request(srv.address, {"op": op, "x": 1, "y": 1})["ok"]
+        assert _dispatched(srv) == {"loop": 0, "executor": 3}
+
+    def test_arguments_no_float_holds_do_not_kill_the_scheduler(self, server):
+        """Valid JSON whose integers overflow a float reaches the
+        dispatch decision unvalidated; it must be answered (an error
+        envelope for the windows, every segment for that ``k``), and
+        the one scheduler task must outlive it."""
+        huge = 10**400
+        before = _dispatched(server)
+        for raw in (
+            {"op": "window", "x1": 0, "y1": 0, "x2": huge, "y2": 10},
+            {"op": "window", "x1": -huge, "y1": -huge, "x2": huge, "y2": huge},
+        ):
+            r = send_request(server.address, raw)
+            assert r["ok"] is False and "code" in r["error"], r
+        assert send_request(
+            server.address, {"op": "nearest", "x": 100, "y": 100, "k": huge}
+        )["ok"]
+        assert send_request(server.address, {"op": "ping"})["result"] == "pong"
+        after = _dispatched(server)
+        # Not short: their errors were built off the loop thread.
+        assert after["executor"] - before["executor"] == 3
+        assert _settles(lambda: server.stats()["inflight"] == 0)
+
+    def test_v1_long_then_short_in_one_write_keep_arrival_order(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            with sock.makefile("rwb") as fh:
+                fh.write(b'{"op": "profile", "seconds": 0.3}\n{"op": "ping"}\n')
+                fh.flush()
+                assert "samples" in json.loads(fh.readline())["result"]
+                assert json.loads(fh.readline())["result"] == "pong"
+
+    def test_upgrade_ack_precedes_frames_answered_in_the_same_turn(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock:
+            with sock.makefile("rwb") as fh:
+                # One write: by the time the scheduler runs, the upgrade
+                # and all three frames are queued on the connection.
+                fh.write(
+                    b'{"op": "ping", "v": 2}\n'
+                    + b"".join(encode_frame(i, {"op": "ping"}) for i in (1, 2, 3))
+                )
+                fh.flush()
+                assert json.loads(fh.readline())["v"] == 2
+                for i in (1, 2, 3):
+                    _flags, request_id, payload = _recv_frame(fh)
+                    assert request_id == i and payload["result"] == "pong"
+
+
 class TestAdmissionControl:
     def test_per_connection_cap(self):
         backend = GateBackend(gated=("slow",))
@@ -367,6 +520,96 @@ class TestWireGuards:
         finally:
             srv.shutdown()
             srv.server_close()
+
+    def test_a_trickled_frame_still_times_out(self):
+        """Slow loris: bytes keep arriving, a complete request never does."""
+        engine = QueryEngine(
+            build_index("R*", lattice_map(n=4)), registry=MetricsRegistry()
+        )
+        srv = AsyncMapServer(engine, idle_timeout=0.3)
+        srv.start_background()
+        try:
+            with socket.create_connection(srv.address, timeout=10) as sock:
+                sock.sendall(b'{"op": "ping", "v": 2}\n')
+                assert json.loads(sock.recv(4096))["v"] == 2
+                sock.settimeout(0.1)
+                start = time.monotonic()
+                closed = False
+                for byte in encode_frame(1, {"op": "ping"})[:-1]:
+                    try:
+                        sock.sendall(bytes([byte]))
+                        closed = sock.recv(1) == b""
+                    except socket.timeout:
+                        continue  # 0.1 s without an answer: next byte
+                    except ConnectionError:
+                        closed = True
+                    if closed:
+                        break
+                assert closed and time.monotonic() - start < 2.0
+            assert (
+                engine.registry.counter("repro_server_idle_timeouts_total").value
+                == 1
+            )
+        finally:
+            srv.stop()
+
+    def test_a_peer_that_never_reads_is_not_read_from(self):
+        """10 000 pipelined requests, no response read: the reader stops
+        at ``drain()``, so what the server holds for the connection is
+        bounded by the transport's high-water mark, not by the peer."""
+        n = 10_000
+        engine = QueryEngine(
+            build_index("R*", lattice_map(n=8)), registry=MetricsRegistry()
+        )
+        srv = AsyncMapServer(engine)
+        srv.start_background()
+        # Accepted sockets inherit the listener's buffer size: keep the
+        # kernel from swallowing megabytes of responses on its own.
+        srv._server.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        seen = engine.registry.counter("repro_server_requests_total", proto="v2")
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        try:
+            sock.connect(srv.address)
+            sock.sendall(b'{"op": "ping", "v": 2}\n')
+            fh = sock.makefile("rb")
+            assert json.loads(fh.readline())["v"] == 2
+            frames = b"".join(
+                encode_frame(i, {"op": "window", "x1": 0, "y1": 0, "x2": 900, "y2": 900})
+                for i in range(n)
+            )
+            sender = threading.Thread(target=sock.sendall, args=(frames,), daemon=True)
+            sender.start()
+            # The server stalls once nobody takes its responses.
+            last, stable_since = -1, time.monotonic()
+            deadline = stable_since + 20.0
+            while time.monotonic() - stable_since < 0.5:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+                if seen.value != last:
+                    last, stable_since = seen.value, time.monotonic()
+            assert 0 < seen.value < n
+            (conn,) = srv._conns
+            transport = conn.writer.transport
+            _low, high = transport.get_write_buffer_limits()
+            # Over the mark by at most the responses already in flight.
+            response = 4096
+            assert transport.get_write_buffer_size() <= (
+                high + (srv.max_inflight_per_conn + 1) * response
+            )
+            assert len(conn.pending) <= srv.max_inflight_per_conn
+            # The peer starts reading: everything is answered, by id.
+            answered = set()
+            while len(answered) < n:
+                _flags, request_id, payload = _recv_frame(fh)
+                assert payload["ok"] or payload["error"]["code"] == "server_overloaded"
+                answered.add(request_id)
+            assert answered == set(range(n))
+            sender.join(timeout=10.0)
+            assert not sender.is_alive()
+        finally:
+            sock.close()
+            srv.stop()
 
     def test_async_oversized_v1_line(self):
         engine = QueryEngine(build_index("R*", lattice_map(n=4)))
@@ -495,6 +738,48 @@ class TestGroupCommit:
             srv.stop()
             store.close()
 
+    def test_a_failed_fsync_fails_the_ack_and_frees_the_slot(self, tmp_path):
+        """``wal.sync`` raising must not strand its waiters: the mutation
+        is answered ``ok: false`` (no fsync, no ack), its in-flight slot
+        is returned, and the next batch commits normally."""
+        from repro.wal import DurableStore
+
+        index = build_index("R*", lattice_map(n=4))
+        store = DurableStore.create(tmp_path / "store", index, group_commit=1)
+        engine = QueryEngine(index, store=store)
+        srv = AsyncMapServer(engine)
+        srv.start_background()
+        real_sync = store.wal.sync
+        failures = []
+
+        def sync_fails_once():
+            if not failures:
+                failures.append(1)
+                raise OSError(errno.EIO, "Input/output error")
+            return real_sync()
+
+        store.wal.sync = sync_fails_once
+        insert = {"op": "insert", "x1": 3, "y1": 3, "x2": 9, "y2": 9}
+        try:
+
+            async def main():
+                client = await AsyncMapClient.connect(srv.address)
+                try:
+                    failed = await asyncio.wait_for(client.request(insert), 5.0)
+                    assert failed["ok"] is False
+                    assert failed["error"]["type"] == "OSError"
+                    assert (await asyncio.wait_for(client.request(insert), 5.0))["ok"]
+                finally:
+                    await client.close()
+
+            asyncio.run(main())
+            gc = srv.stats()["group_commit"]
+            assert gc["batches"] == 1 and gc["committed"] == 1
+            assert _settles(lambda: srv.stats()["inflight"] == 0)
+        finally:
+            srv.stop()
+            store.close()
+
     def test_commit_before_ack_survives_reopen(self, tmp_path):
         """Every acked mutation must be durable: reopen and re-query."""
         from repro.wal import DurableStore
@@ -541,6 +826,8 @@ class TestLifecycle:
         assert stats["connections"] == 0
         assert stats["inflight"] == 0
         assert stats["queued"] == 0
+        assert set(stats["dispatch"]) == {"loop", "executor"}
+        assert set(stats["loop_hold"]) == {"count", "p99_seconds", "max_seconds"}
 
     def test_stop_is_idempotent(self):
         engine = QueryEngine(build_index("R*", lattice_map(n=4)))

@@ -13,16 +13,19 @@ import os
 
 import pytest
 
+from repro.core.interface import WORLD_SIZE
 from repro.data.counties import generate_county
 from repro.errors import ERROR_CODES, ServerOverloadedError
 from repro.obs import dtrace
 from repro.obs.trace import TRACER
 from repro.service import Protocol, QueryEngine
 from repro.service import protocol as protocol_module
+from repro.service.protocol import Request, is_short_read
 from repro.shard import LocalShardSet, RouterCore, init_shard_set
 from repro.wal.store import DurableStore
 
-from tests.conftest import build_index, lattice_map
+from tests.conftest import TEST_WORLD, build_index, lattice_map
+from tests.test_aio_server import GateBackend
 
 PONG = {"ok": True, "result": "pong"}
 
@@ -267,6 +270,103 @@ class TestDeferredCommit:
         for line in (b'{"op":"point","x":5,"y":5}', b'{"op":"delete","seg_id":999999}'):
             _envelope, lsn = protocol.run(protocol.decode_line(line), deferred=True)
             assert lsn is None
+
+
+#: The paper's scale: county ``charles`` at ``scale 1.0``.
+PAPER_SEGMENTS = 50_998
+_SIDE_3PCT = 0.03 * 16384
+
+#: ``(request, short)`` at :data:`PAPER_SEGMENTS`: short requests may run
+#: where nothing can block (the async server's loop thread), the rest
+#: need a thread of their own.
+SHORT_TABLE = [
+    ({"op": "ping"}, True),
+    ({"op": "clock"}, True),
+    ({"op": "point", "x": 100, "y": 100}, True),
+    ({"op": "nearest", "x": 100, "y": 100}, True),  # k defaults to 1
+    ({"op": "nearest", "x": 100, "y": 100, "k": 256}, True),
+    ({"op": "nearest", "x": 100, "y": 100, "k": 257}, False),
+    ({"op": "nearest", "x": 100, "y": 100, "k": 1000}, False),
+    ({"op": "nearest", "x": 100, "y": 100, "k": "3"}, False),
+    # 3 % of the extent a side: 0.0009 x 50 998 ~ 46 expected rows.
+    ({"op": "window", "x1": 4000, "y1": 4000, "x2": 4000 + _SIDE_3PCT,
+      "y2": 4000 + _SIDE_3PCT}, True),
+    ({"op": "window", "x1": 4000 + _SIDE_3PCT, "y1": 4000 + _SIDE_3PCT,
+      "x2": 4000, "y2": 4000}, True),  # corners in either order
+    ({"op": "window", "x1": 0, "y1": 0, "x2": 16384, "y2": 16384}, False),
+    ({"op": "window", "x1": -1e9, "y1": -1e9, "x2": 1e9, "y2": 1e9}, False),
+    ({"op": "window", "x1": 0, "y1": 0, "x2": 10}, False),  # malformed
+    ({"op": "window", "x1": "0", "y1": 0, "x2": 10, "y2": 10}, False),
+    ({"op": "window", "x1": [0], "y1": {}, "x2": None, "y2": 10}, False),
+    # Valid JSON, but no float holds it: the predicate must not raise.
+    ({"op": "window", "x1": 0, "y1": 0, "x2": 10**400, "y2": 10}, False),
+    ({"op": "window", "x1": -(10**400), "y1": 0, "x2": 10**400, "y2": 10**400},
+     False),
+    ({"op": "window", "x1": 0, "y1": 0, "x2": float("inf"), "y2": float("nan")},
+     False),
+    ({"op": "nearest", "x": 100, "y": 100, "k": 10**400}, False),
+    ({"op": "nearest", "x": 100, "y": 100, "k": [1]}, False),
+    ({"op": ["window"]}, False),
+    ({"op": "insert", "x1": 5, "y1": 5, "x2": 30, "y2": 35}, False),
+    ({"op": "delete", "seg_id": 1}, False),
+    ({"op": "batch", "requests": [{"op": "point", "x": 1, "y": 1}]}, False),
+    ({"op": "checkpoint"}, False),
+    ({"op": "check"}, False),
+    ({"op": "health"}, False),
+    ({"op": "stats"}, False),
+    ({"op": "metrics"}, False),
+    ({"op": "explain", "query": {"op": "point", "x": 1, "y": 1}}, False),
+    ({"op": "trace"}, False),
+    ({"op": "profile", "seconds": 0.5}, False),
+    ({"op": "bogus"}, False),
+    ({}, False),
+]
+
+
+class TestShortReads:
+    """Which requests can neither block nor run long: one pure predicate."""
+
+    @pytest.mark.parametrize("raw,short", SHORT_TABLE)
+    def test_short_table_at_paper_scale(self, raw, short):
+        assert is_short_read(raw, PAPER_SEGMENTS, WORLD_SIZE) is short
+
+    WHOLE_MAP = {"op": "window", "x1": 0, "y1": 0, "x2": 16384, "y2": 16384}
+
+    def test_a_window_is_short_by_the_rows_it_expects(self):
+        assert is_short_read(self.WHOLE_MAP, 256, WORLD_SIZE)
+        assert not is_short_read(self.WHOLE_MAP, 257, WORLD_SIZE)
+        # ... of *its* world: the same rectangle is 1/16 of one 4x the side.
+        assert is_short_read(self.WHOLE_MAP, 16 * 256, 4 * WORLD_SIZE)
+
+    def test_protocol_supplies_the_engine_facts(self):
+        engine = _engine()
+        protocol = Protocol(engine)
+        segments = len(engine.ctx.segments)
+        assert 0 < segments <= 256  # so all of this map is a short window
+        assert protocol.is_short(Request(self.WHOLE_MAP))
+        for raw, _short in SHORT_TABLE:
+            assert protocol.is_short(Request(raw)) is is_short_read(
+                raw, segments, WORLD_SIZE
+            )
+
+    def test_the_world_is_the_served_index_s_own(self):
+        # PMR in the 1024 test world: all of it is every segment, not
+        # the 1/256 of them the default 16K world would make it.
+        engine = QueryEngine(build_index("PMR", lattice_map(n=16, pitch=60)))
+        segments = len(engine.ctx.segments)
+        assert segments > 256
+        whole = {"op": "window", "x1": 0, "y1": 0, "x2": TEST_WORLD, "y2": TEST_WORLD}
+        assert not Protocol(engine).is_short(Request(whole))
+        assert is_short_read(whole, segments, WORLD_SIZE)
+
+    @pytest.mark.parametrize("raw,_short", SHORT_TABLE)
+    def test_nothing_is_short_on_a_router(self, raw, _short):
+        # route() scatters over blocking sockets, whatever the op.
+        assert Protocol(GateBackend()).is_short(Request(raw)) is False
+
+    def test_an_undecodable_request_is_not_short(self):
+        protocol = Protocol(_engine())
+        assert protocol.is_short(protocol.decode_line(b"not json")) is False
 
 
 class TestOnePolicyOnePlace:

@@ -1,7 +1,9 @@
 """The JSON-over-TCP map server and the bench-serve load generator."""
 
+import asyncio
 import json
 import socket
+import time
 
 import pytest
 
@@ -150,6 +152,25 @@ class TestProtocol:
             s for s in stats["sessions"] if s["name"].startswith("conn-")
         ]
         assert len(conn_sessions) >= 3  # two queries + this stats call
+
+    def test_a_burst_of_connects_drops_no_syn(self, server):
+        """32 connections opened at once (the load generator opens all of
+        its at once) are all answered well inside the 1 s a dropped SYN
+        takes to be retransmitted."""
+
+        async def ping():
+            reader, writer = await asyncio.open_connection(*server.address)
+            writer.write(b'{"op": "ping"}\n')
+            line = await reader.readline()
+            writer.close()
+            return json.loads(line)["result"]
+
+        async def burst():
+            return await asyncio.gather(*(ping() for _ in range(32)))
+
+        start = time.monotonic()
+        assert asyncio.run(burst()) == ["pong"] * 32
+        assert time.monotonic() - start < 0.9
 
 
 class TestDurableServer:
