@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.sanitize import make_lock
 
@@ -40,6 +40,16 @@ MAX_SECONDS = 60.0
 MAX_HZ = 997
 #: Frames kept per stack (deepest truncated first).
 MAX_DEPTH = 64
+
+
+def clamp_window(seconds: Any, hz: Any) -> Tuple[float, int]:
+    """The ``(seconds, hz)`` a run asked for like this will really use.
+
+    The bound comes first in each ``min``/``max`` so that NaN, which
+    loses every comparison, clamps to the floor instead of surviving.
+    """
+    seconds = min(MAX_SECONDS, max(0.05, float(seconds)))
+    return seconds, int(min(MAX_HZ, max(1, float(hz))))
 
 
 def _collapse(frame: Any, prefix: str) -> str:
@@ -95,8 +105,7 @@ class SamplingProfiler:
             {"seconds": ..., "hz": ..., "samples": N,
              "stacks": {"op:window;engine.py:_run;...": count, ...}}
         """
-        seconds = min(max(float(seconds), 0.05), MAX_SECONDS)
-        hz = min(max(int(hz), 1), MAX_HZ)
+        seconds, hz = clamp_window(seconds, hz)
         me = threading.get_ident()
         interval = 1.0 / hz
         stacks: Dict[str, int] = {}

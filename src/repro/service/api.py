@@ -46,7 +46,12 @@ def _to_float(value: Any, field_name: str) -> float:
         raise ProtocolError(
             f"field {field_name!r} must be a number, got {type(value).__name__}"
         )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer too large for any float
+        raise ProtocolError(
+            f"field {field_name!r} is out of range for a number"
+        ) from None
 
 
 def _require(raw: Dict[str, Any], key: str) -> Any:

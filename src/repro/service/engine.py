@@ -80,6 +80,10 @@ from repro.storage.counters import MetricsCounters
 from repro.storage.latch import Latch
 
 
+#: What a read that opts out of the result cache gets from the lookup.
+_UNCACHED = (False, None)
+
+
 class QuerySession:
     """One client's view of the service: counters and query tally."""
 
@@ -344,17 +348,48 @@ class QueryEngine:
             return QuerySpec.nearest(Point(request.x, request.y), request.k)
         raise ProtocolError(f"not a read query: {type(request).__name__}")
 
-    def _read_thunk(self, request) -> Tuple[Any, Any]:
-        """(cache key, traversal thunk) for a typed read query.
+    def _cache_lookup(self, request, session: QuerySession) -> Tuple[bool, Any]:
+        """``(hit, value)`` from the result cache for one read, tallied on
+        the session and marked in the trace; a request that opts out of
+        the cache is a miss that consulted nothing.
 
-        Shared by the plain dispatch path and EXPLAIN, so an explained
-        query runs exactly the traversal the ordinary op would. The
-        thunk executes the request's :class:`QuerySpec` through the
-        engine's traversal backend; the cache key is the request's own
-        (backend-free -- results are backend-invariant).
+        The cache keeps its own hit/miss tally under the lock it takes
+        anyway; the registry mirrors are synced at export.
         """
-        spec = self._spec_for(request)
-        return request.cache_key(), lambda: self.backend.run(self.index, spec)
+        if not request.use_cache:
+            return _UNCACHED
+        found = self.cache.lookup(request.cache_key())
+        if found[0]:
+            session.cache_hits += 1
+        if TRACER.enabled:
+            TRACER.event("cache_hit" if found[0] else "cache_miss")
+        return found
+
+    def _cache_store(self, request, value) -> None:
+        if request.use_cache:
+            self.cache.store(request.cache_key(), value)
+
+    def _traverse(
+        self, session: QuerySession, run, plan, **attrs: Any
+    ) -> Tuple[Any, MetricsCounters]:
+        """Every read traversal: span, latch, attribution -- in one place.
+
+        ``run`` is the backend's ``run`` with one :class:`QuerySpec` as
+        ``plan``, or its ``run_batch`` with a list of them. The plain
+        read, the fused batch run and EXPLAIN all come through here, so
+        each executes exactly the traversal the others would. Returns the
+        value and the scratch counters the traversal was charged (see
+        :meth:`_attributed`).
+        """
+        with TRACER.span("traverse", **attrs) as span:
+            with self._attributed(session) as scratch:
+                value = run(self.index, plan)
+            if span.recording:
+                # Span cost attribution: the exact scratch deltas this
+                # traversal was charged -- what the router's stitched
+                # tree compares against engine counters.
+                span.set_attr("counters", scratch.as_dict())
+        return value, scratch
 
     def execute_reads_fused(
         self, requests, session: Optional[QuerySession] = None
@@ -373,40 +408,20 @@ class QueryEngine:
         if session is None:
             session = self.session("default")
         results: List[Any] = [None] * len(requests)
-        miss_ix: List[int] = []
-        miss_keys: List[Optional[Tuple]] = []
-        specs: List[QuerySpec] = []
+        misses: List[int] = []
         for i, request in enumerate(requests):
             session.queries += 1
-            spec = self._spec_for(request)
-            if request.use_cache:
-                key = request.cache_key()
-                hit, value = self.cache.lookup(key)
-                if hit:
-                    session.cache_hits += 1
-                    if TRACER.enabled:
-                        TRACER.event("cache_hit")
-                    results[i] = value
-                    continue
-                if TRACER.enabled:
-                    TRACER.event("cache_miss")
-            else:
-                key = None
-            miss_ix.append(i)
-            miss_keys.append(key)
-            specs.append(spec)
-        if specs:
-            if TRACER.enabled:
-                with TRACER.span("traverse", fused=len(specs)):
-                    with self._attributed(session):
-                        values = self.backend.run_batch(self.index, specs)
-            else:
-                with self._attributed(session):
-                    values = self.backend.run_batch(self.index, specs)
-            for i, key, value in zip(miss_ix, miss_keys, values):
+            hit, results[i] = self._cache_lookup(request, session)
+            if not hit:
+                misses.append(i)
+        if misses:
+            specs = [self._spec_for(requests[i]) for i in misses]
+            values, _ = self._traverse(
+                session, self.backend.run_batch, specs, fused=len(specs)
+            )
+            for i, value in zip(misses, values):
                 results[i] = value
-                if key is not None:
-                    self.cache.store(key, value)
+                self._cache_store(requests[i], value)
         for request in requests:
             pair = self._op_metrics.get(request.OP)
             if pair is None:
@@ -491,36 +506,15 @@ class QueryEngine:
         if session is None:
             session = self.session("default")
         session.queries += 1
-        use_cache = request.use_cache
-        if use_cache:
-            # The cache keeps its own hit/miss tally under the lock it
-            # takes anyway; the registry mirrors are synced at export.
-            key = request.cache_key()
-            hit, value = self.cache.lookup(key)
-            if hit:
-                session.cache_hits += 1
-                if TRACER.enabled:
-                    TRACER.event("cache_hit")
-                return value
-            if TRACER.enabled:
-                TRACER.event("cache_miss")
-        # Only a miss pays for building the traversal closure; a hit
-        # returns above having allocated nothing but the cache key.
-        _, thunk = self._read_thunk(request)
-        if TRACER.enabled:
-            with TRACER.span("traverse") as sp:
-                with self._attributed(session) as scratch:
-                    value = thunk()
-                if sp.recording:
-                    # Span cost attribution: the exact scratch deltas
-                    # this traversal was charged -- what the router's
-                    # stitched tree compares against engine counters.
-                    sp.set_attr("counters", scratch.as_dict())
-        else:
-            with self._attributed(session):
-                value = thunk()
-        if use_cache:
-            self.cache.store(key, value)
+        hit, value = self._cache_lookup(request, session)
+        if hit:
+            return value
+        # Only a miss pays for building the query plan; a hit returns
+        # above having allocated nothing but the cache key.
+        value, _ = self._traverse(
+            session, self.backend.run, self._spec_for(request)
+        )
+        self._cache_store(request, value)
         return value
 
     # ------------------------------------------------------------------
@@ -529,7 +523,7 @@ class QueryEngine:
     def _explain(self, request: Explain, session: Optional[QuerySession]):
         """Run a read query with per-level attribution attached.
 
-        The inner query executes through the *same* cache-key/thunk pair
+        The inner query executes through the *same* :meth:`_traverse`
         the plain dispatch uses, with an :class:`ExplainProfile` parked
         on this thread; the traversal hooks in the index code charge the
         live counters through the profile's windows, so the per-level
@@ -541,20 +535,14 @@ class QueryEngine:
             session = self.session("default")
         session.queries += 1
         inner = request.query
-        key, thunk = self._read_thunk(inner)
-        would_hit = self.cache.peek(key)
+        spec = self._spec_for(inner)
+        would_hit = self.cache.peek(inner.cache_key())
         prof = ExplainProfile(inner.OP, self.index.name)
         wal_before = self.store.stats() if self.store is not None else None
         start = time.perf_counter()
         TRACER.attach_profile(prof)
         try:
-            if TRACER.enabled:
-                with TRACER.span("traverse"):
-                    with self._attributed(session) as scratch:
-                        value = thunk()
-            else:
-                with self._attributed(session) as scratch:
-                    value = thunk()
+            value, scratch = self._traverse(session, self.backend.run, spec)
         finally:
             TRACER.detach_profile()
         elapsed = time.perf_counter() - start
@@ -658,21 +646,49 @@ class QueryEngine:
             session=session,
         )
 
-    def _apply_insert(
-        self, segment: Segment, session: Optional[QuerySession]
-    ) -> int:
+    def _mutate(self, session: Optional[QuerySession], apply):
+        """The one mutation protocol, whatever is being changed.
+
+        ``apply`` appends/logs/indexes under the latch, so the LSN order
+        is the apply order; the commit barrier runs after the latch
+        drops; only then do the caches forget what they knew.
+        """
         if session is None:
             session = self.session("maintenance")
         with TRACER.span("apply"):
             with self._attributed(session):
-                seg_id = self.ctx.segments.append(segment)
-                if self.store is not None:
-                    self.store.log_insert(seg_id, segment)
-                self.index.insert(seg_id)
+                result = apply()
         self._commit_barrier()
         self.cache.invalidate_all()
         self.backend.invalidate()
-        return seg_id
+        return result
+
+    def _owns(self, segment: Segment) -> bool:
+        """Is this segment this engine's to index? (All of them, unless
+        the engine is one shard of a partitioned index.)"""
+        return True
+
+    def _unindex(self, seg_id: int) -> bool:
+        """Drop ``seg_id`` from the index; ``KeyError`` if it is not in it."""
+        self.index.delete(seg_id)
+        return True
+
+    def _apply_insert(
+        self, segment: Segment, session: Optional[QuerySession]
+    ) -> int:
+        owned = self._owns(segment)
+
+        def apply() -> int:
+            # The table append and the log record happen whoever owns
+            # the segment: positional ids and replay stay in lockstep.
+            seg_id = self.ctx.segments.append(segment)
+            if self.store is not None:
+                self.store.log_insert(seg_id, segment)
+            if owned:
+                self.index.insert(seg_id)
+            return seg_id
+
+        return self._mutate(session, apply)
 
     def insert(self, seg_id: int, session: Optional[QuerySession] = None) -> None:
         """Index an already-stored segment, invalidating the cache.
@@ -686,12 +702,7 @@ class QueryEngine:
                 "re-indexing an existing segment id is not representable "
                 "in the WAL; durable mode accepts insert_segment/delete only"
             )
-        if session is None:
-            session = self.session("maintenance")
-        with self._attributed(session):
-            self.index.insert(seg_id)
-        self.cache.invalidate_all()
-        self.backend.invalidate()
+        self._mutate(session, lambda: self.index.insert(seg_id))
 
     def delete(self, seg_id: int, session: Optional[QuerySession] = None) -> None:
         """Unindex a segment, invalidating the cache.
@@ -706,22 +717,17 @@ class QueryEngine:
     def _apply_delete(
         self, seg_id: int, session: Optional[QuerySession]
     ) -> bool:
-        if session is None:
-            session = self.session("maintenance")
-        with TRACER.span("apply"):
-            with self._attributed(session):
-                if not 0 <= seg_id < len(self.ctx.segments):
-                    raise KeyError(
-                        f"unknown segment id {seg_id}: the table holds "
-                        f"0..{len(self.ctx.segments) - 1}"
-                    )
-                if self.store is not None:
-                    self.store.log_delete(seg_id)
-                self.index.delete(seg_id)
-        self._commit_barrier()
-        self.cache.invalidate_all()
-        self.backend.invalidate()
-        return True
+        def apply() -> bool:
+            if not 0 <= seg_id < len(self.ctx.segments):
+                raise KeyError(
+                    f"unknown segment id {seg_id}: the table holds "
+                    f"0..{len(self.ctx.segments) - 1}"
+                )
+            if self.store is not None:
+                self.store.log_delete(seg_id)
+            return self._unindex(seg_id)
+
+        return self._mutate(session, apply)
 
     def checkpoint(self, session: Optional[QuerySession] = None, _crash_point=None):
         """Fold the WAL into a fresh snapshot (``{"op": "checkpoint"}``).

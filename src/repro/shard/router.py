@@ -2,36 +2,47 @@
 
 ``python -m repro route`` serves the same newline-JSON protocol as a
 single :class:`~repro.service.server.MapServer`, but behind it sits a
-shard set: each typed request is clipped to the shards whose Hilbert
-regions it touches, fanned out concurrently, and the replies merged --
+shard set. Every request takes one path: :data:`ROUTES` says which
+shards it touches and how their answers fold, :meth:`RouterCore._scatter`
+sends the legs concurrently, :meth:`RouterCore._gather` merges them or
+raises. The table, as the code states it:
 
-* **point / window** go to intersecting shards only and the id lists are
-  set-unioned: a boundary segment indexed by both neighbours (the R+ and
-  PMR duplication story, now *across* processes) appears exactly once.
-* **nearest** goes to every shard with the same ``k``; pairs are merged
-  keeping the minimum distance per seg_id, sorted by ``(d2, seg_id)``
-  and cut to ``k`` -- the union of local top-k contains the global
-  top-k, because each global winner is locally indexed somewhere with a
-  local rank no worse than its global rank.
-* **insert / delete / checkpoint** go to all shards (replicated table:
-  every table appends in lockstep, so positional seg_ids agree).
-* **batch** is clipped per member when it is read-only: each sub-request
-  goes only to the shards its geometry touches (per-shard sub-batches,
-  positional merge), so batch page traffic scales down with the clip.
-  A batch carrying any mutation broadcasts whole, keeping barrier
-  positions identical on every replicated table.
-* **stats / metrics / check / health / trace / explain** are merged
-  observability: counters are summed (per-shard totals add up to the
-  routed totals exactly), Prometheus expositions are relabelled
-  ``shard="<id>"`` and concatenated, and EXPLAIN reports keep each
-  shard's cost tree under one merged ``observed`` bill.
+==========  ==========================  ===========================  =========
+op          shards                      merge of the ok answers      partial
+==========  ==========================  ===========================  =========
+point       regions holding the point   sorted union of seg_ids      merged
+window      regions meeting the rect    sorted union of seg_ids      merged
+nearest     all                         min d2 per seg_id, k best    merged
+insert      all (replicated table)      the one seg_id all agree on  applied
+delete      all (replicated table)      any true; none: unknown_seg  applied
+checkpoint  all                         result per shard             merged
+explain     the inner query's shards    summed bill, plan per shard  merged
+batch       per member, as above; all   the member's row, by         as its
+            for every member once one   position                     members
+            member writes
+==========  ==========================  ===========================  =========
+
+* The id union is the cross-process form of the R+ / PMR duplication
+  story: a boundary segment indexed by both neighbours appears once.
+* The union of local top-k holds the global top-k: each global winner
+  is indexed somewhere with a local rank no worse than its global rank.
+* Writes go everywhere so every table appends in lockstep and positional
+  seg_ids agree; a batch carrying one write sends the whole batch
+  everywhere, keeping barrier positions identical on every table.
+* ``stats`` / ``check`` / ``metrics`` / ``health`` / ``trace`` ask every
+  shard and lay the answers side by side (counters summed so per-shard
+  totals add up to the routed totals exactly, Prometheus expositions
+  relabelled ``shard="<id>"`` and concatenated) with the unreachable
+  shards listed, not raised.
 
 Failure semantics: an unreachable worker never hangs the client. The
 router answers ``{"ok": false, "error": {"code": "shard_unavailable",
-"shard": ..., ...}}`` and, when other shards did answer a read, attaches
-their merged answer under ``"partial"``. Worker addresses are re-read
-from each shard's ``shard.addr`` on every reconnect, so a worker
-restarted on a new port heals without touching the router.
+"shard": ..., ...}}`` and, when other shards did answer, attaches
+``"partial"``: their merged answer for a read (*merged* above), or
+``{"applied": [shard ids]}`` for a write that now needs repair
+(*applied*). Worker addresses are re-read from each shard's
+``shard.addr`` on every reconnect, so a worker restarted on a new port
+heals without touching the router.
 
 Rebalance hand-off: ``{"op": "reload"}`` drains in-flight requests
 (new ones block at the gate), re-reads the manifest, swaps the client
@@ -45,7 +56,16 @@ import json
 import os
 import socket
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import ERROR_CODES, ProtocolError, ShardUnavailableError
 from repro.geometry import Rect
@@ -58,18 +78,14 @@ from repro.obs import dtrace
 from repro.obs.clock import clock_info, now_us, wall_now_us
 from repro.obs.explain import merge_explain_reports
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profile import PROFILER, merge_profiles
+from repro.obs.profile import PROFILER, clamp_window, merge_profiles
 from repro.obs.prom import merge_prom_texts
 from repro.obs.trace import TRACER
 from repro.sanitize import make_condition, make_lock
 from repro.service.api import (
     BatchRequest,
     Delete,
-    Explain,
     Insert,
-    NearestQuery,
-    PointQuery,
-    WindowQuery,
     parse_batch_item,
     parse_request,
 )
@@ -88,7 +104,10 @@ class _RelayedError(ProtocolError):
     """A structured error a shard served, re-raised router-side with the
     originating shard attached (``error_envelope`` keeps both)."""
 
-    def __init__(self, shard_id: str, envelope: Dict[str, Any]) -> None:
+    def __init__(
+        self, shard_id: str, envelope: Optional[Dict[str, Any]]
+    ) -> None:
+        envelope = envelope or {}
         code = envelope.get("code", "internal")
         if code not in ERROR_CODES:
             code = "internal"
@@ -254,7 +273,7 @@ class ShardClient:
 
 
 # ----------------------------------------------------------------------
-# Merge helpers
+# The routing table: where each op goes and how its answers fold
 # ----------------------------------------------------------------------
 def merge_id_lists(lists: Sequence[List[int]]) -> List[int]:
     """Cross-shard dedup by seg_id: sorted union of result id lists."""
@@ -279,6 +298,85 @@ def merge_nearest(
     return [(seg_id, d2) for seg_id, d2 in ranked[:k]]
 
 
+def _merge_ids(request: Any, oks: Dict[str, Any]) -> List[int]:
+    return merge_id_lists(list(oks.values()))
+
+
+def _merge_seg_id(request: Insert, oks: Dict[str, Any]) -> int:
+    values = list(oks.values())
+    if any(value != values[0] for value in values):
+        raise RuntimeError(
+            f"shards disagree on seg_id: {sorted(set(map(repr, values)))}; "
+            f"the replicated tables have diverged (run shard-rebuild)"
+        )
+    return values[0]
+
+
+def _merge_delete(request: Delete, oks: Dict[str, Any]) -> bool:
+    if any(oks.values()):
+        return True
+    # Every shard logged the delete but none had it indexed: the
+    # segment was already gone everywhere. Single-node parity says
+    # a double delete is unknown_seg.
+    raise KeyError(
+        f"unknown segment id {request.seg_id}: not indexed on any shard"
+    )
+
+
+def _everywhere(smap: ShardMap, request: Any) -> List[ShardSpec]:
+    return smap.shards
+
+
+class Route(NamedTuple):
+    """One row of :data:`ROUTES`.
+
+    ``shards(shard_map, request)`` picks the shards a typed request
+    touches; ``merge(request, oks)`` folds their ok results (by shard
+    id) into the routed answer. When some shard failed, a read reports
+    the merge of the rest as ``partial``; a row that ``writes`` reports
+    ``{"applied": [...]}`` instead -- there is no answer to salvage,
+    only replicas to repair.
+    """
+
+    shards: Callable[[ShardMap, Any], List[ShardSpec]]
+    merge: Callable[[Any, Dict[str, Any]], Any]
+    writes: bool = False
+
+
+#: The one place a request meets ``ShardMap.route_*``: a standalone op,
+#: an ``explain``'s inner query and each ``batch`` member all read it.
+ROUTES: Dict[str, Route] = {
+    "point": Route(lambda smap, q: smap.route_point(q.x, q.y), _merge_ids),
+    "window": Route(
+        lambda smap, q: smap.route_rect(Rect(q.x1, q.y1, q.x2, q.y2)),
+        _merge_ids,
+    ),
+    # Any shard may hold a global winner.
+    "nearest": Route(
+        _everywhere,
+        lambda q, oks: merge_nearest(list(oks.values()), q.k),
+    ),
+    "insert": Route(_everywhere, _merge_seg_id, writes=True),
+    "delete": Route(_everywhere, _merge_delete, writes=True),
+    "checkpoint": Route(_everywhere, lambda q, oks: dict(sorted(oks.items()))),
+    "explain": Route(
+        lambda smap, q: ROUTES[q.query.OP].shards(smap, q.query),
+        lambda q, oks: merge_explain_reports(oks),
+    ),
+}
+
+
+def _applied(oks: Dict[str, Any]) -> Dict[str, List[str]]:
+    return {"applied": sorted(oks)}
+
+
+#: What a fan-out brings back, each by shard id: the results of the ok
+#: envelopes, the error objects of the refusals, the transport failures.
+Scattered = Tuple[
+    Dict[str, Any], Dict[str, Any], Dict[str, ShardUnavailableError]
+]
+
+
 def _shift_spans(record: Dict[str, Any], offset: float) -> None:
     """Shift a span record and all descendants onto the router timeline.
 
@@ -289,17 +387,6 @@ def _shift_spans(record: Dict[str, Any], offset: float) -> None:
     record["start_us"] = record.get("start_us", 0) + offset
     for child in record.get("spans", ()):
         _shift_spans(child, offset)
-
-
-def _merge_same_value(values: List[Any], what: str) -> Any:
-    first = values[0]
-    for value in values[1:]:
-        if value != first:
-            raise RuntimeError(
-                f"shards disagree on {what}: {sorted(set(map(repr, values)))}; "
-                f"the replicated tables have diverged (run shard-rebuild)"
-            )
-    return first
 
 
 class RouterCore:
@@ -408,13 +495,27 @@ class RouterCore:
 
         ``reload`` bypasses the gate: it *is* the drainer, and entering
         the gate would deadlock on itself.
+
+        With tracing armed the dispatch runs under a router root span:
+        the root consumes the client's ``"tc"`` context the protocol
+        core parked (parenting it under the caller), scatter/merge
+        phases become child spans, and ``finish_trace`` parks the
+        response attachment for the core to collect.
         """
         if raw.get("op") == "reload":
             return self.reload()
         self._enter_gate()
+        root = error = None
         try:
-            return self._dispatch_traced(raw)
+            if TRACER.enabled:
+                root = TRACER.start_trace(str(raw.get("op")))
+            return self.dispatch(raw)
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            raise
         finally:
+            if root is not None:
+                TRACER.finish_trace(root, error=error)
             self._exit_gate()
 
     def count_request(self, op: str, ok: bool) -> None:
@@ -424,136 +525,74 @@ class RouterCore:
             status="ok" if ok else "error",
         ).inc()
 
-    def _dispatch_traced(self, raw: Dict[str, Any]) -> Any:
-        """Dispatch under a router root span when tracing is armed.
-
-        The root consumes the client's ``"tc"`` context the protocol
-        core parked (parenting it under the caller), scatter/merge
-        phases become child spans, and ``finish_trace`` parks the
-        response attachment for the core to collect. With tracing off
-        this adds exactly one attribute check on top of :meth:`dispatch`.
-        """
-        if not TRACER.enabled:
-            return self.dispatch(raw)
-        root = TRACER.start_trace(str(raw.get("op")))
-        error: Optional[str] = None
-        try:
-            return self.dispatch(raw)
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            raise
-        finally:
-            if root is not None:
-                TRACER.finish_trace(root, error=error)
-
     # ------------------------------------------------------------------
     # Scatter and gather
     # ------------------------------------------------------------------
-    def _specs(self, shard_ids: Optional[List[str]] = None) -> List[ShardSpec]:
-        if shard_ids is None:
-            return list(self.shard_map.shards)
-        return [self.shard_map.shard(sid) for sid in shard_ids]
+    def _scatter(self, payloads: Dict[str, Dict[str, Any]]) -> Scattered:
+        """Send each shard its payload concurrently; sort what comes back
+        into ``(oks, relayed, failures)``. A fan-out of one payload
+        passes ``dict.fromkeys(shard_ids, payload)``.
 
-    def _scatter(
-        self, specs: List[ShardSpec], payload: Dict[str, Any]
-    ) -> Tuple[Dict[str, Any], Dict[str, ShardUnavailableError]]:
-        """Fan ``payload`` to ``specs`` concurrently.
-
-        Returns ``(responses, failures)``: response envelopes by shard
-        id, and the transport-level failures by shard id.
-        """
-        payload = {k: v for k, v in payload.items() if k not in ("v", "tc")}
-        root = TRACER.current_root() if TRACER.enabled else None
-        if root is not None and "trace_id" in root:
-            return self._traced_scatter(specs, payload, root)
-
-        def call(spec: ShardSpec):
-            try:
-                return spec.shard_id, self.clients[spec.shard_id].request(payload), None
-            except ShardUnavailableError as exc:
-                return spec.shard_id, None, exc
-
-        futures = [self._pool.submit(call, spec) for spec in specs]
-        responses: Dict[str, Any] = {}
-        failures: Dict[str, ShardUnavailableError] = {}
-        for future in futures:
-            shard_id, response, exc = future.result()
-            if exc is not None:
-                failures[shard_id] = exc
-            else:
-                responses[shard_id] = response
-        return responses, failures
-
-    def _traced_scatter(
-        self,
-        specs: List[ShardSpec],
-        payload: Dict[str, Any],
-        root: Dict[str, Any],
-    ) -> Tuple[Dict[str, Any], Dict[str, ShardUnavailableError]]:
-        """The scatter fan-out with distributed identity aboard.
-
-        Every shard request carries a fresh child context as the v1
-        ``"tc"`` field (the pooled clients speak JSON lines), so each
-        worker roots its local trace under this router span -- sampled
-        or not, keeping the head decision consistent end to end. When
-        the router root *is* sampled, the fan-out sits under a
+        Under an armed tracer every leg carries a fresh child context as
+        the v1 ``"tc"`` field (the pooled clients speak JSON lines), so
+        each worker roots its local trace under this router span --
+        sampled or not, keeping the head decision consistent end to end.
+        When the router root *is* sampled, the fan-out sits under a
         ``scatter`` span and each worker's returned subtree is grafted
-        back in as a ``shard:<id>`` child with its timestamps shifted
-        onto the router's clock via the connect-time skew estimate.
+        back in as a ``shard:<id>`` child.
         """
-        sampled = bool(root.get("sampled", True))
-        # Per-shard (send_us, recv_us, attachment) triples. Pool threads
-        # write distinct keys (dict ops are atomic under the GIL); the
-        # dispatching thread reads only after their futures resolve.
-        timings: Dict[str, Tuple[float, float, Optional[Dict[str, Any]]]] = {}
+        root = TRACER.current_root() if TRACER.enabled else None
+        traced = root is not None and "trace_id" in root
+        sampled = traced and bool(root.get("sampled", True))
 
-        def call(spec: ShardSpec):
-            sid = spec.shard_id
-            child = dtrace.TraceContext(
-                root["trace_id"], dtrace.new_span_id(), sampled
-            )
-            shard_payload = dict(payload)
-            shard_payload["tc"] = child.to_wire()
+        def call(shard_id: str) -> Tuple[Any, float, float]:
+            payload = payloads[shard_id]
+            if traced:
+                child = dtrace.TraceContext(
+                    root["trace_id"], dtrace.new_span_id(), sampled
+                )
+                payload = dict(payload, tc=child.to_wire())
             t0 = now_us()
             try:
-                response = self.clients[sid].request(shard_payload)
+                response = self.clients[shard_id].request(payload)
             except ShardUnavailableError as exc:
-                timings[sid] = (t0, now_us(), None)
-                return sid, None, exc
-            attachment = (
-                response.pop("tc", None) if isinstance(response, dict) else None
-            )
-            timings[sid] = (t0, now_us(), attachment)
-            return sid, response, None
+                response = exc
+            return response, t0, now_us()
 
-        with TRACER.span("scatter", op=payload.get("op"), shards=len(specs)):
-            futures = [self._pool.submit(call, spec) for spec in specs]
-            responses: Dict[str, Any] = {}
-            failures: Dict[str, ShardUnavailableError] = {}
-            for future in futures:
-                shard_id, response, exc = future.result()
-                if exc is not None:
-                    failures[shard_id] = exc
+        oks: Dict[str, Any] = {}
+        relayed: Dict[str, Any] = {}
+        failures: Dict[str, ShardUnavailableError] = {}
+        # Every leg of one fan-out is the same op.
+        op = next((p.get("op") for p in payloads.values()), None)
+        with TRACER.span("scatter", op=op, shards=len(payloads)):
+            futures = {sid: self._pool.submit(call, sid) for sid in payloads}
+            for shard_id, future in futures.items():
+                response, t0, t1 = future.result()
+                if isinstance(response, ShardUnavailableError):
+                    failures[shard_id] = response
+                    attachment = None
                 else:
-                    responses[shard_id] = response
-            if sampled:
-                for spec in specs:
-                    self._stitch_shard(
-                        root, spec.shard_id, timings.get(spec.shard_id)
-                    )
-        return responses, failures
+                    attachment = response.pop("tc", None)
+                    if response.get("ok"):
+                        oks[shard_id] = response.get("result")
+                    else:
+                        relayed[shard_id] = response.get("error")
+                if sampled:
+                    self._stitch_shard(root, shard_id, t0, t1, attachment)
+        return oks, relayed, failures
 
     def _stitch_shard(
         self,
         root: Dict[str, Any],
         shard_id: str,
-        timing: Optional[Tuple[float, float, Optional[Dict[str, Any]]]],
+        t0: float,
+        t1: float,
+        attachment: Any,
     ) -> None:
         """Graft one shard's round trip (and returned subtree) into the
-        active trace as a ``shard:<id>`` wrapper span."""
-        if timing is None:
-            return
-        t0, t1, attachment = timing
+        active trace as a ``shard:<id>`` wrapper span, its timestamps
+        shifted onto the router's clock via the connect-time skew
+        estimate."""
         record: Dict[str, Any] = {
             "name": f"shard:{shard_id}",
             "start_us": t0 - root["_t0"],
@@ -584,42 +623,37 @@ class RouterCore:
         TRACER.attach_subtree(record)
 
     def _gather(
-        self,
-        specs: List[ShardSpec],
-        payload: Dict[str, Any],
-        merge,
-        partial_merge=None,
+        self, payloads: Dict[str, Dict[str, Any]], merge, partial_merge=None
     ):
-        """Scatter, then merge the successful results -- or raise with
-        the failing shard attached and any partial answer aboard."""
-        responses, failures = self._scatter(specs, payload)
-        oks: Dict[str, Any] = {}
-        relayed: Dict[str, Dict[str, Any]] = {}
-        for shard_id, response in responses.items():
-            if response.get("ok"):
-                oks[shard_id] = response.get("result")
-            else:
-                relayed[shard_id] = response.get("error") or {}
+        """Scatter, then merge the ok results -- or raise with the
+        failing shard attached and any partial answer aboard
+        (``partial_merge`` of the oks when given, else their ``merge``)."""
+        oks, relayed, failures = self._scatter(payloads)
         if failures or relayed:
             if failures:
-                shard_id = sorted(failures)[0]
+                shard_id = min(failures)
                 exc: Exception = failures[shard_id]
             else:
-                shard_id = sorted(relayed)[0]
+                shard_id = min(relayed)
                 exc = _RelayedError(shard_id, relayed[shard_id])
             if oks:
-                merger = partial_merge if partial_merge is not None else merge
                 try:
-                    merged = merger(oks)
+                    merged = (partial_merge or merge)(oks)
                 except Exception:
                     merged = None
-                exc.partial = {
-                    "shards": sorted(oks),
-                    "result": merged,
-                }
+                exc.partial = {"shards": sorted(oks), "result": merged}
             raise exc
         with TRACER.span("merge", shards=len(oks)):
             return merge(oks)
+
+    def _ask_all(self, payload: Dict[str, Any]) -> Scattered:
+        """Ask every shard; keep the oks (sorted by shard id) and leave
+        the rest to the caller to list -- an observability op reports a
+        missing shard, it does not fail on one."""
+        oks, relayed, failures = self._scatter(
+            dict.fromkeys(self.clients, payload)
+        )
+        return dict(sorted(oks.items())), relayed, failures
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -630,316 +664,105 @@ class RouterCore:
             return "pong"
         if op == "clock":
             return clock_info()
+        # The version pin and the trace context are this hop's business;
+        # each shard leg gets its own.
+        raw = {k: v for k, v in raw.items() if k not in ("v", "tc")}
         if op == "profile":
             return self._merge_profile(raw)
         if op == "trace" and raw.get("trace_id") is not None:
             return self._find_trace(raw)
         request = parse_request(raw)
-        smap = self.shard_map
-        if isinstance(request, PointQuery):
-            specs = smap.route_point(request.x, request.y)
+        route = ROUTES.get(op)
+        if route is not None:
+            specs = route.shards(self.shard_map, request)
             return self._gather(
-                specs, raw, lambda oks: merge_id_lists(list(oks.values()))
+                dict.fromkeys((spec.shard_id for spec in specs), raw),
+                lambda oks: route.merge(request, oks),
+                _applied if route.writes else None,
             )
-        if isinstance(request, WindowQuery):
-            rect = Rect(request.x1, request.y1, request.x2, request.y2)
-            return self._gather(
-                smap.route_rect(rect),
-                raw,
-                lambda oks: merge_id_lists(list(oks.values())),
-            )
-        if isinstance(request, NearestQuery):
-            k = request.k
-            return self._gather(
-                self._specs(),
-                raw,
-                lambda oks: merge_nearest(list(oks.values()), k),
-            )
-        if isinstance(request, Insert):
-            return self._gather(
-                self._specs(),
-                raw,
-                lambda oks: _merge_same_value(list(oks.values()), "seg_id"),
-                partial_merge=lambda oks: {"applied": sorted(oks)},
-            )
-        if isinstance(request, Delete):
-            return self._gather(
-                self._specs(),
-                raw,
-                lambda oks: self._merge_delete(request.seg_id, oks),
-                partial_merge=lambda oks: {"applied": sorted(oks)},
-            )
-        if isinstance(request, BatchRequest):
-            with TRACER.span("clip", members=len(request.requests)):
-                assignment = self._batch_assignment(request)
-            if assignment is None:
-                # Mutations must reach every replicated table: the whole
-                # batch broadcasts so barrier positions agree shard-wide.
-                return self._gather(
-                    self._specs(),
-                    raw,
-                    lambda oks: self._merge_batch(request, oks),
-                    partial_merge=lambda oks: {"applied": sorted(oks)},
-                )
-            return self._clipped_batch(request, assignment)
-        if isinstance(request, Explain):
-            return self._routed_explain(request, raw)
-        if op == "checkpoint":
-            return self._gather(
-                self._specs(), raw, lambda oks: dict(sorted(oks.items()))
-            )
+        if op == "batch":
+            return self._batch(request)
         if op == "stats":
             return self._merge_stats()
         if op == "check":
             return self._merge_check()
         if op == "metrics":
-            return self._merge_metrics(raw.get("format", "json"))
+            return self._merge_metrics(request.format)
         if op in ("health", "trace"):
-            responses, failures = self._scatter(self._specs(), raw)
-            out = {
-                sid: resp.get("result")
-                for sid, resp in responses.items()
-                if resp.get("ok")
-            }
+            oks, _relayed, failures = self._ask_all(raw)
             merged: Dict[str, Any] = {
-                "shards": dict(sorted(out.items())),
+                "shards": oks,
                 "unavailable": sorted(failures),
             }
             if op == "trace" and TRACER.enabled:
                 # Stitched cross-process trees live in the router's own
                 # ring; surface them next to the workers' local traces.
-                try:
-                    n = int(raw.get("n", 5))
-                except (TypeError, ValueError):
-                    n = 5
                 merged["tracing"] = TRACER.stats()
-                merged["traces"] = TRACER.recent(n)
+                merged["traces"] = TRACER.recent(request.n or 5)
             return merged
         raise ProtocolError(
             f"op {op!r} is not routable through the shard router",
             code="unknown_op",
         )
 
-    # ------------------------------------------------------------------
-    # Per-op merges
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _merge_delete(seg_id: int, oks: Dict[str, Any]) -> bool:
-        if any(oks.values()):
-            return True
-        # Every shard logged the delete but none had it indexed: the
-        # segment was already gone everywhere. Single-node parity says
-        # a double delete is unknown_seg.
-        raise KeyError(f"unknown segment id {seg_id}: not indexed on any shard")
+    def _batch(self, request: BatchRequest) -> Dict[str, Any]:
+        """Per-shard sub-batches out, one positional merge back.
 
-    def _merge_batch(
-        self, request: BatchRequest, oks: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        """Member-wise merge of per-shard batch results.
-
-        The whole batch goes to every shard (mutations must reach all
-        tables; reads outside a shard's region just come back empty), so
-        each shard returns a full result list in arrival order and the
-        merge is positional.
+        Each member goes where its own :data:`ROUTES` row sends it, so a
+        shard executes only the members its region can answer and batch
+        page traffic scales down with the clip exactly like standalone
+        reads do. Member indices stay in arrival order inside each
+        sub-batch, so a shard's Morton scheduling sees the same read-run
+        structure the single-node executor would. One write in the
+        batch sends *every* member to every shard: barrier positions
+        must agree on all the replicated tables.
         """
-        shard_ids = sorted(oks)
-        member_lists = [oks[sid]["results"] for sid in shard_ids]
-        merged: List[Any] = []
-        for idx, member in enumerate(request.requests):
-            per_shard = [members[idx] for members in member_lists]
-            member_op = member.get("op")
-            if member_op in ("point", "window"):
-                merged.append(merge_id_lists(per_shard))
-            elif member_op == "nearest":
-                merged.append(merge_nearest(per_shard, int(member.get("k", 1))))
-            elif member_op == "insert":
-                merged.append(_merge_same_value(per_shard, "seg_id"))
-            else:  # delete
-                merged.append(bool(any(per_shard)))
-        return {
-            "results": merged,
-            "order": oks[shard_ids[0]]["order"],
-            DISK_ACCESSES: sum(oks[sid][DISK_ACCESSES] for sid in shard_ids),
-        }
-
-    def _batch_assignment(
-        self, request: BatchRequest
-    ) -> Optional[Dict[str, List[int]]]:
-        """Shard id -> member indices for a read-only batch.
-
-        Each member is clipped to the shards its geometry touches (the
-        same routing the standalone ops get): points and windows go to
-        intersecting regions only, nearest to every shard. Returns
-        ``None`` when the batch carries a mutation -- those broadcast
-        whole, so barrier positions agree on every replicated table.
-        Member indices stay in arrival order inside each sub-batch, so a
-        shard's Morton scheduling sees the same read-run structure the
-        single-node executor would.
-        """
-        smap = self.shard_map
+        members = [parse_batch_item(member) for member in request.requests]
+        rows = [ROUTES[member.OP] for member in members]
+        writes = any(row.writes for row in rows)
         assignment: Dict[str, List[int]] = {}
-        for idx, member in enumerate(request.requests):
-            typed = parse_batch_item(member)
-            if isinstance(typed, (Insert, Delete)):
-                return None
-            if isinstance(typed, PointQuery):
-                specs = smap.route_point(typed.x, typed.y)
-            elif isinstance(typed, WindowQuery):
-                specs = smap.route_rect(
-                    Rect(typed.x1, typed.y1, typed.x2, typed.y2)
-                )
-            else:  # NearestQuery: any shard may hold a global winner
-                specs = list(smap.shards)
-            for spec in specs:
-                assignment.setdefault(spec.shard_id, []).append(idx)
-        return assignment
-
-    def _clipped_batch(
-        self, request: BatchRequest, assignment: Dict[str, List[int]]
-    ) -> Dict[str, Any]:
-        """Scatter per-shard sub-batches and merge positionally.
-
-        Unlike the broadcast path, each shard executes only the members
-        its region can answer, so batch page traffic scales down with
-        the clip exactly like standalone reads do.
-        """
+        with TRACER.span("clip", members=len(members)):
+            for idx, (member, row) in enumerate(zip(members, rows)):
+                pick = _everywhere if writes else row.shards
+                for spec in pick(self.shard_map, member):
+                    assignment.setdefault(spec.shard_id, []).append(idx)
         payloads = {
-            sid: {
+            shard_id: {
                 "op": "batch",
                 "requests": [request.requests[i] for i in ixs],
                 "order": request.order,
                 "use_cache": request.use_cache,
             }
-            for sid, ixs in assignment.items()
-        }
-        if not payloads:  # every member clipped to nothing (or empty batch)
-            return self._merge_clipped(request, assignment, {})
-        root = TRACER.current_root() if TRACER.enabled else None
-        traced = root is not None and "trace_id" in root
-        sampled = traced and bool(root.get("sampled", True))
-        timings: Dict[str, Tuple[float, float, Optional[Dict[str, Any]]]] = {}
-
-        def call(sid: str):
-            shard_payload = payloads[sid]
-            if traced:
-                child = dtrace.TraceContext(
-                    root["trace_id"], dtrace.new_span_id(), sampled
-                )
-                shard_payload = dict(shard_payload)
-                shard_payload["tc"] = child.to_wire()
-            t0 = now_us()
-            try:
-                response = self.clients[sid].request(shard_payload)
-            except ShardUnavailableError as exc:
-                if traced:
-                    timings[sid] = (t0, now_us(), None)
-                return sid, None, exc
-            attachment = (
-                response.pop("tc", None) if isinstance(response, dict) else None
-            )
-            if traced:
-                timings[sid] = (t0, now_us(), attachment)
-            return sid, response, None
-
-        responses: Dict[str, Any] = {}
-        failures: Dict[str, ShardUnavailableError] = {}
-        with TRACER.span("scatter", op="batch", shards=len(payloads)):
-            futures = [self._pool.submit(call, sid) for sid in payloads]
-            for future in futures:
-                sid, response, exc = future.result()
-                if exc is not None:
-                    failures[sid] = exc
-                else:
-                    responses[sid] = response
-            if sampled:
-                for sid in payloads:
-                    self._stitch_shard(root, sid, timings.get(sid))
-        oks: Dict[str, Any] = {}
-        relayed: Dict[str, Dict[str, Any]] = {}
-        for sid, response in responses.items():
-            if response.get("ok"):
-                oks[sid] = response.get("result")
-            else:
-                relayed[sid] = response.get("error") or {}
-        if failures or relayed:
-            if failures:
-                sid = sorted(failures)[0]
-                exc_out: Exception = failures[sid]
-            else:
-                sid = sorted(relayed)[0]
-                exc_out = _RelayedError(sid, relayed[sid])
-            if oks:
-                try:
-                    merged = self._merge_clipped(request, assignment, oks)
-                except Exception:
-                    merged = None
-                exc_out.partial = {"shards": sorted(oks), "result": merged}
-            raise exc_out
-        with TRACER.span("merge", shards=len(oks)):
-            return self._merge_clipped(request, assignment, oks)
-
-    def _merge_clipped(
-        self,
-        request: BatchRequest,
-        assignment: Dict[str, List[int]],
-        oks: Dict[str, Any],
-    ) -> Dict[str, Any]:
-        """Member-wise merge of clipped sub-batch results.
-
-        A member that routed to no shard merges over zero answers: an
-        empty id list, which is correct -- no shard's region touches it,
-        so no shard indexes a qualifying segment.
-        """
-        per_member: List[List[Any]] = [[] for _ in request.requests]
-        for sid, ixs in assignment.items():
-            if sid not in oks:
-                continue
-            shard_results = oks[sid]["results"]
-            for j, idx in enumerate(ixs):
-                per_member[idx].append(shard_results[j])
-        merged: List[Any] = []
-        for idx, member in enumerate(request.requests):
-            if member.get("op") == "nearest":
-                merged.append(
-                    merge_nearest(per_member[idx], int(member.get("k", 1)))
-                )
-            else:  # point / window
-                merged.append(merge_id_lists(per_member[idx]))
-        return {
-            "results": merged,
-            "order": request.order,
-            DISK_ACCESSES: sum(oks[sid][DISK_ACCESSES] for sid in oks),
+            for shard_id, ixs in assignment.items()
         }
 
-    def _routed_explain(
-        self, request: Explain, raw: Dict[str, Any]
-    ) -> Dict[str, Any]:
-        inner = request.query
-        if isinstance(inner, PointQuery):
-            specs = self.shard_map.route_point(inner.x, inner.y)
-        elif isinstance(inner, WindowQuery):
-            specs = self.shard_map.route_rect(
-                Rect(inner.x1, inner.y1, inner.x2, inner.y2)
-            )
-        else:
-            specs = self._specs()
-        return self._gather(
-            specs, raw, lambda oks: merge_explain_reports(dict(oks))
-        )
+        def merge(oks: Dict[str, Any]) -> Dict[str, Any]:
+            # A member that routed to no shard merges over zero answers:
+            # an empty id list, which is correct -- no shard's region
+            # touches it, so no shard indexes a qualifying segment.
+            answers: List[Dict[str, Any]] = [{} for _ in members]
+            for shard_id, result in oks.items():
+                for idx, value in zip(assignment[shard_id], result["results"]):
+                    answers[idx][shard_id] = value
+            return {
+                "results": [
+                    row.merge(member, got)
+                    for row, member, got in zip(rows, members, answers)
+                ],
+                "order": request.order,
+                DISK_ACCESSES: sum(r[DISK_ACCESSES] for r in oks.values()),
+            }
 
+        return self._gather(payloads, merge, _applied if writes else None)
+
+    # ------------------------------------------------------------------
+    # Merged observability
+    # ------------------------------------------------------------------
     def _merge_stats(self) -> Dict[str, Any]:
-        responses, failures = self._scatter(self._specs(), {"op": "stats"})
-        shards: Dict[str, Any] = {}
+        oks, relayed, failures = self._ask_all({"op": "stats"})
         totals = dict.fromkeys(COUNTER_FIELDS, 0)
         consistent = True
-        for shard_id, response in sorted(responses.items()):
-            if not response.get("ok"):
-                failures[shard_id] = self.clients[shard_id]._unavailable(
-                    "stats op failed"
-                )
-                continue
-            stats = response["result"]
-            shards[shard_id] = stats
+        for shard_id, stats in oks.items():
             # Slow-query log lines served through the router name their
             # originating shard, so a merged view stays attributable.
             slow = stats.get("obs", {}).get("slow_queries", {})
@@ -953,57 +776,41 @@ class RouterCore:
             "epoch": self.shard_map.epoch,
             "order": self.shard_map.order,
             "world_size": self.shard_map.world_size,
-            "shards": shards,
+            "shards": oks,
             "totals": totals,
             "counters_consistent": consistent,
-            "unavailable": sorted(failures),
+            # A shard that cannot produce its stats is as good as absent.
+            "unavailable": sorted({*failures, *relayed}),
         }
 
     def _merge_check(self) -> Dict[str, Any]:
-        responses, failures = self._scatter(self._specs(), {"op": "check"})
-        shards: Dict[str, Any] = {}
-        clean = not failures
-        for shard_id, response in sorted(responses.items()):
-            if response.get("ok"):
-                shards[shard_id] = response["result"]
-                clean = clean and response["result"].get("clean", False)
-            else:
-                clean = False
-                shards[shard_id] = {
-                    "clean": False,
-                    "error": response.get("error"),
-                }
+        oks, relayed, failures = self._ask_all({"op": "check"})
+        shards = dict(oks)
+        for shard_id, error in relayed.items():
+            shards[shard_id] = {"clean": False, "error": error}
         return {
-            "clean": clean,
-            "shards": shards,
+            "clean": not failures
+            and all(result.get("clean", False) for result in shards.values()),
+            "shards": dict(sorted(shards.items())),
             "unavailable": sorted(failures),
         }
 
     def _merge_metrics(self, fmt: str) -> Any:
-        payload = {"op": "metrics", "format": fmt}
-        if fmt == "prom":
-            responses, failures = self._scatter(self._specs(), payload)
-            if failures:
-                shard_id = sorted(failures)[0]
-                raise failures[shard_id]
-            texts = {}
-            for shard_id, response in responses.items():
-                if not response.get("ok"):
-                    raise _RelayedError(shard_id, response.get("error") or {})
-                texts[shard_id] = response["result"]
-            texts["router"] = self.registry.render_prom()
-            return merge_prom_texts(texts)
-        responses, failures = self._scatter(self._specs(), payload)
-        out = {
-            sid: resp.get("result")
-            for sid, resp in responses.items()
-            if resp.get("ok")
-        }
-        return {
-            "shards": dict(sorted(out.items())),
-            "router": self.registry.render_json(),
-            "unavailable": sorted(failures),
-        }
+        oks, relayed, failures = self._ask_all({"op": "metrics", "format": fmt})
+        if fmt != "prom":
+            return {
+                "shards": oks,
+                "router": self.registry.render_json(),
+                "unavailable": sorted(failures),
+            }
+        # One exposition or none: a scrape silently missing a shard's
+        # series would read as that shard's counters resetting.
+        if failures:
+            raise failures[min(failures)]
+        if relayed:
+            shard_id = next(iter(relayed))
+            raise _RelayedError(shard_id, relayed[shard_id])
+        return merge_prom_texts({**oks, "router": self.registry.render_prom()})
 
     def _find_trace(self, raw: Dict[str, Any]) -> Dict[str, Any]:
         """Serve ``{"op": "trace", "trace_id": ...}``: the stitched tree.
@@ -1014,16 +821,13 @@ class RouterCore:
         asking the shards -- a trace that was sampled on a worker but
         whose router record was evicted is still reachable.
         """
-        trace_id = str(raw["trace_id"])
-        local = TRACER.find(trace_id)
+        local = TRACER.find(str(raw["trace_id"]))
         if local is not None:
             return {"trace": local, "source": "router"}
-        responses, _failures = self._scatter(self._specs(), raw)
-        for shard_id, response in sorted(responses.items()):
-            if response.get("ok"):
-                found = (response.get("result") or {}).get("trace")
-                if found is not None:
-                    return {"trace": found, "source": shard_id}
+        for shard_id, result in self._ask_all(raw)[0].items():
+            found = (result or {}).get("trace")
+            if found is not None:
+                return {"trace": found, "source": shard_id}
         return {"trace": None, "source": None}
 
     def _merge_profile(self, raw: Dict[str, Any]) -> Dict[str, Any]:
@@ -1033,19 +837,20 @@ class RouterCore:
         while the dispatching thread profiles this process (capturing
         the router's scatter threads at work), then the collapsed stacks
         merge re-rooted under ``router`` / ``shard:<id>`` labels -- one
-        flamegraph across the whole shard set.
+        flamegraph across the whole shard set. That is why this is the
+        one fan-out that does not go through :meth:`_scatter`, which
+        would block the sampler behind the legs it is there to watch.
         """
-        seconds = float(raw.get("seconds", 1.0))
-        hz = raw.get("hz", 97)
+        # Clamped before anything is submitted: the window also sizes
+        # each leg's socket deadline, and no float may reach that raw.
+        seconds, hz = clamp_window(raw.get("seconds", 1.0), raw.get("hz", 97))
         payload = {"op": "profile", "seconds": seconds, "hz": hz}
         # The shard call legitimately takes the whole sampling window to
         # answer; give it the window plus the usual transport allowance.
         deadline = seconds + max(self.timeout, 5.0)
         futures = {
-            spec.shard_id: self._pool.submit(
-                self.clients[spec.shard_id].request, payload, deadline
-            )
-            for spec in self._specs()
+            shard_id: self._pool.submit(client.request, payload, deadline)
+            for shard_id, client in self.clients.items()
         }
         parts: Dict[str, Any] = {"router": PROFILER.run(seconds=seconds, hz=hz)}
         unavailable: List[str] = []

@@ -35,9 +35,8 @@ from typing import Any, Dict, Optional
 from repro.geometry import Rect
 from repro.harness.experiment import STRUCTURE_FACTORIES
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TRACER
 from repro.sanitize import make_lock
-from repro.service.engine import QueryEngine, QuerySession
+from repro.service.engine import QueryEngine
 from repro.service.server import MapServer
 from repro.shard.manifest import ShardMap, cell_weights, segment_mbr
 from repro.storage.context import StorageContext
@@ -67,47 +66,14 @@ class ShardEngine(QueryEngine):
         self.shard_id = shard_id
         self.covers = covers
 
-    def _apply_insert(
-        self, segment, session: Optional[QuerySession]
-    ) -> int:
-        if session is None:
-            session = self.session("maintenance")
-        owned = self.covers(segment_mbr(segment))
-        with TRACER.span("apply"):
-            with self._attributed(session):
-                seg_id = self.ctx.segments.append(segment)
-                if self.store is not None:
-                    self.store.log_insert(seg_id, segment)
-                if owned:
-                    self.index.insert(seg_id)
-        self._commit_barrier()
-        self.cache.invalidate_all()
-        self.backend.invalidate()
-        return seg_id
+    def _owns(self, segment) -> bool:
+        return self.covers(segment_mbr(segment))
 
-    def _apply_delete(
-        self, seg_id: int, session: Optional[QuerySession]
-    ) -> bool:
-        if session is None:
-            session = self.session("maintenance")
-        with TRACER.span("apply"):
-            with self._attributed(session):
-                if not 0 <= seg_id < len(self.ctx.segments):
-                    raise KeyError(
-                        f"unknown segment id {seg_id}: the table holds "
-                        f"0..{len(self.ctx.segments) - 1}"
-                    )
-                if self.store is not None:
-                    self.store.log_delete(seg_id)
-                try:
-                    self.index.delete(seg_id)
-                    deleted = True
-                except KeyError:
-                    deleted = False  # not locally indexed: a peer owns it
-        self._commit_barrier()
-        self.cache.invalidate_all()
-        self.backend.invalidate()
-        return deleted
+    def _unindex(self, seg_id: int) -> bool:
+        try:
+            return super()._unindex(seg_id)
+        except KeyError:
+            return False  # not locally indexed: a peer owns it
 
     def stats(self) -> dict:
         out = super().stats()

@@ -33,7 +33,7 @@ from repro.obs.profile import (
 from repro.obs.trace import TRACER, format_trace_tree
 from repro.service import MapServer, QueryEngine, send_request
 from repro.service.api import parse_request
-from repro.shard import LocalShardSet, ShardRouter, init_shard_set
+from repro.shard import LocalShardSet, ShardMap, ShardRouter, init_shard_set
 
 from tests.conftest import build_index, lattice_map
 
@@ -415,6 +415,109 @@ class TestStitchedTraces:
             }
             assert attributed == deltas, f"span/counter mismatch on {sid}"
 
+    def _batch_tree(self, router, shard_root, batch):
+        """Send ``batch``; return (response, stitched tree, per-shard
+        counter deltas the batch caused)."""
+
+        def shard_totals():
+            stats = send_request(router.address, {"op": "stats"})["result"]
+            return {
+                sid: dict(entry["totals"])
+                for sid, entry in stats["shards"].items()
+            }
+
+        before = shard_totals()
+        resp = send_request(router.address, batch)
+        assert resp["ok"], resp
+        after = shard_totals()
+        tree = send_request(
+            router.address, {"op": "trace", "trace_id": resp["tc"]["t"]}
+        )["result"]["trace"]
+        assert tree["name"] == "batch"
+        deltas = {
+            sid: {name: after[sid][name] - before[sid][name] for name in after[sid]}
+            for sid in after
+        }
+        return resp, tree, deltas
+
+    def _traverse_sums(self, wrapper):
+        sums = dict.fromkeys(COUNTER_FIELDS, 0)
+        for span in self._spans_named(wrapper, "traverse"):
+            for name in COUNTER_FIELDS:
+                sums[name] += span["attrs"]["counters"][name]
+        return sums
+
+    def test_read_only_batch_stitches_only_the_touched_shards(
+        self, routed, shard_root
+    ):
+        """A clipped batch fans out once: one scatter span, a shard
+        child per shard a member's geometry touches and no other, and
+        each child's traverse spans bill exactly what that engine was
+        charged."""
+        router, _shards = routed
+        seg = generate_county("cecil", scale=0.01).segments[0]
+        member = {"op": "point", "x": seg.x1, "y": seg.y1}
+        touched = sorted(
+            s.shard_id for s in ShardMap.load(shard_root).route_point(seg.x1, seg.y1)
+        )
+        assert 1 <= len(touched) < N_SHARDS
+        _resp, tree, deltas = self._batch_tree(
+            router,
+            shard_root,
+            {"op": "batch", "use_cache": False, "requests": [member, member]},
+        )
+        assert len(self._spans_named(tree, "scatter")) == 1
+        assert len(self._spans_named(tree, "merge")) == 1
+        wrappers = self._spans_named(tree, "shard:")
+        assert sorted(w["attrs"]["shard"] for w in wrappers) == touched
+        for wrapper in wrappers:
+            sid = wrapper["attrs"]["shard"]
+            assert wrapper["spans"][0]["name"] == "batch"
+            sums = self._traverse_sums(wrapper)
+            assert sums == {name: deltas[sid][name] for name in COUNTER_FIELDS}
+        for sid in set(deltas) - set(touched):
+            assert not any(deltas[sid][name] for name in COUNTER_FIELDS)
+
+    def test_mutating_batch_stitches_every_shard(self, routed, shard_root):
+        """A batch with a mutation reaches every replicated table through
+        the same single fan-out: one scatter span, a shard child per
+        shard, the mutation's ``apply`` span under each."""
+        router, _shards = routed
+        seg = generate_county("cecil", scale=0.01).segments[0]
+        resp, tree, deltas = self._batch_tree(
+            router,
+            shard_root,
+            {
+                "op": "batch",
+                "use_cache": False,
+                "requests": [
+                    {"op": "point", "x": seg.x1, "y": seg.y1},
+                    {"op": "insert", "x1": 3.0, "y1": 3.0, "x2": 6.0, "y2": 6.0},
+                ],
+            },
+        )
+        try:
+            assert len(self._spans_named(tree, "scatter")) == 1
+            assert len(self._spans_named(tree, "merge")) == 1
+            wrappers = self._spans_named(tree, "shard:")
+            assert sorted(w["attrs"]["shard"] for w in wrappers) == sorted(deltas)
+            for wrapper in wrappers:
+                sid = wrapper["attrs"]["shard"]
+                assert wrapper["spans"][0]["name"] == "batch"
+                assert len(self._spans_named(wrapper, "apply")) == 1
+                # The read member's bill is exact; the rest of the
+                # shard's movement is the insert's own.
+                sums = self._traverse_sums(wrapper)
+                assert all(
+                    0 <= sums[name] <= deltas[sid][name] for name in COUNTER_FIELDS
+                )
+        finally:
+            undo = send_request(
+                router.address,
+                {"op": "delete", "seg_id": resp["result"]["results"][1]},
+            )
+            assert undo["ok"], undo
+
     def test_shard_wrapper_timestamps_are_skew_shifted(self, routed):
         router, _shards = routed
         resp = send_request(
@@ -522,6 +625,40 @@ class TestProfiler:
     def test_clamps_protect_the_server(self):
         profile = PROFILER.run(seconds=0.05, hz=10**9)
         assert profile["hz"] <= 997
+
+    @pytest.mark.parametrize(
+        "seconds, hz",
+        [
+            (1e30, 97),
+            (float("inf"), 97),
+            (float("nan"), 97),
+            (float("nan"), float("inf")),
+        ],
+    )
+    def test_routed_profile_clamps_before_it_fans_out(
+        self, shard_root, monkeypatch, seconds, hz
+    ):
+        """Python's json reads 1e30, Infinity and NaN; none may reach a
+        shard leg's socket deadline. Over the wire, with the cap lowered
+        so that the clamped window is short."""
+        monkeypatch.setattr("repro.obs.profile.MAX_SECONDS", 0.2)
+        with LocalShardSet(shard_root):
+            router = ShardRouter(shard_root)
+            router.start_background()
+            try:
+                resp = send_request(
+                    router.address, {"op": "profile", "seconds": seconds, "hz": hz}
+                )
+            finally:
+                router.close()
+        assert resp["ok"], resp
+        profile = resp["result"]
+        assert profile["unavailable"] == []
+        assert profile["parts"] == ["router"] + [
+            f"shard:s{i}" for i in range(N_SHARDS)
+        ]
+        assert 0.05 <= profile["seconds"] <= 0.2
+        assert 1 <= profile["hz"] <= 997
 
     def test_merge_reroots_under_labels(self):
         parts = {

@@ -71,6 +71,7 @@ GOLDEN_OPS = [
     {"op": "bogus"},
     {"op": "insert", "x1": "abc", "y1": 0, "x2": 1, "y2": 1},
     {"op": "insert", "x1": 0, "y1": 0, "x2": 10},
+    {"op": "window", "x1": 10**400, "y1": 0, "x2": 1, "y2": 1},
     {"op": "delete", "seg_id": 999999},
     {"op": "delete", "seg_id": True},
     {"op": "checkpoint"},
@@ -294,6 +295,7 @@ ROUTED_OPS = [
     {"op": "bogus"},
     {"op": "insert", "x1": "abc", "y1": 0, "x2": 1, "y2": 1},
     {"op": "insert", "x1": 0, "y1": 0, "x2": 10},
+    {"op": "window", "x1": 10**400, "y1": 0, "x2": 1, "y2": 1},
     {"op": "delete", "seg_id": True},
     {"op": "ping", "v": 3},
 ]

@@ -142,6 +142,17 @@ class TestGoldenProtocol:
             ({"op": "trace", "n": 0}, "bad_args"),
             ({"op": "metrics", "format": "xml"}, "bad_args"),
             ({"op": "ping", "v": 99}, "bad_args"),
+            # A JSON integer no float holds, on every numeric field.
+            ({"op": "point", "x": 10**400, "y": 2}, "bad_args"),
+            ({"op": "window", "x1": 10**400, "y1": 0, "x2": 1, "y2": 1},
+             "bad_args"),
+            ({"op": "nearest", "x": 1, "y": -(10**400)}, "bad_args"),
+            ({"op": "insert", "x1": 0, "y1": 0, "x2": 10**400, "y2": 1},
+             "bad_args"),
+            ({"op": "batch",
+              "requests": [{"op": "point", "x": 1, "y": 10**400}]}, "bad_args"),
+            ({"op": "explain",
+              "query": {"op": "point", "x": 10**400, "y": 1}}, "bad_args"),
         ]
         for request, code in error_cases:
             response = send_request(addr, request)

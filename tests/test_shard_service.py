@@ -8,20 +8,24 @@ to straddle a shard boundary, which cross-shard dedup must report
 exactly once.
 """
 
+import ast
+import json
+import os
 import random
 
 import pytest
 
 from repro.data.counties import generate_county
-from repro.geometry import Segment
+from repro.geometry import Rect, Segment
 from repro.harness.experiment import STRUCTURE_FACTORIES
 from repro.metric_names import COUNTER_FIELDS
 from repro.obs.metrics import MetricsRegistry
 from repro.service.engine import QueryEngine
 from repro.service.loadgen import bench_serve, parse_address
-from repro.service.server import send_request
+from repro.service.server import MapServer, send_request
 from repro.shard import (
     LocalShardSet,
+    ShardClient,
     ShardMap,
     ShardRouter,
     init_shard_set,
@@ -219,6 +223,57 @@ class TestMutationsThroughRouter:
         assert results[1] == sorted(service.oracle.window(0, 0, 500, 500))
 
 
+    def test_mutating_batch_answers_like_a_single_server(self, service):
+        """Routed batch members merge through the same rows as the
+        standalone ops, so a batch's envelope is the single server's:
+        a delete no shard has indexed is ``unknown_seg`` (not a merged
+        ``false``), and a malformed member is the router's own
+        ``bad_args`` wherever in the batch it sits."""
+        single = MapServer(service.oracle)
+        try:
+            def both(payload):
+                line = json.dumps(payload)
+                return single.respond(line, None), service.request(payload)
+
+            seg = {"x1": 7.0, "y1": 7.0, "x2": 11.0, "y2": 11.0}
+            next_id = len(service.oracle.ctx.segments)
+            want, got = both(
+                {
+                    "op": "batch",
+                    "requests": [
+                        dict(seg, op="insert"),
+                        {"op": "point", "x": 7.0, "y": 7.0},
+                        {"op": "delete", "seg_id": next_id},
+                        {"op": "point", "x": 7.0, "y": 7.0},
+                    ],
+                }
+            )
+            assert want["ok"] and want["result"]["results"][0] == next_id
+            for envelope in (want, got):
+                del envelope["result"]["disk_accesses"]  # per-topology cost
+            assert got == want
+
+            # The same id again: now indexed nowhere.
+            want, got = both(
+                {"op": "batch", "requests": [{"op": "delete", "seg_id": next_id}]}
+            )
+            assert want["error"]["code"] == "unknown_seg"
+            for envelope in (want, got):
+                del envelope["error"]["message"]  # names the structure
+            assert got == want
+
+            want, got = both(
+                {
+                    "op": "batch",
+                    "requests": [dict(seg, op="insert"), {"op": "point", "x": 1}],
+                }
+            )
+            assert want["error"]["code"] == "bad_args"
+            assert got == want
+        finally:
+            single.server_close()
+
+
 class TestBatchClipping:
     def _shard_totals(self, service):
         resp = service.request({"op": "stats"})
@@ -393,3 +448,368 @@ class TestShardSetChecks:
         resp = service.request({"op": "reload"})
         assert resp["ok"], resp
         assert resp["result"]["epoch"] == ShardMap.load(service.root).epoch
+
+
+# ----------------------------------------------------------------------
+# Degradation table: every routable op x {stopped shard, relayed error}
+# ----------------------------------------------------------------------
+RELAYED_ERROR = {
+    "code": "server_overloaded",
+    "message": "relayed by the degradation test",
+    "type": "OverloadedError",
+}
+
+
+class _RelayingClient(ShardClient):
+    """A shard connection whose worker answers every request with one
+    structured error envelope (a live shard refusing, not a dead one)."""
+
+    def request(self, payload, timeout=None):
+        return {"ok": False, "error": dict(RELAYED_ERROR)}
+
+
+class DegradedService:
+    """A shard set whose first shard fails every request, one way or the
+    other; the survivors stay directly reachable for the oracle."""
+
+    def __init__(self, root, mode):
+        self.map_data = generate_county("cecil", scale=SCALE)
+        self.smap = init_shard_set(
+            root, "R*", map_data=self.map_data, n_shards=N_SHARDS,
+            page_size=PAGE_SIZE,
+        )
+        self.shards = LocalShardSet(root)
+        self.shards.__enter__()
+        self.router = ShardRouter(root)
+        self.router.start_background()
+        self.bad = sorted(self.router.clients)[0]
+        self.survivors = sorted(set(self.router.clients) - {self.bad})
+        if mode == "stopped":
+            self.shards.stop(self.bad)
+            self.code = "shard_unavailable"
+        else:
+            self.router.clients[self.bad].close()
+            self.router.clients[self.bad] = _RelayingClient(
+                self.bad, self.smap.store_path(root, self.bad)
+            )
+            self.code = RELAYED_ERROR["code"]
+        self.relayed = mode == "relayed"
+
+    def request(self, payload):
+        return send_request(self.router.address, payload)
+
+    def ask_survivors(self, payload, only=None):
+        """The same request put to each surviving worker directly."""
+        out = {}
+        for sid in self.survivors:
+            if only is None or sid in only:
+                resp = send_request(self.shards.servers[sid].address, payload)
+                assert resp["ok"], resp
+                out[sid] = resp["result"]
+        return out
+
+    def shared_point(self):
+        """A point the failing shard and at least one survivor both own
+        (a shared cell corner: ownership is closed on cell edges)."""
+        cells = 2 ** self.smap.order
+        step = self.smap.world_size / cells
+        for i in range(cells + 1):
+            for j in range(cells + 1):
+                ids = {s.shard_id for s in self.smap.route_point(i * step, j * step)}
+                if self.bad in ids and len(ids) > 1:
+                    return i * step, j * step
+        raise AssertionError("no cell corner is shared with the failing shard")
+
+    def close(self):
+        self.router.close()
+        self.shards.__exit__(None, None, None)
+
+
+@pytest.fixture(scope="module", params=["stopped", "relayed"])
+def degraded(request, tmp_path_factory):
+    svc = DegradedService(
+        str(tmp_path_factory.mktemp(f"degraded-{request.param}")), request.param
+    )
+    yield svc
+    svc.close()
+
+
+def _union(lists):
+    return sorted(set().union(*lists))
+
+
+def _nearest(lists, k):
+    best = {}
+    for pairs in lists:
+        for seg_id, d2 in pairs:
+            best[seg_id] = min(d2, best.get(seg_id, d2))
+    ranked = sorted(best.items(), key=lambda item: (item[1], item[0]))
+    return [[seg_id, d2] for seg_id, d2 in ranked[:k]]
+
+
+def _world_window(svc):
+    w = svc.map_data.world_size
+    return {"op": "window", "x1": 0, "y1": 0, "x2": w, "y2": w}
+
+
+def _point(svc):
+    x, y = svc.shared_point()
+    return {"op": "point", "x": x, "y": y}
+
+
+def _nearest_query(svc):
+    w = svc.map_data.world_size
+    return {"op": "nearest", "x": w / 2, "y": w / 2, "k": 4}
+
+
+def _read_batch(svc):
+    return {
+        "op": "batch",
+        "requests": [_point(svc), _world_window(svc), _nearest_query(svc)],
+    }
+
+
+def _touched_survivors(svc, member):
+    """Surviving shards the router's clip sends this read to."""
+    if member["op"] == "nearest":
+        return svc.survivors
+    if member["op"] == "point":
+        specs = svc.smap.route_point(member["x"], member["y"])
+    else:
+        specs = svc.smap.route_rect(
+            Rect(member["x1"], member["y1"], member["x2"], member["y2"])
+        )
+    return sorted({s.shard_id for s in specs} - {svc.bad})
+
+
+def _merged_read(svc, member):
+    touched = _touched_survivors(svc, member)
+    answers = list(svc.ask_survivors(member, only=touched).values())
+    if member["op"] == "nearest":
+        return _nearest(answers, member["k"])
+    return _union(answers)
+
+
+def _fails(svc, resp):
+    """The common half: a structured error naming the failing shard."""
+    assert resp["ok"] is False, resp
+    assert resp["error"]["code"] == svc.code
+    assert resp["error"]["shard"] == svc.bad
+
+
+def expect_read(svc, payload, resp):
+    _fails(svc, resp)
+    touched = _touched_survivors(svc, payload)
+    assert touched, "the probe must reach a survivor as well"
+    assert resp["partial"] == {
+        "shards": touched,
+        "result": _merged_read(svc, payload),
+    }
+
+
+def expect_read_batch(svc, payload, resp):
+    _fails(svc, resp)
+    partial = resp["partial"]
+    assert partial["shards"] == svc.survivors
+    assert partial["result"]["results"] == [
+        _merged_read(svc, member) for member in payload["requests"]
+    ]
+    assert partial["result"]["order"] == "morton"
+    assert isinstance(partial["result"]["disk_accesses"], int)
+
+
+def expect_applied(svc, payload, resp):
+    _fails(svc, resp)
+    assert resp["partial"] == {
+        "shards": svc.survivors,
+        "result": {"applied": svc.survivors},
+    }
+
+
+def expect_explain(svc, payload, resp):
+    _fails(svc, resp)
+    assert resp["partial"]["shards"] == svc.survivors
+    merged = resp["partial"]["result"]
+    assert sorted(merged["shards"]) == svc.survivors
+    assert merged["exact"] is True
+    for name in COUNTER_FIELDS:
+        assert merged["observed"][name] == sum(
+            report["observed"][name] for report in merged["shards"].values()
+        )
+
+
+def expect_checkpoint(svc, payload, resp):
+    _fails(svc, resp)
+    assert resp["partial"]["shards"] == svc.survivors
+    assert sorted(resp["partial"]["result"]) == svc.survivors
+    for result in resp["partial"]["result"].values():
+        assert "checkpoint_lsn" in result
+
+
+def expect_prom(svc, payload, resp):
+    _fails(svc, resp)
+    assert "partial" not in resp
+
+
+def expect_stats(svc, payload, resp):
+    assert resp["ok"] is True, resp
+    stats = resp["result"]
+    # A shard that answers `stats` with an error is as good as absent.
+    assert stats["unavailable"] == [svc.bad]
+    assert sorted(stats["shards"]) == svc.survivors
+    for name in COUNTER_FIELDS:
+        if name != "disk_accesses":
+            assert stats["totals"][name] == sum(
+                entry["totals"][name] for entry in stats["shards"].values()
+            )
+
+
+def expect_check(svc, payload, resp):
+    assert resp["ok"] is True, resp
+    result = resp["result"]
+    assert result["clean"] is False
+    for sid in svc.survivors:
+        assert result["shards"][sid]["clean"] is True
+    if svc.relayed:
+        assert result["unavailable"] == []
+        assert result["shards"][svc.bad] == {"clean": False, "error": RELAYED_ERROR}
+    else:
+        assert result["unavailable"] == [svc.bad]
+        assert sorted(result["shards"]) == svc.survivors
+
+
+def expect_survey(svc, payload, resp):
+    """metrics (json), health, trace: per-shard answers side by side. A
+    relayed error drops the shard from the view without listing it."""
+    assert resp["ok"] is True, resp
+    result = resp["result"]
+    assert sorted(result["shards"]) == svc.survivors
+    assert result["unavailable"] == ([] if svc.relayed else [svc.bad])
+    if payload["op"] == "metrics":
+        assert "router" in result
+    else:
+        assert sorted(result) == ["shards", "unavailable"]
+
+
+DEGRADATION_TABLE = [
+    # Reads first: the writes below leave the replicated tables diverged
+    # (that is what `applied` reports), which no later row depends on.
+    ("point", _point, expect_read),
+    ("window", _world_window, expect_read),
+    ("nearest", _nearest_query, expect_read),
+    ("batch-read-only", _read_batch, expect_read_batch),
+    (
+        "explain",
+        lambda svc: {"op": "explain", "query": _world_window(svc)},
+        expect_explain,
+    ),
+    ("stats", lambda svc: {"op": "stats"}, expect_stats),
+    ("check", lambda svc: {"op": "check"}, expect_check),
+    ("metrics-json", lambda svc: {"op": "metrics"}, expect_survey),
+    ("metrics-prom", lambda svc: {"op": "metrics", "format": "prom"}, expect_prom),
+    ("health", lambda svc: {"op": "health"}, expect_survey),
+    ("trace", lambda svc: {"op": "trace"}, expect_survey),
+    ("checkpoint", lambda svc: {"op": "checkpoint"}, expect_checkpoint),
+    (
+        "insert",
+        lambda svc: {"op": "insert", "x1": 5.0, "y1": 5.0, "x2": 9.0, "y2": 9.0},
+        expect_applied,
+    ),
+    ("delete", lambda svc: {"op": "delete", "seg_id": 0}, expect_applied),
+    (
+        "batch-mutating",
+        lambda svc: {
+            "op": "batch",
+            "requests": [
+                _world_window(svc),
+                {"op": "insert", "x1": 3.0, "y1": 3.0, "x2": 6.0, "y2": 6.0},
+            ],
+        },
+        expect_applied,
+    ),
+]
+
+
+class TestDegradationTable:
+    @pytest.mark.parametrize(
+        "build, expect",
+        [row[1:] for row in DEGRADATION_TABLE],
+        ids=[row[0] for row in DEGRADATION_TABLE],
+    )
+    def test_op_degrades_as_pinned(self, degraded, build, expect):
+        payload = build(degraded)
+        expect(degraded, payload, degraded.request(payload))
+
+
+# ----------------------------------------------------------------------
+# The acceptance greps, as a test: each of these exists once
+# ----------------------------------------------------------------------
+class TestOnePathPerOp:
+    SRC = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+
+    def _call_sites(self, relpaths, is_call):
+        """``relpath:Class.method[.nested]`` of every matching call."""
+        sites = []
+        for relpath in relpaths:
+            with open(os.path.join(self.SRC, relpath), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+
+            def walk(node, scope):
+                if isinstance(node, ast.Call) and is_call(node):
+                    sites.append(f"{relpath}:{'.'.join(scope)}")
+                named = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                inner = scope + [node.name] if isinstance(node, named) else scope
+                for child in ast.iter_child_nodes(node):
+                    walk(child, inner)
+
+            walk(tree, [])
+        return sorted(sites)
+
+    def _modules(self, *packages):
+        return [
+            os.path.join(package, name)
+            for package in packages
+            for name in sorted(os.listdir(os.path.join(self.SRC, package)))
+            if name.endswith(".py")
+        ]
+
+    def test_only_scatter_submits_request_legs(self):
+        def pool_submit(call):
+            func = call.func
+            return (
+                isinstance(func, ast.Attribute)
+                and func.attr == "submit"
+                and ast.unparse(func.value) == "self._pool"
+            )
+
+        # `profile` samples the router *while* its shards sample, so it
+        # cannot wait inside _scatter; everything else must.
+        assert self._call_sites(["shard/router.py"], pool_submit) == [
+            "shard/router.py:RouterCore._merge_profile",
+            "shard/router.py:RouterCore._scatter",
+        ]
+
+    def test_one_traversal_site_in_the_engine(self):
+        with open(os.path.join(self.SRC, "service", "engine.py"), encoding="utf-8") as fh:
+            source = fh.read()
+        assert source.count('TRACER.span("traverse"') == 1
+        assert "_read_thunk" not in source
+
+    @pytest.mark.parametrize(
+        "method, engine_site",
+        [
+            ("log_insert", "service/engine.py:QueryEngine._apply_insert.apply"),
+            ("log_delete", "service/engine.py:QueryEngine._apply_delete.apply"),
+        ],
+    )
+    def test_one_function_logs_each_mutation(self, method, engine_site):
+        def logs(call):
+            return isinstance(call.func, ast.Attribute) and call.func.attr == method
+
+        # The serving path logs in one engine function, which ShardEngine
+        # inherits. The other site is not a mutation: shard catch-up
+        # copies a peer's WAL suffix into a stopped shard's own log.
+        assert self._call_sites(self._modules("service", "shard"), logs) == [
+            engine_site,
+            "shard/rebalance.py:catch_up_shard",
+        ]
