@@ -34,9 +34,10 @@ The observability layer (:mod:`repro.obs`) adds tracing and metrics::
     python -m repro bench-serve --trace          # traced load test
     python -m repro explain window --x1 0 --y1 0 --x2 500 --y2 500
                                                  # per-level query profile
-    python -m repro bench --json BENCH_run.json  # perf-baseline record
-    python -m repro bench --compare benchmarks/results/BENCH_baseline.json
-                                                 # regression gate (exit 1)
+    python -m repro bench --compare benchmarks/results/BENCH_paper_core.json \\
+        out/BENCH_e2e.json                       # paper-scale counter gate
+                                                 # (exit 1); the fresh record is
+                                                 # benchmarks/e2e/run.py --out's
 
 The sharding layer (:mod:`repro.shard`) splits the map across workers::
 
@@ -65,8 +66,6 @@ event loop, with the pipelined wire protocol v2::
                                                  # pipelined connections
     python -m repro bench-serve --async --mutate-frac 0.2 --wal store/
                                                  # measures group commit
-    python -m repro bench --serve --json BENCH_serve.json
-                                                 # threaded-vs-async record
 
 The static-analysis layer adds two::
 
@@ -711,16 +710,10 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the fixed benchmark workload; optionally gate on a baseline."""
+    """Gate a bench record on a baseline; ``--routed`` runs the fresh one."""
     import json
 
-    from repro.bench import (
-        run_bench,
-        run_serve_bench,
-        run_shard_bench,
-        run_vector_bench,
-        write_record,
-    )
+    from repro.bench import run_shard_bench, write_record
     from repro.bench.compare import (
         EXIT_INCOMPARABLE,
         compare_records,
@@ -728,78 +721,47 @@ def _cmd_bench(args) -> int:
     )
     from repro.metric_names import PAPER_METRICS
 
-    if args.serve:
-        record = run_serve_bench({"seed": args.seed})
-    elif args.backend == "vector":
-        if args.routed:
-            print(
-                "error: --backend vector and --routed are separate benches",
-                file=sys.stderr,
-            )
-            return 2
-        # The backend bench has its own (larger) default scale and query
-        # count; only forward knobs the user actually changed.
-        from repro.bench import DEFAULT_PARAMS
+    def load(path):
+        try:
+            return load_record(path)
+        except FileNotFoundError:
+            print(f"error: record not found: {path}", file=sys.stderr)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read record {path}: {exc}", file=sys.stderr)
+        return None
 
-        params = {"county": args.county, "seed": args.seed}
-        if args.scale != DEFAULT_PARAMS["scale"]:
-            params["scale"] = args.scale
-        if args.queries != DEFAULT_PARAMS["n_queries"]:
-            params["n_queries"] = args.queries
-        record = run_vector_bench(params)
-    else:
-        params = {
-            "county": args.county,
-            "scale": args.scale,
-            "n_queries": args.queries,
-            "seed": args.seed,
-        }
-        if args.routed:
-            params["n_shards"] = args.n_shards
-            record = run_shard_bench(params)
-        else:
-            record = run_bench(params)
-    if args.json:
-        write_record(record, args.json)
-        print(f"wrote {args.json} ({record['git_sha']})")
-    if args.serve:
-        for mode, entry in record["modes"].items():
-            wall = entry["wall"]
-            print(
-                f"  {mode}: {entry['connections']} conns, "
-                f"{entry['requests']} requests, {entry['errors']} errors, "
-                f"p50={wall['p50_ms']:.2f}ms p99={wall['p99_ms']:.2f}ms"
-            )
-        gc = record["modes"]["async"].get("group_commit") or {}
-        if gc.get("mutations"):
-            print(
-                f"  group commit: {gc['mutations']} mutations -> "
-                f"{gc['fsyncs']} fsyncs "
-                f"({gc['fsyncs_per_mutation']:.2f} fsyncs/mutation)"
-            )
-    else:
+    if args.routed and args.record is None:
+        record = run_shard_bench(
+            {
+                "county": args.county,
+                "scale": args.scale,
+                "n_queries": args.queries,
+                "seed": args.seed,
+                "n_shards": args.n_shards,
+            }
+        )
+        if args.json:
+            write_record(record, args.json)
+            print(f"wrote {args.json} ({record['git_sha']})")
         for name, entry in record["structures"].items():
             totals = entry["totals"]
             summary = ", ".join(f"{m}={totals[m]}" for m in PAPER_METRICS)
             print(f"  {name}: {summary}")
-            if args.backend == "vector":
-                for wname, w in entry["workloads"].items():
-                    print(
-                        f"    {wname}: scalar {w['scalar']['wall_ms']:.1f}ms"
-                        f" -> vector {w['vector_ms']:.1f}ms"
-                        f" ({w['speedup']:.2f}x, parity ok)"
-                    )
-    if args.compare:
-        try:
-            baseline = load_record(args.compare)
-        except FileNotFoundError:
-            print(f"error: baseline not found: {args.compare}", file=sys.stderr)
+    elif args.record is not None and args.compare and not args.routed:
+        record = load(args.record)
+        if record is None:
             return EXIT_INCOMPARABLE
-        except (OSError, json.JSONDecodeError) as exc:
-            print(
-                f"error: cannot read baseline {args.compare}: {exc}",
-                file=sys.stderr,
-            )
+    else:
+        print(
+            "error: give --routed to run the routed bench, or --compare "
+            "BASELINE RECORD to gate the BENCH_e2e.json that "
+            "benchmarks/e2e/run.py --out wrote (not both)",
+            file=sys.stderr,
+        )
+        return EXIT_INCOMPARABLE
+    if args.compare:
+        baseline = load(args.compare)
+        if baseline is None:
             return EXIT_INCOMPARABLE
         code, lines = compare_records(baseline, record, tolerance=args.tolerance)
         print("\n".join(lines))
@@ -1265,13 +1227,16 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "bench",
-        help="run the fixed perf-baseline workload (BENCH_*.json records)",
+        help="gate a BENCH_*.json record on a committed baseline",
     )
-    p.add_argument("--county", default="cecil")
-    p.add_argument("--scale", type=float, default=0.02)
-    p.add_argument("--queries", type=int, default=25)
-    p.add_argument("--seed", type=int, default=1992)
-    p.add_argument("--json", default=None, help="write the record here")
+    p.add_argument(
+        "record",
+        nargs="?",
+        default=None,
+        help="the fresh record to gate with --compare: the BENCH_e2e.json "
+        "that `benchmarks/e2e/run.py --workload paper_core --trace --out "
+        "DIR` wrote (its count-unit per-layer metrics gate at tolerance 0)",
+    )
     p.add_argument(
         "--compare",
         default=None,
@@ -1282,36 +1247,22 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=0.10,
-        help="relative headroom for gated counters (default 10%%)",
+        help="relative headroom for the routed record's counters "
+        "(default 10%%)",
     )
     p.add_argument(
         "--routed",
         action="store_true",
-        help="drive the workloads through a sharded service (one shard "
-        "set per structure) instead of bare indexes; emits a "
-        "repro-shard-bench record",
+        help="run the fresh record instead of reading one: five workloads "
+        "through a sharded service (one shard set per structure); emits a "
+        "repro-shard-bench record. The options below are its params",
     )
-    p.add_argument(
-        "--n-shards",
-        type=int,
-        default=4,
-        help="shard count for --routed (part of the record's params)",
-    )
-    p.add_argument(
-        "--serve",
-        action="store_true",
-        help="bench the serving path instead: threaded vs async front "
-        "ends under load; emits a repro-serve-bench record",
-    )
-    p.add_argument(
-        "--backend",
-        default="scalar",
-        choices=["scalar", "vector"],
-        help="'vector' runs the backend comparison bench instead "
-        "(scalar vs vectorized traversal with in-run parity checks; "
-        "emits a repro-bench-vector record with its own larger "
-        "default scale/queries)",
-    )
+    p.add_argument("--county", default="cecil")
+    p.add_argument("--scale", type=float, default=0.02)
+    p.add_argument("--queries", type=int, default=25)
+    p.add_argument("--seed", type=int, default=1992)
+    p.add_argument("--n-shards", type=int, default=4)
+    p.add_argument("--json", default=None, help="write the routed record here")
 
     p = sub.add_parser("check", help="static index fsck (no queries executed)")
     _add_common(p)

@@ -1,78 +1,46 @@
-"""The continuous perf baseline: ``BENCH_*.json`` records and the gate.
+"""The counter gate: ``BENCH_*.json`` records and their comparison.
 
-``python -m repro bench --json BENCH_<sha>.json`` builds R*/R+/PMR over
-one fixed synthetic county and drives the five query workloads the paper
-tabulates, emitting a schema-versioned JSON record of per-structure
-disk accesses, comparisons, and wall-time percentiles.  ``python -m
-repro bench --compare BASELINE.json`` re-runs the same workload and
-exits nonzero if any deterministic counter regressed beyond the
-tolerance -- the CI ``perf-baseline`` job runs exactly that against the
-committed ``benchmarks/results/BENCH_baseline.json``.
+The repo has one benchmark, ``benchmarks/e2e/run.py`` (declared in
+``BENCHMARK.json``), which runs at the paper's configuration: ~50 000
+segments, 1 KiB pages, a 16-page pool, 1 000 queries per type, windows
+of 0.01 % of the map area.  This package is the gate over what it
+records::
 
-Deterministic counters (disk accesses, segment comparisons, bbox
-comparisons) gate; wall-clock numbers are recorded for trending but
-only warn, because CI machines are not a controlled benchmark rig.
+    python3 benchmarks/e2e/run.py --workload paper_core --trace --out out/
+    python -m repro bench --compare \
+        benchmarks/results/BENCH_paper_core.json out/BENCH_e2e.json
 
-``python -m repro bench --routed`` runs the same gate over the sharded
-service instead: one shard set per structure, five workloads through
-the scatter-gather router, counters summed across shards
-(:mod:`repro.bench.shard`, kind ``repro-shard-bench``).  The CI
+compares every ``count``-unit metric of the record's
+``workloads.paper_core.per_layer`` (disk accesses per query, segment and
+bbox comparisons per op, index pages) against the committed record at
+tolerance 0 -- they are deterministic counters, so any drift is a change
+in behaviour.  Timing metrics are recorded but never gate.  Exit 1 on a
+regression, 2 when the records are not comparable (``config`` differs,
+no ``paper_core`` per-layer run, different kinds).
+
+``python -m repro bench --routed`` is the one runner kept here, because
+nothing in ``benchmarks/e2e`` yields deterministic routed counters yet
+(``routed_mixed`` is time-boxed): one shard set per structure, five
+workloads through the scatter-gather router, counters summed across
+shards (:mod:`repro.bench.shard`, kind ``repro-shard-bench``).  The CI
 ``shard-smoke`` job gates it against
-``benchmarks/results/BENCH_shard_baseline.json``.
-
-``python -m repro bench --backend vector`` runs the backend comparison
-instead: scalar and vectorized traversal over the same batched
-workloads at a larger scale, asserting result/counter parity in-run and
-recording per-structure speedups (:mod:`repro.bench.vector`, kind
-``repro-bench-vector``).  The committed baseline is
-``benchmarks/results/BENCH_vector_baseline.json``.
-
-``python -m repro bench --serve`` gates the serving path itself: the
-threaded and async front ends driven by the same seeded workload
-(:mod:`repro.bench.serve`, kind ``repro-serve-bench``), with request
-error counts gating and latency percentiles plus the group-commit fsync
-ratio recorded as warn-only trend lines.
+``benchmarks/results/BENCH_shard_baseline.json`` with the same comparer.
 """
 
 from repro.bench.compare import compare_records, load_record
-from repro.bench.runner import (
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_PARAMS,
-    run_bench,
-    validate_record,
-    write_record,
-)
-from repro.bench.serve import (
-    SERVE_DEFAULT_PARAMS,
-    run_serve_bench,
-    validate_serve_record,
-)
+from repro.bench.runner import BENCH_SCHEMA_VERSION, write_record
 from repro.bench.shard import (
     SHARD_DEFAULT_PARAMS,
     run_shard_bench,
     validate_shard_record,
 )
-from repro.bench.vector import (
-    VECTOR_DEFAULT_PARAMS,
-    run_vector_bench,
-    validate_vector_record,
-)
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "DEFAULT_PARAMS",
-    "SERVE_DEFAULT_PARAMS",
     "SHARD_DEFAULT_PARAMS",
-    "VECTOR_DEFAULT_PARAMS",
     "compare_records",
     "load_record",
-    "run_bench",
-    "run_serve_bench",
     "run_shard_bench",
-    "run_vector_bench",
-    "validate_record",
-    "validate_serve_record",
     "validate_shard_record",
-    "validate_vector_record",
     "write_record",
 ]

@@ -1,15 +1,26 @@
 """The regression gate: compare a fresh bench record against a baseline.
 
-Only deterministic counters gate -- per-workload and total disk
-accesses, segment comparisons, and bbox comparisons, per structure.  A
-fresh value may exceed the baseline by at most ``tolerance`` (relative);
-anything worse is a regression and the comparison fails.  Improvements
-are reported but never fail (ratcheting the baseline down is a human
-decision: commit the fresh record).  Wall-clock percentiles are compared
-too but only ever *warn*, because a CI runner is not a benchmark rig.
+Only deterministic counters gate.  Two record shapes are spoken:
 
-Records are only comparable when their ``schema_version`` and every
-workload parameter match exactly -- a mismatch is a usage error
+* ``BENCH_e2e.json``, as ``benchmarks/e2e/run.py --workload paper_core
+  --trace --out DIR`` writes it -- the paper-scale record.  Every metric
+  of ``workloads.paper_core.per_layer`` whose unit is ``count`` gates
+  (disk accesses per query, segment and bbox comparisons per op, index
+  pages); the selection is read off the record's own units.  These are
+  noise-free, so they compare at tolerance 0 whatever the caller asks.
+* ``repro-shard-bench``, the routed record of :mod:`repro.bench.shard`:
+  per-workload and total disk accesses, segment comparisons and bbox
+  comparisons per structure.  A fresh value may exceed the baseline by
+  at most ``tolerance`` (relative); its wall-clock percentiles are
+  compared too but only ever *warn*.
+
+Anything worse is a regression and the comparison fails.  Improvements
+are reported but never fail (ratcheting the baseline down is a human
+decision: commit the fresh record).  Timing metrics never gate, because
+a CI runner is not a benchmark rig.
+
+Records are only comparable when they are of the same kind and every
+workload parameter matches exactly -- a mismatch is a usage error
 (distinct from a regression) so it gets its own exit code.
 """
 
@@ -18,24 +29,24 @@ from __future__ import annotations
 import json
 from typing import Callable, Dict, List, NamedTuple, Tuple
 
-from repro.bench.runner import BENCH_KIND, BENCH_SCHEMA_VERSION, validate_record
-from repro.bench.serve import (
-    SERVE_BENCH_KIND,
-    serve_gate_points,
-    serve_wall_points,
-    validate_serve_record,
-)
 from repro.bench.shard import SHARD_BENCH_KIND, validate_shard_record
-from repro.bench.vector import VECTOR_BENCH_KIND, validate_vector_record
 from repro.metric_names import PAPER_METRICS
+
+#: The key of the paper-scale record in :data:`KINDS`. ``run.py`` writes
+#: no ``kind`` field, so the record is recognised by its ``workloads``.
+E2E_KIND = "BENCH_e2e"
 
 
 class KindSpec(NamedTuple):
-    """How one record kind validates and which of its points gate/warn."""
+    """How one record kind validates, what must match for two records to
+    be comparable, and which of its points gate/warn."""
 
     validator: Callable[[object], List[str]]
+    params: Callable[[Dict[str, object]], Dict[str, object]]
     gate_points: Callable[[Dict[str, object]], object]
     wall_points: Callable[[Dict[str, object]], object]
+    exact: bool  # gate at tolerance 0 regardless of the caller's
+
 
 #: Comparison verdict exit codes (the CLI exits with these).
 EXIT_OK = 0
@@ -48,13 +59,8 @@ def load_record(path: str) -> Dict[str, object]:
         return json.load(fh)
 
 
-def _gate_points(record: Dict[str, object]):
-    """Yield (label, value) for every gated counter in the record.
-
-    Structure and workload names come from the record itself, so the
-    same walk gates both unsharded and routed records (validation has
-    already pinned the kind-specific required sets).
-    """
+def _routed_gate_points(record: Dict[str, object]):
+    """Yield (label, value) for every gated counter in a routed record."""
     structures = record["structures"]
     for name in sorted(structures):  # type: ignore[call-overload]
         entry = structures[name]  # type: ignore[index]
@@ -66,7 +72,7 @@ def _gate_points(record: Dict[str, object]):
                 yield f"{name}/{wname}/{metric}", int(w[metric])
 
 
-def _wall_points(record: Dict[str, object]):
+def _routed_wall_points(record: Dict[str, object]):
     structures = record["structures"]
     for name in sorted(structures):  # type: ignore[call-overload]
         for wname in sorted(structures[name]["workloads"]):  # type: ignore[index]
@@ -74,25 +80,71 @@ def _wall_points(record: Dict[str, object]):
             yield f"{name}/{wname}/p50_ms", float(wall["p50_ms"])
 
 
-#: Per-kind dispatch: validator plus gate/warn point extractors. The
-#: unsharded and routed records share one shape (structures ->
-#: workloads -> counters); the serving record gates error counts and
-#: warns on latency percentiles and the group-commit fsync ratio.
+def _paper_core(record: Dict[str, object]) -> Dict[str, object]:
+    return record["workloads"]["paper_core"]["per_layer"]  # type: ignore[index]
+
+
+def validate_e2e_record(record: object) -> List[str]:
+    """Schema check for the part of ``BENCH_e2e.json`` the gate reads."""
+    if not isinstance(record, dict):
+        return [f"record must be an object, got {type(record).__name__}"]
+    problems: List[str] = []
+    if not isinstance(record.get("config"), dict):
+        problems.append("config must be an object")
+    entry: object = record
+    for key in ("workloads", "paper_core", "per_layer"):
+        entry = entry.get(key) if isinstance(entry, dict) else None
+    metrics = entry.get("metrics") if isinstance(entry, dict) else None
+    if not isinstance(metrics, dict):
+        return problems + [
+            "workloads.paper_core.per_layer.metrics missing (write it with: "
+            "benchmarks/e2e/run.py --workload paper_core --trace --out DIR)"
+        ]
+    for name, m in metrics.items():
+        if not (
+            isinstance(m, dict)
+            and isinstance(m.get("unit"), str)
+            and isinstance(m.get("value"), (int, float))
+        ):
+            problems.append(f"paper_core: {name} must be {{value: number, unit: str}}")
+    if not problems and not any(m["unit"] == "count" for m in metrics.values()):
+        problems.append("paper_core: no count-unit metric to gate on")
+    if entry.get("failed") != 0:
+        problems.append(f"paper_core: {entry.get('failed')!r} failed operations")
+    return problems
+
+
+def _e2e_gate_points(record: Dict[str, object]):
+    metrics = _paper_core(record)["metrics"]
+    for name in sorted(metrics):  # type: ignore[call-overload]
+        if metrics[name]["unit"] == "count":  # type: ignore[index]
+            yield name, metrics[name]["value"]  # type: ignore[index]
+
+
+#: Per-kind dispatch. The routed record pins its schema version and
+#: ``params``; the paper-scale record its ``config`` block and seed.
 KINDS: Dict[str, KindSpec] = {
-    BENCH_KIND: KindSpec(validate_record, _gate_points, _wall_points),
+    E2E_KIND: KindSpec(
+        validate_e2e_record,
+        lambda r: {**r["config"], "seed": _paper_core(r).get("seed")},  # type: ignore[dict-item]
+        _e2e_gate_points,
+        lambda r: (),
+        exact=True,
+    ),
     SHARD_BENCH_KIND: KindSpec(
-        validate_shard_record, _gate_points, _wall_points
-    ),
-    SERVE_BENCH_KIND: KindSpec(
-        validate_serve_record, serve_gate_points, serve_wall_points
-    ),
-    VECTOR_BENCH_KIND: KindSpec(
-        validate_vector_record, _gate_points, _wall_points
+        validate_shard_record,
+        lambda r: r["params"],
+        _routed_gate_points,
+        _routed_wall_points,
+        exact=False,
     ),
 }
 
-#: Back-compat view of :data:`KINDS` (kind -> validator).
-VALIDATORS = {kind: spec.validator for kind, spec in KINDS.items()}
+
+def _kind_of(record: object):
+    if not isinstance(record, dict):
+        return None
+    return record.get("kind", E2E_KIND if "workloads" in record else None)
 
 
 def compare_records(
@@ -107,8 +159,7 @@ def compare_records(
     only zero (any appearance of a brand-new cost is a regression).
     """
     lines: List[str] = []
-    base_kind = baseline.get("kind") if isinstance(baseline, dict) else None
-    fresh_kind = fresh.get("kind") if isinstance(fresh, dict) else None
+    base_kind, fresh_kind = _kind_of(baseline), _kind_of(fresh)
     if base_kind != fresh_kind:
         lines.append(
             f"kind mismatch: baseline {base_kind!r} vs fresh {fresh_kind!r}; "
@@ -128,25 +179,23 @@ def compare_records(
             lines.append(f"{label} record is invalid:")
             lines.extend(f"  - {p}" for p in problems)
             return EXIT_INCOMPARABLE, lines
-    if baseline["schema_version"] != fresh["schema_version"]:
-        lines.append(
-            f"schema mismatch: baseline v{baseline['schema_version']} vs "
-            f"fresh v{fresh['schema_version']} (this tool speaks "
-            f"v{BENCH_SCHEMA_VERSION})"
-        )
-        return EXIT_INCOMPARABLE, lines
-    if baseline["params"] != fresh["params"]:
+    base_params, fresh_params = spec.params(baseline), spec.params(fresh)
+    if base_params != fresh_params:
         lines.append("workload params differ; records are not comparable:")
-        lines.append(f"  baseline: {baseline['params']}")
-        lines.append(f"  fresh:    {fresh['params']}")
+        for key in sorted(set(base_params) | set(fresh_params)):
+            if base_params.get(key) != fresh_params.get(key):
+                lines.append(
+                    f"  {key}: baseline {base_params.get(key)!r} "
+                    f"vs fresh {fresh_params.get(key)!r}"
+                )
         return EXIT_INCOMPARABLE, lines
+    if spec.exact:
+        tolerance = 0.0
 
     base_points = dict(spec.gate_points(baseline))
     fresh_points = list(spec.gate_points(fresh))
     if set(base_points) != {label for label, _ in fresh_points}:
-        lines.append(
-            "structure/workload sets differ; records are not comparable"
-        )
+        lines.append("gated counter sets differ; records are not comparable")
         return EXIT_INCOMPARABLE, lines
     regressions: List[str] = []
     improvements: List[str] = []
@@ -167,16 +216,19 @@ def compare_records(
     for label, value in spec.wall_points(fresh):
         base = base_wall.get(label)
         if base is not None and base > 0 and value > base * (1.0 + tolerance):
-            unit = "" if label.endswith("_per_mutation") else "ms"
             wall_warnings.append(
                 f"  warn (wall-clock, not gating) {label}: "
-                f"{base:.3f}{unit} -> {value:.3f}{unit}"
+                f"{base:.3f}ms -> {value:.3f}ms"
             )
 
+    shas = (
+        f" (baseline {baseline['git_sha']}, fresh {fresh['git_sha']})"
+        if "git_sha" in baseline
+        else ""  # run.py records the host, not the commit
+    )
     lines.append(
         f"compared {len(base_points)} counters at "
-        f"{tolerance * 100:.0f}% tolerance "
-        f"(baseline {baseline['git_sha']}, fresh {fresh['git_sha']})"
+        f"{tolerance * 100:.0f}% tolerance{shas}"
     )
     if regressions:
         lines.append(f"{len(regressions)} regression(s):")

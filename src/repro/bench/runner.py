@@ -1,214 +1,40 @@
-"""Run the fixed benchmark workload and emit a ``BENCH_*.json`` record.
+"""The ``structures -> workloads -> counters`` record: schema and I/O.
 
-The workload is deliberately small and fully seeded: one synthetic
-county at a fixed scale, the three headline structures, and the five
-query kinds of the paper's Table 2 (endpoint point query, two-endpoint
-point query, nearest neighbor, enclosing polygon, range window).  Every
-quantity the regression gate compares is a deterministic counter, so a
-record produced on any machine is comparable with a record produced on
-any other; wall-clock percentiles ride along for trending only.
+The routed bench (:mod:`repro.bench.shard`) emits this shape: per
+structure, per workload, the paper's three deterministic counters plus
+wall-clock percentiles that ride along for trending only.
 """
 
 from __future__ import annotations
 
 import json
-import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
-from repro.core.backends import SCALAR_BACKEND, resolve_backend
-from repro.core.queries.spec import QuerySpec
-from repro.data.counties import generate_county
-from repro.harness.experiment import BuiltStructure, build_structure
-from repro.harness.workloads import QueryWorkloads
-from repro.metric_names import BBOX_COMPS, DISK_ACCESSES, PAPER_METRICS, SEGMENT_COMPS
-from repro.obs.buildinfo import git_sha
+from repro.metric_names import PAPER_METRICS
+from repro.service.loadgen import percentile
 
 #: Bump on any incompatible change to the record layout; the comparator
 #: refuses to gate across versions.
 BENCH_SCHEMA_VERSION = 1
 
-#: The record's ``kind`` discriminator.
-BENCH_KIND = "repro-bench"
-
-#: Structures the baseline tracks (the paper's three headliners).
-BENCH_STRUCTURES: Tuple[str, ...] = ("R*", "R+", "PMR")
-
-#: The five query workloads, in table order.
-BENCH_WORKLOADS: Tuple[str, ...] = (
-    "point",
-    "point2",
-    "nearest",
-    "polygon",
-    "range",
-)
-
-#: Everything that determines the deterministic counters. A baseline and
-#: a fresh record are only comparable when these match exactly.
-DEFAULT_PARAMS: Dict[str, object] = {
-    "county": "cecil",
-    "scale": 0.02,
-    "n_queries": 25,
-    "seed": 1992,
-    "page_size": 1024,
-    "pool_pages": 16,
-}
-
-
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile over an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = min(len(sorted_values) - 1, int(round(q * (len(sorted_values) - 1))))
-    return sorted_values[rank]
-
 
 def _wall_summary(wall_ms: List[float]) -> Dict[str, float]:
     ordered = sorted(wall_ms)
     return {
-        "p50_ms": round(_percentile(ordered, 0.50), 4),
-        "p90_ms": round(_percentile(ordered, 0.90), 4),
-        "max_ms": round(_percentile(ordered, 1.0), 4),
-    }
-
-
-def _run_workload(built: BuiltStructure, thunks) -> Dict[str, object]:
-    """Cold-start the pool, run each query, total counters + times."""
-    built.ctx.pool.clear()
-    before = built.ctx.counters.snapshot()
-    wall_ms: List[float] = []
-    n = 0
-    for thunk in thunks:
-        start = time.perf_counter()
-        thunk()
-        wall_ms.append((time.perf_counter() - start) * 1e3)
-        n += 1
-    delta = built.ctx.counters.since(before)
-    out: Dict[str, object] = {"queries": n}
-    out[DISK_ACCESSES] = delta.disk_accesses
-    out[SEGMENT_COMPS] = delta.segment_comps
-    out[BBOX_COMPS] = delta.bbox_comps
-    out["wall"] = _wall_summary(wall_ms)
-    return out
-
-
-def _workload_thunks(
-    built: BuiltStructure, workloads: QueryWorkloads, backend=None
-):
-    """The five named workloads as (name, thunk-iterable) pairs."""
-    idx = built.index
-    be = backend if backend is not None else SCALAR_BACKEND
-    return (
-        (
-            "point",
-            [
-                (lambda p=p: be.run(idx, QuerySpec.point(p)))
-                for p, _ in workloads.endpoint_queries
-            ],
-        ),
-        (
-            "point2",
-            [
-                (lambda p=p, s=s: be.run(idx, QuerySpec.other_endpoint(p, s)))
-                for p, s in workloads.endpoint_queries
-            ],
-        ),
-        (
-            "nearest",
-            [
-                (lambda p=p: be.run(idx, QuerySpec.nearest(p, 1)))
-                for p in workloads.two_stage
-            ],
-        ),
-        (
-            "polygon",
-            [
-                (lambda p=p: be.run(idx, QuerySpec.polygon(p)))
-                for p in workloads.two_stage
-            ],
-        ),
-        (
-            "range",
-            [
-                (lambda w=w: be.run(idx, QuerySpec.window(w)))
-                for w in workloads.windows
-            ],
-        ),
-    )
-
-
-def run_bench(params: Optional[Dict[str, object]] = None) -> Dict[str, object]:
-    """Build the three structures, drive the five workloads, and return
-    the schema-versioned record (see :func:`validate_record`)."""
-    p = dict(DEFAULT_PARAMS)
-    if params:
-        p.update(params)
-    map_data = generate_county(str(p["county"]), scale=float(p["scale"]))
-
-    built: Dict[str, BuiltStructure] = {}
-    for name in BENCH_STRUCTURES:
-        built[name] = build_structure(
-            name,
-            map_data,
-            page_size=int(p["page_size"]),
-            pool_pages=int(p["pool_pages"]),
-        )
-    # The data-correlated query points come from the PMR decomposition
-    # and are then reused verbatim for the R-trees (the paper's model).
-    workloads = QueryWorkloads.generate(
-        map_data,
-        built["PMR"].index,
-        int(p["n_queries"]),
-        seed=int(p["seed"]),
-    )
-
-    structures: Dict[str, object] = {}
-    for name in BENCH_STRUCTURES:
-        b = built[name]
-        build_info: Dict[str, object] = {
-            "seconds": round(b.build_seconds, 4),
-            "pages": b.index.page_count(),
-            "height": b.index.height(),
-            "entries": b.index.entry_count(),
-        }
-        build_info.update(b.build_metrics.as_dict())
-        workload_out: Dict[str, object] = {}
-        totals = {metric: 0 for metric in PAPER_METRICS}
-        for wname, thunks in _workload_thunks(b, workloads):
-            result = _run_workload(b, thunks)
-            workload_out[wname] = result
-            for metric in PAPER_METRICS:
-                totals[metric] += int(result[metric])  # type: ignore[call-overload]
-        structures[name] = {
-            "build": build_info,
-            "workloads": workload_out,
-            "totals": totals,
-        }
-
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": BENCH_KIND,
-        "git_sha": git_sha(),
-        "params": p,
-        "structures": structures,
+        "p50_ms": round(percentile(ordered, 0.50), 4),
+        "p90_ms": round(percentile(ordered, 0.90), 4),
+        "max_ms": round(percentile(ordered, 1.0), 4),
     }
 
 
 def validate_record(
     record: object,
-    kind: str = BENCH_KIND,
-    required_structures: Sequence[str] = BENCH_STRUCTURES,
-    required_workloads: Sequence[str] = BENCH_WORKLOADS,
-    param_keys: Optional[Sequence[str]] = None,
+    kind: str,
+    required_structures: Sequence[str],
+    required_workloads: Sequence[str],
+    param_keys: Sequence[str],
 ) -> List[str]:
-    """Schema check; returns a list of problems (empty means valid).
-
-    The defaults validate a ``repro-bench`` record; the routed shard
-    bench reuses the checker with its own ``kind``, structure set, and
-    parameter keys (the record *shape* is shared, so the regression
-    gate in :mod:`repro.bench.compare` speaks both).
-    """
-    if param_keys is None:
-        param_keys = tuple(DEFAULT_PARAMS)
+    """Schema check; returns a list of problems (empty means valid)."""
     problems: List[str] = []
     if not isinstance(record, dict):
         return [f"record must be an object, got {type(record).__name__}"]

@@ -7,11 +7,10 @@ workloads through a :class:`~repro.shard.ShardRouter` -- so the record
 prices the *whole* sharded read/write path: clipping, scatter-gather,
 cross-shard dedup, and the replicated-table fan-out of mutations.
 
-The record has the same shape as the unsharded ``repro-bench`` record
-(structures -> workloads -> the paper's three counters plus wall-clock
-percentiles) under its own ``kind``, so the regression gate in
-:mod:`repro.bench.compare` gates it with the same machinery but refuses
-to compare a routed record against an unsharded baseline.
+The record (structures -> workloads -> the paper's three counters plus
+wall-clock percentiles, :mod:`repro.bench.runner`) carries its own
+``kind``, so the regression gate in :mod:`repro.bench.compare` refuses
+to compare a routed record against the paper-scale one.
 
 Counters come from the router's merged ``stats`` totals (the sum over
 shards), sampled before and after each workload.  Requests run on a
@@ -40,8 +39,8 @@ from repro.obs.buildinfo import git_sha
 #: The routed record's ``kind`` discriminator.
 SHARD_BENCH_KIND = "repro-shard-bench"
 
-#: Structures the routed baseline tracks (same headliners as the
-#: unsharded bench; each gets its own shard set).
+#: Structures the routed baseline tracks (the paper's three headliners;
+#: each gets its own shard set).
 SHARD_BENCH_STRUCTURES: Tuple[str, ...] = ("R*", "R+", "PMR")
 
 #: The five routed workloads: three scatter-gather reads, one batch

@@ -314,22 +314,24 @@ def _run_load(
     }
 
 
-def _remote_stats(address: Tuple[str, int]) -> Dict[str, Any]:
+def _remote_stats(address: Tuple[str, int]) -> Tuple[Dict[str, Any], int]:
     """What a running target's ``stats`` op says about itself: a single
     server and the shard router both expose ``totals`` and
-    ``counters_consistent``."""
+    ``counters_consistent``. The second value is 1 when ``stats`` could
+    not be read -- a target nobody checked counts as an error, never as
+    consistent -- else 0."""
     out: Dict[str, Any] = {
         "structure": "remote",
         "segments": 0,
         "totals": dict.fromkeys([*COUNTER_FIELDS, DISK_ACCESSES], 0),
-        "counters_consistent": True,
+        "counters_consistent": False,
     }
     try:
         stats = send_request(address, {"op": "stats"})
-    except OSError:
-        return out
+    except (OSError, ValueError):
+        return out, 1
     if not stats.get("ok"):
-        return out
+        return out, 1
     result = stats["result"]
     out["totals"] = dict(result.get("totals", out["totals"]))
     out["counters_consistent"] = bool(result.get("counters_consistent", True))
@@ -342,7 +344,7 @@ def _remote_stats(address: Tuple[str, int]) -> Dict[str, Any]:
             (s["index"]["segments"] for s in result["shards"].values()),
             default=0,
         )
-    return out
+    return out, 0
 
 
 def bench_serve(
@@ -389,11 +391,13 @@ def bench_serve(
             requests, rng, float(WORLD_SIZE) if world_size is None else world_size
         )
         load = _run_load(connect, workload, threads, pipeline)
+        remote, unread = _remote_stats(connect[0])
+        load["errors"] += unread
         return BenchReport(
             source="connect:" + ",".join(f"{h}:{p}" for h, p in connect),
             cache={"hits": 0, "misses": 0, "hit_rate": 0.0, "invalidations": 0},
             latch={"acquisitions": 0, "contended": 0},
-            **_remote_stats(connect[0]),
+            **remote,
             **load,
         )
 

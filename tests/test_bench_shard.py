@@ -5,7 +5,6 @@ import copy
 import pytest
 
 from repro.bench.compare import EXIT_INCOMPARABLE, EXIT_OK, compare_records
-from repro.bench.runner import BENCH_KIND
 from repro.bench.shard import (
     SHARD_BENCH_KIND,
     SHARD_BENCH_STRUCTURES,
@@ -56,7 +55,8 @@ class TestRoutedRecord:
 
 class TestGateKindSafety:
     def test_cross_kind_comparison_refused(self, record):
-        code, lines = compare_records({"kind": BENCH_KIND}, record)
+        paper_scale = {"config": {}, "workloads": {}}  # BENCH_e2e.json's shape
+        code, lines = compare_records(paper_scale, record)
         assert code == EXIT_INCOMPARABLE
         assert any("kind mismatch" in line for line in lines)
 

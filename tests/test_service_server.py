@@ -3,6 +3,7 @@
 import asyncio
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -276,6 +277,49 @@ class TestBenchServe:
             assert f"{gc['mutations']} mutations -> {gc['fsyncs']} fsyncs" in (
                 format_bench_report(report)
             )
+
+    @pytest.mark.parametrize("stats_reply", ["error_envelope", "closes_socket"])
+    def test_unreadable_remote_stats_is_an_error(self, stats_reply, capsys):
+        """``--connect`` against a target that serves the load but not
+        ``stats``: nothing was checked, so the run must not pass."""
+        import socketserver
+
+        from repro.__main__ import main
+
+        class Stub(socketserver.StreamRequestHandler):
+            def handle(self):
+                for line in self.rfile:
+                    if json.loads(line)["op"] != "stats":
+                        reply = {"ok": True, "result": []}
+                    elif stats_reply == "closes_socket":
+                        return
+                    else:
+                        reply = {
+                            "ok": False,
+                            "error": {"code": "internal", "message": "boom"},
+                        }
+                    self.wfile.write(json.dumps(reply).encode() + b"\n")
+
+        with socketserver.ThreadingTCPServer(("127.0.0.1", 0), Stub) as stub:
+            stub.daemon_threads = True
+            thread = threading.Thread(target=stub.serve_forever, daemon=True)
+            thread.start()
+            try:
+                report = bench_serve(
+                    threads=2, requests=10, connect=[stub.server_address]
+                )
+                code = main([
+                    "bench-serve", "--threads", "2", "--requests", "10",
+                    "--connect", "%s:%d" % stub.server_address,
+                ])
+            finally:
+                stub.shutdown()
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert (report.requests, report.errors) == (10, 1)
+        assert report.counters_consistent is False
+        assert code == 1
+        assert "(1 errors" in capsys.readouterr().out
 
     def test_report_formats(self):
         from repro.service import format_bench_report
