@@ -1,83 +1,17 @@
-"""Command-line reproduction driver: ``python -m repro <experiment>``.
+"""Command-line driver: ``python -m repro <command> [options]``.
 
-Regenerates any of the paper's tables and figures from the terminal:
+``python -m repro --help`` lists the commands -- the paper's tables and
+figures, the snapshot/durable-store/shard-set tools, the three servers
+(``serve``, ``shard-worker``, ``route``), the clients of a running
+server (``bench-serve``, ``stats``, ``profile``, ``explain --port``) and
+the checkers (``check``, ``lint``, ``bench``) -- and ``python -m repro
+<command> --help`` the options of one.
 
-    python -m repro table1                     # build statistics
-    python -m repro table2 --county charles    # per-query metrics
-    python -m repro figure6                    # page/buffer sweep
-    python -m repro figure7|figure8|figure9    # normalized ranges
-    python -m repro occupancy                  # Concluding Remarks
-    python -m repro generate --county cecil    # inspect a synthetic map
-
-``--scale`` is the fraction of the paper's ~50 000 segments per county
-(default 0.05); ``--queries`` the number of queries per workload
-(default 100; the paper used 1000).
-
-The service layer adds three more subcommands::
-
-    python -m repro snapshot --out county.snap   # build + save an index
-    python -m repro serve --snapshot county.snap # JSON-over-TCP server
-    python -m repro bench-serve --threads 4      # concurrent load test
-
-The durability layer (:mod:`repro.wal`) adds write-ahead logging::
-
-    python -m repro serve --wal store/           # durable server (creates
-                                                 # or recovers the store)
-    python -m repro checkpoint --wal store/      # fold the log offline
-    python -m repro recover --wal store/         # replay + re-checkpoint
-
-The observability layer (:mod:`repro.obs`) adds tracing and metrics::
-
-    python -m repro serve --trace --slow-ms 5    # trace spans + slow log
-    python -m repro stats --port 8765            # live server metrics
-    python -m repro stats --format prom          # Prometheus exposition
-    python -m repro bench-serve --trace          # traced load test
-    python -m repro explain window --x1 0 --y1 0 --x2 500 --y2 500
-                                                 # per-level query profile
-    python -m repro bench --compare benchmarks/results/BENCH_paper_core.json \\
-        out/BENCH_e2e.json                       # paper-scale counter gate
-                                                 # (exit 1); the fresh record is
-                                                 # benchmarks/e2e/run.py --out's
-
-The sharding layer (:mod:`repro.shard`) splits the map across workers::
-
-    python -m repro shard-init --root shards/ --n-shards 4
-                                                 # manifest + one store per shard
-    python -m repro shard-worker --root shards/ --shard s1
-                                                 # serve one shard (writes shard.addr)
-    python -m repro route --root shards/ --port 8765
-                                                 # scatter-gather router
-    python -m repro shard-split --root shards/ --shard s1
-                                                 # split a hot shard (epoch + 1)
-    python -m repro shard-catchup --root shards/ --shard s1
-                                                 # replay missed mutations from a peer
-    python -m repro bench-serve --connect 127.0.0.1:8765
-                                                 # drive running server(s), round-robin
-    python -m repro bench --routed --json BENCH_shard.json
-                                                 # routed perf-baseline record
-
-The async layer (:mod:`repro.aio`) serves the same engine from one
-event loop, with the pipelined wire protocol v2::
-
-    python -m repro serve --snapshot county.snap --async
-                                                 # asyncio server (v1 + v2)
-    python -m repro route --root shards/ --async # asyncio scatter-gather
-    python -m repro bench-serve --async --threads 20 --pipeline 8
-                                                 # pipelined connections
-    python -m repro bench-serve --async --mutate-frac 0.2 --wal store/
-                                                 # measures group commit
-
-The static-analysis layer adds two::
-
-    python -m repro check county.snap            # index fsck (snapshot)
-    python -m repro check --wal store/           # durable-store fsck
-    python -m repro check --shards shards/       # shard-set fsck (SH rules)
-    python -m repro check --county cecil --structure PMR   # fsck a build
-    python -m repro lint src/                    # project AST lint
-
-Exit codes for both: 0 = clean, 1 = findings (``check``: at least one
-*error*-severity finding; warnings alone exit 0), 2 = the target could
-not be analysed at all (missing/corrupt snapshot, unknown path).
+Exit codes: 0 = done / clean; 1 = findings (``check``: at least one
+*error*-severity finding, warnings alone exit 0), a counter regression,
+a request the server refused, or a potential deadlock under
+``--sanitize``; 2 = the target could not be analysed or reached at all
+(bad usage, missing/corrupt snapshot, unknown path, no server there).
 """
 
 from __future__ import annotations
@@ -86,10 +20,13 @@ import argparse
 import sys
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=0.05)
-    parser.add_argument("--queries", type=int, default=100)
-    parser.add_argument("--county", default="charles")
+def _build(args):
+    """``--structure`` built fresh over ``--county`` at ``--scale``."""
+    from repro.data import generate_county
+    from repro.harness.experiment import build_structure
+
+    map_data = generate_county(args.county, scale=args.scale)
+    return build_structure(args.structure, map_data).index
 
 
 def _build_or_open(args):
@@ -97,36 +34,14 @@ def _build_or_open(args):
     from repro.service import open_index
     from repro.storage import CodecError
 
-    if getattr(args, "snapshot", None):
-        try:
-            return open_index(args.snapshot)
-        except FileNotFoundError:
-            sys.exit(f"error: snapshot not found: {args.snapshot}")
-        except CodecError as exc:
-            sys.exit(f"error: cannot open {args.snapshot}: {exc}")
-    from repro.data import generate_county
-    from repro.harness.experiment import build_structure
-
-    built = build_structure(
-        args.structure, generate_county(args.county, scale=args.scale)
-    )
-    return built.index
-
-
-def _cmd_snapshot(args) -> int:
-    from repro.data import generate_county
-    from repro.harness.experiment import build_structure
-    from repro.service import save_index
-
-    built = build_structure(
-        args.structure, generate_county(args.county, scale=args.scale)
-    )
-    pages = save_index(built.index, args.out)
-    print(
-        f"saved {args.structure} over {args.county} (scale {args.scale}): "
-        f"{pages} pages -> {args.out}"
-    )
-    return 0
+    if not args.snapshot:
+        return _build(args)
+    try:
+        return open_index(args.snapshot)
+    except FileNotFoundError:
+        sys.exit(f"error: snapshot not found: {args.snapshot}")
+    except CodecError as exc:
+        sys.exit(f"error: cannot open {args.snapshot}: {exc}")
 
 
 def _open_or_create_store(args):
@@ -144,9 +59,8 @@ def _open_or_create_store(args):
                 flush=True,
             )
             return store
-        index = _build_or_open(args)
         store = DurableStore.create(
-            args.wal, index, group_commit=args.group_commit
+            args.wal, _build_or_open(args), group_commit=args.group_commit
         )
         print(f"created durable store {args.wal} at LSN 0", flush=True)
         return store
@@ -154,64 +68,98 @@ def _open_or_create_store(args):
         sys.exit(f"error: cannot recover {args.wal}: {exc}")
 
 
-def _maybe_enable_sanitizer(args) -> bool:
-    """Honor ``--sanitize`` (REPRO_SANITIZE=1 enables it at import time)."""
+def _open_store(args, doing: str):
+    """``--wal DIR`` as it stands on disk, for the offline commands."""
+    from repro.wal import DurableStore, WalError
+
+    try:
+        return DurableStore.open(args.wal)
+    except (FileNotFoundError, WalError) as exc:
+        sys.exit(f"error: cannot {doing} {args.wal}: {exc}")
+
+
+# ----------------------------------------------------------------------
+# Servers: telemetry in, serve until interrupted, verdict out
+# ----------------------------------------------------------------------
+def _arm_sanitizer(args) -> None:
+    """Honor ``--sanitize`` (REPRO_SANITIZE=1 enables it at import time).
+    Before any engine is built: a lock is tracked only if the sanitizer
+    was on when it was made."""
     from repro.sanitize import SANITIZER
 
-    if getattr(args, "sanitize", False):
+    if args.sanitize:
         SANITIZER.enable()
-    return SANITIZER.enabled
 
 
-def _sanitizer_verdict() -> int:
-    """Print the sanitizer report; returns the potential-deadlock count."""
-    from repro.sanitize import SANITIZER
-
-    if not SANITIZER.enabled:
-        return 0
-    report = SANITIZER.report()
-    print(SANITIZER.format_report(), flush=True)
-    return len(report["potential_deadlocks"])
-
-
-def _arm_tracing(args) -> None:
-    """Apply ``--trace`` / ``--trace-sample`` to the process-wide tracer.
+def _arm_tracing(args, record_all: bool = False) -> None:
+    """Apply ``--trace-sample`` / ``--trace`` to the process-wide tracer.
 
     ``--trace-sample RATE`` arms distributed tail-based sampling (trace
     ids on the wire, head decision at RATE, errored/slow retention);
-    plain ``--trace`` keeps the legacy record-everything mode.
+    plain ``--trace`` (``record_all``) keeps the legacy record-everything
+    mode.
     """
-    sample = getattr(args, "trace_sample", None)
-    if sample is None and not getattr(args, "trace", False):
+    if args.trace_sample is None and not record_all:
         return
     from repro.obs import TRACER
 
-    capacity = getattr(args, "trace_capacity", None)
-    if sample is not None:
-        try:
-            TRACER.arm(
-                sample,
-                slow_ms=getattr(args, "slow_ms", None),
-                capacity=capacity,
-            )
-        except ValueError as exc:
-            sys.exit(f"error: {exc}")
-    else:
-        TRACER.enable(capacity=capacity)
+    if args.trace_sample is None:
+        TRACER.enable(capacity=args.trace_capacity)
+        return
+    try:
+        TRACER.arm(
+            args.trace_sample, slow_ms=args.slow_ms, capacity=args.trace_capacity
+        )
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
+
+
+def _serve(server, what: str, how: str, *closers) -> int:
+    """Print the banner, serve until interrupted, close, and give the
+    sanitizer's verdict as the exit code.
+
+    ``server`` is a threaded transport (bound when constructed) or an
+    asyncio one (bound by ``start()``). Harnesses read the listening
+    address from the banner's `` on HOST:PORT``.
+    """
+    import asyncio
+    import inspect
+
+    from repro.sanitize import SANITIZER
+
+    def banner() -> None:
+        host, port = server.address
+        print(f"{what} on {host}:{port} {how}", flush=True)
+
+    async def serve_async() -> None:
+        await server.start()
+        banner()
+        await server.serve_forever()
+
+    try:
+        if inspect.iscoroutinefunction(server.serve_forever):
+            asyncio.run(serve_async())
+        else:
+            banner()
+            server.serve_forever()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        for close in closers:
+            close()
+    if not SANITIZER.enabled:
+        return 0
+    print(SANITIZER.format_report(), flush=True)
+    return 1 if SANITIZER.report()["potential_deadlocks"] else 0
 
 
 def _cmd_serve(args) -> int:
     from repro.service import MapServer, QueryEngine
 
-    _maybe_enable_sanitizer(args)
-
-    store = None
-    if args.wal:
-        store = _open_or_create_store(args)
-        index = store.index
-    else:
-        index = _build_or_open(args)
-    _arm_tracing(args)
+    _arm_sanitizer(args)
+    store = _open_or_create_store(args) if args.wal else None
+    index = store.index if store is not None else _build_or_open(args)
+    _arm_tracing(args, record_all=args.trace)
     engine = QueryEngine(
         index,
         cache_capacity=args.cache_size,
@@ -219,69 +167,98 @@ def _cmd_serve(args) -> int:
         slow_ms=args.slow_ms,
         backend=args.backend,
     )
-    idle_timeout = args.idle_timeout if args.idle_timeout > 0 else None
+    what = f"serving {index.name} ({len(index.ctx.segments)} segments)"
+    closers = [store.close] if store is not None else []
+    idle = args.idle_timeout if args.idle_timeout > 0 else None
     if args.use_async:
-        import asyncio
-
         from repro.aio import AsyncMapServer
 
         server = AsyncMapServer(
             engine,
             host=args.host,
             port=args.port,
-            idle_timeout=idle_timeout,
+            idle_timeout=idle,
             max_inflight_per_conn=args.max_inflight_conn,
             max_inflight_total=args.max_inflight,
             executor_workers=args.executor_workers,
         )
-
-        async def _serve() -> None:
-            await server.start()
-            host, port = server.address
-            print(
-                f"serving {index.name} ({len(index.ctx.segments)} segments) "
-                f"on {host}:{port} -- asyncio front end: v1 newline JSON "
-                f'plus pipelined wire protocol v2 (pin {{"v": 2}})',
-                flush=True,
-            )
-            await server.serve_forever()
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            if store is not None:
-                store.close()
-        return 1 if _sanitizer_verdict() else 0
-    server = MapServer(
-        engine, host=args.host, port=args.port, idle_timeout=idle_timeout
+        how = (
+            "-- asyncio front end: v1 newline JSON plus pipelined wire "
+            'protocol v2 (pin {"v": 2})'
+        )
+        return _serve(server, what, how, *closers)
+    server = MapServer(engine, host=args.host, port=args.port, idle_timeout=idle)
+    how = (
+        "-- newline-delimited JSON, e.g. "
+        '{"op": "window", "x1": 0, "y1": 0, "x2": 500, "y2": 500}'
     )
-    host, port = server.address
-    print(
-        f"serving {index.name} ({len(index.ctx.segments)} segments) "
-        f"on {host}:{port} -- newline-delimited JSON, e.g. "
-        f'{{"op": "window", "x1": 0, "y1": 0, "x2": 500, "y2": 500}}',
-        flush=True,
-    )
+    return _serve(server, what, how, server.server_close, *closers)
+
+
+def _cmd_shard_worker(args) -> int:
+    from repro.errors import WalError
+    from repro.shard import serve_shard
+
+    _arm_sanitizer(args)
+    _arm_tracing(args)
     try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        server.server_close()
-        if store is not None:
-            store.close()
-    return 1 if _sanitizer_verdict() else 0
+        server = serve_shard(
+            args.root,
+            args.shard,
+            host=args.host,
+            port=args.port,
+            group_commit=args.group_commit,
+            slow_ms=args.slow_ms,
+            backend=args.backend,
+        )
+    except (FileNotFoundError, KeyError, WalError) as exc:
+        sys.exit(f"error: cannot open shard {args.shard}: {exc}")
+    return _serve(
+        server,
+        f"shard {args.shard} of {args.root} serving",
+        "(address published to shard.addr)",
+        server.server_close,
+        server.engine.store.close,
+    )
+
+
+def _cmd_route(args) -> int:
+    from repro.errors import WalError
+
+    _arm_sanitizer(args)
+    _arm_tracing(args)
+    if args.use_async:
+        from repro.aio import AsyncShardRouter as Router
+
+        how = "-- asyncio front end: v1 newline JSON plus pipelined wire protocol v2"
+    else:
+        from repro.shard import ShardRouter as Router
+
+        how = "-- newline-delimited JSON, same ops as a single server"
+    try:
+        router = Router(args.root, host=args.host, port=args.port, timeout=args.timeout)
+    except (FileNotFoundError, ValueError, WalError) as exc:
+        sys.exit(f"error: cannot open shard set {args.root}: {exc}")
+    what = f"routing {len(router.clients)} shard(s) of {args.root}"
+    how = f"(epoch {router.shard_map.epoch}) {how}"
+    # The asyncio router has no close(): its listener goes with its loop.
+    closers = [] if args.use_async else [router.close]
+    return _serve(router, what, how, *closers)
+
+
+def _cmd_snapshot(args) -> int:
+    from repro.service import save_index
+
+    pages = save_index(_build(args), args.out)
+    print(
+        f"saved {args.structure} over {args.county} (scale {args.scale}): "
+        f"{pages} pages -> {args.out}"
+    )
+    return 0
 
 
 def _cmd_checkpoint(args) -> int:
-    from repro.wal import DurableStore, WalError
-
-    try:
-        store = DurableStore.open(args.wal, group_commit=args.group_commit)
-    except (FileNotFoundError, WalError) as exc:
-        sys.exit(f"error: cannot open durable store {args.wal}: {exc}")
+    store = _open_store(args, "open durable store")
     try:
         result = store.checkpoint()
     finally:
@@ -295,12 +272,7 @@ def _cmd_checkpoint(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    from repro.wal import DurableStore, WalError
-
-    try:
-        store = DurableStore.open(args.wal, group_commit=args.group_commit)
-    except (FileNotFoundError, WalError) as exc:
-        sys.exit(f"error: cannot recover {args.wal}: {exc}")
+    store = _open_store(args, "recover")
     try:
         print(
             f"recovered {args.wal}: checkpoint LSN {store.checkpoint_lsn}, "
@@ -314,48 +286,6 @@ def _cmd_recover(args) -> int:
         )
     finally:
         store.close()
-    return 0
-
-
-def _cmd_bench_serve(args) -> int:
-    from repro.service import bench_serve, format_bench_report
-    from repro.storage import CodecError
-
-    _maybe_enable_sanitizer(args)
-    connect = None
-    if args.connect:
-        from repro.service.loadgen import parse_address
-
-        try:
-            connect = [parse_address(spec) for spec in args.connect]
-        except ValueError as exc:
-            sys.exit(f"error: {exc}")
-    try:
-        report = bench_serve(
-            county=args.county,
-            scale=args.scale,
-            structure=args.structure,
-            threads=args.threads,
-            requests=args.requests,
-            snapshot=args.snapshot,
-            cache_capacity=args.cache_size,
-            seed=args.seed,
-            trace=args.trace,
-            slow_ms=args.slow_ms,
-            connect=connect,
-            use_async=args.use_async,
-            pipeline=args.pipeline,
-            wal_dir=args.wal,
-            mutate_frac=args.mutate_frac,
-        )
-    except FileNotFoundError:
-        sys.exit(f"error: snapshot not found: {args.snapshot}")
-    except CodecError as exc:
-        sys.exit(f"error: cannot open {args.snapshot}: {exc}")
-    print(format_bench_report(report))
-    deadlocks = _sanitizer_verdict()
-    if report.errors or not report.counters_consistent or deadlocks:
-        return 1
     return 0
 
 
@@ -385,96 +315,6 @@ def _cmd_shard_init(args) -> int:
     for spec in smap.shards:
         print(f"  {spec.shard_id}: cells [{spec.lo}, {spec.hi})")
     return 0
-
-
-def _cmd_shard_worker(args) -> int:
-    from repro.errors import WalError
-    from repro.shard import serve_shard
-
-    _maybe_enable_sanitizer(args)
-    _arm_tracing(args)
-    try:
-        server = serve_shard(
-            args.root,
-            args.shard,
-            host=args.host,
-            port=args.port,
-            group_commit=args.group_commit,
-            slow_ms=args.slow_ms,
-            backend=args.backend,
-        )
-    except (FileNotFoundError, KeyError, WalError) as exc:
-        sys.exit(f"error: cannot open shard {args.shard}: {exc}")
-    host, port = server.address
-    print(
-        f"shard {args.shard} of {args.root} serving on {host}:{port} "
-        f"(address published to shard.addr)",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        server.server_close()
-        server.engine.store.close()
-    return 1 if _sanitizer_verdict() else 0
-
-
-def _cmd_route(args) -> int:
-    from repro.errors import WalError
-    from repro.shard import ShardRouter
-
-    _maybe_enable_sanitizer(args)
-    _arm_tracing(args)
-    if args.use_async:
-        import asyncio
-
-        from repro.aio import AsyncShardRouter
-
-        try:
-            router = AsyncShardRouter(
-                args.root, host=args.host, port=args.port, timeout=args.timeout
-            )
-        except (FileNotFoundError, ValueError, WalError) as exc:
-            sys.exit(f"error: cannot open shard set {args.root}: {exc}")
-
-        async def _serve() -> None:
-            await router.start()
-            host, port = router.address
-            print(
-                f"routing {len(router.clients)} shard(s) of {args.root} on "
-                f"{host}:{port} (epoch {router.shard_map.epoch}) -- asyncio "
-                f"front end: v1 newline JSON plus pipelined wire protocol v2",
-                flush=True,
-            )
-            await router.serve_forever()
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        return 1 if _sanitizer_verdict() else 0
-    try:
-        router = ShardRouter(
-            args.root, host=args.host, port=args.port, timeout=args.timeout
-        )
-    except (FileNotFoundError, ValueError, WalError) as exc:
-        sys.exit(f"error: cannot open shard set {args.root}: {exc}")
-    host, port = router.address
-    print(
-        f"routing {len(router.clients)} shard(s) of {args.root} on "
-        f"{host}:{port} (epoch {router.shard_map.epoch}) -- "
-        f"newline-delimited JSON, same ops as a single server",
-        flush=True,
-    )
-    try:
-        router.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive
-        pass
-    finally:
-        router.close()
-    return 1 if _sanitizer_verdict() else 0
 
 
 def _cmd_shard_split(args) -> int:
@@ -508,9 +348,7 @@ def _cmd_shard_catchup(args) -> int:
     from repro.shard import catch_up_shard
 
     try:
-        result = catch_up_shard(
-            args.root, args.shard, donor=args.donor
-        )
+        result = catch_up_shard(args.root, args.shard, donor=args.donor)
     except (FileNotFoundError, KeyError, ValueError, WalError) as exc:
         sys.exit(f"error: cannot catch up shard {args.shard}: {exc}")
     print(
@@ -521,45 +359,68 @@ def _cmd_shard_catchup(args) -> int:
     return 0
 
 
-def _cmd_stats(args) -> int:
-    """Fetch metrics (and optionally traces) from a *running* server."""
-    import json
-
+# ----------------------------------------------------------------------
+# Clients of a running server
+# ----------------------------------------------------------------------
+def _ask(address, payload: dict, timeout: float = 10.0):
+    """The result of one request to a *running* server. Says why on
+    stderr and exits 2 when no server answers at ``address``, 1 when the
+    server answers ``ok: false``."""
     from repro.service import send_request
 
-    address = (args.host, args.port)
     try:
-        if args.format == "prom":
-            response = send_request(
-                address, {"op": "metrics", "format": "prom", "v": 1}
-            )
-        elif args.format == "json":
-            response = send_request(address, {"op": "metrics", "v": 1})
-        else:  # traces
-            payload: dict = {"op": "trace", "v": 1}
-            if args.trace_id is not None:
-                payload["trace_id"] = args.trace_id
-            response = send_request(address, payload)
-    except (ConnectionError, OSError) as exc:
+        response = send_request(address, {**payload, "v": 1}, timeout=timeout)
+    except (OSError, ValueError) as exc:
         print(
-            f"error: cannot reach server at {args.host}:{args.port}: {exc}",
+            f"error: cannot reach server at {address[0]}:{address[1]}: {exc}",
             file=sys.stderr,
         )
-        return 2
+        raise SystemExit(2) from None
     if not response.get("ok"):
         error = response.get("error", {})
         print(
-            f"error: server refused: {error.get('code')}: "
-            f"{error.get('message')}",
+            f"error: server refused: {error.get('code')}: {error.get('message')}",
             file=sys.stderr,
         )
-        return 1
-    if args.format == "prom":
-        sys.stdout.write(response["result"])
-    elif args.format == "traces":
-        print(_render_traces(response["result"]))
+        raise SystemExit(1)
+    return response["result"]
+
+
+def _cmd_bench_serve(args) -> int:
+    from repro.service.loadgen import bench_serve, format_bench_report, parse_address
+
+    try:
+        report = bench_serve(
+            connect=[parse_address(spec) for spec in args.connect],
+            threads=args.threads,
+            requests=args.requests,
+            seed=args.seed,
+            pipeline=args.pipeline,
+            mutate_frac=args.mutate_frac,
+        )
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
+    print(format_bench_report(report))
+    return 1 if report.errors or not report.counters_consistent else 0
+
+
+def _cmd_stats(args) -> int:
+    """Fetch metrics (and optionally traces) from a running server."""
+    import json
+
+    if args.format == "traces":
+        payload: dict = {"op": "trace"}
+        if args.trace_id is not None:
+            payload["trace_id"] = args.trace_id
     else:
-        print(json.dumps(response["result"], indent=2))
+        payload = {"op": "metrics", "format": args.format}
+    result = _ask((args.host, args.port), payload)
+    if args.format == "prom":
+        sys.stdout.write(result)
+    elif args.format == "traces":
+        print(_render_traces(result))
+    else:
+        print(json.dumps(result, indent=2))
     return 0
 
 
@@ -598,34 +459,19 @@ def _render_traces(result) -> str:
 def _cmd_profile(args) -> int:
     """Sample a running server's (or routed shard set's) thread stacks."""
     from repro.obs.profile import collapsed_text
-    from repro.service import send_request
+    from repro.service.loadgen import parse_address
 
-    host, sep, port_text = args.address.rpartition(":")
-    if not sep or not port_text.isdigit():
-        sys.exit(f"error: address must be host:port, got {args.address!r}")
-    address = (host or "127.0.0.1", int(port_text))
-    payload = {"op": "profile", "seconds": args.seconds, "hz": args.hz, "v": 1}
     try:
-        # A routed profile takes the window on every shard plus its own:
-        # allow the window twice over, plus transport slack.
-        response = send_request(
-            address, payload, timeout=args.seconds * 2 + 15.0
-        )
-    except (ConnectionError, OSError) as exc:
-        print(
-            f"error: cannot reach server at {address[0]}:{address[1]}: {exc}",
-            file=sys.stderr,
-        )
-        return 2
-    if not response.get("ok"):
-        error = response.get("error", {})
-        print(
-            f"error: server refused: {error.get('code')}: "
-            f"{error.get('message')}",
-            file=sys.stderr,
-        )
-        return 1
-    profile = response["result"]
+        address = parse_address(args.address)
+    except ValueError as exc:
+        sys.exit(f"error: {exc}")
+    # A routed profile takes the window on every shard plus its own:
+    # allow the window twice over, plus transport slack.
+    profile = _ask(
+        address,
+        {"op": "profile", "seconds": args.seconds, "hz": args.hz},
+        timeout=args.seconds * 2 + 15.0,
+    )
     summary = (
         f"{profile['samples']} samples over {profile['seconds']:.1f}s "
         f"at {profile['hz']}Hz ({len(profile['stacks'])} distinct stacks)"
@@ -653,54 +499,23 @@ def _cmd_explain(args) -> int:
 
     from repro.obs import format_explain
 
-    if args.query_op == "point":
-        if args.x is None or args.y is None:
-            sys.exit("error: explain point requires --x and --y")
-        query = {"op": "point", "x": args.x, "y": args.y}
-    elif args.query_op == "window":
-        if None in (args.x1, args.y1, args.x2, args.y2):
-            sys.exit("error: explain window requires --x1 --y1 --x2 --y2")
-        query = {
-            "op": "window",
-            "x1": args.x1,
-            "y1": args.y1,
-            "x2": args.x2,
-            "y2": args.y2,
-            "mode": args.mode,
-        }
-    else:  # nearest
-        if args.x is None or args.y is None:
-            sys.exit("error: explain nearest requires --x and --y")
-        query = {"op": "nearest", "x": args.x, "y": args.y, "k": args.k}
+    needs = ["x1", "y1", "x2", "y2"] if args.query_op == "window" else ["x", "y"]
+    if any(getattr(args, name) is None for name in needs):
+        flags = " ".join(f"--{name}" for name in needs)
+        sys.exit(f"error: explain {args.query_op} requires {flags}")
+    query = {"op": args.query_op, **{name: getattr(args, name) for name in needs}}
+    if args.query_op == "window":
+        query["mode"] = args.mode
+    elif args.query_op == "nearest":
+        query["k"] = args.k
 
     if args.port is not None:
-        from repro.service import send_request
-
-        try:
-            response = send_request(
-                (args.host, args.port), {"op": "explain", "query": query, "v": 1}
-            )
-        except (ConnectionError, OSError) as exc:
-            print(
-                f"error: cannot reach server at {args.host}:{args.port}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        if not response.get("ok"):
-            error = response.get("error", {})
-            print(
-                f"error: server refused: {error.get('code')}: "
-                f"{error.get('message')}",
-                file=sys.stderr,
-            )
-            return 1
-        report = response["result"]
+        report = _ask((args.host, args.port), {"op": "explain", "query": query})
     else:
         from repro.service import QueryEngine
         from repro.service.api import parse_request
 
-        index = _build_or_open(args)
-        engine = QueryEngine(index)
+        engine = QueryEngine(_build_or_open(args))
         report = engine.execute(parse_request({"op": "explain", "query": query}))
     if args.format == "json":
         print(json.dumps(report, indent=2))
@@ -714,11 +529,7 @@ def _cmd_bench(args) -> int:
     import json
 
     from repro.bench import run_shard_bench, write_record
-    from repro.bench.compare import (
-        EXIT_INCOMPARABLE,
-        compare_records,
-        load_record,
-    )
+    from repro.bench.compare import EXIT_INCOMPARABLE, compare_records, load_record
     from repro.metric_names import PAPER_METRICS
 
     def load(path):
@@ -770,38 +581,29 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from repro.analysis import check_index, check_snapshot, format_findings, has_errors
+    import os
+
+    from repro import analysis
     from repro.analysis.findings import FSCK_RULES
     from repro.storage import CodecError
 
     if args.rules:
         print(FSCK_RULES.describe())
         return 0
-    if getattr(args, "shards", None):
-        import os
-
-        from repro.analysis import check_shard_set
-
-        if not os.path.isdir(args.shards):
-            print(f"error: no such directory: {args.shards}", file=sys.stderr)
-            return 2
-        findings = check_shard_set(args.shards)
-        print(format_findings(findings, title=f"fsck shard set {args.shards}"))
-        return 1 if has_errors(findings) else 0
-    if getattr(args, "wal", None):
-        from repro.analysis import check_durable
-
-        import os
-
-        if not os.path.isdir(args.wal):
-            print(f"error: no such directory: {args.wal}", file=sys.stderr)
-            return 2
-        findings = check_durable(args.wal)
-        print(format_findings(findings, title=f"fsck durable store {args.wal}"))
-        return 1 if has_errors(findings) else 0
+    for what, root, check_dir in (
+        ("shard set", args.shards, analysis.check_shard_set),
+        ("durable store", args.wal, analysis.check_durable),
+    ):
+        if root:
+            if not os.path.isdir(root):
+                print(f"error: no such directory: {root}", file=sys.stderr)
+                return 2
+            findings = check_dir(root)
+            print(analysis.format_findings(findings, title=f"fsck {what} {root}"))
+            return 1 if analysis.has_errors(findings) else 0
     if args.snapshot:
         try:
-            findings = check_snapshot(args.snapshot)
+            findings = analysis.check_snapshot(args.snapshot)
         except FileNotFoundError:
             print(f"error: snapshot not found: {args.snapshot}", file=sys.stderr)
             return 2
@@ -810,28 +612,22 @@ def _cmd_check(args) -> int:
             return 2
         title = f"fsck {args.snapshot}"
     else:
-        from repro.data import generate_county
-        from repro.harness.experiment import build_structure
-
-        built = build_structure(
-            args.structure, generate_county(args.county, scale=args.scale)
-        )
-        findings = check_index(built.index)
+        findings = analysis.check_index(_build(args))
         title = f"fsck {args.structure} over {args.county} (scale {args.scale})"
-    print(format_findings(findings, title=title))
-    return 1 if has_errors(findings) else 0
+    print(analysis.format_findings(findings, title=title))
+    return 1 if analysis.has_errors(findings) else 0
 
 
 def _cmd_lint(args) -> int:
-    from repro.analysis import format_findings, lint_paths
+    import os
+
+    from repro.analysis import format_findings, lint_concurrency_paths, lint_paths
     from repro.analysis.findings import LINT_RULES
     from repro.analysis.lint import iter_python_files
 
     if args.rules:
         print(LINT_RULES.describe())
         return 0
-    import os
-
     for path in args.paths:
         if not os.path.exists(path):
             print(f"error: no such path: {path}", file=sys.stderr)
@@ -840,8 +636,6 @@ def _cmd_lint(args) -> int:
         print(f"error: no python files under {args.paths}", file=sys.stderr)
         return 2
     if args.concurrency:
-        from repro.analysis import lint_concurrency_paths
-
         findings = lint_concurrency_paths(args.paths)
         title = f"concurrency lint {' '.join(args.paths)}"
     else:
@@ -851,97 +645,206 @@ def _cmd_lint(args) -> int:
     return 1 if findings else 0
 
 
-def main(argv=None) -> int:
+def _cmd_table1(args) -> int:
+    # Imports deferred, here as everywhere, so `--help` stays instant.
+    from repro.harness import format_table1, table1
+
+    print(format_table1(table1(scale=args.scale)))
+    return 0
+
+
+def _cmd_table2(args) -> int:
+    from repro.harness import format_table2
+    from repro.harness.query_stats import county_query_stats
+
+    stats = county_query_stats(args.county, scale=args.scale, n_queries=args.queries)
+    print(format_table2(stats, county=args.county))
+    return 0
+
+
+def _cmd_figure6(args) -> int:
+    from repro.harness import figure6_sweep, format_figure6
+
+    print(format_figure6(figure6_sweep(county=args.county, scale=args.scale)))
+    return 0
+
+
+def _cmd_figure789(args) -> int:
+    from repro.harness import format_normalized, normalized_ranges
+    from repro.harness.normalized import collect_all_counties
+    from repro.metric_names import BBOX_COMPS, DISK_ACCESSES, SEGMENT_COMPS
+
+    metric, title, structures, baseline = {
+        "figure7": (BBOX_COMPS, "bounding box computations", ("R+",), "R*"),
+        "figure8": (DISK_ACCESSES, "disk accesses", ("R+", "R*"), "PMR"),
+        "figure9": (SEGMENT_COMPS, "segment comparisons", ("R+", "R*"), "PMR"),
+    }[args.command]
+    per_county = collect_all_counties(scale=args.scale, n_queries=args.queries)
+    ranges = normalized_ranges(per_county, metric, structures, baseline)
+    title = f"Figure {args.command[-1]}: relative {title}"
+    print(format_normalized(ranges, title, baseline=baseline))
+    return 0
+
+
+def _cmd_occupancy(args) -> int:
+    from repro.harness import format_occupancy, occupancy_report
+
+    print(format_occupancy(occupancy_report(county=args.county, scale=args.scale)))
+    return 0
+
+
+def _cmd_generate(args) -> int:
+    from repro.data import generate_county
+    from repro.data.stats import map_statistics
+
+    print(map_statistics(generate_county(args.county, scale=args.scale)))
+    return 0
+
+
+def _cmd_report(args) -> int:
+    from repro.harness.report import full_report
+
+    text = full_report(scale=args.scale, n_queries=args.queries, out_path=args.out)
+    print(f"report written to {args.out}" if args.out else text)
+    return 0
+
+
+# ----------------------------------------------------------------------
+# The parser: each option group is declared once, each command bound once
+# ----------------------------------------------------------------------
+def _parent() -> argparse.ArgumentParser:
+    """A group of options several commands share (an argparse *parent*)."""
+    return argparse.ArgumentParser(add_help=False)
+
+
+def _address(port, port_help=None) -> argparse.ArgumentParser:
+    """``--host``/``--port``: where a server listens or a client asks
+    (the one shared group whose default differs by command)."""
+    group = _parent()
+    group.add_argument("--host", default="127.0.0.1")
+    group.add_argument("--port", type=int, default=port, help=port_help)
+    return group
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
-        description="Regenerate tables/figures of Hoel & Samet, SIGMOD 1992.",
+        description="Regenerate tables/figures of Hoel & Samet, SIGMOD 1992, "
+        "and serve, shard, observe and check the indexes they compare.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (
-        "table1",
-        "table2",
-        "figure6",
-        "figure7",
-        "figure8",
-        "figure9",
-        "occupancy",
-        "generate",
-        "report",
-    ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        if name == "report":
-            p.add_argument("--out", default=None, help="write markdown here")
 
-    p = sub.add_parser("snapshot", help="build an index and save it to disk")
-    _add_common(p)
-    p.add_argument("--structure", default="R*", choices=["R*", "R+", "PMR", "R"])
-    p.add_argument("--out", required=True, help="snapshot file to write")
+    def command(name, func, parents=(), **kwargs):
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("serve", help="serve an index over JSON-over-TCP")
-    _add_common(p)
-    p.add_argument("--structure", default="R*", choices=["R*", "R+", "PMR", "R"])
-    p.add_argument("--snapshot", default=None, help="open this snapshot instead of building")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
-    p.add_argument("--cache-size", type=int, default=256)
-    p.add_argument(
-        "--wal",
-        default=None,
-        help="durable-store directory: create it (or recover it) and "
-        "write-ahead log every mutation",
+    scale, county, queries, structure = _parent(), _parent(), _parent(), _parent()
+    scale.add_argument(
+        "--scale",
+        type=float,
+        default=0.05,
+        help="fraction of the paper's ~50 000 segments per county",
     )
-    p.add_argument(
+    county.add_argument("--county", default="charles")
+    queries.add_argument(
+        "--queries",
+        type=int,
+        default=100,
+        help="queries per workload (the paper used 1000)",
+    )
+    structure.add_argument(
+        "--structure", default="R*", choices=["R*", "R+", "PMR", "R"]
+    )
+    # Index source: what to build, or the snapshot to open instead.
+    built = [scale, county, structure]
+    opened = _parent()
+    opened.add_argument("--snapshot", help="open this snapshot instead of building")
+    root, shard = _parent(), _parent()
+    root.add_argument("--root", required=True, help="shard-set directory")
+    shard.add_argument("--shard", required=True, help="shard id from the manifest")
+    # What `serve` and `shard-worker` pass to the engine they start.
+    engine = _parent()
+    engine.add_argument(
         "--group-commit",
         type=int,
         default=1,
         help="fsync once per N logged records (1 = every commit)",
     )
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help="capture per-query trace spans (read back via 'op': 'trace')",
+    engine.add_argument(
+        "--backend",
+        default="scalar",
+        choices=["scalar", "vector"],
+        help="traversal backend for query execution ('vector' falls "
+        "back to scalar when numpy is unavailable; see stats())",
     )
-    p.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=64,
-        help="finished traces kept in the ring buffer",
-    )
-    p.add_argument(
+    telemetry = _parent()
+    telemetry.add_argument(
         "--trace-sample",
         type=float,
-        default=None,
         metavar="RATE",
         help="arm distributed tail-based trace sampling at this head "
         "rate in [0, 1]; errored (and, with --slow-ms, slow) requests "
-        "are retained regardless",
+        "are retained regardless; a router returns a sampled request's "
+        "stitched cross-shard trace tree",
     )
-    p.add_argument(
+    telemetry.add_argument(
+        "--trace-capacity",
+        type=int,
+        help="finished traces kept in the ring buffer (default 64)",
+    )
+    telemetry.add_argument(
         "--slow-ms",
         type=float,
-        default=None,
-        help="log queries slower than this many milliseconds",
+        help="log queries slower than this many milliseconds (and "
+        "tail-retain their traces even when unsampled)",
     )
-    p.add_argument(
+    telemetry.add_argument(
         "--sanitize",
         action="store_true",
         help="enable the runtime lock-order sanitizer (report on exit; "
         "exit 1 on a potential deadlock)",
     )
-    p.add_argument(
+    use_async = _parent()
+    use_async.add_argument(
         "--async",
         dest="use_async",
         action="store_true",
         help="serve from one asyncio event loop instead of a thread per "
         "connection; adds the pipelined wire protocol v2",
     )
+
+    command("table1", _cmd_table1, [scale], help="build statistics")
+    command("table2", _cmd_table2, [scale, queries, county], help="per-query metrics")
+    command("figure6", _cmd_figure6, [scale, county], help="page/buffer sweep")
+    for name in ("figure7", "figure8", "figure9"):
+        command(name, _cmd_figure789, [scale, queries], help="normalized ranges")
+    command("occupancy", _cmd_occupancy, [scale, county], help="Concluding Remarks")
+    command("generate", _cmd_generate, [scale, county], help="inspect a synthetic map")
+    p = command("report", _cmd_report, [scale, queries], help="every table and figure")
+    p.add_argument("--out", help="write markdown here")
+
+    p = command(
+        "snapshot", _cmd_snapshot, built, help="build an index and save it to disk"
+    )
+    p.add_argument("--out", required=True, help="snapshot file to write")
+
+    p = command(
+        "serve",
+        _cmd_serve,
+        [*built, opened, _address(8765), engine, telemetry, use_async],
+        help="serve an index over JSON-over-TCP",
+    )
+    p.add_argument("--cache-size", type=int, default=256)
     p.add_argument(
-        "--backend",
-        default="scalar",
-        choices=["scalar", "vector"],
-        help="traversal backend for query execution ('vector' falls "
-        "back to scalar when numpy is unavailable; see stats())",
+        "--wal",
+        help="durable-store directory: create it (or recover it) and "
+        "write-ahead log every mutation",
+    )
+    p.add_argument(
+        "--trace",
+        action="store_true",
+        help="capture per-query trace spans (read back via 'op': 'trace')",
     )
     p.add_argument(
         "--idle-timeout",
@@ -953,15 +856,13 @@ def main(argv=None) -> int:
         "--max-inflight",
         type=int,
         default=1024,
-        help="global in-flight request cap before server_overloaded "
-        "(--async only)",
+        help="global in-flight request cap before server_overloaded (--async only)",
     )
     p.add_argument(
         "--max-inflight-conn",
         type=int,
         default=64,
-        help="per-connection in-flight cap before server_overloaded "
-        "(--async only)",
+        help="per-connection in-flight cap before server_overloaded (--async only)",
     )
     p.add_argument(
         "--executor-workers",
@@ -972,57 +873,37 @@ def main(argv=None) -> int:
         "event loop thread itself (--async only)",
     )
 
-    for name, helptext in (
-        ("checkpoint", "fold a durable store's log into a fresh snapshot"),
-        ("recover", "replay a durable store's log and re-checkpoint it"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--wal", required=True, help="durable-store directory")
-        p.add_argument("--group-commit", type=int, default=1)
-
-    p = sub.add_parser("bench-serve", help="drive a server with K connections")
-    _add_common(p)
-    p.add_argument("--structure", default="R*", choices=["R*", "R+", "PMR", "R"])
-    p.add_argument("--snapshot", default=None, help="open this snapshot instead of building")
-    p.add_argument("--threads", type=int, default=4)
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--cache-size", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help="enable tracing for the run (reported, and stresses the "
-        "instrumented path)",
+    p = command(
+        "checkpoint",
+        _cmd_checkpoint,
+        help="fold a durable store's log into a fresh snapshot",
     )
-    p.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        help="arm the slow-query log at this threshold",
+    p.add_argument("--wal", required=True, help="durable-store directory")
+    p = command(
+        "recover",
+        _cmd_recover,
+        help="replay a durable store's log and re-checkpoint it",
+    )
+    p.add_argument("--wal", required=True, help="durable-store directory")
+
+    p = command(
+        "bench-serve",
+        _cmd_bench_serve,
+        help="drive running server(s) with K connections",
     )
     p.add_argument(
         "--connect",
         action="append",
-        default=None,
+        required=True,
         metavar="HOST:PORT",
-        help="drive running server(s) instead of building locally; repeat "
-        "the flag to round-robin client threads across addresses (e.g. a "
-        "shard router plus direct workers)",
+        help="a running serve / shard-worker / route to drive; repeat the "
+        "flag to round-robin connections across addresses (e.g. a shard "
+        "router plus direct workers). The first one's stats op is read "
+        "before and after the load for the engine-side figures",
     )
-    p.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="run the bench under the lock-order sanitizer (exit 1 on a "
-        "potential deadlock)",
-    )
-    p.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="start the in-process AsyncMapServer instead of the threaded "
-        "server (the wire is negotiated per connection; no effect with "
-        "--connect)",
-    )
+    p.add_argument("--threads", type=int, default=4, help="connections")
+    p.add_argument("--requests", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--pipeline",
         type=int,
@@ -1034,136 +915,64 @@ def main(argv=None) -> int:
         "--mutate-frac",
         type=float,
         default=0.0,
-        help="share of requests that are inserts (pair with --wal to "
-        "measure group commit)",
-    )
-    p.add_argument(
-        "--wal",
-        default=None,
-        help="serve durably from this directory for the bench (enables "
-        "the group-commit measurement)",
+        help="share of requests that are inserts (a durable target's report "
+        "then carries the group-commit line)",
     )
 
-    p = sub.add_parser(
+    p = command(
         "shard-init",
+        _cmd_shard_init,
+        [*built, root],
         help="create a shard set: manifest + one durable store per shard",
     )
-    _add_common(p)
-    p.add_argument("--structure", default="R*", choices=["R*", "R+", "PMR", "R"])
-    p.add_argument("--root", required=True, help="shard-set directory")
     p.add_argument("--n-shards", type=int, default=4)
     p.add_argument(
         "--order",
         type=int,
-        default=None,
         help="Hilbert curve order (default: sized from the segment count)",
     )
     p.add_argument("--page-size", type=int, default=1024)
     p.add_argument("--pool-pages", type=int, default=16)
 
-    p = sub.add_parser(
-        "shard-worker", help="serve one shard of a set (publishes shard.addr)"
-    )
-    p.add_argument("--root", required=True, help="shard-set directory")
-    p.add_argument("--shard", required=True, help="shard id from the manifest")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0, help="0 = ephemeral")
-    p.add_argument("--group-commit", type=int, default=1)
-    p.add_argument("--slow-ms", type=float, default=None)
-    p.add_argument(
-        "--trace-sample",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="arm distributed tail-based trace sampling at this head rate",
-    )
-    p.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=None,
-        help="finished traces kept in the ring buffer",
-    )
-    p.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the runtime lock-order sanitizer for this worker",
-    )
-    p.add_argument(
-        "--backend",
-        default="scalar",
-        choices=["scalar", "vector"],
-        help="traversal backend for this worker's query execution",
+    command(
+        "shard-worker",
+        _cmd_shard_worker,
+        [root, shard, _address(0, "0 = ephemeral"), engine, telemetry],
+        help="serve one shard of a set (publishes shard.addr)",
     )
 
-    p = sub.add_parser(
-        "route", help="scatter-gather router over a shard set's workers"
-    )
-    p.add_argument("--root", required=True, help="shard-set directory")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
-    p.add_argument(
-        "--timeout",
-        type=float,
-        default=5.0,
-        help="per-shard request timeout in seconds",
+    p = command(
+        "route",
+        _cmd_route,
+        [root, _address(8765), telemetry, use_async],
+        help="scatter-gather router over a shard set's workers",
     )
     p.add_argument(
-        "--trace-sample",
-        type=float,
-        default=None,
-        metavar="RATE",
-        help="arm distributed tail-based trace sampling at this head "
-        "rate; sampled requests return a stitched cross-shard trace tree",
-    )
-    p.add_argument(
-        "--trace-capacity",
-        type=int,
-        default=None,
-        help="finished traces kept in the router's ring buffer",
-    )
-    p.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        help="tail-retain traces at least this slow even when unsampled",
-    )
-    p.add_argument(
-        "--sanitize",
-        action="store_true",
-        help="enable the runtime lock-order sanitizer for the router",
-    )
-    p.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve the router from one asyncio event loop; adds the "
-        "pipelined wire protocol v2 in front of the shard set",
+        "--timeout", type=float, default=5.0, help="per-shard request timeout, seconds"
     )
 
-    p = sub.add_parser(
+    command(
         "shard-split",
+        _cmd_shard_split,
+        [root, shard],
         help="split a hot shard into two children (stop its worker first)",
     )
-    p.add_argument("--root", required=True, help="shard-set directory")
-    p.add_argument("--shard", required=True, help="shard id to split")
-
-    p = sub.add_parser(
+    p = command(
         "shard-catchup",
+        _cmd_shard_catchup,
+        [root, shard],
         help="replay a lagging shard's missed mutations from a peer's WAL",
     )
-    p.add_argument("--root", required=True, help="shard-set directory")
-    p.add_argument("--shard", required=True, help="lagging shard id")
     p.add_argument(
-        "--donor",
-        default=None,
-        help="peer to copy from (default: the peer with the highest LSN)",
+        "--donor", help="peer to copy from (default: the peer with the highest LSN)"
     )
 
-    p = sub.add_parser(
-        "stats", help="fetch metrics/traces from a running server"
+    p = command(
+        "stats",
+        _cmd_stats,
+        [_address(8765)],
+        help="fetch metrics/traces from a running server",
     )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
     p.add_argument(
         "--format",
         default="json",
@@ -1173,51 +982,36 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--trace-id",
-        default=None,
         help="with --format traces: fetch one trace by id (the 'tc.t' a "
         "sampled response carried); against a router this returns the "
         "stitched cross-shard tree",
     )
 
-    p = sub.add_parser(
+    p = command(
         "profile",
+        _cmd_profile,
         help="sampling-profile a running server or router (collapsed "
         "flamegraph stacks on stdout)",
     )
     p.add_argument("address", help="host:port of a running server/router")
-    p.add_argument(
-        "--seconds", type=float, default=1.0, help="sampling window"
-    )
+    p.add_argument("--seconds", type=float, default=1.0, help="sampling window")
     p.add_argument("--hz", type=int, default=97, help="sampling frequency")
     p.add_argument(
-        "-o",
-        "--out",
-        default=None,
-        help="write collapsed stacks to this file instead of stdout",
+        "-o", "--out", help="write collapsed stacks to this file instead of stdout"
     )
 
-    p = sub.add_parser(
-        "explain", help="per-level query profile (EXPLAIN) for one read query"
+    ask = _address(None, "send the explain to a running server instead of building")
+    p = command(
+        "explain",
+        _cmd_explain,
+        [*built, opened, ask],
+        help="per-level query profile (EXPLAIN) for one read query",
     )
-    _add_common(p)
     p.add_argument("query_op", choices=["point", "window", "nearest"])
-    p.add_argument("--structure", default="R*", choices=["R*", "R+", "PMR", "R"])
-    p.add_argument("--snapshot", default=None, help="open this snapshot instead of building")
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--x1", type=float, default=None)
-    p.add_argument("--y1", type=float, default=None)
-    p.add_argument("--x2", type=float, default=None)
-    p.add_argument("--y2", type=float, default=None)
+    for name in ("--x", "--y", "--x1", "--y1", "--x2", "--y2"):
+        p.add_argument(name, type=float)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mode", default="intersects", choices=["intersects", "contains"])
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="send the explain to a running server instead of building locally",
-    )
     p.add_argument(
         "--format",
         default="text",
@@ -1225,21 +1019,18 @@ def main(argv=None) -> int:
         help="text = rendered plan, json = the raw report object",
     )
 
-    p = sub.add_parser(
-        "bench",
-        help="gate a BENCH_*.json record on a committed baseline",
+    p = command(
+        "bench", _cmd_bench, help="gate a BENCH_*.json record on a committed baseline"
     )
     p.add_argument(
         "record",
         nargs="?",
-        default=None,
         help="the fresh record to gate with --compare: the BENCH_e2e.json "
         "that `benchmarks/e2e/run.py --workload paper_core --trace --out "
         "DIR` wrote (its count-unit per-layer metrics gate at tolerance 0)",
     )
     p.add_argument(
         "--compare",
-        default=None,
         help="baseline BENCH_*.json to gate against (exit 1 on regression, "
         "2 if the records are not comparable)",
     )
@@ -1247,8 +1038,7 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=0.10,
-        help="relative headroom for the routed record's counters "
-        "(default 10%%)",
+        help="relative headroom for the routed record's counters (default 10%%)",
     )
     p.add_argument(
         "--routed",
@@ -1262,32 +1052,33 @@ def main(argv=None) -> int:
     p.add_argument("--queries", type=int, default=25)
     p.add_argument("--seed", type=int, default=1992)
     p.add_argument("--n-shards", type=int, default=4)
-    p.add_argument("--json", default=None, help="write the routed record here")
+    p.add_argument("--json", help="write the routed record here")
 
-    p = sub.add_parser("check", help="static index fsck (no queries executed)")
-    _add_common(p)
+    p = command(
+        "check", _cmd_check, built, help="static index fsck (no queries executed)"
+    )
     p.add_argument(
         "snapshot",
         nargs="?",
-        default=None,
         help="snapshot file to check; omit to build --structure fresh",
     )
-    p.add_argument("--structure", default="R*", choices=["R*", "R+", "PMR", "R"])
     p.add_argument("--rules", action="store_true", help="list fsck rules and exit")
     p.add_argument(
         "--wal",
-        default=None,
         help="fsck a durable-store directory (rules FS07..FS10 plus the "
         "full checkpoint-snapshot walk)",
     )
     p.add_argument(
         "--shards",
-        default=None,
         help="fsck a shard-set directory (rules SH01..SH05 plus the "
         "durable-store walk on every member)",
     )
 
-    p = sub.add_parser("lint", help="project AST lint (RP measurement rules, CC concurrency rules)")
+    p = command(
+        "lint",
+        _cmd_lint,
+        help="project AST lint (RP measurement rules, CC concurrency rules)",
+    )
     p.add_argument("paths", nargs="*", default=["src/"], help="files or directories")
     p.add_argument("--rules", action="store_true", help="list lint rules and exit")
     p.add_argument(
@@ -1295,107 +1086,12 @@ def main(argv=None) -> int:
         action="store_true",
         help="run the lock-discipline pass (CC01..CC05) instead of the RP rules",
     )
+    return parser
 
-    args = parser.parse_args(argv)
 
-    if args.command == "snapshot":
-        return _cmd_snapshot(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "bench-serve":
-        return _cmd_bench_serve(args)
-    if args.command == "shard-init":
-        return _cmd_shard_init(args)
-    if args.command == "shard-worker":
-        return _cmd_shard_worker(args)
-    if args.command == "route":
-        return _cmd_route(args)
-    if args.command == "shard-split":
-        return _cmd_shard_split(args)
-    if args.command == "shard-catchup":
-        return _cmd_shard_catchup(args)
-    if args.command == "checkpoint":
-        return _cmd_checkpoint(args)
-    if args.command == "recover":
-        return _cmd_recover(args)
-    if args.command == "stats":
-        return _cmd_stats(args)
-    if args.command == "profile":
-        return _cmd_profile(args)
-    if args.command == "explain":
-        return _cmd_explain(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
-
-    # Imports deferred so `--help` stays instant.
-    from repro.data import generate_county
-    from repro.harness import (
-        figure6_sweep,
-        format_figure6,
-        format_normalized,
-        format_occupancy,
-        format_table1,
-        format_table2,
-        normalized_ranges,
-        occupancy_report,
-        table1,
-    )
-    from repro.harness.normalized import collect_all_counties
-    from repro.harness.query_stats import county_query_stats
-    from repro.metric_names import BBOX_COMPS, DISK_ACCESSES, SEGMENT_COMPS
-
-    if args.command == "table1":
-        print(format_table1(table1(scale=args.scale)))
-    elif args.command == "table2":
-        stats = county_query_stats(
-            args.county, scale=args.scale, n_queries=args.queries
-        )
-        print(format_table2(stats, county=args.county))
-    elif args.command == "figure6":
-        cells = figure6_sweep(county=args.county, scale=args.scale)
-        print(format_figure6(cells))
-    elif args.command in ("figure7", "figure8", "figure9"):
-        per_county = collect_all_counties(scale=args.scale, n_queries=args.queries)
-        if args.command == "figure7":
-            ranges = normalized_ranges(
-                per_county, BBOX_COMPS, structures=("R+",), baseline="R*"
-            )
-            print(
-                format_normalized(
-                    ranges, "Figure 7: relative bounding box computations",
-                    baseline="R*",
-                )
-            )
-        elif args.command == "figure8":
-            ranges = normalized_ranges(per_county, DISK_ACCESSES)
-            print(format_normalized(ranges, "Figure 8: relative disk accesses"))
-        else:
-            ranges = normalized_ranges(per_county, SEGMENT_COMPS)
-            print(
-                format_normalized(ranges, "Figure 9: relative segment comparisons")
-            )
-    elif args.command == "occupancy":
-        print(format_occupancy(occupancy_report(county=args.county, scale=args.scale)))
-    elif args.command == "generate":
-        from repro.data.stats import map_statistics
-
-        m = generate_county(args.county, scale=args.scale)
-        print(map_statistics(m))
-    elif args.command == "report":
-        from repro.harness.report import full_report
-
-        text = full_report(
-            scale=args.scale, n_queries=args.queries, out_path=args.out
-        )
-        if args.out:
-            print(f"report written to {args.out}")
-        else:
-            print(text)
-    return 0
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

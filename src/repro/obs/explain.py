@@ -226,8 +226,28 @@ class ExplainProfile:
         }
 
 
+def _observed_line(obs: Dict[str, int]) -> str:
+    return (
+        f"  observed: {DISK_ACCESSES}={obs[DISK_ACCESSES]} "
+        f"{BUFFER_HITS}={obs[BUFFER_HITS]} {BBOX_COMPS}={obs[BBOX_COMPS]} "
+        f"{SEGMENT_COMPS}={obs[SEGMENT_COMPS]} {DISK_WRITES}={obs[DISK_WRITES]}"
+    )
+
+
 def format_explain(report: Dict[str, Any]) -> str:
-    """Render an engine explain report as an aligned text table."""
+    """Render an explain report as aligned text: an engine's as one
+    table, a router's (:func:`merge_explain_reports`) as one table per
+    shard under the summed bill."""
+    if "shards" in report:
+        lines = [
+            f"EXPLAIN routed over {len(report['shards'])} shard(s) -- "
+            f"{report['result_count']} result(s) before dedup",
+            _observed_line(report["observed"]),
+            f"  attribution exact: {report['exact']}",
+        ]
+        for shard_id, shard_report in report["shards"].items():
+            lines.append(f"shard {shard_id}: {format_explain(shard_report)}")
+        return "\n".join(lines)
     plan = report["plan"]
     lines = [
         f"EXPLAIN {plan['op']} on {plan['structure']} -- "
@@ -259,12 +279,7 @@ def format_explain(report: Dict[str, Any]) -> str:
     if plan["counts"]:
         pairs = ", ".join(f"{k}={v}" for k, v in plan["counts"].items())
         lines.append(f"  counts: {pairs}")
-    obs = report["observed"]
-    lines.append(
-        f"  observed: {DISK_ACCESSES}={obs[DISK_ACCESSES]} "
-        f"{BUFFER_HITS}={obs[BUFFER_HITS]} {BBOX_COMPS}={obs[BBOX_COMPS]} "
-        f"{SEGMENT_COMPS}={obs[SEGMENT_COMPS]} {DISK_WRITES}={obs[DISK_WRITES]}"
-    )
+    lines.append(_observed_line(report["observed"]))
     lines.append(
         f"  attribution exact: {report['exact']}"
         + ("" if report["exact"] else f" (unattributed: {report['unattributed']})")

@@ -32,7 +32,7 @@ Design constraints, in order:
 
 Enable with ``REPRO_SANITIZE=1`` in the environment (picked up at
 import, so worker subprocesses inherit it) or the ``--sanitize`` flag on
-``serve`` / ``route`` / ``shard-worker`` / ``bench-serve``.
+``serve`` / ``route`` / ``shard-worker``.
 
 What is recorded:
 

@@ -22,10 +22,12 @@ this package *serves* them:
   ``--wal DIR`` it serves a durable store (:mod:`repro.wal`): mutations
   are write-ahead logged before they are applied and
   ``{"op": "checkpoint"}`` folds the log into a fresh snapshot.
-* :mod:`repro.service.loadgen` -- ``python -m repro bench-serve``: the
-  load generator (pipelined v2 where the server speaks it, closed-loop
-  v1 lines where it does not) reporting throughput, latency
-  percentiles, cache hit rate, and disk accesses.
+* :mod:`repro.service.loadgen` -- ``python -m repro bench-serve
+  --connect``: the load generator, a pure client of running servers
+  (pipelined v2 where the server speaks it, closed-loop v1 lines where
+  it does not) reporting throughput and latency percentiles and, from
+  the movement of the target's ``stats`` op, cache hit rate, disk
+  accesses, latch contention and fsyncs per mutation.
 * :mod:`repro.service.api` -- the typed request dataclasses
   (:class:`PointQuery`, :class:`WindowQuery`, ...) every surface parses
   into; :meth:`QueryEngine.execute` is the single dispatch point where

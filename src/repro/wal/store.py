@@ -332,7 +332,14 @@ class DurableStore:
         return self.wal.log_delete(seg_id)
 
     def commit(self) -> bool:
-        """Group-commit barrier: durable before the client is acked."""
+        """Group-commit barrier, called before the client is acked.
+
+        Returns whether an fsync ran. With ``group_commit == 1`` (the
+        default) it always does: the mutation is durable before the ack.
+        With ``group_commit == N > 1`` the fsync waits until N records
+        are pending, so up to N - 1 acknowledged mutations can be lost
+        on power failure (the trade :mod:`repro.wal.log` documents).
+        """
         return self.wal.commit()
 
     # ------------------------------------------------------------------

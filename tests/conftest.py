@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import os
 import random
-from typing import List
+import re
+import select
+import signal
+import subprocess
+import sys
+import time
+from typing import List, Tuple
 
 import pytest
 
@@ -146,3 +153,105 @@ def lock_sanitizer():
     SANITIZER.disable()
     SANITIZER.reset()
     assert report["potential_deadlocks"] == [], text
+
+
+# ----------------------------------------------------------------------
+# Child processes: ``python -m repro ...`` as an operator starts it
+# ----------------------------------------------------------------------
+_SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+_BANNER = re.compile(r" on (\d+\.\d+\.\d+\.\d+):(\d+)")
+
+
+def _child(args, **popen):
+    env = dict(os.environ, PYTHONPATH=_SRC, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("REPRO_SANITIZE", None)  # a test asks for it with --sanitize
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args],
+        env=env,
+        stdout=subprocess.PIPE,
+        # A pytest started in the background inherits SIGINT ignored, and
+        # Python then never raises KeyboardInterrupt: give it back.
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
+        **popen,
+    )
+
+
+def run_cli(*args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
+    """One ``python -m repro`` command run to completion in a child
+    process: ``returncode``, ``stdout`` and ``stderr`` (text)."""
+    proc = _child(args, stderr=subprocess.PIPE, text=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        proc.communicate()
+        raise
+    return subprocess.CompletedProcess(args, proc.returncode, out, err)
+
+
+class ServerProcess:
+    """One ``python -m repro serve|shard-worker|route`` child process,
+    listening: ``address`` is parsed from the `` on HOST:PORT`` banner."""
+
+    def __init__(self, args: Tuple[str, ...], start_timeout: float = 60.0) -> None:
+        self.args = args
+        self.output = ""
+        self.proc = _child(args, stderr=subprocess.STDOUT)
+        try:
+            self.address = self._wait_listening(time.monotonic() + start_timeout)
+        except BaseException:
+            self.stop(signal.SIGKILL)
+            raise
+
+    def _wait_listening(self, deadline: float) -> Tuple[str, int]:
+        fd = self.proc.stdout.fileno()
+        while time.monotonic() < deadline:
+            ready, _, _ = select.select([fd], [], [], 0.2)
+            if not ready:
+                if self.proc.poll() is not None:
+                    break
+                continue
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                break
+            self.output += chunk.decode("utf-8", "replace")
+            match = _BANNER.search(self.output)
+            if match and "\n" in self.output[match.end():]:
+                return match.group(1), int(match.group(2))
+        raise AssertionError(
+            f"repro {' '.join(self.args)} never announced its address: "
+            f"{self.output!r}"
+        )
+
+    def stop(self, sig: int = signal.SIGINT, timeout: float = 30.0) -> int:
+        """Signal the process (SIGINT: the operator's Ctrl-C), wait --
+        bounded -- until it has ended, and return its exit code. What it
+        printed on the way out is appended to ``output``."""
+        if self.proc.stdout.closed:
+            return self.proc.returncode
+        if self.proc.poll() is None:
+            self.proc.send_signal(sig)
+        try:
+            rest, _ = self.proc.communicate(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            rest, _ = self.proc.communicate()
+        self.output += rest.decode("utf-8", "replace")
+        return self.proc.returncode
+
+
+@pytest.fixture()
+def spawn():
+    """Start ``python -m repro <server> ...`` children on ephemeral ports
+    (pass ``--port 0``); every one still running when the test ends --
+    passed or failed -- is killed and reaped."""
+    children: List[ServerProcess] = []
+
+    def start(*args: str) -> ServerProcess:
+        child = ServerProcess(args)
+        children.append(child)
+        return child
+
+    yield start
+    for child in children:
+        child.stop(signal.SIGKILL)

@@ -1,9 +1,11 @@
 """Tests for the routed perf baseline (``bench --routed``)."""
 
 import copy
+from pathlib import Path
 
 import pytest
 
+from repro.__main__ import main
 from repro.bench.compare import EXIT_INCOMPARABLE, EXIT_OK, compare_records
 from repro.bench.shard import (
     SHARD_BENCH_KIND,
@@ -83,3 +85,20 @@ class TestGateKindSafety:
         assert any(
             "mutate" in problem for problem in validate_shard_record(broken)
         )
+
+
+class TestCommittedBaseline:
+    def test_routed_counters_gate_on_the_committed_record(self, capsys):
+        """``bench --routed --compare`` with the parameters the committed
+        record was written with (the CLI defaults): the paper's counters
+        are deterministic, so none may read above it -- tolerance 0."""
+        baseline = (
+            Path(__file__).parents[1] / "benchmarks/results/BENCH_shard_baseline.json"
+        )
+        committed = baseline.read_bytes()
+        code = main(["bench", "--routed", "--compare", str(baseline), "--tolerance", "0"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK, out
+        assert "compared 54 counters at 0% tolerance" in out
+        assert "OK: no counter regressed" in out
+        assert baseline.read_bytes() == committed

@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line driver."""
 
+import json
+import socket
+import socketserver
+import threading
+
 import pytest
 
 from repro.__main__ import main
@@ -11,12 +16,13 @@ def run_cli(capsys, *args):
     return rc, out
 
 
-SMALL = ("--scale", "0.01", "--queries", "5")
+SCALE = ("--scale", "0.01")
+SMALL = (*SCALE, "--queries", "5")
 
 
 class TestCLI:
     def test_table1(self, capsys):
-        rc, out = run_cli(capsys, "table1", *SMALL)
+        rc, out = run_cli(capsys, "table1", *SCALE)
         assert rc == 0
         assert "map name" in out and "charles" in out
 
@@ -27,7 +33,7 @@ class TestCLI:
         assert "Point1" in out and "Range" in out
 
     def test_figure6(self, capsys):
-        rc, out = run_cli(capsys, "figure6", "--county", "cecil", *SMALL)
+        rc, out = run_cli(capsys, "figure6", "--county", "cecil", *SCALE)
         assert rc == 0
         assert "page size" in out and "PMR" in out
 
@@ -38,12 +44,12 @@ class TestCLI:
         assert "min" in out and "avg" in out and "max" in out
 
     def test_occupancy(self, capsys):
-        rc, out = run_cli(capsys, "occupancy", "--county", "cecil", *SMALL)
+        rc, out = run_cli(capsys, "occupancy", "--county", "cecil", *SCALE)
         assert rc == 0
         assert "threshold" in out
 
     def test_generate(self, capsys):
-        rc, out = run_cli(capsys, "generate", "--county", "garrett", *SMALL)
+        rc, out = run_cli(capsys, "generate", "--county", "garrett", *SCALE)
         assert rc == 0
         assert "garrett" in out
         assert "degrees" in out
@@ -114,3 +120,98 @@ class TestShardCLI:
         root, _ = self._init(capsys, tmp_path)
         with pytest.raises(SystemExit):
             main(["shard-split", "--root", root, "--shard", "zz"])
+
+
+#: Options that used to parse and do nothing: (the rest of a valid
+#: command line, the flag nothing read).
+IGNORED = [
+    (cmd, "--queries")
+    for cmd in (
+        ["table1"], ["figure6"], ["occupancy"], ["generate"],
+        ["snapshot", "--out", "x.snap"], ["serve"],
+        ["bench-serve", "--connect", "127.0.0.1:1"],
+        ["shard-init", "--root", "x"], ["explain", "point"], ["check"],
+    )
+] + [
+    (cmd, "--county")
+    for cmd in (["table1"], ["figure7"], ["figure8"], ["figure9"], ["report"])
+] + [
+    (["checkpoint", "--wal", "x"], "--group-commit"),
+    (["recover", "--wal", "x"], "--group-commit"),
+]
+
+
+class TestEveryAcceptedOptionActs:
+    @pytest.mark.parametrize(
+        "argv, flag", IGNORED, ids=[f"{c[0]}{f}" for c, f in IGNORED]
+    )
+    def test_an_option_nothing_reads_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, flag, "1"])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_bench_serve_needs_a_server_to_connect_to(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench-serve"])
+        assert exit_.value.code == 2
+        assert "--connect" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "gone",
+        ["--county", "--scale", "--structure", "--snapshot", "--cache-size",
+         "--trace", "--slow-ms", "--sanitize", "--async", "--wal"],
+    )
+    def test_bench_serve_starts_no_server(self, gone):
+        """The options that built, opened or served an index in-process
+        went with the in-process mode (``--queries``: see above)."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["bench-serve", "--connect", "127.0.0.1:1", gone])
+        assert exit_.value.code == 2
+
+
+class _Refuses(socketserver.StreamRequestHandler):
+    def handle(self):
+        for _line in self.rfile:
+            reply = {"ok": False, "error": {"code": "internal", "message": "boom"}}
+            self.wfile.write(json.dumps(reply).encode() + b"\n")
+
+
+class TestAskingARunningServer:
+    """``stats``, ``profile`` and ``explain --port`` share one client
+    helper: exit 2 when nobody answers, exit 1 when the answer is a
+    refusal, each with the reason on stderr."""
+
+    @staticmethod
+    def argvs(port):
+        return {
+            "stats": ["stats", "--port", str(port)],
+            "profile": ["profile", f"127.0.0.1:{port}", "--seconds", "0.1"],
+            "explain": ["explain", "point", "--x", "1", "--y", "1", "--port", str(port)],
+        }
+
+    @pytest.mark.parametrize("command", ["stats", "profile", "explain"])
+    def test_unreachable_exits_2(self, capsys, command):
+        with socket.socket() as sock:  # a port nobody listens on
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(SystemExit) as exit_:
+            main(self.argvs(port)[command])
+        assert exit_.value.code == 2
+        assert f"cannot reach server at 127.0.0.1:{port}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "profile", "explain"])
+    def test_refused_exits_1(self, capsys, command):
+        with socketserver.ThreadingTCPServer(("127.0.0.1", 0), _Refuses) as stub:
+            stub.daemon_threads = True
+            thread = threading.Thread(target=stub.serve_forever, daemon=True)
+            thread.start()
+            try:
+                with pytest.raises(SystemExit) as exit_:
+                    main(self.argvs(stub.server_address[1])[command])
+            finally:
+                stub.shutdown()
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert exit_.value.code == 1
+        assert "server refused: internal: boom" in capsys.readouterr().err

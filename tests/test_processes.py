@@ -1,0 +1,298 @@
+"""The CLI wires the same objects in a real process.
+
+Every other suite builds its engines, servers and routers in-process.
+This one starts them the way an operator -- and ``benchmarks/e2e`` --
+does: ``python -m repro <launcher>`` as a child process on an ephemeral
+port, its address read from the banner. It checks only what a process
+has and an in-process fixture cannot show: that each launcher hands its
+flags to the objects the other suites test, that the client subcommands
+reach it and exit 0, that Ctrl-C ends it with exit 0 and the lock
+sanitizer's verdict, and what a SIGKILL leaves behind.
+
+Every wait has a deadline (``ServerProcess``, ``run_cli`` and every
+socket carry a timeout) and the ``spawn`` fixture reaps whatever a
+failed test leaves running, so nothing here relies on pytest-timeout.
+"""
+
+import asyncio
+import json
+import shutil
+import signal
+
+import pytest
+
+from repro.aio import AsyncMapClient
+from repro.obs import parse_prom_text
+from repro.service import send_request
+from repro.service.loadgen import _engine_stats
+
+from tests.conftest import run_cli
+
+MAP = ("--county", "cecil", "--scale", "0.01")
+SHARDS = ("s0", "s1", "s2")
+WORLD = 16384.0
+WHOLE_MAP = {"op": "window", "x1": 0.0, "y1": 0.0, "x2": WORLD, "y2": WORLD}
+
+
+def ok(done):
+    """A finished ``run_cli`` child that must have exited 0; its stdout."""
+    assert done.returncode == 0, (
+        f"repro {' '.join(done.args)} exited {done.returncode}:\n"
+        f"{done.stdout}\n{done.stderr}"
+    )
+    return done.stdout
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("snap") / "cecil.snap")
+    assert "pages ->" in ok(
+        run_cli("snapshot", *MAP, "--structure", "R*", "--out", path)
+    )
+    return path
+
+
+@pytest.fixture(scope="module")
+def shard_set(tmp_path_factory):
+    """A three-shard set, built once; tests serve (and damage) a copy."""
+    root = str(tmp_path_factory.mktemp("shards") / "set")
+    out = ok(
+        run_cli(
+            "shard-init", *MAP, "--structure", "R*", "--root", root,
+            "--n-shards", str(len(SHARDS)), "--page-size", "2048",
+        )
+    )
+    assert "initialised 3-shard R* set" in out
+    return root
+
+
+def start_worker(spawn, root, shard):
+    return spawn(
+        "shard-worker", "--root", root, "--shard", shard, "--port", "0",
+        "--sanitize", "--trace-sample", "1.0",
+    )
+
+
+def sanitizer_reports(address):
+    """The sanitizer block of every engine behind ``address``."""
+    return [engine.get("sanitizer") for engine in _engine_stats(address)]
+
+
+def drive(address, speaks_v2, writers=("--threads", "3", "--pipeline", "4")):
+    """What every launcher x front must do for a client, whatever is
+    behind it: answer on each wire it speaks, carry ``bench-serve``'s
+    load without an error, and answer ``stats``, ``profile`` and
+    ``explain --port`` -- each client a ``python -m repro`` child too."""
+    host, port = address
+    at, port = f"{host}:{port}", str(port)
+
+    pong = send_request(address, {"op": "ping", "v": 1})
+    assert (pong["ok"], pong["result"], pong["v"]) == (True, "pong", 1)
+
+    async def pipelined():
+        client, _reader, writer = await AsyncMapClient.negotiate(address)
+        if client is None:  # the documented refusal: still a good v1 line
+            writer.close()
+            return None
+        try:
+            point = {"op": "point", "x": 100.0, "y": 100.0}
+            return await asyncio.wait_for(
+                asyncio.gather(*(client.request(point) for _ in range(16))), 30.0
+            )
+        finally:
+            await client.close()
+
+    answers = asyncio.run(pipelined())
+    assert (answers is not None) == speaks_v2
+    assert answers is None or all(answer["ok"] for answer in answers)
+
+    report = ok(
+        run_cli(
+            "bench-serve", "--connect", at, "--requests", "60",
+            "--mutate-frac", "0.2", *writers,
+        )
+    )
+    assert "(0 errors, 0 overloaded)" in report
+    assert "sums match totals: True" in report
+
+    json.loads(ok(run_cli("stats", "--port", port, "--format", "json")))
+    families = parse_prom_text(ok(run_cli("stats", "--port", port, "--format", "prom")))
+    assert "repro_op_latency_seconds" in families
+    traces = ok(run_cli("stats", "--port", port, "--format", "traces"))
+    assert "traverse" in traces  # real span trees, not "(no buffered traces)"
+
+    done = run_cli("profile", at, "--seconds", "0.2")
+    ok(done)
+    assert "samples over" in done.stderr
+    assert done.stdout.strip(), "no collapsed stacks"
+
+    plan = ok(
+        run_cli(
+            "explain", "window", "--port", port,
+            "--x1", "0", "--y1", "0", "--x2", "5000", "--y2", "5000",
+        )
+    )
+    assert "attribution exact: True" in plan
+    return report, families, traces, done.stdout
+
+
+def interrupt(*children):
+    """Ctrl-C each: exit 0, and the sanitizer watched and found no cycle."""
+    for child in children:
+        assert child.stop(signal.SIGINT) == 0, child.output
+        assert "lock sanitizer:" in child.output, child.output
+        assert " 0 potential deadlock(s)" in child.output, child.output
+
+
+@pytest.mark.parametrize("front", ["threaded", "async", "wal", "wal-async"])
+def test_serve(front, spawn, snapshot, tmp_path):
+    flags = {
+        "threaded": [],
+        "async": ["--async"],
+        "wal": ["--wal", str(tmp_path / "store")],
+        "wal-async": ["--wal", str(tmp_path / "store"), "--async"],
+    }[front]
+    durable, speaks_v2 = front.startswith("wal"), front.endswith("async")
+    server = spawn(
+        "serve", "--snapshot", snapshot, "--port", "0", "--sanitize", "--trace",
+        "--slow-ms", "250", *flags,
+    )
+    address = server.address
+
+    # The registry `metrics` serves is the one the engine observes into:
+    # the per-op histogram counts exactly what this test sent.
+    sent = {"point": 7, "window": 3}
+    for _ in range(sent["point"]):
+        assert send_request(address, {"op": "point", "x": 37.0, "y": 91.0})["ok"]
+    for _ in range(sent["window"]):
+        assert send_request(address, {**WHOLE_MAP, "x2": 500.0, "y2": 500.0})["ok"]
+    prom = ok(run_cli("stats", "--port", str(address[1]), "--format", "prom"))
+    counted = {
+        labels["op"]: value
+        for name, labels, value in parse_prom_text(prom)[
+            "repro_op_latency_seconds"
+        ]["samples"]
+        if name.endswith("_count")
+    }
+    assert {op: counted[op] for op in sent} == sent
+
+    report, _families, _traces, _stacks = drive(address, speaks_v2)
+    assert report.startswith("map server benchmark -- R* over connect:")
+    # --wal made the engine durable: bench-serve's inserts were logged.
+    assert ("group commit" in report) == durable
+    stats = send_request(address, {"op": "stats"})["result"]
+    assert stats["durable"] is durable
+    assert stats["counters_consistent"] is True
+    assert stats["obs"]["tracing"]["enabled"] is True  # --trace
+    assert stats["obs"]["slow_queries"]["threshold_ms"] == 250.0  # --slow-ms
+    (sanitizer,) = sanitizer_reports(address)  # --sanitize
+    assert sanitizer["enabled"] and sanitizer["acquisitions"] > 0
+    interrupt(server)
+
+
+@pytest.mark.parametrize("front", ["threaded", "async"])
+def test_route_over_shard_workers(front, spawn, shard_set, tmp_path):
+    root = shutil.copytree(shard_set, str(tmp_path / "set"))
+    workers = [start_worker(spawn, root, shard) for shard in SHARDS]
+    router = spawn(
+        "route", "--root", root, "--port", "0", "--sanitize",
+        "--trace-sample", "1.0", *(["--async"] if front == "async" else []),
+    )
+    address = router.address
+    assert f"routing {len(SHARDS)} shard(s)" in router.output
+
+    # --trace-sample armed every process: the reply names its trace, and
+    # the router serves it back stitched across the worker processes.
+    reply = send_request(address, {**WHOLE_MAP, "use_cache": False})
+    assert reply["ok"] and reply["result"]
+    stitched = ok(
+        run_cli(
+            "stats", "--port", str(address[1]), "--format", "traces",
+            "--trace-id", reply["tc"]["t"],
+        )
+    )
+    for shard in SHARDS:
+        assert f"shard:{shard}" in stitched
+
+    # Concurrent readers; but one writer, one insert in flight: the router
+    # does not order the fan-outs of concurrent mutations, so two writers
+    # can reach two shards in opposite orders ("shards disagree on seg_id").
+    reads = ok(
+        run_cli(
+            "bench-serve", "--connect", "%s:%d" % address, "--threads", "4",
+            "--requests", "80",
+        )
+    )
+    assert "(0 errors, 0 overloaded)" in reads
+    report, families, traces, stacks = drive(
+        address, front == "async", writers=("--threads", "1", "--pipeline", "1")
+    )
+    assert report.startswith(f"map server benchmark -- routed[{len(SHARDS)}] over")
+    assert "group commit" in report  # every shard logs the fanned-out inserts
+    assert "shard:" in traces
+    assert "repro_trace_tail_discarded_total" in families
+    assert "repro_trace_buffered" in families
+    rooted = {line.split(";")[0] for line in stacks.splitlines()}
+    assert rooted == {"router", *(f"shard:{shard}" for shard in SHARDS)}
+
+    reports = sanitizer_reports(address)
+    assert len(reports) == len(SHARDS)
+    for sanitizer in reports:
+        assert sanitizer["enabled"] and sanitizer["acquisitions"] > 0
+        assert sanitizer["potential_deadlocks"] == []
+    assert send_request(address, {"op": "check"})["result"]["clean"] is True
+    assert "clean: 0 findings" in ok(run_cli("check", "--shards", root))
+    interrupt(router, *workers)
+
+
+def test_sigkilled_worker_degrades_diverges_and_heals(spawn, shard_set, tmp_path):
+    """``LocalShardSet.stop()`` only imitates this: the worker *process*
+    dies by SIGKILL with pipelined requests in flight."""
+    root = shutil.copytree(shard_set, str(tmp_path / "set"))
+    workers = {shard: start_worker(spawn, root, shard) for shard in SHARDS}
+    router = spawn("route", "--root", root, "--port", "0", "--async")
+    address = router.address
+    before = send_request(address, WHOLE_MAP)["result"]
+
+    async def under_load():
+        client = await AsyncMapClient.connect(address)
+        try:
+            first = [asyncio.ensure_future(client.request(WHOLE_MAP)) for _ in range(16)]
+            workers["s1"].stop(signal.SIGKILL)
+            rest = [asyncio.ensure_future(client.request(WHOLE_MAP)) for _ in range(16)]
+            return await asyncio.wait_for(asyncio.gather(*first, *rest), 60.0)
+        finally:
+            await client.close()
+
+    # Every request is answered -- ok, or a structured partial -- never a
+    # hang or a dropped connection.
+    answers = asyncio.run(under_load())
+    assert len(answers) == 32
+    for answer in answers:
+        if not answer["ok"]:
+            assert answer["error"]["code"] == "shard_unavailable", answer
+            assert answer["partial"]["shards"], answer
+
+    degraded = send_request(address, WHOLE_MAP)
+    assert not degraded["ok"]
+    assert degraded["error"]["code"] == "shard_unavailable"
+    assert degraded["error"]["shard"] == "s1"
+    assert sorted(degraded["partial"]["shards"]) == ["s0", "s2"]
+    # A mutation while the shard is down lands on the survivors only ...
+    insert = {"op": "insert", "x1": 20.0, "y1": 20.0, "x2": 60.0, "y2": 60.0}
+    missed = send_request(address, insert)
+    assert not missed["ok"] and missed["error"]["code"] == "shard_unavailable"
+    assert sorted(missed["partial"]["result"]["applied"]) == ["s0", "s2"]
+    # ... which is the divergence the shard-set fsck names ...
+    diverged = run_cli("check", "--shards", root)
+    assert diverged.returncode == 1, diverged.stdout
+    assert "SH03" in diverged.stdout
+    # ... and catch-up plus a restart repairs, with the router untouched.
+    assert "caught up s1" in ok(run_cli("shard-catchup", "--root", root, "--shard", "s1"))
+    workers["s1"] = start_worker(spawn, root, "s1")
+    healed = send_request(address, WHOLE_MAP)
+    assert healed["ok"] and len(healed["result"]) == len(before) + 1
+    assert send_request(address, {"op": "check"})["result"]["clean"] is True
+    assert "clean: 0 findings" in ok(run_cli("check", "--shards", root))
+    assert router.stop(signal.SIGINT) == 0, router.output
+    interrupt(*workers.values())

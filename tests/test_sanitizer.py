@@ -254,18 +254,22 @@ class TestShutdown:
             assert router._serve_thread is None
 
     def test_loadgen_worker_threads_are_named_and_joined(self):
-        from repro.service import bench_serve
+        from repro.aio import AsyncMapServer
+        from repro.service import MapServer, QueryEngine, bench_serve
+        from tests.conftest import build_index, lattice_map
 
-        for use_async in (False, True):
-            report = bench_serve(
-                county="cecil", scale=0.01, threads=2, requests=8, seed=0,
-                use_async=use_async,
-            )
+        for front in (MapServer, AsyncMapServer):
+            server = front(QueryEngine(build_index("R*", lattice_map(n=6))))
+            server.start_background()
+            try:
+                report = bench_serve([server.address], threads=2, requests=8)
+            finally:
+                server.stop()
             assert report.errors == 0
             # The load generator is one event loop (it has no worker
-            # threads left to name), and whichever server the bench
-            # started -- accept thread, loop thread, engine and fsync
-            # executors -- is joined by stop(): nothing outlives the bench.
+            # threads left to name), and whichever server it drove --
+            # accept thread, loop thread, engine and fsync executors --
+            # is joined by stop(): nothing outlives the bench.
             lingering = [
                 t.name
                 for t in threading.enumerate()

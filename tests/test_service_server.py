@@ -11,7 +11,7 @@ import pytest
 from repro.service import MapServer, QueryEngine, bench_serve, send_request
 from repro.service.loadgen import percentile
 
-from tests.conftest import build_index, lattice_map
+from tests.conftest import TEST_WORLD, build_index, lattice_map
 
 
 @pytest.fixture()
@@ -205,34 +205,35 @@ class TestDurableServer:
 
 
 class TestBenchServe:
-    def test_four_thread_run(self):
+    """``bench_serve`` is a client: every test starts its own server and
+    passes the address; the lattices they serve lie inside the test world."""
+
+    WORLD = float(TEST_WORLD)
+
+    def test_four_thread_run(self, server):
         report = bench_serve(
-            county="cecil", scale=0.01, threads=4, requests=60, seed=1
+            [server.address], threads=4, requests=60, seed=1, world_size=self.WORLD
         )
         assert report.errors == 0
         assert report.requests == 60
         assert report.counters_consistent is True
         assert report.throughput_qps > 0
         assert report.latency_ms["p50"] <= report.latency_ms["p99"]
-        # acceptance: batching by Morton key costs fewer disk accesses
-        assert (
-            report.batch_comparison["morton"] <= report.batch_comparison["arrival"]
-        )
+        # The engine-side figures are the target's own stats, moved by
+        # exactly this load: one cache lookup a read, and a read-only run
+        # logs nothing.
+        assert (report.structure, report.segments) == ("R*", 112)
+        assert report.cache["hits"] + report.cache["misses"] == 60
+        assert report.latch["acquisitions"] > 0
+        assert report.totals["disk_accesses"] + report.totals["buffer_hits"] > 0
+        assert report.wal == {"log_appends": 0, "fsyncs": 0}
 
     @pytest.mark.parametrize("use_async", [False, True])
     def test_one_loadgen_drives_either_server(self, use_async):
-        """In-process and ``connect`` mode, threaded and async: the same
-        driver works the wire out from what the server answers."""
+        """Threaded and async: the same driver works the wire out from
+        what the server answers."""
         from repro.aio import AsyncMapServer
         from repro.obs.metrics import MetricsRegistry
-
-        report = bench_serve(
-            county="cecil", scale=0.01, threads=3, requests=45, pipeline=4,
-            use_async=use_async,
-        )
-        assert (report.errors, report.overloaded, report.requests) == (0, 0, 45)
-        assert report.counters_consistent is True
-        assert report.batch_comparison["morton"] <= report.batch_comparison["arrival"]
 
         engine = QueryEngine(
             build_index("R*", lattice_map(n=8)), registry=MetricsRegistry()
@@ -242,7 +243,7 @@ class TestBenchServe:
         try:
             remote = bench_serve(
                 threads=3, requests=45, pipeline=4, connect=[server.address],
-                world_size=1000.0,
+                world_size=self.WORLD,
             )
             # The target's own accounting saw exactly this load, on the
             # wire it speaks: v2 frames if it took the upgrade, v1 lines
@@ -259,22 +260,39 @@ class TestBenchServe:
         assert remote.structure == "R*" and remote.source.startswith("connect:")
 
     def test_mutating_load_reports_group_commit(self, tmp_path):
+        """``mutate_frac`` acts on a running target (it was dropped on the
+        floor in connect mode): the inserts reach the target's log, and
+        the report's group-commit line is the movement of its ``stats``."""
+        from repro.aio import AsyncMapServer
         from repro.service import format_bench_report
+        from repro.wal import DurableStore
 
         for use_async in (False, True):
-            report = bench_serve(
-                county="cecil", scale=0.01, threads=6, requests=60, pipeline=4,
-                use_async=use_async, mutate_frac=0.3,
-                wal_dir=str(tmp_path / f"wal-{use_async}"),
-            )
-            gc = report.group_commit
+            index = build_index("R*", lattice_map(n=6))
+            store = DurableStore.create(tmp_path / f"wal-{use_async}", index)
+            engine = QueryEngine(index, store=store)
+            server = (AsyncMapServer if use_async else MapServer)(engine)
+            server.start_background()
+            try:
+                before = send_request(server.address, {"op": "stats"})["result"]
+                report = bench_serve(
+                    connect=[server.address], threads=6, requests=60, pipeline=4,
+                    mutate_frac=0.5, world_size=self.WORLD,
+                )
+                after = send_request(server.address, {"op": "stats"})["result"]
+            finally:
+                server.stop()
+                store.close()
             assert report.errors == 0 and report.counters_consistent
-            assert gc["mutations"] > 0
-            assert ("batches" in gc) == use_async
+            logged = after["wal"]["log_appends"] - before["wal"]["log_appends"]
+            assert logged > 0
+            assert after["index"]["segments"] - before["index"]["segments"] == logged
+            assert report.wal["log_appends"] == logged
+            assert 0 < report.wal["fsyncs"] <= logged
             if not use_async:
                 # The threaded server commits inline: one fsync a mutation.
-                assert gc["fsyncs"] == gc["mutations"]
-            assert f"{gc['mutations']} mutations -> {gc['fsyncs']} fsyncs" in (
+                assert report.wal["fsyncs"] == logged
+            assert f"{logged} mutations -> {report.wal['fsyncs']} fsyncs" in (
                 format_bench_report(report)
             )
 
@@ -321,13 +339,14 @@ class TestBenchServe:
         assert code == 1
         assert "(1 errors" in capsys.readouterr().out
 
-    def test_report_formats(self):
+    def test_report_formats(self, server):
         from repro.service import format_bench_report
 
-        report = bench_serve(county="cecil", scale=0.01, threads=2, requests=20)
+        report = bench_serve([server.address], threads=2, requests=20)
         text = format_bench_report(report)
         assert "throughput" not in text  # human units, not field names
-        assert "q/s" in text and "p99" in text and "morton" in text
+        assert "q/s" in text and "p99" in text and "disk accesses" in text
+        assert "group commit" not in text  # nothing was logged
 
 
 class TestPercentile:

@@ -429,6 +429,11 @@ class TestLoadgenConnect:
         )
         assert report.errors == 0
         assert report.structure == f"routed[{N_SHARDS}]"
+        # Engine-side figures are summed over the shards: every request
+        # costs at least one shard a cache lookup and a latch acquisition.
+        assert report.cache["hits"] + report.cache["misses"] >= 6
+        assert report.latch["acquisitions"] >= 6
+        assert report.counters_consistent is True
 
 
 class TestShardSetChecks:

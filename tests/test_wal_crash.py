@@ -8,17 +8,14 @@ oracle, replay exactly the post-checkpoint suffix, and fsck clean. A
 final test kills a real server process with SIGKILL mid-traffic.
 """
 
-import json
-import os
 import signal
-import socket
-import subprocess
-import sys
-import time
 
 import pytest
 
+from repro.service import send_request
 from repro.wal.crashtest import STRUCTURES, run_crash_matrix
+
+from tests.conftest import run_cli
 
 # The whole module runs under the runtime lock-order sanitizer: recovery
 # and checkpointing take the WAL lock and the pool latch in sequence, and
@@ -44,60 +41,26 @@ def test_crash_matrix_hilbert_replay(tmp_path):
 class TestKillDashNine:
     """A real process, real sockets, and an honest SIGKILL."""
 
-    def _request(self, port, obj):
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-            sock.sendall(json.dumps(obj).encode("utf-8") + b"\n")
-            return json.loads(sock.makefile("rb").readline())
-
-    def test_kill_recover_fsck(self, tmp_path):
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env["PYTHONPATH"] = os.path.abspath(src)
+    def test_kill_recover_fsck(self, spawn, tmp_path):
         store = str(tmp_path / "store")
-        proc = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--wal", store, "--scale", "0.01", "--port", "0",
-            ],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-            text=True,
+        server = spawn("serve", "--wal", store, "--scale", "0.01", "--port", "0")
+        addr = server.address
+        inserted = send_request(
+            addr, {"op": "insert", "x1": 3, "y1": 4, "x2": 55, "y2": 66}
         )
-        try:
-            port = None
-            deadline = time.monotonic() + 60
-            while time.monotonic() < deadline:
-                line = proc.stdout.readline()
-                if not line:
-                    break
-                if "serving" in line:
-                    port = int(line.split("on 127.0.0.1:")[1].split(" ")[0])
-                    break
-            assert port is not None, "server never announced its port"
+        assert inserted["ok"]
+        assert send_request(addr, {"op": "checkpoint"})["ok"]
+        assert send_request(
+            addr, {"op": "insert", "x1": 9, "y1": 9, "x2": 42, "y2": 17}
+        )["ok"]
+        stats = send_request(addr, {"op": "stats"})["result"]
+        assert stats["durable"] and stats["last_lsn"] == 2
+        server.stop(signal.SIGKILL)
 
-            inserted = self._request(
-                port, {"op": "insert", "x1": 3, "y1": 4, "x2": 55, "y2": 66}
-            )
-            assert inserted["ok"]
-            assert self._request(port, {"op": "checkpoint"})["ok"]
-            assert self._request(
-                port, {"op": "insert", "x1": 9, "y1": 9, "x2": 42, "y2": 17}
-            )["ok"]
-            stats = self._request(port, {"op": "stats"})["result"]
-            assert stats["durable"] and stats["last_lsn"] == 2
-        finally:
-            os.kill(proc.pid, signal.SIGKILL)
-            proc.wait()
-
-        out = subprocess.run(
-            [sys.executable, "-m", "repro", "recover", "--wal", store],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        out = run_cli("recover", "--wal", store)
         assert out.returncode == 0, out.stdout + out.stderr
         assert "1 record(s) replayed" in out.stdout  # only the suffix
 
-        out = subprocess.run(
-            [sys.executable, "-m", "repro", "check", "--wal", store],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        out = run_cli("check", "--wal", store)
         assert out.returncode == 0, out.stdout + out.stderr
         assert "clean" in out.stdout
