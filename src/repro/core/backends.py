@@ -2,9 +2,10 @@
 
 The :class:`~repro.core.interface.TraversalBackend` seam lets the engine
 swap *how* queries traverse an index without changing *what* they
-measure. :class:`ScalarBackend` is the paper's per-entry loop, factored
-out of the historical ad-hoc entry points; :class:`repro.core.vector`
-provides the numpy struct-of-arrays twin. :func:`resolve_backend` picks
+measure. :class:`ScalarBackend` is the paper's per-entry loop, and the
+one switch from a spec's op to a search; :mod:`repro.core.vector`
+subclasses it, overriding the window and incidence searches with numpy
+struct-of-arrays passes. :func:`resolve_backend` picks
 one by name and degrades gracefully -- asking for ``"vector"`` without
 numpy installed yields a scalar backend that reports the fallback in
 ``describe()`` (surfaced by the engine's ``stats`` op).
@@ -20,6 +21,7 @@ from repro.core.queries.point import other_endpoint_via, scalar_incident_segment
 from repro.core.queries.polygon import walk_enclosing_polygon
 from repro.core.queries.spec import QuerySpec
 from repro.core.queries.window import scalar_window_query
+from repro.geometry import Point, Rect
 
 #: Names :func:`resolve_backend` accepts.
 BACKEND_NAMES = ("scalar", "vector")
@@ -38,15 +40,15 @@ class ScalarBackend(TraversalBackend):
     def run(self, index: SpatialIndex, spec: QuerySpec):
         op = spec.op
         if op == "window":
-            return scalar_window_query(index, spec.to_rect(), spec.mode)
+            return self._window(index, spec.to_rect(), spec.mode)
         if op == "point":
-            return [
-                sid
-                for sid, _ in scalar_incident_segments(index, spec.to_point())
-            ]
+            return [sid for sid, _ in self._incident(index, spec.to_point())]
         if op == "incident":
-            return scalar_incident_segments(index, spec.to_point())
+            return self._incident(index, spec.to_point())
         if op == "nearest":
+            # Best-first search is dominated by heap-ordered node
+            # expansions and per-candidate distance fetches that must
+            # stay charge-identical: every backend shares this one.
             return scalar_nearest_k(index, spec.to_point(), spec.k)
         if op == "other_endpoint":
             return other_endpoint_via(index, spec.to_point(), spec.seg_id, self)
@@ -55,6 +57,14 @@ class ScalarBackend(TraversalBackend):
                 index, spec.to_point(), spec.max_steps, self
             )
         raise ValueError(f"unknown spec op {spec.op!r}")
+
+    # The two traversals an accelerating backend overrides; queries 2
+    # and 4 are composed from them, so they follow.
+    def _window(self, index: SpatialIndex, window: Rect, mode: str) -> List[int]:
+        return scalar_window_query(index, window, mode)
+
+    def _incident(self, index: SpatialIndex, p: Point):
+        return scalar_incident_segments(index, p)
 
     def describe(self) -> dict:
         out = {"name": self.name, "requested": self.requested}

@@ -111,8 +111,6 @@ def scalar_nearest_k(
     expansions and per-candidate geometry fetches that must stay
     charge-identical, so there is nothing to batch.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     out = []
     for seg_id, dist2 in iter_nearest(index, p):
         out.append((seg_id, dist2))

@@ -23,7 +23,8 @@ def scalar_window_query(
 ) -> List[int]:
     """The scalar reference implementation of query 5.
 
-    ``mode`` selects the spatial predicate:
+    ``mode`` selects the spatial predicate (validated where the plan is
+    built, :meth:`QuerySpec.window`):
 
     * ``"intersects"`` (the paper's reading: "find all roads that pass
       through a given region") -- any part of the segment meets the
@@ -36,8 +37,6 @@ def scalar_window_query(
     verified against its actual geometry, which is one segment comparison.
     Under EXPLAIN each fetch lands in the ``segment_table`` cause.
     """
-    if mode not in ("intersects", "contains"):
-        raise ValueError(f"mode must be 'intersects' or 'contains', got {mode!r}")
     prof = TRACER.current_profile() if TRACER.profiling else None
     candidates = index.candidate_ids_in_rect(window)
     out: List[int] = []

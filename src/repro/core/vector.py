@@ -53,13 +53,9 @@ except ImportError:  # pragma: no cover
     np = None
     HAVE_NUMPY = False
 
-from repro.core.interface import SpatialIndex, TraversalBackend
+from repro.core.backends import ScalarBackend
+from repro.core.interface import SpatialIndex
 from repro.core.pmr.pmr import PMRQuadtree
-from repro.core.queries.nearest import scalar_nearest_k
-from repro.core.queries.point import other_endpoint_via, scalar_incident_segments
-from repro.core.queries.polygon import walk_enclosing_polygon
-from repro.core.queries.spec import QuerySpec
-from repro.core.queries.window import scalar_window_query
 from repro.core.rplus.rplus import RPlusTree
 from repro.core.rtree.rtree import GuttmanRTree
 from repro.geometry import Point, Rect
@@ -405,8 +401,13 @@ def _scan_range_entries(btree, lo_key, hi_key) -> List[Tuple[Any, Any]]:
 # ----------------------------------------------------------------------
 # The backend
 # ----------------------------------------------------------------------
-class VectorBackend(TraversalBackend):
-    """numpy struct-of-arrays traversal with exact counter parity."""
+class VectorBackend(ScalarBackend):
+    """numpy struct-of-arrays traversal with exact counter parity.
+
+    The spec dispatch is :meth:`ScalarBackend.run`; this class overrides
+    the two traversals it accelerates (everything else *is* the scalar
+    search) and adds the fused batch descent.
+    """
 
     name = "vector"
     supports_batch = True
@@ -417,7 +418,7 @@ class VectorBackend(TraversalBackend):
                 "VectorBackend requires numpy; install the [vector] extra "
                 "or use resolve_backend('vector') for graceful fallback"
             )
-        self.requested = "vector"
+        super().__init__()
         self._tree_mirrors: Dict[int, _TreeMirror] = {}
         self._pmr_mirrors: Dict[int, _PMRMirror] = {}
         # id(index) -> (segment count, (n, 4) coords, page-id array)
@@ -647,35 +648,8 @@ class VectorBackend(TraversalBackend):
             out.append([(sid, table.peek(sid)) for sid in kept])
         return out
 
-    # -- spec dispatch -------------------------------------------------
-    def run(self, index: SpatialIndex, spec: QuerySpec):
-        op = spec.op
-        if op == "window":
-            return self._window(index, spec.to_rect(), spec.mode)
-        if op == "point":
-            return [sid for sid, _ in self._incident(index, spec.to_point())]
-        if op == "incident":
-            return self._incident(index, spec.to_point())
-        if op == "nearest":
-            # Best-first search is dominated by heap-ordered node
-            # expansions and per-candidate distance fetches that must
-            # stay charge-identical; both backends share the scalar
-            # incremental algorithm.
-            return scalar_nearest_k(index, spec.to_point(), spec.k)
-        if op == "other_endpoint":
-            return other_endpoint_via(index, spec.to_point(), spec.seg_id, self)
-        if op == "polygon":
-            return walk_enclosing_polygon(
-                index, spec.to_point(), spec.max_steps, self
-            )
-        raise ValueError(f"unknown spec op {spec.op!r}")
-
     # -- single-query traversal ----------------------------------------
     def _window(self, index: SpatialIndex, window: Rect, mode: str):
-        if mode not in ("intersects", "contains"):
-            raise ValueError(
-                f"mode must be 'intersects' or 'contains', got {mode!r}"
-            )
         if self._tree_vectorizable(index):
             candidates = self._tree_candidates(index, "window", window)
             return self._verify_window(index, candidates, window, mode)
@@ -686,7 +660,7 @@ class VectorBackend(TraversalBackend):
         # Unsupported structures run the scalar reference; so does a PMR
         # window under EXPLAIN, because the mask decomposition never
         # visits the directory blocks whose levels the plan reports.
-        return scalar_window_query(index, window, mode)
+        return super()._window(index, window, mode)
 
     def _incident(self, index: SpatialIndex, p: Point):
         if self._tree_vectorizable(index):
@@ -694,7 +668,7 @@ class VectorBackend(TraversalBackend):
             return self._verify_incident(index, candidates, p)
         # The PMR point search is a single in-memory descent plus one
         # B-tree scan; there is no per-entry loop to vectorize.
-        return scalar_incident_segments(index, p)
+        return super()._incident(index, p)
 
     def _tree_candidates(self, index: SpatialIndex, kind: str, query):
         """Scalar DFS with a vectorized per-node predicate.

@@ -28,25 +28,18 @@ this package *serves* them:
   it does not) reporting throughput and latency percentiles and, from
   the movement of the target's ``stats`` op, cache hit rate, disk
   accesses, latch contention and fsyncs per mutation.
-* :mod:`repro.service.api` -- the typed request dataclasses
-  (:class:`PointQuery`, :class:`WindowQuery`, ...) every surface parses
-  into; :meth:`QueryEngine.execute` is the single dispatch point where
-  tracing and metrics (:mod:`repro.obs`) attach.
+* :mod:`repro.service.api` -- the op table (:data:`OPS`, one row per
+  op) and :func:`parse_request`, which turns a wire dict into the
+  :class:`~repro.core.queries.spec.QuerySpec` (a read) or
+  :class:`Command` (anything else) that :meth:`QueryEngine.execute` --
+  the single dispatch point, where tracing and metrics
+  (:mod:`repro.obs`) attach -- runs.
 """
 
 from repro.service.api import (
+    OPS,
     PROTOCOL_VERSION,
-    BatchRequest,
-    Check,
-    Checkpoint,
-    Delete,
-    Insert,
-    Metrics,
-    NearestQuery,
-    PointQuery,
-    Stats,
-    Trace,
-    WindowQuery,
+    Command,
     parse_batch_item,
     parse_request,
 )
@@ -71,25 +64,16 @@ def __getattr__(name: str):
 
 __all__ = [
     "BatchExecutor",
-    "BatchRequest",
     "BatchResult",
     "BenchReport",
-    "Check",
-    "Checkpoint",
-    "Delete",
-    "Insert",
+    "Command",
     "MapServer",
-    "Metrics",
-    "NearestQuery",
+    "OPS",
     "PROTOCOL_VERSION",
-    "PointQuery",
     "Protocol",
     "QueryEngine",
     "QuerySession",
     "ResultCache",
-    "Stats",
-    "Trace",
-    "WindowQuery",
     "bench_serve",
     "error_envelope",
     "format_bench_report",

@@ -1,59 +1,44 @@
-"""Typed requests: the one shape every query takes through the engine.
+"""The wire's request model: one table, one row per op.
 
-The service used to have three request surfaces -- ``engine.window(...)``
-kwargs, batch dicts, and wire-protocol JSON -- each validating (or not)
-on its own. This module gives them one: every operation is a dataclass,
-canonicalized and validated at construction, and
-:meth:`repro.service.engine.QueryEngine.execute` is the single dispatch
-point that runs any of them. The old ``engine.point/window/nearest/...``
-methods survive as thin wrappers that build a request and call
-``execute``, so existing callers -- and the result cache's canonicalized
-keys -- are unchanged.
+:func:`parse_request` turns a wire-protocol dict into the object
+:meth:`repro.service.engine.QueryEngine.execute` runs. For a read that is
+a :class:`~repro.core.queries.spec.QuerySpec` -- the same object a Python
+caller builds, the result cache keys on and the traversal backend
+consumes; for anything else it is a :class:`Command`, the op and its
+checked arguments. :data:`OPS` declares each op once -- what checks its
+wire arguments, what the engine does with them, whether it writes, what
+a trace prints of it -- and ``parse_request``, the engine's dispatch, the
+protocol core's deferred commit and the batch scheduler's barriers are
+each one lookup in it.
 
-Canonicalization happens in ``__init__``: a :class:`WindowQuery` sorts
-its corners, every coordinate becomes ``float``, and :meth:`cache_key`
-on the read queries returns exactly the tuple the result cache has
-always used. Validation failures raise
+Only what is true of *outside input* is checked here: the JSON type of a
+field, a missing field, an integer no float holds. What makes a query
+well-formed (sorted corners, ``k >= 1``, the window modes) is decided by
+the ``QuerySpec`` factories, so a wire caller and a Python caller are
+told the same thing and share cache entries. Refusals raise
 :class:`~repro.errors.ProtocolError` (a ``ValueError``) carrying the
-wire error code. All requests are immutable by convention -- they are
-shared across threads once built; the rarely-constructed ops enforce it
-with ``frozen=True``, while the three per-request read queries trade
-that enforcement for construction speed (see :class:`PointQuery`).
-
-:func:`parse_request` converts a wire-protocol dict into a typed
-request; :data:`PROTOCOL_VERSION` is the version clients may pin with
-``"v": 1`` (echoed in replies). The op -> class table and the error
-codes are documented in ``docs/architecture.md``.
+wire error code. :data:`PROTOCOL_VERSION` is the version clients may pin
+with ``"v": 1`` (echoed in replies); the op table and the error codes
+are documented in ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
+from repro.core.queries.spec import QuerySpec
 from repro.errors import ProtocolError
+from repro.geometry import Segment
+from repro.obs.trace import TRACER
 
 #: The wire protocol version this server speaks. Requests may carry
 #: ``"v": PROTOCOL_VERSION``; any other value is a ``bad_args`` error.
 PROTOCOL_VERSION = 1
 
-#: Window query modes accepted on the wire (mirrors repro.core.queries).
-WINDOW_MODES = ("intersects", "contains", "clips")
 
-
-def _to_float(value: Any, field_name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProtocolError(
-            f"field {field_name!r} must be a number, got {type(value).__name__}"
-        )
-    try:
-        return float(value)
-    except OverflowError:  # a JSON integer too large for any float
-        raise ProtocolError(
-            f"field {field_name!r} is out of range for a number"
-        ) from None
-
-
+# ----------------------------------------------------------------------
+# Outside-input checks
+# ----------------------------------------------------------------------
 def _require(raw: Dict[str, Any], key: str) -> Any:
     if key not in raw:
         raise ProtocolError(f"missing required field {key!r}")
@@ -61,363 +46,222 @@ def _require(raw: Dict[str, Any], key: str) -> Any:
 
 
 def _number(raw: Dict[str, Any], key: str) -> float:
-    return _to_float(_require(raw, key), key)
+    try:  # a read pays for this on every request: no call, no isinstance
+        value = raw[key]
+    except KeyError:
+        raise ProtocolError(f"missing required field {key!r}") from None
+    if type(value) is float:
+        return value
+    if type(value) is not int:  # exact types: JSON has no subclasses, and bool is one
+        raise ProtocolError(
+            f"field {key!r} must be a number, got {type(value).__name__}"
+        )
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer too large for any float
+        raise ProtocolError(f"field {key!r} is out of range for a number") from None
 
 
 def _integer(raw: Dict[str, Any], key: str, default: Optional[int] = None) -> int:
-    if key not in raw:
-        if default is None:
-            raise ProtocolError(f"missing required field {key!r}")
-        return default
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    value = raw.get(key, default)
+    if value is None:
+        raise ProtocolError(f"missing required field {key!r}")
+    if type(value) is not int:
         raise ProtocolError(
             f"field {key!r} must be an integer, got {type(value).__name__}"
         )
     return value
 
 
-@dataclass(slots=True, init=False)
-class PointQuery:
-    """Query 1: which segments have an endpoint at ``(x, y)``?
+def _choice(raw: Dict[str, Any], key: str, choices: tuple) -> str:
+    """An optional field drawn from ``choices``; the first is the default."""
+    value = raw.get(key, choices[0])
+    if value not in choices:
+        raise ProtocolError(f"field {key!r} must be one of {choices}, got {value!r}")
+    return value
 
-    The three read queries hand-write ``__init__`` (``init=False``)
-    with plain attribute stores: the generated ``__init__`` plus a
-    ``__post_init__`` re-pass costs ~4x as much, and one of these is
-    constructed for every service request. They are immutable by
-    convention (shared across threads; never assign to their fields) --
-    ``frozen=True`` would put ``object.__setattr__`` back on the hot
-    path, which is most of that cost.
+
+def _use_cache(raw: Dict[str, Any]) -> bool:
+    """The one reader of the wire's ``use_cache``. False on a read -- or on
+    a batch, for every read in it -- runs the traversal without consulting
+    or filling the result cache."""
+    use_cache = raw.get("use_cache", True)
+    if not isinstance(use_cache, bool):
+        raise ProtocolError(
+            f"field 'use_cache' must be a boolean, got {type(use_cache).__name__}"
+        )
+    return use_cache
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+class Op(NamedTuple):
+    """One row of :data:`OPS`: everything the service knows about an op.
+
+    ``parse(raw)`` checks the wire dict and returns what it asks for: the
+    :class:`QuerySpec` of a read, the keyword arguments of any other op.
+    ``run(engine, session, **arguments)`` is what the engine does with
+    those; it is None for a read, because the engine runs every QuerySpec
+    one way (cache, latch, attribution, backend). ``writes`` marks a
+    mutation: its commit can be deferred to a group committer, in a
+    batch it is a barrier, and a shard router sends one at a time.
+    ``describe(arguments)`` is what a trace and the slow log print of
+    them.
     """
 
-    OP: ClassVar[str] = "point"
-
-    x: float
-    y: float
-    use_cache: bool = True
-
-    def __init__(self, x: Any, y: Any, use_cache: bool = True) -> None:
-        self.x = x if type(x) is float else _to_float(x, "x")
-        self.y = y if type(y) is float else _to_float(y, "y")
-        self.use_cache = use_cache
-
-    def cache_key(self) -> Tuple:
-        return ("point", self.x, self.y)
-
-    def describe(self) -> Dict[str, Any]:
-        return {"x": self.x, "y": self.y}
+    parse: Callable[[Dict[str, Any]], Any]
+    run: Optional[Callable[..., Any]] = None
+    writes: bool = False
+    describe: Callable[[Dict[str, Any]], Dict[str, Any]] = dict
 
 
-@dataclass(slots=True, init=False)
-class WindowQuery:
-    """Query 5: which segments meet the (canonicalized) window?"""
-
-    OP: ClassVar[str] = "window"
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    mode: str = "intersects"
-    use_cache: bool = True
-
-    def __init__(
-        self,
-        x1: Any,
-        y1: Any,
-        x2: Any,
-        y2: Any,
-        mode: str = "intersects",
-        use_cache: bool = True,
-    ) -> None:
-        if type(x1) is not float:
-            x1 = _to_float(x1, "x1")
-        if type(y1) is not float:
-            y1 = _to_float(y1, "y1")
-        if type(x2) is not float:
-            x2 = _to_float(x2, "x2")
-        if type(y2) is not float:
-            y2 = _to_float(y2, "y2")
-        if x2 < x1:
-            x1, x2 = x2, x1
-        if y2 < y1:
-            y1, y2 = y2, y1
-        if mode not in WINDOW_MODES:
-            raise ProtocolError(
-                f"field 'mode' must be one of {WINDOW_MODES}, got {mode!r}"
-            )
-        self.x1 = x1
-        self.y1 = y1
-        self.x2 = x2
-        self.y2 = y2
-        self.mode = mode
-        self.use_cache = use_cache
-
-    def cache_key(self) -> Tuple:
-        return ("window", self.x1, self.y1, self.x2, self.y2, self.mode)
-
-    def describe(self) -> Dict[str, Any]:
-        return {
-            "x1": self.x1,
-            "y1": self.y1,
-            "x2": self.x2,
-            "y2": self.y2,
-            "mode": self.mode,
-        }
+# The read parsers hand the factories bare tuples: a factory only unpacks
+# its point or rectangle, and the NamedTuple costs 0.2 us a request.
+def _point(raw: Dict[str, Any]) -> QuerySpec:
+    return QuerySpec.point((_number(raw, "x"), _number(raw, "y")))
 
 
-@dataclass(slots=True, init=False)
-class NearestQuery:
-    """Query 3 (k-nearest): ``(seg_id, dist^2)`` pairs, nearest first."""
-
-    OP: ClassVar[str] = "nearest"
-
-    x: float
-    y: float
-    k: int = 1
-    use_cache: bool = True
-
-    def __init__(
-        self, x: Any, y: Any, k: int = 1, use_cache: bool = True
-    ) -> None:
-        if type(k) is not int and (
-            isinstance(k, bool) or not isinstance(k, int)
-        ):
-            raise ProtocolError(
-                f"field 'k' must be an integer, got {type(k).__name__}"
-            )
-        if k < 1:
-            raise ProtocolError(f"k must be >= 1, got {k}")
-        self.x = x if type(x) is float else _to_float(x, "x")
-        self.y = y if type(y) is float else _to_float(y, "y")
-        self.k = k
-        self.use_cache = use_cache
-
-    def cache_key(self) -> Tuple:
-        return ("nearest", self.x, self.y, self.k)
-
-    def describe(self) -> Dict[str, Any]:
-        return {"x": self.x, "y": self.y, "k": self.k}
+def _window(raw: Dict[str, Any]) -> QuerySpec:
+    corners = (
+        _number(raw, "x1"),
+        _number(raw, "y1"),
+        _number(raw, "x2"),
+        _number(raw, "y2"),
+    )
+    return QuerySpec.window(corners, raw.get("mode", "intersects"))
 
 
-@dataclass(frozen=True, slots=True)
-class BatchRequest:
-    """A group of requests executed with locality-aware scheduling.
+def _nearest(raw: Dict[str, Any]) -> QuerySpec:
+    return QuerySpec.nearest(
+        (_number(raw, "x"), _number(raw, "y")), _integer(raw, "k", 1)
+    )
 
-    ``requests`` stays a tuple of *wire-shaped dicts*: the batch executor
-    parses each into a typed request at dispatch time, so a bad item is a
-    structured error for that batch without invalidating the whole
-    protocol stream.
+
+def _batch(raw: Dict[str, Any]) -> Dict[str, Any]:
+    """``requests`` stays a list of *wire dicts*: the batch executor parses
+    each member when it runs the batch, so a bad member is that batch's
+    structured error and nothing else's."""
+    requests = _require(raw, "requests")
+    if not isinstance(requests, list):
+        raise ProtocolError(
+            f"field 'requests' must be a list, got {type(requests).__name__}"
+        )
+    return {
+        "requests": requests,
+        "order": _choice(raw, "order", ("morton", "arrival")),
+        "use_cache": _use_cache(raw),
+    }
+
+
+def _trace(raw: Dict[str, Any]) -> Dict[str, Any]:
+    args = {key: raw[key] for key in ("n", "trace_id") if raw.get(key) is not None}
+    if "n" in args and _integer(raw, "n") < 1:
+        raise ProtocolError("field 'n' must be a positive integer")
+    if not isinstance(args.get("trace_id", ""), str):
+        raise ProtocolError("field 'trace_id' must be a string")
+    return args
+
+
+def _traces(engine, session, n: Optional[int] = None, trace_id: Optional[str] = None):
+    """The last ``n`` traces, or -- with ``trace_id`` -- that one (a router
+    answers it from its ring of stitched cross-process trees)."""
+    if trace_id is not None:
+        return {"tracing": TRACER.stats(), "trace": TRACER.find(trace_id)}
+    return {"tracing": TRACER.stats(), "traces": TRACER.recent(n)}
+
+
+def _explain(raw: Dict[str, Any]) -> Dict[str, Any]:
+    """``{"op": "explain", "query": {"op": "window", ...}}``: the wrapped
+    read runs for real, and the answer is its plan and profile."""
+    query = _require(raw, "query")
+    if not isinstance(query, dict) or query.get("op") not in READ_OPS:
+        raise ProtocolError(
+            f"field 'query' must be a request object of one of ops {READ_OPS}"
+        )
+    return {"query": parse_request(query)}
+
+
+def _no_args(raw: Dict[str, Any]) -> Dict[str, Any]:
+    return {}
+
+
+#: Every op the engine serves. (``ping`` / ``clock`` / ``profile`` are
+#: the protocol core's: they never reach an engine.)
+OPS: Dict[str, Op] = {
+    "point": Op(_point),
+    "window": Op(_window),
+    "nearest": Op(_nearest),
+    "batch": Op(
+        _batch,
+        lambda engine, session, **batch: engine.batch.execute(
+            session=session, **batch
+        ),
+        describe=lambda a: {**a, "requests": len(a["requests"])},
+    ),
+    "insert": Op(
+        lambda raw: {name: _number(raw, name) for name in Segment._fields},
+        lambda engine, session, **xy: engine._apply_insert(Segment(**xy), session),
+        writes=True,
+    ),
+    "delete": Op(
+        lambda raw: {"seg_id": _integer(raw, "seg_id")},
+        lambda engine, session, seg_id: engine._apply_delete(seg_id, session),
+        writes=True,
+    ),
+    "checkpoint": Op(
+        _no_args, lambda engine, session: engine._apply_checkpoint(session, None)
+    ),
+    "stats": Op(_no_args, lambda engine, session: engine.stats()),
+    "check": Op(_no_args, lambda engine, session: engine.check()),
+    "health": Op(_no_args, lambda engine, session: engine.refresh_health()),
+    "trace": Op(_trace, _traces),
+    "metrics": Op(
+        lambda raw: {"format": _choice(raw, "format", ("json", "prom"))},
+        lambda engine, session, format: engine.export_metrics(format),
+    ),
+    "explain": Op(
+        _explain,
+        lambda engine, session, query: engine._explain(query, session),
+        describe=lambda a: {"query_op": a["query"].op, **a["query"].describe()},
+    ),
+}
+
+#: The reads: what EXPLAIN wraps, and what a batch Morton-schedules
+#: between its writes. Nothing else makes sense grouped.
+READ_OPS = tuple(op for op, row in OPS.items() if row.run is None)
+BATCH_OPS = READ_OPS + tuple(op for op, row in OPS.items() if row.writes)
+
+
+def _row(op: Any) -> Op:
+    try:
+        return OPS[op]
+    except (KeyError, TypeError):  # TypeError: JSON that cannot be a key
+        raise ProtocolError(f"unknown op {op!r}", code="unknown_op") from None
+
+
+class Command:
+    """Any op but a read, checked: the op and its arguments by name.
+
+    (A read is a :class:`QuerySpec`.) ``args`` are the keyword arguments
+    of the op's ``run``; building one for an op outside :data:`OPS` is
+    the ``unknown_op`` error.
     """
 
-    OP: ClassVar[str] = "batch"
+    __slots__ = ("op", "args")
 
-    requests: Tuple[Dict[str, Any], ...]
-    order: str = "morton"
-    use_cache: bool = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.requests, tuple):
-            try:
-                object.__setattr__(self, "requests", tuple(self.requests))
-            except TypeError:
-                raise ProtocolError(
-                    "field 'requests' must be a list of request objects"
-                ) from None
-        for item in self.requests:
-            if not isinstance(item, dict):
-                raise ProtocolError(
-                    f"batch items must be objects, got {type(item).__name__}"
-                )
+    def __init__(self, op: str, **args: Any) -> None:
+        _row(op)
+        self.op = op
+        self.args = args
 
     def describe(self) -> Dict[str, Any]:
-        return {"requests": len(self.requests), "order": self.order}
-
-
-@dataclass(frozen=True, slots=True)
-class Insert:
-    """Append a new segment to the table and index it."""
-
-    OP: ClassVar[str] = "insert"
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self) -> None:
-        for name in ("x1", "y1", "x2", "y2"):
-            object.__setattr__(self, name, _to_float(getattr(self, name), name))
-
-    def describe(self) -> Dict[str, Any]:
-        return {"x1": self.x1, "y1": self.y1, "x2": self.x2, "y2": self.y2}
-
-
-@dataclass(frozen=True, slots=True)
-class Delete:
-    """Unindex the segment with id ``seg_id``."""
-
-    OP: ClassVar[str] = "delete"
-
-    seg_id: int
-
-    def __post_init__(self) -> None:
-        if isinstance(self.seg_id, bool) or not isinstance(self.seg_id, int):
-            raise ProtocolError(
-                f"field 'seg_id' must be an integer, got "
-                f"{type(self.seg_id).__name__}"
-            )
-
-    def describe(self) -> Dict[str, Any]:
-        return {"seg_id": self.seg_id}
-
-
-@dataclass(frozen=True, slots=True)
-class Checkpoint:
-    """Fold the WAL into a fresh snapshot (durable engines only)."""
-
-    OP: ClassVar[str] = "checkpoint"
-
-    def describe(self) -> Dict[str, Any]:
-        return {}
-
-
-@dataclass(frozen=True, slots=True)
-class Stats:
-    """The full observability snapshot."""
-
-    OP: ClassVar[str] = "stats"
-
-    def describe(self) -> Dict[str, Any]:
-        return {}
-
-
-@dataclass(frozen=True, slots=True)
-class Check:
-    """Run the static index fsck under the latch."""
-
-    OP: ClassVar[str] = "check"
-
-    def describe(self) -> Dict[str, Any]:
-        return {}
-
-
-@dataclass(frozen=True, slots=True)
-class Trace:
-    """Read back the last ``n`` traces -- or one trace by id.
-
-    With ``trace_id`` set the response is ``{"trace": <tree or null>}``:
-    the distributed-trace lookup (the router answers it from its ring of
-    stitched cross-process trees).
-    """
-
-    OP: ClassVar[str] = "trace"
-
-    n: Optional[int] = None
-    trace_id: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.n is not None and (
-            isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1
-        ):
-            raise ProtocolError("field 'n' must be a positive integer")
-        if self.trace_id is not None and not isinstance(self.trace_id, str):
-            raise ProtocolError("field 'trace_id' must be a string")
-
-    def describe(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {}
-        if self.n is not None:
-            out["n"] = self.n
-        if self.trace_id is not None:
-            out["trace_id"] = self.trace_id
-        return out
-
-
-#: Ops EXPLAIN can wrap: the read queries whose traversals are profiled.
-EXPLAIN_OPS = ("point", "window", "nearest")
-
-
-@dataclass(frozen=True, slots=True)
-class Explain:
-    """Run a read query with full per-level cost attribution.
-
-    Wraps a typed :class:`PointQuery` / :class:`WindowQuery` /
-    :class:`NearestQuery` (wire shape: ``{"op": "explain", "query":
-    {"op": "window", ...}}``). The wrapped query executes for real --
-    same traversal, same counters charged to the session -- but bypasses
-    the result cache and returns the structured plan/profile instead of
-    the bare result.
-    """
-
-    OP: ClassVar[str] = "explain"
-
-    query: Any
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.query, (PointQuery, WindowQuery, NearestQuery)):
-            raise ProtocolError(
-                f"explain wraps one of ops {EXPLAIN_OPS}, got "
-                f"{type(self.query).__name__}"
-            )
-
-    def describe(self) -> Dict[str, Any]:
-        out = {"query_op": self.query.OP}
-        out.update(self.query.describe())
-        return out
-
-
-@dataclass(frozen=True, slots=True)
-class Health:
-    """Recompute and return the served index's structural health."""
-
-    OP: ClassVar[str] = "health"
-
-    def describe(self) -> Dict[str, Any]:
-        return {}
-
-
-@dataclass(frozen=True, slots=True)
-class Metrics:
-    """Export the process-wide metrics registry."""
-
-    OP: ClassVar[str] = "metrics"
-
-    format: str = "json"
-
-    def __post_init__(self) -> None:
-        if self.format not in ("json", "prom"):
-            raise ProtocolError(
-                f"field 'format' must be 'json' or 'prom', got {self.format!r}"
-            )
-
-    def describe(self) -> Dict[str, Any]:
-        return {"format": self.format}
-
-
-#: Every request type ``QueryEngine.execute`` accepts.
-REQUEST_TYPES = (
-    PointQuery,
-    WindowQuery,
-    NearestQuery,
-    BatchRequest,
-    Insert,
-    Delete,
-    Checkpoint,
-    Stats,
-    Check,
-    Trace,
-    Metrics,
-    Explain,
-    Health,
-)
-
-#: Ops allowed inside a batch: reads are Morton-schedulable, mutations
-#: are barriers; everything else makes no sense grouped.
-BATCH_OPS = ("point", "window", "nearest", "insert", "delete")
+        return OPS[self.op].describe(self.args)
 
 
 def parse_request(raw: Dict[str, Any]) -> Any:
-    """Build the typed request a wire-protocol dict describes.
+    """The request a wire-protocol dict describes, checked: a
+    :class:`QuerySpec` for a read, a :class:`Command` otherwise.
 
     Raises :class:`ProtocolError` with code ``unknown_op`` for an op
     outside the table, ``bad_args`` for missing/mis-typed fields.
@@ -427,94 +271,24 @@ def parse_request(raw: Dict[str, Any]) -> Any:
             f"request must be a JSON object, got {type(raw).__name__}"
         )
     op = raw.get("op")
-    # The read ops dominate service traffic, so they index the dict
-    # directly and let __post_init__ do the (single) validation pass;
-    # the KeyError catch keeps missing-field errors as bad_args.
+    row = _row(op)
+    if row.run is not None:
+        return Command(op, **row.parse(raw))
     try:
-        if op == "point":
-            return PointQuery(raw["x"], raw["y"])
-        if op == "window":
-            return WindowQuery(
-                raw["x1"],
-                raw["y1"],
-                raw["x2"],
-                raw["y2"],
-                mode=raw.get("mode", "intersects"),
-            )
-        if op == "nearest":
-            return NearestQuery(raw["x"], raw["y"], k=raw.get("k", 1))
-    except KeyError as exc:
-        raise ProtocolError(
-            f"missing required field {exc.args[0]!r}"
-        ) from None
-    if op == "batch":
-        requests = _require(raw, "requests")
-        if not isinstance(requests, list):
-            raise ProtocolError(
-                f"field 'requests' must be a list, got "
-                f"{type(requests).__name__}"
-            )
-        order = raw.get("order", "morton")
-        if order not in ("arrival", "morton"):
-            raise ProtocolError(
-                f"field 'order' must be 'arrival' or 'morton', got {order!r}"
-            )
-        use_cache = raw.get("use_cache", True)
-        if not isinstance(use_cache, bool):
-            raise ProtocolError(
-                f"field 'use_cache' must be a boolean, got "
-                f"{type(use_cache).__name__}"
-            )
-        return BatchRequest(tuple(requests), order=order, use_cache=use_cache)
-    if op == "insert":
-        return Insert(
-            _number(raw, "x1"),
-            _number(raw, "y1"),
-            _number(raw, "x2"),
-            _number(raw, "y2"),
-        )
-    if op == "delete":
-        return Delete(_integer(raw, "seg_id"))
-    if op == "checkpoint":
-        return Checkpoint()
-    if op == "stats":
-        return Stats()
-    if op == "check":
-        return Check()
-    if op == "trace":
-        return Trace(n=raw.get("n"), trace_id=raw.get("trace_id"))
-    if op == "metrics":
-        return Metrics(format=raw.get("format", "json"))
-    if op == "explain":
-        inner_raw = _require(raw, "query")
-        if not isinstance(inner_raw, dict):
-            raise ProtocolError(
-                f"field 'query' must be a request object, got "
-                f"{type(inner_raw).__name__}"
-            )
-        if inner_raw.get("op") not in EXPLAIN_OPS:
-            raise ProtocolError(
-                f"explain wraps one of ops {EXPLAIN_OPS}, got "
-                f"{inner_raw.get('op')!r}"
-            )
-        return Explain(parse_request(inner_raw))
-    if op == "health":
-        return Health()
-    raise ProtocolError(f"unknown op {op!r}", code="unknown_op")
+        spec = row.parse(raw)
+    except ValueError as exc:  # a factory's refusal is a bad argument here
+        raise ProtocolError(str(exc)) from None
+    if "use_cache" in raw and not _use_cache(raw):
+        spec.use_cache = False
+    return spec
 
 
-def parse_batch_item(raw: Dict[str, Any], use_cache: bool = True) -> Any:
+def parse_batch_item(raw: Dict[str, Any]) -> Any:
     """Parse one batch member, restricted to the batchable ops."""
     if not isinstance(raw, dict):
         raise ProtocolError(
             f"batch items must be objects, got {type(raw).__name__}"
         )
-    op = raw.get("op")
-    if op not in BATCH_OPS:
-        raise ProtocolError(f"batch cannot execute op {op!r}")
-    request = parse_request(raw)
-    if not use_cache and hasattr(request, "use_cache"):
-        from dataclasses import replace
-
-        request = replace(request, use_cache=False)
-    return request
+    if raw.get("op") not in BATCH_OPS:
+        raise ProtocolError(f"batch cannot execute op {raw.get('op')!r}")
+    return parse_request(raw)

@@ -11,8 +11,8 @@ execution schedule changes.
 
 The effect is measured, not assumed: :meth:`BatchExecutor.compare_orders`
 runs the same batch in arrival order and in Morton order from an equally
-cold pool and reports the disk accesses of each (``bench-serve`` prints
-the comparison, and the service tests assert Morton <= arrival).
+cold pool and reports the disk accesses of each (the service tests
+assert Morton <= arrival).
 
 Batches may also carry mutations (``insert``/``delete``). A mutation is
 a *barrier*: it executes at exactly its arrival position, and only the
@@ -21,8 +21,8 @@ themselves. That preserves both read-after-write semantics (a query
 after an insert sees it; one before does not) and -- in durable mode --
 the WAL's LSN order, which must match arrival order.
 
-Each member is parsed into a typed request
-(:func:`repro.service.api.parse_batch_item`) and dispatched through
+Each member is parsed (:func:`repro.service.api.parse_batch_item`) into
+the request a standalone op would be and dispatched through
 :meth:`QueryEngine.execute`, so batch members are validated, traced, and
 histogrammed exactly like standalone requests -- under an enabled
 tracer, a batch trace shows one child span per member.
@@ -35,14 +35,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.interface import WORLD_SIZE
 from repro.core.pmr.locational import interleave
-from repro.service.api import (
-    Delete,
-    Insert,
-    NearestQuery,
-    PointQuery,
-    WindowQuery,
-    parse_batch_item,
-)
+from repro.core.queries.spec import QuerySpec
+from repro.service.api import OPS, parse_batch_item
 from repro.service.engine import QueryEngine, QuerySession
 from repro.storage.counters import MetricsSnapshot
 
@@ -53,24 +47,17 @@ from repro.storage.counters import MetricsSnapshot
 Request = Dict[str, Any]
 
 _ORDERS = ("arrival", "morton")
-_MUTATIONS = (Insert, Delete)
 
 
 def _is_mutation(request: Any) -> bool:
-    if isinstance(request, dict):
-        return request.get("op") in ("insert", "delete")
-    return isinstance(request, _MUTATIONS)
+    return OPS[request.op].writes
 
 
-def _centroid(request: Any) -> Tuple[float, float]:
-    """Scheduling key coordinate of a typed request (or a wire dict)."""
-    if isinstance(request, dict):
-        request = parse_batch_item(request)
-    if isinstance(request, WindowQuery):
-        return (request.x1 + request.x2) / 2.0, (request.y1 + request.y2) / 2.0
-    if isinstance(request, (PointQuery, NearestQuery)):
-        return request.x, request.y
-    raise ValueError(f"no centroid for request {type(request).__name__}")
+def _centroid(spec: QuerySpec) -> Tuple[float, float]:
+    """Scheduling key coordinate of a read."""
+    if spec.op == "window":
+        return spec.to_rect().center()
+    return spec.to_point()
 
 
 def morton_key(x: float, y: float) -> int:
@@ -139,7 +126,11 @@ class BatchExecutor:
             raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
         if session is None:
             session = self.engine.session()
-        typed = [parse_batch_item(raw, use_cache=use_cache) for raw in requests]
+        typed = [parse_batch_item(raw) for raw in requests]
+        if not use_cache:
+            for request in typed:
+                if not _is_mutation(request):
+                    request.use_cache = False
         results: List[Any] = [None] * len(typed)
         before = session.counters.snapshot()
         schedule = self._schedule(typed, order)

@@ -4,12 +4,13 @@ The storage substrate is single-threaded by design (the paper measures a
 solitary structure); a server is not. The :class:`QueryEngine` makes the
 shared stack safe and attributable:
 
-* **One dispatch point** -- every operation, from a point query to a
-  checkpoint, is a typed request (:mod:`repro.service.api`) run through
-  :meth:`QueryEngine.execute`. The old ``point``/``window``/``nearest``/
-  ``insert_segment``/``delete``/``checkpoint`` methods survive as thin
-  wrappers that build a request, so callers and the cache keys are
-  unchanged -- but instrumentation now attaches in exactly one place.
+* **One dispatch point** -- :meth:`QueryEngine.execute` runs a read as
+  the :class:`~repro.core.queries.spec.QuerySpec` it is (the wire's
+  three, and the paper's queries 2 and 4, which have no wire op) and any
+  other op as the :class:`~repro.service.api.Command` its row of
+  :data:`repro.service.api.OPS` describes, so instrumentation attaches
+  in exactly one place. ``insert_segment`` / ``delete`` / ``checkpoint``
+  are the Python spellings of those three requests.
 * **Observability** -- ``execute`` opens a trace span per request
   (:data:`repro.obs.trace.TRACER`; nested requests, e.g. a batch's
   members, become child spans), observes a per-op latency histogram and
@@ -52,28 +53,14 @@ from repro.core.backends import resolve_backend
 from repro.core.interface import WORLD_DEPTH
 from repro.core.queries.spec import QuerySpec
 from repro.errors import NotDurableError, ProtocolError
-from repro.geometry import Point, Rect, Segment
+from repro.geometry import Segment
 from repro.obs.buildinfo import publish_build_info
 from repro.obs.explain import ExplainProfile
 from repro.obs.health import publish_health
 from repro.obs.metrics import MetricsRegistry, SlowQueryLog, get_registry
 from repro.obs.profile import PROFILER
 from repro.obs.trace import TRACER
-from repro.service.api import (
-    BatchRequest,
-    Check,
-    Checkpoint,
-    Delete,
-    Explain,
-    Health,
-    Insert,
-    Metrics,
-    NearestQuery,
-    PointQuery,
-    Stats,
-    Trace,
-    WindowQuery,
-)
+from repro.service.api import OPS, Command
 from repro.metric_names import COUNTER_FIELDS
 from repro.sanitize import SANITIZER, make_lock
 from repro.storage.counters import MetricsCounters
@@ -208,7 +195,7 @@ class QueryEngine:
     # The single dispatch point
     # ------------------------------------------------------------------
     def execute(self, request, session: Optional[QuerySession] = None):
-        """Run any typed request (:mod:`repro.service.api`).
+        """Run a :class:`QuerySpec` or a :class:`~repro.service.api.Command`.
 
         This is where *all* instrumentation attaches: one latency
         histogram observation and one request counter per call (by op
@@ -217,11 +204,12 @@ class QueryEngine:
         Every op goes through here, so every op is measured identically.
         """
         try:
-            op = request.OP
+            op = request.op
         except AttributeError:
             raise ProtocolError(
-                f"not a typed request: {type(request).__name__}; build one "
-                f"from repro.service.api (or call the wrapper methods)"
+                f"not a typed request: {type(request).__name__}; build a "
+                f"QuerySpec, or a repro.service.api.Command (parse_request "
+                f"makes either from a wire dict)"
             ) from None
         root = span = None
         if TRACER.enabled:
@@ -335,39 +323,26 @@ class QueryEngine:
             )
         counter.inc()
 
-    def _spec_for(self, request) -> QuerySpec:
-        """The backend-neutral query plan for a typed read request."""
-        if isinstance(request, PointQuery):
-            return QuerySpec.point(Point(request.x, request.y))
-        if isinstance(request, WindowQuery):
-            return QuerySpec.window(
-                Rect(request.x1, request.y1, request.x2, request.y2),
-                request.mode,
-            )
-        if isinstance(request, NearestQuery):
-            return QuerySpec.nearest(Point(request.x, request.y), request.k)
-        raise ProtocolError(f"not a read query: {type(request).__name__}")
-
-    def _cache_lookup(self, request, session: QuerySession) -> Tuple[bool, Any]:
+    def _cache_lookup(self, spec: QuerySpec, session: QuerySession) -> Tuple[bool, Any]:
         """``(hit, value)`` from the result cache for one read, tallied on
-        the session and marked in the trace; a request that opts out of
-        the cache is a miss that consulted nothing.
+        the session and marked in the trace; a spec that opts out of the
+        cache is a miss that consulted nothing.
 
         The cache keeps its own hit/miss tally under the lock it takes
         anyway; the registry mirrors are synced at export.
         """
-        if not request.use_cache:
+        if not spec.use_cache:
             return _UNCACHED
-        found = self.cache.lookup(request.cache_key())
+        found = self.cache.lookup(spec.cache_key())
         if found[0]:
             session.cache_hits += 1
         if TRACER.enabled:
             TRACER.event("cache_hit" if found[0] else "cache_miss")
         return found
 
-    def _cache_store(self, request, value) -> None:
-        if request.use_cache:
-            self.cache.store(request.cache_key(), value)
+    def _cache_store(self, spec: QuerySpec, value) -> None:
+        if spec.use_cache:
+            self.cache.store(spec.cache_key(), value)
 
     def _traverse(
         self, session: QuerySession, run, plan, **attrs: Any
@@ -392,11 +367,11 @@ class QueryEngine:
         return value, scratch
 
     def execute_reads_fused(
-        self, requests, session: Optional[QuerySession] = None
+        self, specs, session: Optional[QuerySession] = None
     ) -> List[Any]:
         """Run a group of read queries through one fused backend descent.
 
-        The cache is consulted per request exactly as in :meth:`_run`;
+        The cache is consulted per spec exactly as in :meth:`_run`;
         only the misses reach :meth:`TraversalBackend.run_batch`, which
         (for a batch-capable backend) tests all of them against each
         shared upper-level node in a single pass. Results come back in
@@ -407,71 +382,34 @@ class QueryEngine:
         """
         if session is None:
             session = self.session("default")
-        results: List[Any] = [None] * len(requests)
+        results: List[Any] = [None] * len(specs)
         misses: List[int] = []
-        for i, request in enumerate(requests):
+        for i, spec in enumerate(specs):
             session.queries += 1
-            hit, results[i] = self._cache_lookup(request, session)
+            hit, results[i] = self._cache_lookup(spec, session)
             if not hit:
                 misses.append(i)
         if misses:
-            specs = [self._spec_for(requests[i]) for i in misses]
             values, _ = self._traverse(
-                session, self.backend.run_batch, specs, fused=len(specs)
+                session,
+                self.backend.run_batch,
+                [specs[i] for i in misses],
+                fused=len(misses),
             )
             for i, value in zip(misses, values):
                 results[i] = value
-                self._cache_store(requests[i], value)
-        for request in requests:
-            pair = self._op_metrics.get(request.OP)
+                self._cache_store(specs[i], value)
+        for spec in specs:
+            pair = self._op_metrics.get(spec.op)
             if pair is None:
-                pair = self._metric_pair(request.OP)
+                pair = self._metric_pair(spec.op)
             pair[1].inc()
         return results
 
     def _dispatch(self, request, session: Optional[QuerySession]):
-        if isinstance(request, (PointQuery, WindowQuery, NearestQuery)):
+        if isinstance(request, QuerySpec):
             return self._run(request, session)
-        if isinstance(request, BatchRequest):
-            return self.batch.execute(
-                list(request.requests),
-                session=session,
-                order=request.order,
-                use_cache=request.use_cache,
-            )
-        if isinstance(request, Insert):
-            segment = Segment(request.x1, request.y1, request.x2, request.y2)
-            return self._apply_insert(segment, session)
-        if isinstance(request, Delete):
-            return self._apply_delete(request.seg_id, session)
-        if isinstance(request, Checkpoint):
-            return self._apply_checkpoint(session, None)
-        if isinstance(request, Stats):
-            return self.stats()
-        if isinstance(request, Check):
-            return self.check()
-        if isinstance(request, Trace):
-            if request.trace_id is not None:
-                return {
-                    "tracing": TRACER.stats(),
-                    "trace": TRACER.find(request.trace_id),
-                }
-            return {"tracing": TRACER.stats(), "traces": TRACER.recent(request.n)}
-        if isinstance(request, Metrics):
-            self.sync_mirrored_counters()
-            if request.format == "prom":
-                # The prom export is the scrape path: serve the gauges
-                # freshly recomputed, like every other family.
-                self.refresh_health()
-                return self.registry.render_prom()
-            return self.registry.render_json()
-        if isinstance(request, Explain):
-            return self._explain(request, session)
-        if isinstance(request, Health):
-            return self.refresh_health()
-        raise ProtocolError(
-            f"unknown request type {type(request).__name__}", code="unknown_op"
-        )
+        return OPS[request.op].run(self, session, **request.args)
 
     # ------------------------------------------------------------------
     # Attribution
@@ -502,28 +440,24 @@ class QueryEngine:
                 session.counters.merge(scratch)
                 self.totals.merge(scratch)
 
-    def _run(self, request, session: Optional[QuerySession]):
+    def _run(self, spec: QuerySpec, session: Optional[QuerySession]):
         if session is None:
             session = self.session("default")
         session.queries += 1
-        hit, value = self._cache_lookup(request, session)
+        hit, value = self._cache_lookup(spec, session)
         if hit:
             return value
-        # Only a miss pays for building the query plan; a hit returns
-        # above having allocated nothing but the cache key.
-        value, _ = self._traverse(
-            session, self.backend.run, self._spec_for(request)
-        )
-        self._cache_store(request, value)
+        value, _ = self._traverse(session, self.backend.run, spec)
+        self._cache_store(spec, value)
         return value
 
     # ------------------------------------------------------------------
     # EXPLAIN and structural health
     # ------------------------------------------------------------------
-    def _explain(self, request: Explain, session: Optional[QuerySession]):
+    def _explain(self, spec: QuerySpec, session: Optional[QuerySession]):
         """Run a read query with per-level attribution attached.
 
-        The inner query executes through the *same* :meth:`_traverse`
+        The query executes through the *same* :meth:`_traverse`
         the plain dispatch uses, with an :class:`ExplainProfile` parked
         on this thread; the traversal hooks in the index code charge the
         live counters through the profile's windows, so the per-level
@@ -534,10 +468,8 @@ class QueryEngine:
         if session is None:
             session = self.session("default")
         session.queries += 1
-        inner = request.query
-        spec = self._spec_for(inner)
-        would_hit = self.cache.peek(inner.cache_key())
-        prof = ExplainProfile(inner.OP, self.index.name)
+        would_hit = self.cache.peek(spec.cache_key())
+        prof = ExplainProfile(spec.op, self.index.name)
         wal_before = self.store.stats() if self.store is not None else None
         start = time.perf_counter()
         TRACER.attach_profile(prof)
@@ -553,8 +485,8 @@ class QueryEngine:
             attributed[name] == observed_dict[name] for name in COUNTER_FIELDS
         )
         report = {
-            "op": request.OP,
-            "args": inner.describe(),
+            "op": "explain",
+            "args": spec.describe(),
             "backend": self.backend.describe(),
             "plan": prof.to_dict(),
             "observed": observed_dict,
@@ -588,48 +520,6 @@ class QueryEngine:
             return publish_health(self.index, self.registry)
 
     # ------------------------------------------------------------------
-    # Read queries (thin wrappers over execute)
-    # ------------------------------------------------------------------
-    def point(
-        self,
-        x: float,
-        y: float,
-        session: Optional[QuerySession] = None,
-        use_cache: bool = True,
-    ) -> List[int]:
-        """Query 1: ids of segments with an endpoint at ``(x, y)``."""
-        return self.execute(PointQuery(x, y, use_cache=use_cache), session=session)
-
-    def window(
-        self,
-        x1: float,
-        y1: float,
-        x2: float,
-        y2: float,
-        mode: str = "intersects",
-        session: Optional[QuerySession] = None,
-        use_cache: bool = True,
-    ) -> List[int]:
-        """Query 5: ids of segments meeting the (canonicalized) window."""
-        return self.execute(
-            WindowQuery(x1, y1, x2, y2, mode=mode, use_cache=use_cache),
-            session=session,
-        )
-
-    def nearest(
-        self,
-        x: float,
-        y: float,
-        k: int = 1,
-        session: Optional[QuerySession] = None,
-        use_cache: bool = True,
-    ) -> List[Tuple[int, float]]:
-        """Query 3 (k-nearest): ``(seg_id, dist^2)`` pairs, nearest first."""
-        return self.execute(
-            NearestQuery(x, y, k=k, use_cache=use_cache), session=session
-        )
-
-    # ------------------------------------------------------------------
     # Mutations (invalidate the cache)
     # ------------------------------------------------------------------
     def insert_segment(
@@ -641,10 +531,7 @@ class QueryEngine:
         is the apply order) and group-commits after the latch drops --
         the mutation is durable before this method returns.
         """
-        return self.execute(
-            Insert(segment.x1, segment.y1, segment.x2, segment.y2),
-            session=session,
-        )
+        return self.execute(Command("insert", **segment._asdict()), session=session)
 
     def _mutate(self, session: Optional[QuerySession], apply):
         """The one mutation protocol, whatever is being changed.
@@ -712,7 +599,7 @@ class QueryEngine:
         (a double delete) logs the record first and then fails the
         apply -- replay treats such a record as the same no-op.
         """
-        self.execute(Delete(int(seg_id)), session=session)
+        self.execute(Command("delete", seg_id=int(seg_id)), session=session)
 
     def _apply_delete(
         self, seg_id: int, session: Optional[QuerySession]
@@ -742,7 +629,7 @@ class QueryEngine:
         """
         if _crash_point is not None:
             return self._apply_checkpoint(session, _crash_point)
-        return self.execute(Checkpoint(), session=session)
+        return self.execute(Command("checkpoint"), session=session)
 
     def _apply_checkpoint(
         self, session: Optional[QuerySession], _crash_point
@@ -782,6 +669,16 @@ class QueryEngine:
             "clean": not has_errors(findings),
             "findings": [f.to_dict() for f in findings],
         }
+
+    def export_metrics(self, format: str):
+        """The process-wide registry, as JSON or Prometheus text."""
+        self.sync_mirrored_counters()
+        if format == "prom":
+            # The prom export is the scrape path: serve the gauges
+            # freshly recomputed, like every other family.
+            self.refresh_health()
+            return self.registry.render_prom()
+        return self.registry.render_json()
 
     def sync_mirrored_counters(self) -> None:
         """Copy the result cache's own hit/miss tally into the registry.

@@ -45,7 +45,7 @@ from repro.obs import dtrace
 from repro.obs.clock import clock_info
 from repro.obs.profile import PROFILER
 from repro.obs.trace import TRACER
-from repro.service.api import PROTOCOL_VERSION, Delete, Insert, parse_request
+from repro.service.api import OPS, PROTOCOL_VERSION, parse_request
 
 Envelope = Dict[str, Any]
 
@@ -305,7 +305,7 @@ class Protocol:
             )
         engine = self.target
         request = parse_request(raw)
-        if deferred and engine.durable and isinstance(request, (Insert, Delete)):
+        if deferred and engine.durable and OPS[op].writes:
             result, lsn = engine.execute_deferred(request, session=session)
         else:
             result, lsn = engine.execute(request, session=session), None

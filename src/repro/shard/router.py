@@ -68,7 +68,6 @@ from typing import (
 )
 
 from repro.errors import ERROR_CODES, ProtocolError, ShardUnavailableError
-from repro.geometry import Rect
 from repro.metric_names import (
     COUNTER_FIELDS,
     DISK_ACCESSES,
@@ -82,13 +81,7 @@ from repro.obs.profile import PROFILER, clamp_window, merge_profiles
 from repro.obs.prom import merge_prom_texts
 from repro.obs.trace import TRACER
 from repro.sanitize import make_condition, make_lock
-from repro.service.api import (
-    BatchRequest,
-    Delete,
-    Insert,
-    parse_batch_item,
-    parse_request,
-)
+from repro.service.api import OPS, Command, parse_batch_item, parse_request
 from repro.service.protocol import Envelope, Protocol
 from repro.service.server import (
     _COMPACT,
@@ -302,7 +295,7 @@ def _merge_ids(request: Any, oks: Dict[str, Any]) -> List[int]:
     return merge_id_lists(list(oks.values()))
 
 
-def _merge_seg_id(request: Insert, oks: Dict[str, Any]) -> int:
+def _merge_seg_id(request: Command, oks: Dict[str, Any]) -> int:
     values = list(oks.values())
     if any(value != values[0] for value in values):
         raise RuntimeError(
@@ -312,14 +305,14 @@ def _merge_seg_id(request: Insert, oks: Dict[str, Any]) -> int:
     return values[0]
 
 
-def _merge_delete(request: Delete, oks: Dict[str, Any]) -> bool:
+def _merge_delete(request: Command, oks: Dict[str, Any]) -> bool:
     if any(oks.values()):
         return True
     # Every shard logged the delete but none had it indexed: the
     # segment was already gone everywhere. Single-node parity says
     # a double delete is unknown_seg.
     raise KeyError(
-        f"unknown segment id {request.seg_id}: not indexed on any shard"
+        f"unknown segment id {request.args['seg_id']}: not indexed on any shard"
     )
 
 
@@ -327,42 +320,41 @@ def _everywhere(smap: ShardMap, request: Any) -> List[ShardSpec]:
     return smap.shards
 
 
+def _explained(smap: ShardMap, request: Command) -> List[ShardSpec]:
+    query = request.args["query"]
+    return ROUTES[query.op].shards(smap, query)
+
+
 class Route(NamedTuple):
     """One row of :data:`ROUTES`.
 
-    ``shards(shard_map, request)`` picks the shards a typed request
-    touches; ``merge(request, oks)`` folds their ok results (by shard
-    id) into the routed answer. When some shard failed, a read reports
-    the merge of the rest as ``partial``; a row that ``writes`` reports
-    ``{"applied": [...]}`` instead -- there is no answer to salvage,
-    only replicas to repair.
+    ``shards(shard_map, request)`` picks the shards a parsed request (a
+    read's ``QuerySpec``, any other op's ``Command``) touches;
+    ``merge(request, oks)`` folds their ok results (by shard id) into
+    the routed answer. When some shard failed, a read reports the merge
+    of the rest as ``partial``; an op that writes (its row of
+    :data:`repro.service.api.OPS` says) reports ``{"applied": [...]}``
+    instead -- there is no answer to salvage, only replicas to repair.
     """
 
     shards: Callable[[ShardMap, Any], List[ShardSpec]]
     merge: Callable[[Any, Dict[str, Any]], Any]
-    writes: bool = False
 
 
 #: The one place a request meets ``ShardMap.route_*``: a standalone op,
 #: an ``explain``'s inner query and each ``batch`` member all read it.
 ROUTES: Dict[str, Route] = {
-    "point": Route(lambda smap, q: smap.route_point(q.x, q.y), _merge_ids),
-    "window": Route(
-        lambda smap, q: smap.route_rect(Rect(q.x1, q.y1, q.x2, q.y2)),
-        _merge_ids,
-    ),
+    "point": Route(lambda smap, q: smap.route_point(*q.to_point()), _merge_ids),
+    "window": Route(lambda smap, q: smap.route_rect(q.to_rect()), _merge_ids),
     # Any shard may hold a global winner.
     "nearest": Route(
         _everywhere,
         lambda q, oks: merge_nearest(list(oks.values()), q.k),
     ),
-    "insert": Route(_everywhere, _merge_seg_id, writes=True),
-    "delete": Route(_everywhere, _merge_delete, writes=True),
+    "insert": Route(_everywhere, _merge_seg_id),
+    "delete": Route(_everywhere, _merge_delete),
     "checkpoint": Route(_everywhere, lambda q, oks: dict(sorted(oks.items()))),
-    "explain": Route(
-        lambda smap, q: ROUTES[q.query.OP].shards(smap, q.query),
-        lambda q, oks: merge_explain_reports(oks),
-    ),
+    "explain": Route(_explained, lambda q, oks: merge_explain_reports(oks)),
 }
 
 
@@ -407,6 +399,10 @@ class RouterCore:
         self.timeout = timeout
         self.registry = MetricsRegistry()
         self._gate = make_condition("shard.router.gate")
+        # Held across the fan-out of anything that writes: the tables
+        # are replicas only if every shard applies concurrent mutations
+        # in one order (each allocates the next seg_id as it goes).
+        self._write_order = make_lock("shard.router.write_order")
         self._active = 0
         self._draining = False
         self.shard_map: ShardMap = ShardMap.load(self.root)
@@ -623,12 +619,21 @@ class RouterCore:
         TRACER.attach_subtree(record)
 
     def _gather(
-        self, payloads: Dict[str, Dict[str, Any]], merge, partial_merge=None
+        self, payloads: Dict[str, Dict[str, Any]], merge, writes: bool = False
     ):
         """Scatter, then merge the ok results -- or raise with the
-        failing shard attached and any partial answer aboard
-        (``partial_merge`` of the oks when given, else their ``merge``)."""
-        oks, relayed, failures = self._scatter(payloads)
+        failing shard attached and any partial answer aboard (which
+        shards applied a write; else the ``merge`` of the oks).
+
+        A fan-out that ``writes`` runs alone, first send to last reply:
+        two in flight could reach two shards in opposite orders. Reads
+        never wait for it."""
+        if writes:
+            with self._write_order:  # repro-lint: disable=CC02 -- ordering the replicas' writes is this lock's whole job; every leg it waits on is bounded by the client timeout, and only the per-connection client locks nest inside
+                scattered = self._scatter(payloads)
+        else:
+            scattered = self._scatter(payloads)
+        oks, relayed, failures = scattered
         if failures or relayed:
             if failures:
                 shard_id = min(failures)
@@ -638,7 +643,7 @@ class RouterCore:
                 exc = _RelayedError(shard_id, relayed[shard_id])
             if oks:
                 try:
-                    merged = (partial_merge or merge)(oks)
+                    merged = (_applied if writes else merge)(oks)
                 except Exception:
                     merged = None
                 exc.partial = {"shards": sorted(oks), "result": merged}
@@ -678,16 +683,16 @@ class RouterCore:
             return self._gather(
                 dict.fromkeys((spec.shard_id for spec in specs), raw),
                 lambda oks: route.merge(request, oks),
-                _applied if route.writes else None,
+                OPS[op].writes,
             )
         if op == "batch":
-            return self._batch(request)
+            return self._batch(**request.args)
         if op == "stats":
             return self._merge_stats()
         if op == "check":
             return self._merge_check()
         if op == "metrics":
-            return self._merge_metrics(request.format)
+            return self._merge_metrics(request.args["format"])
         if op in ("health", "trace"):
             oks, _relayed, failures = self._ask_all(raw)
             merged: Dict[str, Any] = {
@@ -698,14 +703,16 @@ class RouterCore:
                 # Stitched cross-process trees live in the router's own
                 # ring; surface them next to the workers' local traces.
                 merged["tracing"] = TRACER.stats()
-                merged["traces"] = TRACER.recent(request.n or 5)
+                merged["traces"] = TRACER.recent(request.args.get("n", 5))
             return merged
         raise ProtocolError(
             f"op {op!r} is not routable through the shard router",
             code="unknown_op",
         )
 
-    def _batch(self, request: BatchRequest) -> Dict[str, Any]:
+    def _batch(
+        self, requests: List[Dict[str, Any]], order: str, use_cache: bool
+    ) -> Dict[str, Any]:
         """Per-shard sub-batches out, one positional merge back.
 
         Each member goes where its own :data:`ROUTES` row sends it, so a
@@ -717,9 +724,9 @@ class RouterCore:
         batch sends *every* member to every shard: barrier positions
         must agree on all the replicated tables.
         """
-        members = [parse_batch_item(member) for member in request.requests]
-        rows = [ROUTES[member.OP] for member in members]
-        writes = any(row.writes for row in rows)
+        members = [parse_batch_item(member) for member in requests]
+        rows = [ROUTES[member.op] for member in members]
+        writes = any(OPS[member.op].writes for member in members)
         assignment: Dict[str, List[int]] = {}
         with TRACER.span("clip", members=len(members)):
             for idx, (member, row) in enumerate(zip(members, rows)):
@@ -729,9 +736,9 @@ class RouterCore:
         payloads = {
             shard_id: {
                 "op": "batch",
-                "requests": [request.requests[i] for i in ixs],
-                "order": request.order,
-                "use_cache": request.use_cache,
+                "requests": [requests[i] for i in ixs],
+                "order": order,
+                "use_cache": use_cache,
             }
             for shard_id, ixs in assignment.items()
         }
@@ -749,11 +756,11 @@ class RouterCore:
                     row.merge(member, got)
                     for row, member, got in zip(rows, members, answers)
                 ],
-                "order": request.order,
+                "order": order,
                 DISK_ACCESSES: sum(r[DISK_ACCESSES] for r in oks.values()),
             }
 
-        return self._gather(payloads, merge, _applied if writes else None)
+        return self._gather(payloads, merge, writes)
 
     # ------------------------------------------------------------------
     # Merged observability

@@ -807,13 +807,14 @@ class TestGroupCommit:
             srv.stop()
             store.close()
 
-        from repro.service.api import PointQuery
+        from repro.core.queries import QuerySpec
+        from repro.geometry import Point
 
         store2 = DurableStore.open(tmp_path / "store")
         try:
             assert store2.last_lsn >= 1
             hits = QueryEngine(store2.index, store=store2).execute(
-                PointQuery(3.0, 3.0)
+                QuerySpec.point(Point(3.0, 3.0))
             )
             assert seg_id in hits
         finally:

@@ -1,6 +1,7 @@
 """Tests for the routed perf baseline (``bench --routed``)."""
 
 import copy
+import json
 from pathlib import Path
 
 import pytest
@@ -91,7 +92,10 @@ class TestCommittedBaseline:
     def test_routed_counters_gate_on_the_committed_record(self, capsys):
         """``bench --routed --compare`` with the parameters the committed
         record was written with (the CLI defaults): the paper's counters
-        are deterministic, so none may read above it -- tolerance 0."""
+        are deterministic, so all 54 must equal it. One that reads
+        *lower* is a finding too -- the ``batch`` row once read 0 for
+        every structure because each member was a result-cache hit, and
+        the gate called that an improvement."""
         baseline = (
             Path(__file__).parents[1] / "benchmarks/results/BENCH_shard_baseline.json"
         )
@@ -101,4 +105,8 @@ class TestCommittedBaseline:
         assert code == EXIT_OK, out
         assert "compared 54 counters at 0% tolerance" in out
         assert "OK: no counter regressed" in out
+        assert "improved" not in out, out
         assert baseline.read_bytes() == committed
+        for name, entry in json.loads(committed)["structures"].items():
+            row = entry["workloads"]["batch"]
+            assert row["segment_comps"] > 0 and row["bbox_comps"] > 0, (name, row)

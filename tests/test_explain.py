@@ -18,7 +18,9 @@ import pytest
 
 from repro.analysis import check_index
 from repro.core import GuttmanRTree, RPlusTree, treesearch
+from repro.core.queries import QuerySpec
 from repro.core.vector import HAVE_NUMPY
+from repro.geometry import Point, Rect
 from repro.metric_names import COUNTER_FIELDS
 from repro.obs import (
     TRACER,
@@ -27,13 +29,29 @@ from repro.obs import (
     format_explain,
     merge_attributed,
 )
-from repro.service import QueryEngine
-from repro.service.api import Explain, NearestQuery, PointQuery, WindowQuery
+from repro.service import Command, QueryEngine, parse_request
 from repro.storage.counters import MetricsCounters
 
 from tests.conftest import build_index, lattice_map
 
 EXPLAIN_STRUCTURES = ["R*", "R+", "PMR"]
+
+
+def point(x, y):
+    return QuerySpec.point(Point(x, y))
+
+
+def window(x1, y1, x2, y2):
+    return QuerySpec.window(Rect(x1, y1, x2, y2))
+
+
+def nearest(x, y, k):
+    return QuerySpec.nearest(Point(x, y), k)
+
+
+def explain(spec):
+    return Command("explain", query=spec)
+
 
 #: One fixed query on the fixed 8x8 lattice, explained from a cold pool.
 GOLDEN_WINDOW = (0, 0, 350, 350)
@@ -97,11 +115,11 @@ class TestExactness:
     def test_all_read_ops_attribute_exactly(self, explain_engine):
         _, engine = explain_engine
         for req in (
-            PointQuery(100, 100),
-            WindowQuery(0, 0, 350, 350),
-            NearestQuery(321, 321, k=3),
+            point(100, 100),
+            window(0, 0, 350, 350),
+            nearest(321, 321, k=3),
         ):
-            report = engine.execute(Explain(req))
+            report = engine.execute(explain(req))
             assert report["exact"] is True, report.get("unattributed")
             assert "unattributed" not in report
             assert report["plan"]["levels"], "profile recorded no levels"
@@ -115,15 +133,15 @@ class TestExactness:
         for _ in range(30):
             roll = rng.random()
             if roll < 0.34:
-                req = PointQuery(rng.randrange(900), rng.randrange(900))
+                req = point(rng.randrange(900), rng.randrange(900))
             elif roll < 0.67:
                 x, y = rng.randrange(700), rng.randrange(700)
-                req = WindowQuery(x, y, x + 200, y + 200)
+                req = window(x, y, x + 200, y + 200)
             else:
-                req = NearestQuery(
+                req = nearest(
                     rng.randrange(900), rng.randrange(900), k=rng.randrange(1, 4)
                 )
-            reports.append(engine.execute(Explain(req)))
+            reports.append(engine.execute(explain(req)))
         summed = merge_attributed(reports)
         totals = engine.totals.as_dict()
         for name in COUNTER_FIELDS:
@@ -133,28 +151,31 @@ class TestExactness:
         """Invariance: an explained query moves every MetricsCounters
         field identically to the plain query on a twin engine, and a
         query run with a profile attached returns the same ids."""
-        requests = (
-            PointQuery(100, 100, use_cache=False),
-            WindowQuery(0, 0, 350, 350, use_cache=False),
-            NearestQuery(321, 321, k=3, use_cache=False),
-        )
+        requests = [
+            parse_request({**raw, "use_cache": False})
+            for raw in (
+                {"op": "point", "x": 100, "y": 100},
+                {"op": "window", "x1": 0, "y1": 0, "x2": 350, "y2": 350},
+                {"op": "nearest", "x": 321, "y": 321, "k": 3},
+            )
+        ]
         backends = ("scalar", "vector") if HAVE_NUMPY else ("scalar",)
         for kind in EXPLAIN_STRUCTURES + ["R"]:
             for backend in backends:
                 for req in requests:
-                    case = (kind, backend, req.OP)
+                    case = (kind, backend, req.op)
                     plain = make_engine(kind, backend)
                     explained = make_engine(kind, backend)
                     plain.cold_start()
                     explained.cold_start()
                     want = plain.execute(req)
-                    report = explained.execute(Explain(req))
+                    report = explained.execute(explain(req))
                     assert report["exact"] is True, case
                     assert report["result_count"] == len(want), case
                     assert plain.totals == explained.totals, case
                     # EXPLAIN reports a count, not ids: run the same
                     # dispatch with a profile attached to see them.
-                    TRACER.attach_profile(ExplainProfile(req.OP, kind))
+                    TRACER.attach_profile(ExplainProfile(req.op, kind))
                     try:
                         got = explained.execute(req)
                     finally:
@@ -167,19 +188,19 @@ class TestExactness:
         still moves the counters, and the report says by how much."""
         engine = make_engine(kind)
         for req in (
-            PointQuery(100, 100),
-            WindowQuery(0, 0, 350, 350),
-            NearestQuery(321, 321, k=3),
+            point(100, 100),
+            window(0, 0, 350, 350),
+            nearest(321, 321, k=3),
         ):
-            report = engine.execute(Explain(req))
-            assert report["exact"] is False, req.OP
+            report = engine.execute(explain(req))
+            assert report["exact"] is False, req.op
             observed = report["observed"]
             attributed = report["plan"]["attributed"]
             unattributed = report["unattributed"]
             for name in COUNTER_FIELDS:
                 assert (
                     unattributed.get(name, 0) == observed[name] - attributed[name]
-                ), (req.OP, name)
+                ), (req.op, name)
             # The traversal brackets nothing; the shared verify loop does.
             assert unattributed["bbox_comps"] == observed["bbox_comps"] > 0
             assert "segment_comps" not in unattributed
@@ -188,8 +209,8 @@ class TestExactness:
     def test_explain_leaves_fsck_clean(self, explain_engine):
         _, engine = explain_engine
         before = [f.to_dict() for f in check_index(engine.index)]
-        engine.execute(Explain(WindowQuery(0, 0, 350, 350)))
-        engine.execute(Explain(NearestQuery(500, 500, k=2)))
+        engine.execute(explain(window(0, 0, 350, 350)))
+        engine.execute(explain(nearest(500, 500, k=2)))
         after = [f.to_dict() for f in check_index(engine.index)]
         assert before == after
 
@@ -199,7 +220,7 @@ class TestGolden:
     def test_fixed_window_per_level_counts(self, kind):
         engine = make_engine(kind)
         engine.cold_start()
-        report = engine.execute(Explain(WindowQuery(*GOLDEN_WINDOW)))
+        report = engine.execute(explain(window(*GOLDEN_WINDOW)))
         assert report["exact"] is True
         assert report["result_count"] == 18
         levels = report["plan"]["levels"]
@@ -213,7 +234,7 @@ class TestGolden:
     def test_golden_attribution_totals(self):
         engine = make_engine("R*")
         engine.cold_start()
-        report = engine.execute(Explain(WindowQuery(*GOLDEN_WINDOW)))
+        report = engine.execute(explain(window(*GOLDEN_WINDOW)))
         attributed = report["plan"]["attributed"]
         assert attributed["disk_reads"] == 5
         assert attributed["bbox_comps"] == 85
@@ -226,13 +247,13 @@ class TestCacheAndSessions:
         engine = make_engine("R*")
         session = engine.session("probe")
         report = engine.execute(
-            Explain(WindowQuery(0, 0, 350, 350)), session=session
+            explain(window(0, 0, 350, 350)), session=session
         )
         assert report["cache"] == {"would_hit": False, "bypassed": True}
-        engine.window(0, 0, 350, 350, session=session)  # now cached
+        engine.execute(window(0, 0, 350, 350), session=session)  # now cached
         hits_before = engine.cache.hits
         report = engine.execute(
-            Explain(WindowQuery(0, 0, 350, 350)), session=session
+            explain(window(0, 0, 350, 350)), session=session
         )
         assert report["cache"]["would_hit"] is True
         assert engine.cache.hits == hits_before  # peek counted nothing
@@ -240,7 +261,7 @@ class TestCacheAndSessions:
     def test_explain_is_attributed_to_the_session(self):
         engine = make_engine("R+")
         session = engine.session("alice")
-        engine.execute(Explain(PointQuery(100, 100)), session=session)
+        engine.execute(explain(point(100, 100)), session=session)
         assert session.queries == 1
         assert engine.counters_consistent()
         total = MetricsCounters()
@@ -251,7 +272,7 @@ class TestCacheAndSessions:
 class TestRendering:
     def test_format_explain_mentions_levels_and_exactness(self):
         engine = make_engine("PMR")
-        report = engine.execute(Explain(WindowQuery(0, 0, 350, 350)))
+        report = engine.execute(explain(window(0, 0, 350, 350)))
         text = format_explain(report)
         assert "EXPLAIN window on PMR" in text
         assert "level 0" in text

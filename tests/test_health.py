@@ -20,7 +20,7 @@ from repro.obs import (
 )
 from repro.obs.health import OCCUPANCY_BUCKETS
 from repro.service import QueryEngine
-from repro.service.api import Health
+from repro.service.api import Command, parse_request
 
 from tests.conftest import build_index, lattice_map
 
@@ -89,7 +89,7 @@ class TestPublishHealth:
             build_index("R*", lattice_map(n=6)), registry=MetricsRegistry()
         )
         before = engine.totals.as_dict()
-        report = engine.execute(Health())
+        report = engine.execute(Command("health"))
         assert report["structure"] == "R*"
         assert engine.totals.as_dict() == before  # zero counter movement
         families = parse_prom_text(engine.registry.render_prom())
@@ -140,7 +140,9 @@ class TestTraceRingSaturation:
         TRACER.enable(capacity=2)
         try:
             for _ in range(5):
-                engine.point(100, 100, use_cache=False)
+                engine.execute(
+                    parse_request({"op": "point", "x": 100, "y": 100, "use_cache": False})
+                )
         finally:
             TRACER.enable(capacity=saved_capacity)  # restore the ring size
             TRACER.disable()

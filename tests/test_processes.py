@@ -78,7 +78,7 @@ def sanitizer_reports(address):
     return [engine.get("sanitizer") for engine in _engine_stats(address)]
 
 
-def drive(address, speaks_v2, writers=("--threads", "3", "--pipeline", "4")):
+def drive(address, speaks_v2):
     """What every launcher x front must do for a client, whatever is
     behind it: answer on each wire it speaks, carry ``bench-serve``'s
     load without an error, and answer ``stats``, ``profile`` and
@@ -109,7 +109,7 @@ def drive(address, speaks_v2, writers=("--threads", "3", "--pipeline", "4")):
     report = ok(
         run_cli(
             "bench-serve", "--connect", at, "--requests", "60",
-            "--mutate-frac", "0.2", *writers,
+            "--mutate-frac", "0.2", "--threads", "3", "--pipeline", "4",
         )
     )
     assert "(0 errors, 0 overloaded)" in report
@@ -214,9 +214,6 @@ def test_route_over_shard_workers(front, spawn, shard_set, tmp_path):
     for shard in SHARDS:
         assert f"shard:{shard}" in stitched
 
-    # Concurrent readers; but one writer, one insert in flight: the router
-    # does not order the fan-outs of concurrent mutations, so two writers
-    # can reach two shards in opposite orders ("shards disagree on seg_id").
     reads = ok(
         run_cli(
             "bench-serve", "--connect", "%s:%d" % address, "--threads", "4",
@@ -224,9 +221,7 @@ def test_route_over_shard_workers(front, spawn, shard_set, tmp_path):
         )
     )
     assert "(0 errors, 0 overloaded)" in reads
-    report, families, traces, stacks = drive(
-        address, front == "async", writers=("--threads", "1", "--pipeline", "1")
-    )
+    report, families, traces, stacks = drive(address, front == "async")
     assert report.startswith(f"map server benchmark -- routed[{len(SHARDS)}] over")
     assert "group commit" in report  # every shard logs the fanned-out inserts
     assert "shard:" in traces

@@ -10,6 +10,7 @@ protocol core itself is never handed a socket).
 import ast
 import json
 import os
+import re
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.core.interface import WORLD_SIZE
 from repro.data.counties import generate_county
 from repro.errors import ERROR_CODES, ServerOverloadedError
 from repro.obs import dtrace
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TRACER
 from repro.service import Protocol, QueryEngine
 from repro.service import protocol as protocol_module
@@ -187,6 +189,52 @@ class TestErrorClasses:
         core.respond(b'{"op":"bogus"}')
         after = [count(*pair) for pair in labels]
         assert [b - a for a, b in zip(before, after)] == [2, 1, 1, 1]
+
+
+#: A window mode the server advertised from PR 4 on and never ran.
+CLIPS = {"op": "window", "x1": 0, "y1": 0, "x2": 300, "y2": 300, "mode": "clips"}
+
+
+@pytest.mark.parametrize("front", ["engine", "routed"])
+@pytest.mark.parametrize(
+    "payload",
+    [CLIPS, {"op": "batch", "requests": [CLIPS]}, {"op": "explain", "query": CLIPS}],
+    ids=["standalone", "batch member", "explain"],
+)
+def test_a_mode_nothing_runs_is_refused_before_any_engine(request, payload, front):
+    """``bad_args`` naming exactly the modes that run, raised where the
+    request is parsed: no engine looks in its cache, tallies a query or
+    counts a failed window for it, and a router scatters nothing."""
+    if front == "engine":
+        engines = [QueryEngine(build_index("R*", lattice_map(n=8)), registry=MetricsRegistry())]
+        protocol = Protocol(engines[0])
+        registry, counter = engines[0].registry, "repro_queries_total"
+    else:
+        core, shards, _world = request.getfixturevalue("routed")
+        engines = [server.engine for server in shards.servers.values()]
+        protocol, registry, counter = core.protocol, core.registry, "repro_router_requests_total"
+    refused = registry.counter(counter, op=payload["op"], status="error")
+
+    def moved():
+        return (
+            [(e.cache.misses, sum(s.queries for s in e.sessions())) for e in engines],
+            [
+                e.registry.counter("repro_queries_total", op="window", status="error").value
+                for e in engines
+            ],
+        )
+
+    before, refusals = moved(), refused.value
+    session = protocol.session("client")
+    envelope = protocol.run(protocol.decode_line(json.dumps(payload)), session)[0]
+    assert envelope["ok"] is False, envelope
+    assert envelope["error"]["code"] == "bad_args"
+    message = envelope["error"]["message"]
+    assert "one of ('intersects', 'contains')," in message and "got 'clips'" in message
+    # A router counts every request it answers; an engine only what
+    # enters it, and of these only the batch does (to fail on its member).
+    assert refused.value == refusals + (front == "routed" or payload["op"] == "batch")
+    assert moved() == before
 
 
 class TestTraceContext:
@@ -391,6 +439,32 @@ class TestOnePolicyOnePlace:
     )
     def test_policy_calls_live_in_the_core_only(self, call):
         assert self._files_calling(call) == {os.path.join("service", "protocol.py")}
+
+    def _lines(self, *roots):
+        """``(relpath, line)`` of every text line under ``roots``."""
+        top = os.path.join(self.SRC, "..", "..")
+        for root in roots:
+            for dirpath, _dirs, files in os.walk(os.path.join(top, root)):
+                for fname in files:
+                    if fname.endswith((".py", ".md")):
+                        path = os.path.join(dirpath, fname)
+                        with open(path, encoding="utf-8") as fh:
+                            for line in fh:
+                                yield os.path.relpath(path, top), line
+
+    def test_one_read_request_type(self):
+        """A read is one object from the wire to the traversal: one cache
+        key, one validator of ``mode``, no second request model, and no
+        mode on offer that nothing runs."""
+        src = list(self._lines("src"))
+        assert len([path for path, line in src if "def cache_key" in line]) == 1
+        assert len([path for path, line in src if "mode must be" in line]) == 1
+        gone = re.compile(
+            "PointQuery|WindowQuery|NearestQuery|_spec_for|REQUEST_TYPES|SPEC_OPS"
+        )
+        assert [(path, line) for path, line in src if gone.search(line)] == []
+        everywhere = src + list(self._lines("docs"))
+        assert [(path, line) for path, line in everywhere if "clips" in line] == []
 
     def test_core_is_sans_io(self):
         with open(protocol_module.__file__, encoding="utf-8") as fh:

@@ -1,18 +1,22 @@
 """Golden wire-protocol tests: every op, success and error envelope,
 typed-request parsing, and trace/metrics observability under load."""
 
+import json
+import random
 import threading
 
 import pytest
 
+from benchmarks.e2e.oracle import Oracle
+from repro.core.backends import resolve_backend
+from repro.core.queries import QuerySpec, execute_spec
+from repro.core.vector import HAVE_NUMPY
 from repro.errors import NotDurableError, ProtocolError
+from repro.geometry import Point, Rect
 from repro.obs import TRACER, MetricsRegistry
-from repro.service import MapServer, QueryEngine, send_request
+from repro.service import MapServer, Protocol, QueryEngine, send_request
 from repro.service.api import (
     PROTOCOL_VERSION,
-    NearestQuery,
-    PointQuery,
-    WindowQuery,
     parse_batch_item,
     parse_request,
 )
@@ -39,27 +43,35 @@ def server(engine):
 
 class TestTypedRequests:
     def test_point_cache_key_matches_legacy(self):
-        assert PointQuery(1, 2).cache_key() == ("point", 1.0, 2.0)
+        q = parse_request({"op": "point", "x": 1, "y": 2})
+        assert q.cache_key() == ("point", 1.0, 2.0)
 
     def test_window_canonicalizes_corners(self):
-        q = WindowQuery(10, 20, 0, 5)
-        assert (q.x1, q.y1, q.x2, q.y2) == (0.0, 5.0, 10.0, 20.0)
+        q = parse_request({"op": "window", "x1": 10, "y1": 20, "x2": 0, "y2": 5})
+        assert q.to_rect() == (0.0, 5.0, 10.0, 20.0)
+        assert q.describe() == {
+            "x1": 0.0, "y1": 5.0, "x2": 10.0, "y2": 20.0, "mode": "intersects"
+        }
         assert q.cache_key() == ("window", 0.0, 5.0, 10.0, 20.0, "intersects")
         # The same window given either way round shares one cache entry.
-        assert WindowQuery(0, 5, 10, 20).cache_key() == q.cache_key()
+        assert QuerySpec.window(Rect(0, 5, 10, 20)).cache_key() == q.cache_key()
 
     def test_nearest_cache_key(self):
-        assert NearestQuery(3, 4, k=2).cache_key() == ("nearest", 3.0, 4.0, 2)
+        q = parse_request({"op": "nearest", "x": 3, "y": 4, "k": 2})
+        assert q.cache_key() == ("nearest", 3.0, 4.0, 2)
+        assert q.cache_key() == QuerySpec.nearest(Point(3, 4), 2).cache_key()
 
     def test_validation_raises_protocol_error(self):
         with pytest.raises(ProtocolError):
-            PointQuery("a", 0)
+            parse_request({"op": "point", "x": "a", "y": 0})
         with pytest.raises(ProtocolError):
-            WindowQuery(0, 0, 1, 1, mode="overlaps")
+            parse_request(
+                {"op": "window", "x1": 0, "y1": 0, "x2": 1, "y2": 1, "mode": "overlaps"}
+            )
         with pytest.raises(ProtocolError):
-            NearestQuery(0, 0, k=0)
+            parse_request({"op": "nearest", "x": 0, "y": 0, "k": 0})
         with pytest.raises(ProtocolError):
-            NearestQuery(0, 0, k=True)
+            parse_request({"op": "nearest", "x": 0, "y": 0, "k": True})
 
     def test_parse_request_every_op(self):
         cases = [
@@ -76,7 +88,7 @@ class TestTypedRequests:
             ({"op": "metrics", "format": "prom"}, "metrics"),
         ]
         for raw, op in cases:
-            assert type(parse_request(raw)).OP == op
+            assert parse_request(raw).op == op
 
     def test_parse_request_unknown_op_code(self):
         with pytest.raises(ProtocolError) as exc_info:
@@ -86,7 +98,7 @@ class TestTypedRequests:
     def test_parse_batch_item_restricts_ops(self):
         with pytest.raises(ProtocolError, match="batch cannot execute"):
             parse_batch_item({"op": "stats"})
-        item = parse_batch_item({"op": "point", "x": 1, "y": 2}, use_cache=False)
+        item = parse_batch_item({"op": "point", "x": 1, "y": 2, "use_cache": False})
         assert item.use_cache is False
 
     def test_execute_rejects_untyped_values(self, engine):
@@ -183,6 +195,9 @@ class TestGoldenProtocol:
         assert exc_info.value.code == "not_durable"
 
 
+WINDOW_300 = {"op": "window", "x1": 0, "y1": 0, "x2": 300, "y2": 300}
+
+
 @pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
 class TestTraceShapes:
     def test_window_trace_spans(self, kind):
@@ -193,8 +208,8 @@ class TestTraceShapes:
         try:
             TRACER.clear()
             engine.cold_start()
-            engine.window(0, 0, 300, 300, use_cache=False)
-            engine.window(0, 0, 300, 300)
+            engine.execute(parse_request({**WINDOW_300, "use_cache": False}))
+            engine.execute(parse_request(WINDOW_300))
             traces = TRACER.recent()
         finally:
             TRACER.disable()
@@ -222,8 +237,8 @@ class TestTraceShapes:
         TRACER.enable()
         try:
             TRACER.clear()
-            engine.point(100, 100)
-            engine.point(100, 100)
+            engine.execute(QuerySpec.point(Point(100, 100)))
+            engine.execute(QuerySpec.point(Point(100, 100)))
             traces = TRACER.recent()
         finally:
             TRACER.disable()
@@ -236,10 +251,10 @@ class TestTraceShapes:
 
 class TestObservedEngine:
     def test_histogram_total_matches_query_total(self, engine):
-        engine.point(100, 100)
-        engine.window(0, 0, 200, 200)
-        engine.window(0, 0, 200, 200)
-        engine.nearest(300, 300, k=1)
+        engine.execute(QuerySpec.point(Point(100, 100)))
+        engine.execute(QuerySpec.window(Rect(0, 0, 200, 200)))
+        engine.execute(QuerySpec.window(Rect(0, 0, 200, 200)))
+        engine.execute(QuerySpec.nearest(Point(300, 300), k=1))
         reg = engine.registry
         for op, expected in (("point", 1), ("window", 2), ("nearest", 1)):
             hist = reg.histogram("repro_op_latency_seconds", op=op)
@@ -288,7 +303,7 @@ class TestObservedEngine:
             registry=MetricsRegistry(),
             slow_ms=0.0,  # everything is slow
         )
-        engine.point(50, 50)
+        engine.execute(QuerySpec.point(Point(50, 50)))
         entries = engine.slow_log.entries()
         assert entries and entries[0]["op"] == "point"
         assert engine.registry.counter("repro_slow_queries_total").value >= 1
@@ -308,11 +323,16 @@ class TestObservedEngine:
             session = engine.session(f"worker-{tag}")
             try:
                 for i in range(per_thread):
-                    engine.point(
-                        100 * (1 + (i + tag) % 8),
-                        100 * (1 + (i * 3 + tag) % 8),
+                    engine.execute(
+                        parse_request(
+                            {
+                                "op": "point",
+                                "x": 100 * (1 + (i + tag) % 8),
+                                "y": 100 * (1 + (i * 3 + tag) % 8),
+                                "use_cache": False,
+                            }
+                        ),
                         session=session,
-                        use_cache=False,
                     )
             except Exception as exc:  # surfaced below
                 errors.append(exc)
@@ -337,3 +357,96 @@ class TestObservedEngine:
             "repro_queries_total", op="point", status="ok"
         ).value == issued
         assert engine.registry.counter("repro_traces_total").value == issued
+
+
+def _seeded_reads(rng, segments, n=24):
+    """Wire reads of all three ops: data-correlated points, windows and
+    probes anywhere over the lattice; integer and float coordinates."""
+    for i in range(n):
+        x, y = rng.randrange(0, 900), rng.uniform(0, 900)
+        if i % 3 == 0:
+            seg = segments[rng.randrange(len(segments))]
+            yield {"op": "point", "x": seg.x1, "y": seg.y1}
+        elif i % 3 == 1:
+            yield {"op": "window", "x1": x, "y1": y, "x2": x + 180, "y2": y + 140.5}
+        else:
+            yield {"op": "nearest", "x": x, "y": y, "k": rng.randrange(1, 5)}
+
+
+def _python_spelling(raw):
+    """The same query as a Python caller writes it -- a window by its
+    *other* two corners, which must still be the same query."""
+    if raw["op"] == "window":
+        return QuerySpec.window(Rect(raw["x2"], raw["y2"], raw["x1"], raw["y1"]))
+    p = Point(raw["x"], raw["y"])
+    return QuerySpec.point(p) if raw["op"] == "point" else QuerySpec.nearest(p, raw["k"])
+
+
+@pytest.mark.parametrize(
+    "backend",
+    ["scalar", pytest.param("vector", marks=pytest.mark.skipif(
+        not HAVE_NUMPY, reason="vector backend requires numpy"))],
+)
+@pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
+class TestOneRequestObject:
+    """What one request object from the wire to the traversal buys."""
+
+    def test_every_path_runs_the_same_query(self, kind, backend):
+        segments = lattice_map(n=8)
+        scan = Oracle(segments)
+        bare = build_index(kind, segments)
+        engine = QueryEngine(
+            build_index(kind, segments), backend=backend, registry=MetricsRegistry()
+        )
+        for i, raw in enumerate(_seeded_reads(random.Random(1992), segments)):
+            # Alternate which spelling fills the cache and which finds it.
+            first, second = parse_request(raw), _python_spelling(raw)
+            if i % 2:
+                first, second = second, first
+            served = engine.execute(first)
+            assert scan.check_response(raw, {"ok": True, "result": served}) is None
+            assert resolve_backend(backend).run(bare, first) == served
+            hits = engine.cache.hits
+            assert engine.execute(second) == served
+            assert engine.cache.hits == hits + 1, (raw, first, second)
+        assert engine.counters_consistent()
+
+    def test_the_queries_with_no_wire_op_are_served_like_the_rest(self, kind, backend):
+        """Queries 2 and 4 and ``incident``: ``execute`` runs any spec."""
+        segments = lattice_map(n=8)
+        bare = build_index(kind, segments)
+        engine = QueryEngine(
+            build_index(kind, segments), backend=backend, registry=MetricsRegistry()
+        )
+        session = engine.session("paper")
+        specs = [
+            QuerySpec.other_endpoint(segments[5].start, 5),
+            QuerySpec.polygon(Point(150, 150)),
+            QuerySpec.incident(segments[5].start),
+        ]
+        for spec in specs:
+            before = session.counters.snapshot()
+            served = engine.execute(spec, session=session)
+            assert served == execute_spec(bare, spec, resolve_backend(backend))
+            assert session.counters.since(before).segment_comps > 0
+            hits = engine.cache.hits
+            assert engine.execute(spec, session=session) == served
+            assert engine.cache.hits == hits + 1
+            assert engine.registry.counter(
+                "repro_queries_total", op=spec.op, status="ok"
+            ).value == 2
+        assert session.queries == 2 * len(specs)
+        assert session.cache_hits == len(specs)
+        assert engine.counters_consistent()
+
+    def test_a_standalone_read_honours_use_cache(self, kind, backend):
+        engine = QueryEngine(
+            build_index(kind, lattice_map(n=6)), backend=backend, registry=MetricsRegistry()
+        )
+        protocol = Protocol(engine)
+        raw = {"op": "point", "x": 100, "y": 100}
+        for payload, moved in (({**raw, "use_cache": False}, 0), (raw, 1)):
+            hits = engine.cache.hits
+            first = protocol.respond_line(json.dumps(payload))
+            assert first["ok"] and protocol.respond_line(json.dumps(payload)) == first
+            assert engine.cache.hits - hits == moved, payload

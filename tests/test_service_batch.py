@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.service import BatchExecutor, QueryEngine, morton_key
+from repro.service import BatchExecutor, QueryEngine, morton_key, parse_batch_item
 from repro.service.batch import _centroid
 
 from tests.conftest import build_index, lattice_map
@@ -83,10 +83,10 @@ class TestMortonKey:
         assert morton_key(1e9, 1e9) == morton_key(16383, 16383)
 
     def test_centroids(self):
-        assert _centroid({"op": "point", "x": 3, "y": 4}) == (3.0, 4.0)
+        assert _centroid(parse_batch_item({"op": "point", "x": 3, "y": 4})) == (3.0, 4.0)
         assert _centroid(
-            {"op": "window", "x1": 0, "y1": 0, "x2": 10, "y2": 20}
+            parse_batch_item({"op": "window", "x1": 0, "y1": 0, "x2": 10, "y2": 20})
         ) == (5.0, 10.0)
-        assert _centroid({"op": "nearest", "x": 1, "y": 2}) == (1.0, 2.0)
-        with pytest.raises(ValueError):
-            _centroid({"op": "stats"})
+        assert _centroid(parse_batch_item({"op": "nearest", "x": 1, "y": 2})) == (1.0, 2.0)
+        with pytest.raises(ValueError):  # no centroid: it cannot be in a batch
+            parse_batch_item({"op": "stats"})

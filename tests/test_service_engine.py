@@ -5,8 +5,9 @@ import threading
 
 import pytest
 
-from repro.geometry import Segment
-from repro.service import QueryEngine, ResultCache
+from repro.core.queries import QuerySpec, execute_spec
+from repro.geometry import Point, Rect, Segment
+from repro.service import QueryEngine, ResultCache, parse_request
 from repro.storage import Latch
 from repro.storage.counters import MetricsCounters
 
@@ -22,9 +23,9 @@ class TestAttribution:
     def test_sessions_sum_to_totals(self, engine):
         a = engine.session("alice")
         b = engine.session("bob")
-        engine.point(100, 100, session=a)
-        engine.window(0, 0, 500, 500, session=b)
-        engine.nearest(321, 321, session=a)
+        engine.execute(QuerySpec.point(Point(100, 100)), session=a)
+        engine.execute(QuerySpec.window(Rect(0, 0, 500, 500)), session=b)
+        engine.execute(QuerySpec.nearest(Point(321, 321)), session=a)
         assert engine.counters_consistent()
         assert a.counters.disk_accesses > 0 or a.counters.buffer_hits > 0
         total = MetricsCounters()
@@ -39,12 +40,13 @@ class TestAttribution:
             for _ in range(50):
                 roll = rng.random()
                 if roll < 0.4:
-                    engine.point(rng.randrange(900), rng.randrange(900), session=session)
+                    spec = QuerySpec.point(Point(rng.randrange(900), rng.randrange(900)))
                 elif roll < 0.8:
                     x, y = rng.randrange(800), rng.randrange(800)
-                    engine.window(x, y, x + 150, y + 150, session=session)
+                    spec = QuerySpec.window(Rect(x, y, x + 150, y + 150))
                 else:
-                    engine.nearest(rng.randrange(900), rng.randrange(900), session=session)
+                    spec = QuerySpec.nearest(Point(rng.randrange(900), rng.randrange(900)))
+                engine.execute(spec, session=session)
 
         threads = [
             threading.Thread(target=worker, args=(f"w{i}",)) for i in range(4)
@@ -59,55 +61,56 @@ class TestAttribution:
 
     def test_shared_counters_untouched_by_queries(self, engine):
         base = engine.ctx.counters.snapshot()
-        engine.window(0, 0, 800, 800)
+        engine.execute(QuerySpec.window(Rect(0, 0, 800, 800)))
         assert engine.ctx.counters.snapshot() == base
 
     def test_query_answers_match_direct_calls(self, engine):
-        from repro.core.queries import QuerySpec, execute_spec
-        from repro.geometry import Rect
-
         direct = sorted(
             execute_spec(engine.index, QuerySpec.window(Rect(0, 0, 450, 450)))
         )
-        served = sorted(engine.window(0, 0, 450, 450))
+        served = sorted(engine.execute(QuerySpec.window(Rect(0, 0, 450, 450))))
         assert served == direct
 
 
 class TestCaching:
     def test_repeat_query_hits_cache(self, engine):
         session = engine.session("s")
-        first = engine.window(0, 0, 300, 300, session=session)
+        first = engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)), session=session)
         before = session.counters.snapshot()
-        second = engine.window(0, 0, 300, 300, session=session)
+        second = engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)), session=session)
         assert second == first
         assert session.counters.since(before).disk_reads == 0
         assert session.cache_hits == 1
         assert engine.cache.stats()["hits"] == 1
 
     def test_window_key_canonicalized(self, engine):
-        engine.window(300, 300, 0, 0)
-        engine.window(0, 0, 300, 300)
+        engine.execute(QuerySpec.window(Rect(300, 300, 0, 0)))
+        engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)))
         assert engine.cache.stats()["hits"] == 1
 
     def test_insert_invalidates(self, engine):
-        engine.window(0, 0, 300, 300)
+        engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)))
         assert len(engine.cache) == 1
         seg_id = engine.insert_segment(Segment(10.0, 10.0, 90.0, 95.0))
         assert len(engine.cache) == 0
         assert engine.cache.stats()["invalidations"] == 1
         # the new segment is immediately visible (no stale cache entry)
-        assert seg_id in engine.window(0, 0, 300, 300)
+        assert seg_id in engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)))
 
     def test_delete_invalidates_and_removes(self, engine):
         seg_id = engine.insert_segment(Segment(10.0, 10.0, 90.0, 95.0))
-        assert seg_id in engine.window(0, 0, 300, 300)
+        assert seg_id in engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)))
         engine.delete(seg_id)
         assert len(engine.cache) == 0
-        assert seg_id not in engine.window(0, 0, 300, 300)
+        assert seg_id not in engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)))
         assert engine.counters_consistent()
 
     def test_use_cache_false_bypasses(self, engine):
-        engine.window(0, 0, 300, 300, use_cache=False)
+        engine.execute(
+            parse_request(
+                {"op": "window", "x1": 0, "y1": 0, "x2": 300, "y2": 300, "use_cache": False}
+            )
+        )
         assert len(engine.cache) == 0
 
 
@@ -118,7 +121,7 @@ class TestMutationInvalidation:
         from repro.service import BatchExecutor
 
         batch = BatchExecutor(engine)
-        stale = engine.window(0, 0, 300, 300)
+        stale = engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)))
         result = batch.execute(
             [
                 {"op": "window", "x1": 0, "y1": 0, "x2": 300, "y2": 300},
@@ -130,7 +133,7 @@ class TestMutationInvalidation:
         assert result.results[0] == stale  # read scheduled before the barrier
         assert seg_id in result.results[2]  # read after the barrier sees it
         batch.execute([{"op": "delete", "seg_id": seg_id}])
-        assert seg_id not in engine.window(0, 0, 300, 300)
+        assert seg_id not in engine.execute(QuerySpec.window(Rect(0, 0, 300, 300)))
         assert engine.counters_consistent()
 
     def test_batch_barrier_pins_mutation_position(self, engine):
@@ -144,7 +147,7 @@ class TestMutationInvalidation:
             {"op": "delete", "seg_id": 0},
             {"op": "point", "x": 500, "y": 500},
         ]
-        schedule = batch._schedule(requests, "morton")
+        schedule = batch._schedule([parse_request(r) for r in requests], "morton")
         # Mutations stay at their arrival positions; reads never cross one.
         assert schedule[1] == 1 and schedule[3] == 3
         assert sorted(schedule) == list(range(5))
@@ -155,14 +158,14 @@ class TestMutationInvalidation:
         index = build_index("R*", lattice_map(n=6))
         store = DurableStore.create(tmp_path / "store", index)
         engine = QueryEngine(index, store=store)
-        engine.window(0, 0, 400, 400)
+        engine.execute(QuerySpec.window(Rect(0, 0, 400, 400)))
         assert len(engine.cache) == 1
         seg_id = engine.insert_segment(Segment(15.0, 15.0, 95.0, 90.0))
         assert len(engine.cache) == 0
-        assert seg_id in engine.window(0, 0, 400, 400)
+        assert seg_id in engine.execute(QuerySpec.window(Rect(0, 0, 400, 400)))
         engine.delete(seg_id)
         assert len(engine.cache) == 0
-        assert seg_id not in engine.window(0, 0, 400, 400)
+        assert seg_id not in engine.execute(QuerySpec.window(Rect(0, 0, 400, 400)))
         assert engine.stats()["last_lsn"] == 2
         store.close()
 
@@ -234,7 +237,7 @@ class TestLatch:
             latch.release()
 
     def test_stats_endpoint(self, engine):
-        engine.point(100, 100)
+        engine.execute(QuerySpec.point(Point(100, 100)))
         stats = engine.stats()
         assert stats["counters_consistent"] is True
         assert stats["index"]["kind"] == "R*"

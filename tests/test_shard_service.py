@@ -15,8 +15,11 @@ import random
 
 import pytest
 
+from repro.aio import AsyncShardRouter
+from repro.analysis import check_shard_set
+from repro.core.queries import QuerySpec
 from repro.data.counties import generate_county
-from repro.geometry import Rect, Segment
+from repro.geometry import Point, Rect, Segment
 from repro.harness.experiment import STRUCTURE_FACTORIES
 from repro.metric_names import COUNTER_FIELDS
 from repro.obs.metrics import MetricsRegistry
@@ -97,7 +100,7 @@ class TestRoutedReadsMatchOracle:
             )
             assert resp["ok"], resp
             assert resp["result"] == sorted(
-                service.oracle.window(x, y, x + span, y + span)
+                service.oracle.execute(QuerySpec.window(Rect(x, y, x + span, y + span)))
             )
 
     def test_points_probe_identical(self, service):
@@ -105,7 +108,9 @@ class TestRoutedReadsMatchOracle:
         for seg in rng.sample(service.map_data.segments, 10):
             resp = service.request({"op": "point", "x": seg.x1, "y": seg.y1})
             assert resp["ok"], resp
-            assert resp["result"] == sorted(service.oracle.point(seg.x1, seg.y1))
+            assert resp["result"] == sorted(
+                service.oracle.execute(QuerySpec.point(seg.start))
+            )
 
     def test_nearest_probe_identical(self, service):
         rng = random.Random(13)
@@ -116,7 +121,8 @@ class TestRoutedReadsMatchOracle:
             resp = service.request({"op": "nearest", "x": x, "y": y, "k": k})
             assert resp["ok"], resp
             got = [seg_id for seg_id, _ in resp["result"]]
-            want = [seg_id for seg_id, _ in service.oracle.nearest(x, y, k=k)]
+            want = service.oracle.execute(QuerySpec.nearest(Point(x, y), k))
+            want = [seg_id for seg_id, _ in want]
             assert got == want
 
     def test_results_have_no_duplicates(self, service):
@@ -172,15 +178,17 @@ class TestBoundaryStraddlingSegment:
             assert resp["ok"], resp
             assert resp["result"].count(seg_id) == 1
             assert resp["result"] == sorted(
-                service.oracle.window(
-                    rect.xmin - 1, rect.ymin - 1, rect.xmax + 1, rect.ymax + 1
+                service.oracle.execute(
+                    QuerySpec.window(
+                        Rect(rect.xmin - 1, rect.ymin - 1, rect.xmax + 1, rect.ymax + 1)
+                    )
                 )
             )
             resp = service.request({"op": "point", "x": seg.x1, "y": seg.y1})
             assert resp["ok"], resp
             assert resp["result"].count(seg_id) == 1
             assert resp["result"] == sorted(
-                service.oracle.point(seg.x1, seg.y1)
+                service.oracle.execute(QuerySpec.point(seg.start))
             )
         finally:
             resp = service.request({"op": "delete", "seg_id": seg_id})
@@ -219,8 +227,10 @@ class TestMutationsThroughRouter:
         )
         assert resp["ok"], resp
         results = resp["result"]["results"]
-        assert results[0] == sorted(service.oracle.point(seg.x1, seg.y1))
-        assert results[1] == sorted(service.oracle.window(0, 0, 500, 500))
+        assert results[0] == sorted(service.oracle.execute(QuerySpec.point(seg.start)))
+        assert results[1] == sorted(
+            service.oracle.execute(QuerySpec.window(Rect(0, 0, 500, 500)))
+        )
 
 
     def test_mutating_batch_answers_like_a_single_server(self, service):
@@ -300,7 +310,7 @@ class TestBatchClipping:
             }
         )
         assert resp["ok"], resp
-        expected = sorted(service.oracle.point(seg.x1, seg.y1))
+        expected = sorted(service.oracle.execute(QuerySpec.point(seg.start)))
         assert resp["result"]["results"] == [expected, expected]
         after = self._shard_totals(service)
         touched = [sid for sid in after if after[sid] != before[sid]]
@@ -391,7 +401,9 @@ class TestDegradationAndHealing:
             {"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world}
         )
         assert resp["ok"], resp
-        assert resp["result"] == sorted(service.oracle.window(0, 0, world, world))
+        assert resp["result"] == sorted(
+            service.oracle.execute(QuerySpec.window(Rect(0, 0, world, world)))
+        )
 
 
 class TestLoadgenConnect:
@@ -434,6 +446,53 @@ class TestLoadgenConnect:
         assert report.cache["hits"] + report.cache["misses"] >= 6
         assert report.latch["acquisitions"] >= 6
         assert report.counters_consistent is True
+
+
+@pytest.mark.parametrize("front", ["route", "route --async"])
+def test_concurrent_mutations_keep_the_replicas_in_step(tmp_path, front):
+    """The router orders the fan-outs of writes. Unordered, two inserts
+    in flight reach two shards in opposite orders, each shard gives the
+    next seg_id to a different segment, and the client is told ``shards
+    disagree on seg_id`` (2 of 5 seeds of this loop, before the lock).
+    Ten seeds, three connections -- or one with four in flight -- must
+    end with no error and one table on every shard."""
+    map_data = generate_county("cecil", scale=SCALE)
+    root = str(tmp_path / "shards")
+    init_shard_set(
+        root, "R*", map_data=map_data, n_shards=N_SHARDS, page_size=PAGE_SIZE
+    )
+    with LocalShardSet(root) as shards:
+        if front == "route":
+            router, threads = ShardRouter(root), 3
+            stop = router.close
+        else:
+            router, threads = AsyncShardRouter(root), 1
+            stop = router.stop
+        router.start_background()
+        try:
+            for seed in range(10):
+                report = bench_serve(
+                    connect=[router.address],
+                    threads=threads,
+                    pipeline=4,
+                    mutate_frac=0.2,
+                    requests=60,
+                    seed=seed,
+                    world_size=map_data.world_size,
+                )
+                assert report.errors == 0, (front, seed)
+            stats = send_request(router.address, {"op": "stats"})["result"]
+        finally:
+            stop()
+        tables = [
+            [server.engine.ctx.segments.peek(i) for i in range(len(server.engine.ctx.segments))]
+            for server in shards.servers.values()
+        ]
+    sizes = {sid: entry["index"]["segments"] for sid, entry in stats["shards"].items()}
+    assert len(sizes) == N_SHARDS and len(set(sizes.values())) == 1, sizes
+    assert sizes["s0"] > len(map_data.segments), "the runs inserted nothing"
+    assert all(table == tables[0] for table in tables[1:])
+    assert check_shard_set(root) == []
 
 
 class TestShardSetChecks:

@@ -20,7 +20,7 @@ from repro.core.queries.spec import QuerySpec
 from repro.core.vector import HAVE_NUMPY, VectorBackend
 from repro.geometry import Point, Rect
 from repro.obs import TRACER, ExplainProfile
-from repro.service.api import BatchRequest, Explain, PointQuery, WindowQuery
+from repro.service.api import Command
 from repro.service.engine import QueryEngine
 
 from .conftest import build_index, lattice_map
@@ -106,7 +106,7 @@ class TestSingleQueryParity:
         idx_s, idx_v = _twin(kind)
         eng_s = QueryEngine(idx_s, backend="scalar")
         eng_v = QueryEngine(idx_v, backend="vector")
-        req = Explain(WindowQuery(100, 100, 600, 600))
+        req = Command("explain", query=QuerySpec.window(Rect(100, 100, 600, 600)))
         rep_s = eng_s.execute(req)
         rep_v = eng_v.execute(req)
         assert rep_s["exact"] and rep_v["exact"]
@@ -143,7 +143,7 @@ class TestEngineIntegration:
         # the scalar backend is served verbatim after a backend swap.
         idx = build_index("R*", SEGS)
         engine = QueryEngine(idx, backend="scalar")
-        req = WindowQuery(100, 100, 600, 600)
+        req = QuerySpec.window(Rect(100, 100, 600, 600))
         first = engine.execute(req)
         assert engine.cache.peek(req.cache_key())
         engine.backend = resolve_backend("vector")
@@ -165,7 +165,7 @@ class TestEngineIntegration:
             {"op": "point", "x": SEGS[0].x1, "y": SEGS[0].y1},
             {"op": "nearest", "x": 500, "y": 500, "k": 2},
         ]
-        batch = BatchRequest(requests=tuple(items), use_cache=False)
+        batch = Command("batch", requests=items, use_cache=False)
         out_s = eng_s.execute(batch)
         out_v = eng_v.execute(batch)
         assert out_s.results == out_v.results
@@ -216,7 +216,7 @@ class TestEngineIntegration:
         engine = QueryEngine(idx, backend="vector")
         desc = engine.stats()["backend"]
         assert desc["name"] == "vector"
-        engine.execute(PointQuery(SEGS[0].x1, SEGS[0].y1))
+        engine.execute(QuerySpec.point(SEGS[0].start))
 
 
 class TestNumpyAbsentFallback:
@@ -240,7 +240,7 @@ class TestNumpyAbsentFallback:
         engine = QueryEngine(idx, backend="vector")
         stats = engine.stats()["backend"]
         assert stats["fallback"] is True and stats["requested"] == "vector"
-        got = engine.execute(WindowQuery(100, 100, 600, 600))
+        got = engine.execute(QuerySpec.window(Rect(100, 100, 600, 600)))
         assert got == sorted(
             SCALAR_BACKEND.run(idx, QuerySpec.window(Rect(100, 100, 600, 600)))
         ) or got == SCALAR_BACKEND.run(
