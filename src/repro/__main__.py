@@ -91,24 +91,31 @@ def _arm_sanitizer(args) -> None:
         SANITIZER.enable()
 
 
-def _arm_tracing(args, record_all: bool = False) -> None:
-    """Apply ``--trace-sample`` / ``--trace`` to the process-wide tracer.
+def _arm_tracing(args) -> None:
+    """Apply ``--trace-sample`` / ``--slow-ms`` to the process-wide tracer.
 
-    ``--trace-sample RATE`` arms distributed tail-based sampling (trace
-    ids on the wire, head decision at RATE, errored/slow retention);
-    plain ``--trace`` (``record_all``) keeps the legacy record-everything
-    mode.
+    Either arms it: ``--trace-sample RATE`` is the head decision (trace
+    ids on the wire, full detail for that share of requests), ``--slow-ms
+    T`` the tail threshold (alone: rate 0, so only errored and slow
+    requests are retained). ``--trace-capacity`` sizes the ring they are
+    retained in, so with neither it is a usage error.
     """
-    if args.trace_sample is None and not record_all:
+    if args.trace_sample is None and args.slow_ms is None:
+        if args.trace_capacity is not None:
+            print(
+                "error: --trace-capacity sizes the ring of retained traces; "
+                "give --trace-sample and/or --slow-ms to retain any",
+                file=sys.stderr,
+            )
+            sys.exit(2)
         return
     from repro.obs import TRACER
 
-    if args.trace_sample is None:
-        TRACER.enable(capacity=args.trace_capacity)
-        return
     try:
         TRACER.arm(
-            args.trace_sample, slow_ms=args.slow_ms, capacity=args.trace_capacity
+            args.trace_sample or 0.0,
+            slow_ms=args.slow_ms,
+            capacity=args.trace_capacity,
         )
     except ValueError as exc:
         sys.exit(f"error: {exc}")
@@ -157,15 +164,11 @@ def _cmd_serve(args) -> int:
     from repro.service import MapServer, QueryEngine
 
     _arm_sanitizer(args)
+    _arm_tracing(args)
     store = _open_or_create_store(args) if args.wal else None
     index = store.index if store is not None else _build_or_open(args)
-    _arm_tracing(args, record_all=args.trace)
     engine = QueryEngine(
-        index,
-        cache_capacity=args.cache_size,
-        store=store,
-        slow_ms=args.slow_ms,
-        backend=args.backend,
+        index, cache_capacity=args.cache_size, store=store, backend=args.backend
     )
     what = f"serving {index.name} ({len(index.ctx.segments)} segments)"
     closers = [store.close] if store is not None else []
@@ -208,7 +211,6 @@ def _cmd_shard_worker(args) -> int:
             host=args.host,
             port=args.port,
             group_commit=args.group_commit,
-            slow_ms=args.slow_ms,
             backend=args.backend,
         )
     except (FileNotFoundError, KeyError, WalError) as exc:
@@ -446,13 +448,10 @@ def _render_traces(result) -> str:
         return "(no buffered traces)"
     blocks = []
     for rec in records:
-        header = ""
-        if rec.get("trace_id"):
-            bits = [f"trace {rec['trace_id']}"]
-            if rec.get("retained"):
-                bits.append(f"retained={rec['retained']}")
-            header = "  ".join(bits) + "\n"
-        blocks.append(header + format_trace_tree(rec))
+        header = f"trace {rec.get('trace_id')}"
+        if rec.get("retained"):
+            header += f"  retained={rec['retained']}"
+        blocks.append(f"{header}\n{format_trace_tree(rec)}")
     return "\n\n".join(blocks)
 
 
@@ -783,21 +782,23 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-sample",
         type=float,
         metavar="RATE",
-        help="arm distributed tail-based trace sampling at this head "
-        "rate in [0, 1]; errored (and, with --slow-ms, slow) requests "
-        "are retained regardless; a router returns a sampled request's "
-        "stitched cross-shard trace tree",
+        help="arm tracing at this head-sampling rate in [0, 1] (1 = a "
+        "full span tree for every request, read back via 'op': 'trace'); "
+        "errored (and, with --slow-ms, slow) requests are retained "
+        "regardless; a router returns the stitched cross-shard tree",
     )
     telemetry.add_argument(
         "--trace-capacity",
         type=int,
-        help="finished traces kept in the ring buffer (default 64)",
+        help="finished traces kept in the ring buffer (default 64); "
+        "needs --trace-sample or --slow-ms",
     )
     telemetry.add_argument(
         "--slow-ms",
         type=float,
-        help="log queries slower than this many milliseconds (and "
-        "tail-retain their traces even when unsampled)",
+        help="retain the trace of every request slower than this many "
+        "milliseconds and list it in stats.obs.slow_queries; alone, arms "
+        "tracing at rate 0",
     )
     telemetry.add_argument(
         "--sanitize",
@@ -840,11 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--wal",
         help="durable-store directory: create it (or recover it) and "
         "write-ahead log every mutation",
-    )
-    p.add_argument(
-        "--trace",
-        action="store_true",
-        help="capture per-query trace spans (read back via 'op': 'trace')",
     )
     p.add_argument(
         "--idle-timeout",

@@ -80,9 +80,6 @@ class AsyncMapClient:
         self._write_lock = asyncio.Lock()
         self._closed = False
         self._reader_task: Optional[asyncio.Task] = None
-        #: Capabilities the server advertised on the upgrade ack
-        #: (``{"tc": true}`` = it reads trace-context frame trailers).
-        self.features: Dict[str, Any] = {}
 
     @classmethod
     async def negotiate(
@@ -109,9 +106,6 @@ class AsyncMapClient:
         if not ack.get("ok") or ack.get("v") != PROTOCOL_VERSION_2:
             return None, reader, writer
         client = cls(reader, writer)
-        features = ack.get("features")
-        if isinstance(features, dict):
-            client.features = features
         client._reader_task = asyncio.get_running_loop().create_task(
             client._read_loop()
         )
@@ -129,29 +123,19 @@ class AsyncMapClient:
             raise ConnectionError(f"server at {address} refused the v2 upgrade")
         return client
 
-    async def request(
-        self, payload: Dict[str, Any], tc: Optional[Any] = None
-    ) -> Dict[str, Any]:
+    async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         """Send one request frame; resolves when its response arrives.
 
-        ``tc`` is an optional :class:`repro.obs.dtrace.TraceContext` to
-        propagate. Against a server that advertised ``features.tc`` it
-        rides the flags-gated binary trailer; otherwise it degrades to
-        the ``"tc"`` JSON field, which every tracing-aware server also
-        reads and older servers ignore.
+        A trace context to propagate goes in the payload as its ``"tc"``
+        field (:meth:`repro.obs.dtrace.TraceContext.to_wire`), exactly as
+        on a v1 line.
         """
         if self._closed:
             raise ConnectionError("client is closed")
         request_id = next(self._ids)
         future = asyncio.get_running_loop().create_future()
         self._pending[request_id] = future
-        trailer = None
-        if tc is not None:
-            if self.features.get("tc"):
-                trailer = tc.to_trailer()
-            else:
-                payload = dict(payload, tc=tc.to_wire())
-        frame = encode_frame(request_id, payload, trace_trailer=trailer)
+        frame = encode_frame(request_id, payload)
         async with self._write_lock:
             self._writer.write(frame)
             await self._writer.drain()

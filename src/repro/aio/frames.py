@@ -12,17 +12,11 @@ table, same envelopes, same error codes) and changes only the framing::
 
 * ``length`` counts the payload bytes only (the header is fixed at 13).
 * ``flags``: bit 0 set on a *response* frame (so a frame's direction is
-  self-describing in captures); bit 1 (:data:`FLAG_TRACE`) marks a
-  distributed-trace context trailer -- the *last*
-  :data:`~repro.obs.dtrace.TRAILER_BYTES` bytes of the body (counted in
-  ``length``) are the packed 25-byte context
-  (16-byte trace id + 8-byte span id + 1 flag byte) and the JSON payload
-  is everything before them. All other bits must be 0.
-
-  A client may only set :data:`FLAG_TRACE` after the server advertised
-  ``"features": {"tc": true}`` on the upgrade ack; servers that predate
-  the feature never send the key, so old peers never see the flag --
-  negotiated, zero-risk to existing deployments.
+  self-describing in captures). All other bits must be 0, so a *request*
+  frame sets none: the server answers one that does with ``bad_args``
+  on its ``request_id`` and keeps the connection. (The distributed-trace
+  context travels inside the payload, as the same ``"tc"`` field v1
+  carries.)
 * ``request_id`` is chosen by the client, echoed verbatim on the
   response frame. Ids need not be sequential or unique -- the server
   never interprets them -- but a pipelining client will want them
@@ -52,9 +46,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Optional, Tuple
-
-from repro.obs.dtrace import TRAILER_BYTES
+from typing import Any, Dict, Tuple
 
 #: Protocol version clients pin (``{"v": 2}``) to negotiate framing.
 PROTOCOL_VERSION_2 = 2
@@ -67,11 +59,6 @@ HEADER_BYTES = FRAME_HEADER.size
 #: Bit 0 of ``flags``: this frame is a response.
 FLAG_RESPONSE = 0x01
 
-#: Bit 1 of ``flags``: the body ends with a packed trace-context
-#: trailer (:data:`repro.obs.dtrace.TRAILER_BYTES` bytes). Negotiated:
-#: only sent to a peer that advertised ``features.tc``.
-FLAG_TRACE = 0x02
-
 #: Largest accepted v2 payload (bytes). Matches the spirit of the v1
 #: line cap: one request may carry a big batch, but not the heap.
 MAX_FRAME_BYTES = 1 << 20
@@ -80,35 +67,12 @@ _COMPACT = (",", ":")
 
 
 def encode_frame(
-    request_id: int,
-    payload: Dict[str, Any],
-    response: bool = False,
-    trace_trailer: Optional[bytes] = None,
+    request_id: int, payload: Dict[str, Any], response: bool = False
 ) -> bytes:
-    """One v2 frame: header + compact JSON payload (+ trace trailer)."""
+    """One v2 frame: header + compact JSON payload."""
     body = json.dumps(payload, separators=_COMPACT).encode("utf-8")
     flags = FLAG_RESPONSE if response else 0
-    if trace_trailer is not None:
-        if len(trace_trailer) != TRAILER_BYTES:
-            raise ValueError(
-                f"trace trailer must be {TRAILER_BYTES} bytes, "
-                f"got {len(trace_trailer)}"
-            )
-        flags |= FLAG_TRACE
-        body += trace_trailer
     return FRAME_HEADER.pack(flags, len(body), request_id) + body
-
-
-def split_trace_trailer(flags: int, body: bytes) -> Tuple[bytes, Optional[bytes]]:
-    """``(payload, trailer-or-None)`` for a received frame body.
-
-    A flagged frame too short to hold the trailer yields an empty
-    payload, which the JSON parse then rejects as malformed -- a
-    structured error, not a crash.
-    """
-    if not flags & FLAG_TRACE:
-        return body, None
-    return body[:-TRAILER_BYTES], body[-TRAILER_BYTES:] or None
 
 
 def decode_header(header: bytes) -> Tuple[int, int, int]:

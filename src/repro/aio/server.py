@@ -87,7 +87,6 @@ from repro.aio.frames import (
     PROTOCOL_VERSION_2,
     decode_header,
     encode_frame,
-    split_trace_trailer,
 )
 from repro.service.api import PROTOCOL_VERSION
 from repro.service.protocol import Protocol, Request
@@ -467,9 +466,7 @@ class AsyncMapServer:
                     conn.mode = 2
             else:
                 flags, request_id, body = value
-                request = self.protocol.decode_frame(
-                    *split_trace_trailer(flags, body)
-                )
+                request = self.protocol.decode_frame(body, flags)
             if request.error is not None:
                 # Undecodable: nothing to queue or block on, so the
                 # reader answers in place.

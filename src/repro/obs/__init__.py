@@ -7,18 +7,21 @@ the aggregates cannot: **what is slow, and why, per query**.
 
 * :mod:`repro.obs.trace` -- :class:`Tracer`: per-query span trees
   (``traverse`` -> page fetch/miss -> segment-table read, WAL append ->
-  fsync, cache hit/miss) captured into a bounded ring buffer. Disabled
-  tracing is a single attribute check on the hot path -- no allocation,
-  no thread-local lookup.
+  fsync, cache hit/miss) captured into a bounded ring buffer. It has one
+  mode: armed with a head-sampling rate and an optional slow threshold,
+  every request gets a root with trace ids and the ring keeps the
+  sampled, the errored and the slow; the slow-query log is a view over
+  that ring. Disabled tracing is a single attribute check on the hot
+  path -- no allocation, no thread-local lookup.
 * :mod:`repro.obs.metrics` -- :class:`MetricsRegistry`: process-wide
-  named counters and fixed-bucket log-scale latency histograms, plus the
-  slow-query log.
+  named counters and fixed-bucket log-scale latency histograms.
 * :mod:`repro.obs.prom` -- Prometheus text exposition rendering and a
   small parser used by the tests and the CI smoke job to prove the
   output is valid.
 * :mod:`repro.obs.dtrace` -- distributed trace context (trace id, span
-  id, sampled flag) carried across process boundaries on both wire
-  protocols, plus the thread-local server <-> engine handoff slots.
+  id, sampled flag) carried across process boundaries as the ``"tc"``
+  field on both wire protocols, plus the thread-local server <-> engine
+  handoff slots.
 * :mod:`repro.obs.clock` -- the per-process monotonic clock anchor all
   span timestamps use, and the wall-clock offset exchanged at connect
   time so the router can order cross-process spans despite skew.
@@ -46,12 +49,11 @@ from repro.obs.metrics import (
     Gauge,
     LatencyHistogram,
     MetricsRegistry,
-    SlowQueryLog,
     get_registry,
 )
 from repro.obs.profile import PROFILER, SamplingProfiler, collapsed_text, merge_profiles
 from repro.obs.prom import parse_prom_text, render_prom
-from repro.obs.trace import TRACER, Tracer, trace_event, trace_span
+from repro.obs.trace import TRACER, Tracer
 
 __all__ = [
     "Counter",
@@ -61,7 +63,6 @@ __all__ = [
     "MetricsRegistry",
     "PROFILER",
     "SamplingProfiler",
-    "SlowQueryLog",
     "TRACER",
     "TraceContext",
     "Tracer",
@@ -79,6 +80,4 @@ __all__ = [
     "publish_build_info",
     "publish_health",
     "render_prom",
-    "trace_event",
-    "trace_span",
 ]

@@ -7,18 +7,13 @@ receiver's root must parent under), and the ``sampled`` flag (the head
 decision, made once at the edge and inherited downstream so every
 process keeps or skips *detail* consistently).
 
-Wire forms:
-
-* **v1 (JSON lines)**: an optional ``"tc"`` object on the request --
-  ``{"t": trace_id, "s": span_id, "f": flags}`` -- and on the response
-  envelope (where it may additionally carry ``"span"``, the worker's
-  local span subtree, when the request was sampled). Servers that
-  predate this module ignore unknown request keys, so old peers are
-  untouched.
-* **v2 (length-prefixed frames)**: a fixed 25-byte trailer after the
-  JSON payload, gated by ``FLAG_TRACE`` in the frame header and only
-  sent to servers that advertised ``"features": {"tc": true}`` on the
-  upgrade ack (:mod:`repro.aio.frames`).
+Wire form, on both protocols: an optional ``"tc"`` object in the JSON
+request -- ``{"t": trace_id, "s": span_id, "f": flags}`` -- and on the
+response envelope (where it may additionally carry ``"span"``, the
+worker's local span subtree, when the request was sampled). A v1 line
+and a v2 frame payload are the same JSON object, so there is one
+encoding; servers that predate this module ignore unknown request keys,
+so old peers are untouched.
 
 The handoff between the server layer (which owns the wire) and the
 engine (whose ``execute`` signature must not grow a parameter for this)
@@ -47,7 +42,7 @@ SPAN_ID_HEX = 16
 
 # Span ids are a random per-process prefix plus a counter: unique across
 # processes (4 random prefix bytes) without an os.urandom call per span;
-# together they fill the exact 8-byte id the wire forms require.
+# together they fill the exact 8-byte id the wire form requires.
 _ID_PREFIX = os.urandom(4).hex()
 _ID_SEQ = itertools.count(1)
 
@@ -93,7 +88,6 @@ class TraceContext:
         fresh span id (the downstream root's parent), inherited flag."""
         return TraceContext(self.trace_id, new_span_id(), self.sampled)
 
-    # -- v1 JSON form --------------------------------------------------
     def to_wire(self) -> Dict[str, Any]:
         return {
             "t": self.trace_id,
@@ -126,26 +120,6 @@ class TraceContext:
         if not isinstance(flags, int):
             return None
         return cls(trace_id, span_id, bool(flags & FLAG_SAMPLED))
-
-    # -- v2 binary trailer form ----------------------------------------
-    def to_trailer(self) -> bytes:
-        flags = FLAG_SAMPLED if self.sampled else 0
-        return (
-            bytes.fromhex(self.trace_id)
-            + bytes.fromhex(self.span_id)
-            + bytes([flags])
-        )
-
-    @classmethod
-    def from_trailer(cls, blob: bytes) -> Optional["TraceContext"]:
-        if len(blob) != TRAILER_BYTES:
-            return None
-        return cls(blob[:16].hex(), blob[16:24].hex(), bool(blob[24] & FLAG_SAMPLED))
-
-
-#: Fixed size of the v2 frame trailer: 16-byte trace id + 8-byte span id
-#: + 1 flag byte.
-TRAILER_BYTES = 25
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""Process-wide named counters, latency histograms, and the slow-query log.
+"""Process-wide named counters and latency histograms.
 
 The per-session :class:`~repro.storage.counters.MetricsCounters` answer
 "how much storage work did this client cause"; this module answers "how
-is the *service* doing" -- request rates, latency distributions, and the
-individual queries slow enough to need looking at.
+is the *service* doing" -- request rates and latency distributions. (The
+individual queries slow enough to need looking at are the tracer's:
+:meth:`repro.obs.trace.Tracer.slow_queries`.)
 
 Histograms use **fixed log-scale buckets**: powers of two from 1 us to
 ~8.4 s (25 buckets plus overflow). Fixed buckets make observation O(1)
@@ -22,17 +23,9 @@ own :class:`MetricsRegistry` or call :meth:`MetricsRegistry.reset`.
 from __future__ import annotations
 
 import threading
-from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-from repro.metric_names import COUNTER_FIELDS
-from repro.obs.clock import wall_now_us
 from repro.sanitize import make_lock
-
-#: The MetricsCounters field names, re-exported so metrics consumers can
-#: iterate the paper counters without importing the storage layer (and so
-#: this module and repro.storage.counters share one source of truth).
-PAPER_COUNTER_FIELDS = COUNTER_FIELDS
 
 #: Histogram bucket upper bounds in seconds: 2**i microseconds.
 BUCKET_BOUNDS: Tuple[float, ...] = tuple((1 << i) * 1e-6 for i in range(25))
@@ -59,7 +52,7 @@ class Counter:
         with self._lock:
             self._value += n
 
-    def advance_to(self, value: int) -> None:
+    def advance_to(self, value: float) -> None:
         """Raise the counter to ``value`` if that is an increase.
 
         For counters mirroring a tally kept elsewhere (e.g. the result
@@ -206,61 +199,6 @@ class LatencyHistogram:
                 },
                 "overflow": self.counts[-1],
             }
-
-
-class SlowQueryLog:
-    """A bounded log of queries slower than a configurable threshold."""
-
-    def __init__(self, threshold_ms: Optional[float] = None, capacity: int = 64) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.threshold_ms = threshold_ms
-        self.capacity = capacity
-        self.recorded = 0
-        self._entries: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
-        self._lock = make_lock("obs.slow_query_log")
-
-    @property
-    def enabled(self) -> bool:
-        return self.threshold_ms is not None
-
-    def record(self, op: str, elapsed_seconds: float, attrs: Dict[str, Any]) -> bool:
-        """Log the query if it breached the threshold; returns whether."""
-        if self.threshold_ms is None:
-            return False
-        ms = elapsed_seconds * 1e3
-        if ms < self.threshold_ms:
-            return False
-        entry = {
-            "op": op,
-            "ms": round(ms, 3),
-            "attrs": attrs,
-            # Anchored wall clock (monotonic offset from one wall reading
-            # at import): a wall step cannot reorder or time-travel the
-            # log the way raw time.time() could.
-            "unix_time": wall_now_us() / 1e6,
-        }
-        with self._lock:
-            self._entries.append(entry)
-            self.recorded += 1
-        return True
-
-    def entries(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return list(self._entries)
-
-    def stats(self) -> Dict[str, Any]:
-        with self._lock:
-            entries = list(self._entries)
-        return {
-            "threshold_ms": self.threshold_ms,
-            "capacity": self.capacity,
-            "recorded": self.recorded,
-            "buffered": len(entries),
-            # The log lines themselves ride along (bounded by capacity);
-            # the shard router annotates each with its originating shard.
-            "entries": entries,
-        }
 
 
 def _label_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:

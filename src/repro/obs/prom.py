@@ -32,12 +32,17 @@ _LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 HELP_TEXT = {
     "repro_queries_total": "Requests dispatched through QueryEngine.execute, by op and status.",
     "repro_cache_events_total": "Result-cache lookups by outcome (hit/miss).",
-    "repro_slow_queries_total": "Queries that breached the slow-query threshold.",
+    "repro_slow_queries_total": "Requests that finished at or above the slow threshold (--slow-ms).",
     "repro_traces_total": "Traces captured by the tracer.",
     "repro_trace_dropped_total": "Finished traces evicted from the tracer's ring buffer.",
     "repro_trace_tail_discarded_total": "Trace skeletons discarded by the tail-sampling policy (fast, clean, unsampled).",
     "repro_trace_buffered": "Finished traces currently held in the tracer's ring buffer.",
     "repro_op_latency_seconds": "End-to-end latency of QueryEngine.execute, by op.",
+    "repro_latch_acquisitions_total": "Outermost acquisitions of the buffer-pool latch.",
+    "repro_latch_contended_total": "Latch acquisitions that had to wait for another holder.",
+    "repro_latch_wait_seconds_total": "Seconds the contended latch acquisitions spent waiting.",
+    "repro_wal_appends_total": "Records appended to the write-ahead log.",
+    "repro_wal_fsyncs_total": "fsyncs of the write-ahead log (group commit makes it fewer than appends).",
     "repro_build_info": "Constant 1; build metadata in the labels (version, git_sha, page_size, grid_bits).",
     "repro_index_height": "Height of the served index (levels, root included).",
     "repro_index_pages": "Pages occupied by the served index.",

@@ -99,17 +99,19 @@ class Tracer:
         self.enabled = False
         self.capacity = capacity
         self.max_events = max_events
-        #: Head-sampling rate. ``None`` (the default) is the legacy
-        #: single-process mode: every trace is recorded in full and
-        #: published. A float arms distributed mode: roots get
-        #: trace/span ids, unsampled requests record only the root
-        #: skeleton, and :meth:`finish_trace` applies the tail policy.
-        self.sample_rate: Optional[float] = None
+        #: Head-sampling rate: the share of locally rooted requests that
+        #: record full detail. Every root gets trace/span ids; an
+        #: unsampled one keeps only its skeleton, and
+        #: :meth:`finish_trace` applies the tail policy to it.
+        self.sample_rate = 0.0
         #: Tail-retention latency threshold (microseconds): a trace at
         #: least this slow is kept even when the head decision said no.
         self.slow_us: Optional[float] = None
         self.started = 0
         self.finished = 0
+        #: Roots that finished at or above ``slow_us``, mirrored into the
+        #: registry as ``repro_slow_queries_total`` at export time.
+        self.slow = 0
         #: Skeletons dropped by the tail policy (fast, ok, unsampled).
         self.tail_discarded = 0
         #: Finished traces pushed out of the ring by newer ones: the
@@ -129,53 +131,40 @@ class Tracer:
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
-    def enable(
-        self, capacity: Optional[int] = None, max_events: Optional[int] = None
+    def arm(
+        self,
+        sample_rate: float,
+        slow_ms: Optional[float] = None,
+        capacity: Optional[int] = None,
     ) -> None:
-        """Turn tracing on (optionally resizing the ring buffer)."""
+        """Turn tracing on (``--trace-sample`` and/or ``--slow-ms``).
+
+        Every request then gets the always-on skeleton (root span with
+        ids and monotonic timing); full detail is recorded when the head
+        decision (``sample_rate``, or the inherited wire flag) says so,
+        and retention at completion additionally keeps errored and --
+        when ``slow_ms`` is set -- slow skeletons. ``capacity`` resizes
+        the ring of retained traces.
+        """
+        if not 0.0 <= sample_rate <= 1.0:
+            raise ValueError(
+                f"sample_rate must be in [0, 1], got {sample_rate}"
+            )
         if capacity is not None and capacity != self.capacity:
             if capacity < 1:
                 raise ValueError(f"capacity must be >= 1, got {capacity}")
             self.capacity = capacity
             with self._ring_lock:
                 self._ring = deque(self._ring, maxlen=capacity)
-        if max_events is not None:
-            if max_events < 1:
-                raise ValueError(f"max_events must be >= 1, got {max_events}")
-            self.max_events = max_events
-        self.enabled = True  # repro-lint: disable=CC03 -- benign single-writer flag: hooks read it lock-free by design (constraint 1); a stale read means one skipped trace, never corruption
-
-    def arm(
-        self,
-        sample_rate: float,
-        slow_ms: Optional[float] = None,
-        capacity: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> None:
-        """Enable distributed tail-based sampling (``--trace-sample``).
-
-        Every request then gets the always-on skeleton (root span with
-        ids and monotonic timing); full detail is recorded when the head
-        decision (rate, or the inherited wire flag) says so, and
-        retention at completion additionally keeps errored and -- when
-        ``slow_ms`` is set -- slow skeletons.
-        """
-        if not 0.0 <= sample_rate <= 1.0:
-            raise ValueError(
-                f"sample_rate must be in [0, 1], got {sample_rate}"
-            )
         self.sample_rate = sample_rate  # repro-lint: disable=CC03 -- benign single-writer config, same contract as `enabled`: set before serving starts; request threads read it lock-free and a stale read only shifts one request's sampling verdict
         self.slow_us = None if slow_ms is None else slow_ms * 1000.0  # repro-lint: disable=CC03 -- benign single-writer config: see sample_rate above
-        self.enable(capacity=capacity, max_events=max_events)
-
-    def disable(self) -> None:
-        self.enabled = False  # repro-lint: disable=CC03 -- benign single-writer flag: see enable(); readers tolerate staleness
+        self.enabled = True  # repro-lint: disable=CC03 -- benign single-writer flag: hooks read it lock-free by design (constraint 1); a stale read means one skipped trace, never corruption
 
     def disarm(self) -> None:
-        """Back to the legacy mode (and off): tests and teardown."""
-        self.sample_rate = None  # repro-lint: disable=CC03 -- benign single-writer config: teardown path, see arm()
+        """Tracing off, thresholds forgotten: tests and teardown."""
+        self.enabled = False  # repro-lint: disable=CC03 -- benign single-writer flag: see arm(); readers tolerate staleness
+        self.sample_rate = 0.0  # repro-lint: disable=CC03 -- benign single-writer config: teardown path, see arm()
         self.slow_us = None  # repro-lint: disable=CC03 -- benign single-writer config: teardown path, see arm()
-        self.disable()
 
     def clear(self) -> None:
         """Drop every finished trace (the stats counters are kept)."""
@@ -189,10 +178,17 @@ class Tracer:
         """Open a root span for this thread; returns None when disabled.
 
         The engine calls this once per request and MUST pair it with
-        :meth:`finish_trace` (or :meth:`abort_trace`) in a finally block.
+        :meth:`finish_trace` in a finally block.
         """
         if not self.enabled:
             return None
+        # Distributed identity: inherit the context the server parked
+        # for this thread, else this process is the edge and mints one.
+        parent = dtrace.take_incoming()
+        if parent is None:
+            ctx = dtrace.TraceContext.new_root(self.sample_rate)
+        else:
+            ctx = parent.child()
         root: Dict[str, Any] = {
             "name": op,
             "start_us": 0.0,
@@ -201,26 +197,14 @@ class Tracer:
             "spans": [],
             "events": 0,
             "dropped": 0,
+            "trace_id": ctx.trace_id,
+            "span_id": ctx.span_id,
+            "sampled": ctx.sampled,
+            "wall_us": wall_now_us(),
             "_t0": now_us(),
         }
-        # Distributed identity: honour a context the server parked for
-        # this thread; otherwise mint one when sampling is armed. The
-        # legacy mode (sample_rate None, nothing parked) adds no keys,
-        # so single-process traces look exactly as they always did.
-        ctx = dtrace.take_incoming()
-        if ctx is not None:
-            root["trace_id"] = ctx.trace_id
-            root["parent_id"] = ctx.span_id
-            root["span_id"] = dtrace.new_span_id()
-            root["sampled"] = ctx.sampled
-            root["wall_us"] = wall_now_us()
-            root["_remote"] = True
-        elif self.sample_rate is not None:
-            fresh = dtrace.TraceContext.new_root(self.sample_rate)
-            root["trace_id"] = fresh.trace_id
-            root["span_id"] = fresh.span_id
-            root["sampled"] = fresh.sampled
-            root["wall_us"] = wall_now_us()
+        if parent is not None:
+            root["parent_id"] = parent.span_id
         self._local.stack = [root]
         with self._ring_lock:  # exact under concurrency, like finished/evicted
             self.started += 1
@@ -250,9 +234,8 @@ class Tracer:
     ) -> Dict[str, Any]:
         """Close the root span and apply the tail-retention policy.
 
-        Legacy roots (no ``sampled`` key) always publish. Distributed
-        roots publish when head-sampled, errored, or -- with a
-        ``slow_us`` threshold armed -- slow; fast clean unsampled
+        A root is kept in the ring when head-sampled, errored, or --
+        with a ``slow_us`` threshold armed -- slow; fast clean unsampled
         skeletons are counted in ``tail_discarded`` and dropped. Either
         way the response attachment (ids, plus the local span subtree
         for sampled remote requests) is parked for the server layer.
@@ -261,51 +244,52 @@ class Tracer:
         if error is not None:
             root["error"] = error
         self._local.stack = None
-        remote = root.pop("_remote", False)
-        sampled = root.get("sampled")
-        if sampled is None:  # legacy single-process mode
-            self.publish(root)
-            return root
+        sampled = root["sampled"]
+        slow = self.slow_us is not None and root["dur_us"] >= self.slow_us
         keep = sampled or error is not None
-        if (
-            not keep
-            and self.slow_us is not None
-            and root["dur_us"] >= self.slow_us
-        ):
+        if slow and not keep:
             keep = True
             root["retained"] = "slow"
-        if keep:
-            self.publish(root)
-        else:
-            with self._ring_lock:
-                self.finished += 1
+        with self._ring_lock:
+            self.finished += 1
+            if slow:
+                self.slow += 1
+            if not keep:
                 self.tail_discarded += 1
+            else:
+                if len(self._ring) == self.capacity:
+                    self.evicted += 1  # the append below displaces the oldest
+                self._ring.append(root)
         attachment: Dict[str, Any] = {
             "t": root["trace_id"],
             "s": root["span_id"],
             "f": dtrace.FLAG_SAMPLED if sampled else 0,
         }
-        if remote and sampled:
+        if sampled and "parent_id" in root:  # a caller to graft it under
             attachment["span"] = root
         dtrace.set_outbound(attachment)
         return root
 
-    def abort_trace(self, root: Dict[str, Any]) -> None:
-        """Drop an open trace without publishing it (engine teardown)."""
-        root.pop("_t0", None)
-        self._local.stack = None
-
-    def publish(self, root: Dict[str, Any]) -> None:
-        """Append a finished trace to the ring (bounded, oldest evicted)."""
-        with self._ring_lock:
-            if len(self._ring) == self.capacity:
-                self.evicted += 1  # the append below displaces the oldest
-            self._ring.append(root)
-            self.finished += 1
-
     # ------------------------------------------------------------------
     # Spans and events (called from any layer, any thread)
     # ------------------------------------------------------------------
+    def _admit(self, detail: bool = True) -> Optional[List[Dict[str, Any]]]:
+        """This thread's span stack, if the trace open on it takes one
+        more child record; None on a thread with no active trace, for
+        ``detail`` on an unsampled skeleton, and past ``max_events``
+        (counted in ``dropped``)."""
+        stack = getattr(self._local, "stack", None)
+        if not stack:
+            return None
+        root = stack[0]
+        if detail and not root["sampled"]:
+            return None
+        root["events"] += 1
+        if root["events"] > self.max_events:
+            root["dropped"] += 1
+            return None
+        return stack
+
     def span(self, name: str, **attrs: Any) -> _SpanHandle:
         """A child span of whatever is open on this thread.
 
@@ -314,28 +298,20 @@ class Tracer:
         """
         if not self.enabled:
             return _NOOP
-        stack = getattr(self._local, "stack", None)
-        if not stack:
+        stack = self._admit()
+        if stack is None:
             return _NOOP
-        root = stack[0]
-        if not root.get("sampled", True):
-            return _NOOP  # unsampled skeleton: keep the root only
-        root["events"] += 1
-        if root["events"] > self.max_events:
-            root["dropped"] += 1
-            return _NOOP
-        parent = stack[-1]
         t0 = now_us()
         record: Dict[str, Any] = {
             "name": name,
-            "start_us": t0 - root["_t0"],
+            "start_us": t0 - stack[0]["_t0"],
             "dur_us": 0,
             "spans": [],
             "_t0": t0,
         }
         if attrs:
             record["attrs"] = attrs
-        parent["spans"].append(record)
+        stack[-1]["spans"].append(record)
         stack.append(record)
         return _SpanHandle(self, record)
 
@@ -347,21 +323,12 @@ class Tracer:
 
     def event(self, name: str, **attrs: Any) -> None:
         """A zero-duration child record (a point in time, not a range)."""
-        if not self.enabled:
-            return
-        stack = getattr(self._local, "stack", None)
-        if not stack:
-            return
-        root = stack[0]
-        if not root.get("sampled", True):
-            return  # unsampled skeleton: keep the root only
-        root["events"] += 1
-        if root["events"] > self.max_events:
-            root["dropped"] += 1
+        stack = self._admit()
+        if stack is None:
             return
         record: Dict[str, Any] = {
             "name": name,
-            "start_us": now_us() - root["_t0"],
+            "start_us": now_us() - stack[0]["_t0"],
         }
         if attrs:
             record["attrs"] = attrs
@@ -370,23 +337,16 @@ class Tracer:
     def attach_subtree(self, record: Dict[str, Any]) -> None:
         """Graft an already-built span record under the open span.
 
-        The router uses this to stitch a worker's returned subtree (or
-        its own synthesized ``shard:<id>`` wrapper) into the active
-        trace. Counts against ``max_events`` like any other child.
+        The router uses this to stitch each leg of a fan-out (a
+        ``shard:<id>`` wrapper around the worker's returned subtree, if
+        any) into the active trace. A leg is part of the router's
+        skeleton: it is kept on an unsampled root too, so a tail-retained
+        slow request still says which process took the time. Counts
+        against ``max_events`` like any other child.
         """
-        if not self.enabled:
-            return
-        stack = getattr(self._local, "stack", None)
-        if not stack:
-            return
-        root = stack[0]
-        if not root.get("sampled", True):
-            return
-        root["events"] += 1
-        if root["events"] > self.max_events:
-            root["dropped"] += 1
-            return
-        stack[-1]["spans"].append(record)
+        stack = self._admit(detail=False)
+        if stack is not None:
+            stack[-1]["spans"].append(record)
 
     # ------------------------------------------------------------------
     # EXPLAIN profiles (thread-local attribution sinks)
@@ -433,15 +393,40 @@ class Tracer:
         parentless root -- the stitched tree -- wins.
         """
         with self._ring_lock:
-            candidates = [
-                rec
-                for rec in self._ring
-                if rec.get("trace_id") == trace_id
-            ]
+            candidates = [rec for rec in self._ring if rec["trace_id"] == trace_id]
         for rec in reversed(candidates):
-            if rec.get("parent_id") is None:
+            if "parent_id" not in rec:
                 return rec
         return candidates[-1] if candidates else None
+
+    def slow_queries(self) -> Dict[str, Any]:
+        """The slow-query log: the retained roots at or above ``slow_us``.
+
+        A view over the ring, not a store of its own -- each entry names
+        the ``trace_id`` under which :meth:`find` returns the span tree
+        that says *why* it was slow. ``unix_time`` is when the request
+        started, on the anchored wall clock.
+        """
+        threshold = self.slow_us
+        entries = [
+            {
+                "op": rec["name"],
+                "ms": round(rec["dur_us"] / 1e3, 3),
+                "attrs": rec["attrs"],
+                "unix_time": rec["wall_us"] / 1e6,
+                "trace_id": rec["trace_id"],
+            }
+            for rec in self.recent()
+            if threshold is not None and rec["dur_us"] >= threshold
+        ]
+        return {
+            "threshold_ms": None if threshold is None else threshold / 1e3,
+            "capacity": self.capacity,
+            "recorded": self.slow,
+            "buffered": len(entries),
+            # The shard router annotates each with its originating shard.
+            "entries": entries,
+        }
 
     def stats(self) -> Dict[str, Any]:
         with self._ring_lock:
@@ -461,16 +446,6 @@ class Tracer:
 
 #: The process-wide tracer every instrumented layer emits into.
 TRACER = Tracer()
-
-
-def trace_span(name: str, **attrs: Any) -> _SpanHandle:
-    """Module-level shorthand for ``TRACER.span(...)``."""
-    return TRACER.span(name, **attrs)
-
-
-def trace_event(name: str, **attrs: Any) -> None:
-    """Module-level shorthand for ``TRACER.event(...)``."""
-    TRACER.event(name, **attrs)
 
 
 def format_trace_tree(record: Dict[str, Any]) -> str:

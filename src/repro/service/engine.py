@@ -15,9 +15,9 @@ shared stack safe and attributable:
   (:data:`repro.obs.trace.TRACER`; nested requests, e.g. a batch's
   members, become child spans), observes a per-op latency histogram and
   request counter in the process-wide
-  :class:`~repro.obs.metrics.MetricsRegistry`, and feeds the slow-query
-  log. With tracing disabled the per-request cost is a couple of
-  attribute checks -- no allocation.
+  :class:`~repro.obs.metrics.MetricsRegistry`. With tracing disabled the
+  per-request cost is a couple of attribute checks -- no allocation. The
+  slow-query log in ``stats`` is the tracer's view of its retained roots.
 * **Latching** -- every traversal (and every counter swap) runs under one
   :class:`~repro.storage.latch.Latch` guarding the shared buffer pool, so
   N worker threads can issue queries concurrently without corrupting
@@ -31,7 +31,10 @@ shared stack safe and attributable:
   the bench harness asserts it after every run).
 * **Result caching** -- queries are memoized in an LRU
   (:class:`~repro.service.cache.ResultCache`) keyed on the canonicalized
-  query; any ``insert``/``delete`` invalidates the whole cache.
+  query; any ``insert``/``delete`` invalidates the whole cache. A miss is
+  stored, and a mutation invalidates, before the latch that covered the
+  traversal or the apply is released, so no answer computed from the
+  pre-mutation index can enter the cache after the invalidation.
 * **Durability (optional)** -- constructed with a
   :class:`~repro.wal.store.DurableStore`, every mutation is logged to
   the write-ahead log *then* applied, both under the latch so LSN order
@@ -57,7 +60,7 @@ from repro.geometry import Segment
 from repro.obs.buildinfo import publish_build_info
 from repro.obs.explain import ExplainProfile
 from repro.obs.health import publish_health
-from repro.obs.metrics import MetricsRegistry, SlowQueryLog, get_registry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.profile import PROFILER
 from repro.obs.trace import TRACER
 from repro.service.api import OPS, Command
@@ -99,8 +102,6 @@ class QueryEngine:
         cache_capacity: int = 256,
         store=None,
         registry: Optional[MetricsRegistry] = None,
-        slow_ms: Optional[float] = None,
-        slow_log_capacity: int = 64,
         backend=None,
     ) -> None:
         from repro.service.cache import ResultCache  # avoid import cycle
@@ -122,7 +123,6 @@ class QueryEngine:
         self.cache = ResultCache(cache_capacity)
         self.totals = MetricsCounters()
         self.registry = registry if registry is not None else get_registry()
-        self.slow_log = SlowQueryLog(slow_ms, capacity=slow_log_capacity)
         self._sessions: Dict[str, QuerySession] = {}
         self._sessions_lock = make_lock("service.engine.sessions")
         self._deferred = threading.local()
@@ -132,21 +132,7 @@ class QueryEngine:
         # dict lookup (the registry itself get-or-creates lazily).
         self._op_metrics: Dict[str, Tuple[Any, Any]] = {}
         self._op_error_counters: Dict[str, Any] = {}
-        self._cache_hit_counter = self.registry.counter(
-            "repro_cache_events_total", outcome="hit"
-        )
-        self._cache_miss_counter = self.registry.counter(
-            "repro_cache_events_total", outcome="miss"
-        )
-        self._slow_counter = self.registry.counter("repro_slow_queries_total")
         self._trace_counter = self.registry.counter("repro_traces_total")
-        self._trace_dropped_counter = self.registry.counter(
-            "repro_trace_dropped_total"
-        )
-        self._trace_tail_counter = self.registry.counter(
-            "repro_trace_tail_discarded_total"
-        )
-        self._trace_buffered_gauge = self.registry.gauge("repro_trace_buffered")
         publish_build_info(
             self.registry, page_size=self.ctx.page_size, grid_bits=WORLD_DEPTH
         )
@@ -199,9 +185,9 @@ class QueryEngine:
 
         This is where *all* instrumentation attaches: one latency
         histogram observation and one request counter per call (by op
-        and status), one trace (or, nested inside an active trace --
-        e.g. a batch member -- one child span), and the slow-query log.
-        Every op goes through here, so every op is measured identically.
+        and status) and one trace (or, nested inside an active trace --
+        e.g. a batch member -- one child span). Every op goes through
+        here, so every op is measured identically.
         """
         try:
             op = request.op
@@ -243,11 +229,6 @@ class QueryEngine:
             else:
                 pair[0].observe(elapsed)
                 self._count_error(op)
-            # describe() builds a dict; only pay for it with the log armed.
-            if self.slow_log.threshold_ms is not None and self.slow_log.record(
-                op, elapsed, request.describe()
-            ):
-                self._slow_counter.inc()
             if root is not None:
                 TRACER.finish_trace(root, error=error)
                 self._trace_counter.inc()
@@ -344,8 +325,12 @@ class QueryEngine:
         if spec.use_cache:
             self.cache.store(spec.cache_key(), value)
 
+    def _cache_store_all(self, specs: List[QuerySpec], values: List[Any]) -> None:
+        for spec, value in zip(specs, values):
+            self._cache_store(spec, value)
+
     def _traverse(
-        self, session: QuerySession, run, plan, **attrs: Any
+        self, session: QuerySession, run, plan, store=None, **attrs: Any
     ) -> Tuple[Any, MetricsCounters]:
         """Every read traversal: span, latch, attribution -- in one place.
 
@@ -355,10 +340,17 @@ class QueryEngine:
         each executes exactly the traversal the others would. Returns the
         value and the scratch counters the traversal was charged (see
         :meth:`_attributed`).
+
+        ``store(plan, value)`` caches the answer while the latch is still
+        held: a mutation invalidates under the same latch
+        (:meth:`_mutate`), so an answer read off the pre-mutation index
+        is either cached before the invalidation or not at all.
         """
         with TRACER.span("traverse", **attrs) as span:
             with self._attributed(session) as scratch:
                 value = run(self.index, plan)
+                if store is not None:
+                    store(plan, value)
             if span.recording:
                 # Span cost attribution: the exact scratch deltas this
                 # traversal was charged -- what the router's stitched
@@ -394,11 +386,11 @@ class QueryEngine:
                 session,
                 self.backend.run_batch,
                 [specs[i] for i in misses],
+                self._cache_store_all,
                 fused=len(misses),
             )
             for i, value in zip(misses, values):
                 results[i] = value
-                self._cache_store(specs[i], value)
         for spec in specs:
             pair = self._op_metrics.get(spec.op)
             if pair is None:
@@ -447,8 +439,9 @@ class QueryEngine:
         hit, value = self._cache_lookup(spec, session)
         if hit:
             return value
-        value, _ = self._traverse(session, self.backend.run, spec)
-        self._cache_store(spec, value)
+        value, _ = self._traverse(
+            session, self.backend.run, spec, self._cache_store
+        )
         return value
 
     # ------------------------------------------------------------------
@@ -537,17 +530,19 @@ class QueryEngine:
         """The one mutation protocol, whatever is being changed.
 
         ``apply`` appends/logs/indexes under the latch, so the LSN order
-        is the apply order; the commit barrier runs after the latch
-        drops; only then do the caches forget what they knew.
+        is the apply order, and the caches forget what they knew before
+        the latch drops: no read can traverse the changed index and find
+        (or leave behind) state derived from the old one. The commit
+        barrier runs after the latch drops.
         """
         if session is None:
             session = self.session("maintenance")
         with TRACER.span("apply"):
             with self._attributed(session):
                 result = apply()
+                self.cache.invalidate_all()
+                self.backend.invalidate()
         self._commit_barrier()
-        self.cache.invalidate_all()
-        self.backend.invalidate()
         return result
 
     def _owns(self, segment: Segment) -> bool:
@@ -681,18 +676,28 @@ class QueryEngine:
         return self.registry.render_json()
 
     def sync_mirrored_counters(self) -> None:
-        """Copy the result cache's own hit/miss tally into the registry.
+        """Copy the tallies kept where they happen into the registry.
 
-        The cache counts lookups under the lock it already holds, so the
-        request path pays nothing extra; exports call this to bring the
-        ``repro_cache_events_total`` mirrors up to date.
+        The cache, the tracer, the latch and the WAL each count under a
+        lock they already hold, so the request path pays nothing extra;
+        exports call this to bring the registry mirrors up to date.
         """
-        self._cache_hit_counter.advance_to(self.cache.hits)
-        self._cache_miss_counter.advance_to(self.cache.misses)
+        counter = self.registry.counter
+        counter("repro_cache_events_total", outcome="hit").advance_to(self.cache.hits)
+        counter("repro_cache_events_total", outcome="miss").advance_to(self.cache.misses)
         tracing = TRACER.stats()
-        self._trace_dropped_counter.advance_to(tracing["evicted"])
-        self._trace_tail_counter.advance_to(tracing["tail_discarded"])
-        self._trace_buffered_gauge.set(tracing["buffered"])
+        counter("repro_slow_queries_total").advance_to(TRACER.slow)
+        counter("repro_trace_dropped_total").advance_to(tracing["evicted"])
+        counter("repro_trace_tail_discarded_total").advance_to(tracing["tail_discarded"])
+        self.registry.gauge("repro_trace_buffered").set(tracing["buffered"])
+        latch = self.latch
+        counter("repro_latch_acquisitions_total").advance_to(latch.acquisitions)
+        counter("repro_latch_contended_total").advance_to(latch.contended)
+        counter("repro_latch_wait_seconds_total").advance_to(latch.wait_seconds)
+        if self.store is not None:
+            wal = self.store.stats()
+            counter("repro_wal_appends_total").advance_to(wal["log_appends"])
+            counter("repro_wal_fsyncs_total").advance_to(wal["fsyncs"])
 
     def stats(self) -> dict:
         """A full observability snapshot for the server's stats op."""
@@ -728,7 +733,7 @@ class QueryEngine:
                 "durable": self.store is not None,
                 "obs": {
                     "tracing": TRACER.stats(),
-                    "slow_queries": self.slow_log.stats(),
+                    "slow_queries": TRACER.slow_queries(),
                 },
             }
             if SANITIZER.enabled:

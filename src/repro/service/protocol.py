@@ -10,9 +10,9 @@ the wire *policy* exists once:
 * a request is one JSON object; a blank line is framing noise and gets
   no reply at all;
 * the ``"v"`` pin is checked against the versions the transport speaks
-  and echoed on the reply (the upgrade ack also advertises ``features``);
-* the trace context arrives as the ``"tc"`` field or the v2 frame
-  trailer and leaves as the ``"tc"`` attachment, collected on the
+  and echoed on the reply;
+* the trace context arrives as the ``"tc"`` field of the request, on
+  either wire, and leaves as the ``"tc"`` attachment, collected on the
   thread that ran the request;
 * ``ping`` / ``clock`` / ``profile`` are answered here, everything else
   is ``parse_request`` -> ``engine.execute``;
@@ -213,22 +213,24 @@ class Protocol:
             )
         return Request(raw, version)
 
-    def decode_frame(self, body: bytes, trailer: Optional[bytes] = None) -> Request:
-        """One v2 frame payload plus its trace trailer, if flagged.
+    def decode_frame(self, body: bytes, flags: int = 0) -> Request:
+        """One v2 request frame: its payload and its header's flag byte.
 
-        The trailer is normalized to the ``"tc"`` field, so everything
-        downstream handles both wires identically. Inside v2 the version
-        is settled: a ``"v"`` key in a frame is neither checked nor echoed.
+        A request frame sets no flag bit (:mod:`repro.aio.frames`); one
+        that does is refused whole, so a peer speaking some other
+        framing learns it from a ``bad_args`` on its request id. Inside
+        v2 the version is settled: a ``"v"`` key in a frame is neither
+        checked nor echoed.
         """
         try:
-            raw = _loads_object(body)
-            if trailer is not None:
-                ctx = dtrace.TraceContext.from_trailer(trailer)
-                if ctx is not None:
-                    raw["tc"] = ctx.to_wire()
+            if flags:
+                raise ProtocolError(
+                    f"request frame has flag bits set ({flags:#04x}); "
+                    f"a request frame's flags byte must be 0"
+                )
+            return Request(_loads_object(body))
         except Exception as exc:
             return Request(error=exc)
-        return Request(raw)
 
     # ------------------------------------------------------------------
     # Execution
@@ -258,12 +260,7 @@ class Protocol:
                 # request left on this thread) for the tracer to consume.
                 # Disabled tracing pays exactly the attribute check above.
                 traced = True
-                tc_raw = raw.get("tc")
-                dtrace.set_incoming(
-                    None
-                    if tc_raw is None
-                    else dtrace.TraceContext.from_wire(tc_raw)
-                )
+                dtrace.set_incoming(dtrace.TraceContext.from_wire(raw.get("tc")))
             if self._route is not None:
                 result = self._route(raw)
             else:
@@ -359,8 +356,4 @@ def _error(exc: BaseException) -> Envelope:
 def _echo(envelope: Envelope, version: Optional[int]) -> Envelope:
     if version is not None:
         envelope["v"] = version
-        if version != PROTOCOL_VERSION:
-            # The upgrade ack advertises optional capabilities; clients
-            # that predate them ignore the extra key.
-            envelope["features"] = {"tc": True}
     return envelope

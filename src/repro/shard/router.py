@@ -530,22 +530,20 @@ class RouterCore:
         passes ``dict.fromkeys(shard_ids, payload)``.
 
         Under an armed tracer every leg carries a fresh child context as
-        the v1 ``"tc"`` field (the pooled clients speak JSON lines), so
-        each worker roots its local trace under this router span --
-        sampled or not, keeping the head decision consistent end to end.
-        When the router root *is* sampled, the fan-out sits under a
-        ``scatter`` span and each worker's returned subtree is grafted
-        back in as a ``shard:<id>`` child.
+        the ``"tc"`` field, so each worker roots its local trace under
+        this router span -- sampled or not, keeping the head decision
+        consistent end to end -- and every leg's round trip is grafted
+        into the router's root as a ``shard:<id>`` child. When the root
+        *is* sampled, the fan-out sits under a ``scatter`` span and each
+        wrapper holds the subtree its worker returned.
         """
         root = TRACER.current_root() if TRACER.enabled else None
-        traced = root is not None and "trace_id" in root
-        sampled = traced and bool(root.get("sampled", True))
 
         def call(shard_id: str) -> Tuple[Any, float, float]:
             payload = payloads[shard_id]
-            if traced:
+            if root is not None:
                 child = dtrace.TraceContext(
-                    root["trace_id"], dtrace.new_span_id(), sampled
+                    root["trace_id"], dtrace.new_span_id(), root["sampled"]
                 )
                 payload = dict(payload, tc=child.to_wire())
             t0 = now_us()
@@ -573,7 +571,7 @@ class RouterCore:
                         oks[shard_id] = response.get("result")
                     else:
                         relayed[shard_id] = response.get("error")
-                if sampled:
+                if root is not None:
                     self._stitch_shard(root, shard_id, t0, t1, attachment)
         return oks, relayed, failures
 
@@ -601,11 +599,7 @@ class RouterCore:
         )
         if isinstance(subtree, dict):
             skew = self.clients[shard_id].skew_us
-            if (
-                skew is not None
-                and "wall_us" in subtree
-                and "wall_us" in root
-            ):
+            if skew is not None and "wall_us" in subtree:
                 # Worker wall time, de-skewed onto the router's clock,
                 # relative to the router root's start.
                 offset = (subtree["wall_us"] - skew) - root["wall_us"]

@@ -223,7 +223,6 @@ def open_shard(
     group_commit: int = 1,
     replay_order: str = "morton",
     cache_capacity: int = 256,
-    slow_ms: Optional[float] = None,
     backend: Any = None,
 ):
     """Recover one shard's store and wrap it in a :class:`ShardEngine`.
@@ -251,7 +250,6 @@ def open_shard(
         store=store,
         registry=MetricsRegistry(),
         cache_capacity=cache_capacity,
-        slow_ms=slow_ms,
         backend=backend,
     )
     return smap, engine
@@ -264,7 +262,6 @@ def serve_shard(
     port: int = 0,
     pool_pages: int = 16,
     group_commit: int = 1,
-    slow_ms: Optional[float] = None,
     backend: Any = None,
 ) -> MapServer:
     """Open a shard and bind its server (not yet serving).
@@ -278,7 +275,6 @@ def serve_shard(
         shard_id,
         pool_pages=pool_pages,
         group_commit=group_commit,
-        slow_ms=slow_ms,
         backend=backend,
     )
     server = ShardServer(engine, host=host, port=port)

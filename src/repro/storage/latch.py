@@ -4,14 +4,16 @@ The simulated storage stack is single-threaded by construction; the
 service layer (:mod:`repro.service`) shares one buffer pool between many
 worker threads and therefore needs mutual exclusion around every
 traversal. A :class:`Latch` is a reentrant lock that additionally counts
-acquisitions and contended acquisitions, so a server can report how hot
-the pool latch is under load.
+acquisitions and contended acquisitions, and times the contended ones,
+so a server can report how hot the pool latch is under load.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 
+from repro.obs.trace import TRACER
 from repro.sanitize import SANITIZER
 
 
@@ -19,8 +21,9 @@ class Latch:
     """A reentrant lock with acquisition statistics.
 
     ``acquisitions`` counts every outermost acquire; ``contended`` counts
-    the subset that had to wait because another thread held the latch.
-    Both are maintained under the latch itself, so they are exact.
+    the subset that had to wait because another thread held the latch,
+    and ``wait_seconds`` sums how long those waited. All three are
+    maintained under the latch itself, so they are exact.
     """
 
     def __init__(self, name: str = "latch") -> None:
@@ -30,23 +33,27 @@ class Latch:
         self._depth = 0
         self.acquisitions = 0
         self.contended = 0
+        self.wait_seconds = 0.0
 
     def acquire(self) -> None:
         me = threading.get_ident()
         if self._holder == me:  # reentrant: no stats, no blocking
             self._depth += 1
             return
-        contended = not self._lock.acquire(blocking=False)
-        if contended:
+        if self._lock.acquire(blocking=False):
+            waited = None
+        else:
             # The contended slow path can raise (e.g. an interrupt lands
             # between the non-blocking probe and the blocking acquire).
             # Nothing was acquired in that case, so bookkeeping must stay
             # untouched -- the latch remains fully usable afterwards.
+            started = time.perf_counter()
             self._lock.acquire()
+            waited = time.perf_counter() - started
         try:
             self._holder = me
             self._depth = 1
-            self._record_acquire(contended)
+            self._record_acquire(waited)
             if SANITIZER.enabled:
                 SANITIZER.note_acquire(f"latch:{self.name}")
         except BaseException:
@@ -57,12 +64,19 @@ class Latch:
             self._lock.release()
             raise
 
-    def _record_acquire(self, contended: bool) -> None:
-        """Update acquisition statistics (separate so tests can verify
-        that a failure here cannot leak the underlying lock)."""
+    def _record_acquire(self, waited: float | None) -> None:
+        """Update acquisition statistics; ``waited`` is how long a
+        contended acquire blocked, None for an uncontended one (separate
+        so tests can verify that a failure here cannot leak the
+        underlying lock)."""
         self.acquisitions += 1
-        if contended:
+        if waited is not None:
             self.contended += 1
+            self.wait_seconds += waited
+            if TRACER.enabled:
+                # In a sampled trace: did this request wait for the latch
+                # holder, or do the work itself?
+                TRACER.event("latch_wait", dur_us=round(waited * 1e6, 1))
 
     def release(self) -> None:
         if self._holder != threading.get_ident():
@@ -86,6 +100,7 @@ class Latch:
             "name": self.name,
             "acquisitions": self.acquisitions,
             "contended": self.contended,
+            "wait_seconds": self.wait_seconds,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -59,6 +59,22 @@ class TestRoundTrip:
         flags, _length, _rid = decode_header(frame[:HEADER_BYTES])
         assert flags & FLAG_RESPONSE
 
+    def test_the_response_bit_is_the_only_flag_there_is(self):
+        """No trace trailer, so no bit 1: a request frame's flags byte is
+        0 (the server refuses anything else, see test_aio_server) and a
+        response's is exactly ``FLAG_RESPONSE``."""
+        from repro.aio import frames
+
+        assert FLAG_RESPONSE == 0x01
+        for response, want in ((False, 0), (True, FLAG_RESPONSE)):
+            frame = encode_frame(1, {"op": "ping"}, response=response)
+            assert decode_header(frame[:HEADER_BYTES])[0] == want
+        assert [name for name in vars(frames) if name.startswith("FLAG_")] == [
+            "FLAG_RESPONSE"
+        ]
+        with pytest.raises(TypeError):
+            encode_frame(1, {"op": "ping"}, trace_trailer=b"x" * 25)
+
     def test_payload_is_compact_json_no_newline(self):
         frame = encode_frame(1, {"op": "ping"})
         body = frame[HEADER_BYTES:]

@@ -19,6 +19,7 @@ import pytest
 from repro.aio import (
     AsyncMapClient,
     AsyncMapServer,
+    FRAME_HEADER,
     HEADER_BYTES,
     decode_header,
     decode_payload,
@@ -163,14 +164,9 @@ class TestNegotiation:
                 fh.write(b'{"op": "ping", "v": 2}\n')
                 fh.flush()
                 ack = json.loads(fh.readline())
-                # The ack also advertises capabilities (trace-context
-                # trailer support) for clients that care.
-                assert ack == {
-                    "ok": True,
-                    "result": "pong",
-                    "v": 2,
-                    "features": {"tc": True},
-                }
+                # The echoed pin is the whole ack: v2 has no optional
+                # capability left to advertise.
+                assert ack == {"ok": True, "result": "pong", "v": 2}
                 # Every byte after the ack is v2 frames, both directions.
                 fh.write(encode_frame(7, {"op": "point", "x": 100, "y": 100}))
                 fh.flush()
@@ -217,8 +213,6 @@ class TestNegotiation:
                 fh.write(b'{"op": "ping", "v": 2}\n')
                 fh.flush()
                 json.loads(fh.readline())
-                from repro.aio.frames import FRAME_HEADER
-
                 body = b"[1, 2, 3]"
                 fh.write(FRAME_HEADER.pack(0, len(body), 99) + body)
                 fh.flush()
@@ -226,6 +220,31 @@ class TestNegotiation:
                 assert request_id == 99
                 assert payload["ok"] is False
                 assert payload["error"]["code"] == "bad_args"
+
+    @pytest.mark.parametrize("bit", [0, 1, 7])
+    def test_a_request_frame_with_a_flag_bit_is_refused_by_id(self, server, bit):
+        """Bit 0 marks responses, bit 1 marked the trace trailer a client
+        may still append, bit 7 never meant anything: each is a
+        ``bad_args`` on the frame's own id, its payload is not run, and
+        the connection goes on serving."""
+        insert = json.dumps(
+            {"op": "insert", "x1": 1, "y1": 1, "x2": 2, "y2": 2}
+        ).encode() + b"t" * 25
+        with socket.create_connection(server.address, timeout=10) as sock:
+            with sock.makefile("rwb") as fh:
+                fh.write(b'{"op": "ping", "v": 2}\n')
+                fh.flush()
+                assert json.loads(fh.readline())["v"] == 2
+                segments = len(server.protocol.target.ctx.segments)
+                fh.write(FRAME_HEADER.pack(1 << bit, len(insert), 41) + insert)
+                fh.write(encode_frame(42, {"op": "ping"}))
+                fh.flush()
+                _flags, request_id, refused = _recv_frame(fh)
+                assert request_id == 41 and refused["ok"] is False
+                assert refused["error"]["code"] == "bad_args"
+                assert "flag" in refused["error"]["message"]
+                assert _recv_frame(fh)[1:] == (42, {"ok": True, "result": "pong"})
+                assert len(server.protocol.target.ctx.segments) == segments
 
 
 class TestPipelining:

@@ -170,6 +170,57 @@ class TestEveryAcceptedOptionActs:
         assert exit_.value.code == 2
 
 
+    #: The three launchers, each with what it requires and nothing else.
+    LAUNCHERS = {
+        "serve": ["serve"],
+        "shard-worker": ["shard-worker", "--root", "x", "--shard", "s0"],
+        "route": ["route", "--root", "x"],
+    }
+
+    @pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+    def test_a_ring_size_with_nothing_to_retain_is_a_usage_error(
+        self, capsys, launcher
+    ):
+        """``--trace-capacity`` sizes the ring ``--trace-sample`` and
+        ``--slow-ms`` fill; alone it used to parse and do nothing."""
+        with pytest.raises(SystemExit) as exit_:
+            main([*self.LAUNCHERS[launcher], "--trace-capacity", "8"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "--trace-capacity" in err and "--slow-ms" in err
+
+    @pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
+    def test_the_second_tracer_flag_is_gone(self, capsys, launcher):
+        """What ``serve --trace`` did is ``--trace-sample 1``."""
+        with pytest.raises(SystemExit) as exit_:
+            main([*self.LAUNCHERS[launcher], "--trace"])
+        assert exit_.value.code == 2
+        assert "--trace" in capsys.readouterr().err
+
+    def test_a_slow_threshold_alone_arms_the_router(self, spawn, tmp_path):
+        """``route --slow-ms T`` without ``--trace-sample`` used to arm
+        nothing; it is tracing at rate 0, so the router retains its own
+        slow roots -- here with no worker up, which a root does not need."""
+        from repro.service import send_request
+
+        from tests.conftest import run_cli as run_child
+
+        root = str(tmp_path / "set")
+        done = run_child(
+            "shard-init", "--county", "cecil", "--scale", "0.01", "--root", root,
+            "--n-shards", "2", "--page-size", "2048",
+        )
+        assert done.returncode == 0, done.stderr
+        router = spawn("route", "--root", root, "--port", "0", "--slow-ms", "0")
+        assert send_request(router.address, {"op": "ping"})["result"] == "pong"
+        answer = send_request(router.address, {"op": "trace"})["result"]
+        assert answer["tracing"]["enabled"] is True
+        assert answer["tracing"]["sample_rate"] == 0.0
+        (ping,) = [root for root in answer["traces"] if root["name"] == "ping"]
+        assert ping["retained"] == "slow" and ping["sampled"] is False
+        assert len(ping["trace_id"]) == 32
+
+
 class _Refuses(socketserver.StreamRequestHandler):
     def handle(self):
         for _line in self.rfile:

@@ -2,12 +2,14 @@
 
 Covers the cross-process observability stack end to end:
 
-* :mod:`repro.obs.dtrace` -- context wire forms (v1 JSON field, v2
-  binary trailer), deterministic head sampling, thread-local handoff;
+* :mod:`repro.obs.dtrace` -- the context's one wire form (the ``"tc"``
+  field, on v1 lines and in v2 frame payloads), deterministic head
+  sampling, thread-local handoff;
 * :mod:`repro.obs.clock` -- the monotonic anchor: span durations stay
   non-negative under a wall-clock step (the S2 regression);
 * tail-based retention in :class:`repro.obs.trace.Tracer` -- unsampled
-  skeletons discard, errored and slow ones keep;
+  skeletons discard, errored and slow ones keep, and the slow-query log
+  is a view over what was kept;
 * v1 propagation through the threaded :class:`MapServer` and the
   stitched cross-shard tree through :class:`ShardRouter`, including the
   per-shard counter-parity oracle (span cost attribution equals engine
@@ -30,8 +32,9 @@ from repro.obs.profile import (
     collapsed_text,
     merge_profiles,
 )
+from repro.aio import HEADER_BYTES, decode_header, decode_payload, encode_frame
 from repro.obs.trace import TRACER, format_trace_tree
-from repro.service import MapServer, QueryEngine, send_request
+from repro.service import MapServer, Protocol, QueryEngine, send_request
 from repro.service.api import parse_request
 from repro.shard import LocalShardSet, ShardMap, ShardRouter, init_shard_set
 
@@ -77,10 +80,15 @@ class TestTraceContext:
         )
 
     def test_v2_trailer_roundtrip(self):
+        """v2 has no trailer: the context rides in the frame's payload as
+        the same ``"tc"`` field, and the frame sets no flag bit for it."""
         ctx = dtrace.TraceContext(dtrace.new_trace_id(), dtrace.new_span_id(), True)
-        blob = ctx.to_trailer()
-        assert len(blob) == dtrace.TRAILER_BYTES
-        back = dtrace.TraceContext.from_trailer(blob)
+        frame = encode_frame(9, {"op": "ping", "tc": ctx.to_wire()})
+        flags, length, _request_id = decode_header(frame[:HEADER_BYTES])
+        assert flags == 0 and length == len(frame) - HEADER_BYTES
+        back = dtrace.TraceContext.from_wire(
+            decode_payload(frame[HEADER_BYTES:])["tc"]
+        )
         assert (back.trace_id, back.span_id, back.sampled) == (
             ctx.trace_id,
             ctx.span_id,
@@ -103,7 +111,15 @@ class TestTraceContext:
         assert dtrace.TraceContext.from_wire(raw) is None
 
     def test_short_trailer_degrades_to_none(self):
-        assert dtrace.TraceContext.from_trailer(b"short") is None
+        """What a client still sending the old 25-byte trailer gets: a
+        structured ``bad_args`` for the flag bit it sets -- not a JSON
+        parse error on the stray bytes, and never a crash."""
+        protocol = Protocol(_engine(), (1, 2))
+        for body in (b'{"op":"ping"}' + b"x" * 25, b'{"op":"ping"}', b"short", b""):
+            envelope = protocol.run(protocol.decode_frame(body, 0x02))[0]
+            assert envelope["ok"] is False
+            assert envelope["error"]["code"] == "bad_args"
+            assert "flag" in envelope["error"]["message"]
 
     def test_child_keeps_trace_id_and_flag(self):
         ctx = dtrace.TraceContext("a" * 32, "b" * 16, True)
@@ -158,14 +174,14 @@ class TestClockAnchor:
 
         assert_nonnegative(traces[-1])
 
-    def test_slow_log_uses_anchored_wall_clock(self):
-        from repro.obs.metrics import SlowQueryLog
-
-        log = SlowQueryLog(threshold_ms=0.0)
+    def test_slow_log_uses_anchored_wall_clock(self, tracer):
+        tracer.arm(0.0, slow_ms=0.0)
+        engine = _engine()
         real_time = time.time
         with mock.patch("time.time", side_effect=lambda: real_time() - 3600.0):
-            assert log.record("window", 0.001, {})
-        entry = log.stats()["entries"][0]
+            _window(engine)
+        entry = engine.stats()["obs"]["slow_queries"]["entries"][-1]
+        assert entry["op"] == "window"
         # Anchored: within a minute of true wall time, not an hour off.
         assert abs(entry["unix_time"] - real_time()) < 60.0
 
@@ -175,12 +191,19 @@ class TestClockAnchor:
 # ----------------------------------------------------------------------
 class TestTailSampling:
     def test_legacy_mode_is_unchanged(self, tracer):
-        tracer.enable()
+        """There is one mode: ``arm(1.0)`` records what the id-less
+        record-everything mode recorded, and every root has ids."""
+        tracer.arm(1.0)
         engine = _engine()
-        _window(engine)
+        _window(engine, use_cache=False)
         root = tracer.recent()[-1]
         assert root["name"] == "window"
-        assert "trace_id" not in root and "sampled" not in root
+        assert [span["name"] for span in root["spans"]] == ["traverse"]
+        assert root["events"] == len(root["spans"][0]["spans"]) + 1
+        assert root["dropped"] == 0 and "retained" not in root
+        assert {"trace_id", "span_id", "sampled", "wall_us"} <= set(root)
+        assert "parent_id" not in root  # rooted here, not under a caller
+        assert not hasattr(tracer, "enable") and not hasattr(tracer, "disable")
 
     def test_sampled_root_carries_ids_and_detail(self, tracer):
         tracer.arm(1.0)
@@ -288,6 +311,33 @@ class TestServerPropagation:
         assert resp["ok"]  # the request itself must not fail
         # A fresh root was minted instead of inheriting the bad context.
         assert resp["tc"]["t"] != "bogus"
+
+    def test_errored_request_is_retained_at_rate_zero(self, tracer):
+        """``--slow-ms`` alone: rate 0, and the envelope of a request that
+        failed still names a trace the same server resolves."""
+        tracer.arm(0.0, slow_ms=10_000.0)
+        srv = MapServer(_engine())
+        srv.start_background()
+        try:
+            ok = send_request(srv.address, {"op": "point", "x": 100, "y": 100})
+            failed = send_request(srv.address, {"op": "delete", "seg_id": 999999})
+            fetched = {
+                resp["tc"]["t"]: send_request(
+                    srv.address, {"op": "trace", "trace_id": resp["tc"]["t"]}
+                )["result"]["trace"]
+                for resp in (ok, failed)
+            }
+            stats = send_request(srv.address, {"op": "stats"})["result"]
+        finally:
+            srv.stop()
+        assert ok["ok"] and fetched[ok["tc"]["t"]] is None  # fast, clean: discarded
+        assert failed["error"]["code"] == "unknown_seg"
+        kept = fetched[failed["tc"]["t"]]
+        assert kept["name"] == "delete" and "unknown segment id" in kept["error"]
+        assert kept["sampled"] is False and kept["spans"] == []
+        # Errored, not slow: retained, but no entry of the slow view.
+        assert stats["obs"]["slow_queries"]["threshold_ms"] == 10_000.0
+        assert stats["obs"]["slow_queries"]["entries"] == []
 
     def test_clock_op_reports_anchored_wall(self, server):
         resp = send_request(server.address, {"op": "clock"})
@@ -535,26 +585,49 @@ class TestStitchedTraces:
                 assert -1e6 < sub["start_us"] < tree["dur_us"] + 1e6
 
     def test_stats_entries_name_their_shard(self, shard_root, tracer):
-        tracer.arm(1.0, slow_ms=0.0)
-        with LocalShardSet(shard_root, slow_ms=0.0):
+        """One record answers "why was this slow, and in which process":
+        at rate 0 the slow threshold alone retains the routed request,
+        every slow entry names its shard and a trace id, and that id is
+        the router's tree with one ``shard:<id>`` leg per touched shard."""
+        tracer.arm(0.0, slow_ms=0.0)
+        window = {"op": "window", "x1": 0, "y1": 0, "x2": 10**6, "y2": 10**6}
+        with LocalShardSet(shard_root):
             router = ShardRouter(shard_root)
             router.start_background()
             try:
-                send_request(
-                    router.address,
-                    {"op": "window", "x1": 0, "y1": 0, "x2": 10**6, "y2": 10**6},
-                )
+                resp = send_request(router.address, window)
                 stats = send_request(router.address, {"op": "stats"})["result"]
+                trees = {
+                    entry["trace_id"]: send_request(
+                        router.address,
+                        {"op": "trace", "trace_id": entry["trace_id"]},
+                    )["result"]
+                    for shard_stats in stats["shards"].values()
+                    for entry in shard_stats["obs"]["slow_queries"]["entries"]
+                }
             finally:
                 router.close()
+        assert resp["ok"] and resp["tc"]["f"] == 0  # unsampled, and yet:
         labelled = [
             entry
             for shard_stats in stats["shards"].values()
             for entry in shard_stats["obs"]["slow_queries"]["entries"]
         ]
-        assert labelled, "slow log should have recorded at threshold 0"
+        assert labelled, "the slow view should list roots at threshold 0"
         assert all("shard" in entry for entry in labelled)
         assert {e["shard"] for e in labelled} <= set(stats["shards"])
+        assert all(trees[entry["trace_id"]]["trace"] for entry in labelled)
+        found = trees[resp["tc"]["t"]]
+        tree = found["trace"]
+        assert found["source"] == "router"
+        assert tree["name"] == "window" and "parent_id" not in tree
+        assert tree["sampled"] is False and tree["retained"] == "slow"
+        legs = self._spans_named(tree, "shard:")
+        assert sorted(leg["attrs"]["shard"] for leg in legs) == sorted(
+            stats["shards"]
+        )
+        assert all(leg["dur_us"] > 0 and leg["spans"] == [] for leg in legs)
+        assert tree["spans"] == legs  # a skeleton: the legs and nothing else
 
 
 # ----------------------------------------------------------------------

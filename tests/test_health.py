@@ -120,7 +120,7 @@ class TestBuildInfo:
 class TestTraceRingSaturation:
     def test_wrap_increments_evicted(self):
         tracer = Tracer()
-        tracer.enable(capacity=3)
+        tracer.arm(1.0, capacity=3)
         for i in range(8):
             root = tracer.start_trace("point", i=i)
             tracer.finish_trace(root)
@@ -137,15 +137,15 @@ class TestTraceRingSaturation:
         )
         evicted_before = TRACER.evicted
         saved_capacity = TRACER.capacity
-        TRACER.enable(capacity=2)
+        TRACER.arm(1.0, capacity=2)
         try:
             for _ in range(5):
                 engine.execute(
                     parse_request({"op": "point", "x": 100, "y": 100, "use_cache": False})
                 )
         finally:
-            TRACER.enable(capacity=saved_capacity)  # restore the ring size
-            TRACER.disable()
+            TRACER.arm(1.0, capacity=saved_capacity)  # restore the ring size
+            TRACER.disarm()
             TRACER.clear()
         assert TRACER.evicted == evicted_before + 3
         engine.sync_mirrored_counters()

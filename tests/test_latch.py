@@ -89,6 +89,37 @@ def test_interrupt_in_contended_acquire_leaves_latch_usable():
     assert _acquirable_from_other_thread(latch._lock._inner)
 
 
+def test_contended_acquire_is_timed_and_shows_in_a_sampled_trace():
+    """The contended branch alone pays for the clock: it adds to
+    ``wait_seconds`` and, inside a sampled trace, leaves a ``latch_wait``
+    event saying how long this request waited for the holder."""
+    from repro.obs.trace import TRACER
+
+    latch = Latch("timed")
+    with latch:  # uncontended: nothing timed, nothing traced
+        pass
+    assert latch.stats()["wait_seconds"] == 0.0 and latch.contended == 0
+    latch._lock = FlakyLock()
+    TRACER.clear()
+    TRACER.arm(1.0)
+    try:
+        root = TRACER.start_trace("window")
+        with latch:
+            pass
+        TRACER.finish_trace(root)
+    finally:
+        TRACER.disarm()
+        TRACER.clear()
+    assert latch.contended == 1
+    assert latch.stats()["wait_seconds"] == latch.wait_seconds > 0.0
+    (event,) = root["spans"]
+    assert event["name"] == "latch_wait"
+    assert event["attrs"]["dur_us"] == round(latch.wait_seconds * 1e6, 1)
+    with latch:  # tracing off again: timed still, no trace to write to
+        pass
+    assert latch.contended == 2
+
+
 def test_stats_failure_after_lock_obtained_backs_out_completely():
     latch = ExplodingStatsLatch()
     latch.explode = True

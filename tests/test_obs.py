@@ -7,7 +7,6 @@ import pytest
 from repro.obs import (
     LatencyHistogram,
     MetricsRegistry,
-    SlowQueryLog,
     Tracer,
     parse_prom_text,
 )
@@ -30,7 +29,7 @@ class TestTracer:
 
     def test_span_tree_shape(self):
         tracer = Tracer()
-        tracer.enable()
+        tracer.arm(1.0)
         root = tracer.start_trace("window", x1=0.0)
         with tracer.span("traverse"):
             tracer.event("page_fetch", page=3, outcome="miss")
@@ -52,7 +51,7 @@ class TestTracer:
 
     def test_max_events_caps_a_trace(self):
         tracer = Tracer(max_events=4)
-        tracer.enable()
+        tracer.arm(1.0)
         root = tracer.start_trace("window")
         for i in range(10):
             tracer.event("page_fetch", page=i)
@@ -64,7 +63,7 @@ class TestTracer:
 
     def test_ring_buffer_bounds_finished_traces(self):
         tracer = Tracer(capacity=3)
-        tracer.enable()
+        tracer.arm(1.0)
         for i in range(7):
             root = tracer.start_trace(f"op{i}")
             tracer.finish_trace(root)
@@ -74,7 +73,7 @@ class TestTracer:
 
     def test_error_recorded_on_root(self):
         tracer = Tracer()
-        tracer.enable()
+        tracer.arm(1.0)
         root = tracer.start_trace("delete")
         tracer.finish_trace(root, error="KeyError: unknown segment id 9")
         (trace,) = tracer.recent()
@@ -82,7 +81,7 @@ class TestTracer:
 
     def test_active_tracks_thread_local_stack(self):
         tracer = Tracer()
-        tracer.enable()
+        tracer.arm(1.0)
         assert not tracer.active()
         root = tracer.start_trace("batch")
         assert tracer.active()
@@ -96,7 +95,7 @@ class TestTracer:
 
     def test_threads_build_separate_trees(self):
         tracer = Tracer(capacity=64)
-        tracer.enable()
+        tracer.arm(1.0)
 
         def worker(tag):
             for _ in range(10):
@@ -159,21 +158,52 @@ class TestLatencyHistogram:
 
 
 class TestSlowQueryLog:
+    """The slow-query log is a view over the tracer's ring."""
+
+    @staticmethod
+    def _finish(tracer, op, took_ms, **attrs):
+        root = tracer.start_trace(op, **attrs)
+        root["_t0"] -= took_ms * 1000.0  # as if it had started that long ago
+        return tracer.finish_trace(root)
+
     def test_disabled_by_default(self):
-        log = SlowQueryLog()
-        assert not log.enabled
-        assert log.record("point", 100.0, {}) is False
-        assert log.entries() == []
+        tracer = Tracer()
+        assert tracer.slow_queries()["threshold_ms"] is None
+        tracer.arm(1.0)  # no threshold: traces are kept, none is "slow"
+        self._finish(tracer, "point", 100_000.0)
+        view = tracer.slow_queries()
+        assert view["threshold_ms"] is None
+        assert (view["recorded"], view["buffered"], view["entries"]) == (0, 0, [])
 
     def test_threshold_and_capacity(self):
-        log = SlowQueryLog(threshold_ms=1.0, capacity=2)
-        assert log.record("point", 0.0005, {}) is False  # 0.5ms: under
-        for i in range(3):
-            assert log.record("window", 0.002, {"i": i}) is True
-        entries = log.entries()
-        assert len(entries) == 2  # bounded
-        assert entries[-1]["attrs"] == {"i": 2}
-        assert log.stats()["recorded"] == 3
+        tracer = Tracer(capacity=2)
+        tracer.arm(0.0, slow_ms=1.0)
+        self._finish(tracer, "point", 0.5)  # under: a discarded skeleton
+        assert tracer.slow_queries()["entries"] == []
+        kept = [self._finish(tracer, "window", 2.0, i=i) for i in range(3)]
+        view = tracer.slow_queries()
+        assert view["threshold_ms"] == 1.0 and view["capacity"] == 2
+        assert view["buffered"] == len(view["entries"]) == 2  # bounded by the ring
+        assert view["recorded"] == 3
+        last = view["entries"][-1]
+        assert sorted(last) == ["attrs", "ms", "op", "trace_id", "unix_time"]
+        assert (last["op"], last["attrs"]) == ("window", {"i": 2})
+        assert last["ms"] >= 2.0
+        # The entry joins to the span tree that says why it was slow.
+        assert tracer.find(last["trace_id"]) is kept[-1]
+        assert kept[-1]["retained"] == "slow" and kept[-1]["sampled"] is False
+
+    def test_sampled_and_errored_roots_are_listed_only_when_slow(self):
+        tracer = Tracer()
+        tracer.arm(1.0, slow_ms=1.0)
+        self._finish(tracer, "point", 0.1)  # sampled, fast: kept, not slow
+        root = tracer.start_trace("delete")
+        tracer.finish_trace(root, error="KeyError: 9")  # errored, fast
+        slow = self._finish(tracer, "window", 5.0)  # sampled and slow
+        view = tracer.slow_queries()
+        assert len(tracer.recent()) == 3
+        assert [e["trace_id"] for e in view["entries"]] == [slow["trace_id"]]
+        assert "retained" not in slow  # the head decision already kept it
 
 
 class TestRegistryAndProm:

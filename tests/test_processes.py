@@ -154,8 +154,8 @@ def test_serve(front, spawn, snapshot, tmp_path):
     }[front]
     durable, speaks_v2 = front.startswith("wal"), front.endswith("async")
     server = spawn(
-        "serve", "--snapshot", snapshot, "--port", "0", "--sanitize", "--trace",
-        "--slow-ms", "250", *flags,
+        "serve", "--snapshot", snapshot, "--port", "0", "--sanitize",
+        "--trace-sample", "1", "--slow-ms", "250", *flags,
     )
     address = server.address
 
@@ -183,11 +183,39 @@ def test_serve(front, spawn, snapshot, tmp_path):
     stats = send_request(address, {"op": "stats"})["result"]
     assert stats["durable"] is durable
     assert stats["counters_consistent"] is True
-    assert stats["obs"]["tracing"]["enabled"] is True  # --trace
+    assert stats["obs"]["tracing"]["enabled"] is True  # --trace-sample
+    assert stats["obs"]["tracing"]["sample_rate"] == 1.0
     assert stats["obs"]["slow_queries"]["threshold_ms"] == 250.0  # --slow-ms
     (sanitizer,) = sanitizer_reports(address)  # --sanitize
     assert sanitizer["enabled"] and sanitizer["acquisitions"] > 0
     interrupt(server)
+
+
+def test_serve_with_a_slow_threshold_alone(spawn, snapshot):
+    """``--slow-ms`` without ``--trace-sample`` is tracing at rate 0: the
+    slow log is the tracer's view, so every entry names a trace the same
+    server resolves -- and nothing else is retained."""
+    server = spawn("serve", "--snapshot", snapshot, "--port", "0", "--slow-ms", "0")
+    address = server.address
+    reply = send_request(address, {**WHOLE_MAP, "use_cache": False})
+    assert reply["ok"] and reply["tc"]["f"] == 0  # identified, not sampled
+    stats = send_request(address, {"op": "stats"})["result"]
+    assert stats["obs"]["tracing"]["enabled"] is True
+    assert stats["obs"]["tracing"]["sample_rate"] == 0.0
+    slow = stats["obs"]["slow_queries"]
+    assert sorted(slow) == ["buffered", "capacity", "entries", "recorded", "threshold_ms"]
+    assert slow["threshold_ms"] == 0.0 and slow["recorded"] >= slow["buffered"] >= 1
+    assert reply["tc"]["t"] in {entry["trace_id"] for entry in slow["entries"]}
+    for entry in slow["entries"]:
+        assert sorted(entry) == ["attrs", "ms", "op", "trace_id", "unix_time"]
+        tree = ok(
+            run_cli(
+                "stats", "--port", str(address[1]), "--format", "traces",
+                "--trace-id", entry["trace_id"],
+            )
+        )
+        assert entry["trace_id"] in tree and "retained=slow" in tree
+    assert server.stop(signal.SIGINT) == 0, server.output
 
 
 @pytest.mark.parametrize("front", ["threaded", "async"])

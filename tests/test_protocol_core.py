@@ -75,7 +75,7 @@ LINE_TABLE = [
     # "v" pins: echoed when spoken, refused (naming what is spoken) when not.
     (b'{"op":"ping","v":1}', (1,), dict(PONG, v=1)),
     (b'{"op":"ping","v":1}', (1, 2), dict(PONG, v=1)),
-    (b'{"op":"ping","v":2}', (1, 2), dict(PONG, v=2, features={"tc": True})),
+    (b'{"op":"ping","v":2}', (1, 2), dict(PONG, v=2)),
     (b'{"op":"ping","v":2}', (1,), ("bad_args", "ProtocolError")),
     (b'{"op":"ping","v":3}', (1, 2), ("bad_args", "ProtocolError")),
     (b'{"op":"ping","v":true}', (1, 2), ("bad_args", "ProtocolError")),
@@ -111,8 +111,21 @@ class TestLines:
         assert envelope == PONG and lsn is None
         bad = protocol.run(protocol.decode_frame(b"\x00\x01"))[0]
         assert bad["error"]["code"] == "bad_args"
-        empty = protocol.run(protocol.decode_frame(b"", b"x" * dtrace.TRAILER_BYTES))[0]
+        empty = protocol.run(protocol.decode_frame(b""))[0]
         assert empty["error"]["code"] == "bad_args"
+
+    @pytest.mark.parametrize("bit", [0, 1, 7])
+    def test_a_request_frame_may_set_no_flag_bit(self, target, bit):
+        """Bit 0 is a response's, bit 1 was the trace trailer's, bit 7 is
+        nobody's: a request frame with any of them is ``bad_args``, and
+        what it carried is not run."""
+        protocol = Protocol(target, (1, 2))
+        request = protocol.decode_frame(b'{"op":"ping"}', 1 << bit)
+        envelope, lsn = protocol.run(request)
+        assert envelope["ok"] is False and lsn is None
+        assert envelope["error"]["code"] == "bad_args"
+        assert envelope["error"]["type"] == "ProtocolError"
+        assert f"{1 << bit:#04x}" in envelope["error"]["message"]
 
 
 class TestErrorClasses:
@@ -254,12 +267,13 @@ class TestTraceContext:
         assert tc["span"]["name"] == op
 
     def test_tc_as_json_field_and_as_v2_trailer(self, traced, target):
+        """One encoding: the ``"tc"`` field of the request object, whether
+        that object arrived as a v1 line or as a v2 frame's payload."""
         protocol = Protocol(target, (1, 2))
         ctx = dtrace.TraceContext(dtrace.new_trace_id(), dtrace.new_span_id(), True)
-        op = {"op": "point", "x": 100, "y": 100}
-        as_field = json.dumps(dict(op, tc=ctx.to_wire()))
+        as_field = json.dumps({"op": "point", "x": 100, "y": 100, "tc": ctx.to_wire()})
         self._assert_parented(protocol.respond_line(as_field), ctx, "point")
-        framed = protocol.decode_frame(json.dumps(op).encode(), ctx.to_trailer())
+        framed = protocol.decode_frame(as_field.encode())
         assert framed.raw["tc"] == ctx.to_wire()
         self._assert_parented(protocol.run(framed)[0], ctx, "point")
 
@@ -465,6 +479,37 @@ class TestOnePolicyOnePlace:
         assert [(path, line) for path, line in src if gone.search(line)] == []
         everywhere = src + list(self._lines("docs"))
         assert [(path, line) for path, line in everywhere if "clips" in line] == []
+
+    def test_one_telemetry_model(self):
+        """One tracer mode, one store of retained requests, one encoding
+        of the trace context -- and no flag for a second of any."""
+        from repro.__main__ import build_parser
+
+        src = list(self._lines("src"))
+        obs = [
+            (path, line)
+            for path, line in src
+            if path.startswith(os.path.join("src", "repro", "obs"))
+        ]
+        assert obs
+        assert [(path, line) for path, line in obs if "legacy" in line.lower()] == []
+        gone = re.compile(
+            "class SlowQueryLog|slow_log|FLAG_TRACE|to_trailer|from_trailer"
+            '|split_trace_trailer|"features"'
+        )
+        assert [(path, line) for path, line in src if gone.search(line)] == []
+        assert {os.path.basename(path) for path, line in obs if "deque(" in line} == {
+            "trace.py"
+        }
+        assert not hasattr(TRACER, "enable") and not hasattr(TRACER, "disable")
+        options = {
+            option
+            for action in build_parser()._subparsers._group_actions
+            for sub in action.choices.values()
+            for option in sub._option_string_actions
+        }
+        assert {"--trace-sample", "--slow-ms", "--trace-capacity"} <= options
+        assert "--trace" not in options
 
     def test_core_is_sans_io(self):
         with open(protocol_module.__file__, encoding="utf-8") as fh:

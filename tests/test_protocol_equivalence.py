@@ -403,6 +403,16 @@ def _strip_tc(envelope):
     return {k: v for k, v in envelope.items() if k != "tc"}
 
 
+def _span_shape(record):
+    """A span tree minus what differs run to run: clocks, span ids, and
+    the attributes (pool hit or miss depends on what ran just before)."""
+    return (
+        record["name"],
+        record.get("parent_id"),
+        [_span_shape(child) for child in record.get("spans", ())],
+    )
+
+
 class TestTracePipelining:
     """N interleaved sampled+unsampled requests on ONE v2 connection must
     produce N disjoint, correctly parented trees -- the thread-local
@@ -431,16 +441,13 @@ class TestTracePipelining:
         async def main():
             client = await AsyncMapClient.connect(async_server.address)
             try:
-                assert client.features.get("tc"), (
-                    "server must advertise trace-trailer support on the "
-                    "upgrade ack"
-                )
                 # One pipelined burst: all requests in flight at once on
                 # one socket, resolved in whatever order the two executor
-                # threads finish them.
+                # threads finish them. The context rides in the payload,
+                # as on v1 -- there is no other encoding to negotiate.
                 return await asyncio.gather(
                     *(
-                        client.request(op, tc=ctx)
+                        client.request(dict(op, tc=ctx.to_wire()))
                         for op, ctx in zip(_TRACED_OPS, contexts)
                     )
                 )
@@ -480,9 +487,19 @@ class TestTracePipelining:
             >= len(unsampled)
         )
 
-        # --- and the payloads match the threaded oracle ----------------
-        for op, envelope in zip(_TRACED_OPS, envelopes):
-            want = send_request(oracle.address, dict(op))
+        # --- and the threaded oracle, sent the same "tc" on a v1 line,
+        # answers the same payload and the same subtree ----------------
+        for op, ctx, envelope in zip(_TRACED_OPS, contexts, envelopes):
+            want = send_request(oracle.address, dict(op, tc=ctx.to_wire()))
             assert _strip_timings(_strip_tc(want)) == _strip_timings(
                 _strip_tc(envelope)
             ), f"traced v2 diverged from oracle on {op}"
+            assert (want["tc"]["t"], want["tc"]["f"]) == (
+                envelope["tc"]["t"],
+                envelope["tc"]["f"],
+            )
+            assert ("span" in want["tc"]) == ("span" in envelope["tc"]) == ctx.sampled
+            if ctx.sampled:
+                assert _span_shape(want["tc"]["span"]) == _span_shape(
+                    envelope["tc"]["span"]
+                ), f"v1 and v2 returned different subtrees for {op}"

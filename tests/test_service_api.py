@@ -204,7 +204,7 @@ class TestTraceShapes:
         engine = QueryEngine(
             build_index(kind, lattice_map(n=8)), registry=MetricsRegistry()
         )
-        TRACER.enable()
+        TRACER.arm(1.0)
         try:
             TRACER.clear()
             engine.cold_start()
@@ -212,11 +212,14 @@ class TestTraceShapes:
             engine.execute(parse_request(WINDOW_300))
             traces = TRACER.recent()
         finally:
-            TRACER.disable()
+            TRACER.disarm()
         assert len(traces) == 2
         trace = traces[0]
         assert trace["name"] == "window"
         assert trace["attrs"]["mode"] == "intersects"
+        # What `--trace` showed, plus the ids every root now carries.
+        assert {"trace_id", "span_id", "sampled", "wall_us"} <= set(trace)
+        assert trace["sampled"] is True and "parent_id" not in trace
         (traverse,) = trace["spans"]
         assert traverse["name"] == "traverse"
         names = {s["name"] for s in traverse["spans"]}
@@ -234,14 +237,14 @@ class TestTraceShapes:
         engine = QueryEngine(
             build_index(kind, lattice_map(n=6)), registry=MetricsRegistry()
         )
-        TRACER.enable()
+        TRACER.arm(1.0)
         try:
             TRACER.clear()
             engine.execute(QuerySpec.point(Point(100, 100)))
             engine.execute(QuerySpec.point(Point(100, 100)))
             traces = TRACER.recent()
         finally:
-            TRACER.disable()
+            TRACER.disarm()
         first, second = traces[-2:]
         flat_first = [s["name"] for s in first["spans"]]
         flat_second = [s["name"] for s in second["spans"]]
@@ -274,7 +277,7 @@ class TestObservedEngine:
         ).raw()[1] == 1
 
     def test_batch_members_become_child_spans(self, engine):
-        TRACER.enable()
+        TRACER.arm(1.0)
         try:
             TRACER.clear()
             engine.execute(
@@ -291,7 +294,7 @@ class TestObservedEngine:
             )
             traces = TRACER.recent()
         finally:
-            TRACER.disable()
+            TRACER.disarm()
         batch_traces = [t for t in traces if t["name"] == "batch"]
         assert len(batch_traces) == 1  # members nested, not separate traces
         member_names = sorted(s["name"] for s in batch_traces[0]["spans"])
@@ -299,15 +302,23 @@ class TestObservedEngine:
 
     def test_slow_query_log_via_engine(self):
         engine = QueryEngine(
-            build_index("R*", lattice_map(n=6)),
-            registry=MetricsRegistry(),
-            slow_ms=0.0,  # everything is slow
+            build_index("R*", lattice_map(n=6)), registry=MetricsRegistry()
         )
-        engine.execute(QuerySpec.point(Point(50, 50)))
-        entries = engine.slow_log.entries()
-        assert entries and entries[0]["op"] == "point"
+        TRACER.clear()
+        TRACER.arm(0.0, slow_ms=0.0)  # everything is slow, nothing is sampled
+        try:
+            engine.execute(QuerySpec.point(Point(50, 50)))
+            slow = engine.stats()["obs"]["slow_queries"]
+        finally:
+            TRACER.disarm()
+            TRACER.clear()
+        assert slow["threshold_ms"] == 0.0 and slow["recorded"] >= 1
+        (entry,) = slow["entries"]
+        assert entry["op"] == "point" and entry["attrs"] == {"x": 50.0, "y": 50.0}
+        assert len(entry["trace_id"]) == 32
         assert engine.registry.counter("repro_slow_queries_total").value >= 1
-        assert engine.stats()["obs"]["slow_queries"]["recorded"] >= 1
+        with pytest.raises(TypeError):
+            QueryEngine(engine.index, slow_ms=0.0)  # the tracer's setting now
 
     def test_concurrent_tracing_keeps_counters_consistent(self):
         """K threads tracing concurrently: counters stay attributable and
@@ -316,7 +327,7 @@ class TestObservedEngine:
             build_index("R*", lattice_map(n=8)), registry=MetricsRegistry()
         )
         threads_n, per_thread = 4, 25
-        TRACER.enable()
+        TRACER.arm(1.0)
         errors = []
 
         def worker(tag):
@@ -347,7 +358,7 @@ class TestObservedEngine:
             for w in workers:
                 w.join()
         finally:
-            TRACER.disable()
+            TRACER.disarm()
         assert errors == []
         assert engine.counters_consistent()
         issued = threads_n * per_thread

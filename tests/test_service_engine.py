@@ -170,6 +170,56 @@ class TestMutationInvalidation:
         store.close()
 
 
+@pytest.mark.parametrize("path", ["_run", "execute_reads_fused"])
+@pytest.mark.parametrize("backend", ["scalar", "vector"])
+@pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
+def test_a_read_overtaken_by_a_mutation_caches_nothing_stale(kind, backend, path):
+    """A read traverses, a mutation is applied *and acknowledged*, and only
+    then does the read get to store its answer: the cache must not serve
+    that pre-mutation answer to the next identical query.
+
+    The reader is held at ``cache.store`` until the insert has returned.
+    Where the store is part of the latched section the insert cannot
+    return first, so the reader's wait is bounded: it runs out, the store
+    goes ahead of the insert, and the insert's invalidation removes it.
+    Either way every wait below ends by itself.
+    """
+    engine = QueryEngine(build_index(kind, lattice_map(n=6)), backend=backend)
+    spec = QuerySpec.window(Rect(0, 0, 300, 300))
+    uncached = QuerySpec.window(Rect(0, 0, 300, 300))
+    uncached.use_cache = False
+    before = engine.execute(uncached)
+    real_store = engine.cache.store
+    traversed, acknowledged = threading.Event(), threading.Event()
+
+    def held_store(key, value):
+        traversed.set()
+        acknowledged.wait(timeout=0.2)
+        real_store(key, value)
+
+    engine.cache.store = held_store
+    if path == "_run":
+        reader = threading.Thread(target=engine.execute, args=(spec,))
+    else:
+        reader = threading.Thread(target=engine.execute_reads_fused, args=([spec],))
+    reader.start()
+    try:
+        assert traversed.wait(timeout=10.0)
+        seg_id = engine.insert_segment(Segment(10.0, 10.0, 90.0, 95.0))
+    finally:
+        acknowledged.set()
+        reader.join(timeout=10.0)
+        engine.cache.store = real_store
+    assert not reader.is_alive()
+    assert engine.cache.invalidations == 1
+    hits = engine.cache.hits
+    assert sorted(engine.execute(spec)) == sorted(before + [seg_id])
+    assert engine.cache.hits == hits, "answered from a pre-mutation entry"
+    assert sorted(engine.execute(spec)) == sorted(before + [seg_id])
+    assert engine.cache.hits == hits + 1
+    assert engine.counters_consistent()
+
+
 class TestResultCacheUnit:
     def test_lru_eviction(self):
         cache = ResultCache(capacity=2)
@@ -236,10 +286,47 @@ class TestLatch:
         with pytest.raises(RuntimeError):
             latch.release()
 
+    def test_latch_and_wal_tallies_reach_the_scrape(self, tmp_path):
+        """The live export shows what the bench record's
+        ``storage.latch_contended_ratio`` and ``wal.fsyncs_per_mutation``
+        are computed from, mirrored at export time."""
+        from repro.obs import MetricsRegistry, parse_prom_text
+        from repro.wal import DurableStore
+
+        index = build_index("R*", lattice_map(n=6))
+        store = DurableStore.create(tmp_path / "store", index)
+        engine = QueryEngine(index, store=store, registry=MetricsRegistry())
+        try:
+            engine.insert_segment(Segment(15.0, 15.0, 95.0, 90.0))
+            engine.execute(QuerySpec.point(Point(100, 100)))
+            # Read first: the prom export recomputes the health gauges
+            # under the latch once its mirrors are synced.
+            latch, wal = engine.latch.stats(), store.stats()
+            families = parse_prom_text(engine.export_metrics("prom"))
+        finally:
+            store.close()
+        scraped = {
+            name: families[name]["samples"][0][2]
+            for name in families
+            if name.startswith(("repro_latch_", "repro_wal_"))
+        }
+        assert all(families[name]["type"] == "counter" for name in scraped)
+        assert wal["log_appends"] == wal["fsyncs"] == 1
+        assert scraped == {
+            "repro_latch_acquisitions_total": latch["acquisitions"],
+            "repro_latch_contended_total": latch["contended"],
+            "repro_latch_wait_seconds_total": latch["wait_seconds"],
+            "repro_wal_appends_total": 1,
+            "repro_wal_fsyncs_total": 1,
+        }
+        plain = QueryEngine(build_index("R*", lattice_map(n=6)), registry=MetricsRegistry())
+        assert "repro_wal_appends_total" not in plain.export_metrics("prom")
+
     def test_stats_endpoint(self, engine):
         engine.execute(QuerySpec.point(Point(100, 100)))
         stats = engine.stats()
         assert stats["counters_consistent"] is True
         assert stats["index"]["kind"] == "R*"
         assert stats["latch"]["acquisitions"] >= 1
+        assert stats["latch"]["wait_seconds"] == 0.0  # one thread: never waited
         assert stats["pool"]["capacity"] == 16
