@@ -726,6 +726,8 @@ def _address(port, port_help=None) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core import SERVABLE
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Regenerate tables/figures of Hoel & Samet, SIGMOD 1992, "
@@ -752,9 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="queries per workload (the paper used 1000)",
     )
-    structure.add_argument(
-        "--structure", default="R*", choices=["R*", "R+", "PMR", "R"]
-    )
+    structure.add_argument("--structure", default="R*", choices=list(SERVABLE))
     # Index source: what to build, or the snapshot to open instead.
     built = [scale, county, structure]
     opened = _parent()

@@ -405,6 +405,14 @@ class AsyncMapServer:
             pass  # idle timer or shutdown cancelled us; tear down below
         finally:
             conn.closed = True
+            # Folding the session takes the engine latch: here, like a
+            # short read, only while no worker can be holding it.
+            if conn.session is None or self._in_executor == 0:
+                self.protocol.end_session(conn.session)
+            else:
+                self._loop.run_in_executor(
+                    self._executor, self.protocol.end_session, conn.session
+                )
             if conn.idle_timer is not None:
                 conn.idle_timer.cancel()
             self._conns.discard(conn)

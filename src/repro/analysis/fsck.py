@@ -6,7 +6,9 @@ Entry points:
   paper's invariants for its structure, plus the storage bookkeeping
   underneath it. Pages are read via the uncounted
   :meth:`~repro.storage.disk.DiskManager.peek`, so a check executes no
-  queries and moves no counter.
+  queries, moves no counter and leaves the buffer pool as it found it.
+  It is the only invariant checker: ``check_invariants()`` on an index
+  is this, raising on an error-severity finding.
 * :func:`check_snapshot` -- verify an on-disk snapshot file: codec
   header vs. manifest cross-checks first, then the full index walk over
   the reloaded disk.
@@ -20,66 +22,45 @@ finding is an error.
 from __future__ import annotations
 
 import os
+from functools import singledispatch
 from typing import BinaryIO, List, Union
 
 from repro.analysis.findings import FSCK_RULES, Finding
+from repro.analysis.fsck_grid import check_grid
 from repro.analysis.fsck_pmr import check_pmr
-from repro.analysis.fsck_rplus import check_rplus
+from repro.analysis.fsck_rplus import check_rplus, check_true_rplus
 from repro.analysis.fsck_rtree import check_rtree
-from repro.analysis.fsck_storage import (
-    check_segment_refs,
-    check_snapshot_header,
-    check_storage,
+from repro.analysis.fsck_storage import check_snapshot_header, check_storage
+from repro.core import (
+    GuttmanRTree,
+    PMRQuadtree,
+    RPlusTree,
+    TrueRPlusTree,
+    UniformGrid,
 )
-from repro.core.pmr import PMRQuadtree
-from repro.core.rplus import RPlusTree
-from repro.core.rtree import GuttmanRTree
 from repro.storage.codec import CodecError, read_header
 
 __all__ = ["check_index", "check_snapshot", "FSCK_RULES"]
 
 
-def _leaf_refs(index) -> List[int]:
-    """Leaf segment references of an R-tree-family index (peek-only)."""
-    disk = index.ctx.disk
-    refs: List[int] = []
-    seen = set()
-    stack = [index._root_id]
-    while stack:
-        page_id = stack.pop()
-        if page_id in seen or not disk.is_allocated(page_id):
-            continue  # structural damage: reported by the structure walk
-        seen.add(page_id)
-        node = disk.peek(page_id)
-        if not hasattr(node, "entries"):
-            continue
-        if node.is_leaf:
-            refs.extend(ref for _, ref in node.entries)
-        else:
-            stack.extend(ref for _, ref in node.entries)
-    return refs
+@singledispatch
+def structure_rules(index) -> List[Finding]:
+    """The rule set of ``index``'s own representation: registered per
+    class, inherited by its variants (R* runs the R-tree's, k-d-B the
+    R+'s, PM1/PM2/PM3 the PMR's)."""
+    raise ValueError(f"no fsck rules are registered for {type(index).__name__}")
+
+
+structure_rules.register(GuttmanRTree, check_rtree)
+structure_rules.register(RPlusTree, check_rplus)
+structure_rules.register(TrueRPlusTree, check_true_rplus)
+structure_rules.register(PMRQuadtree, check_pmr)
+structure_rules.register(UniformGrid, check_grid)
 
 
 def check_index(index) -> List[Finding]:
     """Run every applicable fsck rule against a live index."""
-    if isinstance(index, PMRQuadtree):
-        # PM1/PM2/PM3 refine the splitting rule, which voids the PMR's
-        # split-once occupancy bound (PM03) but none of the B-tree, code,
-        # or storage rules; check_pmr skips PM03 for the subclasses.
-        findings = check_pmr(index)
-    elif isinstance(index, RPlusTree):
-        findings = check_rplus(index)
-        findings += check_segment_refs(index, _leaf_refs(index))
-    elif isinstance(index, GuttmanRTree):
-        findings = check_rtree(index)
-        findings += check_segment_refs(index, _leaf_refs(index))
-    else:
-        raise ValueError(
-            f"no fsck support for {type(index).__name__}; supported: "
-            f"R, R*, R+ (and the true R+ variant), PMR (and PM1/PM2/PM3)"
-        )
-    findings += check_storage(index)
-    return findings
+    return structure_rules(index) + check_storage(index)
 
 
 def check_snapshot(src: Union[str, os.PathLike, BinaryIO]) -> List[Finding]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from typing import List, Set
 
 from repro.analysis.findings import FSCK_RULES, Finding, error, warning
+from repro.analysis.fsck_rtree import walk_pages
+from repro.analysis.fsck_storage import check_segment_refs, check_tally
 from repro.geometry import Rect
 
 RX01 = FSCK_RULES.register("RX01", "sibling partition regions overlap")
@@ -25,152 +27,95 @@ RX05 = FSCK_RULES.register(
 RX06 = FSCK_RULES.register("RX06", "page inventory / entry count bookkeeping mismatch")
 RX07 = FSCK_RULES.register("RX07", "tree references a page missing from disk")
 RX08 = FSCK_RULES.register("RX08", "leaf overfull beyond its page capacity")
+RX09 = FSCK_RULES.register(
+    "RX09", "true R+ content MBR misses its contents or escapes its partition"
+)
 
-#: Relative tolerance for the area-coverage test, matching
-#: ``RPlusTree.check_invariants``.
+#: Relative tolerance for the area-coverage test.
 _COVER_TOL = 1e-6
 
 
 def check_rplus(index) -> List[Finding]:
     """Verify an R+-tree's disjoint decomposition; returns findings."""
-    disk = index.ctx.disk
     findings: List[Finding] = []
-    seen: Set[int] = set()
     leaf_entry_total = 0
     seg_ids: Set[int] = set()
+    for page_id, here, node, region in walk_pages(
+        index, "rplus", index.extent(), RX06, RX07, RX06, findings
+    ):
 
-    def walk(page_id: int, region: Rect, depth: int, path: str) -> None:
-        nonlocal leaf_entry_total
-        here = f"{path}/{page_id}" if path else str(page_id)
-        if page_id in seen:
-            findings.append(
-                error(RX06, page_id, here, "page reachable via two parents")
-            )
-            return
-        seen.add(page_id)
-        if not disk.is_allocated(page_id):
-            findings.append(
-                error(RX07, page_id, here, "referenced page is not allocated")
-            )
-            return
-        node = disk.peek(page_id)
+        def flag(rule: str, detail: str) -> None:
+            findings.append(error(rule, page_id, here, detail))
+
+        entries = node.entries
         if node.is_leaf:
-            if depth != index._height:
-                findings.append(
-                    error(
-                        RX06,
-                        page_id,
-                        here,
-                        f"leaf at depth {depth}, tree height {index._height}",
-                    )
-                )
-            leaf_entry_total += len(node.entries)
-            ids_here = [ref for _, ref in node.entries]
+            leaf_entry_total += len(entries)
+            ids_here = [ref for _, ref in entries]
             if len(ids_here) != len(set(ids_here)):
-                findings.append(
-                    error(RX06, page_id, here, "duplicate segment entry in one leaf")
-                )
+                flag(RX06, "duplicate segment entry in one leaf")
             seg_ids.update(ids_here)
-            if len(node.entries) > index.capacity:
+            if len(entries) > index.capacity:
                 # Documented pathological case: a leaf whose segments all
                 # cross every candidate split line stays overfull and is
                 # charged overflow pages -- tolerated, but surfaced.
+                detail = f"{len(entries)} entries > capacity {index.capacity}"
                 findings.append(
-                    warning(
-                        RX08,
-                        page_id,
-                        here,
-                        f"{len(node.entries)} entries > capacity {index.capacity} "
-                        f"(unsplittable leaf)",
-                    )
+                    warning(RX08, page_id, here, f"{detail} (unsplittable leaf)")
                 )
-            for rect, ref in node.entries:
+            for rect, ref in entries:
                 if not rect.intersects(region):
-                    findings.append(
-                        error(
-                            RX04,
-                            page_id,
-                            here,
-                            f"entry for segment {ref} has MBR {tuple(rect)} "
-                            f"disjoint from leaf region {tuple(region)}",
-                        )
-                    )
-            return
+                    detail = f"MBR {tuple(rect)} disjoint from leaf {tuple(region)}"
+                    flag(RX04, f"entry for segment {ref} has {detail}")
+            continue
         area = 0.0
-        entries = node.entries
         for i, (rect, child) in enumerate(entries):
             if not region.contains_rect(rect):
-                findings.append(
-                    error(
-                        RX02,
-                        page_id,
-                        here,
-                        f"child region {tuple(rect)} escapes parent "
-                        f"{tuple(region)}",
-                    )
-                )
+                detail = f"child region {tuple(rect)} escapes parent {tuple(region)}"
+                flag(RX02, detail)
             area += rect.area()
             for rect2, child2 in entries[i + 1 :]:
                 if rect.overlap_area(rect2) > 0:
-                    findings.append(
-                        error(
-                            RX01,
-                            page_id,
-                            here,
-                            f"sibling regions {tuple(rect)} (page {child}) and "
-                            f"{tuple(rect2)} (page {child2}) overlap",
-                        )
-                    )
-            walk(child, rect, depth + 1, here)
+                    pair = f"{tuple(rect)} (page {child}), {tuple(rect2)} ({child2})"
+                    flag(RX01, f"sibling regions overlap: {pair}")
         if abs(area - region.area()) > _COVER_TOL * max(region.area(), 1.0):
-            findings.append(
-                error(
-                    RX03,
-                    page_id,
-                    here,
-                    f"child regions cover area {area:g} of parent area "
-                    f"{region.area():g}",
-                )
-            )
+            detail = f"child regions cover area {area:g} of {region.area():g}"
+            flag(RX03, detail)
 
-    if not disk.is_allocated(index._root_id):
-        return [error(RX07, index._root_id, "", "root page is not allocated")]
-    walk(index._root_id, index.world, 1, "")
-
-    if seen != index._page_ids:
-        extra = sorted(seen - index._page_ids)
-        missing = sorted(index._page_ids - seen)
-        findings.append(
-            error(
-                RX06,
-                None,
-                "",
-                f"page inventory mismatch: reachable-but-untracked {extra[:8]}, "
-                f"tracked-but-unreachable {missing[:8]}",
-            )
-        )
-    if leaf_entry_total != index._entry_count:
-        findings.append(
-            error(
-                RX06,
-                None,
-                "",
-                f"{leaf_entry_total} leaf entries but bookkeeping says "
-                f"{index._entry_count}",
-            )
-        )
-    if len(seg_ids) != index._seg_count:
-        findings.append(
-            error(
-                RX06,
-                None,
-                "",
-                f"{len(seg_ids)} distinct segments but bookkeeping says "
-                f"{index._seg_count}",
-            )
-        )
-
+    findings += check_tally(RX06, leaf_entry_total, index.entry_count(), "leaf entries")
+    findings += check_tally(
+        RX06, len(seg_ids), index.segment_count(), "distinct segments"
+    )
     findings.extend(_check_completeness(index, seg_ids))
+    return findings + check_segment_refs(index, seg_ids)
+
+
+def check_true_rplus(index) -> List[Finding]:
+    """The R+ rules, plus the true R+-tree's own: each page's sidecar
+    content MBR covers what the page holds -- its entries, or its
+    children's content MBRs -- clipped to the page's partition, and stays
+    inside that partition (it may be loose after deletions, never wrong
+    on the tight side)."""
+    findings = check_rplus(index)
+    content = index.content_mbr
+    for page_id, here, node, region in walk_pages(
+        index, "rplus", index.extent(), RX06, RX07, RX06, []
+    ):
+        if node.is_leaf:
+            parts = [r.intersection(region) or r for r, _ in node.entries]
+        else:
+            parts = [content[c] for _, c in node.entries if c in content]
+        if not parts:
+            continue
+        actual, stored = Rect.union_of(parts), content.get(page_id)
+        if stored is None:
+            detail = "page holds entries but has no content MBR"
+        elif not stored.contains_rect(actual):
+            detail = f"content MBR {tuple(stored)} misses contents {tuple(actual)}"
+        elif not region.contains_rect(stored):
+            detail = f"content MBR {tuple(stored)} escapes {tuple(region)}"
+        else:
+            continue
+        findings.append(error(RX09, page_id, here, detail))
     return findings
 
 
@@ -185,27 +130,22 @@ def _check_completeness(index, seg_ids: Set[int]) -> List[Finding]:
         if not disk.is_allocated(page_id):
             return  # already reported as RX07 by the structural walk
         node = disk.peek(page_id)
-        if node.is_leaf:
-            piece = seg.clipped(region)
-            if piece is None or piece.is_degenerate():
-                return
-            if not any(ref == seg_id for _, ref in node.entries):
-                findings.append(
-                    error(
-                        RX05,
-                        page_id,
-                        str(page_id),
-                        f"segment {seg_id} crosses leaf region {tuple(region)} "
-                        f"but is not stored there",
-                    )
-                )
+        if not node.is_leaf:
+            for rect, child in node.entries:
+                if seg.intersects_rect(rect):
+                    descend(child, rect, seg, seg_id)
             return
-        for rect, child in node.entries:
-            if seg.intersects_rect(rect):
-                descend(child, rect, seg, seg_id)
+        piece = seg.clipped(region)
+        if piece is None or piece.is_degenerate():
+            return
+        if not any(ref == seg_id for _, ref in node.entries):
+            detail = f"segment {seg_id} crosses leaf region {tuple(region)}"
+            findings.append(
+                error(RX05, page_id, str(page_id), f"{detail} but is not stored there")
+            )
 
     for seg_id in sorted(seg_ids):
         if not 0 <= seg_id < len(table):
             continue  # dangling pointer: reported by the storage checks
-        descend(index._root_id, index.world, table.peek(seg_id), seg_id)
+        descend(index.root_id, index.extent(), table.peek(seg_id), seg_id)
     return findings

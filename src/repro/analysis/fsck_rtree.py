@@ -11,10 +11,14 @@ moves a counter.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.analysis.findings import FSCK_RULES, Finding, error, warning
-from repro.geometry import Rect
+from repro.analysis.fsck_storage import (
+    check_inventory,
+    check_segment_refs,
+    check_tally,
+)
 
 RS01 = FSCK_RULES.register("RS01", "child MBR not contained in its parent entry")
 RS02 = FSCK_RULES.register("RS02", "parent entry rectangle is not the tight MBR")
@@ -24,104 +28,74 @@ RS05 = FSCK_RULES.register("RS05", "page inventory / entry count bookkeeping mis
 RS06 = FSCK_RULES.register("RS06", "tree references a page missing from disk")
 
 
-def check_rtree(index) -> List[Finding]:
-    """Verify an R / R* tree; returns findings (empty when healthy)."""
-    disk = index.ctx.disk
-    findings: List[Finding] = []
-    seen: Set[int] = set()
-    leaf_refs: List[int] = []
+def walk_pages(index, kind: str, root_rect, shared, missing, uneven, findings):
+    """Every reachable, allocated page of a ``(rect, ref)`` tree, parents
+    first, as ``(page_id, path, node, rect)`` -- ``rect`` being what the
+    parent's entry says of the page (``root_rect`` for the root).
 
-    def walk(page_id: int, depth: int, parent_rect: Optional[Rect], path: str) -> None:
+    Reachability itself is judged here, for the R-trees and the R+-tree
+    alike, under the caller's rule ids: a page with two parents or an
+    inventory that is not exactly the reachable set (``shared``), a
+    reference off the disk (``missing``), a leaf off the tree's one leaf
+    level (``uneven``). Exhaust the generator to get all of them.
+    """
+    disk = index.ctx.disk
+    height = index.height()
+    seen: Set[int] = set()
+    stack = [(index.root_id, 1, root_rect, "")]
+    while stack:
+        page_id, depth, rect, path = stack.pop()
         here = f"{path}/{page_id}" if path else str(page_id)
+
+        def flag(rule: str, detail: str) -> None:
+            findings.append(error(rule, page_id, here, detail))
+
         if page_id in seen:
-            findings.append(
-                error(RS05, page_id, here, "page reachable via two parents")
-            )
-            return
+            flag(shared, "page reachable via two parents")
+            continue
         seen.add(page_id)
         if not disk.is_allocated(page_id):
-            findings.append(
-                error(RS06, page_id, here, "referenced page is not allocated")
-            )
-            return
+            flag(missing, "referenced page is not allocated")
+            continue
         node = disk.peek(page_id)
+        if not node.is_leaf:
+            stack.extend(
+                (child, depth + 1, r, here) for r, child in reversed(node.entries)
+            )
+        elif depth != height:
+            flag(uneven, f"leaf at depth {depth}, tree height {height}")
+        yield page_id, here, node, rect
+    findings += check_inventory(shared, seen, index.page_inventories()[kind])
+
+
+def check_rtree(index) -> List[Finding]:
+    """Verify an R / R* tree; returns findings (empty when healthy)."""
+    findings: List[Finding] = []
+    leaf_refs: List[int] = []
+    for page_id, here, node, parent_rect in walk_pages(
+        index, "rtree", None, RS05, RS06, RS04, findings
+    ):
         n = len(node.entries)
-        if n > index.capacity:
-            findings.append(
-                error(RS03, page_id, here, f"{n} entries > capacity {index.capacity}")
-            )
-        if page_id != index._root_id and n < index.min_entries:
-            findings.append(
-                error(
-                    RS03, page_id, here, f"{n} entries < min fill {index.min_entries}"
-                )
-            )
-        if page_id == index._root_id and not node.is_leaf and n < 2:
-            findings.append(error(RS03, page_id, here, "internal root with < 2 entries"))
+        if page_id != index.root_id:
+            floor = index.min_entries
+        else:
+            floor = 0 if node.is_leaf else 2
+        if not floor <= n <= index.capacity:
+            detail = f"{n} entries outside [{floor}, {index.capacity}]"
+            findings.append(error(RS03, page_id, here, detail))
         if node.entries and parent_rect is not None:
             mbr = node.mbr()
             if not parent_rect.contains_rect(mbr):
-                findings.append(
-                    error(
-                        RS01,
-                        page_id,
-                        here,
-                        f"node MBR {tuple(mbr)} escapes parent entry "
-                        f"{tuple(parent_rect)}",
-                    )
-                )
+                detail = f"MBR {tuple(mbr)} escapes parent entry {tuple(parent_rect)}"
+                findings.append(error(RS01, page_id, here, detail))
             elif parent_rect != mbr:
-                findings.append(
-                    error(
-                        RS02,
-                        page_id,
-                        here,
-                        f"parent entry {tuple(parent_rect)} is looser than the "
-                        f"node MBR {tuple(mbr)}",
-                    )
-                )
+                detail = f"parent entry {tuple(parent_rect)} looser than {tuple(mbr)}"
+                findings.append(error(RS02, page_id, here, detail))
         if node.is_leaf:
-            if depth != index._height:
-                findings.append(
-                    error(
-                        RS04,
-                        page_id,
-                        here,
-                        f"leaf at depth {depth}, tree height {index._height}",
-                    )
-                )
             leaf_refs.extend(ref for _, ref in node.entries)
-        else:
-            for rect, child in node.entries:
-                walk(child, depth + 1, rect, here)
-
-    if not disk.is_allocated(index._root_id):
-        return [error(RS06, index._root_id, "", "root page is not allocated")]
-    walk(index._root_id, 1, None, "")
-
-    if seen != index._page_ids:
-        extra = sorted(seen - index._page_ids)
-        missing = sorted(index._page_ids - seen)
-        findings.append(
-            error(
-                RS05,
-                None,
-                "",
-                f"page inventory mismatch: reachable-but-untracked {extra[:8]}, "
-                f"tracked-but-unreachable {missing[:8]}",
-            )
-        )
-    if len(leaf_refs) != index._count:
-        findings.append(
-            error(
-                RS05,
-                None,
-                "",
-                f"{len(leaf_refs)} leaf entries but bookkeeping says {index._count}",
-            )
-        )
+    findings += check_tally(RS05, len(leaf_refs), index.entry_count(), "leaf entries")
     if len(leaf_refs) != len(set(leaf_refs)):
         findings.append(
             warning(RS05, None, "", "duplicate segment reference across leaves")
         )
-    return findings
+    return findings + check_segment_refs(index, leaf_refs)

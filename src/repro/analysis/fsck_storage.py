@@ -21,24 +21,13 @@ FS05 = FSCK_RULES.register("FS05", "segment table inconsistent with its pages")
 FS06 = FSCK_RULES.register("FS06", "allocated page belongs to no inventory (leak)")
 
 
-def _inventories(index) -> Dict[str, Set[int]]:
-    """Page inventories of the index and its segment table, by owner."""
-    owners: Dict[str, Set[int]] = {}
-    if hasattr(index, "btree"):  # PMR: the pages live in the B-tree
-        owners["btree"] = set(index.btree._page_ids)
-    elif hasattr(index, "_page_ids"):
-        owners[index.name] = set(index._page_ids)
-    owners["segments"] = set(index.ctx.segments._page_ids)
-    return owners
-
-
 def check_storage(index) -> List[Finding]:
     """Verify the disk-level bookkeeping under a live index."""
     disk = index.ctx.disk
     findings: List[Finding] = []
     allocated = set(disk.allocated_ids())
     free = set(disk.free_ids())
-    owners = _inventories(index)
+    owners = index.page_inventories()
 
     for pid in sorted(free & allocated):
         findings.append(
@@ -72,7 +61,7 @@ def _check_segment_table(ctx) -> List[Finding]:
     findings: List[Finding] = []
     count = len(table)
     per_page = table.per_page
-    pages = table._page_ids
+    pages = table.page_ids
     if count > len(pages) * per_page:
         findings.append(
             error(
@@ -126,6 +115,25 @@ def _check_segment_table(ctx) -> List[Finding]:
     return findings
 
 
+def check_inventory(rule: str, reachable: Set[int], tracked: Set[int]) -> List[Finding]:
+    """The pages a structure walk reached against the ones its owner lists."""
+    if reachable == tracked:
+        return []
+    detail = (
+        f"page inventory mismatch: reachable-but-untracked "
+        f"{sorted(reachable - tracked)[:8]}, tracked-but-unreachable "
+        f"{sorted(tracked - reachable)[:8]}"
+    )
+    return [error(rule, None, "", detail)]
+
+
+def check_tally(rule: str, counted: int, claimed: int, what: str) -> List[Finding]:
+    """A count an index walk made against the one the index keeps."""
+    if counted == claimed:
+        return []
+    return [error(rule, None, "", f"{counted} {what} but bookkeeping says {claimed}")]
+
+
 def check_segment_refs(index, refs, rule: str = FS04) -> List[Finding]:
     """Range-check segment ids referenced by an index's leaf entries."""
     table = index.ctx.segments
@@ -163,15 +171,13 @@ def check_snapshot_header(header: Dict[str, Any]) -> List[Finding]:
     if manifest is None:
         return findings
 
-    claimed: Dict[str, List[int]] = {}
-    seg = manifest.get("segments", {})
-    claimed["segments"] = list(seg.get("page_ids", []))
-    state = manifest.get("state", {})
-    if "page_ids" in state:
-        claimed[manifest.get("kind", "index")] = list(state["page_ids"])
-    btree = manifest.get("btree", {})
-    if "page_ids" in btree:
-        claimed["btree"] = list(btree["page_ids"])
+    # Every manifest section that lists page ids is an inventory: the
+    # segment table's, and whichever the index's ``state()`` declared.
+    claimed: Dict[str, List[int]] = {
+        name: list(section["page_ids"])
+        for name, section in manifest.items()
+        if isinstance(section, dict) and "page_ids" in section
+    }
     for owner, pids in claimed.items():
         for pid in pids:
             if pid not in page_ids:

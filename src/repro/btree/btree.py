@@ -13,7 +13,7 @@ its pages are cold is what produces the paper's "disk accesses".
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode
 from repro.storage.buffer_pool import BufferPool
@@ -63,10 +63,40 @@ class BPlusTree:
             raise ValueError(
                 f"internal_capacity must be >= 3, got {self.internal_capacity}"
             )
-        self._root_id = pool.create(LeafNode())
+        self.root_id = pool.create(LeafNode())
         self._height = 1
         self._count = 0
-        self._page_ids = {self._root_id}
+        self.page_ids = {self.root_id}
+
+    @classmethod
+    def reopen(
+        cls,
+        pool: BufferPool,
+        leaf_capacity: int,
+        internal_capacity: int,
+        state: Dict[str, Any],
+    ) -> "BPlusTree":
+        """The tree :meth:`state` described, bound to the pages already
+        on ``pool.disk``: nothing is allocated, nothing written."""
+        tree = cls.__new__(cls)
+        tree.pool = pool
+        tree.leaf_capacity = leaf_capacity
+        tree.internal_capacity = internal_capacity
+        tree.root_id = state["root_id"]
+        tree._height = state["height"]
+        tree._count = state["count"]
+        tree.page_ids = set(state["page_ids"])
+        return tree
+
+    def state(self) -> Dict[str, Any]:
+        """Root, height, entry count and page inventory: the head a
+        snapshot records (the PMR manifest's ``btree`` section)."""
+        return {
+            "root_id": self.root_id,
+            "height": self._height,
+            "count": self._count,
+            "page_ids": sorted(self.page_ids),
+        }
 
     # ------------------------------------------------------------------
     # Size / shape accessors
@@ -80,19 +110,19 @@ class BPlusTree:
 
     @property
     def page_count(self) -> int:
-        return len(self._page_ids)
+        return len(self.page_ids)
 
     @property
     def bytes_used(self) -> int:
         """Whole pages occupied, as the paper's Table 1 sizes count them."""
-        return len(self._page_ids) * self.pool.disk.page_size
+        return len(self.page_ids) * self.pool.disk.page_size
 
     # ------------------------------------------------------------------
     # Lookup and scans
     # ------------------------------------------------------------------
     def _descend(self, probe: _Pair) -> Tuple[int, LeafNode]:
         """Return the (page id, leaf) where ``probe`` would live."""
-        page_id = self._root_id
+        page_id = self.root_id
         node = self.pool.get(page_id)
         while not node.is_leaf:
             idx = bisect_right(node.keys, probe)
@@ -113,7 +143,7 @@ class BPlusTree:
         ``acct``, when given, is advanced by one per node visited (the
         descent's internal pages, then every leaf the chain walk reads).
         """
-        page_id = self._root_id
+        page_id = self.root_id
         node = self.pool.get(page_id)
         probe = (lo_key,)
         while not node.is_leaf:
@@ -154,7 +184,7 @@ class BPlusTree:
 
     def items(self) -> Iterator[_Pair]:
         """All entries in key order (full scan through the leaf chain)."""
-        page_id = self._root_id
+        page_id = self.root_id
         node = self.pool.get(page_id)
         while not node.is_leaf:
             page_id = node.children[0]
@@ -172,7 +202,7 @@ class BPlusTree:
         """Insert the pair; raises ``ValueError`` on an exact duplicate."""
         pair = (key, value)
         path: List[Tuple[int, InternalNode, int]] = []
-        page_id = self._root_id
+        page_id = self.root_id
         node = self.pool.get(page_id)
         while not node.is_leaf:
             idx = bisect_right(node.keys, pair)
@@ -195,7 +225,7 @@ class BPlusTree:
         right = LeafNode(node.entries[mid:], node.next_page)
         node.entries = node.entries[:mid]
         right_id = self.pool.create(right)
-        self._page_ids.add(right_id)
+        self.page_ids.add(right_id)
         node.next_page = right_id
         self.pool.mark_dirty(page_id)
         self._propagate_split(path, page_id, right.entries[0], right_id)
@@ -223,14 +253,14 @@ class BPlusTree:
             parent.keys = parent.keys[:mid]
             parent.children = parent.children[: mid + 1]
             right_id = self.pool.create(right_node)
-            self._page_ids.add(right_id)
+            self.page_ids.add(right_id)
             self.pool.mark_dirty(parent_id)
             left_id = parent_id
 
         # The root itself split: grow the tree by one level.
-        new_root = InternalNode([sep], [self._root_id, right_id])
-        self._root_id = self.pool.create(new_root)
-        self._page_ids.add(self._root_id)
+        new_root = InternalNode([sep], [self.root_id, right_id])
+        self.root_id = self.pool.create(new_root)
+        self.page_ids.add(self.root_id)
         self._height += 1
 
     # ------------------------------------------------------------------
@@ -240,7 +270,7 @@ class BPlusTree:
         """Delete the pair; raises ``KeyError`` when absent."""
         pair = (key, value)
         path: List[Tuple[int, InternalNode, int]] = []
-        page_id = self._root_id
+        page_id = self.root_id
         node = self.pool.get(page_id)
         while not node.is_leaf:
             idx = bisect_right(node.keys, pair)
@@ -256,10 +286,10 @@ class BPlusTree:
         self._count -= 1
         self._rebalance_after_delete(path, page_id, node)
 
-    def _min_leaf(self) -> int:
+    def min_leaf(self) -> int:
         return (self.leaf_capacity + 1) // 2
 
-    def _min_internal(self) -> int:
+    def min_internal(self) -> int:
         # Minimum child count for a non-root internal node.
         return (self.internal_capacity + 1) // 2
 
@@ -274,15 +304,15 @@ class BPlusTree:
                 # node is the root.
                 if not node.is_leaf and len(node.children) == 1:
                     # Collapse a one-child root.
-                    old_root = self._root_id
-                    self._root_id = node.children[0]
-                    self._page_ids.discard(old_root)
+                    old_root = self.root_id
+                    self.root_id = node.children[0]
+                    self.page_ids.discard(old_root)
                     self.pool.drop(old_root)
                     self.pool.disk.free(old_root)
                     self._height -= 1
                 return
 
-            minimum = self._min_leaf() if node.is_leaf else self._min_internal()
+            minimum = self.min_leaf() if node.is_leaf else self.min_internal()
             size = len(node.entries) if node.is_leaf else len(node.children)
             if size >= minimum:
                 return
@@ -368,7 +398,7 @@ class BPlusTree:
             left.children.extend(right.children)
         parent.keys.pop(left_pos)
         parent.children.pop(left_pos + 1)
-        self._page_ids.discard(right_id)
+        self.page_ids.discard(right_id)
         self.pool.drop(right_id)
         self.pool.disk.free(right_id)
         self.pool.mark_dirty(left_id)
@@ -378,49 +408,12 @@ class BPlusTree:
     # Validation (test hook)
     # ------------------------------------------------------------------
     def check_invariants(self) -> None:
-        """Verify structural invariants; raises ``AssertionError`` on damage.
+        """The tests' spelling of the fsck's B-tree walk: raises
+        ``AssertionError`` carrying the rendered findings. Peek-only."""
+        from repro.analysis.findings import format_findings
+        from repro.analysis.fsck_pmr import check_btree
 
-        Test-only: walks the whole tree through the buffer pool.
-        """
-        leaves: List[int] = []
-        total = self._walk_check(self._root_id, 1, None, None, leaves)
-        assert total == self._count, f"count mismatch: {total} != {self._count}"
-        # The leaf chain must visit exactly the leaves, left to right.
-        page_id = self._root_id
-        node = self.pool.get(page_id)
-        while not node.is_leaf:
-            page_id = node.children[0]
-            node = self.pool.get(page_id)
-        chain = [page_id]
-        while node.next_page is not None:
-            chain.append(node.next_page)
-            node = self.pool.get(node.next_page)
-        assert chain == leaves, "leaf chain does not match tree order"
-
-    def _walk_check(self, page_id, depth, lo, hi, leaves) -> int:
-        node = self.pool.get(page_id)
-        if node.is_leaf:
-            assert depth == self._height, "leaves at differing depths"
-            assert node.entries == sorted(node.entries), "unsorted leaf"
-            assert len(node.entries) <= self.leaf_capacity, "overfull leaf"
-            if page_id != self._root_id:
-                assert len(node.entries) >= self._min_leaf(), "underfull leaf"
-            for e in node.entries:
-                assert lo is None or e >= lo, "entry below lower separator"
-                assert hi is None or e < hi, "entry above upper separator"
-            leaves.append(page_id)
-            return len(node.entries)
-
-        assert len(node.children) == len(node.keys) + 1, "key/child arity"
-        assert len(node.children) <= self.internal_capacity, "overfull internal"
-        if page_id != self._root_id:
-            assert len(node.children) >= self._min_internal(), "underfull internal"
-        else:
-            assert len(node.children) >= 2, "root with a single child"
-        assert node.keys == sorted(node.keys), "unsorted separators"
-        total = 0
-        for i, child in enumerate(node.children):
-            child_lo = lo if i == 0 else node.keys[i - 1]
-            child_hi = hi if i == len(node.keys) else node.keys[i]
-            total += self._walk_check(child, depth + 1, child_lo, child_hi, leaves)
-        return total
+        findings: List[Any] = []
+        check_btree(self, findings)
+        if findings:
+            raise AssertionError(format_findings(findings))

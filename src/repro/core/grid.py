@@ -11,7 +11,7 @@ the road maps.
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, Dict, List, Set
 
 from repro.btree import BPlusTree
 from repro.core.interface import WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
@@ -52,10 +52,20 @@ class UniformGrid(SpatialIndex):
         )
         self._seg_count = 0
 
+    def page_inventories(self) -> Dict[str, Set[int]]:
+        return {"btree": set(self.btree.page_ids), **super().page_inventories()}
+
+    def extent(self) -> Rect:
+        return Rect(0, 0, self.world_size, self.world_size)
+
+    @classmethod
+    def extent_params(cls, extent: Rect) -> Dict[str, Any]:
+        return {"world_size": int(extent.width)}
+
     # ------------------------------------------------------------------
     # Cell helpers
     # ------------------------------------------------------------------
-    def _cell_rect(self, cx: int, cy: int) -> Rect:
+    def cell_rect(self, cx: int, cy: int) -> Rect:
         s = self.cell_size
         return Rect(cx * s, cy * s, (cx + 1) * s, (cy + 1) * s)
 
@@ -65,7 +75,7 @@ class UniformGrid(SpatialIndex):
         cy = min(int(y / self.cell_size), g - 1)
         return max(cx, 0), max(cy, 0)
 
-    def _cells_of_segment(self, seg) -> List[tuple]:
+    def cells_of_segment(self, seg) -> List[tuple]:
         """All grid cells a segment crosses (closed intersection)."""
         mbr = seg.mbr()
         cx0, cy0 = self._cell_of(mbr.xmin, mbr.ymin)
@@ -73,7 +83,7 @@ class UniformGrid(SpatialIndex):
         out = []
         for cx in range(cx0, cx1 + 1):
             for cy in range(cy0, cy1 + 1):
-                if seg.intersects_rect(self._cell_rect(cx, cy)):
+                if seg.intersects_rect(self.cell_rect(cx, cy)):
                     out.append((cx, cy))
         return out
 
@@ -82,14 +92,14 @@ class UniformGrid(SpatialIndex):
     # ------------------------------------------------------------------
     def insert(self, seg_id: int) -> None:
         seg = self.ctx.segments.fetch(seg_id)
-        for cx, cy in self._cells_of_segment(seg):
+        for cx, cy in self.cells_of_segment(seg):
             self.btree.insert(interleave(cx, cy), seg_id)
         self._seg_count += 1
 
     def delete(self, seg_id: int) -> None:
         seg = self.ctx.segments.fetch(seg_id)
         removed = 0
-        for cx, cy in self._cells_of_segment(seg):
+        for cx, cy in self.cells_of_segment(seg):
             key = interleave(cx, cy)
             if self.btree.contains(key, seg_id):
                 self.btree.delete(key, seg_id)
@@ -123,13 +133,13 @@ class UniformGrid(SpatialIndex):
         if ref is None:
             # Expand the root marker into all cells, keyed by MINDIST.
             return [
-                NNItem(query_lower_bound(p, self._cell_rect(cx, cy)), False, (cx, cy))
+                NNItem(query_lower_bound(p, self.cell_rect(cx, cy)), False, (cx, cy))
                 for cx in range(self.granularity)
                 for cy in range(self.granularity)
             ]
         cx, cy = ref
         self.ctx.counters.bbox_comps += 1
-        d = query_lower_bound(p, self._cell_rect(cx, cy))
+        d = query_lower_bound(p, self.cell_rect(cx, cy))
         return [
             NNItem(d, True, seg_id)
             for seg_id in self.btree.scan_eq(interleave(cx, cy))
@@ -149,17 +159,3 @@ class UniformGrid(SpatialIndex):
 
     def segment_count(self) -> int:
         return self._seg_count
-
-    def check_invariants(self) -> None:
-        seg_ids = set()
-        for key, seg_id in self.btree.items():
-            seg_ids.add(seg_id)
-        assert len(seg_ids) == self._seg_count, "segment count mismatch"
-        for seg_id in seg_ids:
-            seg = self.ctx.segments.peek(seg_id)
-            cells = self._cells_of_segment(seg)
-            assert cells, "segment crosses no cell"
-            for cx, cy in cells:
-                assert self.btree.contains(interleave(cx, cy), seg_id), (
-                    f"segment {seg_id} missing from cell ({cx},{cy})"
-                )

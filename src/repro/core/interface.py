@@ -15,8 +15,9 @@ would, since the id is available in the node.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, Iterable, List, NamedTuple, Union
+from typing import Any, ClassVar, Dict, Iterable, List, NamedTuple, Optional, Set, Union
 
+from repro.errors import SnapshotError
 from repro.geometry import (
     Point,
     Rect,
@@ -29,6 +30,7 @@ from repro.storage.context import StorageContext
 #: The paper's world: maps are normalized to a 16K x 16K region (2^28 pixels).
 WORLD_SIZE = 16384
 WORLD_DEPTH = 14
+WORLD = Rect(0, 0, WORLD_SIZE, WORLD_SIZE)
 
 
 class SegmentQuery(NamedTuple):
@@ -118,6 +120,13 @@ class TraversalBackend(ABC):
         return {"name": self.name}
 
 
+def _no_snapshot(index: "SpatialIndex") -> SnapshotError:
+    return SnapshotError(
+        f"no snapshot support for {type(index).__name__}: it declares no "
+        f"navigational state (see repro.core.SERVABLE)"
+    )
+
+
 class SpatialIndex(ABC):
     """A disk-resident spatial index over a segment table.
 
@@ -125,13 +134,87 @@ class SpatialIndex(ABC):
     node traffic must flow through ``ctx.pool`` and all geometry access
     through ``ctx.segments.fetch`` so the paper's three metrics are
     collected faithfully.
+
+    A class *declares* itself, once, so that nothing outside it guesses
+    its kind from its attributes: :meth:`params` / :meth:`state` /
+    :meth:`reopen` (what a snapshot records and reads back),
+    :meth:`page_inventories`, :meth:`extent` and :attr:`stock_search`.
+    Whether an instance still honours its invariants is not the class's
+    business but the fsck's (:func:`repro.analysis.check_index`);
+    :meth:`check_invariants` is the tests' spelling of it.
     """
 
-    #: Short display name used in tables ("R*", "R+", "PMR", ...).
+    #: Short display name used in tables ("R*", "R+", "PMR", ...): the
+    #: class's row of :data:`repro.core.STRUCTURES` and a snapshot's kind.
     name: ClassVar[str] = "abstract"
+
+    #: The stock loops that search this class -- ``"rtree"``
+    #: (:mod:`repro.core.treesearch` over ``(rect, ref)`` pages) or
+    #: ``"pmr"`` (directory walk plus B-tree scans) -- or ``None`` for
+    #: loops of its own, which the vector backend leaves to the scalar path.
+    stock_search: ClassVar[Optional[str]] = None
 
     def __init__(self, ctx: StorageContext) -> None:
         self.ctx = ctx
+
+    # ------------------------------------------------------------------
+    # Declaration: parameters, navigational state, pages, world
+    # ------------------------------------------------------------------
+    def params(self) -> Dict[str, Any]:
+        """What :meth:`reopen` needs to build an empty twin of this index
+        (a manifest's ``params``)."""
+        raise _no_snapshot(self)
+
+    def state(self) -> Dict[str, Any]:
+        """The navigational state a snapshot must carry beside the pages,
+        as manifest sections: ``state`` (root, height, counts, page ids),
+        plus whatever else navigates (the PMR's ``btree`` and ``blocks``).
+        Declaring it is what makes a structure snapshottable, hence
+        servable; a variant whose inherited one would not restore it
+        disclaims it (``state = SpatialIndex.state``)."""
+        raise _no_snapshot(self)
+
+    @classmethod
+    def reopen(cls, ctx: StorageContext, params: Dict[str, Any], state=None):
+        """An index of this class over ``ctx`` from what :meth:`params`
+        and :meth:`state` returned. With ``state`` (the manifest; keys it
+        does not own are ignored) it is bound to the pages already on
+        ``ctx.disk`` -- nothing allocated, nothing written; without, it
+        is the empty twin."""
+        index = cls.__new__(cls)
+        index.ctx = ctx
+        index._open(params, state)
+        return index
+
+    def _open(self, params: Dict[str, Any], state) -> None:
+        """Set the parameters, then bind to ``state`` -- or, given none,
+        allocate the empty structure. Constructors end here too."""
+        raise _no_snapshot(self)
+
+    def page_inventories(self) -> Dict[str, Set[int]]:
+        """Every page this index answers for, by the codec kind of its
+        payload (``"rtree"``, ``"rplus"``, ``"btree"``, ``"segments"``)."""
+        return {"segments": set(self.ctx.segments.page_ids)}
+
+    def extent(self) -> Rect:
+        """The world this index was built over. The R-trees adapt to
+        their data and have none: they answer the paper's."""
+        return WORLD
+
+    @classmethod
+    def extent_params(cls, extent: Rect) -> Dict[str, Any]:
+        """The constructor keywords that place this class over ``extent``."""
+        return {}
+
+    def check_invariants(self) -> None:
+        """``AssertionError``, carrying the rendered findings, when
+        :func:`repro.analysis.check_index` reports an error (warnings
+        pass). Peek-only, like the fsck it spells."""
+        from repro.analysis import check_index, format_findings, has_errors
+
+        findings = check_index(self)
+        if has_errors(findings):
+            raise AssertionError(format_findings(findings))
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -192,13 +275,14 @@ class SpatialIndex(ABC):
     def entry_count(self) -> int:
         """Stored entries; exceeds the segment count for disjoint methods."""
 
+    def segment_count(self) -> int:
+        """Distinct segments indexed: the entry count, unless the
+        structure duplicates entries and so keeps its own tally."""
+        return self.entry_count()
+
     def bytes_used(self) -> int:
         """Index size as Table 1 counts it: whole pages, segment table excluded."""
         return self.page_count() * self.ctx.page_size
-
-    @abstractmethod
-    def check_invariants(self) -> None:
-        """Validate structural invariants (test hook); raises AssertionError."""
 
     # ------------------------------------------------------------------
     # Conveniences shared by implementations

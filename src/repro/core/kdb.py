@@ -21,22 +21,27 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from repro.core.interface import NNItem, query_lower_bound
-from repro.core.rplus import RPlusNode, RPlusTree
+from repro.core.interface import NNItem, SpatialIndex, query_lower_bound
+from repro.core.rplus import RPlusTree
+from repro.core.rtree.node import RTreeNode
 from repro.geometry import Point, Rect
 
 
 class KDBTree(RPlusTree):
     name = "kdB"
+    stock_search = None  # ignores the leaf MBRs, in loops of its own
+    # An ablation variant, built and measured in process: no snapshots.
+    params = SpatialIndex.params
+    state = SpatialIndex.state
 
     def candidate_ids_at_point(self, p: Point) -> List[int]:
         out: List[int] = []
         pool = self.ctx.pool
         counters = self.ctx.counters
-        stack: List[Any] = [(self._root_id, self.world)]
+        stack: List[Any] = [(self.root_id, self.world)]
         while stack:
             page_id, region = stack.pop()
-            node: RPlusNode = pool.get(page_id)
+            node: RTreeNode = pool.get(page_id)
             if node.is_leaf:
                 # No leaf MBRs: every resident segment is a candidate.
                 counters.bbox_comps += 1
@@ -52,10 +57,10 @@ class KDBTree(RPlusTree):
         out: List[int] = []
         pool = self.ctx.pool
         counters = self.ctx.counters
-        stack: List[Any] = [(self._root_id, self.world)]
+        stack: List[Any] = [(self.root_id, self.world)]
         while stack:
             page_id, region = stack.pop()
-            node: RPlusNode = pool.get(page_id)
+            node: RTreeNode = pool.get(page_id)
             if node.is_leaf:
                 counters.bbox_comps += 1
                 out.extend(ref for _, ref in node.entries)
@@ -67,11 +72,11 @@ class KDBTree(RPlusTree):
         return out
 
     def nn_start(self, p: Point) -> List[NNItem]:
-        return [NNItem(0.0, False, (self._root_id, self.world))]
+        return [NNItem(0.0, False, (self.root_id, self.world))]
 
     def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
         page_id, region = ref
-        node: RPlusNode = self.ctx.pool.get(page_id)
+        node: RTreeNode = self.ctx.pool.get(page_id)
         if node.is_leaf:
             # The only available lower bound is the leaf region itself.
             self.ctx.counters.bbox_comps += 1

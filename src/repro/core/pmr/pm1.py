@@ -27,17 +27,21 @@ decomposition rule alone.
 
 from __future__ import annotations
 
-from typing import Any, List, Set
+from typing import Any, Callable, List, Set
 
-from repro.core.interface import WORLD_DEPTH, WORLD_SIZE
+from repro.core.interface import WORLD_DEPTH, WORLD_SIZE, SpatialIndex
 from repro.core.pmr.blocks import PMRBlock
 from repro.core.pmr.pmr import PMRQuadtree
-from repro.geometry import Point
+from repro.geometry import Point, Segment
 from repro.storage.context import StorageContext
 
 
 class PM1Quadtree(PMRQuadtree):
     name = "PM1"
+    # The constructor takes no threshold or curve, so the PMR's params()
+    # do not rebuild it: the PM family keeps no snapshots.
+    params = SpatialIndex.params
+    state = SpatialIndex.state
 
     def __init__(
         self,
@@ -54,16 +58,19 @@ class PM1Quadtree(PMRQuadtree):
     # ------------------------------------------------------------------
     # Decomposition criteria
     # ------------------------------------------------------------------
-    def _block_is_legal(self, block: PMRBlock, seg_ids: List[int]) -> bool:
+    def block_is_legal(
+        self, block: PMRBlock, seg_ids: List[int], fetch: Callable[[int], Segment]
+    ) -> bool:
         """Check the three PM1 criteria for a block holding ``seg_ids``.
 
-        Geometry is fetched through the segment table, so deciding a
-        split is charged segment comparisons exactly as a disk-resident
-        implementation would pay them.
+        Maintenance reads the geometry through the segment table's
+        ``fetch``, so deciding a split is charged segment comparisons
+        exactly as a disk-resident implementation would pay them; the
+        fsck passes the uncounted ``peek``.
         """
         if len(seg_ids) <= 1:
             return True
-        rect = self._rect(block)
+        rect = self.rect_of(block)
 
         def vertex_inside(p: Point) -> bool:
             # Half-open pixel domain: each vertex belongs to one block.
@@ -74,7 +81,7 @@ class PM1Quadtree(PMRQuadtree):
         vertices: Set[Point] = set()
         segments = []
         for seg_id in seg_ids:
-            seg = self.ctx.segments.fetch(seg_id)
+            seg = fetch(seg_id)
             segments.append(seg)
             for p in seg.endpoints():
                 if vertex_inside(p):
@@ -95,9 +102,9 @@ class PM1Quadtree(PMRQuadtree):
         if not block.is_leaf or block.depth >= self.max_depth:
             return
         seg_ids = [
-            self._seg_id_of(v) for v in self.btree.scan_eq(self._code(block))
+            self.seg_id_of(v) for v in self.btree.scan_eq(self.code_of(block))
         ]
-        if self._block_is_legal(block, seg_ids):
+        if self.block_is_legal(block, seg_ids, self.ctx.segments.fetch):
             return
         self._split_block(block)
         for child in block.children:
@@ -105,17 +112,5 @@ class PM1Quadtree(PMRQuadtree):
 
     def _should_merge(self, block: PMRBlock, distinct: Set[Any]) -> bool:
         """Merge when the reunited block would satisfy the PM1 criteria."""
-        seg_ids = sorted(self._seg_id_of(v) for v in distinct)
-        return self._block_is_legal(block, seg_ids)
-
-    def _check_occupancy_bound(self, block: PMRBlock) -> None:
-        """PM1 invariant: every non-maximal-depth leaf is legal."""
-        if block.depth >= self.max_depth:
-            return
-        seg_ids = [
-            self._seg_id_of(v) for v in self.btree.scan_eq(self._code(block))
-        ]
-        assert self._block_is_legal(block, seg_ids), (
-            f"PM1 criteria violated at block "
-            f"({block.depth},{block.bx},{block.by})"
-        )
+        seg_ids = sorted(self.seg_id_of(v) for v in distinct)
+        return self.block_is_legal(block, seg_ids, self.ctx.segments.fetch)

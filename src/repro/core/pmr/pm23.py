@@ -17,25 +17,27 @@ criteria at all.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Callable, List, Set
 
 from repro.core.pmr.blocks import PMRBlock
 from repro.core.pmr.pm1 import PM1Quadtree
-from repro.geometry import Point
+from repro.geometry import Point, Segment
 
 
 class PM2Quadtree(PM1Quadtree):
     name = "PM2"
 
-    def _block_is_legal(self, block: PMRBlock, seg_ids: List[int]) -> bool:
+    def block_is_legal(
+        self, block: PMRBlock, seg_ids: List[int], fetch: Callable[[int], Segment]
+    ) -> bool:
         if len(seg_ids) <= 1:
             return True
-        rect = self._rect(block)
+        rect = self.rect_of(block)
 
         vertices: Set[Point] = set()
         segments = []
         for seg_id in seg_ids:
-            seg = self.ctx.segments.fetch(seg_id)
+            seg = fetch(seg_id)
             segments.append(seg)
             for p in seg.endpoints():
                 if rect.xmin <= p.x < rect.xmax and rect.ymin <= p.y < rect.ymax:
@@ -58,13 +60,15 @@ class PM2Quadtree(PM1Quadtree):
 class PM3Quadtree(PM1Quadtree):
     name = "PM3"
 
-    def _block_is_legal(self, block: PMRBlock, seg_ids: List[int]) -> bool:
+    def block_is_legal(
+        self, block: PMRBlock, seg_ids: List[int], fetch: Callable[[int], Segment]
+    ) -> bool:
         if len(seg_ids) <= 1:
             return True
-        rect = self._rect(block)
+        rect = self.rect_of(block)
         vertices: Set[Point] = set()
         for seg_id in seg_ids:
-            seg = self.ctx.segments.fetch(seg_id)
+            seg = fetch(seg_id)
             for p in seg.endpoints():
                 if rect.xmin <= p.x < rect.xmax and rect.ymin <= p.y < rect.ymax:
                     vertices.add(p)

@@ -24,12 +24,13 @@ fewer segment comparisons; it is exercised by the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.btree import BPlusTree, ScanStats
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
 from repro.core.pmr.blocks import PMRBlock
 from repro.core.pmr.locational import hilbert_code, locational_code
+from repro.errors import SnapshotError
 from repro.geometry import Point, Rect, Segment
 from repro.obs.explain import (
     CAUSE_BTREE,
@@ -55,8 +56,30 @@ from repro.storage.layout import (
 _CODE_FUNCTIONS = {"morton": locational_code, "hilbert": hilbert_code}
 
 
+def _block_to_json(block: PMRBlock) -> Dict[str, Any]:
+    node: Dict[str, Any] = {"d": block.depth, "x": block.bx, "y": block.by}
+    if block.is_leaf:
+        node["c"] = block.count
+    else:
+        node["ch"] = [_block_to_json(child) for child in block.children]
+    return node
+
+
+def _block_from_json(node: Dict[str, Any]) -> PMRBlock:
+    block = PMRBlock(node["d"], node["x"], node["y"])
+    if "ch" in node:
+        block.children = [_block_from_json(child) for child in node["ch"]]
+    else:
+        block.count = node["c"]
+    return block
+
+
 class PMRQuadtree(SpatialIndex):
     name = "PMR"
+    stock_search = "pmr"
+    #: ``store_bboxes=True`` is a constructor-only variant: a reopened
+    #: tree never has it (its tuples do not serialize).
+    store_bboxes = False
 
     def __init__(
         self,
@@ -78,32 +101,83 @@ class PMRQuadtree(SpatialIndex):
             raise ValueError(
                 f"curve must be one of {sorted(_CODE_FUNCTIONS)}, got {curve!r}"
             )
-        self.threshold = threshold
-        self.max_depth = max_depth
-        self.world_size = world_size
         self.store_bboxes = store_bboxes
-        self.curve = curve
-        self._code_fn = _CODE_FUNCTIONS[curve]
+        self._open(
+            {
+                "threshold": threshold,
+                "max_depth": max_depth,
+                "world_size": world_size,
+                "curve": curve,
+            },
+            None,
+        )
+
+    # ------------------------------------------------------------------
+    # Declaration
+    # ------------------------------------------------------------------
+    def params(self) -> Dict[str, Any]:
+        return {
+            "threshold": self.threshold,
+            "max_depth": self.max_depth,
+            "world_size": self.world_size,
+            "curve": self.curve,
+        }
+
+    def state(self) -> Dict[str, Any]:
+        if self.store_bboxes:
+            raise SnapshotError(
+                "PMR snapshots require store_bboxes=False: the on-disk "
+                "B-tree codec stores (code, pointer) 2-tuples only"
+            )
+        return {
+            "state": {"seg_count": self._seg_count},
+            "btree": self.btree.state(),
+            "blocks": _block_to_json(self.root),
+        }
+
+    def _open(self, params: Dict[str, Any], state) -> None:
+        self.threshold = params["threshold"]
+        self.max_depth = params["max_depth"]
+        self.world_size = params["world_size"]
+        self.curve = params["curve"]
+        self._code_fn = _CODE_FUNCTIONS[self.curve]
         entry_bytes = PMR_TUPLE_BYTES + (
-            PMR_BBOX_EXTRA_BYTES if store_bboxes else 0
+            PMR_BBOX_EXTRA_BYTES if self.store_bboxes else 0
         )
-        cap = entries_per_page(ctx.page_size, entry_bytes, BTREE_PAGE_HEADER_BYTES)
-        internal_cap = entries_per_page(
-            ctx.page_size, BTREE_INTERNAL_ENTRY_BYTES, BTREE_PAGE_HEADER_BYTES
+        capacities = (
+            entries_per_page(
+                self.ctx.page_size, entry_bytes, BTREE_PAGE_HEADER_BYTES
+            ),
+            entries_per_page(
+                self.ctx.page_size, BTREE_INTERNAL_ENTRY_BYTES, BTREE_PAGE_HEADER_BYTES
+            ),
         )
-        self.btree = BPlusTree(
-            ctx.pool, leaf_capacity=cap, internal_capacity=internal_cap
-        )
-        self.root = PMRBlock(0, 0, 0)
-        self._seg_count = 0
+        if state is None:
+            self.btree = BPlusTree(self.ctx.pool, *capacities)
+            self.root = PMRBlock(0, 0, 0)
+            self._seg_count = 0
+        else:
+            self.btree = BPlusTree.reopen(self.ctx.pool, *capacities, state["btree"])
+            self.root = _block_from_json(state["blocks"])
+            self._seg_count = state["state"]["seg_count"]
+
+    def page_inventories(self) -> Dict[str, Set[int]]:
+        return {"btree": set(self.btree.page_ids), **super().page_inventories()}
+
+    def extent(self) -> Rect:
+        return Rect(0, 0, self.world_size, self.world_size)
+
+    @classmethod
+    def extent_params(cls, extent: Rect) -> Dict[str, Any]:
+        return {"world_size": int(extent.width)}
 
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-    def _code(self, block: PMRBlock) -> int:
+    def code_of(self, block: PMRBlock) -> int:
         return self._code_fn(block.bx, block.by, block.depth, self.max_depth)
 
-    def _rect(self, block: PMRBlock) -> Rect:
+    def rect_of(self, block: PMRBlock) -> Rect:
         return block.rect(self.world_size)
 
     def _value(self, seg_id: int, seg: Segment) -> Any:
@@ -112,7 +186,7 @@ class PMRQuadtree(SpatialIndex):
         return seg_id
 
     @staticmethod
-    def _seg_id_of(value: Any) -> int:
+    def seg_id_of(value: Any) -> int:
         return value[0] if isinstance(value, tuple) else value
 
     # ------------------------------------------------------------------
@@ -132,10 +206,10 @@ class PMRQuadtree(SpatialIndex):
     ) -> None:
         if block.children is not None:
             for child in block.children:
-                if seg.intersects_rect(self._rect(child)):
+                if seg.intersects_rect(self.rect_of(child)):
                     self._insert_into(child, seg, value, affected)
             return
-        self.btree.insert(self._code(block), value)
+        self.btree.insert(self.code_of(block), value)
         block.count += 1
         affected.append(block)
 
@@ -153,17 +227,17 @@ class PMRQuadtree(SpatialIndex):
             self._split_block(block)
 
     def _split_block(self, block: PMRBlock) -> None:
-        code = self._code(block)
+        code = self.code_of(block)
         values = self.btree.scan_eq(code)
         for v in values:
             self.btree.delete(code, v)
         children = block.split()
-        child_rects = [self._rect(c) for c in children]
+        child_rects = [self.rect_of(c) for c in children]
         for v in values:
-            seg = self.ctx.segments.fetch(self._seg_id_of(v))
+            seg = self.ctx.segments.fetch(self.seg_id_of(v))
             for child, rect in zip(children, child_rects):
                 if seg.intersects_rect(rect):
-                    self.btree.insert(self._code(child), v)
+                    self.btree.insert(self.code_of(child), v)
                     child.count += 1
 
     def delete(self, seg_id: int) -> None:
@@ -176,7 +250,7 @@ class PMRQuadtree(SpatialIndex):
 
     def _delete_from(self, block: PMRBlock, seg: Segment, value: Any) -> int:
         if block.children is None:
-            code = self._code(block)
+            code = self.code_of(block)
             if self.btree.contains(code, value):
                 self.btree.delete(code, value)
                 block.count -= 1
@@ -184,7 +258,7 @@ class PMRQuadtree(SpatialIndex):
             return 0
         removed = 0
         for child in block.children:
-            if seg.intersects_rect(self._rect(child)):
+            if seg.intersects_rect(self.rect_of(child)):
                 removed += self._delete_from(child, seg, value)
         if removed:
             self._try_merge(block)
@@ -197,16 +271,16 @@ class PMRQuadtree(SpatialIndex):
             return
         distinct: Set[Any] = set()
         for child in block.children:
-            distinct.update(self.btree.scan_eq(self._code(child)))
+            distinct.update(self.btree.scan_eq(self.code_of(child)))
         if not self._should_merge(block, distinct):
             return
         for child in block.children:
-            code = self._code(child)
+            code = self.code_of(child)
             for v in self.btree.scan_eq(code):
                 self.btree.delete(code, v)
         block.merge()
-        code = self._code(block)
-        for v in sorted(distinct, key=self._seg_id_of):
+        code = self.code_of(block)
+        for v in sorted(distinct, key=self.seg_id_of):
             self.btree.insert(code, v)
         block.count = len(distinct)
 
@@ -241,7 +315,7 @@ class PMRQuadtree(SpatialIndex):
                 for v in values
                 if v[1][0] <= p.x <= v[1][2] and v[1][1] <= p.y <= v[1][3]
             ]
-        return [self._seg_id_of(v) for v in values]
+        return [self.seg_id_of(v) for v in values]
 
     def _scan_bucket(self, prof, block: PMRBlock) -> List[Any]:
         """Examine one leaf bucket: one bounding-box comparison charged
@@ -255,7 +329,7 @@ class PMRQuadtree(SpatialIndex):
             prof.close_level(block.depth, examined=1, matched=1)
             acct = ScanStats()
             prof.open(counters)
-        values = self.btree.scan_eq(self._code(block), acct)
+        values = self.btree.scan_eq(self.code_of(block), acct)
         if prof is not None:
             self._close_btree_scans(prof, acct, scans=1)
         return values
@@ -291,7 +365,7 @@ class PMRQuadtree(SpatialIndex):
                     prof.level(block.depth).node_visits += 1
                     prof.count(COUNT_BLOCKS_DECODED)
                 for child in block.children:
-                    if self._rect(child).intersects(rect):
+                    if self.rect_of(child).intersects(rect):
                         walk(child)
                 return
             if prof is not None:
@@ -300,7 +374,7 @@ class PMRQuadtree(SpatialIndex):
             if prof is not None:
                 prof.close_level(block.depth, examined=1, matched=1)
                 prof.count(COUNT_BLOCKS_DECODED)
-            lo = self._code(block)
+            lo = self.code_of(block)
             intervals.append(
                 [lo, lo + (1 << (2 * (self.max_depth - block.depth))) - 1]
             )
@@ -329,7 +403,7 @@ class PMRQuadtree(SpatialIndex):
                     if Rect(v[1][0], v[1][1], v[1][2], v[1][3]).intersects(rect):
                         out.append(v[0])
                 else:
-                    out.append(self._seg_id_of(v))
+                    out.append(self.seg_id_of(v))
         if prof is not None:
             self._close_btree_scans(prof, acct, scans=len(runs))
         return out
@@ -352,7 +426,7 @@ class PMRQuadtree(SpatialIndex):
                 bucket.entries_examined += len(block.children)
                 bucket.entries_matched += len(block.children)
             return [
-                NNItem(query_lower_bound(p, self._rect(c)), False, c)
+                NNItem(query_lower_bound(p, self.rect_of(c)), False, c)
                 for c in block.children
             ]
         values = self._scan_bucket(prof, block)
@@ -365,8 +439,8 @@ class PMRQuadtree(SpatialIndex):
                 )
                 for v in values
             ]
-        d_block = query_lower_bound(p, self._rect(block))
-        return [NNItem(d_block, True, self._seg_id_of(v)) for v in values]
+        d_block = query_lower_bound(p, self.rect_of(block))
+        return [NNItem(d_block, True, self.seg_id_of(v)) for v in values]
 
     # ------------------------------------------------------------------
     # Statistics
@@ -401,57 +475,13 @@ class PMRQuadtree(SpatialIndex):
         return max(b.depth for b in self.root.iter_leaves())
 
     # ------------------------------------------------------------------
-    # Validation
+    # The decomposition rule, stated for the fsck
     # ------------------------------------------------------------------
-    def _check_occupancy_bound(self, block: PMRBlock) -> None:
-        """Section 3's bound: a bucket holds at most threshold + depth
-        q-edges (max-depth blocks are exempt, they can never split)."""
-        if block.depth < self.max_depth:
-            assert block.count <= self.threshold + block.depth, (
-                "bucket exceeds the threshold + depth bound"
-            )
-
-    def check_invariants(self) -> None:
-        total = 0
-        seg_ids: Set[int] = set()
-        for block in self.root.iter_leaves():
-            values = self.btree.scan_eq(self._code(block))
-            assert len(values) == block.count, (
-                f"directory count {block.count} != B-tree count {len(values)} "
-                f"at block ({block.depth},{block.bx},{block.by})"
-            )
-            self._check_occupancy_bound(block)
-            total += len(values)
-            rect = self._rect(block)
-            for v in values:
-                seg_id = self._seg_id_of(v)
-                seg_ids.add(seg_id)
-                seg = self.ctx.segments.peek(seg_id)
-                assert seg.intersects_rect(rect), "q-edge outside its block"
-        assert total == len(self.btree), "directory/B-tree total mismatch"
-        assert len(seg_ids) == self._seg_count, "segment count mismatch"
-
-        # Completeness: every segment lives in every leaf block that a
-        # positive-length piece of it crosses. Descend only into blocks
-        # the segment's geometry touches, so the check stays near-linear
-        # and runs even on paper-scale structures.
-        for seg_id in seg_ids:
-            seg = self.ctx.segments.peek(seg_id)
-            self._check_complete(self.root, seg, seg_id)
-
-    def _check_complete(self, block: PMRBlock, seg: Segment, seg_id: int) -> None:
-        rect = self._rect(block)
-        if not seg.intersects_rect(rect):
-            return
-        if block.children is not None:
-            for child in block.children:
-                self._check_complete(child, seg, seg_id)
-            return
-        qedge = seg.clipped(rect)
-        if qedge is None or qedge.is_degenerate():
-            return
-        present = any(
-            self._seg_id_of(v) == seg_id
-            for v in self.btree.scan_eq(self._code(block))
-        )
-        assert present, f"segment {seg_id} missing from a crossed block"
+    def block_is_legal(
+        self, block: PMRBlock, seg_ids: List[int], fetch: Callable[[int], Segment]
+    ) -> bool:
+        """May ``block`` (a leaf above ``max_depth``) stand unsplit?
+        Section 3's bound: split once per insertion, so a bucket holds
+        at most threshold + depth q-edges. The PM family answers from
+        the geometry of ``seg_ids``, read through ``fetch``."""
+        return block.count <= self.threshold + block.depth

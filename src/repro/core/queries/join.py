@@ -60,7 +60,7 @@ def rtree_join(a: GuttmanRTree, b: GuttmanRTree) -> Set[Pair]:
     cache_b: Dict[int, Segment] = {}
 
     # (page_a, page_b) pairs; read both nodes through their own pools.
-    stack: List[Tuple[int, int]] = [(a._root_id, b._root_id)]
+    stack: List[Tuple[int, int]] = [(a.root_id, b.root_id)]
     while stack:
         pa, pb = stack.pop()
         na: RTreeNode = a.ctx.pool.get(pa)
@@ -110,7 +110,7 @@ def quadtree_join(a: PMRQuadtree, b: PMRQuadtree) -> Set[Pair]:
 
     def leaf_values(tree: PMRQuadtree, block: PMRBlock) -> List[int]:
         tree.ctx.counters.bbox_comps += 1
-        return [tree._seg_id_of(v) for v in tree.btree.scan_eq(tree._code(block))]
+        return [tree.seg_id_of(v) for v in tree.btree.scan_eq(tree.code_of(block))]
 
     def _cross(first: List[int], second: List[int], first_is_a: bool) -> None:
         for f in first:

@@ -24,18 +24,13 @@ occupy on disk.
 from __future__ import annotations
 
 from math import ceil
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.interface import WORLD_SIZE, NNItem, SpatialIndex
-from repro.core.rplus.node import Entry, RPlusNode
-from repro.core.treesearch import expand_node, search_tree
-from repro.geometry import Point, Rect, Segment
+from repro.core.interface import WORLD
+from repro.core.rtree.node import Entry, RTreeNode
+from repro.core.treesearch import NodeTree
+from repro.geometry import Rect, Segment
 from repro.storage.context import StorageContext
-from repro.storage.layout import (
-    RTREE_PAGE_HEADER_BYTES,
-    RTREE_TUPLE_BYTES,
-    entries_per_page,
-)
 
 #: A (region, page_id) pair describing one tile of a partitioned region.
 Piece = Tuple[Rect, int]
@@ -59,7 +54,7 @@ def _clip_rect(r: Rect, region: Rect) -> Rect:
     return clipped if clipped is not None else r
 
 
-class RPlusTree(SpatialIndex):
+class RPlusTree(NodeTree):
     name = "R+"
 
     #: Available split-line rules. The paper: "The R+-tree implementations
@@ -82,22 +77,66 @@ class RPlusTree(SpatialIndex):
             raise ValueError(
                 f"split_rule must be one of {self.SPLIT_RULES}, got {split_rule!r}"
             )
-        self.split_rule = split_rule
-        self.world = world if world is not None else Rect(0, 0, WORLD_SIZE, WORLD_SIZE)
-        self.capacity = (
-            capacity
-            if capacity is not None
-            else entries_per_page(
-                ctx.page_size, RTREE_TUPLE_BYTES, RTREE_PAGE_HEADER_BYTES
-            )
+        self._open(
+            {
+                "capacity": self._node_capacity(capacity),
+                "split_rule": split_rule,
+                "world": world if world is not None else WORLD,
+            },
+            None,
         )
-        if self.capacity < 4:
-            raise ValueError(f"page too small: node capacity {self.capacity} < 4")
-        self._root_id = ctx.pool.create(RPlusNode(is_leaf=True))
-        self._height = 1
-        self._page_ids = {self._root_id}
-        self._seg_count = 0
-        self._entry_count = 0
+
+    # ------------------------------------------------------------------
+    # Declaration
+    # ------------------------------------------------------------------
+    def params(self) -> Dict[str, Any]:
+        return {
+            "capacity": self.capacity,
+            "split_rule": self.split_rule,
+            "world": list(self.world),
+        }
+
+    def state(self) -> Dict[str, Any]:
+        return {
+            "state": {
+                "root_id": self.root_id,
+                "height": self._height,
+                "seg_count": self._seg_count,
+                "entry_count": self._entry_count,
+                "page_ids": sorted(self._page_ids),
+            }
+        }
+
+    def _open(self, params: Dict[str, Any], state) -> None:
+        self.capacity = params["capacity"]
+        self.split_rule = params["split_rule"]
+        self.world = Rect(*params["world"])
+        if state is None:
+            root = self.ctx.pool.create(RTreeNode(is_leaf=True))
+            state = {
+                "root_id": root,
+                "height": 1,
+                "seg_count": 0,
+                "entry_count": 0,
+                "page_ids": [root],
+            }
+        else:
+            state = state["state"]
+        self.root_id: int = state["root_id"]
+        self._height: int = state["height"]
+        self._seg_count: int = state["seg_count"]
+        self._entry_count: int = state["entry_count"]
+        self._page_ids: Set[int] = set(state["page_ids"])
+
+    def page_inventories(self) -> Dict[str, Set[int]]:
+        return {"rplus": set(self._page_ids), **super().page_inventories()}
+
+    def extent(self) -> Rect:
+        return self.world
+
+    @classmethod
+    def extent_params(cls, extent: Rect) -> Dict[str, Any]:
+        return {"world": extent}
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -105,7 +144,7 @@ class RPlusTree(SpatialIndex):
     def insert(self, seg_id: int) -> None:
         seg = self.ctx.segments.fetch(seg_id)
         mbr = seg.mbr()
-        pieces = self._insert_rec(self._root_id, self.world, seg, seg_id, mbr)
+        pieces = self._insert_rec(self.root_id, self.world, seg, seg_id, mbr)
         if pieces is not None:
             self._grow_root(pieces)
         self._seg_count += 1
@@ -119,26 +158,11 @@ class RPlusTree(SpatialIndex):
         least every subtree placement could have reached.
         """
         seg = self.ctx.segments.fetch(seg_id)
-        removed = self._delete_rec(self._root_id, self.world, seg.mbr(), seg_id)
+        removed = self._delete_rec(self.root_id, self.world, seg.mbr(), seg_id)
         if removed == 0:
             raise KeyError(f"segment {seg_id} not in the tree")
         self._entry_count -= removed
         self._seg_count -= 1
-
-    # ------------------------------------------------------------------
-    # Searches
-    # ------------------------------------------------------------------
-    def candidate_ids_at_point(self, p: Point) -> List[int]:
-        return search_tree(self.ctx, self._root_id, Rect.contains_point, p)
-
-    def candidate_ids_in_rect(self, rect: Rect) -> List[int]:
-        return search_tree(self.ctx, self._root_id, Rect.intersects, rect)
-
-    def nn_start(self, p: Point) -> List[NNItem]:
-        return [NNItem(0.0, False, self._root_id)]
-
-    def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
-        return expand_node(self.ctx, ref, p)
 
     # ------------------------------------------------------------------
     # Statistics
@@ -152,25 +176,12 @@ class RPlusTree(SpatialIndex):
                 extra += ceil(len(node.entries) / self.capacity) - 1
         return len(self._page_ids) + extra
 
-    def height(self) -> int:
-        return self._height
-
     def entry_count(self) -> int:
         """Total leaf entries; exceeds the segment count due to duplication."""
         return self._entry_count
 
     def segment_count(self) -> int:
         return self._seg_count
-
-    def leaf_occupancy(self) -> float:
-        """Average entries per leaf page (bypasses the pool: instrumentation)."""
-        leaves = entries = 0
-        for pid in self._page_ids:
-            node = self.ctx.disk.peek(pid)
-            if node.is_leaf:
-                leaves += 1
-                entries += len(node.entries)
-        return entries / leaves if leaves else 0.0
 
     # ------------------------------------------------------------------
     # Insertion internals
@@ -180,7 +191,7 @@ class RPlusTree(SpatialIndex):
     ) -> Optional[List[Piece]]:
         """Insert into the subtree; return replacement pieces if it split."""
         pool = self.ctx.pool
-        node: RPlusNode = pool.get(page_id)
+        node: RTreeNode = pool.get(page_id)
 
         if node.is_leaf:
             node.entries.append((mbr, seg_id))
@@ -213,11 +224,11 @@ class RPlusTree(SpatialIndex):
         return None
 
     def _grow_root(self, pieces: List[Piece]) -> None:
-        root = RPlusNode(is_leaf=False, entries=list(pieces))
-        self._root_id = self.ctx.pool.create(root)
-        self._page_ids.add(self._root_id)
+        root = RTreeNode(is_leaf=False, entries=list(pieces))
+        self.root_id = self.ctx.pool.create(root)
+        self._page_ids.add(self.root_id)
         self._height += 1
-        self._note_node_rewritten(self._root_id, self.world, root)
+        self._note_node_rewritten(self.root_id, self.world, root)
 
     # -- subclass hooks ---------------------------------------------------
     def _note_leaf_insert(self, page_id: int, region: Rect, mbr: Rect) -> None:
@@ -229,7 +240,7 @@ class RPlusTree(SpatialIndex):
         (hook for content-MBR maintenance). No-op in the hybrid."""
 
     def _note_node_rewritten(
-        self, page_id: int, region: Rect, node: RPlusNode
+        self, page_id: int, region: Rect, node: RTreeNode
     ) -> None:
         """Called whenever a split rewrites a node's entry list (hook for
         content-MBR maintenance). No-op in the hybrid."""
@@ -331,7 +342,7 @@ class RPlusTree(SpatialIndex):
 
     # -- leaf split ------------------------------------------------------
     def _split_leaf(
-        self, page_id: int, region: Rect, node: RPlusNode
+        self, page_id: int, region: Rect, node: RTreeNode
     ) -> Optional[List[Piece]]:
         extents = [tuple(_clip_rect(r, region)) for r, _ in node.entries]
         choice = self._choose_split_line(extents, region)
@@ -352,7 +363,7 @@ class RPlusTree(SpatialIndex):
         self._entry_count += len(left_entries) + len(right_entries) - len(node.entries)
         node.entries = left_entries
         self.ctx.pool.mark_dirty(page_id)
-        right_node = RPlusNode(is_leaf=True, entries=right_entries)
+        right_node = RTreeNode(is_leaf=True, entries=right_entries)
         right_id = self.ctx.pool.create(right_node)
         self._page_ids.add(right_id)
         self._note_node_rewritten(page_id, left_region, node)
@@ -361,7 +372,7 @@ class RPlusTree(SpatialIndex):
 
     # -- internal split (with downward cascade) ---------------------------
     def _split_internal(
-        self, page_id: int, region: Rect, node: RPlusNode
+        self, page_id: int, region: Rect, node: RTreeNode
     ) -> Optional[List[Piece]]:
         extents = [tuple(r) for r, _ in node.entries]
         choice = self._choose_split_line(extents, region)
@@ -384,7 +395,7 @@ class RPlusTree(SpatialIndex):
 
         node.entries = left_entries
         self.ctx.pool.mark_dirty(page_id)
-        right_node = RPlusNode(is_leaf=False, entries=right_entries)
+        right_node = RTreeNode(is_leaf=False, entries=right_entries)
         right_id = self.ctx.pool.create(right_node)
         self._page_ids.add(right_id)
         self._note_node_rewritten(page_id, left_region, node)
@@ -396,7 +407,7 @@ class RPlusTree(SpatialIndex):
     ) -> Tuple[Piece, Piece]:
         """Split a whole subtree by a line (the k-d-B downward cascade)."""
         pool = self.ctx.pool
-        node: RPlusNode = pool.get(page_id)
+        node: RTreeNode = pool.get(page_id)
         left_region, right_region = _split_region(region, axis, pos)
 
         left_entries: List[Entry] = []
@@ -425,7 +436,7 @@ class RPlusTree(SpatialIndex):
 
         node.entries = left_entries
         pool.mark_dirty(page_id)
-        right_node = RPlusNode(node.is_leaf, right_entries)
+        right_node = RTreeNode(node.is_leaf, right_entries)
         right_id = pool.create(right_node)
         self._page_ids.add(right_id)
         self._note_node_rewritten(page_id, left_region, node)
@@ -439,7 +450,7 @@ class RPlusTree(SpatialIndex):
         self, page_id: int, region: Rect, mbr: Rect, seg_id: int
     ) -> int:
         pool = self.ctx.pool
-        node: RPlusNode = pool.get(page_id)
+        node: RTreeNode = pool.get(page_id)
         if node.is_leaf:
             before = len(node.entries)
             node.entries = [e for e in node.entries if e[1] != seg_id]
@@ -453,69 +464,3 @@ class RPlusTree(SpatialIndex):
             if mbr.intersects(r):
                 removed += self._delete_rec(child, r, mbr, seg_id)
         return removed
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        pool = self.ctx.pool
-        seen_pages = set()
-        leaf_entry_total = 0
-        seg_ids = set()
-
-        def walk(page_id: int, region: Rect, depth: int) -> None:
-            nonlocal leaf_entry_total
-            assert page_id in self._page_ids, f"page {page_id} untracked"
-            assert page_id not in seen_pages, f"page {page_id} shared"
-            seen_pages.add(page_id)
-            node: RPlusNode = pool.get(page_id)
-            if node.is_leaf:
-                assert depth == self._height, "leaf at wrong depth"
-                leaf_entry_total += len(node.entries)
-                ids_here = [ref for _, ref in node.entries]
-                assert len(ids_here) == len(set(ids_here)), "duplicate entry in leaf"
-                seg_ids.update(ids_here)
-                for r, _ in node.entries:
-                    assert r.intersects(region), "leaf entry outside region"
-                return
-            # The downward cascade can leave an internal node with a single
-            # child (the k-d-B-tree's known near-empty-node deficiency);
-            # zero children would break region coverage and is a bug.
-            assert len(node.entries) >= 1, "internal node with no children"
-            area = 0.0
-            for i, (r, child) in enumerate(node.entries):
-                assert region.contains_rect(r), "child region escapes parent"
-                area += r.area()
-                for r2, _ in node.entries[i + 1 :]:
-                    assert r.overlap_area(r2) == 0, "sibling regions overlap"
-                walk(child, r, depth + 1)
-            assert abs(area - region.area()) < 1e-6 * max(region.area(), 1.0), (
-                "child regions do not tile the parent region"
-            )
-
-        walk(self._root_id, self.world, 1)
-        assert seen_pages == self._page_ids, "page bookkeeping mismatch"
-        assert leaf_entry_total == self._entry_count, "entry count mismatch"
-        assert len(seg_ids) == self._seg_count, "segment count mismatch"
-
-        # Completeness: every stored segment is present in every leaf whose
-        # region contains a positive-length piece of it (a segment grazing a
-        # region only at a boundary point may legitimately live in the
-        # neighbouring leaf instead). Uses the instrumentation bypass.
-        for seg_id in seg_ids:
-            seg = self.ctx.segments.peek(seg_id)
-            self._check_complete(self._root_id, self.world, seg, seg_id)
-
-    def _check_complete(self, page_id: int, region: Rect, seg, seg_id: int) -> None:
-        node: RPlusNode = self.ctx.pool.get(page_id)
-        if node.is_leaf:
-            qedge = seg.clipped(region)
-            if qedge is None or qedge.is_degenerate():
-                return
-            assert any(ref == seg_id for _, ref in node.entries), (
-                f"segment {seg_id} missing from a leaf its geometry crosses"
-            )
-            return
-        for r, child in node.entries:
-            if seg.intersects_rect(r):
-                self._check_complete(child, r, seg, seg_id)

@@ -30,28 +30,32 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.core.interface import NNItem, query_lower_bound
-from repro.core.rplus.node import RPlusNode
+from repro.core.interface import NNItem, SpatialIndex, query_lower_bound
 from repro.core.rplus.rplus import RPlusTree, _clip_rect
+from repro.core.rtree.node import RTreeNode
 from repro.geometry import Point, Rect
 
 
 class TrueRPlusTree(RPlusTree):
     name = "R+t"
+    stock_search = None  # its searches prune by the sidecar, in loops of its own
+    # The sidecar is navigational state no manifest carries: no snapshots.
+    params = SpatialIndex.params
+    state = SpatialIndex.state
 
     def __init__(self, ctx, world: Optional[Rect] = None, capacity=None) -> None:
         super().__init__(ctx, world=world, capacity=capacity)
         #: Content MBR per page, always clipped to the page's partition.
         #: Absent key = empty node (nothing can match inside it).
-        self._content_mbr: Dict[int, Rect] = {}
+        self.content_mbr: Dict[int, Rect] = {}
 
     # ------------------------------------------------------------------
     # MBR maintenance through the hybrid's hooks
     # ------------------------------------------------------------------
     def _note_leaf_insert(self, page_id: int, region: Rect, mbr: Rect) -> None:
         clipped = _clip_rect(mbr, region)
-        current = self._content_mbr.get(page_id)
-        self._content_mbr[page_id] = (
+        current = self.content_mbr.get(page_id)
+        self.content_mbr[page_id] = (
             clipped if current is None else current.merged(clipped)
         )
         # Maintaining the enclosing rectangle is the extra work the paper
@@ -63,14 +67,14 @@ class TrueRPlusTree(RPlusTree):
         # grow its content MBR by the clipped segment MBR. Splits below
         # recompute exact MBRs afterwards, which only tightens this.
         clipped = _clip_rect(mbr, region)
-        current = self._content_mbr.get(page_id)
-        self._content_mbr[page_id] = (
+        current = self.content_mbr.get(page_id)
+        self.content_mbr[page_id] = (
             clipped if current is None else current.merged(clipped)
         )
         self.ctx.counters.bbox_comps += 1
 
     def _note_node_rewritten(
-        self, page_id: int, region: Rect, node: RPlusNode
+        self, page_id: int, region: Rect, node: RTreeNode
     ) -> None:
         mbr: Optional[Rect] = None
         if node.is_leaf:
@@ -79,20 +83,20 @@ class TrueRPlusTree(RPlusTree):
                 mbr = clipped if mbr is None else mbr.merged(clipped)
         else:
             for r, child in node.entries:
-                child_mbr = self._content_mbr.get(child)
+                child_mbr = self.content_mbr.get(child)
                 if child_mbr is None:
                     continue
                 mbr = child_mbr if mbr is None else mbr.merged(child_mbr)
         self.ctx.counters.bbox_comps += len(node.entries)
         if mbr is None:
-            self._content_mbr.pop(page_id, None)
+            self.content_mbr.pop(page_id, None)
         else:
-            self._content_mbr[page_id] = _clip_rect(mbr, region)
+            self.content_mbr[page_id] = _clip_rect(mbr, region)
 
     def _prune_rect(self, child: int, partition: Rect) -> Optional[Rect]:
         """The rectangle a search must test: the content MBR (or nothing
         at all for an empty subtree)."""
-        return self._content_mbr.get(child)
+        return self.content_mbr.get(child)
 
     # ------------------------------------------------------------------
     # Searches (pruned by content MBRs)
@@ -101,10 +105,10 @@ class TrueRPlusTree(RPlusTree):
         out: List[int] = []
         pool = self.ctx.pool
         counters = self.ctx.counters
-        stack = [self._root_id]
+        stack = [self.root_id]
         while stack:
             page_id = stack.pop()
-            node: RPlusNode = pool.get(page_id)
+            node: RTreeNode = pool.get(page_id)
             counters.bbox_comps += len(node.entries)
             if node.is_leaf:
                 out.extend(ref for r, ref in node.entries if r.contains_point(p))
@@ -119,10 +123,10 @@ class TrueRPlusTree(RPlusTree):
         out: List[int] = []
         pool = self.ctx.pool
         counters = self.ctx.counters
-        stack = [self._root_id]
+        stack = [self.root_id]
         while stack:
             page_id = stack.pop()
-            node: RPlusNode = pool.get(page_id)
+            node: RTreeNode = pool.get(page_id)
             counters.bbox_comps += len(node.entries)
             if node.is_leaf:
                 out.extend(ref for r, ref in node.entries if r.intersects(rect))
@@ -134,7 +138,7 @@ class TrueRPlusTree(RPlusTree):
         return out
 
     def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
-        node: RPlusNode = self.ctx.pool.get(ref)
+        node: RTreeNode = self.ctx.pool.get(ref)
         self.ctx.counters.bbox_comps += len(node.entries)
         if node.is_leaf:
             if not node.entries:
@@ -148,37 +152,3 @@ class TrueRPlusTree(RPlusTree):
                 continue  # empty subtree: nothing to visit
             out.append(NNItem(query_lower_bound(p, prune), False, child))
         return out
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        super().check_invariants()
-        self._check_mbrs(self._root_id, self.world)
-
-    def _check_mbrs(self, page_id: int, region: Rect) -> Optional[Rect]:
-        """The sidecar MBR must contain the true content MBR (it may be
-        loose after deletions, never tight-side wrong)."""
-        node: RPlusNode = self.ctx.pool.get(page_id)
-        actual: Optional[Rect] = None
-        if node.is_leaf:
-            for r, _ in node.entries:
-                clipped = _clip_rect(r, region)
-                actual = clipped if actual is None else actual.merged(clipped)
-        else:
-            for r, child in node.entries:
-                child_mbr = self._check_mbrs(child, r)
-                if child_mbr is not None:
-                    actual = (
-                        child_mbr if actual is None else actual.merged(child_mbr)
-                    )
-        stored = self._content_mbr.get(page_id)
-        if actual is not None:
-            assert stored is not None, f"missing content MBR for page {page_id}"
-            assert stored.contains_rect(actual), (
-                f"content MBR of page {page_id} does not cover its contents"
-            )
-            assert region.contains_rect(stored), (
-                f"content MBR of page {page_id} escapes its partition"
-            )
-        return stored

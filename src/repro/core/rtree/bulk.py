@@ -110,10 +110,10 @@ def bulk_load_str(
         is_leaf = False
 
     # Swap the freshly packed tree in for the empty root.
-    old_root = tree._root_id
+    old_root = tree.root_id
     tree._page_ids.discard(old_root)
     tree.ctx.pool.drop(old_root)
     tree.ctx.disk.free(old_root)
-    tree._root_id = root_id
+    tree.root_id = root_id
     tree._height = height
     tree._count = count

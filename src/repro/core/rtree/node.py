@@ -1,4 +1,5 @@
-"""R-tree node payload (one node per disk page)."""
+"""The R-tree family's node payload (one node per disk page): R, R* and
+R+ alike keep 20-byte ``(R, O)`` 2-tuples, 50 to a 1 KiB page."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ from typing import List, Tuple
 from repro.geometry import Rect
 
 #: An entry is the paper's 2-tuple (R, O): a rectangle plus a pointer.
-#: In leaves O is a segment id; in non-leaves O is a child page id.
+#: In leaves O is a segment id and R its MBR; in non-leaves O is a child
+#: page id and R the child's MBR -- or, in the R+-tree, its partition
+#: region (the regions of one node tile its own region exactly).
 Entry = Tuple[Rect, int]
 
 

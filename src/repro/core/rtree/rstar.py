@@ -28,6 +28,7 @@ from repro.storage.context import StorageContext
 
 class RStarTree(GuttmanRTree):
     name = "R*"
+    _split_fn = staticmethod(split_rstar)
 
     #: Fraction of entries force-reinserted on first overflow (paper: 30 %).
     REINSERT_FRACTION = 0.3

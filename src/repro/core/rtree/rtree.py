@@ -12,27 +12,24 @@ which charges *disk accesses*.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.interface import NNItem, SpatialIndex
 from repro.core.rtree.node import Entry, RTreeNode
 from repro.core.rtree.splits import split_quadratic
-from repro.core.treesearch import expand_node, search_tree
-from repro.geometry import Point, Rect
+from repro.core.treesearch import NodeTree
+from repro.geometry import Rect
 from repro.storage.context import StorageContext
-from repro.storage.layout import (
-    RTREE_PAGE_HEADER_BYTES,
-    RTREE_TUPLE_BYTES,
-    entries_per_page,
-)
 
 SplitFn = Callable[[Sequence[Entry], int], Tuple[List[Entry], List[Entry]]]
 
 
-class GuttmanRTree(SpatialIndex):
+class GuttmanRTree(NodeTree):
     """The original R-tree (quadratic split by default)."""
 
     name = "R"
+    #: The class's node split; ``split=`` overrides it for one tree (a
+    #: reopened tree splits by its class's).
+    _split_fn = staticmethod(split_quadratic)
 
     def __init__(
         self,
@@ -42,25 +39,44 @@ class GuttmanRTree(SpatialIndex):
         capacity: Optional[int] = None,
     ) -> None:
         super().__init__(ctx)
-        self.capacity = (
-            capacity
-            if capacity is not None
-            else entries_per_page(
-                ctx.page_size, RTREE_TUPLE_BYTES, RTREE_PAGE_HEADER_BYTES
-            )
-        )
-        if self.capacity < 4:
-            raise ValueError(f"page too small: node capacity {self.capacity} < 4")
-        self.min_entries = max(2, int(self.capacity * min_fill))
-        if 2 * self.min_entries > self.capacity + 1:
-            raise ValueError(
-                f"min_fill {min_fill} too large for capacity {self.capacity}"
-            )
+        capacity = self._node_capacity(capacity)
+        min_entries = max(2, int(capacity * min_fill))
+        if 2 * min_entries > capacity + 1:
+            raise ValueError(f"min_fill {min_fill} too large for capacity {capacity}")
         self._split_fn = split
-        self._root_id = ctx.pool.create(RTreeNode(is_leaf=True))
-        self._height = 1
-        self._page_ids: Set[int] = {self._root_id}
-        self._count = 0
+        self._open({"capacity": capacity, "min_entries": min_entries}, None)
+
+    # ------------------------------------------------------------------
+    # Declaration
+    # ------------------------------------------------------------------
+    def params(self) -> Dict[str, Any]:
+        return {"capacity": self.capacity, "min_entries": self.min_entries}
+
+    def state(self) -> Dict[str, Any]:
+        return {
+            "state": {
+                "root_id": self.root_id,
+                "height": self._height,
+                "count": self._count,
+                "page_ids": sorted(self._page_ids),
+            }
+        }
+
+    def _open(self, params: Dict[str, Any], state) -> None:
+        self.capacity = params["capacity"]
+        self.min_entries = params["min_entries"]
+        if state is None:
+            root = self.ctx.pool.create(RTreeNode(is_leaf=True))
+            state = {"root_id": root, "height": 1, "count": 0, "page_ids": [root]}
+        else:
+            state = state["state"]
+        self.root_id: int = state["root_id"]
+        self._height: int = state["height"]
+        self._count: int = state["count"]
+        self._page_ids: Set[int] = set(state["page_ids"])
+
+    def page_inventories(self) -> Dict[str, Set[int]]:
+        return {"rtree": set(self._page_ids), **super().page_inventories()}
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -83,45 +99,13 @@ class GuttmanRTree(SpatialIndex):
         self._condense(path)
 
     # ------------------------------------------------------------------
-    # Searches
-    # ------------------------------------------------------------------
-    def candidate_ids_at_point(self, p: Point) -> List[int]:
-        return search_tree(self.ctx, self._root_id, Rect.contains_point, p)
-
-    def candidate_ids_in_rect(self, rect: Rect) -> List[int]:
-        return search_tree(self.ctx, self._root_id, Rect.intersects, rect)
-
-    def nn_start(self, p: Point) -> List[NNItem]:
-        return [NNItem(0.0, False, self._root_id)]
-
-    def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
-        return expand_node(self.ctx, ref, p)
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def page_count(self) -> int:
         return len(self._page_ids)
 
-    def height(self) -> int:
-        return self._height
-
     def entry_count(self) -> int:
         return self._count
-
-    def leaf_occupancy(self) -> float:
-        """Average number of entries per leaf page (Concluding Remarks)."""
-        leaves = entries = 0
-        stack = [self._root_id]
-        pool = self.ctx.pool
-        while stack:
-            node = pool.get(stack.pop())
-            if node.is_leaf:
-                leaves += 1
-                entries += len(node.entries)
-            else:
-                stack.extend(ref for _, ref in node.entries)
-        return entries / leaves if leaves else 0.0
 
     # ------------------------------------------------------------------
     # Insertion machinery
@@ -143,7 +127,7 @@ class GuttmanRTree(SpatialIndex):
     ) -> None:
         pool = self.ctx.pool
         path: List[Tuple[int, RTreeNode, int]] = []
-        page_id = self._root_id
+        page_id = self.root_id
         node: RTreeNode = pool.get(page_id)
         level = self._height - 1
         while level > target_level:
@@ -231,8 +215,8 @@ class GuttmanRTree(SpatialIndex):
             is_leaf=False,
             entries=[(old_root.mbr(), old_root_id), new_entry],
         )
-        self._root_id = self.ctx.pool.create(root)
-        self._page_ids.add(self._root_id)
+        self.root_id = self.ctx.pool.create(root)
+        self._page_ids.add(self.root_id)
         self._height += 1
 
     # ------------------------------------------------------------------
@@ -261,7 +245,7 @@ class GuttmanRTree(SpatialIndex):
             path.pop()
             return None
 
-        return descend(self._root_id, [])
+        return descend(self.root_id, [])
 
     def _condense(self, path: List[Tuple[int, RTreeNode]]) -> None:
         pool = self.ctx.pool
@@ -287,15 +271,15 @@ class GuttmanRTree(SpatialIndex):
             level += 1
 
         # Shrink the root while it is an internal node with a single child.
-        root = pool.get(self._root_id)
+        root = pool.get(self.root_id)
         while not root.is_leaf and len(root.entries) == 1:
-            old_root_id = self._root_id
-            self._root_id = root.entries[0][1]
+            old_root_id = self.root_id
+            self.root_id = root.entries[0][1]
             self._page_ids.discard(old_root_id)
             pool.drop(old_root_id)
             self.ctx.disk.free(old_root_id)
             self._height -= 1
-            root = pool.get(self._root_id)
+            root = pool.get(self.root_id)
 
         for orphan_level, entries in orphans:
             for r, ref in entries:
@@ -303,34 +287,3 @@ class GuttmanRTree(SpatialIndex):
                 # clamp to re-rooting at the leaves in that (rare) case.
                 target = min(orphan_level, self._height - 1)
                 self._insert_entry(r, ref, target, overflow_levels=set())
-
-    # ------------------------------------------------------------------
-    # Validation
-    # ------------------------------------------------------------------
-    def check_invariants(self) -> None:
-        pool = self.ctx.pool
-        seen_pages: Set[int] = set()
-        leaf_refs: List[int] = []
-
-        def walk(page_id: int, depth: int, parent_rect: Optional[Rect]) -> None:
-            assert page_id in self._page_ids, f"page {page_id} untracked"
-            assert page_id not in seen_pages, f"page {page_id} shared"
-            seen_pages.add(page_id)
-            node: RTreeNode = pool.get(page_id)
-            assert len(node.entries) <= self.capacity, "overfull node"
-            if page_id != self._root_id:
-                assert len(node.entries) >= self.min_entries, "underfull node"
-            elif not node.is_leaf:
-                assert len(node.entries) >= 2, "internal root with < 2 entries"
-            if node.entries and parent_rect is not None:
-                assert parent_rect == node.mbr(), "parent MBR not tight"
-            if node.is_leaf:
-                assert depth == self._height, "leaf at wrong depth"
-                leaf_refs.extend(ref for _, ref in node.entries)
-            else:
-                for r, child in node.entries:
-                    walk(child, depth + 1, r)
-
-        walk(self._root_id, 1, None)
-        assert seen_pages == self._page_ids, "page bookkeeping mismatch"
-        assert len(leaf_refs) == self._count, "entry count mismatch"

@@ -1,4 +1,5 @@
-"""The R-tree family's searches: one loop each, shared by every variant.
+"""The R-tree family's searches: one loop each, shared by every variant
+through one base class (:class:`NodeTree`).
 
 Guttman, R* and R+ nodes share the shape these functions rely on --
 ``is_leaf`` plus ``entries`` of ``(rect, ref)`` pairs -- and search them
@@ -19,12 +20,17 @@ the measurement.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Optional, Set
 
-from repro.core.interface import NNItem, NNQuery, query_lower_bound
-from repro.geometry import Rect
+from repro.core.interface import NNItem, NNQuery, SpatialIndex, query_lower_bound
+from repro.geometry import Point, Rect
 from repro.obs.trace import TRACER
 from repro.storage.context import StorageContext
+from repro.storage.layout import (
+    RTREE_PAGE_HEADER_BYTES,
+    RTREE_TUPLE_BYTES,
+    entries_per_page,
+)
 
 
 def search_tree(
@@ -89,3 +95,47 @@ def expand_node(ctx: StorageContext, ref: Any, p: NNQuery) -> List[NNItem]:
     return [
         NNItem(query_lower_bound(p, r), False, child) for r, child in node.entries
     ]
+
+
+class NodeTree(SpatialIndex):
+    """What the R-tree family shares: one node per page, ``(rect, ref)``
+    entries (the paper's 20-byte 2-tuples), reached from ``root_id`` by
+    the loops above. Guttman's R-tree, the R*-tree and the R+-tree are
+    insertion and split policies over it."""
+
+    stock_search = "rtree"
+    root_id: int
+    _height: int
+    _page_ids: Set[int]
+
+    def _node_capacity(self, capacity: Optional[int]) -> int:
+        """``capacity``, or what a page of this context holds."""
+        if capacity is None:
+            capacity = entries_per_page(
+                self.ctx.page_size, RTREE_TUPLE_BYTES, RTREE_PAGE_HEADER_BYTES
+            )
+        if capacity < 4:
+            raise ValueError(f"page too small: node capacity {capacity} < 4")
+        return capacity
+
+    def candidate_ids_at_point(self, p: Point) -> List[int]:
+        return search_tree(self.ctx, self.root_id, Rect.contains_point, p)
+
+    def candidate_ids_in_rect(self, rect: Rect) -> List[int]:
+        return search_tree(self.ctx, self.root_id, Rect.intersects, rect)
+
+    def nn_start(self, p: Point) -> List[NNItem]:
+        return [NNItem(0.0, False, self.root_id)]
+
+    def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
+        return expand_node(self.ctx, ref, p)
+
+    def height(self) -> int:
+        return self._height
+
+    def leaf_occupancy(self) -> float:
+        """Average entries per leaf page (Concluding Remarks). Peeks:
+        looking at a structure is never charged."""
+        nodes = [self.ctx.disk.peek(pid) for pid in self._page_ids]
+        leaves = [len(node.entries) for node in nodes if node.is_leaf]
+        return sum(leaves) / len(leaves) if leaves else 0.0

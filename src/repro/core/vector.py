@@ -55,9 +55,6 @@ except ImportError:  # pragma: no cover
 
 from repro.core.backends import ScalarBackend
 from repro.core.interface import SpatialIndex
-from repro.core.pmr.pmr import PMRQuadtree
-from repro.core.rplus.rplus import RPlusTree
-from repro.core.rtree.rtree import GuttmanRTree
 from repro.geometry import Point, Rect
 from repro.obs.explain import CAUSE_SEGMENT_TABLE
 from repro.obs.trace import TRACER
@@ -254,11 +251,11 @@ class _BTreeMirror:
     __slots__ = ("internal", "leaf_pages", "leaf_pos", "leaf_ends",
                  "keys", "seg_ids", "bboxes")
 
-    def __init__(self, index: "PMRQuadtree") -> None:
+    def __init__(self, index: SpatialIndex) -> None:
         btree = index.btree
         peek = btree.pool.disk.peek
         self.internal: Dict[int, Tuple[list, list]] = {}
-        stack = [btree._root_id]
+        stack = [btree.root_id]
         while stack:
             pid = stack.pop()
             node = peek(pid)
@@ -267,7 +264,7 @@ class _BTreeMirror:
             self.internal[pid] = (node.keys, node.children)
             stack.extend(node.children)
 
-        pid = btree._root_id
+        pid = btree.root_id
         node = peek(pid)
         while not node.is_leaf:
             pid = node.children[0]
@@ -321,7 +318,7 @@ class _PMRMirror:
     __slots__ = ("xmin", "ymin", "xmax", "ymax", "lo", "hi", "lo_arr",
                  "hi_arr", "entry_count", "bt")
 
-    def __init__(self, index: "PMRQuadtree") -> None:
+    def __init__(self, index: SpatialIndex) -> None:
         self.entry_count = len(index.btree)
         self.bt = _BTreeMirror(index) if 2 * index.max_depth <= 62 else None
         los: List[int] = []
@@ -333,10 +330,10 @@ class _PMRMirror:
             if block.children is not None:
                 stack.extend(block.children)
                 continue
-            lo = index._code(block)
+            lo = index.code_of(block)
             los.append(lo)
             his.append(lo + (1 << (2 * (index.max_depth - block.depth))) - 1)
-            rects.append(index._rect(block))
+            rects.append(index.rect_of(block))
         # Codes stay Python ints (arbitrary precision); the int64 twins
         # exist only when the B-tree mirror proved they fit.
         self.lo = los
@@ -379,7 +376,7 @@ def _scan_range_entries(btree, lo_key, hi_key) -> List[Tuple[Any, Any]]:
     entry, which is what makes large window scans cheap.
     """
     pool = btree.pool
-    node = pool.get(btree._root_id)
+    node = pool.get(btree.root_id)
     probe = (lo_key,)
     while not node.is_leaf:
         node = pool.get(node.children[bisect_right(node.keys, probe)])
@@ -446,36 +443,6 @@ class VectorBackend(ScalarBackend):
             ),
         }
 
-    @staticmethod
-    def _tree_vectorizable(index: SpatialIndex) -> bool:
-        """True for indexes using the stock R/R*/R+ traversal loops.
-
-        Subclasses that override the candidate searches (KDB, the true
-        R+ variant) carry different node/stack shapes and fall back to
-        the scalar path instead of risking silent divergence.
-        """
-        cls = type(index)
-        return isinstance(index, (GuttmanRTree, RPlusTree)) and (
-            cls.candidate_ids_in_rect
-            in (
-                GuttmanRTree.candidate_ids_in_rect,
-                RPlusTree.candidate_ids_in_rect,
-            )
-            and cls.candidate_ids_at_point
-            in (
-                GuttmanRTree.candidate_ids_at_point,
-                RPlusTree.candidate_ids_at_point,
-            )
-        )
-
-    @staticmethod
-    def _pmr_vectorizable(index: SpatialIndex) -> bool:
-        return (
-            isinstance(index, PMRQuadtree)
-            and type(index).candidate_ids_in_rect
-            is PMRQuadtree.candidate_ids_in_rect
-        )
-
     def _tree_mirror(self, index: SpatialIndex) -> _TreeMirror:
         mirror = self._tree_mirrors.get(id(index))
         if mirror is None:
@@ -483,7 +450,7 @@ class VectorBackend(ScalarBackend):
             self._tree_mirrors[id(index)] = mirror
         return mirror
 
-    def _pmr_mirror(self, index: "PMRQuadtree") -> _PMRMirror:
+    def _pmr_mirror(self, index: SpatialIndex) -> _PMRMirror:
         mirror = self._pmr_mirrors.get(id(index))
         if mirror is None or mirror.entry_count != len(index.btree):
             mirror = _PMRMirror(index)
@@ -650,11 +617,11 @@ class VectorBackend(ScalarBackend):
 
     # -- single-query traversal ----------------------------------------
     def _window(self, index: SpatialIndex, window: Rect, mode: str):
-        if self._tree_vectorizable(index):
+        if index.stock_search == "rtree":
             candidates = self._tree_candidates(index, "window", window)
             return self._verify_window(index, candidates, window, mode)
         prof = TRACER.current_profile() if TRACER.profiling else None
-        if prof is None and self._pmr_vectorizable(index):
+        if prof is None and index.stock_search == "pmr":
             candidates = self._pmr_rect_candidates(index, window)
             return self._verify_window(index, candidates, window, mode)
         # Unsupported structures run the scalar reference; so does a PMR
@@ -663,7 +630,7 @@ class VectorBackend(ScalarBackend):
         return super()._window(index, window, mode)
 
     def _incident(self, index: SpatialIndex, p: Point):
-        if self._tree_vectorizable(index):
+        if index.stock_search == "rtree":
             candidates = self._tree_candidates(index, "point", p)
             return self._verify_incident(index, candidates, p)
         # The PMR point search is a single in-memory descent plus one
@@ -683,7 +650,7 @@ class VectorBackend(ScalarBackend):
         counters = index.ctx.counters
         mirror = self._tree_mirror(index)
         out: List[int] = []
-        stack = [index._root_id]
+        stack = [index.root_id]
         while stack:
             page_id = stack.pop()
             if prof is not None:
@@ -710,7 +677,7 @@ class VectorBackend(ScalarBackend):
                 stack.extend(matched)
         return out
 
-    def _pmr_rect_candidates(self, index: "PMRQuadtree", rect: Rect):
+    def _pmr_rect_candidates(self, index: SpatialIndex, rect: Rect):
         """Window decomposition over the leaf mirror.
 
         One mask replaces the recursive directory walk; the interval
@@ -768,12 +735,12 @@ class VectorBackend(ScalarBackend):
                     if Rect(v[1][0], v[1][1], v[1][2], v[1][3]).intersects(rect):
                         out.append(v[0])
                 else:
-                    out.append(index._seg_id_of(v))
+                    out.append(index.seg_id_of(v))
         return out
 
     def _pmr_scan_runs(
         self,
-        index: "PMRQuadtree",
+        index: SpatialIndex,
         bt: _BTreeMirror,
         run_los,
         run_his,
@@ -794,7 +761,7 @@ class VectorBackend(ScalarBackend):
         leaf_pos = bt.leaf_pos
         internal = bt.internal
         n_leaves = len(leaf_pages)
-        root = index.btree._root_id
+        root = index.btree.root_id
         j0s = keys.searchsorted(run_los, "left")
         j1s = keys.searchsorted(run_his, "right")
         pages: List[Tuple[int, int]] = []
@@ -857,7 +824,7 @@ class VectorBackend(ScalarBackend):
         # to. ``TRACER.profiling`` alone counts attached threads process-
         # wide: an EXPLAIN elsewhere must not unfuse this batch.
         prof = TRACER.current_profile() if TRACER.profiling else None
-        if prof is None and self._tree_vectorizable(index):
+        if prof is None and index.stock_search == "rtree":
             # One fused descent per mode group: every member of a group
             # shares one candidate sweep and one batched verify pass.
             for mode in ("intersects", "contains"):
@@ -896,7 +863,7 @@ class VectorBackend(ScalarBackend):
                         else [sid for sid, _ in pairs]
                     )
                 fused.update(point_ix)
-        elif prof is None and self._pmr_vectorizable(index):
+        elif prof is None and index.stock_search == "pmr":
             # PMR has no shared descent to fuse (each window charges its
             # own decomposition + scans), but the verify pass batches:
             # group same-mode windows behind one predicate sweep.
@@ -956,7 +923,7 @@ class VectorBackend(ScalarBackend):
             py = [p.y for p in queries]
             qb = np.array([px, py, px, py], dtype=np.float64)
 
-        root = index._root_id
+        root = index.root_id
         frontier: Dict[int, List[int]] = {root: list(range(n))}
         # plans[q][page_id] = (is_leaf, matched refs in entry order)
         plans: List[Dict[int, Tuple[bool, List[int]]]] = [

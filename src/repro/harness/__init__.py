@@ -21,11 +21,7 @@ tables and figures.
 """
 
 from repro.harness.build_stats import BuildRow, table1
-from repro.harness.experiment import (
-    STRUCTURE_FACTORIES,
-    BuiltStructure,
-    build_structure,
-)
+from repro.harness.experiment import BuiltStructure, build_structure
 from repro.harness.normalized import NormalizedRange, normalized_ranges
 from repro.harness.occupancy import occupancy_report, pmr_threshold_sweep
 from repro.harness.query_stats import county_query_stats
@@ -47,7 +43,6 @@ __all__ = [
     "NormalizedRange",
     "PolygonSurvey",
     "QueryStats",
-    "STRUCTURE_FACTORIES",
     "WORKLOAD_NAMES",
     "build_structure",
     "county_query_stats",

@@ -10,40 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Optional
 
-from repro.core import (
-    GuttmanRTree,
-    KDBTree,
-    PM1Quadtree,
-    PM2Quadtree,
-    PM3Quadtree,
-    PMRQuadtree,
-    RPlusTree,
-    RStarTree,
-    SpatialIndex,
-    TrueRPlusTree,
-    UniformGrid,
-)
+from repro.core import STRUCTURES, SpatialIndex
 from repro.data.generator import MapData
 from repro.storage import MetricsSnapshot, StorageContext
 from repro.storage.policies import ReplacementPolicy
-
-#: Factories for the structures by their table name. The PMR threshold of
-#: 4 follows the paper's road-network argument (more than 4 roads rarely
-#: meet at a point); R-tree m = 40 % of M follows the R*-tree authors.
-STRUCTURE_FACTORIES: Dict[str, Callable[..., SpatialIndex]] = {
-    "R*": lambda ctx, **kw: RStarTree(ctx, **kw),
-    "R+": lambda ctx, **kw: RPlusTree(ctx, **kw),
-    "PMR": lambda ctx, **kw: PMRQuadtree(ctx, **kw),
-    "R": lambda ctx, **kw: GuttmanRTree(ctx, **kw),
-    "kdB": lambda ctx, **kw: KDBTree(ctx, **kw),
-    "grid": lambda ctx, **kw: UniformGrid(ctx, **kw),
-    "PM1": lambda ctx, **kw: PM1Quadtree(ctx, **kw),
-    "PM2": lambda ctx, **kw: PM2Quadtree(ctx, **kw),
-    "PM3": lambda ctx, **kw: PM3Quadtree(ctx, **kw),
-    "R+t": lambda ctx, **kw: TrueRPlusTree(ctx, **kw),
-}
 
 
 @dataclass
@@ -80,12 +52,12 @@ def build_structure(
         page_size=page_size, pool_pages=pool_pages, policy=policy
     )
     try:
-        factory = STRUCTURE_FACTORIES[name]
+        cls = STRUCTURES[name]
     except KeyError:
         raise KeyError(
-            f"unknown structure {name!r}; choose from {sorted(STRUCTURE_FACTORIES)}"
+            f"unknown structure {name!r}; choose from {sorted(STRUCTURES)}"
         ) from None
-    index = factory(ctx, **index_kwargs)
+    index = cls(ctx, **index_kwargs)
 
     seg_ids = ctx.load_segments(map_data.segments)
     before = ctx.counters.snapshot()

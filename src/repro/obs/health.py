@@ -52,7 +52,7 @@ def _occupancy_bucket(fill: float) -> str:
     return "75-100"
 
 
-def _tree_health(index) -> Dict[str, Any]:
+def _tree_health(index, node_pages) -> Dict[str, Any]:
     """Health for the R-tree family (Guttman, R*, R+): a full peek-walk
     over the node pages."""
     disk = index.ctx.disk
@@ -63,7 +63,7 @@ def _tree_health(index) -> Dict[str, Any]:
     leaf_mbr_area = 0.0
     leaf_covered_area = 0.0
 
-    for pid in index._page_ids:
+    for pid in node_pages:
         node = disk.peek(pid)
         occupancy[_occupancy_bucket(len(node.entries) / capacity)] += 1
         if node.is_leaf:
@@ -81,9 +81,7 @@ def _tree_health(index) -> Dict[str, Any]:
                     overlap_area += r.overlap_area(other)
 
     entries = index.entry_count()
-    segments = (
-        index.segment_count() if hasattr(index, "segment_count") else entries
-    )
+    segments = index.segment_count()
     # Upper bound on wasted leaf area: entry rectangles may overlap, so
     # the covered sum can exceed the MBR area; clamp to [0, 1].
     dead_space = (
@@ -143,27 +141,26 @@ def _pmr_health(index) -> Dict[str, Any]:
 def compute_health(index) -> Dict[str, Any]:
     """Structural health of one index, as a JSON-ready dict.
 
-    Dispatches on shape: the PMR exposes a block directory (``root`` +
-    ``btree``); anything with paged nodes and a capacity gets the tree
-    walk. Reads only via ``disk.peek`` / in-memory state -- never through
-    the buffer pool -- so no counter moves.
+    Chosen by what the index declares: one that owns ``(rect, ref)``
+    node pages (``page_inventories()``) gets the tree walk, one searched
+    by the stock PMR loops (``stock_search``) the directory walk, and
+    anything else its shape accessors. Reads only via ``disk.peek`` /
+    in-memory state -- never through the buffer pool -- so no counter
+    moves.
     """
-    report: Dict[str, Any]
-    if hasattr(index, "btree") and hasattr(index, "root"):
+    pages = index.page_inventories()
+    node_pages = pages.get("rtree") or pages.get("rplus")
+    if node_pages:
+        report = _tree_health(index, node_pages)
+    elif index.stock_search == "pmr":
         report = _pmr_health(index)
-    elif hasattr(index, "_page_ids") and hasattr(index, "capacity"):
-        report = _tree_health(index)
     else:
         report = {
             "kind": "generic",
             "height": index.height(),
             "pages": index.page_count(),
             "entries": index.entry_count(),
-            "segments": (
-                index.segment_count()
-                if hasattr(index, "segment_count")
-                else index.entry_count()
-            ),
+            "segments": index.segment_count(),
         }
     report["structure"] = index.name
     return report

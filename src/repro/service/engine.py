@@ -124,6 +124,8 @@ class QueryEngine:
         self.totals = MetricsCounters()
         self.registry = registry if registry is not None else get_registry()
         self._sessions: Dict[str, QuerySession] = {}
+        # What the sessions of ended connections were charged, as one row.
+        self._closed: Optional[QuerySession] = None
         self._sessions_lock = make_lock("service.engine.sessions")
         self._deferred = threading.local()
         self._anon = itertools.count(1)
@@ -166,9 +168,34 @@ class QueryEngine:
                 session = self._sessions[name] = QuerySession(name)
             return session
 
+    def retire(self, session: QuerySession) -> None:
+        """Fold an ended connection's session into the ``closed`` row.
+
+        Under the latch, where :meth:`_attributed` merges, so no charge
+        is lost between the fold and the swap; a request of that
+        connection still running (the async server's executor outlives
+        the socket) then charges the row directly, and
+        :meth:`counters_consistent` stays exact.
+        """
+        with self.latch:
+            with self._sessions_lock:
+                if self._sessions.get(session.name) is not session:
+                    return
+                del self._sessions[session.name]
+                if self._closed is None:
+                    self._closed = QuerySession("closed")
+                closed = self._closed
+                closed.counters.merge(session.counters)
+                closed.queries += session.queries
+                closed.cache_hits += session.cache_hits
+                session.counters = closed.counters
+
     def sessions(self) -> List[QuerySession]:
+        """Live connections, named Python sessions and, once a
+        connection has ended, the one ``closed`` row."""
         with self._sessions_lock:
-            return list(self._sessions.values())
+            live = list(self._sessions.values())
+            return live if self._closed is None else live + [self._closed]
 
     def counters_consistent(self) -> bool:
         """Do the per-session counters sum to the shared totals?"""
@@ -571,20 +598,6 @@ class QueryEngine:
             return seg_id
 
         return self._mutate(session, apply)
-
-    def insert(self, seg_id: int, session: Optional[QuerySession] = None) -> None:
-        """Index an already-stored segment, invalidating the cache.
-
-        Not a wire-protocol op: re-indexing an existing id is not
-        representable in the WAL, so it stays a direct (local-only)
-        maintenance method.
-        """
-        if self.store is not None:
-            raise RuntimeError(
-                "re-indexing an existing segment id is not representable "
-                "in the WAL; durable mode accepts insert_segment/delete only"
-            )
-        self._mutate(session, lambda: self.index.insert(seg_id))
 
     def delete(self, seg_id: int, session: Optional[QuerySession] = None) -> None:
         """Unindex a segment, invalidating the cache.

@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.core.interface import WORLD_SIZE
 from repro.errors import FrameTooLargeError, ProtocolError
 from repro.metric_names import DISK_ACCESSES
 from repro.obs import dtrace
@@ -172,18 +171,21 @@ class Protocol:
         """Per-connection state: an engine attributes counters to it."""
         return None if self._route is not None else self.target.session(name)
 
+    def end_session(self, session: Any) -> None:
+        """The connection that :meth:`session` was opened for has ended:
+        the engine folds what it was charged into its ``closed`` row."""
+        if session is not None:
+            self.target.retire(session)
+
     def is_short(self, request: Request) -> bool:
         """:func:`is_short_read` for this target. Never for a router: its
         ``route`` scatters over blocking sockets whatever the op."""
         if self._route is not None or request.raw is None:
             return False
         index = self.target.index
+        # The side of the square as large as the index's own world.
         return is_short_read(
-            request.raw,
-            len(index.ctx.segments),
-            # PMR and grid carry their world; the R-trees have no notion
-            # of one and are built over the default.
-            getattr(index, "world_size", WORLD_SIZE),
+            request.raw, len(index.ctx.segments), index.extent().area() ** 0.5
         )
 
     # ------------------------------------------------------------------

@@ -141,13 +141,14 @@ def _drain_line(readline, chunk: int) -> bool:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
         server: "LineServer" = self.server  # type: ignore[assignment]
-        serve_json_lines(
-            self,
-            server.protocol,
-            server.protocol.session(f"conn-{next(server.connection_ids)}"),
-            server.idle_timeout,
-            server.max_line_bytes,
-        )
+        protocol = server.protocol
+        session = protocol.session(f"conn-{next(server.connection_ids)}")
+        try:
+            serve_json_lines(
+                self, protocol, session, server.idle_timeout, server.max_line_bytes
+            )
+        finally:
+            protocol.end_session(session)
 
 
 class LineServer(socketserver.ThreadingTCPServer):

@@ -3,128 +3,33 @@
 :func:`repro.storage.codec.dump_database` persists raw pages;  that alone
 is not a *snapshot*, because nothing records which pages form the index:
 a reloaded disk could only be queried by re-inserting every segment. This
-module adds the missing manifest. :func:`save_index` flushes the buffer
-pool and writes the pages together with the index kind, its construction
-parameters, its navigational state (root page id, height, counts, page
-inventory), and the segment-table head; :func:`open_index` rebuilds the
-exact index object over the reloaded disk -- zero inserts, zero page
-writes, identical query answers and statistics.
+module adds the missing manifest, and it is the index's own words:
+:func:`save_index` flushes the buffer pool and writes the pages together
+with the index's name, what its ``params()`` and ``state()`` return
+(construction parameters; root page id, height, counts, page inventory
+-- for the PMR quadtree also the B-tree head and the in-memory block
+directory) and the segment-table head; :func:`open_index` hands the
+same sections back to the class's ``reopen``, which binds the exact
+index object to the reloaded disk -- zero inserts, zero page
+allocations or writes, identical query answers and statistics.
 
-Supported kinds are the paper's three structures plus the Guttman
-baseline: ``R*``, ``R+``, ``PMR``, and ``R``. The PMR quadtree snapshot
-additionally records the in-memory block directory (the linear-quadtree
-navigation state) and the B-tree head.
+A structure is snapshottable when its class declares ``state()``
+(:data:`repro.core.SERVABLE`: the paper's three plus the Guttman
+baseline); nothing here knows one kind from another.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, BinaryIO, Dict, List, Optional, Union
+from typing import Any, BinaryIO, Dict, Optional, Union
 
-from repro.core.pmr import PMRQuadtree
-from repro.core.pmr.blocks import PMRBlock
-from repro.core.rplus import RPlusTree
-from repro.core.rtree import GuttmanRTree, RStarTree
-from repro.geometry import Rect
+from repro.core import STRUCTURES
 from repro.errors import SnapshotError
 from repro.storage.codec import dump_database, load_snapshot, read_header
 from repro.storage.context import StorageContext
 from repro.storage.policies import ReplacementPolicy
 
 MANIFEST_VERSION = 1
-
-#: Exact-type registry: subclasses (PM1/PM2/PM3, TrueRPlusTree) have
-#: state this module does not capture, so they are rejected explicitly.
-_KINDS = {
-    RStarTree: "R*",
-    RPlusTree: "R+",
-    PMRQuadtree: "PMR",
-    GuttmanRTree: "R",
-}
-
-
-# ----------------------------------------------------------------------
-# PMR block-directory (de)serialization
-# ----------------------------------------------------------------------
-def _block_to_json(block: PMRBlock) -> Dict[str, Any]:
-    node: Dict[str, Any] = {"d": block.depth, "x": block.bx, "y": block.by}
-    if block.is_leaf:
-        node["c"] = block.count
-    else:
-        node["ch"] = [_block_to_json(child) for child in block.children]
-    return node
-
-
-def _block_from_json(node: Dict[str, Any]) -> PMRBlock:
-    block = PMRBlock(node["d"], node["x"], node["y"])
-    if "ch" in node:
-        block.children = [_block_from_json(child) for child in node["ch"]]
-    else:
-        block.count = node["c"]
-    return block
-
-
-# ----------------------------------------------------------------------
-# Manifest construction
-# ----------------------------------------------------------------------
-def _build_manifest(index) -> Dict[str, Any]:
-    kind = _KINDS.get(type(index))
-    if kind is None:
-        raise SnapshotError(
-            f"no snapshot support for {type(index).__name__}; supported "
-            f"kinds: {sorted(_KINDS.values())}"
-        )
-    table = index.ctx.segments
-    manifest: Dict[str, Any] = {
-        "version": MANIFEST_VERSION,
-        "kind": kind,
-        "segments": {"page_ids": list(table._page_ids), "count": len(table)},
-    }
-    if kind in ("R", "R*"):
-        manifest["params"] = {
-            "capacity": index.capacity,
-            "min_entries": index.min_entries,
-        }
-        manifest["state"] = {
-            "root_id": index._root_id,
-            "height": index._height,
-            "count": index._count,
-            "page_ids": sorted(index._page_ids),
-        }
-    elif kind == "R+":
-        manifest["params"] = {
-            "capacity": index.capacity,
-            "split_rule": index.split_rule,
-            "world": list(index.world),
-        }
-        manifest["state"] = {
-            "root_id": index._root_id,
-            "height": index._height,
-            "seg_count": index._seg_count,
-            "entry_count": index._entry_count,
-            "page_ids": sorted(index._page_ids),
-        }
-    else:  # PMR
-        if index.store_bboxes:
-            raise SnapshotError(
-                "PMR snapshots require store_bboxes=False: the on-disk "
-                "B-tree codec stores (code, pointer) 2-tuples only"
-            )
-        manifest["params"] = {
-            "threshold": index.threshold,
-            "max_depth": index.max_depth,
-            "world_size": index.world_size,
-            "curve": index.curve,
-        }
-        manifest["state"] = {"seg_count": index._seg_count}
-        manifest["btree"] = {
-            "root_id": index.btree._root_id,
-            "height": index.btree._height,
-            "count": index.btree._count,
-            "page_ids": sorted(index.btree._page_ids),
-        }
-        manifest["blocks"] = _block_to_json(index.root)
-    return manifest
 
 
 def save_index(
@@ -135,46 +40,38 @@ def save_index(
     """Persist a built index as a queryable snapshot.
 
     Flushes the buffer pool, then writes every disk page plus a manifest
-    recording the index kind, parameters, root page id, height, page
-    inventory, and segment-table head. Returns the number of pages
-    written. Raises :class:`~repro.errors.SnapshotError` (a ``CodecError``)
-    for unsupported index types.
+    recording the index kind (its row of :data:`repro.core.STRUCTURES`),
+    what its ``params()`` and ``state()`` return, and the segment-table
+    head. Returns the number of pages written. Raises
+    :class:`~repro.errors.SnapshotError` (a ``CodecError``) for an index
+    whose class declares no ``state()``.
 
     ``extra`` merges additional top-level keys into the manifest; the
     durability layer embeds ``{"wal": {"checkpoint_lsn": ...}}`` so a
     checkpoint carries its log position atomically with its pages.
     """
-    manifest = _build_manifest(index)
+    ctx = index.ctx
+    manifest: Dict[str, Any] = {
+        "version": MANIFEST_VERSION,
+        "kind": index.name,
+        "segments": {
+            "page_ids": list(ctx.segments.page_ids),
+            "count": len(ctx.segments),
+        },
+        "params": index.params(),
+        **index.state(),
+    }
     if extra:
         for key in extra:
             if key in manifest:
                 raise SnapshotError(f"extra manifest key {key!r} collides")
         manifest.update(extra)
-    ctx = index.ctx
     ctx.pool.flush()
+    inventories = index.page_inventories()
     if hasattr(dest, "write"):
-        return dump_database(ctx.disk, dest, manifest=manifest, pool=ctx.pool)
+        return dump_database(ctx.disk, dest, manifest, ctx.pool, inventories)
     with open(dest, "wb") as fh:
-        return dump_database(ctx.disk, fh, manifest=manifest, pool=ctx.pool)
-
-
-# ----------------------------------------------------------------------
-# Reopening
-# ----------------------------------------------------------------------
-def _discard_bootstrap(ctx: StorageContext, page_id: int) -> None:
-    """Throw away the root page a constructor allocates.
-
-    The page was born dirty in the pool and never flushed, so dropping it
-    costs no disk write; freeing recycles its id for later allocations.
-    """
-    ctx.pool.drop(page_id)
-    ctx.disk.free(page_id)
-
-
-def _check_pages(ctx: StorageContext, page_ids: List[int], what: str) -> None:
-    for pid in page_ids:
-        if not ctx.disk.is_allocated(pid):
-            raise SnapshotError(f"{what} page {pid} is missing from the snapshot")
+        return dump_database(ctx.disk, fh, manifest, ctx.pool, inventories)
 
 
 def open_index(
@@ -185,9 +82,9 @@ def open_index(
     """Reopen a snapshot written by :func:`save_index` as a live index.
 
     The returned index is immediately queryable: no segment is
-    re-inserted and no page is written. It owns a fresh
-    :class:`~repro.storage.context.StorageContext` (cold buffer pool,
-    zeroed logical counters) over the reloaded disk.
+    re-inserted, no page is allocated and none is written. It owns a
+    fresh :class:`~repro.storage.context.StorageContext` (cold buffer
+    pool, zeroed logical counters) over the reloaded disk.
     """
     if hasattr(src, "read"):
         disk, manifest = load_snapshot(src)
@@ -201,7 +98,9 @@ def open_index(
         )
     if manifest.get("version") != MANIFEST_VERSION:
         raise SnapshotError(f"unsupported manifest version {manifest.get('version')!r}")
-    kind = manifest.get("kind")
+    cls = STRUCTURES.get(manifest.get("kind"))
+    if cls is None:
+        raise SnapshotError(f"unknown index kind {manifest.get('kind')!r} in manifest")
     seg = manifest["segments"]
     ctx = StorageContext.from_disk(
         disk,
@@ -210,52 +109,13 @@ def open_index(
         segment_page_ids=seg["page_ids"],
         segment_count=seg["count"],
     )
-    params = manifest.get("params", {})
-    state = manifest.get("state", {})
-
-    if kind in ("R", "R*"):
-        cls = RStarTree if kind == "R*" else GuttmanRTree
-        index = cls(ctx, capacity=params["capacity"])
-        index.min_entries = params["min_entries"]
-        _discard_bootstrap(ctx, index._root_id)
-        _check_pages(ctx, state["page_ids"], kind)
-        index._root_id = state["root_id"]
-        index._height = state["height"]
-        index._count = state["count"]
-        index._page_ids = set(state["page_ids"])
-    elif kind == "R+":
-        index = RPlusTree(
-            ctx,
-            world=Rect(*params["world"]),
-            capacity=params["capacity"],
-            split_rule=params["split_rule"],
-        )
-        _discard_bootstrap(ctx, index._root_id)
-        _check_pages(ctx, state["page_ids"], kind)
-        index._root_id = state["root_id"]
-        index._height = state["height"]
-        index._seg_count = state["seg_count"]
-        index._entry_count = state["entry_count"]
-        index._page_ids = set(state["page_ids"])
-    elif kind == "PMR":
-        index = PMRQuadtree(
-            ctx,
-            threshold=params["threshold"],
-            max_depth=params["max_depth"],
-            world_size=params["world_size"],
-            curve=params["curve"],
-        )
-        _discard_bootstrap(ctx, index.btree._root_id)
-        btree_state = manifest["btree"]
-        _check_pages(ctx, btree_state["page_ids"], "PMR B-tree")
-        index.btree._root_id = btree_state["root_id"]
-        index.btree._height = btree_state["height"]
-        index.btree._count = btree_state["count"]
-        index.btree._page_ids = set(btree_state["page_ids"])
-        index.root = _block_from_json(manifest["blocks"])
-        index._seg_count = state["seg_count"]
-    else:
-        raise SnapshotError(f"unknown index kind {kind!r} in manifest")
+    index = cls.reopen(ctx, manifest["params"], manifest)
+    for owner, page_ids in index.page_inventories().items():
+        for pid in sorted(page_ids):
+            if not disk.is_allocated(pid):
+                raise SnapshotError(
+                    f"{owner} page {pid} is missing from the snapshot"
+                )
     return index
 
 
@@ -266,31 +126,7 @@ def empty_index_like(index, ctx: StorageContext):
     The shard rebalancer uses this to build each child of a split: same
     capacity/split-rule/threshold/world as the parent, zero entries.
     """
-    kind = _KINDS.get(type(index))
-    if kind is None:
-        raise SnapshotError(
-            f"no snapshot support for {type(index).__name__}; supported "
-            f"kinds: {sorted(_KINDS.values())}"
-        )
-    if kind in ("R", "R*"):
-        cls = RStarTree if kind == "R*" else GuttmanRTree
-        clone = cls(ctx, capacity=index.capacity)
-        clone.min_entries = index.min_entries
-        return clone
-    if kind == "R+":
-        return RPlusTree(
-            ctx,
-            world=index.world,
-            capacity=index.capacity,
-            split_rule=index.split_rule,
-        )
-    return PMRQuadtree(
-        ctx,
-        threshold=index.threshold,
-        max_depth=index.max_depth,
-        world_size=index.world_size,
-        curve=index.curve,
-    )
+    return type(index).reopen(ctx, index.params())
 
 
 def snapshot_info(src: Union[str, os.PathLike, BinaryIO]) -> Dict[str, Any]:

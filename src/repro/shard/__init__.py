@@ -26,7 +26,6 @@ from repro.shard.router import (
     merge_nearest,
 )
 from repro.shard.worker import (
-    SHARD_STRUCTURES,
     LocalShardSet,
     ShardEngine,
     init_shard_set,
@@ -39,7 +38,6 @@ from repro.shard.worker import (
 __all__ = [
     "DEFAULT_ORDER",
     "SHARD_MAP_NAME",
-    "SHARD_STRUCTURES",
     "LocalShardSet",
     "RouterCore",
     "ShardClient",

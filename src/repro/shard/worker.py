@@ -32,8 +32,9 @@ import os
 import socket
 from typing import Any, Dict, Optional
 
+from repro.core import SERVABLE, STRUCTURES
+from repro.core.interface import WORLD_SIZE
 from repro.geometry import Rect
-from repro.harness.experiment import STRUCTURE_FACTORIES
 from repro.obs.metrics import MetricsRegistry
 from repro.sanitize import make_lock
 from repro.service.engine import QueryEngine
@@ -43,9 +44,6 @@ from repro.storage.context import StorageContext
 from repro.wal.store import DurableStore, open_durable
 
 SHARD_ADDR_NAME = "shard.addr"
-
-#: Index kinds a shard set can serve: the snapshot-supported structures.
-SHARD_STRUCTURES = ("R*", "R+", "PMR", "R")
 
 
 class ShardEngine(QueryEngine):
@@ -84,19 +82,6 @@ class ShardEngine(QueryEngine):
 # ----------------------------------------------------------------------
 # Shard-set construction
 # ----------------------------------------------------------------------
-def _make_index(structure: str, ctx: StorageContext, world_size: float):
-    if structure not in SHARD_STRUCTURES:
-        raise ValueError(
-            f"shard sets serve one of {SHARD_STRUCTURES}, got {structure!r}"
-        )
-    kwargs: Dict[str, Any] = {}
-    if structure == "R+":
-        kwargs["world"] = Rect(0.0, 0.0, world_size, world_size)
-    elif structure == "PMR":
-        kwargs["world_size"] = world_size
-    return STRUCTURE_FACTORIES[structure](ctx, **kwargs)
-
-
 def init_shard_set(
     root: str,
     structure: str,
@@ -119,6 +104,8 @@ def init_shard_set(
     from repro.shard.manifest import DEFAULT_ORDER
 
     root = os.fspath(root)
+    if structure not in SERVABLE:
+        raise ValueError(f"shard sets serve one of {SERVABLE}, got {structure!r}")
     if os.path.exists(ShardMap.path(root)):
         raise FileExistsError(f"{root} already holds a shard map")
     if order is None:
@@ -131,15 +118,15 @@ def init_shard_set(
             map_data.segments, order, world_size=world_size
         )
     if world_size is None:
-        from repro.core.interface import WORLD_SIZE
-
         world_size = WORLD_SIZE
     smap = ShardMap.partition(
         n_shards, order=order, world_size=world_size, weights=weights
     )
+    cls = STRUCTURES[structure]
+    world = cls.extent_params(Rect(0.0, 0.0, world_size, world_size))
     for spec in smap.shards:
         ctx = StorageContext.create(page_size=page_size, pool_pages=pool_pages)
-        index = _make_index(structure, ctx, world_size)
+        index = cls(ctx, **world)
         if map_data is not None:
             seg_ids = ctx.load_segments(map_data.segments)
             for seg_id in seg_ids:

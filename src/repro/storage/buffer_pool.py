@@ -141,19 +141,6 @@ class BufferPool:
             frame = self._frames[page_id]
         frame.dirty = True
 
-    def put(self, page_id: int, payload: Any) -> None:
-        """Replace a page's payload entirely (faulting it in if absent)."""
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            self.counters.buffer_hits += 1
-            self._policy.record_access(page_id)
-            frame.payload = payload
-            frame.dirty = True
-        else:
-            # Blind overwrite: no read is charged because the old contents
-            # are not consulted.
-            self._admit(page_id, payload, dirty=True)
-
     def drop(self, page_id: int) -> None:
         """Discard a page from the pool without write-back (page freed)."""
         self._frames.pop(page_id, None)

@@ -27,7 +27,6 @@ import struct
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode
-from repro.core.rplus.node import RPlusNode
 from repro.core.rtree.node import RTreeNode
 from repro.geometry import Rect, Segment
 from repro.storage.disk import DiskManager
@@ -50,7 +49,7 @@ from repro.errors import CodecError  # noqa: E402  (re-export)
 # R-tree family nodes
 # ----------------------------------------------------------------------
 def encode_rtree_node(node, page_size: int) -> bytes:
-    """Serialize an :class:`RTreeNode` or :class:`RPlusNode`."""
+    """Serialize an :class:`RTreeNode` (an R, R* or R+ page alike)."""
     out = bytearray(_RTREE_HEADER.pack(node.is_leaf, len(node.entries)))
     for rect, ref in node.entries:
         out += _RTREE_ENTRY.pack(rect[0], rect[1], rect[2], rect[3], ref)
@@ -62,7 +61,7 @@ def encode_rtree_node(node, page_size: int) -> bytes:
     return bytes(out)
 
 
-def decode_rtree_node(data: bytes, cls=RTreeNode):
+def decode_rtree_node(data: bytes) -> RTreeNode:
     is_leaf, count = _RTREE_HEADER.unpack_from(data, 0)
     entries: List[Tuple[Rect, int]] = []
     offset = _RTREE_HEADER.size
@@ -70,7 +69,7 @@ def decode_rtree_node(data: bytes, cls=RTreeNode):
         x1, y1, x2, y2, ref = _RTREE_ENTRY.unpack_from(data, offset)
         entries.append((Rect(x1, y1, x2, y2), ref))
         offset += _RTREE_ENTRY.size
-    return cls(bool(is_leaf), entries)
+    return RTreeNode(bool(is_leaf), entries)
 
 
 # ----------------------------------------------------------------------
@@ -154,32 +153,23 @@ def decode_segment_page(data: bytes) -> List[Segment]:
 # ----------------------------------------------------------------------
 # Whole-database snapshots
 # ----------------------------------------------------------------------
+#: Page kind -> (encoder, decoder). ``"rplus"`` is the R+-tree's name
+#: for the layout it shares with ``"rtree"``: the owning index picks the
+#: kind a dump records (:meth:`SpatialIndex.page_inventories`).
 _PAYLOAD_CODECS = {
-    "rtree": (
-        lambda p, ps: encode_rtree_node(p, ps),
-        lambda d: decode_rtree_node(d, RTreeNode),
-    ),
-    "rplus": (
-        lambda p, ps: encode_rtree_node(p, ps),
-        lambda d: decode_rtree_node(d, RPlusNode),
-    ),
+    "rtree": (encode_rtree_node, decode_rtree_node),
+    "rplus": (encode_rtree_node, decode_rtree_node),
     "btree": (encode_btree_node, decode_btree_node),
     "segments": (encode_segment_page, decode_segment_page),
 }
 
-
-def _payload_kind(payload: Any) -> str:
-    if isinstance(payload, RPlusNode):
-        return "rplus"
-    if isinstance(payload, RTreeNode):
-        return "rtree"
-    if isinstance(payload, (LeafNode, InternalNode)):
-        return "btree"
-    if isinstance(payload, list) and (
-        not payload or isinstance(payload[0], Segment)
-    ):
-        return "segments"
-    raise CodecError(f"no codec for payload of type {type(payload).__name__}")
+#: The kind of a page no inventory names (a bare ``dump_database``).
+_KIND_OF_PAYLOAD = {
+    RTreeNode: "rtree",
+    LeafNode: "btree",
+    InternalNode: "btree",
+    list: "segments",
+}
 
 
 def dump_database(
@@ -187,11 +177,14 @@ def dump_database(
     fh: BinaryIO,
     manifest: Optional[Dict[str, Any]] = None,
     pool=None,
+    inventories: Optional[Dict[str, Any]] = None,
 ) -> int:
     """Write every allocated page of a simulated disk to ``fh``.
 
-    Returns the number of pages written. Pages are serialized with the
-    codec matching their payload type; the JSON header records enough to
+    Returns the number of pages written. A page is serialized with the
+    codec of the kind its owner declares in ``inventories`` (kind ->
+    page ids, an index's ``page_inventories()``), or, when nothing
+    names it, of its payload type; the JSON header records enough to
     reallocate them on load (including the free list and the physical
     read/write history, so a reloaded disk is indistinguishable from the
     original).
@@ -211,9 +204,16 @@ def dump_database(
             f"buffer pool holds {len(dirty)} dirty page(s) {dirty[:8]}...; "
             f"flush before dumping or the snapshot would persist stale pages"
         )
+    declared = {
+        page_id: kind
+        for kind, page_ids in (inventories or {}).items()
+        for page_id in page_ids
+    }
     pages: Dict[int, Tuple[str, bytes]] = {}
     for page_id, payload in sorted(disk._pages.items()):
-        kind = _payload_kind(payload)
+        kind = declared.get(page_id) or _KIND_OF_PAYLOAD.get(type(payload))
+        if kind is None:
+            raise CodecError(f"no codec for payload of type {type(payload).__name__}")
         encoder, _ = _PAYLOAD_CODECS[kind]
         pages[page_id] = (kind, encoder(payload, disk.page_size))
 

@@ -97,7 +97,7 @@ def render_rtree_leaves(tree, world_size: float, width: int = 64, height: int = 
         tree.ctx.segments.peek(i) for i in range(len(tree.ctx.segments))
     ]
     rects = []
-    stack = [tree._root_id]
+    stack = [tree.root_id]
     while stack:
         node = tree.ctx.disk.peek(stack.pop())
         if node.is_leaf:

@@ -14,16 +14,7 @@ from typing import List, Tuple
 
 import pytest
 
-from repro.core import (
-    GuttmanRTree,
-    KDBTree,
-    PM1Quadtree,
-    PMRQuadtree,
-    RPlusTree,
-    RStarTree,
-    TrueRPlusTree,
-    UniformGrid,
-)
+from repro.core import STRUCTURES
 from repro.geometry import Point, Rect, Segment
 from repro.storage import StorageContext
 
@@ -34,25 +25,19 @@ TEST_DEPTH = 10
 ALL_STRUCTURES = ["R*", "R", "R+", "R+t", "kdB", "PMR", "PM1", "grid"]
 
 
+#: What sizes a structure for the small test world beside its extent.
+_TEST_KWARGS = {
+    "PMR": {"max_depth": TEST_DEPTH},
+    "PM1": {"max_depth": TEST_DEPTH},
+    "grid": {"granularity": 16},
+}
+
+
 def make_index(kind: str, ctx: StorageContext):
     """Construct a structure sized for the small test world."""
-    if kind == "R*":
-        return RStarTree(ctx)
-    if kind == "R":
-        return GuttmanRTree(ctx)
-    if kind == "R+":
-        return RPlusTree(ctx, world=Rect(0, 0, TEST_WORLD, TEST_WORLD))
-    if kind == "R+t":
-        return TrueRPlusTree(ctx, world=Rect(0, 0, TEST_WORLD, TEST_WORLD))
-    if kind == "kdB":
-        return KDBTree(ctx, world=Rect(0, 0, TEST_WORLD, TEST_WORLD))
-    if kind == "PMR":
-        return PMRQuadtree(ctx, max_depth=TEST_DEPTH, world_size=TEST_WORLD)
-    if kind == "PM1":
-        return PM1Quadtree(ctx, max_depth=TEST_DEPTH, world_size=TEST_WORLD)
-    if kind == "grid":
-        return UniformGrid(ctx, granularity=16, world_size=TEST_WORLD)
-    raise KeyError(kind)
+    cls = STRUCTURES[kind]
+    world = cls.extent_params(Rect(0, 0, TEST_WORLD, TEST_WORLD))
+    return cls(ctx, **world, **_TEST_KWARGS.get(kind, {}))
 
 
 def build_index(kind: str, segments: List[Segment], page_size=1024, pool_pages=16):

@@ -28,7 +28,7 @@ from repro.aio import (
 from repro.obs.metrics import MetricsRegistry
 from repro.service import MapServer, QueryEngine, send_request
 
-from tests.conftest import build_index, lattice_map
+from tests.conftest import TEST_WORLD, build_index, lattice_map
 
 
 def _recv_frame(sock_file):
@@ -382,6 +382,32 @@ class TestDispatch:
                 await fast_conn.close()
 
         asyncio.run(main())
+
+    def test_a_window_is_sized_against_the_served_index_s_own_world(self):
+        """An R+-tree keeps its world as a rectangle: all of a 1 024
+        world is every segment, not the 1/256 of them a 16 384 world
+        would make it, so that window must not run on the loop."""
+        engine = QueryEngine(
+            build_index("R+", lattice_map(n=16, pitch=60)), registry=MetricsRegistry()
+        )
+        assert len(engine.ctx.segments) > 256
+        srv = AsyncMapServer(engine)
+        srv.start_background()
+        try:
+            for side, path in ((TEST_WORLD, "executor"), (TEST_WORLD / 100, "loop")):
+                before = _dispatched(srv)
+                r = send_request(
+                    srv.address, {"op": "window", "x1": 0, "y1": 0, "x2": side, "y2": side}
+                )
+                assert r["ok"]
+                assert _settles(lambda: _dispatched(srv)[path] == before[path] + 1), (
+                    side,
+                    _dispatched(srv),
+                )
+            reg = engine.registry
+            assert reg.counter("repro_server_dispatch_total", path="executor").value == 1
+        finally:
+            srv.stop()
 
     def test_a_router_target_never_runs_on_the_loop(self, gated):
         srv, _gate = gated

@@ -9,14 +9,40 @@ or a fresh snapshot.
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+
 import pytest
 
-from tests.conftest import build_index, lattice_map
-from repro.analysis import check_index, check_snapshot, has_errors
-from repro.analysis.fsck_pmr import PM01
-from repro.analysis.fsck_rplus import RX01, RX03
-from repro.analysis.fsck_rtree import RS01, RS02, RS06
-from repro.analysis.fsck_storage import FS03, FS04, FS05
+from tests.conftest import ALL_STRUCTURES, build_index, lattice_map
+from repro.analysis import FSCK_RULES, check_index, check_snapshot, has_errors
+from repro.analysis.fsck_grid import GR01, GR02
+from repro.analysis.fsck_pmr import (
+    PM01,
+    PM02,
+    PM03,
+    PM04,
+    PM05,
+    PM06,
+    PM07,
+    PM08,
+    PM09,
+)
+from repro.analysis.fsck_rplus import (
+    RX01,
+    RX02,
+    RX03,
+    RX04,
+    RX05,
+    RX06,
+    RX07,
+    RX08,
+    RX09,
+)
+from repro.analysis.fsck_rtree import RS01, RS02, RS03, RS04, RS05, RS06
+from repro.analysis.fsck_storage import FS01, FS02, FS03, FS04, FS05, FS06
+from repro.core import SpatialIndex
+from repro.core.rtree import RTreeNode
 from repro.geometry import Rect
 from repro.service import MapServer, QueryEngine, save_index, send_request
 
@@ -49,39 +75,41 @@ def test_fresh_snapshot_has_zero_findings(kind, tmp_path):
 
 
 def test_check_does_not_move_counters():
-    idx = build("R*")
-    ctx = idx.ctx
-    before = (
-        ctx.counters.disk_reads,
-        ctx.counters.disk_writes,
-        ctx.counters.buffer_hits,
-        ctx.counters.segment_comps,
-        ctx.counters.bbox_comps,
-        ctx.disk.physical_reads,
-    )
-    check_index(idx)
-    after = (
-        ctx.counters.disk_reads,
-        ctx.counters.disk_writes,
-        ctx.counters.buffer_hits,
-        ctx.counters.segment_comps,
-        ctx.counters.bbox_comps,
-        ctx.disk.physical_reads,
-    )
-    assert before == after
+    """Neither spelling of the one validator moves a counter, a frame or
+    a dirty bit, on any structure: looking is never charged."""
+    for kind in ALL_STRUCTURES:
+        idx = build(kind)
+        ctx = idx.ctx
+
+        def observed():
+            return (
+                ctx.counters.snapshot(),
+                ctx.disk.physical_reads,
+                ctx.disk.physical_writes,
+                ctx.pool.resident_pages(),
+                ctx.pool.dirty_pages(),
+            )
+
+        before = observed()
+        assert check_index(idx) == [], kind
+        idx.check_invariants()
+        assert observed() == before, kind
 
 
 def test_unsupported_structure_raises():
-    idx = build("grid")
-    with pytest.raises(ValueError):
-        check_index(idx)
+    class Undeclared(SpatialIndex):
+        """A structure no rule set is registered for."""
+
+    Undeclared.__abstractmethods__ = frozenset()
+    with pytest.raises(ValueError, match="no fsck rules"):
+        check_index(Undeclared(build("R*").ctx))
 
 
 # ----------------------------------------------------------------------
 # Corruption injection: R-tree family
 # ----------------------------------------------------------------------
 def _internal_root(idx):
-    root = idx.ctx.disk.peek(idx._root_id)
+    root = idx.ctx.disk.peek(idx.root_id)
     assert not root.is_leaf, "test map must build a multi-level tree"
     return root
 
@@ -137,7 +165,7 @@ def test_dangling_segment_pointer_is_fs04():
 
 def test_truncated_segment_table_is_fs05():
     idx = build("R*")
-    pid = idx.ctx.segments._page_ids[-1]
+    pid = idx.ctx.segments.page_ids[-1]
     idx.ctx.disk.free(pid)
     findings = check_index(idx)
     assert any(f.page_id == pid for f in findings_for(findings, FS05))
@@ -148,13 +176,13 @@ def test_truncated_segment_table_is_fs05():
 # ----------------------------------------------------------------------
 def test_overlapping_rplus_siblings_is_rx01():
     idx = build("R+")
-    root = idx.ctx.disk.peek(idx._root_id)
+    root = idx.ctx.disk.peek(idx.root_id)
     assert not root.is_leaf, "test map must split the R+ root"
     (r0, c0), (r1, _c1) = root.entries[0], root.entries[1]
     root.entries[0] = (Rect.union_of([r0, r1]), c0)
     findings = check_index(idx)
     hits = findings_for(findings, RX01)
-    assert hits and any(f.page_id == idx._root_id for f in hits)
+    assert hits and any(f.page_id == idx.root_id for f in hits)
     # the expanded region also breaks the exact-tiling area check
     assert RX03 in rules_of(findings)
 
@@ -166,7 +194,7 @@ def test_swapped_btree_keys_is_pm01():
     idx = build("PMR")
     disk = idx.ctx.disk
     leaf_pid = None
-    for pid in sorted(idx.btree._page_ids):
+    for pid in sorted(idx.btree.page_ids):
         node = disk.peek(pid)
         if (
             getattr(node, "is_leaf", False)
@@ -181,6 +209,254 @@ def test_swapped_btree_keys_is_pm01():
     findings = check_index(idx)
     hits = findings_for(findings, PM01)
     assert hits and any(f.page_id == leaf_pid for f in hits)
+
+
+# ----------------------------------------------------------------------
+# Who checks the checker: one corruption case per rule
+# ----------------------------------------------------------------------
+def _leaf_under_root(idx):
+    """``(region, page id, node)`` of the root's first child, a leaf."""
+    region, pid = _internal_root(idx).entries[0]
+    leaf = idx.ctx.disk.peek(pid)
+    assert leaf.is_leaf, "test map must build a two-level tree"
+    return region, pid, leaf
+
+
+def _must_hold(table, seg_id, region, held_elsewhere):
+    """Does a positive-length piece of the segment lie in ``region``,
+    while another bucket still holds it (so the checker meets it)?"""
+    piece = table.peek(seg_id).clipped(region)
+    return seg_id in held_elsewhere and piece is not None and not piece.is_degenerate()
+
+
+def _btree_leaves(idx):
+    """``(page id, node)`` of the B-tree's leaves, in chain order."""
+    disk, out = idx.ctx.disk, []
+    node = disk.peek(idx.btree.root_id)
+    while not node.is_leaf:
+        pid = node.children[0]
+        node = disk.peek(pid)
+    assert idx.btree.height > 1, "test map must split the B-tree root"
+    while True:
+        out.append((pid, node))
+        if node.next_page is None:
+            return out
+        pid, node = node.next_page, disk.peek(node.next_page)
+
+
+def _splittable_leaf_block(idx):
+    return next(
+        b for b in idx.root.iter_leaves() if b.count and b.depth < idx.max_depth
+    )
+
+
+def _underfull_leaf(idx):
+    _, pid, leaf = _leaf_under_root(idx)
+    del leaf.entries[1:]
+    return pid
+
+
+def _taller_than_it_is(idx):
+    idx._height += 1
+    return _leaf_under_root(idx)[1]
+
+
+def _miscounted_entries(idx):
+    idx._count += 1
+
+
+def _child_region_escaping_the_world(idx):
+    root = _internal_root(idx)
+    r, child = root.entries[0]
+    root.entries[0] = (Rect(r.xmin - 10, r.ymin, r.xmax, r.ymax), child)
+    return idx.root_id
+
+
+def _leaf_entry_outside_its_region(idx):
+    _, pid, leaf = _leaf_under_root(idx)
+    leaf.entries[0] = (Rect(5000, 5000, 5001, 5001), leaf.entries[0][1])
+    return pid
+
+
+def _segment_dropped_from_a_leaf(idx):
+    region, pid, leaf = _leaf_under_root(idx)
+    elsewhere = {
+        seg_id
+        for _, other in _internal_root(idx).entries[1:]
+        for _, seg_id in idx.ctx.disk.peek(other).entries
+    }
+    del leaf.entries[
+        next(
+            i
+            for i, (_, seg_id) in enumerate(leaf.entries)
+            if _must_hold(idx.ctx.segments, seg_id, region, elsewhere)
+        )
+    ]
+    return pid
+
+
+def _miscounted_rplus_entries(idx):
+    idx._entry_count += 1
+
+
+def _freed_leaf(idx):
+    pid = _leaf_under_root(idx)[1]
+    idx.ctx.disk.free(pid)
+    return pid
+
+
+def _capacity_below_a_leaf(idx):
+    _, pid, leaf = _leaf_under_root(idx)
+    idx.capacity = len(leaf.entries) - 1
+    return pid
+
+
+def _content_mbr_missing_its_contents(idx):
+    pid = _leaf_under_root(idx)[1]
+    idx.content_mbr[pid] = Rect(0, 0, 1, 1)
+    return pid
+
+
+def _block_below_max_depth(idx):
+    next(idx.root.iter_leaves()).depth = idx.max_depth + 1
+
+
+def _bucket_over_the_bound(idx):
+    block = _splittable_leaf_block(idx)
+    block.count = idx.threshold + block.depth + 1
+
+
+def _directory_overcounts(idx):
+    _splittable_leaf_block(idx).count += 1
+
+
+def _btree_overcounts(idx):
+    idx.btree._count += 1
+
+
+def _last_entry(idx):
+    _, leaf = _btree_leaves(idx)[-1]
+    return leaf, leaf.entries[-1][0]
+
+
+def _qedge_pointing_off_the_table(idx):
+    leaf, code = _last_entry(idx)
+    leaf.entries[-1] = (code, len(idx.ctx.segments) + 7)
+
+
+def _qedge_of_a_segment_elsewhere(idx):
+    leaf, code = _last_entry(idx)
+    rect = next(
+        idx.rect_of(b) for b in idx.root.iter_leaves() if idx.code_of(b) == code
+    )
+    table = idx.ctx.segments
+    leaf.entries[-1] = (
+        code,
+        next(i for i in table.iter_ids() if not table.peek(i).intersects_rect(rect)),
+    )
+
+
+def _qedge_dropped_from_a_block(idx):
+    rects = {idx.code_of(b): idx.rect_of(b) for b in idx.root.iter_leaves()}
+    leaves = [leaf for _, leaf in _btree_leaves(idx)]
+    copies = Counter(seg_id for leaf in leaves for _, seg_id in leaf.entries)
+    elsewhere = {seg_id for seg_id, n in copies.items() if n > 1}
+    leaf = leaves[0]
+    del leaf.entries[
+        next(
+            i
+            for i, (code, seg_id) in enumerate(leaf.entries)
+            if _must_hold(idx.ctx.segments, seg_id, rects[code], elsewhere)
+        )
+    ]
+
+
+def _underfull_btree_leaf(idx):
+    pid, leaf = _btree_leaves(idx)[-1]
+    del leaf.entries[1:]
+    return pid
+
+
+def _inventory_page_never_allocated(idx):
+    idx._page_ids.add(99_999)
+    return 99_999
+
+
+def _allocated_page_on_the_free_list(idx):
+    pid = _leaf_under_root(idx)[1]
+    idx.ctx.disk._free_ids.append(pid)
+    return pid
+
+
+def _page_nobody_owns(idx):
+    return idx.ctx.disk.allocate(RTreeNode(is_leaf=True))
+
+
+def _segment_dropped_from_a_cell(idx):
+    del _btree_leaves(idx)[0][1].entries[0]
+
+
+def _miscounted_grid_segments(idx):
+    idx._seg_count += 1
+
+
+#: ``(rule, structure, damage)``: the damage function corrupts a freshly
+#: built index in one way and returns the page the rule must anchor its
+#: finding to (``None`` for a whole-structure rule).
+CORRUPTIONS = [
+    (RS03, "R*", _underfull_leaf),
+    (RS04, "R*", _taller_than_it_is),
+    (RS05, "R*", _miscounted_entries),
+    (RX02, "R+", _child_region_escaping_the_world),
+    (RX04, "R+", _leaf_entry_outside_its_region),
+    (RX05, "R+", _segment_dropped_from_a_leaf),
+    (RX06, "R+", _miscounted_rplus_entries),
+    (RX07, "R+", _freed_leaf),
+    (RX08, "R+", _capacity_below_a_leaf),
+    (RX09, "R+t", _content_mbr_missing_its_contents),
+    (PM02, "PMR", _block_below_max_depth),
+    (PM03, "PMR", _bucket_over_the_bound),
+    (PM03, "PM1", _qedge_of_a_segment_elsewhere),
+    (PM04, "PMR", _directory_overcounts),
+    (PM05, "PMR", _btree_overcounts),
+    (PM06, "PMR", _qedge_pointing_off_the_table),
+    (PM07, "PMR", _qedge_of_a_segment_elsewhere),
+    (PM08, "PMR", _qedge_dropped_from_a_block),
+    (PM09, "PMR", _underfull_btree_leaf),
+    (FS01, "R*", _inventory_page_never_allocated),
+    (FS02, "R*", _allocated_page_on_the_free_list),
+    (FS06, "R*", _page_nobody_owns),
+    (GR01, "grid", _segment_dropped_from_a_cell),
+    (GR02, "grid", _miscounted_grid_segments),
+]
+
+#: The rules whose corruption case is one of the single tests above.
+SINGLE_CASES = {RS01, RS02, RS06, FS03, FS04, FS05, RX01, RX03, PM01}
+
+
+@pytest.mark.parametrize(
+    "rule,kind,damage", CORRUPTIONS, ids=[f"{r}-{k}" for r, k, _ in CORRUPTIONS]
+)
+def test_each_rule_fires_on_its_corruption(rule, kind, damage):
+    idx = build(kind)
+    anchor = damage(idx)
+    findings = check_index(idx)
+    hits = findings_for(findings, rule)
+    assert hits, [f.to_dict() for f in findings]
+    if anchor is not None:
+        assert any(f.page_id == anchor for f in hits), [f.to_dict() for f in hits]
+    # check_invariants() is the same verdict, spelled for the tests.
+    if has_errors(findings):
+        with pytest.raises(AssertionError, match=rule):
+            idx.check_invariants()
+    else:
+        idx.check_invariants()  # warnings pass
+
+
+def test_every_index_and_storage_rule_has_a_corruption_case():
+    checked = re.compile(r"RS|RX|PM|GR|FS0[1-6]")
+    owed = {rule for rule in FSCK_RULES.rules if checked.match(rule)}
+    assert owed == SINGLE_CASES | {rule for rule, _, _ in CORRUPTIONS}
 
 
 # ----------------------------------------------------------------------

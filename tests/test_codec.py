@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.btree.node import InternalNode, LeafNode
-from repro.core.rplus.node import RPlusNode
 from repro.core.rtree.node import RTreeNode
 from repro.geometry import Rect, Segment
 from repro.storage import DiskManager, StorageContext
@@ -53,9 +52,11 @@ class TestRTreeNodeCodec:
             encode_rtree_node(node, 1024)
 
     def test_rplus_node_roundtrip(self):
-        node = RPlusNode(False, [(Rect(0, 0, 512, 1024), 2), (Rect(512, 0, 1024, 1024), 3)])
-        got = decode_rtree_node(encode_rtree_node(node, 1024), RPlusNode)
-        assert isinstance(got, RPlusNode)
+        """An R+ page is an ``RTreeNode`` whose non-leaf rectangles are
+        partition tiles: same bytes, same payload class."""
+        node = RTreeNode(False, [(Rect(0, 0, 512, 1024), 2), (Rect(512, 0, 1024, 1024), 3)])
+        got = decode_rtree_node(encode_rtree_node(node, 1024))
+        assert isinstance(got, RTreeNode)
         assert got.entries == node.entries
 
     @settings(deadline=None, max_examples=50)

@@ -327,7 +327,9 @@ class TestOneLoopPerQuery:
     )
     def test_rtree_family_shares_its_searches(self, method, shared):
         for cls in (GuttmanRTree, RPlusTree):
+            # One definition serves both: the family's base class.
+            assert getattr(cls, method) is getattr(treesearch.NodeTree, method)
             code = getattr(cls, method).__code__
             assert code.co_names.count(shared) == 1, (cls.__name__, code.co_names)
-            module = sys.modules[cls.__module__]
+            module = sys.modules[getattr(cls, method).__module__]
             assert getattr(module, shared) is getattr(treesearch, shared)

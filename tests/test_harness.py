@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.core import STRUCTURES
 from repro.data import generate_county
 from repro.harness import (
-    STRUCTURE_FACTORIES,
     WORKLOAD_NAMES,
     build_structure,
     figure6_sweep,
@@ -39,7 +39,7 @@ class TestBuildStructure:
         with pytest.raises(KeyError):
             build_structure("btree-of-doom", tiny_map)
 
-    @pytest.mark.parametrize("name", sorted(STRUCTURE_FACTORIES))
+    @pytest.mark.parametrize("name", sorted(STRUCTURES))
     def test_every_factory_builds(self, name, tiny_map):
         built = build_structure(name, tiny_map)
         assert built.index.entry_count() >= len(tiny_map)

@@ -111,11 +111,11 @@ class TestUniformGrid:
     def test_cells_of_segment_covers_path(self):
         ctx = StorageContext.create()
         grid = UniformGrid(ctx, granularity=8, world_size=TEST_WORLD)
-        cells = grid._cells_of_segment(Segment(0, 0, 1023, 1023))
+        cells = grid.cells_of_segment(Segment(0, 0, 1023, 1023))
         assert len(cells) >= 8  # the diagonal crosses every level
         assert (0, 0) in cells and (7, 7) in cells
         # An axis-aligned segment in one row crosses only that row.
-        cells = grid._cells_of_segment(Segment(10, 10, 1000, 10))
+        cells = grid.cells_of_segment(Segment(10, 10, 1000, 10))
         assert all(cy == 0 for _, cy in cells)
         assert len(cells) == 8
 

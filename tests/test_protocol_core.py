@@ -511,6 +511,70 @@ class TestOnePolicyOnePlace:
         assert {"--trace-sample", "--slow-ms", "--trace-capacity"} <= options
         assert "--trace" not in options
 
+    def test_an_index_is_declared_once_and_validated_once(self):
+        """The structure owns its kind, parameters, navigational state
+        and page inventory; the fsck is the only invariant checker."""
+        from repro.__main__ import build_parser
+        from repro.core import SERVABLE, STRUCTURES
+
+        src = [(path, line) for path, line in self._lines("src") if path.endswith(".py")]
+        package = os.path.join("src", "repro", "")
+        # One validator: check_invariants() only ever spells check_index().
+        for path in sorted({path for path, _line in src}):
+            with open(os.path.join(self.SRC, "..", "..", path), encoding="utf-8") as fh:
+                for node in ast.walk(ast.parse(fh.read())):
+                    if isinstance(node, ast.FunctionDef) and node.name == "check_invariants":
+                        asserts = [n for n in ast.walk(node) if isinstance(n, ast.Assert)]
+                        assert asserts == [], path
+        # One declaration: nothing outside the owning packages reads
+        # underscored state of an index, a B-tree, a table or the disk...
+        owning = re.compile(r"core/(rtree|rplus|pmr|kdb|grid)|btree/|storage/")
+        reach_in = re.compile(r"(index|btree|table|disk)\._[a-z]")
+        reaching = [
+            (path, line)
+            for path, line in src
+            if reach_in.search(line) and not owning.match(path[len(package):])
+        ]
+        assert len(reaching) <= 10, reaching
+        # ... re-derives its kind from its attributes ...
+        guessing = re.compile(r"isinstance\(index|hasattr\(index|type\(index\) is")
+        declared_to = {
+            os.path.join(package, *parts)
+            for parts in (
+                ("analysis", "fsck.py"),
+                ("analysis", "fsck_storage.py"),
+                ("analysis", "fsck_pmr.py"),
+                ("obs", "health.py"),
+                ("core", "vector.py"),
+                ("service", "protocol.py"),
+            )
+        }
+        assert declared_to <= {path for path, _line in src}
+        assert [
+            (path, line) for path, line in src if path in declared_to and guessing.search(line)
+        ] == []
+        # ... or keeps a second name -> class table, a second node class,
+        # a second checker's helper, or the blind page overwrite.
+        gone = re.compile(
+            r"class RPlusNode|_KINDS|_discard_bootstrap|SHARD_STRUCTURES"
+            r"|def _make_index|def _leaf_refs|def _inventories|def put\("
+        )
+        layers = re.compile(r"(core|service|shard|analysis|storage)/")
+        assert [
+            (path, line)
+            for path, line in src
+            if layers.match(path[len(package):]) and gone.search(line)
+        ] == []
+        # What can be served is what the one table's classes declare.
+        assert [STRUCTURES[name].name for name in SERVABLE] == ["R*", "R+", "PMR", "R"]
+        choices = [
+            sub._option_string_actions["--structure"].choices
+            for action in build_parser()._subparsers._group_actions
+            for sub in action.choices.values()
+            if "--structure" in sub._option_string_actions
+        ]
+        assert choices and all(c == list(SERVABLE) for c in choices)
+
     def test_core_is_sans_io(self):
         with open(protocol_module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())

@@ -19,6 +19,7 @@ import json
 import re
 import shutil
 import socket
+import time
 
 import pytest
 
@@ -221,6 +222,41 @@ class TestEquivalence:
             if not envelope["ok"]
         }
         assert {"unknown_op", "bad_args", "unknown_seg", "not_durable"} <= codes
+
+
+class TestSessionRetirement:
+    """A connection's session lasts as long as the connection: when it
+    ends, what it was charged is folded into one ``closed`` row, on
+    either front -- so ``stats`` (built inside the latch) stays the size
+    of the *live* connections however many one-shot clients came by."""
+
+    @pytest.mark.parametrize("front", ["oracle", "async_server"])
+    def test_ended_connections_are_one_row(self, front, request):
+        server = request.getfixturevalue(front)
+        for i in range(200):
+            at = 100 * (i % 8 + 1)
+            assert send_request(server.address, {"op": "point", "x": at, "y": at})["ok"]
+        with socket.create_connection(server.address, timeout=10) as sock:
+            with sock.makefile("rwb") as fh:
+                fh.write(b'{"op": "point", "x": 100, "y": 100}\n')
+                fh.flush()
+                assert json.loads(fh.readline())["ok"]
+                # A server notices a close just after the client made it.
+                deadline = time.monotonic() + 5.0
+                while True:
+                    stats = send_request(server.address, {"op": "stats"})["result"]
+                    if len(stats["sessions"]) <= 3 or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
+        rows = {row["name"]: row for row in stats["sessions"]}
+        # The held connection, the one asking, and everything that ended.
+        assert len(rows) == 3 and "closed" in rows, sorted(rows)
+        assert rows["closed"]["queries"] >= 200
+        held = [name for name in rows if name != "closed"]
+        assert all(re.fullmatch(r"a?conn-\d+", name) for name in held), held
+        assert stats["counters_consistent"] is True
+        for field, total in stats["totals"].items():
+            assert total == sum(row[field] for row in rows.values()), field
 
 
 class TestBlankLines:

@@ -1,6 +1,7 @@
 """The JSON-over-TCP map server and the bench-serve load generator."""
 
 import asyncio
+import contextlib
 import json
 import socket
 import threading
@@ -146,13 +147,22 @@ class TestProtocol:
         assert "durable" in response["error"]["message"]
 
     def test_one_session_per_connection(self, server):
-        for _ in range(2):
-            send_request(server.address, {"op": "point", "x": 60, "y": 60})
-        stats = send_request(server.address, {"op": "stats"})["result"]
+        """...while it is open: an ended connection's session is folded
+        into the one ``closed`` row (TestSessionRetirement)."""
+        with contextlib.ExitStack() as held:
+            for _ in range(2):
+                sock = held.enter_context(
+                    socket.create_connection(server.address, timeout=10)
+                )
+                fh = held.enter_context(sock.makefile("rwb"))
+                fh.write(b'{"op": "point", "x": 60, "y": 60}\n')
+                fh.flush()
+                assert json.loads(fh.readline())["ok"]
+            stats = send_request(server.address, {"op": "stats"})["result"]
         conn_sessions = [
             s for s in stats["sessions"] if s["name"].startswith("conn-")
         ]
-        assert len(conn_sessions) >= 3  # two queries + this stats call
+        assert len(conn_sessions) >= 3  # two open connections + this stats call
 
     def test_a_burst_of_connects_drops_no_syn(self, server):
         """32 connections opened at once (the load generator opens all of

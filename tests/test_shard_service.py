@@ -20,7 +20,7 @@ from repro.analysis import check_shard_set
 from repro.core.queries import QuerySpec
 from repro.data.counties import generate_county
 from repro.geometry import Point, Rect, Segment
-from repro.harness.experiment import STRUCTURE_FACTORIES
+from repro import core
 from repro.metric_names import COUNTER_FIELDS
 from repro.obs.metrics import MetricsRegistry
 from repro.service.engine import QueryEngine
@@ -62,7 +62,7 @@ class RoutedService:
             page_size=PAGE_SIZE,
         )
         ctx = StorageContext.create(page_size=PAGE_SIZE, pool_pages=16)
-        index = STRUCTURE_FACTORIES[structure](ctx)
+        index = core.STRUCTURES[structure](ctx)
         for seg_id in ctx.load_segments(self.map_data.segments):
             index.insert(seg_id)
         self.oracle = QueryEngine(index, registry=MetricsRegistry())

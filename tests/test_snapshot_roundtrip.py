@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro import core
 from repro.core.queries import (
     QuerySpec,
     execute_spec,
@@ -19,6 +20,8 @@ from repro.data import generate_county
 from repro.geometry import Point, Rect, Segment
 from repro.harness.experiment import build_structure
 from repro.service import open_index, save_index, snapshot_info
+from repro.service.snapshot import empty_index_like
+from repro.storage import StorageContext
 from repro.storage.codec import CodecError
 
 STRUCTURES = ["R*", "R+", "PMR"]
@@ -44,6 +47,16 @@ class TestRoundTripQueries:
         _, opened, _ = pair
         assert opened.ctx.counters.disk_writes == 0
         assert opened.ctx.pool.has_dirty() is False
+
+    def test_open_allocates_nothing(self, pair):
+        """The index is bound to the pages it was saved with: no
+        bootstrap root is allocated to be thrown away, so the reopened
+        disk has the original's pages, free list and high-water mark."""
+        index, opened, _ = pair
+        assert opened.ctx.disk.allocated_ids() == index.ctx.disk.allocated_ids()
+        assert opened.ctx.disk.free_ids() == index.ctx.disk.free_ids()
+        assert opened.ctx.disk.high_water_bytes == index.ctx.disk.high_water_bytes
+        assert len(opened.ctx.pool) == 0
 
     def test_statistics_identical(self, pair):
         index, opened, _ = pair
@@ -119,12 +132,24 @@ class TestManifest:
         assert manifest["kind"] == "PMR"
         assert manifest["segments"]["count"] == len(county.segments)
         assert manifest["params"]["threshold"] == index.threshold
-        assert manifest["btree"]["root_id"] == index.btree._root_id
+        assert manifest["btree"]["root_id"] == index.btree.root_id
 
     def test_unsupported_structure_rejected(self, county):
-        index = build_structure("R+t", county).index
-        with pytest.raises(CodecError, match="no snapshot support"):
-            save_index(index, io.BytesIO())
+        for kind in sorted(set(core.STRUCTURES) - set(core.SERVABLE)):
+            index = build_structure(kind, county).index
+            with pytest.raises(CodecError, match="no snapshot support"):
+                save_index(index, io.BytesIO())
+        assert set(core.STRUCTURES) - set(core.SERVABLE) == {
+            "PM1", "PM2", "PM3", "R+t", "kdB", "grid"
+        }
+
+    def test_empty_twin_has_the_parameters_of_the_original(self, county):
+        for kind in core.SERVABLE:
+            index = build_structure(kind, county, page_size=2048).index
+            twin = empty_index_like(index, StorageContext.create(page_size=2048))
+            assert type(twin) is type(index)
+            assert twin.params() == index.params()
+            assert twin.entry_count() == 0 and twin.page_count() == 1
 
     def test_pmr_store_bboxes_rejected(self, county):
         index = build_structure("PMR", county, store_bboxes=True).index

@@ -134,13 +134,6 @@ class TestBufferPoolBasics:
         assert counters.disk_reads == 1
         assert pool.is_resident(a)
 
-    def test_put_blind_overwrite_charges_no_read(self):
-        disk, counters, pool = self._pool()
-        a = disk.allocate("old")
-        pool.put(a, "new")
-        assert counters.disk_reads == 0
-        assert pool.get(a) == "new"
-
     def test_flush_writes_all_dirty(self):
         disk, counters, pool = self._pool(capacity=4)
         a = pool.create("a")

@@ -78,13 +78,6 @@ class TestDurableStore:
         with pytest.raises(RuntimeError, match="durable"):
             QueryEngine(index).checkpoint()
 
-    def test_durable_engine_rejects_bare_insert(self, tmp_path):
-        store = build_store(tmp_path / "store")
-        engine = QueryEngine(store.index, store=store)
-        with pytest.raises(RuntimeError, match="WAL"):
-            engine.insert(0)
-        store.close()
-
     def test_engine_must_serve_the_stores_index(self, tmp_path):
         store = build_store(tmp_path / "store")
         other = make_index("R*", StorageContext.create())
