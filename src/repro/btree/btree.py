@@ -12,13 +12,15 @@ its pages are cold is what produces the paper's "disk accesses".
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode
 from repro.storage.buffer_pool import BufferPool
 
 _Pair = Tuple[Any, Any]
+_KEY = itemgetter(0)
 
 
 class ScanStats:
@@ -137,50 +139,42 @@ class BPlusTree:
 
     def scan_range(
         self, lo_key: Any, hi_key: Any, acct: Optional[ScanStats] = None
-    ) -> Iterator[_Pair]:
-        """Yield entries with ``lo_key <= key <= hi_key`` in order.
+    ) -> List[_Pair]:
+        """The entries with ``lo_key <= key <= hi_key``, in order.
 
-        ``acct``, when given, is advanced by one per node visited (the
-        descent's internal pages, then every leaf the chain walk reads).
+        One descent to ``lo_key``'s leaf, then the leaf chain, slicing
+        each leaf between two bisections. The next leaf is fetched only
+        when this one ran out without holding a key above ``hi_key`` --
+        so a range ending exactly at a leaf's last entry reads one leaf
+        more, and the last leaf of the chain ends the scan. ``acct``,
+        when given, is advanced by one per node visited.
         """
-        page_id = self.root_id
-        node = self.pool.get(page_id)
+        get = self.pool.get
+        node = get(self.root_id)
         probe = (lo_key,)
+        internal = 0
         while not node.is_leaf:
-            if acct is not None:
-                acct.internal += 1
-            idx = bisect_right(node.keys, probe)
-            page_id = node.children[idx]
-            node = self.pool.get(page_id)
+            internal += 1
+            node = get(node.children[bisect_right(node.keys, probe)])
+        leaves = 1
+        entries = node.entries
+        start = bisect_left(entries, probe)
+        end = bisect_right(entries, hi_key, start, key=_KEY)
+        out = entries[start:end]
+        while end == len(entries) and node.next_page is not None:
+            node = get(node.next_page)
+            leaves += 1
+            entries = node.entries
+            end = bisect_right(entries, hi_key, key=_KEY)
+            out += entries[:end]
         if acct is not None:
-            acct.leaves += 1
-
-        idx = bisect_left(node.entries, probe)
-        while True:
-            while idx < len(node.entries):
-                entry = node.entries[idx]
-                if entry[0] > hi_key:
-                    return
-                yield entry
-                idx += 1
-            if node.next_page is None:
-                return
-            node = self.pool.get(node.next_page)
-            if acct is not None:
-                acct.leaves += 1
-            idx = 0
+            acct.internal += internal
+            acct.leaves += leaves
+        return out
 
     def scan_eq(self, key: Any, acct: Optional[ScanStats] = None) -> List[Any]:
         """All values stored under exactly ``key``."""
         return [v for _, v in self.scan_range(key, key, acct)]
-
-    def has_in_range(self, lo_key: Any, hi_key: Any) -> bool:
-        for _ in self.scan_range(lo_key, hi_key):
-            return True
-        return False
-
-    def count_in_range(self, lo_key: Any, hi_key: Any) -> int:
-        return sum(1 for _ in self.scan_range(lo_key, hi_key))
 
     def items(self) -> Iterator[_Pair]:
         """All entries in key order (full scan through the leaf chain)."""

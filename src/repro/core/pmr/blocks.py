@@ -14,7 +14,8 @@ from __future__ import annotations
 from typing import Iterator, List, Optional
 
 from repro.core.pmr.locational import locational_code
-from repro.geometry import Rect
+from repro.geometry import Rect, Segment
+from repro.geometry.clipping import segment_intersects_box
 
 
 class PMRBlock:
@@ -22,10 +23,13 @@ class PMRBlock:
 
     ``count`` is the number of q-edge entries stored under this block's
     locational code in the B-tree; it is meaningful only for leaves.
-    Children are ordered SW, SE, NW, NE (Morton order).
+    Children are ordered SW, SE, NW, NE (Morton order). ``lcode`` is the
+    block's locational code on its tree's curve, remembered by
+    :meth:`PMRQuadtree.code_of` on first use: navigational state, never
+    serialised.
     """
 
-    __slots__ = ("depth", "bx", "by", "count", "children")
+    __slots__ = ("depth", "bx", "by", "count", "children", "lcode")
 
     def __init__(self, depth: int, bx: int, by: int) -> None:
         self.depth = depth
@@ -33,6 +37,7 @@ class PMRBlock:
         self.by = by
         self.count = 0
         self.children: Optional[List["PMRBlock"]] = None
+        self.lcode: Optional[int] = None
 
     @property
     def is_leaf(self) -> bool:
@@ -75,6 +80,19 @@ class PMRBlock:
         dx = 1 if x >= (2 * self.bx + 1) * half else 0
         dy = 1 if y >= (2 * self.by + 1) * half else 0
         return self.children[2 * dy + dx]
+
+    def children_meeting(self, seg: Segment, world_size: int) -> List["PMRBlock"]:
+        """The children whose closed square ``seg`` meets, in Morton
+        order: integer corners from ``(bx, by, size)``, no ``Rect``."""
+        size = world_size >> (self.depth + 1)
+        x1, y1, x2, y2 = seg
+        out = []
+        for c in self.children:
+            x = c.bx * size
+            y = c.by * size
+            if segment_intersects_box(x1, y1, x2, y2, x, y, x + size, y + size):
+                out.append(c)
+        return out
 
     def iter_leaves(self) -> Iterator["PMRBlock"]:
         if self.children is None:

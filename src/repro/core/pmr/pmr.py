@@ -28,6 +28,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.btree import BPlusTree, ScanStats
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
+from repro.core.interface import NNQuery, SegmentQuery
 from repro.core.pmr.blocks import PMRBlock
 from repro.core.pmr.locational import hilbert_code, locational_code
 from repro.errors import SnapshotError
@@ -175,7 +176,12 @@ class PMRQuadtree(SpatialIndex):
     # Small helpers
     # ------------------------------------------------------------------
     def code_of(self, block: PMRBlock) -> int:
-        return self._code_fn(block.bx, block.by, block.depth, self.max_depth)
+        code = block.lcode
+        if code is None:
+            code = block.lcode = self._code_fn(
+                block.bx, block.by, block.depth, self.max_depth
+            )
+        return code
 
     def rect_of(self, block: PMRBlock) -> Rect:
         return block.rect(self.world_size)
@@ -205,9 +211,8 @@ class PMRQuadtree(SpatialIndex):
         self, block: PMRBlock, seg: Segment, value: Any, affected: List[PMRBlock]
     ) -> None:
         if block.children is not None:
-            for child in block.children:
-                if seg.intersects_rect(self.rect_of(child)):
-                    self._insert_into(child, seg, value, affected)
+            for child in block.children_meeting(seg, self.world_size):
+                self._insert_into(child, seg, value, affected)
             return
         self.btree.insert(self.code_of(block), value)
         block.count += 1
@@ -231,14 +236,13 @@ class PMRQuadtree(SpatialIndex):
         values = self.btree.scan_eq(code)
         for v in values:
             self.btree.delete(code, v)
-        children = block.split()
-        child_rects = [self.rect_of(c) for c in children]
+        block.split()
+        fetch = self.ctx.segments.fetch
         for v in values:
-            seg = self.ctx.segments.fetch(self.seg_id_of(v))
-            for child, rect in zip(children, child_rects):
-                if seg.intersects_rect(rect):
-                    self.btree.insert(self.code_of(child), v)
-                    child.count += 1
+            seg = fetch(self.seg_id_of(v))
+            for child in block.children_meeting(seg, self.world_size):
+                self.btree.insert(self.code_of(child), v)
+                child.count += 1
 
     def delete(self, seg_id: int) -> None:
         seg = self.ctx.segments.fetch(seg_id)
@@ -257,9 +261,8 @@ class PMRQuadtree(SpatialIndex):
                 return 1
             return 0
         removed = 0
-        for child in block.children:
-            if seg.intersects_rect(self.rect_of(child)):
-                removed += self._delete_from(child, seg, value)
+        for child in block.children_meeting(seg, self.world_size):
+            removed += self._delete_from(child, seg, value)
         if removed:
             self._try_merge(block)
         return removed
@@ -315,7 +318,7 @@ class PMRQuadtree(SpatialIndex):
                 for v in values
                 if v[1][0] <= p.x <= v[1][2] and v[1][1] <= p.y <= v[1][3]
             ]
-        return [self.seg_id_of(v) for v in values]
+        return values
 
     def _scan_bucket(self, prof, block: PMRBlock) -> List[Any]:
         """Examine one leaf bucket: one bounding-box comparison charged
@@ -357,33 +360,37 @@ class PMRQuadtree(SpatialIndex):
         """
         prof = TRACER.current_profile() if TRACER.profiling else None
         counters = self.ctx.counters
+        xmin, ymin, xmax, ymax = rect
         intervals: List[List[int]] = []  # [lo, hi] code intervals
-
-        def walk(block: PMRBlock) -> None:
+        # The walk allocates nothing per block: a child's closed square
+        # is (bx, by) * size, tested against the window on integers.
+        stack = [self.root]
+        while stack:
+            block = stack.pop()
             if block.children is not None:
                 if prof is not None:
                     prof.level(block.depth).node_visits += 1
                     prof.count(COUNT_BLOCKS_DECODED)
+                size = self.world_size >> (block.depth + 1)
                 for child in block.children:
-                    if self.rect_of(child).intersects(rect):
-                        walk(child)
-                return
+                    x = child.bx * size
+                    y = child.by * size
+                    if x <= xmax and xmin <= x + size and y <= ymax and ymin <= y + size:
+                        stack.append(child)
+                continue
             if prof is not None:
                 prof.open(counters)
             counters.bbox_comps += 1  # one bucket examined
             if prof is not None:
                 prof.close_level(block.depth, examined=1, matched=1)
                 prof.count(COUNT_BLOCKS_DECODED)
-            lo = self.code_of(block)
+            lo = block.lcode or self.code_of(block)  # no call once cached
             intervals.append(
                 [lo, lo + (1 << (2 * (self.max_depth - block.depth))) - 1]
             )
 
-        walk(self.root)
-
-        # Coalesce adjacent code intervals into maximal runs. The DFS
-        # emits Z-order for Morton codes but not for Hilbert, so sort by
-        # code before merging.
+        # Coalesce adjacent code intervals into maximal runs; the walk
+        # emits them in no curve's order, so sort by code before merging.
         intervals.sort()
         runs: List[List[int]] = []
         for lo, hi in intervals:
@@ -398,12 +405,16 @@ class PMRQuadtree(SpatialIndex):
             acct = ScanStats()
             prof.open(counters)
         for lo, hi in runs:
-            for _, v in self.btree.scan_range(lo, hi, acct):
-                if self.store_bboxes:
-                    if Rect(v[1][0], v[1][1], v[1][2], v[1][3]).intersects(rect):
-                        out.append(v[0])
-                else:
-                    out.append(self.seg_id_of(v))
+            entries = self.btree.scan_range(lo, hi, acct)
+            if self.store_bboxes:
+                out += [
+                    v[0]
+                    for _, v in entries
+                    if v[1][0] <= xmax and xmin <= v[1][2]
+                    and v[1][1] <= ymax and ymin <= v[1][3]
+                ]
+            else:
+                out += [v for _, v in entries]
         if prof is not None:
             self._close_btree_scans(prof, acct, scans=len(runs))
         return out
@@ -425,10 +436,7 @@ class PMRQuadtree(SpatialIndex):
                 bucket.node_visits += 1
                 bucket.entries_examined += len(block.children)
                 bucket.entries_matched += len(block.children)
-            return [
-                NNItem(query_lower_bound(p, self.rect_of(c)), False, c)
-                for c in block.children
-            ]
+            return [NNItem(self._block_dist2(p, c), False, c) for c in block.children]
         values = self._scan_bucket(prof, block)
         if self.store_bboxes:
             return [
@@ -439,8 +447,23 @@ class PMRQuadtree(SpatialIndex):
                 )
                 for v in values
             ]
-        d_block = query_lower_bound(p, self.rect_of(block))
-        return [NNItem(d_block, True, self.seg_id_of(v)) for v in values]
+        d_block = self._block_dist2(p, block)
+        return [NNItem(d_block, True, v) for v in values]
+
+    def _block_dist2(self, query: NNQuery, block: PMRBlock) -> float:
+        """``query_lower_bound(query, rect_of(block))`` on the block's
+        integer square, without the ``Rect``; a point query is the
+        degenerate MBR."""
+        size = self.world_size >> block.depth
+        x = block.bx * size
+        y = block.by * size
+        if isinstance(query, SegmentQuery):
+            qx1, qy1, qx2, qy2 = query.mbr
+        else:
+            qx1, qy1 = qx2, qy2 = query
+        dx = x - qx2 if qx2 < x else qx1 - (x + size) if x + size < qx1 else 0.0
+        dy = y - qy2 if qy2 < y else qy1 - (y + size) if y + size < qy1 else 0.0
+        return dx * dx + dy * dy
 
     # ------------------------------------------------------------------
     # Statistics

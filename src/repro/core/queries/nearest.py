@@ -16,9 +16,9 @@ import heapq
 from itertools import count
 from typing import Iterator, Optional, Tuple, Union
 
-from repro.core.interface import NNQuery, SegmentQuery, SpatialIndex
+from repro.core.interface import SegmentQuery, SpatialIndex
 from repro.geometry import Point, Segment
-from repro.geometry.distance import segment_segment_distance2
+from repro.geometry.distance import point_segment_distance2_xy, segment_segment_distance2
 from repro.obs.explain import (
     CAUSE_SEGMENT_TABLE,
     COUNT_CANDIDATES,
@@ -35,11 +35,18 @@ _CANDIDATE = 1
 _VERIFIED = 2
 
 
-def _true_distance2(query: NNQuery, seg: Segment) -> float:
-    if isinstance(query, SegmentQuery):
-        q = query.segment
-        return segment_segment_distance2(q.start, q.end, seg.start, seg.end)
-    return seg.distance2_to_point(query)
+def _explained_fetch(prof, counters, fetch):
+    """``fetch`` with each call tallied and landed in ``segment_table``."""
+
+    def explained(seg_id: int) -> Segment:
+        prof.count(COUNT_CANDIDATES)
+        prof.open(counters)
+        seg = fetch(seg_id)
+        prof.close_cause(CAUSE_SEGMENT_TABLE)
+        prof.count(COUNT_SEGMENT_FETCHES)
+        return seg
+
+    return explained
 
 
 def iter_nearest(
@@ -62,6 +69,11 @@ def iter_nearest(
     # Captured once per search, not per pop: the engine attaches the
     # EXPLAIN profile for the whole query before this generator advances.
     prof = TRACER.current_profile() if TRACER.profiling else None
+    fetch = index.ctx.segments.fetch
+    if prof is not None:
+        fetch = _explained_fetch(prof, index.ctx.counters, fetch)
+    expand = index.nn_expand
+    q = query.segment if isinstance(query, SegmentQuery) else None
     resolved = set()
     while heap:
         dist2, kind, _, ref = heapq.heappop(heap)
@@ -71,22 +83,19 @@ def iter_nearest(
             if ref in resolved:
                 continue
             resolved.add(ref)
-            if prof is not None:
-                prof.count(COUNT_CANDIDATES)
-                prof.open(index.ctx.counters)
-            seg = index.ctx.segments.fetch(ref)
-            if prof is not None:
-                prof.close_cause(CAUSE_SEGMENT_TABLE)
-                prof.count(COUNT_SEGMENT_FETCHES)
-            true_d2 = _true_distance2(query, seg)
+            seg = fetch(ref)
+            if q is None:
+                true_d2 = point_segment_distance2_xy(query[0], query[1], *seg)
+            else:
+                true_d2 = segment_segment_distance2(q.start, q.end, seg.start, seg.end)
             heapq.heappush(heap, (true_d2, _VERIFIED, ref, ref))
         else:
-            for item in index.nn_expand(ref, query):
-                child_kind = _CANDIDATE if item.is_segment else _NODE
-                if child_kind == _CANDIDATE and item.ref in resolved:
+            for item_dist2, is_segment, item_ref in expand(ref, query):
+                child_kind = _CANDIDATE if is_segment else _NODE
+                if is_segment and item_ref in resolved:
                     continue
                 heapq.heappush(
-                    heap, (item.dist2, child_kind, next(tiebreak), item.ref)
+                    heap, (item_dist2, child_kind, next(tiebreak), item_ref)
                 )
 
 

@@ -13,8 +13,9 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.interface import SpatialIndex
+from repro.core.queries.point import fetch_unique
 from repro.geometry import Rect
-from repro.obs.explain import CAUSE_SEGMENT_TABLE
+from repro.geometry.clipping import segment_intersects_box
 from repro.obs.trace import TRACER
 
 
@@ -39,23 +40,21 @@ def scalar_window_query(
     """
     prof = TRACER.current_profile() if TRACER.profiling else None
     candidates = index.candidate_ids_in_rect(window)
-    out: List[int] = []
-    seen = set()
-    for seg_id in candidates:
-        if seg_id in seen:
-            continue
-        seen.add(seg_id)
-        if prof is not None:
-            prof.open(index.ctx.counters)
-        seg = index.ctx.segments.fetch(seg_id)
-        if prof is not None:
-            prof.close_cause(CAUSE_SEGMENT_TABLE)
-        if mode == "intersects":
-            if seg.intersects_rect(window):
-                out.append(seg_id)
-        else:
-            if window.contains_point(seg.start) and window.contains_point(seg.end):
-                out.append(seg_id)
+    unique, segs = fetch_unique(index, candidates, prof)
+    xmin, ymin, xmax, ymax = window
+    if mode == "intersects":
+        out = [
+            seg_id
+            for seg_id, seg in zip(unique, segs)
+            if segment_intersects_box(*seg, xmin, ymin, xmax, ymax)
+        ]
+    else:
+        out = [
+            seg_id
+            for seg_id, (x1, y1, x2, y2) in zip(unique, segs)
+            if xmin <= x1 <= xmax and ymin <= y1 <= ymax
+            and xmin <= x2 <= xmax and ymin <= y2 <= ymax
+        ]
     if prof is not None:
-        prof.count_verify(len(candidates), len(seen), len(out))
+        prof.count_verify(len(candidates), len(unique), len(out))
     return out

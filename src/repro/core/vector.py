@@ -42,7 +42,7 @@ backend in that case and reports the fallback through ``describe()``.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Tuple
 
 try:  # pragma: no cover - exercised by the numpy-absent CI leg
@@ -312,7 +312,7 @@ class _PMRMirror:
 
     ``bt`` mirrors the B-tree itself (:class:`_BTreeMirror`) unless the
     locational codes could overflow int64, in which case interval scans
-    fall back to :func:`_scan_range_entries`.
+    fall back to :meth:`BPlusTree.scan_range`.
     """
 
     __slots__ = ("xmin", "ymin", "xmax", "ymax", "lo", "hi", "lo_arr",
@@ -348,51 +348,6 @@ class _PMRMirror:
         self.ymin = arr[:, 1]
         self.xmax = arr[:, 2]
         self.ymax = arr[:, 3]
-
-
-class _MaxKey:
-    """Sorts after every B-tree value (sentinel for bisecting on keys)."""
-
-    __slots__ = ()
-
-    def __lt__(self, other) -> bool:
-        return False
-
-    def __gt__(self, other) -> bool:
-        return True
-
-
-_MAX = _MaxKey()
-
-
-def _scan_range_entries(btree, lo_key, hi_key) -> List[Tuple[Any, Any]]:
-    """Materialized twin of ``BTree.scan_range`` with bisected leaves.
-
-    Performs the identical ``pool.get`` sequence as the generator --
-    the same root-to-leaf descent, the same leaf-chain walk, stopping
-    on the first in-leaf entry whose key exceeds ``hi_key`` and only
-    fetching the next leaf when a leaf was exhausted without one --
-    but slices each leaf with bisect instead of yielding entry by
-    entry, which is what makes large window scans cheap.
-    """
-    pool = btree.pool
-    node = pool.get(btree.root_id)
-    probe = (lo_key,)
-    while not node.is_leaf:
-        node = pool.get(node.children[bisect_right(node.keys, probe)])
-    start = bisect_left(node.entries, probe)
-    hi_probe = (hi_key, _MAX)
-    out: List[Tuple[Any, Any]] = []
-    while True:
-        entries = node.entries
-        end = bisect_right(entries, hi_probe, lo=start)
-        out.extend(entries[start:end])
-        if end < len(entries):
-            return out
-        if node.next_page is None:
-            return out
-        node = pool.get(node.next_page)
-        start = 0
 
 
 # ----------------------------------------------------------------------
@@ -730,7 +685,7 @@ class VectorBackend(ScalarBackend):
         out: List[int] = []
         store_bboxes = index.store_bboxes
         for lo, hi in runs:
-            for _, v in _scan_range_entries(index.btree, lo, hi):
+            for _, v in index.btree.scan_range(lo, hi):
                 if store_bboxes:
                     if Rect(v[1][0], v[1][1], v[1][2], v[1][3]).intersects(rect):
                         out.append(v[0])

@@ -123,34 +123,42 @@ def clip_liang_barsky(
 
 
 def segment_intersects_rect(p1: Point, p2: Point, rect: Rect) -> bool:
-    """Fast boolean: does segment ``p1 p2`` meet the closed rectangle?
+    """Does segment ``p1 p2`` meet the closed rectangle?"""
+    return segment_intersects_box(p1[0], p1[1], p2[0], p2[1], *rect)
+
+
+def segment_intersects_box(
+    x1: float, y1: float, x2: float, y2: float,
+    xmin: float, ymin: float, xmax: float, ymax: float,
+) -> bool:
+    """Fast boolean on bare coordinates: does the segment meet the closed box?
 
     Used on every insertion into the disjoint structures (R+-tree, PMR
-    quadtree) to decide which blocks a segment belongs to, so it avoids
-    divisions on the common accept/reject paths.
+    quadtree) to decide which blocks a segment belongs to and on every
+    window verification, so it builds no ``Point`` or ``Rect`` and
+    settles the common cases -- an endpoint inside, the whole segment
+    beyond one side -- on comparisons alone.
     """
-    code1 = _outcode(p1.x, p1.y, rect)
-    if not code1:
+    if xmin <= x1 <= xmax and ymin <= y1 <= ymax:
         return True
-    code2 = _outcode(p2.x, p2.y, rect)
-    if not code2:
+    if xmin <= x2 <= xmax and ymin <= y2 <= ymax:
         return True
-    if code1 & code2:
+    if (
+        (x1 < xmin and x2 < xmin)
+        or (x1 > xmax and x2 > xmax)
+        or (y1 < ymin and y2 < ymin)
+        or (y1 > ymax and y2 > ymax)
+    ):
         return False
 
     # Both endpoints outside, on different sides: the segment meets the
-    # rectangle iff the four corners do not all lie strictly on one side
-    # of the segment's supporting line.
-    dx = p2.x - p1.x
-    dy = p2.y - p1.y
+    # box iff the four corners do not all lie strictly on one side of
+    # the segment's supporting line.
+    dx = x2 - x1
+    dy = y2 - y1
     sign = 0
-    for cx, cy in (
-        (rect.xmin, rect.ymin),
-        (rect.xmin, rect.ymax),
-        (rect.xmax, rect.ymin),
-        (rect.xmax, rect.ymax),
-    ):
-        cross = dx * (cy - p1.y) - dy * (cx - p1.x)
+    for cx, cy in ((xmin, ymin), (xmin, ymax), (xmax, ymin), (xmax, ymax)):
+        cross = dx * (cy - y1) - dy * (cx - x1)
         if cross > 0:
             if sign < 0:
                 return True
@@ -160,6 +168,6 @@ def segment_intersects_rect(p1: Point, p2: Point, rect: Rect) -> bool:
                 return True
             sign = -1
         else:
-            return True  # a corner lies on the line, within the slab test below
+            return True  # a corner lies on the line, within the slab test above
 
     return False

@@ -18,10 +18,18 @@ def point_point_distance2(a: Point, b: Point) -> float:
 
 def point_segment_distance2(p: Point, a: Point, b: Point) -> float:
     """Squared distance from point ``p`` to the closed segment ``ab``."""
-    abx = b.x - a.x
-    aby = b.y - a.y
-    apx = p.x - a.x
-    apy = p.y - a.y
+    return point_segment_distance2_xy(p[0], p[1], a[0], a[1], b[0], b[1])
+
+
+def point_segment_distance2_xy(
+    px: float, py: float, ax: float, ay: float, bx: float, by: float
+) -> float:
+    """:func:`point_segment_distance2` on bare coordinates (the
+    per-candidate path of nearest-neighbour search builds no points)."""
+    abx = bx - ax
+    aby = by - ay
+    apx = px - ax
+    apy = py - ay
     denom = abx * abx + aby * aby
     if denom == 0:  # degenerate segment
         return apx * apx + apy * apy
@@ -29,11 +37,11 @@ def point_segment_distance2(p: Point, a: Point, b: Point) -> float:
     if t <= 0:
         return apx * apx + apy * apy
     if t >= 1:
-        bpx = p.x - b.x
-        bpy = p.y - b.y
+        bpx = px - bx
+        bpy = py - by
         return bpx * bpx + bpy * bpy
-    cx = a.x + t * abx - p.x
-    cy = a.y + t * aby - p.y
+    cx = ax + t * abx - px
+    cy = ay + t * aby - py
     return cx * cx + cy * cy
 
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Tuple
 
-from repro.geometry.clipping import clip_liang_barsky, segment_intersects_rect
-from repro.geometry.distance import point_segment_distance2
+from repro.geometry.clipping import clip_liang_barsky, segment_intersects_box
+from repro.geometry.distance import point_segment_distance2_xy
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 
@@ -73,9 +73,9 @@ class Segment(NamedTuple):
     # Predicates and queries
     # ------------------------------------------------------------------
     def has_endpoint(self, p: Point) -> bool:
-        return (self.x1 == p.x and self.y1 == p.y) or (
-            self.x2 == p.x and self.y2 == p.y
-        )
+        x1, y1, x2, y2 = self
+        px, py = p
+        return (x1 == px and y1 == py) or (x2 == px and y2 == py)
 
     def other_endpoint(self, p: Point) -> Point:
         """The endpoint that is not ``p``.
@@ -91,7 +91,7 @@ class Segment(NamedTuple):
 
     def intersects_rect(self, rect: Rect) -> bool:
         """Whether any part of the segment meets the closed rectangle."""
-        return segment_intersects_rect(self.start, self.end, rect)
+        return segment_intersects_box(*self, *rect)
 
     def clipped(self, rect: Rect) -> Optional["Segment"]:
         """The q-edge of this segment within ``rect`` (or ``None``)."""
@@ -102,4 +102,4 @@ class Segment(NamedTuple):
         return Segment(a.x, a.y, b.x, b.y)
 
     def distance2_to_point(self, p: Point) -> float:
-        return point_segment_distance2(p, self.start, self.end)
+        return point_segment_distance2_xy(p[0], p[1], *self)

@@ -68,8 +68,8 @@ def is_short_read(raw: Dict[str, Any], segment_count: int, world_size: float) ->
     True for ``ping``/``clock``/``point`` and for a ``nearest``/``window``
     whose expected result -- ``k``, or the window's share of the world's
     area times the segment count -- is at most :data:`SHORT_READ_ROWS`.
-    Everything else is long or blocking: mutations (the WAL fsyncs under
-    its log lock), ``batch``, ``checkpoint``, ``check``, ``health``,
+    Everything else is long or blocking: mutations (an apply is not
+    bounded by :data:`SHORT_READ_ROWS`), ``batch``, ``checkpoint``, ``check``, ``health``,
     ``stats``, ``metrics``, ``explain``, ``trace``, ``profile`` (it
     sleeps), whole-map windows, large ``k``. A malformed read is not
     short either, so its ``bad_args`` is built where every other slow

@@ -7,14 +7,17 @@ this log's records follow -- and then holds framed records
 
 Durability protocol:
 
-* :meth:`WriteAheadLog.append` assigns the next LSN and writes the frame
-  to the OS; it counts as one ``log_appends``.
-* :meth:`WriteAheadLog.commit` makes everything appended so far durable.
-  With ``group_commit == 1`` every commit fsyncs; with a larger batch
-  size the fsync is deferred until ``group_commit`` records are pending
-  (or someone calls :meth:`sync` explicitly), trading a bounded number
-  of acknowledged-but-lost records on power failure for far fewer
-  fsyncs. ``fsyncs`` counts the actual syscalls.
+* :meth:`WriteAheadLog.log_insert` / :meth:`~WriteAheadLog.log_delete`
+  assign the next LSN and buffer the frame; each counts as one
+  ``log_appends``.
+* :meth:`WriteAheadLog.commit` hands everything appended so far to the
+  OS (a killed process loses nothing it acknowledged) and makes it
+  durable: with ``group_commit == 1`` every commit fsyncs; with a larger
+  batch size the fsync is deferred until ``group_commit`` records are
+  pending (or someone calls :meth:`sync` explicitly), trading a bounded
+  number of acknowledged-but-lost records on *power* failure for far
+  fewer fsyncs. ``fsyncs`` counts the actual syscalls, none of which
+  runs under the log lock.
 * :func:`scan_log` reads a log back tolerating a *torn tail*: a final
   record cut mid-frame, mid-payload, or failing its CRC ends the scan at
   the last good boundary instead of failing recovery.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional
@@ -146,9 +150,10 @@ def ensure_contiguous(scan: LogScan, path: str) -> None:
 class WriteAheadLog:
     """One append-only log file with group-commit batching.
 
-    Thread-safe: appends, commits, and rotation serialize on an internal
-    lock (the engine additionally orders appends against index applies
-    under its latch, so LSN order always matches apply order).
+    Thread-safe: appends, flushes, and rotation serialize on an internal
+    lock, fsyncs run one at a time outside it (the engine additionally
+    orders appends against index applies under its latch, so LSN order
+    always matches apply order).
     """
 
     def __init__(
@@ -163,7 +168,11 @@ class WriteAheadLog:
         self.log_appends = 0
         self.fsyncs = 0
         self._pending = 0
+        #: Orders appends (LSN order = file order) and guards the tallies;
+        #: ``_flushing`` marks an fsync running *outside* it.
         self._lock = make_lock("wal.log")
+        self._flushed = threading.Condition(self._lock)
+        self._flushing = False
         self._fh = open(self.path, "ab")
 
     # ------------------------------------------------------------------
@@ -237,28 +246,49 @@ class WriteAheadLog:
         """Make appends durable per the group-commit policy.
 
         Returns whether an fsync actually ran: with ``group_commit > 1``
-        the records ride along with a later batch's sync instead.
+        the records ride along with a later batch's sync instead -- but
+        are handed to the OS here, so an acknowledged record survives
+        the death of this process whatever the batch size.
         """
-        with self._lock:
-            if self._pending >= self.group_commit:
-                self._sync_locked()
-                return True
-        return False
+        return self._sync(self.group_commit)
 
     def sync(self) -> None:
         """Unconditionally fsync anything pending (checkpoint/close path)."""
-        with self._lock:
-            if self._pending:
-                self._sync_locked()
+        self._sync(1)
 
-    def _sync_locked(self) -> None:
-        if SANITIZER.enabled:
-            SANITIZER.note_blocking("fsync", "wal.log:_sync_locked")
-        with TRACER.span("wal_fsync", pending=self._pending):
-            self._fh.flush()
-            os.fsync(self._fh.fileno())  # repro-lint: disable=CC02 -- group commit: the fsync under the log lock is the mechanism that lets concurrent committers ride one syscall; appends queue behind it by design
-        self.fsyncs += 1
-        self._pending = 0
+    def _sync(self, threshold: int) -> bool:
+        """Flush; then fsync if at least ``threshold`` records are pending.
+
+        The log lock is held to hand the frames to the OS and again to
+        settle the tallies, never across the fsync: an append (made under
+        the engine latch) does not queue behind the disk. Fsyncs run one
+        at a time; a second caller waits, then covers what is left.
+        """
+        with self._lock:
+            while self._flushing:  # releases the log lock while waiting
+                self._flushed.wait()
+            covered = self._pending
+            if covered:
+                self._fh.flush()
+            if covered < threshold:
+                return False
+            self._flushing = True
+            fd = self._fh.fileno()
+        synced = 0
+        try:
+            if SANITIZER.enabled:  # reports any lock the *caller* holds
+                SANITIZER.note_blocking("fsync", "wal.log:_sync")
+            with TRACER.span("wal_fsync", pending=covered):
+                os.fsync(fd)
+            synced = covered
+        finally:
+            with self._lock:
+                self._flushing = False
+                self._flushed.notify_all()
+                if synced:
+                    self.fsyncs += 1
+                    self._pending -= synced
+        return True
 
     # ------------------------------------------------------------------
     # Rotation & teardown
@@ -272,9 +302,10 @@ class WriteAheadLog:
         so a crash mid-rotation leaves the full old log (recovery then
         simply skips the already-checkpointed prefix).
         """
+        self.sync()  # the long wait, outside the lock
         with self._lock:
-            if self._pending:
-                self._sync_locked()
+            while self._flushing:  # the handle must not close under an fsync
+                self._flushed.wait()
             tmp = self.path + ".tmp"
             with open(tmp, "wb") as fh:
                 fh.write(HEADER.pack(MAGIC, base_lsn))
@@ -283,6 +314,7 @@ class WriteAheadLog:
             os.replace(tmp, self.path)
             self._fh.close()
             self._fh = open(self.path, "ab")
+            self._pending = 0
             self.base_lsn = base_lsn
             self.last_lsn = max(self.last_lsn, base_lsn)
 
@@ -293,11 +325,13 @@ class WriteAheadLog:
         self._fh.close()
 
     def abandon(self) -> None:
-        """Close the handle WITHOUT syncing (crash simulation only):
-        whatever the OS already has is what a dead process leaves."""
+        """Drop the handle WITHOUT flushing or syncing (crash simulation
+        only): whatever the OS already has is what a dead process
+        leaves, and frames still in this process die with it."""
         with self._lock:
             if not self._fh.closed:
-                self._fh.flush()
+                with open(os.devnull, "wb") as null:
+                    os.dup2(null.fileno(), self._fh.fileno())
                 self._fh.close()
 
     def stats(self) -> dict:

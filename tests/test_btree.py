@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.btree import BPlusTree
+from bisect import bisect_left, bisect_right
+
+from repro.btree import BPlusTree, ScanStats
 from repro.storage import BufferPool, DiskManager, MetricsCounters
 
 
@@ -112,12 +114,6 @@ class TestScans:
         tree = self._populated()
         assert [k for k, _ in tree.scan_range(0, 98)] == list(range(0, 100, 2))
 
-    def test_has_and_count_in_range(self):
-        tree = self._populated()
-        assert tree.has_in_range(11, 13)
-        assert not tree.has_in_range(11, 11)
-        assert tree.count_in_range(0, 10) == 6
-
     def test_scan_eq_with_duplicates_across_leaf_boundary(self):
         tree, _ = make_tree(leaf_capacity=2, internal_capacity=3)
         for v in range(10):
@@ -207,6 +203,110 @@ class TestBulkRandomized:
             tree.insert(k, k)
         got = [k for k, _ in tree.scan_range(lo, hi)]
         assert got == sorted(k for k in keys if lo <= k <= hi)
+
+
+def reference_scan_range(tree, lo_key, hi_key, acct=None):
+    """The entry-at-a-time generator ``BPlusTree.scan_range`` was until
+    it was bisected, kept unchanged as the oracle of the new one."""
+    page_id = tree.root_id
+    node = tree.pool.get(page_id)
+    probe = (lo_key,)
+    while not node.is_leaf:
+        if acct is not None:
+            acct.internal += 1
+        idx = bisect_right(node.keys, probe)
+        page_id = node.children[idx]
+        node = tree.pool.get(page_id)
+    if acct is not None:
+        acct.leaves += 1
+
+    idx = bisect_left(node.entries, probe)
+    while True:
+        while idx < len(node.entries):
+            entry = node.entries[idx]
+            if entry[0] > hi_key:
+                return
+            yield entry
+            idx += 1
+        if node.next_page is None:
+            return
+        node = tree.pool.get(node.next_page)
+        if acct is not None:
+            acct.leaves += 1
+        idx = 0
+
+
+def _traced_scan(tree, scan, lo, hi):
+    """(entries, (internal, leaves), page ids asked of the pool, in order)."""
+    asked = []
+    real_get = tree.pool.get
+    tree.pool.get = lambda page_id: asked.append(page_id) or real_get(page_id)
+    try:
+        acct = ScanStats()
+        entries = list(scan(lo, hi, acct))
+    finally:
+        del tree.pool.get
+    return entries, (acct.internal, acct.leaves), asked
+
+
+def assert_scan_matches_reference(tree, lo, hi):
+    want = _traced_scan(
+        tree, lambda a, b, acct: reference_scan_range(tree, a, b, acct), lo, hi
+    )
+    assert _traced_scan(tree, tree.scan_range, lo, hi) == want, (lo, hi)
+
+
+class TestScanAgainstReference:
+    """The old scan is the oracle of the new one: equal entries, equal
+    ``ScanStats``, and an equal *sequence* of pages asked of the pool."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(4, 16),
+        st.lists(
+            st.tuples(st.integers(0, 60), st.integers(0, 40)),
+            min_size=0, max_size=250, unique=True,
+        ),
+        st.booleans(),
+        st.integers(-2, 62),
+        st.integers(-2, 62),
+    )
+    def test_property_entries_stats_and_page_sequence(
+        self, leaf_capacity, pairs, with_bboxes, a, b
+    ):
+        tree, _ = make_tree(leaf_capacity=leaf_capacity, internal_capacity=4)
+        for key, seg_id in pairs:
+            # store_bboxes=True writes (seg_id, bbox) tuples as values.
+            value = (seg_id, (key, seg_id, key + 1, seg_id + 1)) if with_bboxes else seg_id
+            tree.insert(key, value)
+        assert_scan_matches_reference(tree, min(a, b), max(a, b))
+
+    @pytest.mark.parametrize("leaf_capacity", [4, 7, 16])
+    def test_every_leaf_edge(self, leaf_capacity):
+        """Both edges the docstring names, at every leaf: a range ending
+        exactly at a leaf's last entry (reads one leaf more) and ranges
+        reaching the last leaf of the chain."""
+        tree, _ = make_tree(leaf_capacity=leaf_capacity, internal_capacity=4)
+        rng = random.Random(leaf_capacity)
+        for _ in range(300):
+            pair = (rng.randrange(80), rng.randrange(6))
+            if not tree.contains(*pair):
+                tree.insert(*pair)
+        node = tree.pool.get(tree.root_id)
+        while not node.is_leaf:
+            node = tree.pool.get(node.children[0])
+        last_keys = []
+        while True:
+            last_keys.append(node.entries[-1][0])
+            if node.next_page is None:
+                break
+            node = tree.pool.get(node.next_page)
+        assert len(last_keys) > 3
+        for last in last_keys:
+            for lo in (last - 3, last):
+                assert_scan_matches_reference(tree, lo, last)
+        assert_scan_matches_reference(tree, last_keys[-1], last_keys[-1] + 5)
+        assert_scan_matches_reference(tree, last_keys[-1] + 1, last_keys[-1] + 5)
 
 
 class TestDiskBehaviour:

@@ -127,9 +127,15 @@ class TestBlocking:
         wal = WriteAheadLog.create(str(tmp_path / "repro.wal"))
         wal.log_insert(1, Segment(0, 0, 10, 10))
         wal.commit()
+        # The log's own lock is never held across the fsync ...
+        assert sanitizer.report()["held_across_blocking"] == {}
+        # ... but a lock the *caller* commits under still is reported.
+        with TrackedLock("caller"):
+            wal.log_insert(2, Segment(0, 0, 10, 10))
+            wal.commit()
         wal.close()
         held = sanitizer.report()["held_across_blocking"]
-        assert any("wal.log:_sync_locked" in key for key in held)
+        assert list(held) == ["fsync@wal.log:_sync holding caller"]
 
 
 # ----------------------------------------------------------------------

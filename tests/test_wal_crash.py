@@ -8,12 +8,16 @@ oracle, replay exactly the post-checkpoint suffix, and fsck clean. A
 final test kills a real server process with SIGKILL mid-traffic.
 """
 
+import os
 import signal
+import subprocess
+import sys
 
 import pytest
 
 from repro.service import send_request
 from repro.wal.crashtest import STRUCTURES, run_crash_matrix
+from repro.wal.log import scan_log
 
 from tests.conftest import run_cli
 
@@ -38,8 +42,37 @@ def test_crash_matrix_hilbert_replay(tmp_path):
     assert report.failures == [], report.summary()
 
 
+_LOG_COMMIT_DIE = """
+import os, signal, sys
+from repro.geometry import Segment
+from repro.wal.log import WriteAheadLog
+wal = WriteAheadLog.create(sys.argv[1], group_commit=8)
+for seg_id in range(5):
+    wal.log_insert(seg_id, Segment(seg_id, 0, seg_id + 1, 1))
+    wal.commit()  # below the batch size: no fsync, but the ack leaves
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
 class TestKillDashNine:
     """A real process, real sockets, and an honest SIGKILL."""
+
+    def test_group_commit_acks_survive_a_process_kill(self, tmp_path):
+        """``--group-commit N`` may lose acknowledged records on *power*
+        failure only: every commit hands its frames to the OS, so a
+        killed process leaves all five (0 of 5 before the fix, when they
+        died in Python's userspace buffer)."""
+        log = str(tmp_path / "repro.wal")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        child = subprocess.run(
+            [sys.executable, "-c", _LOG_COMMIT_DIE, log],
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert child.returncode == -signal.SIGKILL
+        scan = scan_log(log)
+        assert [r.seg_id for r in scan.records] == [0, 1, 2, 3, 4]
+        assert scan.tail_error is None
 
     def test_kill_recover_fsck(self, spawn, tmp_path):
         store = str(tmp_path / "store")

@@ -2,6 +2,8 @@
 
 import os
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -187,6 +189,45 @@ class TestGroupCommit:
         assert wal.fsyncs == 2
         wal.close()
         assert wal.fsyncs == 2  # close with nothing pending adds no sync
+
+    def test_concurrent_committers_share_fsyncs_and_lose_nothing(self, tmp_path):
+        """More committers than cores on a shortened switch interval: the
+        fsync runs outside the log lock, so appends land while one is in
+        flight -- yet when ``commit()`` returns its record is in the
+        file, the tallies settle to zero pending, and no LSN is lost."""
+        path = tmp_path / "repro.wal"
+        wal = WriteAheadLog.create(path, group_commit=1)
+        workers, each = 8, 25
+        failures = []
+
+        def committer(worker):
+            for i in range(each):
+                lsn = wal.log_insert(worker * each + i, Segment(0, 0, 1, 1))
+                wal.commit()
+                if scan_log(path).last_lsn < lsn:
+                    failures.append(lsn)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=committer, args=(w,)) for w in range(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert failures == []
+        stats = wal.stats()
+        assert stats["pending"] == 0 and stats["log_appends"] == workers * each
+        assert 0 < stats["fsyncs"] <= workers * each
+        wal.close()
+        scan = scan_log(path)
+        ensure_contiguous(scan, str(path))
+        assert len(scan.records) == workers * each and scan.tail_error is None
 
     def test_group_commit_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
