@@ -47,6 +47,7 @@ def _build_or_open(args):
 def _open_or_create_store(args):
     """The durable store behind ``--wal DIR``: recover it, or create it
     around a freshly built (or snapshot-loaded) index."""
+    from repro.errors import CodecError
     from repro.wal import DurableStore, WalError
 
     try:
@@ -64,17 +65,18 @@ def _open_or_create_store(args):
         )
         print(f"created durable store {args.wal} at LSN 0", flush=True)
         return store
-    except WalError as exc:
+    except (WalError, CodecError) as exc:  # a store or snapshot rule refused it
         sys.exit(f"error: cannot recover {args.wal}: {exc}")
 
 
 def _open_store(args, doing: str):
     """``--wal DIR`` as it stands on disk, for the offline commands."""
+    from repro.errors import CodecError
     from repro.wal import DurableStore, WalError
 
     try:
         return DurableStore.open(args.wal)
-    except (FileNotFoundError, WalError) as exc:
+    except (WalError, CodecError) as exc:
         sys.exit(f"error: cannot {doing} {args.wal}: {exc}")
 
 
@@ -199,7 +201,6 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_shard_worker(args) -> int:
-    from repro.errors import WalError
     from repro.shard import serve_shard
 
     _arm_sanitizer(args)
@@ -213,7 +214,7 @@ def _cmd_shard_worker(args) -> int:
             group_commit=args.group_commit,
             backend=args.backend,
         )
-    except (FileNotFoundError, KeyError, WalError) as exc:
+    except (KeyError, ValueError) as exc:  # unknown shard; SH / FS rule refusal
         sys.exit(f"error: cannot open shard {args.shard}: {exc}")
     return _serve(
         server,

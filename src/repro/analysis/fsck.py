@@ -9,9 +9,9 @@ Entry points:
   queries, moves no counter and leaves the buffer pool as it found it.
   It is the only invariant checker: ``check_invariants()`` on an index
   is this, raising on an error-severity finding.
-* :func:`check_snapshot` -- verify an on-disk snapshot file: codec
-  header vs. manifest cross-checks first, then the full index walk over
-  the reloaded disk.
+* :func:`check_snapshot` -- verify an on-disk snapshot file: the header
+  rules the opener refuses on first, then the full index walk over the
+  reloaded disk.
 
 Both return a flat list of :class:`~repro.analysis.findings.Finding`
 records; an empty list means the structure is healthy. The CLI wrapper
@@ -30,7 +30,7 @@ from repro.analysis.fsck_grid import check_grid
 from repro.analysis.fsck_pmr import check_pmr
 from repro.analysis.fsck_rplus import check_rplus, check_true_rplus
 from repro.analysis.fsck_rtree import check_rtree
-from repro.analysis.fsck_storage import check_snapshot_header, check_storage
+from repro.analysis.fsck_storage import check_storage
 from repro.core import (
     GuttmanRTree,
     PMRQuadtree,
@@ -38,7 +38,7 @@ from repro.core import (
     TrueRPlusTree,
     UniformGrid,
 )
-from repro.storage.codec import CodecError, read_header
+from repro.storage.codec import read_header
 
 __all__ = ["check_index", "check_snapshot", "FSCK_RULES"]
 
@@ -66,28 +66,15 @@ def check_index(index) -> List[Finding]:
 def check_snapshot(src: Union[str, os.PathLike, BinaryIO]) -> List[Finding]:
     """Verify a snapshot file written by :func:`repro.service.save_index`.
 
-    Header-level cross-checks run first (manifest inventories vs. the
-    page table, free list vs. dumped pages); if the snapshot can be
-    opened at all, the reloaded index then gets the full
-    :func:`check_index` treatment. A snapshot too damaged to open yields
-    the header findings plus an ``FS01`` error carrying the codec error.
+    Read once, by the opener's own loader: the header rules run first,
+    and a snapshot they pass is loaded and gets the full
+    :func:`check_index` walk. One they fail is not opened -- by this
+    check or by :func:`~repro.service.open_index` -- and its findings
+    are the report. A file that is no dump at all raises
+    :class:`~repro.errors.CodecError`.
     """
-    from repro.analysis.fsck_storage import FS01
-    from repro.analysis.findings import error
-    from repro.service.snapshot import open_index
+    from repro.service.snapshot import load_index, stream
 
-    if hasattr(src, "read"):
-        header = read_header(src)
-        src.seek(0)
-    else:
-        with open(src, "rb") as fh:
-            header = read_header(fh)
-    findings = check_snapshot_header(header)
-    try:
-        index = open_index(src)
-    except CodecError as exc:
-        findings.append(
-            error(FS01, None, str(src), f"snapshot cannot be opened: {exc}")
-        )
-        return findings
-    return findings + check_index(index)
+    with stream(src, "rb") as fh:
+        index, findings = load_index(fh, read_header(fh))
+    return findings if index is None else findings + check_index(index)

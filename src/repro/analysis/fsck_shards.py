@@ -11,10 +11,11 @@ touch its region -- nothing foreign, nothing missing.
   contiguous tiling of the curve. Fatal: nothing else is checkable.
 * **SH02** -- a shard named by the manifest has no durable store (or an
   unreadable one).
-* **SH03** -- replicated-table divergence: shards disagree on last LSN
-  or table length. The lagging shard missed mutations (a worker was
-  down while the router kept applying); ``python -m repro shard-catchup``
-  repairs it from a peer's log.
+* **SH03** -- replicated-table divergence: shards disagree on last LSN,
+  table length or the CRC of the rows. The lagging shard missed
+  mutations (a worker was down while the router kept applying);
+  ``python -m repro shard-catchup`` repairs it from a peer's log. Equal
+  length, different rows: the stream was applied in different orders.
 * **SH04** -- region violation: a shard's index holds a live segment
   whose bounding box does not touch the shard's cell union, or is
   missing one that does. Either the manifest changed without a
@@ -24,22 +25,24 @@ touch its region -- nothing foreign, nothing missing.
   router pointed here will report the shard unavailable.
 
 Each shard's store also gets the full :func:`~repro.analysis.fsck_wal.
-check_durable` pass, so the FS and structural rules apply per shard.
+check_state` pass, so the FS and structural rules apply per shard.
+:func:`repro.shard.worker.open_shard` refuses on SH01 and SH02; the
+other rules compare stores, so no single opener sees them -- a lagging
+shard must open, to be caught up.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.findings import FSCK_RULES, Finding, error, warning
-from repro.analysis.fsck_wal import check_durable
+from repro.analysis.findings import FSCK_RULES, Finding, error, has_errors, warning
+from repro.analysis.fsck_wal import check_state, store_findings
 
 SH01 = FSCK_RULES.register("SH01", "shard manifest missing or invalid")
 SH02 = FSCK_RULES.register("SH02", "shard store missing or unreadable")
 SH03 = FSCK_RULES.register(
-    "SH03", "replicated tables diverge across shards (LSN or length)"
+    "SH03", "replicated tables diverge across shards (LSN, length or rows)"
 )
 SH04 = FSCK_RULES.register(
     "SH04", "shard index disagrees with its region (foreign or missing segment)"
@@ -47,28 +50,28 @@ SH04 = FSCK_RULES.register(
 SH05 = FSCK_RULES.register("SH05", "shard address file names a dead process")
 
 
-def _shard_state(store_root: str) -> Tuple[int, int, int]:
-    """(last LSN, table length, checkpoint LSN) of a store on disk."""
-    from repro.service.snapshot import snapshot_info
-    from repro.wal.log import ensure_contiguous, scan_log
-    from repro.wal.records import InsertRecord
+def shard_findings(root: str, shard_id: Optional[str] = None):
+    """``(shard map, findings)``: SH01 over the map file (the map is
+    ``None`` exactly when it fires), then SH02 over the presence of
+    ``shard_id``'s store -- of every shard's, given none."""
+    from repro.shard.manifest import ShardMap
     from repro.wal.store import DurableStore
 
-    paths = DurableStore.paths(store_root)
-    info = snapshot_info(paths["snapshot"])
-    embedded = info["wal"]["checkpoint_lsn"]
-    table_len = info["segments"]["count"]
-    last = embedded
-    if os.path.exists(paths["log"]):
-        scan = scan_log(paths["log"])
-        ensure_contiguous(scan, paths["log"])
-        for record in scan.records:
-            if record.lsn <= embedded:
-                continue
-            last = record.lsn
-            if isinstance(record, InsertRecord) and record.seg_id >= table_len:
-                table_len = record.seg_id + 1
-    return last, table_len, embedded
+    try:
+        smap = ShardMap.load(root)
+    except (FileNotFoundError, ValueError) as exc:
+        detail = f"shard manifest is unusable: {exc}"
+        return None, [error(SH01, None, ShardMap.path(root), detail)]
+    return smap, [
+        error(
+            SH02,
+            None,
+            smap.store_path(root, spec.shard_id),
+            f"shard {spec.shard_id} has no durable store",
+        )
+        for spec in (smap.shards if shard_id is None else [smap.shard(shard_id)])
+        if not DurableStore.exists(smap.store_path(root, spec.shard_id))
+    ]
 
 
 def _region_scan(
@@ -110,15 +113,13 @@ def _region_scan(
 
 
 def _check_addr(store_root: str) -> List[Finding]:
-    from repro.shard.worker import addr_path
+    from repro.shard.worker import addr_path, read_addr
 
     path = addr_path(store_root)
     if not os.path.exists(path):
         return []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            addr = json.load(fh)
-        pid = int(addr["pid"])
+        pid = int(read_addr(store_root)["pid"])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         return [warning(SH05, None, path, f"address file is unreadable: {exc}")]
     try:
@@ -140,53 +141,35 @@ def _check_addr(store_root: str) -> List[Finding]:
 
 def check_shard_set(root: str, deep: bool = True) -> List[Finding]:
     """Fsck a whole shard set: manifest, every store, and the
-    cross-shard invariants. ``deep=False`` skips the per-store
-    :func:`check_durable` and SH04 region walks (the cross-checks SH01..
-    SH03 and SH05 still run)."""
-    from repro.shard.manifest import ShardMap
-    from repro.wal.store import DurableStore
+    cross-shard invariants. ``deep=False`` skips the per-store page
+    walks -- the snapshot's and SH04's region scan -- (the rules an open
+    runs, FS07..FS10, and the cross-checks SH01..SH03 and SH05 still do)."""
+    from repro.wal.store import DurableStore, read_store
 
     root = os.fspath(root)
-    findings: List[Finding] = []
-    try:
-        smap = ShardMap.load(root)
-    except FileNotFoundError:
-        return [error(SH01, None, ShardMap.path(root), "shard manifest is missing")]
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        return [
-            error(SH01, None, ShardMap.path(root), f"shard manifest is invalid: {exc}")
-        ]
+    smap, findings = shard_findings(root)
+    if smap is None:
+        return findings
 
-    states: Dict[str, Tuple[int, int, int]] = {}
+    states: Dict[str, Tuple[int, Tuple[int, int], int]] = {}
     live_sets: Dict[str, set] = {}
     seen_segments: Dict[int, object] = {}
     for spec in smap.shards:
         store_root = smap.store_path(root, spec.shard_id)
         if not DurableStore.exists(store_root):
-            findings.append(
-                error(
-                    SH02,
-                    None,
-                    store_root,
-                    f"shard {spec.shard_id} has no durable store",
-                )
-            )
-            continue
+            continue  # SH02, above
+        state = read_store(store_root)
+        own = check_state(state) if deep else store_findings(state)
+        findings.extend(own + _check_addr(store_root))
+        if has_errors(own):
+            continue  # its own findings say why: nothing to compare or walk
         try:
-            states[spec.shard_id] = _shard_state(store_root)
-        except Exception as exc:
-            findings.append(
-                error(
-                    SH02,
-                    None,
-                    store_root,
-                    f"shard {spec.shard_id} store is unreadable: {exc}",
-                )
-            )
+            states[spec.shard_id] = (state.last_lsn, state.table, state.checkpoint_lsn)
+        except (OSError, KeyError, TypeError) as exc:
+            detail = f"shard {spec.shard_id} table is unreadable: {exc}"
+            findings.append(error(SH02, None, store_root, detail))
             continue
-        findings.extend(_check_addr(store_root))
         if deep:
-            findings.extend(check_durable(store_root))
             region, live, segments = _region_scan(smap, spec, store_root)
             findings.extend(region)
             live_sets[spec.shard_id] = live
@@ -195,7 +178,7 @@ def check_shard_set(root: str, deep: bool = True) -> List[Finding]:
     if deep and len(live_sets) > 1 and len(set(states.values())) == 1:
         # Missing side of SH04: every globally-live segment must be
         # indexed by every shard whose region its bounding box touches.
-        # Only meaningful when last LSN, table length, AND checkpoint
+        # Only meaningful when last LSN, table rows, AND checkpoint
         # LSN all agree -- snapshots taken at different checkpoint times
         # legitimately see different live universes (SH03 covers real
         # divergence).
@@ -223,9 +206,9 @@ def check_shard_set(root: str, deep: bool = True) -> List[Finding]:
 
     if len(states) > 1:
         lead_id = max(states, key=lambda sid: states[sid][:2])
-        lead_lsn, lead_len = states[lead_id][:2]
-        for shard_id, (lsn, length, _ckpt) in sorted(states.items()):
-            if (lsn, length) == (lead_lsn, lead_len):
+        lead_lsn, (lead_len, lead_crc) = states[lead_id][:2]
+        for shard_id, (lsn, (length, crc), _ckpt) in sorted(states.items()):
+            if (lsn, length, crc) == (lead_lsn, lead_len, lead_crc):
                 continue
             findings.append(
                 error(
@@ -233,9 +216,11 @@ def check_shard_set(root: str, deep: bool = True) -> List[Finding]:
                     None,
                     smap.store_path(root, shard_id),
                     f"shard {shard_id} is at LSN {lsn} with {length} table "
-                    f"row(s) but {lead_id} is at LSN {lead_lsn} with "
-                    f"{lead_len}: the replicated tables have diverged (run "
-                    f"shard-catchup)",
+                    f"row(s) (CRC {crc:08x}) but {lead_id} is at LSN "
+                    f"{lead_lsn} with {lead_len} ({lead_crc:08x}): the "
+                    f"replicated tables have diverged (behind: run "
+                    f"shard-catchup; level: the mutation stream was applied "
+                    f"in different orders)",
                 )
             )
     return findings

@@ -9,7 +9,7 @@ point at.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set
+from typing import Any, Dict, List, Set
 
 from repro.analysis.findings import FSCK_RULES, Finding, error, warning
 
@@ -21,14 +21,12 @@ FS05 = FSCK_RULES.register("FS05", "segment table inconsistent with its pages")
 FS06 = FSCK_RULES.register("FS06", "allocated page belongs to no inventory (leak)")
 
 
-def check_storage(index) -> List[Finding]:
-    """Verify the disk-level bookkeeping under a live index."""
-    disk = index.ctx.disk
+def _check_page_books(
+    allocated: Set[int], free: Set[int], owners: Dict[str, Set[int]]
+) -> List[Finding]:
+    """FS01..FS03, stated once, for a live disk (:func:`check_storage`)
+    and for a snapshot header before anything is loaded."""
     findings: List[Finding] = []
-    allocated = set(disk.allocated_ids())
-    free = set(disk.free_ids())
-    owners = index.page_inventories()
-
     for pid in sorted(free & allocated):
         findings.append(
             error(FS02, pid, "free-list", "page is both freed and allocated")
@@ -42,6 +40,15 @@ def check_storage(index) -> List[Finding]:
             findings.append(
                 error(FS01, pid, owner, f"{owner} inventory page is not on disk")
             )
+    return findings
+
+
+def check_storage(index) -> List[Finding]:
+    """Verify the disk-level bookkeeping under a live index."""
+    disk = index.ctx.disk
+    allocated = set(disk.allocated_ids())
+    owners = index.page_inventories()
+    findings = _check_page_books(allocated, set(disk.free_ids()), owners)
 
     referenced: Set[int] = set()
     for pages in owners.values():
@@ -153,45 +160,33 @@ def check_segment_refs(index, refs, rule: str = FS04) -> List[Finding]:
 
 
 def check_snapshot_header(header: Dict[str, Any]) -> List[Finding]:
-    """Cross-check a snapshot file's codec header against its manifest.
-
-    Runs on the raw JSON header (no page decoding): the manifest's page
-    inventories must be covered by the header's page table, and the
-    persisted free list must not claim any dumped page.
+    """The rules a snapshot file must pass to be opened, on its raw JSON
+    header (no page decoding): a manifest this code can bind (FS01
+    otherwise), and :func:`_check_page_books` over the page table, the
+    persisted free list and the manifest's inventories.
     """
-    findings: List[Finding] = []
-    page_ids = {meta["id"] for meta in header.get("pages", [])}
-    free_ids = set(header.get("free_ids", []))
-    manifest: Optional[Dict[str, Any]] = header.get("manifest")
+    from repro.core import STRUCTURES
+    from repro.service.snapshot import MANIFEST_VERSION
 
-    for pid in sorted(free_ids & page_ids):
-        findings.append(
-            error(FS02, pid, "header", "page is both dumped and on the free list")
+    manifest = header.get("manifest")
+    unbindable = None
+    if not isinstance(manifest, dict):
+        unbindable = (
+            "snapshot has no index manifest (written by dump_database "
+            "rather than save_index?)"
         )
-    if manifest is None:
-        return findings
-
+    elif manifest.get("version") != MANIFEST_VERSION:
+        unbindable = f"unsupported manifest version {manifest.get('version')!r}"
+    elif manifest.get("kind") not in STRUCTURES:
+        unbindable = f"unknown index kind {manifest.get('kind')!r} in manifest"
+    if unbindable is not None:
+        return [error(FS01, None, "header", unbindable)]
     # Every manifest section that lists page ids is an inventory: the
     # segment table's, and whichever the index's ``state()`` declared.
-    claimed: Dict[str, List[int]] = {
-        name: list(section["page_ids"])
+    owners = {
+        name: set(section["page_ids"])
         for name, section in manifest.items()
         if isinstance(section, dict) and "page_ids" in section
     }
-    for owner, pids in claimed.items():
-        for pid in pids:
-            if pid not in page_ids:
-                findings.append(
-                    error(
-                        FS01,
-                        pid,
-                        owner,
-                        f"manifest {owner} inventory lists page {pid}, which "
-                        f"the snapshot does not contain",
-                    )
-                )
-            if pid in free_ids:
-                findings.append(
-                    error(FS03, pid, owner, f"manifest {owner} references a freed page")
-                )
-    return findings
+    page_ids = {meta["id"] for meta in header["pages"]}
+    return _check_page_books(page_ids, set(header.get("free_ids", [])), owners)

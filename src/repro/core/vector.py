@@ -63,21 +63,6 @@ from repro.obs.trace import TRACER
 # ----------------------------------------------------------------------
 # Vectorized geometry predicates (exact twins of repro.geometry)
 # ----------------------------------------------------------------------
-def _outcodes(x, y, rect: Rect):
-    """Cohen-Sutherland outcodes for coordinate arrays.
-
-    The scalar ``_outcode`` uses ``elif`` between left/right (and
-    bottom/top), but a point cannot be on both sides of a non-empty
-    rectangle, so independent masks produce the same codes.
-    """
-    return (
-        (x < rect.xmin) * 1
-        + (x > rect.xmax) * 2
-        + (y < rect.ymin) * 4
-        + (y > rect.ymax) * 8
-    )
-
-
 def _segments_meet_bounds(arr, bxmin, bymin, bxmax, bymax):
     """Array twin of :func:`repro.geometry.clipping.segment_intersects_rect`.
 

@@ -58,12 +58,6 @@ class FaceSet:
     def inner_faces(self) -> List[Face]:
         return [f for f in self.faces if not f.is_outer]
 
-    def size_histogram(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for f in self.inner_faces():
-            out[f.size] = out.get(f.size, 0) + 1
-        return out
-
     def average_inner_size(self) -> float:
         inner = self.inner_faces()
         return sum(f.size for f in inner) / len(inner) if inner else 0.0

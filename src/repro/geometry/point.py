@@ -14,17 +14,3 @@ class Point(NamedTuple):
 
     x: float
     y: float
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return this point moved by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def distance2(self, other: "Point") -> float:
-        """Squared Euclidean distance to ``other``."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
-
-    def as_int(self) -> "Point":
-        """Return the point with coordinates rounded to the integer grid."""
-        return Point(int(round(self.x)), int(round(self.y)))

@@ -46,11 +46,6 @@ def wall_now_us() -> int:
     return _WALL0_US + now_us()
 
 
-def anchor_wall_us() -> int:
-    """The process's wall-clock anchor (for the ``clock`` wire op)."""
-    return _WALL0_US
-
-
 def clock_info() -> dict:
     """The ``{"op": "clock"}`` response: this process's clock identity.
 

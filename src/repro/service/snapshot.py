@@ -20,16 +20,25 @@ baseline); nothing here knows one kind from another.
 
 from __future__ import annotations
 
+import contextlib
 import os
-from typing import Any, BinaryIO, Dict, Optional, Union
+from typing import Any, BinaryIO, Dict, Optional, Tuple, Union
 
 from repro.core import STRUCTURES
 from repro.errors import SnapshotError
-from repro.storage.codec import dump_database, load_snapshot, read_header
+from repro.storage.codec import dump_database, load_pages, read_header
 from repro.storage.context import StorageContext
 from repro.storage.policies import ReplacementPolicy
 
 MANIFEST_VERSION = 1
+
+
+def stream(target: Union[str, os.PathLike, BinaryIO], mode: str):
+    """``target`` as a context manager: a path is opened in ``mode`` (and
+    closed), a caller's own stream is passed through and left open."""
+    if isinstance(target, (str, os.PathLike)):
+        return open(target, mode)
+    return contextlib.nullcontext(target)
 
 
 def save_index(
@@ -68,10 +77,50 @@ def save_index(
         manifest.update(extra)
     ctx.pool.flush()
     inventories = index.page_inventories()
-    if hasattr(dest, "write"):
-        return dump_database(ctx.disk, dest, manifest, ctx.pool, inventories)
-    with open(dest, "wb") as fh:
+    with stream(dest, "wb") as fh:
         return dump_database(ctx.disk, fh, manifest, ctx.pool, inventories)
+
+
+def load_index(
+    fh: BinaryIO,
+    header: Dict[str, Any],
+    pool_pages: int = 16,
+    policy: Optional[ReplacementPolicy] = None,
+) -> Tuple[Any, list]:
+    """Judge a snapshot by its ``header``, then bind the page area ``fh``
+    stands at: ``(index, findings)``, the index ``None`` exactly when a
+    finding is an error. The header rules are the only conditions under
+    which a snapshot is not opened (pages the loader cannot follow are
+    their FS01); the deep page walk is ``check``'s alone."""
+    from repro.analysis.findings import error, has_errors
+    from repro.analysis.fsck_storage import FS01, check_snapshot_header
+
+    findings = check_snapshot_header(header)
+    if has_errors(findings):
+        return None, findings
+    manifest = header["manifest"]
+    try:
+        ctx = StorageContext.from_disk(
+            load_pages(fh, header),
+            pool_pages=pool_pages,
+            policy=policy,
+            segment_page_ids=manifest["segments"]["page_ids"],
+            segment_count=manifest["segments"]["count"],
+        )
+        index = STRUCTURES[manifest["kind"]].reopen(ctx, manifest["params"], manifest)
+    except (ValueError, KeyError, TypeError) as exc:
+        detail = f"the pages cannot be loaded as the header describes them: {exc}"
+        return None, findings + [error(FS01, None, "pages", detail)]
+    return index, findings
+
+
+def opened(index, findings):
+    """:func:`load_index`'s index, or ``SnapshotError`` with its findings."""
+    from repro.analysis.findings import format_findings
+
+    if index is None:
+        raise SnapshotError(format_findings(findings, "snapshot cannot be opened"))
+    return index
 
 
 def open_index(
@@ -84,39 +133,12 @@ def open_index(
     The returned index is immediately queryable: no segment is
     re-inserted, no page is allocated and none is written. It owns a
     fresh :class:`~repro.storage.context.StorageContext` (cold buffer
-    pool, zeroed logical counters) over the reloaded disk.
+    pool, zeroed logical counters) over the reloaded disk. Refuses
+    (:class:`~repro.errors.SnapshotError` carrying the findings) exactly
+    when ``check`` reports a header-rule error.
     """
-    if hasattr(src, "read"):
-        disk, manifest = load_snapshot(src)
-    else:
-        with open(src, "rb") as fh:
-            disk, manifest = load_snapshot(fh)
-    if manifest is None:
-        raise SnapshotError(
-            "snapshot has no index manifest (written by dump_database "
-            "rather than save_index?)"
-        )
-    if manifest.get("version") != MANIFEST_VERSION:
-        raise SnapshotError(f"unsupported manifest version {manifest.get('version')!r}")
-    cls = STRUCTURES.get(manifest.get("kind"))
-    if cls is None:
-        raise SnapshotError(f"unknown index kind {manifest.get('kind')!r} in manifest")
-    seg = manifest["segments"]
-    ctx = StorageContext.from_disk(
-        disk,
-        pool_pages=pool_pages,
-        policy=policy,
-        segment_page_ids=seg["page_ids"],
-        segment_count=seg["count"],
-    )
-    index = cls.reopen(ctx, manifest["params"], manifest)
-    for owner, page_ids in index.page_inventories().items():
-        for pid in sorted(page_ids):
-            if not disk.is_allocated(pid):
-                raise SnapshotError(
-                    f"{owner} page {pid} is missing from the snapshot"
-                )
-    return index
+    with stream(src, "rb") as fh:
+        return opened(*load_index(fh, read_header(fh), pool_pages, policy))
 
 
 def empty_index_like(index, ctx: StorageContext):
@@ -131,11 +153,8 @@ def empty_index_like(index, ctx: StorageContext):
 
 def snapshot_info(src: Union[str, os.PathLike, BinaryIO]) -> Dict[str, Any]:
     """Read only the manifest of a snapshot (no page decoding)."""
-    if hasattr(src, "read"):
-        manifest = read_header(src).get("manifest")
-    else:
-        with open(src, "rb") as fh:
-            manifest = read_header(fh).get("manifest")
+    with stream(src, "rb") as fh:
+        manifest = read_header(fh).get("manifest")
     if manifest is None:
         raise SnapshotError("snapshot has no index manifest")
     return manifest

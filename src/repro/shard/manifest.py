@@ -35,6 +35,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.interface import WORLD_SIZE
 from repro.core.pmr.locational import hilbert_index, hilbert_point
 from repro.geometry import Rect, Segment
+from repro.wal.store import atomic_publish
 
 SHARD_MAP_NAME = "repro.shardmap"
 SHARD_MAP_VERSION = 1
@@ -43,14 +44,6 @@ SHARD_MAP_VERSION = 1
 #: world_size/8 on a side -- fine enough to balance a handful of shards,
 #: coarse enough that routing tests stay O(cells).
 DEFAULT_ORDER = 3
-
-
-def _fsync_dir(root: str) -> None:
-    fd = os.open(root, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
 
 
 def segment_mbr(segment: Segment) -> Rect:
@@ -315,36 +308,37 @@ class ShardMap:
         root = os.fspath(root)
         os.makedirs(root, exist_ok=True)
         path = self.path(root)
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_dir(root)
+        with atomic_publish(path) as fh:
+            fh.write(json.dumps(self.to_dict(), indent=1).encode("utf-8"))
         return path
 
     @classmethod
     def load(cls, root: str) -> "ShardMap":
-        path = cls.path(root)
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"{root} holds no shard map ({path})")
-        with open(path, "r", encoding="utf-8") as fh:
+        """The one reader of the map file: ``FileNotFoundError`` when it
+        is missing, ``ValueError`` for anything wrong with it (rule SH01)."""
+        with open(cls.path(root), "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"shard map is a JSON {type(raw).__name__}, not an object"
+            )
         if raw.get("version") != SHARD_MAP_VERSION:
             raise ValueError(
                 f"unsupported shard map version {raw.get('version')!r}"
             )
-        shards = [
-            ShardSpec(s["id"], int(s["lo"]), int(s["hi"]))
-            for s in raw["shards"]
-        ]
-        return cls(
-            shards,
-            order=int(raw["order"]),
-            world_size=float(raw["world_size"]),
-            epoch=int(raw["epoch"]),
-        )
+        try:
+            shards = [
+                ShardSpec(s["id"], int(s["lo"]), int(s["hi"]))
+                for s in raw["shards"]
+            ]
+            return cls(
+                shards,
+                order=int(raw["order"]),
+                world_size=float(raw["world_size"]),
+                epoch=int(raw["epoch"]),
+            )
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"shard map is malformed: {exc!r}") from exc
 
 
 def cell_weights(

@@ -33,36 +33,15 @@ replicated logs are retained until every replica acks.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import WalError
 from repro.geometry import Rect
-from repro.service.snapshot import empty_index_like, open_index, snapshot_info
+from repro.service.snapshot import empty_index_like, open_index
 from repro.shard.manifest import ShardMap, cell_weights
 from repro.storage.context import StorageContext
-from repro.wal.log import ensure_contiguous, scan_log
 from repro.wal.records import InsertRecord
-from repro.wal.store import DurableStore, open_durable, replay_records
-
-
-def _scan_store(store_root: str) -> Tuple[int, List[Any]]:
-    """(checkpoint LSN, post-checkpoint log records) of a store on disk."""
-    paths = DurableStore.paths(store_root)
-    info = snapshot_info(paths["snapshot"])
-    embedded = info.get("wal", {}).get("checkpoint_lsn")
-    if embedded is None:
-        raise WalError(f"{store_root} snapshot has no embedded checkpoint LSN")
-    records: List[Any] = []
-    if os.path.exists(paths["log"]):
-        scan = scan_log(paths["log"])
-        ensure_contiguous(scan, paths["log"])
-        records = [r for r in scan.records if r.lsn > embedded]
-    return embedded, records
-
-
-def _last_lsn(store_root: str) -> int:
-    embedded, records = _scan_store(store_root)
-    return records[-1].lsn if records else embedded
+from repro.wal.store import DurableStore, open_durable, replay_records, sound_store
 
 
 def split_shard(
@@ -83,8 +62,8 @@ def split_shard(
     smap = ShardMap.load(root)
     smap.shard(shard_id)  # raises KeyError for an unknown shard
     parent_root = smap.store_path(root, shard_id)
+    parent = sound_store(parent_root)
     paths = DurableStore.paths(parent_root)
-    checkpoint_lsn, records = _scan_store(parent_root)
     snap_index = open_index(paths["snapshot"], pool_pages=pool_pages)
     table = snap_index.ctx.segments
     world = Rect(0.0, 0.0, smap.world_size, smap.world_size)
@@ -95,7 +74,6 @@ def split_shard(
     new_map = smap.split(shard_id, weights=weights)
     parent_ids = {s.shard_id for s in smap.shards}
     children = [s for s in new_map.shards if s.shard_id not in parent_ids]
-    parent_last = records[-1].lsn if records else checkpoint_lsn
 
     results = []
     for child in children:
@@ -111,8 +89,8 @@ def split_shard(
                 child_index.insert(seg_id)
         replay = replay_records(
             child_index,
-            records,
-            checkpoint_lsn,
+            parent.suffix,
+            parent.checkpoint_lsn,
             order=replay_order,
             index_filter=covers,
         )
@@ -120,7 +98,7 @@ def split_shard(
             new_map.store_path(root, child.shard_id),
             child_index,
             group_commit=group_commit,
-            base_lsn=parent_last,
+            base_lsn=parent.last_lsn,
         )
         store.close()
         results.append(
@@ -167,12 +145,13 @@ def catch_up_shard(
         if not peers:
             raise ValueError("a single-shard set has no donor to catch up from")
         donor = max(
-            peers, key=lambda sid: _last_lsn(smap.store_path(root, sid))
+            peers,
+            key=lambda sid: sound_store(smap.store_path(root, sid)).last_lsn,
         )
     elif donor == shard_id:
         raise ValueError("a shard cannot donate to itself")
-    donor_root = smap.store_path(root, donor)
-    donor_checkpoint, donor_records = _scan_store(donor_root)
+    donor_state = sound_store(smap.store_path(root, donor))
+    donor_checkpoint, donor_records = donor_state.checkpoint_lsn, donor_state.suffix
 
     store = open_durable(
         target_root,

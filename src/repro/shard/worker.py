@@ -41,7 +41,7 @@ from repro.service.engine import QueryEngine
 from repro.service.server import MapServer
 from repro.shard.manifest import ShardMap, cell_weights, segment_mbr
 from repro.storage.context import StorageContext
-from repro.wal.store import DurableStore, open_durable
+from repro.wal.store import DurableStore, atomic_publish, open_durable
 
 SHARD_ADDR_NAME = "shard.addr"
 
@@ -191,10 +191,8 @@ def addr_path(store_root: str) -> str:
 def write_addr(store_root: str, host: str, port: int) -> str:
     """Publish the worker's address atomically next to its store."""
     path = addr_path(store_root)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump({"host": host, "port": port, "pid": os.getpid()}, fh)
-    os.replace(tmp, path)
+    with atomic_publish(path) as fh:
+        fh.write(json.dumps({"host": host, "port": port, "pid": os.getpid()}).encode())
     return path
 
 
@@ -219,9 +217,18 @@ def open_shard(
     exactly the shard's region even though the log records every
     mutation. Each engine gets its own metrics registry, so several
     shards hosted in one process (tests, the benchmark) keep their
-    exports separate.
+    exports separate. Refuses with ``ValueError`` carrying the findings
+    when ``check --shards`` reports SH01 or, for this shard, SH02; the
+    store itself is then :func:`~repro.wal.store.open_durable`'s to judge.
     """
-    smap = ShardMap.load(root)
+    from repro.analysis.findings import format_findings, has_errors
+    from repro.analysis.fsck_shards import shard_findings
+
+    smap, findings = shard_findings(root, shard_id)
+    if has_errors(findings):
+        raise ValueError(
+            format_findings(findings, f"shard {shard_id} of {root} cannot be opened")
+        )
     spec = smap.shard(shard_id)
     store = open_durable(
         smap.store_path(root, shard_id),

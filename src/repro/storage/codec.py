@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import struct
+import zlib
 from typing import Any, BinaryIO, Dict, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode
@@ -258,14 +259,14 @@ def read_header(fh: BinaryIO) -> Dict[str, Any]:
     return header
 
 
-def load_snapshot(fh: BinaryIO) -> Tuple[DiskManager, Optional[Dict[str, Any]]]:
-    """Rebuild a dumped disk, returning it with the stored manifest.
+def load_pages(fh: BinaryIO, header: Dict[str, Any]) -> DiskManager:
+    """Rebuild the dumped disk under ``header`` from ``fh``, which stands
+    at the page area (where :func:`read_header` leaves it).
 
     A page area shorter or more damaged than the header promises raises
     :class:`CodecError`: a truncated dump must fail loudly, never load
     as a partially-populated disk.
     """
-    header = read_header(fh)
     disk = DiskManager(page_size=header["page_size"])
     for meta in header["pages"]:
         blob = fh.read(meta["length"])
@@ -285,10 +286,34 @@ def load_snapshot(fh: BinaryIO) -> Tuple[DiskManager, Optional[Dict[str, Any]]]:
     disk._free_ids = list(header.get("free_ids", []))
     disk.physical_reads = header.get("physical_reads", 0)
     disk.physical_writes = header.get("physical_writes", 0)
-    return disk, header.get("manifest")
+    return disk
 
 
 def load_database(fh: BinaryIO) -> DiskManager:
     """Rebuild a simulated disk written by :func:`dump_database`."""
-    disk, _ = load_snapshot(fh)
-    return disk
+    return load_pages(fh, read_header(fh))
+
+
+def table_rows_crc(
+    fh: BinaryIO,
+    header: Dict[str, Any],
+    page_area: int,
+    page_ids: List[int],
+    appended: List[Segment],
+) -> int:
+    """CRC-32 of a dumped segment table's rows -- the pages ``page_ids``
+    in that order, undecoded, as the page table delimits them past
+    ``page_area``, count words skipped -- and then of ``appended``."""
+    extents: Dict[int, Tuple[int, int]] = {}
+    offset = page_area
+    for meta in header["pages"]:
+        extents[meta["id"]] = (offset, meta["length"])
+        offset += meta["length"]
+    crc = 0
+    for page_id in page_ids:
+        offset, length = extents[page_id]
+        fh.seek(offset + _SEG_HEADER.size)
+        crc = zlib.crc32(fh.read(length - _SEG_HEADER.size), crc)
+    for s in appended:
+        crc = zlib.crc32(_SEG_ENTRY.pack(s.x1, s.y1, s.x2, s.y2), crc)
+    return crc

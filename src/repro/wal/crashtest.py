@@ -245,6 +245,15 @@ def _flip_byte(path: str, offset: int) -> None:
         fh.write(bytes([byte[0] ^ 0xFF]))
 
 
+def _must_refuse(case: str, root: str, what: str) -> CrashOutcome:
+    """Media damage no crash can produce: the opener must refuse it."""
+    try:
+        DurableStore.open(root).close()
+    except (WalError, CodecError):
+        return CrashOutcome(case, True)
+    return CrashOutcome(case, False, detail=f"{what} not detected")
+
+
 def _verify_recovery(
     case: str,
     root: str,
@@ -341,13 +350,7 @@ def run_crash_matrix(
             _flip_byte(target, offset)
         if name == "cut-header":
             # Unrecoverable by design: the scan must refuse loudly.
-            try:
-                DurableStore.open(root)
-                report.outcomes.append(
-                    CrashOutcome(name, False, detail="damaged header not detected")
-                )
-            except WalError:
-                report.outcomes.append(CrashOutcome(name, True))
+            report.outcomes.append(_must_refuse(name, root, "damaged header"))
             continue
         report.outcomes.append(
             _verify_recovery(name, root, kind, base, mutations, replay_order)
@@ -379,13 +382,5 @@ def run_crash_matrix(
     _copy_store(live, root)
     snap = os.path.join(root, snap_path_name)
     _truncate(snap, os.path.getsize(snap) // 2)
-    try:
-        DurableStore.open(root)
-        report.outcomes.append(
-            CrashOutcome(
-                "snapshot-truncated", False, detail="corrupt snapshot not detected"
-            )
-        )
-    except (WalError, CodecError):
-        report.outcomes.append(CrashOutcome("snapshot-truncated", True))
+    report.outcomes.append(_must_refuse("snapshot-truncated", root, "corrupt snapshot"))
     return report

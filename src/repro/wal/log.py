@@ -135,18 +135,6 @@ def scan_log(path: str) -> LogScan:
     )
 
 
-def ensure_contiguous(scan: LogScan, path: str) -> None:
-    """Raise unless the scanned LSNs run ``base_lsn + 1, +2, ...``."""
-    expected = scan.base_lsn + 1
-    for record in scan.records:
-        if record.lsn != expected:
-            raise WalError(
-                f"{path}: LSN {record.lsn} where {expected} was expected; "
-                f"refusing to replay a log with gaps"
-            )
-        expected += 1
-
-
 class WriteAheadLog:
     """One append-only log file with group-commit batching.
 
@@ -192,17 +180,17 @@ class WriteAheadLog:
 
     @classmethod
     def open(
-        cls, path: str, group_commit: int = 1, repair: bool = True
+        cls, path: str, scan: LogScan, group_commit: int = 1, repair: bool = True
     ) -> "WriteAheadLog":
         """Reopen an existing log for appending.
 
-        A torn tail is truncated away when ``repair`` is true (the
+        ``scan`` is the caller's :func:`scan_log` of ``path``, the one it
+        judged (rule FS08 refuses LSN gaps), so a log is read once per
+        open. A torn tail is truncated away when ``repair`` is true (the
         default); with ``repair=False`` a torn log raises, for callers
-        that must not modify the store. LSN gaps always raise.
+        that must not modify the store.
         """
         path = os.fspath(path)
-        scan = scan_log(path)
-        ensure_contiguous(scan, path)
         if scan.tail_error is not None:
             if not repair:
                 raise WalError(f"{path}: torn tail ({scan.tail_error})")

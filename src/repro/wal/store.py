@@ -16,9 +16,13 @@ authoritative for where replay starts (it travels atomically with the
 page data), the manifest is a cross-checkable pointer, and an
 un-rotated log merely makes recovery skip an already-folded prefix.
 
-**Recovery** (:func:`open_durable` / :meth:`DurableStore.open`): reopen
-the snapshot, scan the log tolerating a torn final record (truncating it
-away), and replay the suffix of records with LSNs above the checkpoint.
+**One reader, one judge**: only :func:`read_store` reads a store
+directory, recording damage instead of raising on it; the fsck and every
+opener judge that state by the same rules (FS07..FS10).
+
+**Recovery** (:func:`open_durable` / :meth:`DurableStore.open`): bind
+the snapshot, truncate a torn final log record away, and replay the
+suffix of records with LSNs above the checkpoint.
 Replay is idempotent -- already-stored inserts and already-gone deletes
 are skipped -- and applies the net-surviving inserts in Morton (or
 Hilbert) order of their centroids, the same space-filling-curve packing
@@ -28,16 +32,19 @@ the rebuild touches far fewer pages than log order would.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from functools import cached_property
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sanitize import SANITIZER
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE
 from repro.core.pmr.locational import hilbert_index, interleave
 from repro.geometry import Point, Segment
-from repro.wal.log import WriteAheadLog, ensure_contiguous, scan_log
+from repro.storage.codec import CodecError, read_header, table_rows_crc
+from repro.wal.log import LogScan, WriteAheadLog, scan_log
 from repro.wal.records import InsertRecord, WalError, WalRecord
 
 SNAPSHOT_NAME = "repro.service.snapshot"
@@ -65,14 +72,133 @@ def _fsync_dir(root: str) -> None:
         os.close(fd)
 
 
-def _atomic_write_json(path: str, obj: Dict[str, Any]) -> None:
+@contextlib.contextmanager
+def atomic_publish(path: str) -> Iterator[Any]:
+    """Replace ``path`` with what the body writes to the yielded binary
+    stream, all or nothing: temp file, flush + fsync, ``os.replace``,
+    directory fsync. A body that raises (the crash hooks) replaces nothing."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh)
+    with open(tmp, "wb") as fh:
+        yield fh
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
     _fsync_dir(os.path.dirname(path) or ".")
+
+
+def read_log(path: str) -> Tuple[Optional[LogScan], Optional[str]]:
+    """``(scan, error)`` of one log file: ``(None, None)`` when there is
+    no file, ``(None, why)`` when its header cannot be read."""
+    try:
+        return scan_log(path), None
+    except FileNotFoundError:
+        return None, None
+    except WalError as exc:
+        return None, str(exc)
+
+
+def _dig(obj: Any, *keys: str) -> Any:
+    """``obj[k0][k1]...`` through JSON objects, ``None`` where a level
+    is missing or is not an object."""
+    for key in keys:
+        obj = obj.get(key) if isinstance(obj, dict) else None
+    return obj
+
+
+@dataclass
+class StoreState:
+    """What one read of a store directory found: facts, not verdicts --
+    a missing or unreadable file is a field saying so. The rules over
+    them are :func:`repro.analysis.fsck_wal.store_findings`."""
+
+    root: str
+    #: The checkpoint manifest, when it is a JSON object; else why not.
+    manifest: Optional[Dict[str, Any]] = None
+    manifest_error: Optional[str] = None
+    #: The snapshot's codec header and the file offset of its page area.
+    header: Optional[Dict[str, Any]] = None
+    page_area: int = 0
+    snapshot_error: Optional[str] = None
+    #: The one scan of the log; both ``None``: there is no log file.
+    scan: Optional[LogScan] = None
+    log_error: Optional[str] = None
+
+    @property
+    def checkpoint_lsn(self) -> Optional[int]:
+        """The LSN embedded in the snapshot: where replay starts."""
+        lsn = _dig(self.header, "manifest", "wal", "checkpoint_lsn")
+        return lsn if isinstance(lsn, int) else None
+
+    @cached_property
+    def suffix(self) -> List[WalRecord]:
+        """The log records recovery replays: those past the checkpoint."""
+        checkpoint_lsn = self.checkpoint_lsn
+        if self.scan is None or checkpoint_lsn is None:
+            return []
+        return [r for r in self.scan.records if r.lsn > checkpoint_lsn]
+
+    @property
+    def last_lsn(self) -> Optional[int]:
+        """The LSN the store recovers to (``None``: no checkpoint LSN)."""
+        return self.suffix[-1].lsn if self.suffix else self.checkpoint_lsn
+
+    @cached_property
+    def table(self) -> Tuple[int, int]:
+        """``(rows, CRC-32 of the rows)`` of the replicated table as
+        recovery rebuilds it -- the snapshot's, continued over the suffix's
+        appends -- wherever the store's checkpoint fell (rule SH03)."""
+        segments = self.header["manifest"]["segments"]
+        appended = [
+            r.segment
+            for r in self.suffix
+            if isinstance(r, InsertRecord) and r.seg_id >= segments["count"]
+        ]
+        with open(DurableStore.paths(self.root)["snapshot"], "rb") as fh:
+            crc = table_rows_crc(
+                fh, self.header, self.page_area, segments["page_ids"], appended
+            )
+        return segments["count"] + len(appended), crc
+
+
+def read_store(root: str) -> StoreState:
+    """Read a store directory -- manifest, snapshot header, one log
+    scan -- into a :class:`StoreState`. Raises for nothing it finds."""
+    state = StoreState(os.fspath(root))
+    paths = DurableStore.paths(root)
+    try:
+        with open(paths["manifest"], "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        if not isinstance(manifest, dict):
+            raise ValueError(f"a JSON {type(manifest).__name__}, not an object")
+        state.manifest = manifest
+    except FileNotFoundError:
+        state.manifest_error = "checkpoint manifest is missing"
+    except ValueError as exc:  # not JSON, not text, or not an object
+        state.manifest_error = f"checkpoint manifest is corrupt: {exc}"
+    try:
+        with open(paths["snapshot"], "rb") as fh:
+            state.header = read_header(fh)
+            state.page_area = fh.tell()
+    except FileNotFoundError:
+        state.snapshot_error = "checkpoint snapshot is missing"
+    except CodecError as exc:
+        state.snapshot_error = f"snapshot header is unreadable: {exc}"
+    state.scan, state.log_error = read_log(paths["log"])
+    return state
+
+
+def sound_store(root: str) -> StoreState:
+    """:func:`read_store`, refusing -- :class:`WalError` carrying the
+    report -- when a store rule finds an error. Warnings pass: they are
+    the states recovery handles by design."""
+    from repro.analysis.findings import format_findings, has_errors
+    from repro.analysis.fsck_wal import store_findings
+
+    state = read_store(root)
+    findings = store_findings(state)
+    if has_errors(findings):
+        raise WalError(format_findings(findings, f"{state.root} cannot be recovered"))
+    return state
 
 
 def _clamp(v: float) -> int:
@@ -265,62 +391,38 @@ class DurableStore:
     ) -> "DurableStore":
         """Recover a durable store: latest checkpoint + log-suffix replay.
 
-        The snapshot's embedded checkpoint LSN decides where replay
-        starts; a torn final log record is truncated away (``repair``),
-        and a log that was never rotated after a checkpoint merely gets
-        its already-folded prefix skipped.
+        Refuses (:func:`sound_store`) exactly when ``check --wal`` reports
+        an error. The snapshot's embedded checkpoint LSN decides where
+        replay starts; a torn final log record is truncated away
+        (``repair``), and a log that was never rotated after a checkpoint
+        merely gets its already-folded prefix skipped.
         """
-        from repro.service.snapshot import open_index, snapshot_info
+        from repro.service.snapshot import load_index, opened
 
-        root = os.fspath(root)
+        state = sound_store(root)
         paths = cls.paths(root)
-        if not os.path.exists(paths["manifest"]):
-            raise FileNotFoundError(f"{root} holds no durable store manifest")
-        with open(paths["manifest"], "r", encoding="utf-8") as fh:
-            try:
-                manifest = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise WalError(f"checkpoint manifest is corrupt: {exc}") from exc
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise WalError(
-                f"unsupported checkpoint manifest version "
-                f"{manifest.get('version')!r}"
-            )
-        if not os.path.exists(paths["snapshot"]):
-            raise WalError(f"checkpoint snapshot {paths['snapshot']} is missing")
-        info = snapshot_info(paths["snapshot"])
-        embedded = info.get("wal", {}).get("checkpoint_lsn")
-        if embedded is None:
-            raise WalError(
-                "snapshot carries no embedded checkpoint LSN (not written "
-                "by a durable store?)"
-            )
-        index = open_index(paths["snapshot"], pool_pages=pool_pages)
-        if not os.path.exists(paths["log"]):
+        embedded = state.checkpoint_lsn
+        with open(paths["snapshot"], "rb") as fh:  # its header is in ``state``
+            fh.seek(state.page_area)
+            index = opened(*load_index(fh, state.header, pool_pages))
+        if state.scan is None:
             # A crash between checkpoint and log creation: nothing to
             # replay; start a fresh tail at the checkpoint.
             wal = WriteAheadLog.create(
                 paths["log"], base_lsn=embedded, group_commit=group_commit
             )
-            return cls(root, index, wal, checkpoint_lsn=embedded)
-        scan = scan_log(paths["log"])
-        ensure_contiguous(scan, paths["log"])
-        if scan.base_lsn > embedded:
-            raise WalError(
-                f"log starts at LSN {scan.base_lsn} but the checkpoint "
-                f"holds only up to {embedded}: records are missing"
-            )
+            return cls(state.root, index, wal, checkpoint_lsn=embedded)
         replay = replay_records(
             index,
-            scan.records,
+            state.scan.records,
             embedded,
             order=replay_order,
             index_filter=index_filter,
         )
         wal = WriteAheadLog.open(
-            paths["log"], group_commit=group_commit, repair=repair
+            paths["log"], state.scan, group_commit=group_commit, repair=repair
         )
-        return cls(root, index, wal, checkpoint_lsn=embedded, replay=replay)
+        return cls(state.root, index, wal, checkpoint_lsn=embedded, replay=replay)
 
     # ------------------------------------------------------------------
     # Logging (called by the engine under its latch)
@@ -371,31 +473,24 @@ class DurableStore:
     ) -> int:
         from repro.service.snapshot import save_index
 
-        snap = self.paths(self.root)["snapshot"]
-        tmp = snap + ".tmp"
-        with open(tmp, "wb") as fh:
+        with atomic_publish(self.paths(self.root)["snapshot"]) as fh:
             pages = save_index(
                 self.index, fh, extra={"wal": {"checkpoint_lsn": lsn}}
             )
-            fh.flush()
-            os.fsync(fh.fileno())
-        if _crash_point == "snapshot-tmp":
-            raise SimulatedCrash("crash before snapshot replace")
-        os.replace(tmp, snap)
-        _fsync_dir(self.root)
+            if _crash_point == "snapshot-tmp":
+                raise SimulatedCrash("crash before snapshot replace")
         return pages
 
     def _write_manifest(self, lsn: int) -> None:
-        _atomic_write_json(
-            self.paths(self.root)["manifest"],
-            {
-                "version": MANIFEST_VERSION,
-                "checkpoint_lsn": lsn,
-                "snapshot": SNAPSHOT_NAME,
-                "kind": self.index.name,
-                "segments": len(self.index.ctx.segments),
-            },
-        )
+        manifest = {
+            "version": MANIFEST_VERSION,
+            "checkpoint_lsn": lsn,
+            "snapshot": SNAPSHOT_NAME,
+            "kind": self.index.name,
+            "segments": len(self.index.ctx.segments),
+        }
+        with atomic_publish(self.paths(self.root)["manifest"]) as fh:
+            fh.write(json.dumps(manifest).encode("utf-8"))
 
     # ------------------------------------------------------------------
     # Observability & teardown
@@ -412,20 +507,5 @@ class DurableStore:
         self.wal.close()
 
 
-def open_durable(
-    root: str,
-    pool_pages: int = 16,
-    group_commit: int = 1,
-    repair: bool = True,
-    replay_order: str = "morton",
-    index_filter: Optional[Callable[[int, Segment], bool]] = None,
-) -> DurableStore:
-    """The recovery entry point: alias for :meth:`DurableStore.open`."""
-    return DurableStore.open(
-        root,
-        pool_pages=pool_pages,
-        group_commit=group_commit,
-        repair=repair,
-        replay_order=replay_order,
-        index_filter=index_filter,
-    )
+#: The recovery entry point.
+open_durable = DurableStore.open

@@ -575,6 +575,69 @@ class TestOnePolicyOnePlace:
         ]
         assert choices and all(c == list(SERVABLE) for c in choices)
 
+    def test_on_disk_state_is_read_once_and_judged_once(self, tmp_path, monkeypatch):
+        """One reader per persisted artefact, and the fsck rules are the
+        openers' only refusal conditions."""
+        import repro.wal.store as store_module
+        from repro.service import snapshot as snapshot_module
+        from repro.wal.log import scan_log
+
+        join = os.path.join
+        # One reader: the log is scanned by the store reader (and by the
+        # harness that injects the damage) and by nobody else ...
+        assert self._files_calling("scan_log") == {
+            join("wal", "store.py"),
+            join("wal", "crashtest.py"),
+        }
+        # ... a snapshot's manifest and each JSON manifest are read by
+        # the module that owns the file (``bench`` reads bench records).
+        assert self._files_calling("snapshot_info") == set()
+        assert self._files_calling("json.load") == {
+            join("wal", "store.py"),
+            join("shard", "manifest.py"),
+            join("shard", "worker.py"),
+            join("bench", "compare.py"),
+        }
+        src = [line for path, line in self._lines("src") if path.endswith(".py")]
+        gone = re.compile(r"_scan_store|_last_lsn\(|_shard_state|ensure_contiguous")
+        assert [line for line in src if gone.search(line)] == []
+        assert len([line for line in src if "def _fsync_dir" in line]) == 1
+        assert len([line for line in src if "os.replace(" in line]) == 2  # + log rotation
+
+        # One judge: an opener raises nothing of its own; the refusal
+        # beside it raises once, and what it raises carries the findings.
+        def raises_in(module, name):
+            with open(module.__file__, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            (func,) = [
+                n for n in ast.walk(tree)
+                if isinstance(n, ast.FunctionDef) and n.name == name
+            ]
+            return [ast.unparse(n) for n in ast.walk(func) if isinstance(n, ast.Raise)]
+
+        assert raises_in(store_module, "open") == []
+        assert raises_in(snapshot_module, "open_index") == []
+        for module, refusal, error in (
+            (store_module, "sound_store", "WalError"),
+            (snapshot_module, "opened", "SnapshotError"),
+        ):
+            (only,) = raises_in(module, refusal)
+            assert only.startswith(f"raise {error}(format_findings(findings"), only
+
+        # And an open reads the log once, torn tail or not.
+        root = str(tmp_path / "store")
+        store = DurableStore.create(root, build_index("R*", lattice_map(n=4)))
+        QueryEngine(store.index, store=store).delete(0)
+        store.close()
+        log = DurableStore.paths(root)["log"]
+        os.truncate(log, os.path.getsize(log) - 3)
+        scanned = []
+        monkeypatch.setattr(
+            store_module, "scan_log", lambda path: scanned.append(path) or scan_log(path)
+        )
+        store_module.open_durable(root).close()
+        assert scanned == [log]
+
     def test_core_is_sans_io(self):
         with open(protocol_module.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
