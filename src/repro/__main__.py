@@ -249,14 +249,23 @@ def _cmd_route(args) -> int:
     return _serve(router, what, how, *closers)
 
 
-def _cmd_snapshot(args) -> int:
-    from repro.service import save_index
+#: How `snapshot` and `checkpoint` print :func:`snapshot_sizes`.
+_SIZES = (
+    "  header {header_bytes} bytes + page area {page_area_bytes} bytes: "
+    "{bytes_per_segment} bytes/segment"
+)
 
-    pages = save_index(_build(args), args.out)
+
+def _cmd_snapshot(args) -> int:
+    from repro.service.snapshot import save_index, snapshot_sizes
+
+    index = _build(args)
+    pages = save_index(index, args.out)
     print(
         f"saved {args.structure} over {args.county} (scale {args.scale}): "
         f"{pages} pages -> {args.out}"
     )
+    print(_SIZES.format(**snapshot_sizes(args.out, len(index.ctx.segments))))
     return 0
 
 
@@ -271,6 +280,7 @@ def _cmd_checkpoint(args) -> int:
         f"{result['folded_records']} record(s) folded into "
         f"{result['pages']} pages"
     )
+    print(_SIZES.format(**result))
     return 0
 
 

@@ -161,16 +161,23 @@ def check_segment_refs(index, refs, rule: str = FS04) -> List[Finding]:
 
 def check_snapshot_header(header: Dict[str, Any]) -> List[Finding]:
     """The rules a snapshot file must pass to be opened, on its raw JSON
-    header (no page decoding): a manifest this code can bind (FS01
-    otherwise), and :func:`_check_page_books` over the page table, the
-    persisted free list and the manifest's inventories.
+    header (no page decoding): the one format and a manifest this code
+    can bind (FS01 otherwise), and :func:`_check_page_books` over the
+    page table, the persisted free list and the manifest's inventories.
     """
     from repro.core import STRUCTURES
     from repro.service.snapshot import MANIFEST_VERSION
+    from repro.storage.codec import FORMAT
 
     manifest = header.get("manifest")
     unbindable = None
-    if not isinstance(manifest, dict):
+    if header.get("format") != FORMAT:
+        unbindable = (
+            f"snapshot is format {header.get('format')!r}, this build reads "
+            f"format {FORMAT} only: write it again (`snapshot`, or re-create "
+            f"the store) with this build"
+        )
+    elif not isinstance(manifest, dict):
         unbindable = (
             "snapshot has no index manifest (written by dump_database "
             "rather than save_index?)"
@@ -188,5 +195,5 @@ def check_snapshot_header(header: Dict[str, Any]) -> List[Finding]:
         for name, section in manifest.items()
         if isinstance(section, dict) and "page_ids" in section
     }
-    page_ids = {meta["id"] for meta in header["pages"]}
+    page_ids = {page_id for page_id, _, _ in header["pages"]}
     return _check_page_books(page_ids, set(header.get("free_ids", [])), owners)

@@ -104,3 +104,53 @@ class PMRBlock:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else "internal"
         return f"<PMRBlock {kind} d={self.depth} ({self.bx},{self.by}) n={self.count}>"
+
+
+#: Directory byte grammar, pre-order (children SW SE NW NE): one tag a
+#: block -- ``SPLIT``, a leaf's q-edge count below ``WIDE``, or ``WIDE``
+#: and the count as a u32 LE. Depth and ``(bx, by)`` follow from position.
+SPLIT = 0xFF
+WIDE = 0xFE
+
+
+def encode_directory(root: PMRBlock) -> bytes:
+    out = bytearray()
+    stack = [root]
+    while stack:
+        block = stack.pop()
+        if block.children is not None:
+            out.append(SPLIT)
+            stack.extend(reversed(block.children))
+        elif block.count < WIDE:
+            out.append(block.count)
+        else:
+            out.append(WIDE)
+            out += block.count.to_bytes(4, "little")
+    return bytes(out)
+
+
+def decode_directory(data: bytes, max_depth: int) -> PMRBlock:
+    """The tree :func:`encode_directory` wrote (``lcode`` unset).
+    ``ValueError`` for bytes that are not exactly one such tree."""
+    root = PMRBlock(0, 0, 0)
+    stack = [root]
+    pos = 0
+    while stack:
+        block = stack.pop()
+        tag = data[pos] if pos < len(data) else None
+        pos += 1
+        if tag == SPLIT and block.depth < max_depth:
+            stack.extend(reversed(block.split()))
+        elif tag == WIDE and pos + 4 <= len(data):
+            block.count = int.from_bytes(data[pos : pos + 4], "little")
+            pos += 4
+        elif tag is not None and tag < WIDE:
+            block.count = tag
+        else:
+            raise ValueError(
+                f"block directory: byte {pos - 1} of {len(data)} cannot be a "
+                f"block at depth {block.depth} (max_depth {max_depth})"
+            )
+    if pos != len(data):
+        raise ValueError(f"block directory has {len(data) - pos} trailing byte(s)")
+    return root

@@ -24,12 +24,13 @@ fewer segment comparisons; it is exercised by the ablation benchmarks.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Set
+import base64
+from typing import Any, Callable, Dict, List, Set
 
 from repro.btree import BPlusTree, ScanStats
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
 from repro.core.interface import NNQuery, SegmentQuery
-from repro.core.pmr.blocks import PMRBlock
+from repro.core.pmr.blocks import PMRBlock, decode_directory, encode_directory
 from repro.core.pmr.locational import hilbert_code, locational_code
 from repro.errors import SnapshotError
 from repro.geometry import Point, Rect, Segment
@@ -55,24 +56,6 @@ from repro.storage.layout import (
 #: block's descendants in one contiguous code interval, which the window
 #: decomposition and the linear-quadtree layout rely on.
 _CODE_FUNCTIONS = {"morton": locational_code, "hilbert": hilbert_code}
-
-
-def _block_to_json(block: PMRBlock) -> Dict[str, Any]:
-    node: Dict[str, Any] = {"d": block.depth, "x": block.bx, "y": block.by}
-    if block.is_leaf:
-        node["c"] = block.count
-    else:
-        node["ch"] = [_block_to_json(child) for child in block.children]
-    return node
-
-
-def _block_from_json(node: Dict[str, Any]) -> PMRBlock:
-    block = PMRBlock(node["d"], node["x"], node["y"])
-    if "ch" in node:
-        block.children = [_block_from_json(child) for child in node["ch"]]
-    else:
-        block.count = node["c"]
-    return block
 
 
 class PMRQuadtree(SpatialIndex):
@@ -133,7 +116,7 @@ class PMRQuadtree(SpatialIndex):
         return {
             "state": {"seg_count": self._seg_count},
             "btree": self.btree.state(),
-            "blocks": _block_to_json(self.root),
+            "blocks": base64.b64encode(encode_directory(self.root)).decode("ascii"),
         }
 
     def _open(self, params: Dict[str, Any], state) -> None:
@@ -159,7 +142,9 @@ class PMRQuadtree(SpatialIndex):
             self._seg_count = 0
         else:
             self.btree = BPlusTree.reopen(self.ctx.pool, *capacities, state["btree"])
-            self.root = _block_from_json(state["blocks"])
+            self.root = decode_directory(
+                base64.b64decode(state["blocks"], validate=True), self.max_depth
+            )
             self._seg_count = state["state"]["seg_count"]
 
     def page_inventories(self) -> Dict[str, Set[int]]:

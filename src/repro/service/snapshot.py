@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import struct
 from typing import Any, BinaryIO, Dict, Optional, Tuple, Union
 
 from repro.core import STRUCTURES
@@ -149,6 +150,18 @@ def empty_index_like(index, ctx: StorageContext):
     capacity/split-rule/threshold/world as the parent, zero entries.
     """
     return type(index).reopen(ctx, index.params())
+
+
+def snapshot_sizes(path: str, segments: int) -> Dict[str, Any]:
+    """How a snapshot file's bytes split (reports only)."""
+    with open(path, "rb") as fh:
+        header_bytes = 4 + struct.unpack("<I", fh.read(4))[0]
+    size = os.path.getsize(path)
+    return {
+        "header_bytes": header_bytes,
+        "page_area_bytes": size - header_bytes,
+        "bytes_per_segment": round(size / max(1, segments), 2),
+    }
 
 
 def snapshot_info(src: Union[str, os.PathLike, BinaryIO]) -> Dict[str, Any]:

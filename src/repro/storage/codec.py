@@ -164,6 +164,11 @@ _PAYLOAD_CODECS = {
     "segments": (encode_segment_page, decode_segment_page),
 }
 
+#: The one snapshot layout this code writes and reads (FS01 otherwise):
+#: compact JSON header, page table rows ``[id, index into "kinds",
+#: length]``, one CRC-32 over the page area.
+FORMAT = 3
+
 #: The kind of a page no inventory names (a bare ``dump_database``).
 _KIND_OF_PAYLOAD = {
     RTreeNode: "rtree",
@@ -210,33 +215,35 @@ def dump_database(
         for kind, page_ids in (inventories or {}).items()
         for page_id in page_ids
     }
-    pages: Dict[int, Tuple[str, bytes]] = {}
+    kinds = list(_PAYLOAD_CODECS)
+    rows: List[List[int]] = []
+    area = bytearray()
     for page_id, payload in sorted(disk._pages.items()):
         kind = declared.get(page_id) or _KIND_OF_PAYLOAD.get(type(payload))
         if kind is None:
             raise CodecError(f"no codec for payload of type {type(payload).__name__}")
         encoder, _ = _PAYLOAD_CODECS[kind]
-        pages[page_id] = (kind, encoder(payload, disk.page_size))
+        blob = encoder(payload, disk.page_size)
+        rows.append([page_id, kinds.index(kind), len(blob)])
+        area += blob
 
     header = {
-        "format": 2,
+        "format": FORMAT,
         "page_size": disk.page_size,
         "next_id": disk._next_id,
         "free_ids": sorted(disk._free_ids),
         "physical_reads": disk.physical_reads,
         "physical_writes": disk.physical_writes,
         "manifest": manifest,
-        "pages": [
-            {"id": pid, "kind": kind, "length": len(blob)}
-            for pid, (kind, blob) in pages.items()
-        ],
+        "kinds": kinds,
+        "pages": rows,
+        "pages_crc": zlib.crc32(area),
     }
-    header_bytes = json.dumps(header).encode("utf-8")
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
     fh.write(struct.pack("<I", len(header_bytes)))
     fh.write(header_bytes)
-    for pid, (kind, blob) in pages.items():
-        fh.write(blob)
-    return len(pages)
+    fh.write(area)
+    return len(rows)
 
 
 def read_header(fh: BinaryIO) -> Dict[str, Any]:
@@ -268,20 +275,24 @@ def load_pages(fh: BinaryIO, header: Dict[str, Any]) -> DiskManager:
     as a partially-populated disk.
     """
     disk = DiskManager(page_size=header["page_size"])
-    for meta in header["pages"]:
-        blob = fh.read(meta["length"])
-        if len(blob) != meta["length"]:
+    crc = 0
+    for page_id, kind_index, length in header["pages"]:
+        blob = fh.read(length)
+        if len(blob) != length:
             raise CodecError(
-                f"dump is truncated: page {meta['id']} promises "
-                f"{meta['length']} bytes, only {len(blob)} remain"
+                f"dump is truncated: page {page_id} promises "
+                f"{length} bytes, only {len(blob)} remain"
             )
-        _, decoder = _PAYLOAD_CODECS[meta["kind"]]
+        crc = zlib.crc32(blob, crc)
         try:
-            disk._pages[meta["id"]] = decoder(blob)
+            _, decoder = _PAYLOAD_CODECS[header["kinds"][kind_index]]
+            disk._pages[page_id] = decoder(blob)
         except (struct.error, ValueError, KeyError, IndexError) as exc:
             raise CodecError(
-                f"page {meta['id']} ({meta['kind']}) cannot be decoded: {exc}"
+                f"page {page_id} (kind {kind_index}) cannot be decoded: {exc}"
             ) from exc
+    if crc != header["pages_crc"]:
+        raise CodecError("page area is corrupt: its CRC-32 is not the header's")
     disk._next_id = header["next_id"]
     disk._free_ids = list(header.get("free_ids", []))
     disk.physical_reads = header.get("physical_reads", 0)
@@ -306,9 +317,9 @@ def table_rows_crc(
     ``page_area``, count words skipped -- and then of ``appended``."""
     extents: Dict[int, Tuple[int, int]] = {}
     offset = page_area
-    for meta in header["pages"]:
-        extents[meta["id"]] = (offset, meta["length"])
-        offset += meta["length"]
+    for page_id, _, length in header["pages"]:
+        extents[page_id] = (offset, length)
+        offset += length
     crc = 0
     for page_id in page_ids:
         offset, length = extents[page_id]

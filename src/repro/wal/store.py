@@ -457,7 +457,7 @@ class DurableStore:
         lsn = self.wal.last_lsn
         self.wal.sync()
         folded = lsn - self.checkpoint_lsn
-        pages = self._write_snapshot(lsn, _crash_point=_crash_point)
+        written = self._write_snapshot(lsn, _crash_point=_crash_point)
         if _crash_point == "snapshot":
             raise SimulatedCrash("crash after snapshot replace")
         self._write_manifest(lsn)
@@ -466,20 +466,21 @@ class DurableStore:
         self.wal.rotate(lsn)
         self.checkpoint_lsn = lsn
         self.checkpoints += 1
-        return {"checkpoint_lsn": lsn, "pages": pages, "folded_records": folded}
+        return {"checkpoint_lsn": lsn, "folded_records": folded, **written}
 
     def _write_snapshot(
         self, lsn: int, _crash_point: Optional[str] = None
-    ) -> int:
-        from repro.service.snapshot import save_index
+    ) -> Dict[str, Any]:
+        from repro.service.snapshot import save_index, snapshot_sizes
 
-        with atomic_publish(self.paths(self.root)["snapshot"]) as fh:
+        path = self.paths(self.root)["snapshot"]
+        with atomic_publish(path) as fh:
             pages = save_index(
                 self.index, fh, extra={"wal": {"checkpoint_lsn": lsn}}
             )
             if _crash_point == "snapshot-tmp":
                 raise SimulatedCrash("crash before snapshot replace")
-        return pages
+        return {"pages": pages, **snapshot_sizes(path, len(self.index.ctx.segments))}
 
     def _write_manifest(self, lsn: int) -> None:
         manifest = {

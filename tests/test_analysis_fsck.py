@@ -9,6 +9,7 @@ or a fresh snapshot.
 
 from __future__ import annotations
 
+import base64
 import re
 from collections import Counter
 
@@ -42,9 +43,19 @@ from repro.analysis.fsck_rplus import (
 from repro.analysis.fsck_rtree import RS01, RS02, RS03, RS04, RS05, RS06
 from repro.analysis.fsck_storage import FS01, FS02, FS03, FS04, FS05, FS06
 from repro.core import SpatialIndex
+from repro.core.pmr.blocks import SPLIT, WIDE, decode_directory, encode_directory
 from repro.core.rtree import RTreeNode
 from repro.geometry import Rect
-from repro.service import MapServer, QueryEngine, save_index, send_request
+from repro.errors import SnapshotError
+from repro.service import (
+    MapServer,
+    QueryEngine,
+    open_index,
+    save_index,
+    send_request,
+    snapshot_info,
+)
+from tests.test_fsck_on_disk import edit_header
 
 
 def build(kind: str):
@@ -457,6 +468,125 @@ def test_every_index_and_storage_rule_has_a_corruption_case():
     checked = re.compile(r"RS|RX|PM|GR|FS0[1-6]")
     owed = {rule for rule in FSCK_RULES.rules if checked.match(rule)}
     assert owed == SINGLE_CASES | {rule for rule, _, _ in CORRUPTIONS}
+
+
+# ----------------------------------------------------------------------
+# Corruption injection: the persisted PMR block directory
+# ----------------------------------------------------------------------
+def _pmr_snapshot(tmp_path):
+    path = tmp_path / "pmr.snap"
+    save_index(build("PMR"), path)
+    return path
+
+
+def _directory(path):
+    """``(bytes, decoded root)`` of a PMR snapshot's block directory."""
+    manifest = snapshot_info(path)
+    data = base64.b64decode(manifest["blocks"])
+    return data, decode_directory(data, manifest["params"]["max_depth"])
+
+
+def _store_directory(path, blocks):
+    """Put ``blocks`` (bytes, or any raw JSON value) in the manifest."""
+    if isinstance(blocks, (bytes, bytearray)):
+        blocks = base64.b64encode(bytes(blocks)).decode("ascii")
+    edit_header(path, lambda header: header["manifest"].update(blocks=blocks))
+
+
+def _with_byte(data, at, tag):
+    return data[:at] + bytes([tag]) + data[at + 1 :]
+
+
+def _first(data, wanted):
+    return next(i for i, tag in enumerate(data) if wanted(tag))
+
+
+#: name -> directory bytes -> what a damaged file holds in their place.
+UNREADABLE_DIRECTORIES = {
+    "bad-base64": lambda data: "!" + base64.b64encode(data).decode("ascii"),
+    "not-a-string": lambda data: {"d": 0, "x": 0, "y": 0, "c": 0},
+    "empty": lambda data: b"",
+    "truncated": lambda data: data[:-3],
+    "trailing-byte": lambda data: data + b"\x00",
+    # Each makes the bytes promise more blocks, or fewer, than they hold.
+    "leaf-turned-split": lambda data: _with_byte(
+        data, _first(data, lambda tag: tag < WIDE), SPLIT
+    ),
+    "split-turned-leaf": lambda data: _with_byte(
+        data, _first(data, lambda tag: tag == SPLIT), 0
+    ),
+    "wide-count-cut-short": lambda data: data[:-1] + bytes([WIDE, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(UNREADABLE_DIRECTORIES))
+def test_unreadable_directory_is_one_fs01_not_a_traceback(damage, tmp_path):
+    path = _pmr_snapshot(tmp_path)
+    _store_directory(path, UNREADABLE_DIRECTORIES[damage](_directory(path)[0]))
+    findings = check_snapshot(path)
+    assert [f.rule for f in findings] == [FS01], [f.to_dict() for f in findings]
+    with pytest.raises(SnapshotError, match=FS01) as refused:
+        open_index(path)
+    assert findings[0].detail in str(refused.value)
+
+
+def test_directory_split_at_max_depth_is_fs01(tmp_path):
+    """A split at ``max_depth`` would have children below it: make the
+    deepest leaf one, in a file whose ``max_depth`` is that leaf's depth."""
+    path = _pmr_snapshot(tmp_path)
+    data, root = _directory(path)
+    leaves = list(root.iter_leaves())
+    deepest = max(leaves, key=lambda block: block.depth)
+    # No WIDE leaf in the lattice map, so a block is a byte: the n-th
+    # leaf is the n-th non-SPLIT byte.
+    at = [i for i, tag in enumerate(data) if tag != SPLIT][leaves.index(deepest)]
+    _store_directory(path, data[:at] + bytes([SPLIT, 0, 0, 0, 0]) + data[at + 1 :])
+    edit_header(
+        path, lambda header: header["manifest"]["params"].update(max_depth=deepest.depth)
+    )
+    findings = check_snapshot(path)
+    assert [f.rule for f in findings] == [FS01], [f.to_dict() for f in findings]
+    assert f"max_depth {deepest.depth}" in findings[0].detail
+
+
+def test_flipped_leaf_count_is_pm04_naming_the_block(tmp_path):
+    path = _pmr_snapshot(tmp_path)
+    data, root = _directory(path)
+    at = _first(data, lambda tag: 0 < tag < WIDE - 1)
+    _store_directory(path, _with_byte(data, at, data[at] + 1))
+    (block,) = [
+        after
+        for before, after in zip(root.iter_leaves(), _directory(path)[1].iter_leaves())
+        if before.count != after.count
+    ]
+    findings = check_snapshot(path)
+    assert rules_of(findings) == {PM04}
+    assert [f.path for f in findings] == [f"({block.depth},{block.bx},{block.by})"]
+    open_index(path)  # opens: the deep walk is check's alone
+
+
+def test_split_block_persisted_as_a_leaf_is_caught_naming_the_block(tmp_path):
+    """``0xFF`` and its four leaves rewritten as one leaf is still one
+    well-formed tree: only the cross-check against the B-tree can tell."""
+    path = _pmr_snapshot(tmp_path)
+    data, root = _directory(path)
+    stack = [root]
+    while stack:
+        block = stack.pop()
+        if block.children is not None and all(c.is_leaf for c in block.children):
+            break
+        stack.extend(block.children or ())
+    total = sum(child.count for child in block.children)
+    assert 0 < total < WIDE
+    block.merge()
+    block.count = total
+    damaged = encode_directory(root)
+    assert len(damaged) == len(data) - 4
+    _store_directory(path, damaged)
+    findings = check_snapshot(path)
+    assert {PM02, PM04} <= rules_of(findings)  # orphaned keys; a wrong count
+    where = f"({block.depth},{block.bx},{block.by})"
+    assert where in {f.path for f in findings_for(findings, PM04)}
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,7 @@ from repro.service import QueryEngine, open_index, save_index
 from repro.shard import ShardMap, init_shard_set
 from repro.shard.manifest import segment_mbr
 from repro.shard.worker import addr_path, open_shard
+from repro.storage.codec import read_header
 from repro.wal import DeleteRecord, DurableStore, InsertRecord, frame_record, open_durable
 from repro.wal.log import FRAME, HEADER, MAGIC, scan_log
 
@@ -86,6 +87,24 @@ def edit_header(path, change):
         fh.write(struct.pack("<I", len(blob)) + blob + pages)
 
 
+def flip_page_byte(path, kind):
+    """Flip one byte in the middle of the first page of ``kind``."""
+    with open(path, "rb") as fh:
+        header = read_header(fh)
+        offset = fh.tell()
+    for _, kind_index, page_bytes in header["pages"]:
+        if header["kinds"][kind_index] == kind:
+            break
+        offset += page_bytes
+    else:
+        raise AssertionError(f"{path} holds no {kind} page")
+    with open(path, "r+b") as fh:
+        fh.seek(offset + page_bytes // 2)
+        byte = fh.read(1)
+        fh.seek(offset + page_bytes // 2)
+        fh.write(bytes([byte[0] ^ 0x01]))
+
+
 def write_log(path, base_lsn, records):
     with open(path, "wb") as fh:
         fh.write(HEADER.pack(MAGIC, base_lsn))
@@ -105,7 +124,7 @@ def _inventory_page_not_in_page_table(path):
 
 
 def _free_list_claims_a_dumped_page(path):
-    edit_header(path, lambda h: h["free_ids"].append(h["pages"][0]["id"]))
+    edit_header(path, lambda h: h["free_ids"].append(h["pages"][0][0]))
 
 
 def _free_list_claims_a_referenced_page(path):
@@ -126,6 +145,35 @@ def _unknown_kind(path):
 
 def _no_manifest(path):
     edit_header(path, lambda h: h.update(manifest=None))
+
+
+def _format_2_header(path):
+    """What the previous build wrote: its number, its page-table rows."""
+
+    def change(header):
+        header["format"] = 2
+        kinds = header.pop("kinds")
+        header["pages"] = [
+            {"id": pid, "kind": kinds[k], "length": n} for pid, k, n in header["pages"]
+        ]
+
+    edit_header(path, change)
+
+
+def _format_99_header(path):
+    edit_header(path, lambda h: h.update(format=99))
+
+
+def _flipped_segment_page_byte(path):
+    flip_page_byte(path, "segments")  # a coordinate: every deep rule passes it
+
+
+def _flipped_btree_page_byte(path):
+    flip_page_byte(path, "btree")
+
+
+def _flipped_rtree_page_byte(path):
+    flip_page_byte(path, "rtree")
 
 
 # ----------------------------------------------------------------------
@@ -163,6 +211,18 @@ def _manifest_behind_snapshot(root):
 
 def _snapshot_missing(root):
     os.remove(_path(root, "snapshot"))
+
+
+def _store_snapshot_format_2(root):
+    _format_2_header(_path(root, "snapshot"))
+
+
+def _store_snapshot_format_99(root):
+    _format_99_header(_path(root, "snapshot"))
+
+
+def _store_snapshot_page_byte_flipped(root):
+    flip_page_byte(_path(root, "snapshot"), "segments")
 
 
 def _snapshot_without_embedded_lsn(root):
@@ -229,6 +289,14 @@ def _map_not_an_object(root):
 
 def _store_missing(root):
     shutil.rmtree(os.path.join(root, "s0"))
+
+
+def _shard_snapshot_format_2(root):
+    _store_snapshot_format_2(os.path.join(root, "s0"))
+
+
+def _shard_snapshot_format_99(root):
+    _store_snapshot_format_99(os.path.join(root, "s0"))
 
 
 def _insert_through(root, shard_id, *segments):
@@ -300,6 +368,13 @@ ON_DISK_DAMAGE = [
     ("snapshot", _unknown_manifest_version, "FS01", ERROR, None),
     ("snapshot", _unknown_kind, "FS01", ERROR, None),
     ("snapshot", _no_manifest, "FS01", ERROR, None),
+    ("snapshot", _format_2_header, "FS01", ERROR, None),
+    ("snapshot", _format_99_header, "FS01", ERROR, None),
+    ("snapshot", _flipped_segment_page_byte, "FS01", ERROR, None),
+    ("snapshot", _flipped_rtree_page_byte, "FS01", ERROR, None),
+    ("pmr", _flipped_segment_page_byte, "FS01", ERROR, None),
+    ("pmr", _flipped_btree_page_byte, "FS01", ERROR, None),
+    ("pmr", _truncated_page_area, "FS01", ERROR, None),
     ("snapshot", _free_list_claims_a_dumped_page, "FS02", ERROR, None),
     ("snapshot", _free_list_claims_a_referenced_page, "FS03", ERROR, None),
     ("store", _manifest_missing, "FS09", ERROR, None),
@@ -310,6 +385,9 @@ ON_DISK_DAMAGE = [
     ("store", _manifest_behind_snapshot, "FS09", WARNING, 4),
     ("store", _snapshot_missing, "FS09", ERROR, None),
     ("store", _snapshot_without_embedded_lsn, "FS09", ERROR, None),
+    ("store", _store_snapshot_format_2, "FS01", ERROR, None),
+    ("store", _store_snapshot_format_99, "FS01", ERROR, None),
+    ("store", _store_snapshot_page_byte_flipped, "FS01", ERROR, None),
     ("store", _log_missing, "FS07", WARNING, 2),
     ("store", _log_bad_magic, "FS07", ERROR, None),
     ("store", _torn_tail, "FS07", WARNING, 3),
@@ -321,6 +399,8 @@ ON_DISK_DAMAGE = [
     ("shards", _map_not_a_tiling, "SH01", ERROR, None),
     ("shards", _map_not_an_object, "SH01", ERROR, None),
     ("shards", _store_missing, "SH02", ERROR, None),
+    ("shards", _shard_snapshot_format_2, "FS01", ERROR, None),
+    ("shards", _shard_snapshot_format_99, "FS01", ERROR, None),
     ("shards", _lagging_shard, "SH03", ERROR, None),
     ("shards", _reordered_rows, "SH03", ERROR, None),
     ("shards", _foreign_segment, "SH04", ERROR, None),
@@ -335,6 +415,12 @@ OPENER_RULES = re.compile(r"FS|SH0[12]")
 def make_snapshot(tmp_path):
     path = str(tmp_path / "index.snap")
     save_index(build_index("R*", lattice_map(8)), path)
+    return path, lattice_map(8)
+
+
+def make_pmr_snapshot(tmp_path):
+    path = str(tmp_path / "pmr.snap")
+    save_index(build_index("PMR", lattice_map(8)), path)
     return path, lattice_map(8)
 
 
@@ -360,7 +446,9 @@ def make_shards(tmp_path):
 
 ARTEFACTS = {
     "snapshot": (make_snapshot, check_snapshot, open_index, SnapshotError),
-    "store": (make_store, check_durable, open_durable, WalError),
+    "pmr": (make_pmr_snapshot, check_snapshot, open_index, SnapshotError),
+    # A store is refused by its own rules (WalError) or its snapshot's.
+    "store": (make_store, check_durable, open_durable, (WalError, SnapshotError)),
     "shards": (
         make_shards,
         check_shard_set,
@@ -390,8 +478,10 @@ def test_fsck_and_opener_agree_on_damaged_files(
     ]
     refusable = [f for f in findings if OPENER_RULES.match(f.rule)]
     if has_errors(refusable):
-        with pytest.raises(refusal, match=rule):
+        with pytest.raises(refusal, match=rule) as refused:
             opener(target)
+        # The same finding, not merely the same rule id.
+        assert any(f.detail in str(refused.value) for f in hits)
         return
     opened = opener(target)  # a warning, or a rule only the set can see
     try:
@@ -400,6 +490,16 @@ def test_fsck_and_opener_agree_on_damaged_files(
             assert answers(index) == oracle(base + INSERTS[:survivors])
     finally:
         getattr(opened, "close", lambda: None)()
+
+
+@pytest.mark.parametrize("damage,theirs", [(_format_2_header, 2), (_format_99_header, 99)])
+def test_format_refusal_names_both_numbers_and_the_remedy(damage, theirs, tmp_path):
+    path, _ = make_snapshot(tmp_path)
+    damage(path)
+    (finding,) = check_snapshot(path)
+    assert finding.rule == "FS01"
+    for said in (f"format {theirs}", "format 3", "`snapshot`", "re-create the store"):
+        assert said in finding.detail
 
 
 def test_every_on_disk_rule_has_a_damage_row():

@@ -26,10 +26,11 @@ from repro.storage import StorageContext
 
 from tests.test_btree import reference_scan_range
 
-#: sha256 of ``save_index`` over PMR / cecil / scale 0.05 / Morton, as
-#: written by a checkout of the parent commit (73009e9).
+#: sha256 of ``save_index`` over PMR / cecil / scale 0.05 / Morton in
+#: snapshot format 3 (566ce176... was the same tree in format 2, written
+#: by a checkout of 73009e9: the format changed the file, not the tree).
 PARENT_SNAPSHOT_SHA256 = (
-    "566ce17625918cc00e0fbc2dd4da556ad18886b451db5449291362c3d93043f7"
+    "d1d56b5d67063cad70519cddd8ec59e9a618200731d7c0982bf101232eb249ec"
 )
 
 

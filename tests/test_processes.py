@@ -16,6 +16,8 @@ failed test leaves running, so nothing here relies on pytest-timeout.
 
 import asyncio
 import json
+import os
+import re
 import shutil
 import signal
 
@@ -46,9 +48,12 @@ def ok(done):
 @pytest.fixture(scope="module")
 def snapshot(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("snap") / "cecil.snap")
-    assert "pages ->" in ok(
-        run_cli("snapshot", *MAP, "--structure", "R*", "--out", path)
+    out = ok(run_cli("snapshot", *MAP, "--structure", "R*", "--out", path))
+    assert "pages ->" in out
+    sizes = re.search(
+        r"header (\d+) bytes \+ page area (\d+) bytes: [\d.]+ bytes/segment", out
     )
+    assert int(sizes[1]) + int(sizes[2]) == os.path.getsize(path), out
     return path
 
 

@@ -64,6 +64,9 @@ class TestDurableStore:
         result = engine.checkpoint()
         assert result["checkpoint_lsn"] == 2
         assert result["folded_records"] == 2
+        size = os.path.getsize(DurableStore.paths(root)["snapshot"])
+        assert result["header_bytes"] + result["page_area_bytes"] == size
+        assert result["bytes_per_segment"] == round(size / len(store.index.ctx.segments), 2)
         engine.insert_segment(Segment(600, 600, 700, 770))  # LSN 3
         store.close()
         recovered = open_durable(root)
