@@ -1,14 +1,15 @@
-"""Scalar vs vector traversal backend: where it crosses over.
+"""Scalar window search vs the vector window kernel: where it crosses over.
 
-    PYTHONPATH=src python benchmarks/vector_crossover.py   # ~2.5 min
+    PYTHONPATH=src python benchmarks/vector_crossover.py   # ~1.5 min
 
 The paper configuration (charles at scale 1.0, 1 KiB pages, 16-page
 pool), mirrors warm, one process. Every figure is scalar time / vector
-time over the same seeded queries -- above 1 the vector backend is the
+time over the same seeded windows -- above 1 the vector kernel is the
 faster one -- taken as the best of two passes that alternate scalar,
 vector, scalar, vector, each pass from a cleared pool. Answers are
-compared on the way. EXPERIMENTS.md ("Vector backend: where it crosses
-over") quotes the output committed as
+compared on the way. Only windows are timed: every other op the kernel
+runs is the scalar search itself. EXPERIMENTS.md ("Vector backend:
+where it crosses over") quotes the output committed as
 ``benchmarks/results/vector_crossover.txt``.
 """
 
@@ -28,10 +29,7 @@ PAPER_WINDOW = 0.0001  # the paper's range query: 0.01 % of the map's area
 
 
 def same_answer(a, b) -> bool:
-    try:
-        return sorted(a) == sorted(b)  # id lists come in traversal order
-    except TypeError:
-        return a == b
+    return sorted(a) == sorted(b)  # id lists come in traversal order
 
 
 def speedup(index, scalar_pass, vector_pass) -> float:
@@ -53,7 +51,7 @@ def main() -> None:
     }
     scalar, vector = resolve_backend(None), resolve_backend("vector")
     if vector.name != "vector":
-        raise SystemExit("numpy is not installed: there is no vector backend to time")
+        raise SystemExit("numpy is not installed: there is no vector kernel to time")
     segments = map_data.segments
     xs = [x for s in segments for x in (s.x1, s.x2)]
     ys = [y for s in segments for y in (s.y1, s.y2)]
@@ -65,9 +63,9 @@ def main() -> None:
         query at a time, or fused ``batch`` at a time on the vector side."""
         cells = []
         for name, index in built.items():
-            for spec in specs[:3]:  # build the mirror a live server would hold
+            for spec in specs[:3]:  # build the mirrors a warm caller holds
                 if not same_answer(vector.run(index, spec), scalar.run(index, spec)):
-                    raise SystemExit(f"{name}: the backends disagree on {spec}")
+                    raise SystemExit(f"{name}: scalar and vector disagree on {spec}")
             if batch is None:
                 ratio = speedup(
                     index,
@@ -96,17 +94,10 @@ def main() -> None:
         rows = statistics.mean(len(scalar.run(built["R*"], spec)) for spec in specs)
         row(f"side {side:.0%} ({rows:.0f} rows, n={n})", specs)
 
-    print("\n# one query at a time, the paper's query types")
+    print("\n# one query at a time, the paper's window")
     load = QueryWorkloads.generate(
         map_data, built["PMR"], 300, seed=1992, window_area_fraction=PAPER_WINDOW
     )
-    row("point (n=300)", [QuerySpec.point(p) for p, _ in load.endpoint_queries])
-    row(
-        "point2 (n=300)",
-        [QuerySpec.other_endpoint(p, sid) for p, sid in load.endpoint_queries],
-    )
-    row("nearest (n=300)", [QuerySpec.nearest(p, 1) for p in load.two_stage])
-    row("polygon (n=40)", [QuerySpec.polygon(p) for p in load.two_stage[:40]])
     row("window 0.01 % area (n=300)", [QuerySpec.window(w) for w in load.windows])
 
     print("\n# fused run_batch against the scalar loop, 1 000 queries, by batch size")
@@ -114,10 +105,8 @@ def main() -> None:
         map_data, built["PMR"], 1000, seed=7, window_area_fraction=PAPER_WINDOW
     )
     windows = [QuerySpec.window(w) for w in load.windows]
-    points = [QuerySpec.point(p) for p, _ in load.endpoint_queries]
-    for label, specs in (("window 0.01 % area", windows), ("point", points)):
-        for batch in (2, 16, 64, 256, 1000):
-            row(f"{label}, batches of {batch}", specs, batch)
+    for batch in (2, 16, 64, 256, 1000):
+        row(f"window 0.01 % area, batches of {batch}", windows, batch)
 
 
 if __name__ == "__main__":

@@ -22,12 +22,8 @@ Quickstart::
         index.insert(seg_id)
 
     spec = QuerySpec.window(Rect(1000, 1000, 1160, 1160))
-    hits = execute_spec(index, spec)       # scalar reference backend
+    hits = execute_spec(index, spec)       # the one traversal path
     print(ctx.counters.disk_accesses, "potential disk accesses")
-
-    # Same query, numpy struct-of-arrays traversal (identical counters):
-    from repro.core.backends import resolve_backend
-    hits = resolve_backend("vector").run(index, spec)
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-versus-measured record.
@@ -49,7 +45,6 @@ from repro.core import (
 )
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE
 from repro.core.backends import ScalarBackend, resolve_backend
-from repro.core.interface import TraversalBackend
 from repro.core.queries import (
     PolygonResult,
     QuerySpec,
@@ -109,7 +104,6 @@ __all__ = [
     "WORLD_DEPTH",
     "WORLD_SIZE",
     "ScalarBackend",
-    "TraversalBackend",
     "execute_spec",
     "generate_county",
     "generate_map",

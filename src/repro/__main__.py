@@ -162,16 +162,35 @@ def _serve(server, what: str, how: str, *closers) -> int:
     return 1 if SANITIZER.report()["potential_deadlocks"] else 0
 
 
+#: `serve` options only the asyncio front reads: its keyword -> the flag.
+_ASYNC_ONLY = {
+    "max_inflight_total": "--max-inflight",
+    "max_inflight_per_conn": "--max-inflight-conn",
+    "executor_workers": "--executor-workers",
+}
+
+
 def _cmd_serve(args) -> int:
     from repro.service import MapServer, QueryEngine
 
+    sizing = {
+        key: getattr(args, key)
+        for key in _ASYNC_ONLY
+        if getattr(args, key) is not None
+    }
+    if sizing and not args.use_async:
+        flags = ", ".join(_ASYNC_ONLY[key] for key in sizing)
+        print(
+            f"error: {flags} size the asyncio front end, which only --async "
+            "starts",
+            file=sys.stderr,
+        )
+        sys.exit(2)
     _arm_sanitizer(args)
     _arm_tracing(args)
     store = _open_or_create_store(args) if args.wal else None
     index = store.index if store is not None else _build_or_open(args)
-    engine = QueryEngine(
-        index, cache_capacity=args.cache_size, store=store, backend=args.backend
-    )
+    engine = QueryEngine(index, cache_capacity=args.cache_size, store=store)
     what = f"serving {index.name} ({len(index.ctx.segments)} segments)"
     closers = [store.close] if store is not None else []
     idle = args.idle_timeout if args.idle_timeout > 0 else None
@@ -183,9 +202,7 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             idle_timeout=idle,
-            max_inflight_per_conn=args.max_inflight_conn,
-            max_inflight_total=args.max_inflight,
-            executor_workers=args.executor_workers,
+            **sizing,
         )
         how = (
             "-- asyncio front end: v1 newline JSON plus pipelined wire "
@@ -212,7 +229,6 @@ def _cmd_shard_worker(args) -> int:
             host=args.host,
             port=args.port,
             group_commit=args.group_commit,
-            backend=args.backend,
         )
     except (KeyError, ValueError) as exc:  # unknown shard; SH / FS rule refusal
         sys.exit(f"error: cannot open shard {args.shard}: {exc}")
@@ -781,13 +797,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="fsync once per N logged records (1 = every commit)",
     )
-    engine.add_argument(
-        "--backend",
-        default="scalar",
-        choices=["scalar", "vector"],
-        help="traversal backend for query execution ('vector' falls "
-        "back to scalar when numpy is unavailable; see stats())",
-    )
     telemetry = _parent()
     telemetry.add_argument(
         "--trace-sample",
@@ -861,20 +870,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-inflight",
+        dest="max_inflight_total",
         type=int,
-        default=1024,
         help="global in-flight request cap before server_overloaded (--async only)",
     )
     p.add_argument(
         "--max-inflight-conn",
+        dest="max_inflight_per_conn",
         type=int,
-        default=64,
         help="per-connection in-flight cap before server_overloaded (--async only)",
     )
     p.add_argument(
         "--executor-workers",
         type=int,
-        default=4,
         help="threads for long and blocking requests (mutations, batch, "
         "stats, check, big scans, routed scatter); short reads run on the "
         "event loop thread itself (--async only)",

@@ -1,105 +1,86 @@
-"""Traversal backends: the scalar reference path and the resolver.
+"""The scalar traversal: the one path every served query takes.
 
-The :class:`~repro.core.interface.TraversalBackend` seam lets the engine
-swap *how* queries traverse an index without changing *what* they
-measure. :class:`ScalarBackend` is the paper's per-entry loop, and the
-one switch from a spec's op to a search; :mod:`repro.core.vector`
-subclasses it, overriding the window and incidence searches with numpy
-struct-of-arrays passes. :func:`resolve_backend` picks
-one by name and degrades gracefully -- asking for ``"vector"`` without
-numpy installed yields a scalar backend that reports the fallback in
-``describe()`` (surfaced by the engine's ``stats`` op).
+:class:`ScalarBackend` is the paper's per-entry loop, and the one switch
+from a spec's op to a search. :mod:`repro.core.vector` subclasses it as a
+library kernel, overriding the window search with numpy struct-of-arrays
+passes; the benchmarks time the two side by side.
+:func:`resolve_backend` picks one by name and degrades gracefully --
+asking for ``"vector"`` without numpy installed yields a scalar backend,
+which callers tell apart by its ``name``.
+
+The contract the kernel honours: for any spec, ``run`` returns the
+**same result** as the scalar path and charges the **same paper
+counters** (disk accesses, bounding-box comparisons, segment
+comparisons) through the index's storage context. Its ``run_batch`` may
+reorder *page* traffic across the batch -- that is the point of a fused
+descent -- but per-query results, ``bbox_comps`` and ``segment_comps``
+still match the scalar path to the unit, and total disk accesses never
+exceed it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List
 
-from repro.core.interface import SpatialIndex, TraversalBackend
+from repro.core.interface import SpatialIndex
 from repro.core.queries.nearest import scalar_nearest_k
 from repro.core.queries.point import other_endpoint_via, scalar_incident_segments
 from repro.core.queries.polygon import walk_enclosing_polygon
-from repro.core.queries.spec import QuerySpec
 from repro.core.queries.window import scalar_window_query
-from repro.geometry import Point, Rect
+from repro.geometry import Rect
+
+if TYPE_CHECKING:  # spec.py imports this module
+    from repro.core.queries.spec import QuerySpec
 
 #: Names :func:`resolve_backend` accepts.
 BACKEND_NAMES = ("scalar", "vector")
 
 
-class ScalarBackend(TraversalBackend):
+class ScalarBackend:
     """The reference backend: the paper's scalar per-entry traversal."""
 
     name = "scalar"
-    supports_batch = False
-
-    def __init__(self, requested: Optional[str] = None) -> None:
-        #: The backend the caller asked for, when this one is a fallback.
-        self.requested = requested if requested is not None else self.name
 
     def run(self, index: SpatialIndex, spec: QuerySpec):
         op = spec.op
         if op == "window":
             return self._window(index, spec.to_rect(), spec.mode)
         if op == "point":
-            return [sid for sid, _ in self._incident(index, spec.to_point())]
+            return [sid for sid, _ in scalar_incident_segments(index, spec.to_point())]
         if op == "incident":
-            return self._incident(index, spec.to_point())
+            return scalar_incident_segments(index, spec.to_point())
         if op == "nearest":
-            # Best-first search is dominated by heap-ordered node
-            # expansions and per-candidate distance fetches that must
-            # stay charge-identical: every backend shares this one.
             return scalar_nearest_k(index, spec.to_point(), spec.k)
         if op == "other_endpoint":
-            return other_endpoint_via(index, spec.to_point(), spec.seg_id, self)
+            return other_endpoint_via(index, spec.to_point(), spec.seg_id)
         if op == "polygon":
-            return walk_enclosing_polygon(
-                index, spec.to_point(), spec.max_steps, self
-            )
+            return walk_enclosing_polygon(index, spec.to_point(), spec.max_steps)
         raise ValueError(f"unknown spec op {spec.op!r}")
 
-    # The two traversals an accelerating backend overrides; queries 2
-    # and 4 are composed from them, so they follow.
+    # The traversal the vector kernel overrides.
     def _window(self, index: SpatialIndex, window: Rect, mode: str) -> List[int]:
         return scalar_window_query(index, window, mode)
 
-    def _incident(self, index: SpatialIndex, p: Point):
-        return scalar_incident_segments(index, p)
 
-    def describe(self) -> dict:
-        out = {"name": self.name, "requested": self.requested}
-        if self.requested != self.name:
-            out["fallback"] = True
-        return out
-
-
-#: Module-level reference backend for spec execution outside an engine
-#: (the harness, the crash tester, the legacy shims). Stateless, so
-#: sharing one instance across indexes is safe.
+#: Module-level reference backend for spec execution. Stateless, so
+#: sharing one instance across indexes and threads is safe.
 SCALAR_BACKEND = ScalarBackend()
 
 
-def resolve_backend(backend=None) -> TraversalBackend:
-    """Resolve an engine's ``backend=`` argument to an instance.
-
-    Accepts ``None``/``"scalar"`` (the reference path), ``"vector"``
-    (numpy struct-of-arrays; falls back to scalar *with a stats
-    indicator* when numpy is unavailable), or an existing
-    :class:`~repro.core.interface.TraversalBackend` instance, which is
-    returned as-is. Each call returns a fresh instance for the stateful
-    kinds -- a vector backend's node mirrors belong to one engine.
+def resolve_backend(backend=None) -> ScalarBackend:
+    """A backend by name: ``None``/``"scalar"`` (the reference path) or
+    ``"vector"`` (numpy struct-of-arrays; a scalar backend when numpy is
+    unavailable). Each call returns a fresh instance -- a vector
+    backend's node mirrors belong to one caller.
     """
     if backend is None or backend == "scalar":
         return ScalarBackend()
-    if isinstance(backend, TraversalBackend):
-        return backend
     if backend == "vector":
         from repro.core import vector
 
         if vector.HAVE_NUMPY:
             return vector.VectorBackend()
-        return ScalarBackend(requested="vector")
+        return ScalarBackend()
     raise ValueError(
-        f"unknown traversal backend {backend!r} (expected one of "
-        f"{BACKEND_NAMES} or a TraversalBackend instance)"
+        f"unknown traversal backend {backend!r} (expected one of {BACKEND_NAMES})"
     )

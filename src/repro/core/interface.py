@@ -73,53 +73,6 @@ class NNItem(NamedTuple):
     ref: Any
 
 
-class TraversalBackend(ABC):
-    """How queries traverse an index: the pluggable execution strategy.
-
-    A backend consumes :class:`~repro.core.queries.spec.QuerySpec` plan
-    objects and runs them against a :class:`SpatialIndex`. The scalar
-    reference implementation (:class:`repro.core.backends.ScalarBackend`)
-    is the paper's per-entry loop; the vectorized backend
-    (:class:`repro.core.vector.VectorBackend`) mirrors node entries into
-    struct-of-arrays blocks and tests a whole node in one numpy pass.
-
-    The contract every backend must honour: for any spec, ``run`` must
-    return the **same result** as the scalar path and charge the **same
-    paper counters** (disk accesses, bounding-box comparisons, segment
-    comparisons) through the index's storage context -- the EXPLAIN
-    per-level attribution tests are the oracle. ``run_batch`` (only when
-    ``supports_batch``) may reorder *page* traffic across the batch --
-    that is the point of query-batched descent -- but per-query results,
-    ``bbox_comps`` and ``segment_comps`` must still match the scalar
-    path to the unit, and total disk accesses must not exceed it.
-    """
-
-    #: Short display name ("scalar", "vector") surfaced in stats/explain.
-    name: ClassVar[str] = "abstract"
-
-    #: Whether :meth:`run_batch` fuses multiple queries per node visit.
-    supports_batch: ClassVar[bool] = False
-
-    @abstractmethod
-    def run(self, index: "SpatialIndex", spec) -> Any:
-        """Execute one query spec; result shape depends on ``spec.op``."""
-
-    def run_batch(self, index: "SpatialIndex", specs) -> List[Any]:
-        """Execute many read specs, possibly sharing node visits.
-
-        The default runs them one by one; batch-capable backends
-        override this with a fused node-major descent.
-        """
-        return [self.run(index, spec) for spec in specs]
-
-    def invalidate(self) -> None:
-        """Drop any derived node state (call after every index mutation)."""
-
-    def describe(self) -> dict:
-        """Stats-endpoint snapshot: name plus backend-specific detail."""
-        return {"name": self.name}
-
-
 def _no_snapshot(index: "SpatialIndex") -> SnapshotError:
     return SnapshotError(
         f"no snapshot support for {type(index).__name__}: it declares no "
@@ -151,7 +104,7 @@ class SpatialIndex(ABC):
     #: The stock loops that search this class -- ``"rtree"``
     #: (:mod:`repro.core.treesearch` over ``(rect, ref)`` pages) or
     #: ``"pmr"`` (directory walk plus B-tree scans) -- or ``None`` for
-    #: loops of its own, which the vector backend leaves to the scalar path.
+    #: loops of its own, which the vector kernel leaves to the scalar path.
     stock_search: ClassVar[Optional[str]] = None
 
     def __init__(self, ctx: StorageContext) -> None:

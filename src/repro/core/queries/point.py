@@ -8,8 +8,8 @@ fetch a segment twice), then verified against the segment table -- each
 verification is one of the paper's segment comparisons.
 
 Callers execute ``QuerySpec.point`` / ``incident`` / ``other_endpoint``
-through a backend; the scalar implementations here are what the
-reference backend runs.
+through :class:`~repro.core.backends.ScalarBackend`, which runs the
+implementations here.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.core.interface import SpatialIndex
-from repro.core.queries.spec import QuerySpec
 from repro.geometry import Point, Segment
 from repro.obs.explain import CAUSE_SEGMENT_TABLE
 from repro.obs.trace import TRACER
@@ -64,8 +63,8 @@ def scalar_incident_segments(
     return out
 
 
-def other_endpoint_via(index: SpatialIndex, p: Point, seg_id: int, backend):
-    """Query 2 driver, composed from two backend point lookups.
+def other_endpoint_via(index: SpatialIndex, p: Point, seg_id: int):
+    """Query 2, composed from two point lookups.
 
     ``p`` is one endpoint of segment ``seg_id``; the segment is located by
     a point query at ``p`` (as the paper's formulation implies), then a
@@ -73,12 +72,12 @@ def other_endpoint_via(index: SpatialIndex, p: Point, seg_id: int, backend):
     and the incident segment ids (excluding ``seg_id`` itself).
     """
     target = None
-    for sid, seg in backend.run(index, QuerySpec.incident(p)):
+    for sid, seg in scalar_incident_segments(index, p):
         if sid == seg_id:
             target = seg
             break
     if target is None:
         raise KeyError(f"segment {seg_id} is not incident at {p!r}")
     other = target.other_endpoint(p)
-    ids = backend.run(index, QuerySpec.point(other))
-    return other, [sid for sid in ids if sid != seg_id]
+    incident = scalar_incident_segments(index, other)
+    return other, [sid for sid, _ in incident if sid != seg_id]

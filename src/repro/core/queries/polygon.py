@@ -25,7 +25,7 @@ from typing import List, NamedTuple, Optional
 
 from repro.core.interface import SpatialIndex
 from repro.core.queries.nearest import scalar_nearest_segment
-from repro.core.queries.spec import QuerySpec
+from repro.core.queries.point import scalar_incident_segments
 from repro.geometry import Point
 from repro.geometry.predicates import orientation, pseudo_angle
 
@@ -68,13 +68,10 @@ def _signed_area2(vertices: List[Point]) -> float:
 
 
 def walk_enclosing_polygon(
-    index: SpatialIndex, p: Point, max_steps: int, backend
+    index: SpatialIndex, p: Point, max_steps: int
 ) -> Optional[PolygonResult]:
-    """The face walk, with per-vertex incidence lookups through ``backend``.
-
-    The walk itself is backend-neutral; what a vectorized backend
-    accelerates is the point-incidence prefilter it runs at every vertex
-    (one per boundary edge). Returns ``None`` on an empty index. Raises
+    """The face walk, with one point-incidence lookup per vertex (one per
+    boundary edge). Returns ``None`` on an empty index. Raises
     ``RuntimeError`` if the walk fails to close within ``max_steps``
     (non-planar input).
     """
@@ -98,7 +95,7 @@ def walk_enclosing_polygon(
     current_id = seg_id
 
     for _ in range(max_steps):
-        incident = backend.run(index, QuerySpec.incident(v))
+        incident = scalar_incident_segments(index, v)
         back = pseudo_angle(u.x - v.x, u.y - v.y)
 
         best_id: Optional[int] = None

@@ -3,10 +3,10 @@
 A :class:`QuerySpec` names a query *plan* -- operation plus arguments.
 It is what :func:`repro.service.api.parse_request` returns for a wire
 read, what :meth:`repro.service.engine.QueryEngine.execute` latches,
-attributes and caches, and what a
-:class:`~repro.core.interface.TraversalBackend` runs;
-:func:`execute_spec` hands one to a backend over a bare index. There is
-no other entry into query traversal, so what makes two spellings of a
+attributes and caches, and what
+:class:`~repro.core.backends.ScalarBackend` runs; :func:`execute_spec`
+runs one over a bare index. There is no other entry into query
+traversal, so what makes two spellings of a
 query the same query -- sorted window corners, ``k >= 1``, the window
 modes, the cache key -- is decided in this module and nowhere else.
 """
@@ -16,6 +16,9 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Any, Dict, Optional, Tuple
 
+# A module object, not a name: repro.core.backends imports the query
+# modules, so it may still be loading here; execute_spec reads it late.
+from repro.core import backends
 from repro.geometry import Point, Rect
 
 #: Spatial predicates a window spec accepts.
@@ -148,11 +151,7 @@ class QuerySpec:
         return Rect(self.x, self.y, self.x2, self.y2)
 
     def cache_key(self) -> Tuple:
-        """The canonical result-cache key: the op, then its arguments.
-
-        No backend component: backends are counter- and result-identical,
-        so they share one entry.
-        """
+        """The canonical result-cache key: the op, then its arguments."""
         return _KEY[self.op](self)
 
     def describe(self) -> Dict[str, Any]:
@@ -160,15 +159,7 @@ class QuerySpec:
         return dict(zip(_ARGS[self.op], _KEY[self.op](self)[1:]))
 
 
-def execute_spec(index, spec: QuerySpec, backend=None):
-    """Run ``spec`` against ``index`` through ``backend``.
-
-    ``backend`` defaults to the scalar reference backend; pass the
-    engine's resolved backend to pick the vectorized path. This is the
-    single entry into query traversal.
-    """
-    if backend is None:
-        from repro.core.backends import SCALAR_BACKEND  # avoid cycle
-
-        backend = SCALAR_BACKEND
-    return backend.run(index, spec)
+def execute_spec(index, spec: QuerySpec):
+    """Run ``spec`` against ``index``: the single entry into query
+    traversal, the scalar path every engine serves."""
+    return backends.SCALAR_BACKEND.run(index, spec)

@@ -1,11 +1,11 @@
 """Query 5: the window (range) query.
 
-The traversal itself now lives behind the backend seam: callers build a
-:class:`~repro.core.queries.spec.QuerySpec` and execute it through a
-:class:`~repro.core.interface.TraversalBackend`. The scalar reference
-implementation -- candidate generation through the index, then the
-dedup/fetch/verify loop -- stays here; the vectorized backend replaces
-the loop with an array pass that charges the same storage traffic.
+Callers build a :class:`~repro.core.queries.spec.QuerySpec` and execute
+it through :class:`~repro.core.backends.ScalarBackend`, which runs the
+implementation here -- candidate generation through the index, then the
+dedup/fetch/verify loop. The vector kernel (:mod:`repro.core.vector`)
+replaces the loop with an array pass that charges the same storage
+traffic.
 """
 
 from __future__ import annotations

@@ -1,25 +1,28 @@
-"""The vectorized traversal backend: struct-of-arrays node mirrors.
+"""The vectorized window kernel: struct-of-arrays node mirrors.
 
-:class:`VectorBackend` executes the same searches as the scalar
-reference path but tests a whole node's entries in one numpy comparison
-instead of a per-entry Python loop. The design follows the SIMD-ified
+:class:`VectorBackend` runs the same window search as the scalar path
+but tests a whole node's entries in one numpy comparison instead of a
+per-entry Python loop; every other op is the inherited scalar search.
+It is a library kernel, not a served path: the benchmarks time it
+against the scalar loop (``core.vector_*`` in the e2e record,
+``benchmarks/vector_crossover.py``). The design follows the SIMD-ified
 R-tree traversal literature: each visited node's ``(rect, ref)`` entry
 list is mirrored once into a struct-of-arrays block (four coordinate
-arrays plus a ref array), and the window/point predicate becomes a
-boolean mask over those arrays.
+arrays plus a ref array), and the window predicate becomes a boolean
+mask over those arrays.
 
-The parity contract (see :class:`~repro.core.interface.TraversalBackend`)
-is strict: counters must match the scalar path **to the unit**. That
-shapes everything here:
+The parity contract (see :mod:`repro.core.backends`) is strict:
+counters must match the scalar path **to the unit**. That shapes
+everything here:
 
 * Single-query traversal keeps the exact scalar LIFO descent -- one
   ``pool.get`` per node, ``bbox_comps += len(node.entries)`` per visit,
   matched children pushed in entry order -- so disk reads, buffer hits
   and comparison counts are bit-identical; only the per-entry predicate
   is replaced by a mask.
-* Verification fetches each unique candidate through
-  ``ctx.segments.fetch`` in the same order as the scalar verify loop
-  (identical ``segment_comps``), then applies the geometry predicate in
+* Verification charges each unique candidate's ``ctx.segments.fetch``
+  in the same order as the scalar verify loop (identical
+  ``segment_comps``), then applies the geometry predicate in
   one array pass that replicates the scalar float semantics exactly
   (Cohen-Sutherland outcodes and the four-corner cross test).
 * Batched descent (:meth:`VectorBackend.run_batch`) is query-major at
@@ -32,20 +35,22 @@ shapes everything here:
 Mirrors are derived state. Blocks carry an ``(id(entries), len)``
 freshness key that catches list replacement, but in-place entry updates
 (e.g. a parent MBR adjustment) do not change either -- so every index
-mutation must be followed by :meth:`VectorBackend.invalidate`, which the
-query engine does from all of its write paths.
+mutation must be followed by :meth:`VectorBackend.invalidate`.
+
+The kernel knows nothing of EXPLAIN or tracing, which only run inside
+an engine, and an engine serves the scalar path alone.
 
 The module imports without numpy (``HAVE_NUMPY`` is then false);
 :func:`repro.core.backends.resolve_backend` degrades to the scalar
-backend in that case and reports the fallback through ``describe()``.
+backend in that case.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
-try:  # pragma: no cover - exercised by the numpy-absent CI leg
+try:  # pragma: no cover - exercised where numpy is not installed
     import numpy as np
 
     HAVE_NUMPY = True
@@ -55,9 +60,7 @@ except ImportError:  # pragma: no cover
 
 from repro.core.backends import ScalarBackend
 from repro.core.interface import SpatialIndex
-from repro.geometry import Point, Rect
-from repro.obs.explain import CAUSE_SEGMENT_TABLE
-from repro.obs.trace import TRACER
+from repro.geometry import Rect
 
 
 # ----------------------------------------------------------------------
@@ -136,13 +139,6 @@ def _segments_in_rect(arr, rect: Rect):
     )
 
 
-def _segments_have_endpoint(arr, p: Point):
-    """Array twin of ``Segment.has_endpoint`` (exact float equality)."""
-    return ((arr[:, 0] == p.x) & (arr[:, 1] == p.y)) | (
-        (arr[:, 2] == p.x) & (arr[:, 3] == p.y)
-    )
-
-
 def _unique_first_seen(candidates):
     """Candidate ids deduplicated in first-seen order, as an int array.
 
@@ -188,14 +184,6 @@ class _NodeBlock:
             & (rect.xmin <= self.xmax)
             & (self.ymin <= rect.ymax)
             & (rect.ymin <= self.ymax)
-        )
-
-    def point_mask(self, p: Point):
-        return (
-            (self.xmin <= p.x)
-            & (p.x <= self.xmax)
-            & (self.ymin <= p.y)
-            & (p.y <= self.ymax)
         )
 
 
@@ -339,15 +327,14 @@ class _PMRMirror:
 # The backend
 # ----------------------------------------------------------------------
 class VectorBackend(ScalarBackend):
-    """numpy struct-of-arrays traversal with exact counter parity.
+    """numpy struct-of-arrays window search with exact counter parity.
 
     The spec dispatch is :meth:`ScalarBackend.run`; this class overrides
-    the two traversals it accelerates (everything else *is* the scalar
-    search) and adds the fused batch descent.
+    the window search (everything else *is* the scalar search) and adds
+    the fused batch descent.
     """
 
     name = "vector"
-    supports_batch = True
 
     def __init__(self) -> None:
         if not HAVE_NUMPY:  # pragma: no cover - guarded by resolve_backend
@@ -355,7 +342,6 @@ class VectorBackend(ScalarBackend):
                 "VectorBackend requires numpy; install the [vector] extra "
                 "or use resolve_backend('vector') for graceful fallback"
             )
-        super().__init__()
         self._tree_mirrors: Dict[int, _TreeMirror] = {}
         self._pmr_mirrors: Dict[int, _PMRMirror] = {}
         # id(index) -> (segment count, (n, 4) coords, page-id array)
@@ -363,25 +349,10 @@ class VectorBackend(ScalarBackend):
 
     # -- plumbing ------------------------------------------------------
     def invalidate(self) -> None:
+        """Drop every mirror (call after every index mutation)."""
         self._tree_mirrors.clear()
         self._pmr_mirrors.clear()
         self._seg_mirrors.clear()
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "requested": self.requested,
-            "numpy": np.__version__,
-            "mirror_nodes": sum(
-                len(m.blocks) for m in self._tree_mirrors.values()
-            ),
-            "mirror_pmr_leaves": sum(
-                len(m.lo) for m in self._pmr_mirrors.values()
-            ),
-            "mirror_segments": sum(
-                m[0] for m in self._seg_mirrors.values()
-            ),
-        }
 
     def _tree_mirror(self, index: SpatialIndex) -> _TreeMirror:
         mirror = self._tree_mirrors.get(id(index))
@@ -431,9 +402,7 @@ class VectorBackend(ScalarBackend):
         ``pool.get`` on the id's table page. Here consecutive same-page
         fetches collapse into one :meth:`BufferPool.get_run` -- counter-
         and LRU-identical by construction -- and the endpoint rows come
-        from the columnar mirror instead of the page payloads. Under an
-        enabled tracer the per-access path runs instead, so traces keep
-        their event-for-event shape.
+        from the columnar mirror instead of the page payloads.
 
         ``page_major`` (batch verifies only) additionally sorts the
         charge sequence by table page, the verify-side analogue of the
@@ -452,59 +421,32 @@ class VectorBackend(ScalarBackend):
             else np.concatenate([u for u in uniq_list if u.size])
         )
         table = index.ctx.segments
-        if TRACER.enabled:
-            for sid in all_ids.tolist():
-                table.fetch(sid)
-        else:
-            pool = table.pool
-            pool.counters.segment_comps += total
-            page_seq = pages[all_ids // table.per_page]
-            if page_major:
-                page_seq = np.sort(page_seq)
-            cut = np.flatnonzero(page_seq[1:] != page_seq[:-1]) + 1
-            starts = np.concatenate(
-                (np.zeros(1, dtype=np.intp), cut, [page_seq.size])
-            )
-            run_pages = page_seq[starts[:-1]].tolist()
-            run_lens = np.diff(starts).tolist()
-            pool.get_runs(zip(run_pages, run_lens))
+        pool = table.pool
+        pool.counters.segment_comps += total
+        page_seq = pages[all_ids // table.per_page]
+        if page_major:
+            page_seq = np.sort(page_seq)
+        cut = np.flatnonzero(page_seq[1:] != page_seq[:-1]) + 1
+        starts = np.concatenate(
+            (np.zeros(1, dtype=np.intp), cut, [page_seq.size])
+        )
+        run_pages = page_seq[starts[:-1]].tolist()
+        run_lens = np.diff(starts).tolist()
+        pool.get_runs(zip(run_pages, run_lens))
         return coords[all_ids]
-
-    def _verify(self, index: SpatialIndex, candidates, keep_mask) -> List[int]:
-        """Array pass over the scalar dedup/fetch/verify loop.
-
-        Fetches are charged in the scalar order (first-seen unique ids)
-        and ``keep_mask(rows)`` is the geometry predicate over their
-        coordinate rows. Under EXPLAIN the whole charge is one
-        ``segment_table`` window, one visit per id fetched.
-        """
-        prof = TRACER.current_profile() if TRACER.profiling else None
-        uniq = _unique_first_seen(candidates)
-        if prof is not None:
-            prof.open(index.ctx.counters)
-        rows = self._charge_and_rows(index, [uniq])
-        if rows is None:
-            return []
-        kept = uniq[keep_mask(rows)].tolist()
-        if prof is not None:
-            prof.close_cause(CAUSE_SEGMENT_TABLE, visits=int(uniq.size))
-            prof.count_verify(len(candidates), int(uniq.size), len(kept))
-        return kept
 
     def _verify_window(
         self, index: SpatialIndex, candidates, window: Rect, mode: str
     ) -> List[int]:
+        """Array pass over the scalar dedup/fetch/verify loop: fetches
+        charged in the scalar order (first-seen unique ids), then the
+        window predicate over their coordinate rows."""
+        uniq = _unique_first_seen(candidates)
+        rows = self._charge_and_rows(index, [uniq])
+        if rows is None:
+            return []
         keep = _segments_meet_rect if mode == "intersects" else _segments_in_rect
-        return self._verify(index, candidates, lambda rows: keep(rows, window))
-
-    def _verify_incident(self, index: SpatialIndex, candidates, p: Point):
-        """The returned pairs materialize their segments with ``peek``:
-        the fetch charges were already paid for every candidate."""
-        table = index.ctx.segments
-        kept = self._verify(
-            index, candidates, lambda rows: _segments_have_endpoint(rows, p)
-        )
-        return [(sid, table.peek(sid)) for sid in kept]
+        return uniq[keep(rows, window)].tolist()
 
     def _verify_windows_batch(
         self, index: SpatialIndex, cands_list, windows, mode: str
@@ -532,60 +474,23 @@ class VectorBackend(ScalarBackend):
             start += uniq.size
         return out
 
-    def _verify_incidents_batch(
-        self, index: SpatialIndex, cands_list, points
-    ):
-        """Batched :meth:`_verify_incident` (per-row query points)."""
-        uniq_list = [_unique_first_seen(c) for c in cands_list]
-        rows = self._charge_and_rows(index, uniq_list, page_major=True)
-        if rows is None:
-            return [[] for _ in cands_list]
-        reps = np.array([u.size for u in uniq_list], dtype=np.intp)
-        px = np.repeat(np.array([p.x for p in points]), reps)
-        py = np.repeat(np.array([p.y for p in points]), reps)
-        keep = ((rows[:, 0] == px) & (rows[:, 1] == py)) | (
-            (rows[:, 2] == px) & (rows[:, 3] == py)
-        )
-        table = index.ctx.segments
-        out: List[List[Tuple[int, Any]]] = []
-        start = 0
-        for uniq in uniq_list:
-            kept = uniq[keep[start : start + uniq.size]].tolist()
-            start += uniq.size
-            out.append([(sid, table.peek(sid)) for sid in kept])
-        return out
-
     # -- single-query traversal ----------------------------------------
     def _window(self, index: SpatialIndex, window: Rect, mode: str):
         if index.stock_search == "rtree":
-            candidates = self._tree_candidates(index, "window", window)
-            return self._verify_window(index, candidates, window, mode)
-        prof = TRACER.current_profile() if TRACER.profiling else None
-        if prof is None and index.stock_search == "pmr":
+            candidates = self._tree_candidates(index, window)
+        elif index.stock_search == "pmr":
             candidates = self._pmr_rect_candidates(index, window)
-            return self._verify_window(index, candidates, window, mode)
-        # Unsupported structures run the scalar reference; so does a PMR
-        # window under EXPLAIN, because the mask decomposition never
-        # visits the directory blocks whose levels the plan reports.
-        return super()._window(index, window, mode)
+        else:  # loops of its own: the scalar reference
+            return super()._window(index, window, mode)
+        return self._verify_window(index, candidates, window, mode)
 
-    def _incident(self, index: SpatialIndex, p: Point):
-        if index.stock_search == "rtree":
-            candidates = self._tree_candidates(index, "point", p)
-            return self._verify_incident(index, candidates, p)
-        # The PMR point search is a single in-memory descent plus one
-        # B-tree scan; there is no per-entry loop to vectorize.
-        return super()._incident(index, p)
-
-    def _tree_candidates(self, index: SpatialIndex, kind: str, query):
+    def _tree_candidates(self, index: SpatialIndex, rect: Rect):
         """Scalar DFS with a vectorized per-node predicate.
 
         Same ``pool.get`` order, same ``bbox_comps`` charges, matched
-        refs extracted in entry order -- counters, candidate order and
-        EXPLAIN windows are identical to
-        :func:`repro.core.treesearch.search_tree`.
+        refs extracted in entry order -- counters and candidate order
+        are identical to :func:`repro.core.treesearch.search_tree`.
         """
-        prof = TRACER.current_profile() if TRACER.profiling else None
         pool = index.ctx.pool
         counters = index.ctx.counters
         mirror = self._tree_mirror(index)
@@ -593,24 +498,13 @@ class VectorBackend(ScalarBackend):
         stack = [index.root_id]
         while stack:
             page_id = stack.pop()
-            if prof is not None:
-                prof.open(counters)
             node = pool.get(page_id)
             counters.bbox_comps += len(node.entries)
             blk = mirror.block(page_id, node)
             if blk.refs.size:
-                mask = (
-                    blk.window_mask(query)
-                    if kind == "window"
-                    else blk.point_mask(query)
-                )
-                matched = blk.refs[mask].tolist()
+                matched = blk.refs[blk.window_mask(rect)].tolist()
             else:
                 matched = []
-            if prof is not None:
-                prof.close_node(
-                    page_id, len(node.entries), matched, node.is_leaf
-                )
             if node.is_leaf:
                 out.extend(matched)
             else:
@@ -747,93 +641,53 @@ class VectorBackend(ScalarBackend):
 
     # -- query-batched descent -----------------------------------------
     def run_batch(self, index: SpatialIndex, specs) -> List[Any]:
-        """Execute a batch, fusing window/point descents over the tree.
+        """Execute a batch, fusing each group of same-mode windows.
 
-        Each shared upper-level node is fetched once for all queries
-        still alive at it and tested with one (entries x queries)
-        broadcast mask. Per-query results are then rebuilt in scalar
-        DFS order, so results, ``bbox_comps`` and ``segment_comps``
-        match per-query scalar runs to the unit; only the page access
-        *pattern* changes (node-major, never more total accesses).
+        On the R-trees a group shares one node-major descent: each
+        shared upper-level node is fetched once for all windows still
+        alive at it and tested with one (entries x queries) broadcast
+        mask, and per-query candidates are rebuilt in scalar DFS order.
+        The PMR has no shared descent to fuse (each window charges its
+        own decomposition + scans), but the verify pass batches. Either
+        way results, ``bbox_comps`` and ``segment_comps`` match
+        per-query scalar runs to the unit; only the page access
+        *pattern* changes (never more total accesses). Every other spec
+        runs alone through :meth:`run`.
         """
         specs = list(specs)
         results: List[Any] = [None] * len(specs)
         fused: set = set()
-        # A fused descent shares node visits between queries, so it runs
-        # only when this thread has no EXPLAIN profile to attribute them
-        # to. ``TRACER.profiling`` alone counts attached threads process-
-        # wide: an EXPLAIN elsewhere must not unfuse this batch.
-        prof = TRACER.current_profile() if TRACER.profiling else None
-        if prof is None and index.stock_search == "rtree":
-            # One fused descent per mode group: every member of a group
-            # shares one candidate sweep and one batched verify pass.
-            for mode in ("intersects", "contains"):
-                window_ix = [
-                    i
-                    for i, s in enumerate(specs)
-                    if s.op == "window" and s.mode == mode
-                ]
-                if len(window_ix) <= 1:
-                    continue
-                rects = [specs[i].to_rect() for i in window_ix]
-                cands_list = self._fused_tree_candidates(
-                    index, "window", rects
-                )
-                for i, found in zip(
-                    window_ix,
-                    self._verify_windows_batch(index, cands_list, rects, mode),
-                ):
-                    results[i] = found
-                fused.update(window_ix)
-            point_ix = [
-                i for i, s in enumerate(specs) if s.op in ("point", "incident")
+        search = index.stock_search
+        for mode in ("intersects", "contains"):
+            window_ix = [
+                i
+                for i, s in enumerate(specs)
+                if s.op == "window" and s.mode == mode
             ]
-            if len(point_ix) > 1:
-                points = [specs[i].to_point() for i in point_ix]
-                cands_list = self._fused_tree_candidates(
-                    index, "point", points
-                )
-                for i, pairs in zip(
-                    point_ix,
-                    self._verify_incidents_batch(index, cands_list, points),
-                ):
-                    results[i] = (
-                        pairs
-                        if specs[i].op == "incident"
-                        else [sid for sid, _ in pairs]
-                    )
-                fused.update(point_ix)
-        elif prof is None and index.stock_search == "pmr":
-            # PMR has no shared descent to fuse (each window charges its
-            # own decomposition + scans), but the verify pass batches:
-            # group same-mode windows behind one predicate sweep.
-            for mode in ("intersects", "contains"):
-                window_ix = [
-                    i
-                    for i, s in enumerate(specs)
-                    if s.op == "window" and s.mode == mode
-                ]
-                if len(window_ix) <= 1:
-                    continue
-                rects = [specs[i].to_rect() for i in window_ix]
+            if len(window_ix) <= 1 or search not in ("rtree", "pmr"):
+                continue
+            rects = [specs[i].to_rect() for i in window_ix]
+            if search == "rtree":
+                cands_list = self._fused_tree_candidates(index, rects)
+            else:
                 cands_list = [
                     self._pmr_rect_candidates(index, r) for r in rects
                 ]
-                for i, found in zip(
-                    window_ix,
-                    self._verify_windows_batch(index, cands_list, rects, mode),
-                ):
-                    results[i] = found
-                fused.update(window_ix)
+            for i, found in zip(
+                window_ix,
+                self._verify_windows_batch(index, cands_list, rects, mode),
+            ):
+                results[i] = found
+            fused.update(window_ix)
         for i, spec in enumerate(specs):
             if i not in fused:
                 results[i] = self.run(index, spec)
         return results
 
     def _fused_tree_candidates(
-        self, index: SpatialIndex, kind: str, queries
+        self, index: SpatialIndex, rects
     ) -> List[List[int]]:
-        """One node-major descent for a whole query batch.
+        """One node-major descent for a whole window batch.
 
         ``frontier`` maps each page to the (ordered) list of query
         indexes whose scalar traversal would visit it; the per-node
@@ -845,23 +699,17 @@ class VectorBackend(ScalarBackend):
         pool = index.ctx.pool
         counters = index.ctx.counters
         mirror = self._tree_mirror(index)
-        n = len(queries)
+        n = len(rects)
         # One (4, n) bounds matrix: row order lo-x, lo-y, hi-x, hi-y.
-        # A point is the degenerate window [p, p].
-        if kind == "window":
-            qb = np.array(
-                [
-                    [r.xmin for r in queries],
-                    [r.ymin for r in queries],
-                    [r.xmax for r in queries],
-                    [r.ymax for r in queries],
-                ],
-                dtype=np.float64,
-            )
-        else:
-            px = [p.x for p in queries]
-            py = [p.y for p in queries]
-            qb = np.array([px, py, px, py], dtype=np.float64)
+        qb = np.array(
+            [
+                [r.xmin for r in rects],
+                [r.ymin for r in rects],
+                [r.xmax for r in rects],
+                [r.ymax for r in rects],
+            ],
+            dtype=np.float64,
+        )
 
         root = index.root_id
         frontier: Dict[int, List[int]] = {root: list(range(n))}

@@ -14,9 +14,8 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.core.backends import SCALAR_BACKEND
 from repro.core.pmr import PMRQuadtree
-from repro.core.queries.spec import QuerySpec
+from repro.core.queries.spec import QuerySpec, execute_spec
 from repro.data.generator import MapData
 from repro.data.query_points import (
     random_endpoint_queries,
@@ -112,93 +111,72 @@ def _measure(built: BuiltStructure, workload: str, runs) -> QueryStats:
 
 
 def run_point1(
-    built: BuiltStructure,
-    queries: Sequence[Tuple[Point, int]],
-    backend=None,
+    built: BuiltStructure, queries: Sequence[Tuple[Point, int]]
 ) -> QueryStats:
     idx = built.index
-    be = backend if backend is not None else SCALAR_BACKEND
     return _measure(
         built,
         "Point1",
-        ((lambda p=p: be.run(idx, QuerySpec.point(p))) for p, _ in queries),
+        ((lambda p=p: execute_spec(idx, QuerySpec.point(p))) for p, _ in queries),
     )
 
 
 def run_point2(
-    built: BuiltStructure,
-    queries: Sequence[Tuple[Point, int]],
-    backend=None,
+    built: BuiltStructure, queries: Sequence[Tuple[Point, int]]
 ) -> QueryStats:
     idx = built.index
-    be = backend if backend is not None else SCALAR_BACKEND
     return _measure(
         built,
         "Point2",
         (
-            (lambda p=p, s=s: be.run(idx, QuerySpec.other_endpoint(p, s)))
+            (lambda p=p, s=s: execute_spec(idx, QuerySpec.other_endpoint(p, s)))
             for p, s in queries
         ),
     )
 
 
 def run_nearest(
-    built: BuiltStructure,
-    points: Sequence[Point],
-    label: str,
-    backend=None,
+    built: BuiltStructure, points: Sequence[Point], label: str
 ) -> QueryStats:
     idx = built.index
-    be = backend if backend is not None else SCALAR_BACKEND
     return _measure(
         built,
         label,
-        ((lambda p=p: be.run(idx, QuerySpec.nearest(p, 1))) for p in points),
+        ((lambda p=p: execute_spec(idx, QuerySpec.nearest(p, 1))) for p in points),
     )
 
 
 def run_polygon(
-    built: BuiltStructure,
-    points: Sequence[Point],
-    label: str,
-    backend=None,
+    built: BuiltStructure, points: Sequence[Point], label: str
 ) -> QueryStats:
     idx = built.index
-    be = backend if backend is not None else SCALAR_BACKEND
     return _measure(
         built,
         label,
-        ((lambda p=p: be.run(idx, QuerySpec.polygon(p))) for p in points),
+        ((lambda p=p: execute_spec(idx, QuerySpec.polygon(p))) for p in points),
     )
 
 
-def run_range(
-    built: BuiltStructure, windows: Sequence[Rect], backend=None
-) -> QueryStats:
+def run_range(built: BuiltStructure, windows: Sequence[Rect]) -> QueryStats:
     idx = built.index
-    be = backend if backend is not None else SCALAR_BACKEND
     return _measure(
         built,
         "Range",
-        ((lambda w=w: be.run(idx, QuerySpec.window(w))) for w in windows),
+        ((lambda w=w: execute_spec(idx, QuerySpec.window(w))) for w in windows),
     )
 
 
 def run_workloads(
-    built: BuiltStructure, workloads: QueryWorkloads, backend=None
+    built: BuiltStructure, workloads: QueryWorkloads
 ) -> Dict[str, QueryStats]:
-    """All seven workloads against one built structure, in table order.
-
-    ``backend`` selects the traversal backend (default: the scalar
-    reference); results and per-query counters are backend-invariant.
-    """
+    """All seven workloads against one built structure, in table order."""
     results = [
-        run_point1(built, workloads.endpoint_queries, backend=backend),
-        run_point2(built, workloads.endpoint_queries, backend=backend),
-        run_nearest(built, workloads.two_stage, "Nearest(2-stage)", backend=backend),
-        run_nearest(built, workloads.one_stage, "Nearest(1-stage)", backend=backend),
-        run_polygon(built, workloads.two_stage, "Polygon(2-stage)", backend=backend),
-        run_polygon(built, workloads.one_stage, "Polygon(1-stage)", backend=backend),
-        run_range(built, workloads.windows, backend=backend),
+        run_point1(built, workloads.endpoint_queries),
+        run_point2(built, workloads.endpoint_queries),
+        run_nearest(built, workloads.two_stage, "Nearest(2-stage)"),
+        run_nearest(built, workloads.one_stage, "Nearest(1-stage)"),
+        run_polygon(built, workloads.two_stage, "Polygon(2-stage)"),
+        run_polygon(built, workloads.one_stage, "Polygon(1-stage)"),
+        run_range(built, workloads.windows),
     ]
     return {r.workload: r for r in results}

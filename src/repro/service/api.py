@@ -3,8 +3,8 @@
 :func:`parse_request` turns a wire-protocol dict into the object
 :meth:`repro.service.engine.QueryEngine.execute` runs. For a read that is
 a :class:`~repro.core.queries.spec.QuerySpec` -- the same object a Python
-caller builds, the result cache keys on and the traversal backend
-consumes; for anything else it is a :class:`Command`, the op and its
+caller builds, the result cache keys on and the traversal consumes;
+for anything else it is a :class:`Command`, the op and its
 checked arguments. :data:`OPS` declares each op once -- what checks its
 wire arguments, what the engine does with them, whether it writes, what
 a trace prints of it -- and ``parse_request``, the engine's dispatch, the
@@ -103,7 +103,7 @@ class Op(NamedTuple):
     :class:`QuerySpec` of a read, the keyword arguments of any other op.
     ``run(engine, session, **arguments)`` is what the engine does with
     those; it is None for a read, because the engine runs every QuerySpec
-    one way (cache, latch, attribution, backend). ``writes`` marks a
+    one way (cache, latch, attribution, traversal). ``writes`` marks a
     mutation: its commit can be deferred to a group committer, in a
     batch it is a barrier, and a shard router sends one at a time.
     ``describe(arguments)`` is what a trace and the slow log print of

@@ -133,33 +133,8 @@ class BatchExecutor:
                     request.use_cache = False
         results: List[Any] = [None] * len(typed)
         before = session.counters.snapshot()
-        schedule = self._schedule(typed, order)
-        fuse = self.engine.backend.supports_batch
-        pos = 0
-        while pos < len(schedule):
-            idx = schedule[pos]
-            # A batch-capable backend takes each (Morton-sorted) run of
-            # reads between mutation barriers in one fused descent, so
-            # shared upper-level nodes are tested once for the whole
-            # run. Results and paper counters match per-request
-            # execution; only page traffic is deduplicated.
-            if fuse and not _is_mutation(typed[idx]):
-                end = pos
-                while end < len(schedule) and not _is_mutation(
-                    typed[schedule[end]]
-                ):
-                    end += 1
-                run_ix = schedule[pos:end]
-                if len(run_ix) > 1:
-                    fused = self.engine.execute_reads_fused(
-                        [typed[i] for i in run_ix], session=session
-                    )
-                    for i, value in zip(run_ix, fused):
-                        results[i] = value
-                    pos = end
-                    continue
+        for idx in self._schedule(typed, order):
             results[idx] = self.engine.execute(typed[idx], session=session)
-            pos += 1
         return BatchResult(
             results=results,
             order=order,

@@ -52,9 +52,8 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.backends import resolve_backend
 from repro.core.interface import WORLD_DEPTH
-from repro.core.queries.spec import QuerySpec
+from repro.core.queries.spec import QuerySpec, execute_spec
 from repro.errors import NotDurableError, ProtocolError
 from repro.geometry import Segment
 from repro.obs.buildinfo import publish_build_info
@@ -102,7 +101,6 @@ class QueryEngine:
         cache_capacity: int = 256,
         store=None,
         registry: Optional[MetricsRegistry] = None,
-        backend=None,
     ) -> None:
         from repro.service.cache import ResultCache  # avoid import cycle
 
@@ -114,11 +112,6 @@ class QueryEngine:
         self.index = index
         self.ctx = index.ctx
         self.store = store
-        # How read queries traverse the index: "scalar" (default),
-        # "vector", or a TraversalBackend instance. Results and paper
-        # counters are backend-invariant (the parity suite enforces it),
-        # which is why cache keys carry no backend component.
-        self.backend = resolve_backend(backend)
         self.latch = Latch("buffer-pool")
         self.cache = ResultCache(cache_capacity)
         self.totals = MetricsCounters()
@@ -348,82 +341,32 @@ class QueryEngine:
             TRACER.event("cache_hit" if found[0] else "cache_miss")
         return found
 
-    def _cache_store(self, spec: QuerySpec, value) -> None:
-        if spec.use_cache:
-            self.cache.store(spec.cache_key(), value)
-
-    def _cache_store_all(self, specs: List[QuerySpec], values: List[Any]) -> None:
-        for spec, value in zip(specs, values):
-            self._cache_store(spec, value)
-
     def _traverse(
-        self, session: QuerySession, run, plan, store=None, **attrs: Any
+        self, session: QuerySession, spec: QuerySpec, cache: bool = False
     ) -> Tuple[Any, MetricsCounters]:
         """Every read traversal: span, latch, attribution -- in one place.
 
-        ``run`` is the backend's ``run`` with one :class:`QuerySpec` as
-        ``plan``, or its ``run_batch`` with a list of them. The plain
-        read, the fused batch run and EXPLAIN all come through here, so
-        each executes exactly the traversal the others would. Returns the
+        The plain read and EXPLAIN both come through here, so each
+        executes exactly the traversal the other would. Returns the
         value and the scratch counters the traversal was charged (see
         :meth:`_attributed`).
 
-        ``store(plan, value)`` caches the answer while the latch is still
-        held: a mutation invalidates under the same latch
+        ``cache`` stores the answer while the latch is still held (when
+        the spec allows it): a mutation invalidates under the same latch
         (:meth:`_mutate`), so an answer read off the pre-mutation index
         is either cached before the invalidation or not at all.
         """
-        with TRACER.span("traverse", **attrs) as span:
+        with TRACER.span("traverse") as span:
             with self._attributed(session) as scratch:
-                value = run(self.index, plan)
-                if store is not None:
-                    store(plan, value)
+                value = execute_spec(self.index, spec)
+                if cache and spec.use_cache:
+                    self.cache.store(spec.cache_key(), value)
             if span.recording:
                 # Span cost attribution: the exact scratch deltas this
                 # traversal was charged -- what the router's stitched
                 # tree compares against engine counters.
                 span.set_attr("counters", scratch.as_dict())
         return value, scratch
-
-    def execute_reads_fused(
-        self, specs, session: Optional[QuerySession] = None
-    ) -> List[Any]:
-        """Run a group of read queries through one fused backend descent.
-
-        The cache is consulted per spec exactly as in :meth:`_run`;
-        only the misses reach :meth:`TraversalBackend.run_batch`, which
-        (for a batch-capable backend) tests all of them against each
-        shared upper-level node in a single pass. Results come back in
-        argument order and are cached under the same keys a standalone
-        run would use. Fused members are counted in the per-op request
-        counters but share one traversal span -- the enclosing batch op
-        carries the latency observation.
-        """
-        if session is None:
-            session = self.session("default")
-        results: List[Any] = [None] * len(specs)
-        misses: List[int] = []
-        for i, spec in enumerate(specs):
-            session.queries += 1
-            hit, results[i] = self._cache_lookup(spec, session)
-            if not hit:
-                misses.append(i)
-        if misses:
-            values, _ = self._traverse(
-                session,
-                self.backend.run_batch,
-                [specs[i] for i in misses],
-                self._cache_store_all,
-                fused=len(misses),
-            )
-            for i, value in zip(misses, values):
-                results[i] = value
-        for spec in specs:
-            pair = self._op_metrics.get(spec.op)
-            if pair is None:
-                pair = self._metric_pair(spec.op)
-            pair[1].inc()
-        return results
 
     def _dispatch(self, request, session: Optional[QuerySession]):
         if isinstance(request, QuerySpec):
@@ -466,9 +409,7 @@ class QueryEngine:
         hit, value = self._cache_lookup(spec, session)
         if hit:
             return value
-        value, _ = self._traverse(
-            session, self.backend.run, spec, self._cache_store
-        )
+        value, _ = self._traverse(session, spec, cache=True)
         return value
 
     # ------------------------------------------------------------------
@@ -494,7 +435,7 @@ class QueryEngine:
         start = time.perf_counter()
         TRACER.attach_profile(prof)
         try:
-            value, scratch = self._traverse(session, self.backend.run, spec)
+            value, scratch = self._traverse(session, spec)
         finally:
             TRACER.detach_profile()
         elapsed = time.perf_counter() - start
@@ -507,7 +448,6 @@ class QueryEngine:
         report = {
             "op": "explain",
             "args": spec.describe(),
-            "backend": self.backend.describe(),
             "plan": prof.to_dict(),
             "observed": observed_dict,
             "exact": exact,
@@ -568,7 +508,6 @@ class QueryEngine:
             with self._attributed(session):
                 result = apply()
                 self.cache.invalidate_all()
-                self.backend.invalidate()
         self._commit_barrier()
         return result
 
@@ -727,7 +666,6 @@ class QueryEngine:
                     "pages": self.index.page_count(),
                 },
                 "totals": self.totals.as_dict(),
-                "backend": self.backend.describe(),
                 "pool": {
                     "capacity": pool.capacity,
                     "resident": len(pool),

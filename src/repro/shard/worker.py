@@ -208,7 +208,6 @@ def open_shard(
     group_commit: int = 1,
     replay_order: str = "morton",
     cache_capacity: int = 256,
-    backend: Any = None,
 ):
     """Recover one shard's store and wrap it in a :class:`ShardEngine`.
 
@@ -244,7 +243,6 @@ def open_shard(
         store=store,
         registry=MetricsRegistry(),
         cache_capacity=cache_capacity,
-        backend=backend,
     )
     return smap, engine
 
@@ -256,7 +254,6 @@ def serve_shard(
     port: int = 0,
     pool_pages: int = 16,
     group_commit: int = 1,
-    backend: Any = None,
 ) -> MapServer:
     """Open a shard and bind its server (not yet serving).
 
@@ -269,7 +266,6 @@ def serve_shard(
         shard_id,
         pool_pages=pool_pages,
         group_commit=group_commit,
-        backend=backend,
     )
     server = ShardServer(engine, host=host, port=port)
     bound_host, bound_port = server.address

@@ -138,6 +138,9 @@ IGNORED = [
 ] + [
     (["checkpoint", "--wal", "x"], "--group-commit"),
     (["recover", "--wal", "x"], "--group-commit"),
+    # Every server traverses one way: the traversal knob is gone.
+    (["serve"], "--backend"),
+    (["shard-worker", "--root", "x", "--shard", "s0"], "--backend"),
 ]
 
 
@@ -188,6 +191,36 @@ class TestEveryAcceptedOptionActs:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "--trace-capacity" in err and "--slow-ms" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--max-inflight", "--max-inflight-conn", "--executor-workers"]
+    )
+    def test_an_asyncio_sizing_without_async_is_a_usage_error(self, capsys, flag):
+        """The threaded server used to start and read none of these."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["serve", flag, "3"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and "--async" in err
+
+    def test_an_asyncio_sizing_reaches_the_asyncio_front(self, monkeypatch):
+        import repro.aio
+
+        class Started(Exception):
+            pass
+
+        def front(engine, **kwargs):
+            raise Started(kwargs)
+
+        monkeypatch.setattr(repro.aio, "AsyncMapServer", front)
+        with pytest.raises(Started) as started:
+            main(["serve", "--async", "--county", "cecil", *SCALE,
+                  "--max-inflight", "5", "--max-inflight-conn", "3",
+                  "--executor-workers", "2"])
+        kwargs = started.value.args[0]
+        assert kwargs["max_inflight_total"] == 5
+        assert kwargs["max_inflight_per_conn"] == 3
+        assert kwargs["executor_workers"] == 2
 
     @pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
     def test_the_second_tracer_flag_is_gone(self, capsys, launcher):

@@ -19,7 +19,6 @@ import pytest
 from repro.analysis import check_index
 from repro.core import GuttmanRTree, RPlusTree, treesearch
 from repro.core.queries import QuerySpec
-from repro.core.vector import HAVE_NUMPY
 from repro.geometry import Point, Rect
 from repro.metric_names import COUNTER_FIELDS
 from repro.obs import (
@@ -98,12 +97,8 @@ GOLDEN_COUNTS = {
 }
 
 
-def make_engine(kind: str, backend: str = "scalar") -> QueryEngine:
-    return QueryEngine(
-        build_index(kind, lattice_map(n=8)),
-        registry=MetricsRegistry(),
-        backend=backend,
-    )
+def make_engine(kind: str) -> QueryEngine:
+    return QueryEngine(build_index(kind, lattice_map(n=8)), registry=MetricsRegistry())
 
 
 @pytest.fixture(params=EXPLAIN_STRUCTURES)
@@ -159,28 +154,26 @@ class TestExactness:
                 {"op": "nearest", "x": 321, "y": 321, "k": 3},
             )
         ]
-        backends = ("scalar", "vector") if HAVE_NUMPY else ("scalar",)
         for kind in EXPLAIN_STRUCTURES + ["R"]:
-            for backend in backends:
-                for req in requests:
-                    case = (kind, backend, req.op)
-                    plain = make_engine(kind, backend)
-                    explained = make_engine(kind, backend)
-                    plain.cold_start()
-                    explained.cold_start()
-                    want = plain.execute(req)
-                    report = explained.execute(explain(req))
-                    assert report["exact"] is True, case
-                    assert report["result_count"] == len(want), case
-                    assert plain.totals == explained.totals, case
-                    # EXPLAIN reports a count, not ids: run the same
-                    # dispatch with a profile attached to see them.
-                    TRACER.attach_profile(ExplainProfile(req.op, kind))
-                    try:
-                        got = explained.execute(req)
-                    finally:
-                        TRACER.detach_profile()
-                    assert got == want, case
+            for req in requests:
+                case = (kind, req.op)
+                plain = make_engine(kind)
+                explained = make_engine(kind)
+                plain.cold_start()
+                explained.cold_start()
+                want = plain.execute(req)
+                report = explained.execute(explain(req))
+                assert report["exact"] is True, case
+                assert report["result_count"] == len(want), case
+                assert plain.totals == explained.totals, case
+                # EXPLAIN reports a count, not ids: run the same
+                # dispatch with a profile attached to see them.
+                TRACER.attach_profile(ExplainProfile(req.op, kind))
+                try:
+                    got = explained.execute(req)
+                finally:
+                    TRACER.detach_profile()
+                assert got == want, case
 
     @pytest.mark.parametrize("kind", ["kdB", "R+t", "grid"])
     def test_unbracketed_work_surfaces_as_unattributed(self, kind):

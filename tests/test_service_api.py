@@ -8,9 +8,7 @@ import threading
 import pytest
 
 from benchmarks.e2e.oracle import Oracle
-from repro.core.backends import resolve_backend
 from repro.core.queries import QuerySpec, execute_spec
-from repro.core.vector import HAVE_NUMPY
 from repro.errors import NotDurableError, ProtocolError
 from repro.geometry import Point, Rect
 from repro.obs import TRACER, MetricsRegistry
@@ -393,21 +391,16 @@ def _python_spelling(raw):
     return QuerySpec.point(p) if raw["op"] == "point" else QuerySpec.nearest(p, raw["k"])
 
 
-@pytest.mark.parametrize(
-    "backend",
-    ["scalar", pytest.param("vector", marks=pytest.mark.skipif(
-        not HAVE_NUMPY, reason="vector backend requires numpy"))],
-)
 @pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
 class TestOneRequestObject:
     """What one request object from the wire to the traversal buys."""
 
-    def test_every_path_runs_the_same_query(self, kind, backend):
+    def test_every_path_runs_the_same_query(self, kind):
         segments = lattice_map(n=8)
         scan = Oracle(segments)
         bare = build_index(kind, segments)
         engine = QueryEngine(
-            build_index(kind, segments), backend=backend, registry=MetricsRegistry()
+            build_index(kind, segments), registry=MetricsRegistry()
         )
         for i, raw in enumerate(_seeded_reads(random.Random(1992), segments)):
             # Alternate which spelling fills the cache and which finds it.
@@ -416,18 +409,18 @@ class TestOneRequestObject:
                 first, second = second, first
             served = engine.execute(first)
             assert scan.check_response(raw, {"ok": True, "result": served}) is None
-            assert resolve_backend(backend).run(bare, first) == served
+            assert execute_spec(bare, first) == served
             hits = engine.cache.hits
             assert engine.execute(second) == served
             assert engine.cache.hits == hits + 1, (raw, first, second)
         assert engine.counters_consistent()
 
-    def test_the_queries_with_no_wire_op_are_served_like_the_rest(self, kind, backend):
+    def test_the_queries_with_no_wire_op_are_served_like_the_rest(self, kind):
         """Queries 2 and 4 and ``incident``: ``execute`` runs any spec."""
         segments = lattice_map(n=8)
         bare = build_index(kind, segments)
         engine = QueryEngine(
-            build_index(kind, segments), backend=backend, registry=MetricsRegistry()
+            build_index(kind, segments), registry=MetricsRegistry()
         )
         session = engine.session("paper")
         specs = [
@@ -438,7 +431,7 @@ class TestOneRequestObject:
         for spec in specs:
             before = session.counters.snapshot()
             served = engine.execute(spec, session=session)
-            assert served == execute_spec(bare, spec, resolve_backend(backend))
+            assert served == execute_spec(bare, spec)
             assert session.counters.since(before).segment_comps > 0
             hits = engine.cache.hits
             assert engine.execute(spec, session=session) == served
@@ -450,9 +443,9 @@ class TestOneRequestObject:
         assert session.cache_hits == len(specs)
         assert engine.counters_consistent()
 
-    def test_a_standalone_read_honours_use_cache(self, kind, backend):
+    def test_a_standalone_read_honours_use_cache(self, kind):
         engine = QueryEngine(
-            build_index(kind, lattice_map(n=6)), backend=backend, registry=MetricsRegistry()
+            build_index(kind, lattice_map(n=6)), registry=MetricsRegistry()
         )
         protocol = Protocol(engine)
         raw = {"op": "point", "x": 100, "y": 100}

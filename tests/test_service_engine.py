@@ -170,10 +170,8 @@ class TestMutationInvalidation:
         store.close()
 
 
-@pytest.mark.parametrize("path", ["_run", "execute_reads_fused"])
-@pytest.mark.parametrize("backend", ["scalar", "vector"])
 @pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
-def test_a_read_overtaken_by_a_mutation_caches_nothing_stale(kind, backend, path):
+def test_a_read_overtaken_by_a_mutation_caches_nothing_stale(kind):
     """A read traverses, a mutation is applied *and acknowledged*, and only
     then does the read get to store its answer: the cache must not serve
     that pre-mutation answer to the next identical query.
@@ -184,7 +182,7 @@ def test_a_read_overtaken_by_a_mutation_caches_nothing_stale(kind, backend, path
     goes ahead of the insert, and the insert's invalidation removes it.
     Either way every wait below ends by itself.
     """
-    engine = QueryEngine(build_index(kind, lattice_map(n=6)), backend=backend)
+    engine = QueryEngine(build_index(kind, lattice_map(n=6)))
     spec = QuerySpec.window(Rect(0, 0, 300, 300))
     uncached = QuerySpec.window(Rect(0, 0, 300, 300))
     uncached.use_cache = False
@@ -198,10 +196,7 @@ def test_a_read_overtaken_by_a_mutation_caches_nothing_stale(kind, backend, path
         real_store(key, value)
 
     engine.cache.store = held_store
-    if path == "_run":
-        reader = threading.Thread(target=engine.execute, args=(spec,))
-    else:
-        reader = threading.Thread(target=engine.execute_reads_fused, args=([spec],))
+    reader = threading.Thread(target=engine.execute, args=(spec,))
     reader.start()
     try:
         assert traversed.wait(timeout=10.0)
