@@ -168,33 +168,6 @@ def test_kdb_vs_hybrid_ablation(benchmark, county_maps):
     assert out["pure_kdB"]["segment_comps"] > out["hybrid_R+"]["segment_comps"]
 
 
-def test_rplus_split_rule_ablation(benchmark, county_maps):
-    """Section 3 leaves the R+ split policy open; the paper's cut-
-    minimizing rule stores fewer duplicated entries than a k-d-B median
-    split on the same data."""
-
-    def run():
-        out = {}
-        for rule in ("min_cut", "median"):
-            built = build_structure("R+", county_maps["baltimore"], split_rule=rule)
-            out[rule] = {
-                "entries": built.index.entry_count(),
-                "pages": built.index.page_count(),
-                "size_kb": built.size_kbytes,
-                "build_s": built.build_seconds,
-            }
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        "ablation_rplus_split.txt", "\n".join(f"{k}: {v}" for k, v in out.items())
-    )
-    # The robust effect is duplication: fewer cut segments, fewer entries.
-    # (Page counts can go either way -- median splits are perfectly even
-    # and pack fuller pages despite storing more entries.)
-    assert out["min_cut"]["entries"] <= out["median"]["entries"]
-
-
 def test_uniform_grid_vs_pmr_on_skewed_data(benchmark, county_maps):
     """Section 2: the uniform grid suits uniform data; quadtrees adapt to
     the skewed distributions real maps have."""

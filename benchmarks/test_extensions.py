@@ -3,9 +3,6 @@
 * **PM family vs PMR** (Section 3): the PM1's geometric criteria force
   far deeper decomposition than the PMR's probabilistic split-once rule
   on the same map; PM2/PM3 sit between.
-* **True R+-tree vs hybrid** (Section 3): same storage, dead-space
-  pruning cuts the bounding-box work of point searches, MBR maintenance
-  makes building costlier.
 * **STR bulk loading** (production extension): packing beats dynamic
   insertion on build disk accesses and page count while answering
   queries identically.
@@ -22,7 +19,7 @@ import pytest
 
 from repro.core.queries import QuerySpec, execute_spec
 from repro.core.rtree import RStarTree, bulk_load_str
-from repro.data.query_points import random_endpoint_queries, random_windows
+from repro.data.query_points import random_windows
 from repro.harness import build_structure
 from repro.storage import StorageContext
 
@@ -54,39 +51,6 @@ def test_pm_family_vs_pmr(benchmark, county_maps):
     assert out["PM1"]["buckets"] >= out["PM2"]["buckets"] >= out["PM3"]["buckets"]
     assert out["PM1"]["buckets"] > 2 * out["PMR"]["buckets"]
     assert out["PM1"]["depth"] >= out["PMR"]["depth"]
-
-
-def test_true_rplus_vs_hybrid(benchmark, county_maps):
-    cecil = county_maps["cecil"]
-
-    def run():
-        out = {}
-        rng = random.Random(55)
-        queries = random_endpoint_queries(N_QUERIES, rng, cecil)
-        for name in ("R+", "R+t"):
-            built = build_structure(name, cecil)
-            built.ctx.pool.clear()
-            before = built.ctx.counters.snapshot()
-            for p, _ in queries:
-                execute_spec(built.index, QuerySpec.point(p))
-            delta = built.ctx.counters.since(before)
-            out[name] = {
-                "pages": built.index.page_count(),
-                "build_bbox": built.build_metrics.bbox_comps,
-                "point_bbox": delta.bbox_comps / len(queries),
-                "point_disk": delta.disk_reads / len(queries),
-            }
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        "extension_true_rplus.txt", "\n".join(f"{k}: {v}" for k, v in out.items())
-    )
-    # Same storage (Section 3), dead space pruned at query time, paid at
-    # build time through MBR maintenance.
-    assert out["R+t"]["pages"] == out["R+"]["pages"]
-    assert out["R+t"]["point_bbox"] <= out["R+"]["point_bbox"]
-    assert out["R+t"]["build_bbox"] > out["R+"]["build_bbox"]
 
 
 def test_str_bulk_loading(benchmark, county_maps):

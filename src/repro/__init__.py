@@ -40,7 +40,6 @@ from repro.core import (
     RPlusTree,
     RStarTree,
     SpatialIndex,
-    TrueRPlusTree,
     UniformGrid,
 )
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE
@@ -99,7 +98,6 @@ __all__ = [
     "SpatialIndex",
     "StorageContext",
     "WalError",
-    "TrueRPlusTree",
     "UniformGrid",
     "WORLD_DEPTH",
     "WORLD_SIZE",

@@ -609,27 +609,35 @@ def _cmd_bench(args) -> int:
 def _cmd_check(args) -> int:
     import os
 
-    from repro import analysis
-    from repro.analysis.findings import FSCK_RULES
+    # Importing every checker registers every fsck rule, for --rules too.
+    from repro.analysis import (
+        FSCK_RULES,
+        check_durable,
+        check_index,
+        check_shard_set,
+        check_snapshot,
+        format_findings,
+        has_errors,
+    )
     from repro.storage import CodecError
 
     if args.rules:
         print(FSCK_RULES.describe())
         return 0
     for what, root, check_dir in (
-        ("shard set", args.shards, analysis.check_shard_set),
-        ("durable store", args.wal, analysis.check_durable),
+        ("shard set", args.shards, check_shard_set),
+        ("durable store", args.wal, check_durable),
     ):
         if root:
             if not os.path.isdir(root):
                 print(f"error: no such directory: {root}", file=sys.stderr)
                 return 2
             findings = check_dir(root)
-            print(analysis.format_findings(findings, title=f"fsck {what} {root}"))
-            return 1 if analysis.has_errors(findings) else 0
+            print(format_findings(findings, title=f"fsck {what} {root}"))
+            return 1 if has_errors(findings) else 0
     if args.snapshot:
         try:
-            findings = analysis.check_snapshot(args.snapshot)
+            findings = check_snapshot(args.snapshot)
         except FileNotFoundError:
             print(f"error: snapshot not found: {args.snapshot}", file=sys.stderr)
             return 2
@@ -638,10 +646,10 @@ def _cmd_check(args) -> int:
             return 2
         title = f"fsck {args.snapshot}"
     else:
-        findings = analysis.check_index(_build(args))
+        findings = check_index(_build(args))
         title = f"fsck {args.structure} over {args.county} (scale {args.scale})"
-    print(analysis.format_findings(findings, title=title))
-    return 1 if analysis.has_errors(findings) else 0
+    print(format_findings(findings, title=title))
+    return 1 if has_errors(findings) else 0
 
 
 def _cmd_lint(args) -> int:

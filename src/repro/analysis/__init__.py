@@ -32,44 +32,41 @@ CLI: ``python -m repro check`` (``--wal DIR`` for a durable store,
 "check"}`` against a running map server or shard router.
 """
 
-from repro.analysis.findings import (
-    ERROR,
-    FSCK_RULES,
-    LINT_RULES,
-    WARNING,
-    Finding,
-    format_findings,
-    has_errors,
-    sort_findings,
-)
-from repro.analysis.concurrency import (
-    lint_concurrency_paths,
-    lint_concurrency_source,
-    lint_concurrency_sources,
-)
-from repro.analysis.fsck import check_index, check_snapshot
-from repro.analysis.fsck_shards import check_shard_set
-from repro.analysis.fsck_wal import check_durable, check_wal
-from repro.analysis.lint import lint_file, lint_paths, lint_source
+from importlib import import_module
 
-__all__ = [
-    "ERROR",
-    "FSCK_RULES",
-    "Finding",
-    "LINT_RULES",
-    "WARNING",
-    "check_durable",
-    "check_index",
-    "check_shard_set",
-    "check_snapshot",
-    "check_wal",
-    "format_findings",
-    "has_errors",
-    "lint_concurrency_paths",
-    "lint_concurrency_source",
-    "lint_concurrency_sources",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "sort_findings",
-]
+#: Where each public name lives. Nothing is imported until a name is
+#: first read: an opener that needs only ``findings`` and
+#: ``fsck_storage`` does not pay for the linters. A rule registers when
+#: its module is imported, so :data:`FSCK_RULES` / :data:`LINT_RULES`
+#: list the rules of the modules loaded so far.
+_EXPORTS = {
+    "ERROR": "findings",
+    "FSCK_RULES": "findings",
+    "Finding": "findings",
+    "LINT_RULES": "findings",
+    "WARNING": "findings",
+    "format_findings": "findings",
+    "has_errors": "findings",
+    "sort_findings": "findings",
+    "check_index": "fsck",
+    "check_snapshot": "fsck",
+    "check_shard_set": "fsck_shards",
+    "check_durable": "fsck_wal",
+    "check_wal": "fsck_wal",
+    "lint_file": "lint",
+    "lint_paths": "lint",
+    "lint_source": "lint",
+    "lint_concurrency_paths": "concurrency",
+    "lint_concurrency_source": "concurrency",
+    "lint_concurrency_sources": "concurrency",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)

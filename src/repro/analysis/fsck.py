@@ -28,16 +28,10 @@ from typing import BinaryIO, List, Union
 from repro.analysis.findings import FSCK_RULES, Finding
 from repro.analysis.fsck_grid import check_grid
 from repro.analysis.fsck_pmr import check_pmr
-from repro.analysis.fsck_rplus import check_rplus, check_true_rplus
+from repro.analysis.fsck_rplus import check_rplus
 from repro.analysis.fsck_rtree import check_rtree
 from repro.analysis.fsck_storage import check_storage
-from repro.core import (
-    GuttmanRTree,
-    PMRQuadtree,
-    RPlusTree,
-    TrueRPlusTree,
-    UniformGrid,
-)
+from repro.core import GuttmanRTree, PMRQuadtree, RPlusTree, UniformGrid
 from repro.storage.codec import read_header
 
 __all__ = ["check_index", "check_snapshot", "FSCK_RULES"]
@@ -53,7 +47,6 @@ def structure_rules(index) -> List[Finding]:
 
 structure_rules.register(GuttmanRTree, check_rtree)
 structure_rules.register(RPlusTree, check_rplus)
-structure_rules.register(TrueRPlusTree, check_true_rplus)
 structure_rules.register(PMRQuadtree, check_pmr)
 structure_rules.register(UniformGrid, check_grid)
 

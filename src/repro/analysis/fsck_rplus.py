@@ -27,9 +27,6 @@ RX05 = FSCK_RULES.register(
 RX06 = FSCK_RULES.register("RX06", "page inventory / entry count bookkeeping mismatch")
 RX07 = FSCK_RULES.register("RX07", "tree references a page missing from disk")
 RX08 = FSCK_RULES.register("RX08", "leaf overfull beyond its page capacity")
-RX09 = FSCK_RULES.register(
-    "RX09", "true R+ content MBR misses its contents or escapes its partition"
-)
 
 #: Relative tolerance for the area-coverage test.
 _COVER_TOL = 1e-6
@@ -87,36 +84,6 @@ def check_rplus(index) -> List[Finding]:
     )
     findings.extend(_check_completeness(index, seg_ids))
     return findings + check_segment_refs(index, seg_ids)
-
-
-def check_true_rplus(index) -> List[Finding]:
-    """The R+ rules, plus the true R+-tree's own: each page's sidecar
-    content MBR covers what the page holds -- its entries, or its
-    children's content MBRs -- clipped to the page's partition, and stays
-    inside that partition (it may be loose after deletions, never wrong
-    on the tight side)."""
-    findings = check_rplus(index)
-    content = index.content_mbr
-    for page_id, here, node, region in walk_pages(
-        index, "rplus", index.extent(), RX06, RX07, RX06, []
-    ):
-        if node.is_leaf:
-            parts = [r.intersection(region) or r for r, _ in node.entries]
-        else:
-            parts = [content[c] for _, c in node.entries if c in content]
-        if not parts:
-            continue
-        actual, stored = Rect.union_of(parts), content.get(page_id)
-        if stored is None:
-            detail = "page holds entries but has no content MBR"
-        elif not stored.contains_rect(actual):
-            detail = f"content MBR {tuple(stored)} misses contents {tuple(actual)}"
-        elif not region.contains_rect(stored):
-            detail = f"content MBR {tuple(stored)} escapes {tuple(region)}"
-        else:
-            continue
-        findings.append(error(RX09, page_id, here, detail))
-    return findings
 
 
 def _check_completeness(index, seg_ids: Set[int]) -> List[Finding]:

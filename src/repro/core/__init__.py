@@ -27,7 +27,7 @@ from repro.core.grid import UniformGrid
 from repro.core.interface import NNItem, SpatialIndex
 from repro.core.kdb import KDBTree
 from repro.core.pmr import PM1Quadtree, PM2Quadtree, PM3Quadtree, PMRQuadtree
-from repro.core.rplus import RPlusTree, TrueRPlusTree
+from repro.core.rplus import RPlusTree
 from repro.core.rtree import GuttmanRTree, RStarTree
 
 #: Every structure by its table name (a snapshot manifest's ``kind``).
@@ -46,7 +46,6 @@ STRUCTURES: Dict[str, Type[SpatialIndex]] = {
         PM1Quadtree,
         PM2Quadtree,
         PM3Quadtree,
-        TrueRPlusTree,
     )
 }
 
@@ -69,6 +68,5 @@ __all__ = [
     "SERVABLE",
     "STRUCTURES",
     "SpatialIndex",
-    "TrueRPlusTree",
     "UniformGrid",
 ]

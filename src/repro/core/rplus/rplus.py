@@ -23,6 +23,7 @@ occupy on disk.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from math import ceil
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -57,30 +58,16 @@ def _clip_rect(r: Rect, region: Rect) -> Rect:
 class RPlusTree(NodeTree):
     name = "R+"
 
-    #: Available split-line rules. The paper: "The R+-tree implementations
-    #: described in the literature do not specify a splitting policy, and
-    #: it should be clear that there are a number of possible ways to
-    #: proceed." ``min_cut`` is the paper's choice (fewest segments cut,
-    #: ties by evenness); ``median`` is the classic k-d-B rule (median
-    #: entry boundary on the wider axis), ablated in the benchmarks.
-    SPLIT_RULES = ("min_cut", "median")
-
     def __init__(
         self,
         ctx: StorageContext,
         world: Optional[Rect] = None,
         capacity: Optional[int] = None,
-        split_rule: str = "min_cut",
     ) -> None:
         super().__init__(ctx)
-        if split_rule not in self.SPLIT_RULES:
-            raise ValueError(
-                f"split_rule must be one of {self.SPLIT_RULES}, got {split_rule!r}"
-            )
         self._open(
             {
                 "capacity": self._node_capacity(capacity),
-                "split_rule": split_rule,
                 "world": world if world is not None else WORLD,
             },
             None,
@@ -90,11 +77,7 @@ class RPlusTree(NodeTree):
     # Declaration
     # ------------------------------------------------------------------
     def params(self) -> Dict[str, Any]:
-        return {
-            "capacity": self.capacity,
-            "split_rule": self.split_rule,
-            "world": list(self.world),
-        }
+        return {"capacity": self.capacity, "world": list(self.world)}
 
     def state(self) -> Dict[str, Any]:
         return {
@@ -109,7 +92,6 @@ class RPlusTree(NodeTree):
 
     def _open(self, params: Dict[str, Any], state) -> None:
         self.capacity = params["capacity"]
-        self.split_rule = params["split_rule"]
         self.world = Rect(*params["world"])
         if state is None:
             root = self.ctx.pool.create(RTreeNode(is_leaf=True))
@@ -197,7 +179,6 @@ class RPlusTree(NodeTree):
             node.entries.append((mbr, seg_id))
             self._entry_count += 1
             pool.mark_dirty(page_id)
-            self._note_leaf_insert(page_id, region, mbr)
             if len(node.entries) > self.capacity:
                 return self._split_leaf(page_id, region, node)
             return None
@@ -209,7 +190,6 @@ class RPlusTree(NodeTree):
                 pieces = self._insert_rec(child, r, seg, seg_id, mbr)
                 if pieces is not None:
                     replacements[child] = pieces
-        self._note_internal_insert(page_id, region, mbr)
         if replacements:
             new_entries: List[Entry] = []
             for r, child in node.entries:
@@ -228,37 +208,23 @@ class RPlusTree(NodeTree):
         self.root_id = self.ctx.pool.create(root)
         self._page_ids.add(self.root_id)
         self._height += 1
-        self._note_node_rewritten(self.root_id, self.world, root)
-
-    # -- subclass hooks ---------------------------------------------------
-    def _note_leaf_insert(self, page_id: int, region: Rect, mbr: Rect) -> None:
-        """Called after an entry lands in a leaf (hook for the true
-        R+-tree's content-MBR maintenance). No-op in the hybrid."""
-
-    def _note_internal_insert(self, page_id: int, region: Rect, mbr: Rect) -> None:
-        """Called for each internal node an insertion descends through
-        (hook for content-MBR maintenance). No-op in the hybrid."""
-
-    def _note_node_rewritten(
-        self, page_id: int, region: Rect, node: RTreeNode
-    ) -> None:
-        """Called whenever a split rewrites a node's entry list (hook for
-        content-MBR maintenance). No-op in the hybrid."""
 
     # -- split-line selection ------------------------------------------
     def _choose_split_line(
         self, extents: Sequence[Tuple[float, float, float, float]], region: Rect
     ) -> Optional[Tuple[int, float]]:
-        """Pick (axis, position) per the configured split rule.
+        """Pick the (axis, position) line that cuts the fewest extents,
+        ties broken by the evenness of the split.
 
         ``extents`` are (xmin, ymin, xmax, ymax) clipped to ``region``.
-        The default rule cuts the fewest extents, ties broken by the
-        evenness of the split; the ``median`` rule takes the median
-        extent boundary on the region's longer axis. Returns ``None``
-        when no strictly-interior candidate line exists.
+        The candidates are their strictly-interior bounds and the
+        region's midline. Each is counted by bisection on the sorted
+        bounds, under :meth:`_assign_side`'s rule: an extent with
+        ``lo < pos`` goes left, one with ``hi > pos`` goes right, one
+        with ``lo < pos < hi`` is cut, and a zero-width one lying on the
+        line goes to both sides. Returns ``None`` when no such line
+        makes progress on either side.
         """
-        if self.split_rule == "median":
-            return self._median_split_line(extents, region)
         best: Optional[Tuple[int, float]] = None
         best_key: Optional[Tuple[int, int]] = None
         total = len(extents)
@@ -267,6 +233,7 @@ class RPlusTree(NodeTree):
             lo_r = region.xmin if axis == 0 else region.ymin
             hi_r = region.xmax if axis == 0 else region.ymax
             candidates = set()
+            flat: Dict[float, int] = {}  # zero-width extents by position
             for e in extents:
                 lo = e[axis]
                 hi = e[axis + 2]
@@ -274,60 +241,28 @@ class RPlusTree(NodeTree):
                     candidates.add(lo)
                 if lo_r < hi < hi_r:
                     candidates.add(hi)
+                if lo == hi:
+                    flat[lo] = flat.get(lo, 0) + 1
             mid = (lo_r + hi_r) / 2.0
             if lo_r < mid < hi_r:
                 candidates.add(mid)
+            los = sorted(e[axis] for e in extents)
+            his = sorted(e[axis + 2] for e in extents)
 
             for pos in candidates:
-                cuts = left = right = 0
-                for e in extents:
-                    lo = e[axis]
-                    hi = e[axis + 2]
-                    if lo < pos < hi:
-                        cuts += 1
-                        left += 1
-                        right += 1
-                    else:
-                        in_left = lo < pos or hi <= pos
-                        if in_left:
-                            left += 1
-                        if hi > pos or lo >= pos:
-                            right += 1
+                starts_before = bisect_left(los, pos)  # lo < pos
+                ends_by = bisect_right(his, pos)  # hi <= pos
+                on_line = flat.get(pos, 0)
+                left = starts_before + on_line
+                right = total - ends_by + on_line
                 # A split must make progress on at least one side.
                 if left >= total and right >= total:
                     continue
-                key = (cuts, abs(left - right))
+                key = (starts_before - ends_by + on_line, abs(left - right))
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (axis, pos)
         return best
-
-    def _median_split_line(
-        self, extents: Sequence[Tuple[float, float, float, float]], region: Rect
-    ) -> Optional[Tuple[int, float]]:
-        """The k-d-B rule: median entry midpoint on the longer axis,
-        falling back to the other axis, then to ``min_cut``."""
-        axes = (0, 1) if region.width >= region.height else (1, 0)
-        for axis in axes:
-            lo_r = region.xmin if axis == 0 else region.ymin
-            hi_r = region.xmax if axis == 0 else region.ymax
-            mids = sorted((e[axis] + e[axis + 2]) / 2.0 for e in extents)
-            pos = mids[len(mids) // 2]
-            if lo_r < pos < hi_r:
-                # The split must make progress on at least one side.
-                left = right = 0
-                for e in extents:
-                    in_left, in_right = self._assign_side(e, axis, pos)
-                    left += in_left
-                    right += in_right
-                if left < len(extents) or right < len(extents):
-                    return (axis, pos)
-        # Degenerate medians: fall back to the cut-minimizing search.
-        saved, self.split_rule = self.split_rule, "min_cut"
-        try:
-            return self._choose_split_line(extents, region)
-        finally:
-            self.split_rule = saved
 
     @staticmethod
     def _assign_side(
@@ -363,11 +298,8 @@ class RPlusTree(NodeTree):
         self._entry_count += len(left_entries) + len(right_entries) - len(node.entries)
         node.entries = left_entries
         self.ctx.pool.mark_dirty(page_id)
-        right_node = RTreeNode(is_leaf=True, entries=right_entries)
-        right_id = self.ctx.pool.create(right_node)
+        right_id = self.ctx.pool.create(RTreeNode(is_leaf=True, entries=right_entries))
         self._page_ids.add(right_id)
-        self._note_node_rewritten(page_id, left_region, node)
-        self._note_node_rewritten(right_id, right_region, right_node)
         return [(left_region, page_id), (right_region, right_id)]
 
     # -- internal split (with downward cascade) ---------------------------
@@ -395,11 +327,8 @@ class RPlusTree(NodeTree):
 
         node.entries = left_entries
         self.ctx.pool.mark_dirty(page_id)
-        right_node = RTreeNode(is_leaf=False, entries=right_entries)
-        right_id = self.ctx.pool.create(right_node)
+        right_id = self.ctx.pool.create(RTreeNode(is_leaf=False, entries=right_entries))
         self._page_ids.add(right_id)
-        self._note_node_rewritten(page_id, left_region, node)
-        self._note_node_rewritten(right_id, right_region, right_node)
         return [(left_region, page_id), (right_region, right_id)]
 
     def _split_subtree(
@@ -436,11 +365,8 @@ class RPlusTree(NodeTree):
 
         node.entries = left_entries
         pool.mark_dirty(page_id)
-        right_node = RTreeNode(node.is_leaf, right_entries)
-        right_id = pool.create(right_node)
+        right_id = pool.create(RTreeNode(node.is_leaf, right_entries))
         self._page_ids.add(right_id)
-        self._note_node_rewritten(page_id, left_region, node)
-        self._note_node_rewritten(right_id, right_region, right_node)
         return (left_region, page_id), (right_region, right_id)
 
     # ------------------------------------------------------------------

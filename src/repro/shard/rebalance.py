@@ -49,7 +49,6 @@ def split_shard(
     shard_id: str,
     pool_pages: int = 16,
     group_commit: int = 1,
-    replay_order: str = "morton",
 ) -> Dict[str, Any]:
     """Split ``shard_id`` into two children and swap in the new epoch.
 
@@ -91,7 +90,6 @@ def split_shard(
             child_index,
             parent.suffix,
             parent.checkpoint_lsn,
-            order=replay_order,
             index_filter=covers,
         )
         store = DurableStore.create(
@@ -124,7 +122,6 @@ def catch_up_shard(
     donor: Optional[str] = None,
     pool_pages: int = 16,
     group_commit: int = 1,
-    replay_order: str = "morton",
     checkpoint: bool = True,
 ) -> Dict[str, Any]:
     """Replay a lagging shard's missed mutations from a peer's WAL.
@@ -157,7 +154,6 @@ def catch_up_shard(
         target_root,
         pool_pages=pool_pages,
         group_commit=group_commit,
-        replay_order=replay_order,
         index_filter=smap.index_filter(shard_id),
     )
     try:
@@ -187,7 +183,6 @@ def catch_up_shard(
             store.index,
             needed,
             behind_from,
-            order=replay_order,
             index_filter=smap.index_filter(shard_id),
         )
         folded = store.checkpoint() if checkpoint and needed else None

@@ -206,7 +206,6 @@ def open_shard(
     shard_id: str,
     pool_pages: int = 16,
     group_commit: int = 1,
-    replay_order: str = "morton",
     cache_capacity: int = 256,
 ):
     """Recover one shard's store and wrap it in a :class:`ShardEngine`.
@@ -233,7 +232,6 @@ def open_shard(
         smap.store_path(root, shard_id),
         pool_pages=pool_pages,
         group_commit=group_commit,
-        replay_order=replay_order,
         index_filter=smap.index_filter(shard_id),
     )
     engine = ShardEngine(

@@ -12,8 +12,8 @@ gap:
 * :mod:`repro.wal.store` -- :class:`DurableStore`: the checkpoint +
   manifest + log directory, atomic checkpointing that folds the log
   into a fresh snapshot, and :func:`open_durable` crash recovery that
-  replays the log suffix (net inserts bulk-applied in Morton/Hilbert
-  order, the space-filling-curve packing argument of bulk loading).
+  replays the log suffix (net inserts bulk-applied in Morton order,
+  the space-filling-curve packing argument of bulk loading).
 * :mod:`repro.wal.crashtest` -- the crash-injection harness (imported
   on demand; it pulls in the analysis and service layers).
 

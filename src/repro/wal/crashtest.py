@@ -260,13 +260,12 @@ def _verify_recovery(
     kind: str,
     base: List[Segment],
     mutations: List[Step],
-    replay_order: str,
 ) -> CrashOutcome:
     """Open a damaged store and hold it to the acceptance criteria."""
     from repro.analysis import check_index, has_errors
     from repro.analysis.fsck_wal import check_durable
 
-    store = DurableStore.open(root, replay_order=replay_order)
+    store = DurableStore.open(root)
     try:
         survived = store.last_lsn
         expected_replay = survived - store.checkpoint_lsn
@@ -311,7 +310,6 @@ def run_crash_matrix(
     workdir: str,
     kind: str = "R*",
     steps: Optional[List[Step]] = None,
-    replay_order: str = "morton",
 ) -> CrashMatrixReport:
     """Run the full crash matrix for one structure under ``workdir``."""
     steps = default_script(len(base_map())) if steps is None else steps
@@ -352,9 +350,7 @@ def run_crash_matrix(
             # Unrecoverable by design: the scan must refuse loudly.
             report.outcomes.append(_must_refuse(name, root, "damaged header"))
             continue
-        report.outcomes.append(
-            _verify_recovery(name, root, kind, base, mutations, replay_order)
-        )
+        report.outcomes.append(_verify_recovery(name, root, kind, base, mutations))
 
     # Checkpoint-protocol interruptions: the process dies mid-checkpoint.
     for crash_point in ("snapshot-tmp", "snapshot", "manifest"):
@@ -370,9 +366,7 @@ def run_crash_matrix(
             )
             continue
         report.outcomes.append(
-            _verify_recovery(
-                f"ckpt-{crash_point}", root, kind, base_c, mutations, replay_order
-            )
+            _verify_recovery(f"ckpt-{crash_point}", root, kind, base_c, mutations)
         )
 
     # A truncated checkpoint snapshot is media corruption, not a crash

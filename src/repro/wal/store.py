@@ -24,10 +24,10 @@ opener judge that state by the same rules (FS07..FS10).
 the snapshot, truncate a torn final log record away, and replay the
 suffix of records with LSNs above the checkpoint.
 Replay is idempotent -- already-stored inserts and already-gone deletes
-are skipped -- and applies the net-surviving inserts in Morton (or
-Hilbert) order of their centroids, the same space-filling-curve packing
-argument as bulk loading: neighbouring segments are inserted together so
-the rebuild touches far fewer pages than log order would.
+are skipped -- and applies the net-surviving inserts in Morton order of
+their centroids, the same space-filling-curve packing argument as bulk
+loading: neighbouring segments are inserted together so the rebuild
+touches far fewer pages than log order would.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sanitize import SANITIZER
-from repro.core.interface import WORLD_DEPTH, WORLD_SIZE
-from repro.core.pmr.locational import hilbert_index, interleave
+from repro.core.interface import WORLD_SIZE
+from repro.core.pmr.locational import interleave
 from repro.geometry import Point, Segment
 from repro.storage.codec import CodecError, read_header, table_rows_crc
 from repro.wal.log import LogScan, WriteAheadLog, scan_log
@@ -51,10 +51,6 @@ SNAPSHOT_NAME = "repro.service.snapshot"
 LOG_NAME = "repro.wal"
 MANIFEST_NAME = "repro.checkpoint"
 MANIFEST_VERSION = 1
-
-#: Replay orders for the net-insert bulk apply.
-REPLAY_ORDERS = ("morton", "hilbert", "lsn")
-
 
 class SimulatedCrash(RuntimeError):
     """Raised by the checkpoint crash hooks (crash-injection tests only)."""
@@ -205,16 +201,8 @@ def _clamp(v: float) -> int:
     return min(max(int(v), 0), WORLD_SIZE - 1)
 
 
-def _curve_key(order: str) -> Callable[[Segment], int]:
-    if order == "morton":
-        return lambda s: interleave(
-            _clamp((s.x1 + s.x2) / 2), _clamp((s.y1 + s.y2) / 2)
-        )
-    if order == "hilbert":
-        return lambda s: hilbert_index(
-            WORLD_DEPTH, _clamp((s.x1 + s.x2) / 2), _clamp((s.y1 + s.y2) / 2)
-        )
-    raise ValueError(f"replay order must be one of {REPLAY_ORDERS}, got {order!r}")
+def _morton_key(s: Segment) -> int:
+    return interleave(_clamp((s.x1 + s.x2) / 2), _clamp((s.y1 + s.y2) / 2))
 
 
 @dataclass
@@ -233,7 +221,6 @@ def replay_records(
     index,
     records: List[WalRecord],
     checkpoint_lsn: int,
-    order: str = "morton",
     index_filter: Optional[Callable[[int, Segment], bool]] = None,
 ) -> ReplayResult:
     """Apply a log's records on top of a checkpointed index, idempotently.
@@ -241,10 +228,10 @@ def replay_records(
     Records at or below ``checkpoint_lsn`` are skipped (they are already
     folded into the snapshot). Table appends happen in LSN order -- ids
     are positional, so order is the contract -- then the net-surviving
-    inserts are indexed in space-filling-curve order, then deletes of
-    checkpointed segments are applied. Replaying the same records twice
-    converges: an insert already present in both table and index is a
-    no-op, as is a delete of an already-deleted segment.
+    inserts are indexed in Morton order, then deletes of checkpointed
+    segments are applied. Replaying the same records twice converges: an
+    insert already present in both table and index is a no-op, as is a
+    delete of an already-deleted segment.
 
     ``index_filter(seg_id, segment)`` decides which replayed inserts are
     *indexed*; the table append always happens regardless (positional ids
@@ -276,11 +263,7 @@ def replay_records(
         else:
             if pending.pop(record.seg_id, None) is None:
                 deletes.append(record.seg_id)
-    if order == "lsn":
-        to_insert = list(pending)
-    else:
-        key = _curve_key(order)
-        to_insert = sorted(pending, key=lambda sid: key(pending[sid]))
+    to_insert = sorted(pending, key=lambda sid: _morton_key(pending[sid]))
     for seg_id in to_insert:
         if index_filter is not None and not index_filter(seg_id, pending[seg_id]):
             continue
@@ -386,7 +369,6 @@ class DurableStore:
         pool_pages: int = 16,
         group_commit: int = 1,
         repair: bool = True,
-        replay_order: str = "morton",
         index_filter: Optional[Callable[[int, Segment], bool]] = None,
     ) -> "DurableStore":
         """Recover a durable store: latest checkpoint + log-suffix replay.
@@ -413,11 +395,7 @@ class DurableStore:
             )
             return cls(state.root, index, wal, checkpoint_lsn=embedded)
         replay = replay_records(
-            index,
-            state.scan.records,
-            embedded,
-            order=replay_order,
-            index_filter=index_filter,
+            index, state.scan.records, embedded, index_filter=index_filter
         )
         wal = WriteAheadLog.open(
             paths["log"], state.scan, group_commit=group_commit, repair=repair

@@ -22,7 +22,7 @@ from repro.storage import StorageContext
 TEST_WORLD = 1024
 TEST_DEPTH = 10
 
-ALL_STRUCTURES = ["R*", "R", "R+", "R+t", "kdB", "PMR", "PM1", "grid"]
+ALL_STRUCTURES = ["R*", "R", "R+", "kdB", "PMR", "PM1", "grid"]
 
 
 #: What sizes a structure for the small test world beside its extent.

@@ -38,7 +38,6 @@ from repro.analysis.fsck_rplus import (
     RX06,
     RX07,
     RX08,
-    RX09,
 )
 from repro.analysis.fsck_rtree import RS01, RS02, RS03, RS04, RS05, RS06
 from repro.analysis.fsck_storage import FS01, FS02, FS03, FS04, FS05, FS06
@@ -73,7 +72,7 @@ def findings_for(findings, rule):
 # ----------------------------------------------------------------------
 # Clean on fresh builds and fresh snapshots
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["R*", "R", "R+", "R+t", "PMR", "PM1"])
+@pytest.mark.parametrize("kind", ["R*", "R", "R+", "PMR", "PM1"])
 def test_fresh_build_has_zero_findings(kind):
     assert check_index(build(kind)) == []
 
@@ -322,12 +321,6 @@ def _capacity_below_a_leaf(idx):
     return pid
 
 
-def _content_mbr_missing_its_contents(idx):
-    pid = _leaf_under_root(idx)[1]
-    idx.content_mbr[pid] = Rect(0, 0, 1, 1)
-    return pid
-
-
 def _block_below_max_depth(idx):
     next(idx.root.iter_leaves()).depth = idx.max_depth + 1
 
@@ -424,7 +417,6 @@ CORRUPTIONS = [
     (RX06, "R+", _miscounted_rplus_entries),
     (RX07, "R+", _freed_leaf),
     (RX08, "R+", _capacity_below_a_leaf),
-    (RX09, "R+t", _content_mbr_missing_its_contents),
     (PM02, "PMR", _block_below_max_depth),
     (PM03, "PMR", _bucket_over_the_bound),
     (PM03, "PM1", _qedge_of_a_segment_elsewhere),

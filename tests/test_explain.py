@@ -175,7 +175,7 @@ class TestExactness:
                     TRACER.detach_profile()
                 assert got == want, case
 
-    @pytest.mark.parametrize("kind", ["kdB", "R+t", "grid"])
+    @pytest.mark.parametrize("kind", ["kdB", "grid"])
     def test_unbracketed_work_surfaces_as_unattributed(self, kind):
         """The self-check: a structure whose traversal opens no window
         still moves the counters, and the report says by how much."""

@@ -87,7 +87,7 @@ def test_table1_rplus_is_the_largest_index(metric):
 @pytest.mark.xfail(
     strict=True,
     reason="claim 3: the record has PMR building *faster* than R+ "
-    "(pmr_over_rplus 0.71) where Table 1 has it 1.5-1.7x slower",
+    "(pmr_over_rplus 0.92) where Table 1 has it 1.5-1.7x slower",
 )
 def test_table1_pmr_builds_slower_than_rplus(metric):
     assert 1.5 <= metric("core.build_ratio.pmr_over_rplus") <= 1.7
@@ -95,8 +95,9 @@ def test_table1_pmr_builds_slower_than_rplus(metric):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="claim 3: the record has R* 6.81x slower to build than R+ "
-    "where Table 1 has 7.8-9.1x",
+    reason="claim 3: the record has R* 10.90x slower to build than R+ "
+    "where Table 1 has 7.8-9.1x: above the band since the R+ split search "
+    "stopped rescanning every extent per candidate line",
 )
 def test_table1_rstar_builds_many_times_slower_than_rplus(metric):
     assert 7.8 <= metric("core.build_ratio.rstar_over_rplus") <= 9.1

@@ -64,6 +64,16 @@ class TestBasics:
         with pytest.raises(ValueError):
             RPlusTree(ctx, capacity=2)
 
+    def test_reopens_params_written_with_a_split_rule(self):
+        """Snapshots written before the one split rule carry a
+        ``split_rule`` key in their params; reopening ignores it."""
+        idx = build(lattice_map(n=6, pitch=110), capacity=8)
+        params = {**idx.params(), "split_rule": "min_cut"}
+        again = RPlusTree.reopen(idx.ctx, params, idx.state())
+        assert again.params() == idx.params()
+        assert set(again.candidate_ids_in_rect(WORLD)) == set(range(60))
+        again.check_invariants()
+
 
 class TestDisjointness:
     def test_invariants_on_lattice(self):
@@ -174,39 +184,6 @@ class TestPathological:
             idx.insert(sid)
         # Whatever the shape, bytes_used must cover all entries.
         assert idx.page_count() * idx.capacity >= idx.entry_count() // 2
-
-
-class TestSplitRules:
-    def test_bad_rule_rejected(self):
-        ctx = StorageContext.create()
-        with pytest.raises(ValueError):
-            RPlusTree(ctx, split_rule="widest-first")
-
-    def test_median_rule_correct(self):
-        rng = random.Random(77)
-        segs = random_planar_segments(rng)
-        ctx = StorageContext.create()
-        idx = RPlusTree(ctx, world=WORLD, capacity=8, split_rule="median")
-        for sid in ctx.load_segments(segs):
-            idx.insert(sid)
-        idx.check_invariants()
-        got = set(idx.candidate_ids_in_rect(Rect(0, 0, TEST_WORLD, TEST_WORLD)))
-        assert got == set(range(len(segs)))
-
-    def test_min_cut_duplicates_less(self):
-        """The paper's rule minimizes cut segments, so it stores fewer
-        duplicated entries than blind median splitting."""
-        rng = random.Random(78)
-        segs = random_planar_segments(rng, n_cells=6)
-
-        def entries(rule):
-            ctx = StorageContext.create()
-            idx = RPlusTree(ctx, world=WORLD, capacity=8, split_rule=rule)
-            for sid in ctx.load_segments(segs):
-                idx.insert(sid)
-            return idx.entry_count()
-
-        assert entries("min_cut") <= entries("median")
 
 
 class TestPropertyBased:

@@ -140,7 +140,7 @@ class TestManifest:
             with pytest.raises(CodecError, match="no snapshot support"):
                 save_index(index, io.BytesIO())
         assert set(core.STRUCTURES) - set(core.SERVABLE) == {
-            "PM1", "PM2", "PM3", "R+t", "kdB", "grid"
+            "PM1", "PM2", "PM3", "kdB", "grid"
         }
 
     def test_empty_twin_has_the_parameters_of_the_original(self, county):

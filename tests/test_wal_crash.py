@@ -37,11 +37,6 @@ def test_crash_matrix(kind, tmp_path):
     )
 
 
-def test_crash_matrix_hilbert_replay(tmp_path):
-    report = run_crash_matrix(str(tmp_path), kind="R*", replay_order="hilbert")
-    assert report.failures == [], report.summary()
-
-
 _LOG_COMMIT_DIE = """
 import os, signal, sys
 from repro.geometry import Segment
