@@ -42,7 +42,6 @@ from repro.obs.explain import (
     COUNT_BTREE_SCANS,
     COUNT_NN_EXPANSIONS,
 )
-from repro.obs.trace import TRACER
 from repro.storage.context import StorageContext
 from repro.storage.layout import (
     BTREE_INTERNAL_ENTRY_BYTES,
@@ -288,7 +287,7 @@ class PMRQuadtree(SpatialIndex):
         which is itself the finding: the PMR pays for buckets and B-tree
         pages, never for directory levels.
         """
-        prof = TRACER.current_profile() if TRACER.profiling else None
+        prof = self.ctx.profile
         block = self.root
         while block.children is not None:
             if prof is not None:
@@ -343,7 +342,7 @@ class PMRQuadtree(SpatialIndex):
         and the interval scans' B-tree traffic in the ``btree`` cause,
         with leaf/internal visit tallies from :class:`~repro.btree.ScanStats`.
         """
-        prof = TRACER.current_profile() if TRACER.profiling else None
+        prof = self.ctx.profile
         counters = self.ctx.counters
         xmin, ymin, xmax, ymax = rect
         intervals: List[List[int]] = []  # [lo, hi] code intervals
@@ -409,7 +408,7 @@ class PMRQuadtree(SpatialIndex):
 
     def nn_expand(self, ref: Any, p: Point) -> List[NNItem]:
         """Expand one block (EXPLAIN levels are block depths)."""
-        prof = TRACER.current_profile() if TRACER.profiling else None
+        prof = self.ctx.profile
         block: PMRBlock = ref
         if prof is not None:
             prof.count(COUNT_NN_EXPANSIONS)

@@ -24,7 +24,6 @@ from repro.obs.explain import (
     COUNT_CANDIDATES,
     COUNT_SEGMENT_FETCHES,
 )
-from repro.obs.trace import TRACER
 
 # Heap entry kinds. On distance ties, nodes expand and candidates verify
 # BEFORE any verified segment is yielded, and verified ties order by
@@ -66,9 +65,10 @@ def iter_nearest(
         kind = _CANDIDATE if item.is_segment else _NODE
         heapq.heappush(heap, (item.dist2, kind, next(tiebreak), item.ref))
 
-    # Captured once per search, not per pop: the engine attaches the
-    # EXPLAIN profile for the whole query before this generator advances.
-    prof = TRACER.current_profile() if TRACER.profiling else None
+    # Captured once per search, not per pop: the engine sets the EXPLAIN
+    # profile on the context for the whole query before this generator
+    # advances.
+    prof = index.ctx.profile
     fetch = index.ctx.segments.fetch
     if prof is not None:
         fetch = _explained_fetch(prof, index.ctx.counters, fetch)

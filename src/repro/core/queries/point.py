@@ -19,7 +19,6 @@ from typing import List, Tuple
 from repro.core.interface import SpatialIndex
 from repro.geometry import Point, Segment
 from repro.obs.explain import CAUSE_SEGMENT_TABLE
-from repro.obs.trace import TRACER
 
 
 def fetch_unique(
@@ -49,7 +48,7 @@ def scalar_incident_segments(
     the directions of the incident edges, so the fetched geometry is
     returned rather than thrown away.
     """
-    prof = TRACER.current_profile() if TRACER.profiling else None
+    prof = index.ctx.profile
     candidates = index.candidate_ids_at_point(p)
     unique, segs = fetch_unique(index, candidates, prof)
     px, py = p

@@ -16,7 +16,6 @@ from repro.core.interface import SpatialIndex
 from repro.core.queries.point import fetch_unique
 from repro.geometry import Rect
 from repro.geometry.clipping import segment_intersects_box
-from repro.obs.trace import TRACER
 
 
 def scalar_window_query(
@@ -38,7 +37,7 @@ def scalar_window_query(
     verified against its actual geometry, which is one segment comparison.
     Under EXPLAIN each fetch lands in the ``segment_table`` cause.
     """
-    prof = TRACER.current_profile() if TRACER.profiling else None
+    prof = index.ctx.profile
     candidates = index.candidate_ids_in_rect(window)
     unique, segs = fetch_unique(index, candidates, prof)
     xmin, ymin, xmax, ymax = window

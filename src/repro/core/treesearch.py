@@ -7,10 +7,11 @@ identically: pop a page, charge one bounding-box comparison per entry,
 collect matching leaf refs, push matching children (for R+ the regions
 are disjoint, so a point matches at most the boundary-sharing children).
 
-These loops are both the served path and the EXPLAIN path. Each fetches
-the calling thread's profile once on entry; when one is attached it
-brackets every node visit in an :class:`~repro.obs.explain.ExplainProfile`
-window, which reads the counters and changes nothing the loop does.
+These loops are both the served path and the EXPLAIN path. Each reads
+``ctx.profile`` once on entry -- the engine sets it, under the pool
+latch, only for an EXPLAIN -- and when one is set brackets every node
+visit in an :class:`~repro.obs.explain.ExplainProfile` window, which
+reads the counters and changes nothing the loop does.
 
 This lives in ``repro.core`` (not ``repro.obs``) deliberately: the charge
 ``counters.bbox_comps += len(node.entries)`` is a counter mutation, and
@@ -24,7 +25,6 @@ from typing import Any, Callable, List, Optional, Set
 
 from repro.core.interface import NNItem, NNQuery, SpatialIndex, query_lower_bound
 from repro.geometry import Point, Rect
-from repro.obs.trace import TRACER
 from repro.storage.context import StorageContext
 from repro.storage.layout import (
     RTREE_PAGE_HEADER_BYTES,
@@ -45,7 +45,7 @@ def search_tree(
     ``Rect.contains_point`` for a point query, ``Rect.intersects`` for a
     window.
     """
-    prof = TRACER.current_profile() if TRACER.profiling else None
+    prof = ctx.profile
     pool = ctx.pool
     counters = ctx.counters
     out: List[int] = []
@@ -74,7 +74,7 @@ def expand_node(ctx: StorageContext, ref: Any, p: NNQuery) -> List[NNItem]:
     content bound (its stored regions are partition tiles, which say
     nothing about where in the tile the segments lie).
     """
-    prof = TRACER.current_profile() if TRACER.profiling else None
+    prof = ctx.profile
     if prof is not None:
         prof.open(ctx.counters)
     node = ctx.pool.get(ref)

@@ -400,8 +400,8 @@ class VectorBackend(ScalarBackend):
         The scalar loop fetches each unique candidate through
         ``segments.fetch``: one ``segment_comps`` per id plus one
         ``pool.get`` on the id's table page. Here consecutive same-page
-        fetches collapse into one :meth:`BufferPool.get_run` -- counter-
-        and LRU-identical by construction -- and the endpoint rows come
+        fetches collapse into one run of :meth:`BufferPool.get_runs` --
+        counter- and LRU-identical by construction -- and the endpoint rows come
         from the columnar mirror instead of the page payloads.
 
         ``page_major`` (batch verifies only) additionally sorts the

@@ -6,8 +6,8 @@ already aggregates those per session. This package answers the question
 the aggregates cannot: **what is slow, and why, per query**.
 
 * :mod:`repro.obs.trace` -- :class:`Tracer`: per-query span trees
-  (``traverse`` -> page fetch/miss -> segment-table read, WAL append ->
-  fsync, cache hit/miss) captured into a bounded ring buffer. It has one
+  (``traverse`` / ``apply`` -> ``commit``, each carrying the counter
+  deltas it was charged) captured into a bounded ring buffer. It has one
   mode: armed with a head-sampling rate and an optional slow threshold,
   every request gets a root with trace ids and the ring keeps the
   sampled, the errored and the slow; the slow-query log is a view over
@@ -33,9 +33,9 @@ the aggregates cannot: **what is slow, and why, per query**.
 Wire-up: :meth:`repro.service.engine.QueryEngine.execute` opens one
 trace and one histogram observation per request (every op -- point,
 window, nearest, batch, insert, delete, checkpoint, stats, check --
-identically); the storage and WAL layers emit events into whatever trace
-is active on their thread. The server exposes ``{"op": "trace"}`` and
-``{"op": "metrics"}``; the CLI adds ``python -m repro stats --format
+identically) and sets the paper's counters on its spans; nothing below
+the engine knows the tracer exists. The server exposes ``{"op":
+"trace"}`` and ``{"op": "metrics"}``; the CLI adds ``python -m repro stats --format
 prom|json``.
 """
 

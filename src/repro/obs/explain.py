@@ -8,12 +8,12 @@ query layer deduplicated, how many directory blocks the PMR decoded and
 how many locational-code B-tree leaves its interval scans walked, and
 how much of the bill was the segment table verifying geometry.
 
-Mechanics: the engine builds a profile, attaches it to the executing
-thread through the tracer's span context
-(:meth:`repro.obs.trace.Tracer.attach_profile`), and runs the query.
-There is one traversal loop per query. Each fetches the thread's profile
-once on entry (``TRACER.profiling`` guards the thread-local, so the
-served path pays one attribute load) and, when one is attached, brackets
+Mechanics: the engine builds a profile and runs the query with it set
+as the storage context's ``profile`` -- under the pool latch, in the
+same swap as the scratch counters, restored afterwards
+(``QueryEngine._attributed``). There is one traversal loop per query.
+Each reads ``ctx.profile`` once on entry (the served path pays one
+attribute load, no call) and, when one is set, brackets
 each unit of work -- a node visit, a bucket examined, a B-tree scan, a
 segment-table fetch -- with :meth:`ExplainProfile.open` and one of the
 ``close_*`` calls. A *window* is that bracket: ``open`` notes where the

@@ -1,30 +1,34 @@
 """Per-query trace spans, captured into a bounded ring buffer.
 
 A *trace* is one span tree for one engine request: a root span named
-after the op, child spans for the phases the engine distinguishes
-(``traverse``, ``apply``, ``commit``), and zero-duration *events* for
-the storage traffic underneath (``page_fetch``, ``segment_read``,
-``wal_append``, ``wal_fsync``, ``cache_hit``, ``cache_miss``).
+after the op and child spans for the phases the engine distinguishes
+(``traverse``, ``apply``, ``commit``). What the storage and WAL layers
+did underneath is not a stream of child records: it is the paper's
+counters, whose exact deltas the engine sets as attributes on the span
+that was charged them (``counters``, ``latch_wait_us``, ``lsn``,
+``fsync``, and ``cache`` on the request's own span). Nothing below the
+engine knows the tracer exists.
 
 Design constraints, in priority order:
 
-1. **Disabled tracing must cost (almost) nothing.** Every hook in the
-   storage and WAL layers is guarded by ``if TRACER.enabled:`` -- one
-   attribute load and one branch, no allocation, no thread-local access.
-   ``bench-serve`` with tracing off must stay within ~5% of the
-   pre-instrumentation baseline.
+1. **Disabled tracing must cost (almost) nothing.** Every hook is in the
+   service layer and is guarded by ``if TRACER.enabled:`` or answered by
+   the shared no-op span handle -- no allocation, no thread-local
+   access. ``tests/test_hot_path_budget.py`` pins how many calls into
+   ``repro/obs/`` a served read makes with tracing off.
 2. **Traces are bounded.** Finished traces land in a ring buffer
    (``capacity`` traces); within a trace, at most ``max_events`` child
-   records are kept and the rest are counted in ``dropped`` -- a window
-   query over a million segments cannot balloon a trace.
+   records are kept and the rest are counted in ``dropped`` -- a batch
+   of a million members cannot balloon a trace.
 3. **Threads do not interleave.** The active span stack is
    thread-local, so K server threads tracing concurrently each build
    their own tree; only the finished-trace ring is shared (under a
    lock).
 
-The module-level :data:`TRACER` is the process-wide instance every
-layer emits into -- the same singleton pattern as the process-wide
-:func:`repro.obs.metrics.get_registry`, and consistent with it.
+The module-level :data:`TRACER` is the process-wide instance the
+service layer records into -- the same singleton pattern as the
+process-wide :func:`repro.obs.metrics.get_registry`, and consistent
+with it.
 """
 
 from __future__ import annotations
@@ -39,13 +43,19 @@ from repro.sanitize import make_lock
 
 
 class _SpanHandle:
-    """Context manager for one open span (internal; reuse via Tracer)."""
+    """Context manager for one open span (internal; reuse via Tracer).
 
-    __slots__ = ("_tracer", "_record")
+    ``recording`` says whether this is a live span (vs the shared no-op
+    handle): callers check it to skip building expensive attribute
+    values. A plain attribute, so the check is no call.
+    """
+
+    __slots__ = ("_tracer", "_record", "recording")
 
     def __init__(self, tracer: "Tracer", record: Optional[Dict[str, Any]]) -> None:
         self._tracer = tracer
         self._record = record
+        self.recording = record is not None
 
     def __enter__(self) -> "_SpanHandle":
         return self
@@ -64,18 +74,13 @@ class _SpanHandle:
         if self._record is not None:
             self._record.setdefault("attrs", {})[key] = value
 
-    @property
-    def recording(self) -> bool:
-        """Is this a live span (vs the shared no-op handle)? Callers use
-        this to skip building expensive attribute values."""
-        return self._record is not None
-
 
 #: The shared do-nothing handle served when tracing is off or no trace is
 #: active on this thread: entering/exiting it allocates nothing.
 _NOOP = _SpanHandle.__new__(_SpanHandle)
 _NOOP._tracer = None  # type: ignore[assignment]
 _NOOP._record = None
+_NOOP.recording = False
 
 
 class Tracer:
@@ -87,7 +92,7 @@ class Tracer:
         {"name": "window", "start_us": 12.3, "dur_us": 840.1,
          "attrs": {...}, "spans": [...], "events": 37, "dropped": 0}
 
-    ``events`` counts every child record *attempted*; ``dropped`` the
+    ``events`` counts every child span *attempted*; ``dropped`` the
     subset discarded once ``max_events`` was reached.
     """
 
@@ -118,14 +123,8 @@ class Tracer:
         #: observer's own saturation, mirrored into the registry as
         #: ``repro_trace_dropped_total`` at export time.
         self.evicted = 0
-        #: Count of threads with an EXPLAIN profile attached. Checked as
-        #: ``if TRACER.profiling:`` on query entry -- one attribute load,
-        #: like ``enabled`` -- so the plain path never touches the
-        #: thread-local.
-        self.profiling = 0
         self._ring: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
         self._ring_lock = make_lock("obs.trace.ring")
-        self._profiling_lock = make_lock("obs.trace.profiling")
         self._local = threading.local()
 
     # ------------------------------------------------------------------
@@ -271,7 +270,7 @@ class Tracer:
         return root
 
     # ------------------------------------------------------------------
-    # Spans and events (called from any layer, any thread)
+    # Spans (called from the service layer, any thread)
     # ------------------------------------------------------------------
     def _admit(self, detail: bool = True) -> Optional[List[Dict[str, Any]]]:
         """This thread's span stack, if the trace open on it takes one
@@ -321,18 +320,12 @@ class Tracer:
         if stack and stack[-1] is record:
             stack.pop()
 
-    def event(self, name: str, **attrs: Any) -> None:
-        """A zero-duration child record (a point in time, not a range)."""
-        stack = self._admit()
-        if stack is None:
-            return
-        record: Dict[str, Any] = {
-            "name": name,
-            "start_us": now_us() - stack[0]["_t0"],
-        }
-        if attrs:
-            record["attrs"] = attrs
-        stack[-1]["spans"].append(record)
+    def annotate(self, **attrs: Any) -> None:
+        """Set attributes on the innermost span open on this thread (a
+        sampled trace's only: a skeleton keeps the request's own)."""
+        stack = getattr(self._local, "stack", None)
+        if stack and stack[0]["sampled"]:
+            stack[-1].setdefault("attrs", {}).update(attrs)
 
     def attach_subtree(self, record: Dict[str, Any]) -> None:
         """Graft an already-built span record under the open span.
@@ -347,32 +340,6 @@ class Tracer:
         stack = self._admit(detail=False)
         if stack is not None:
             stack[-1]["spans"].append(record)
-
-    # ------------------------------------------------------------------
-    # EXPLAIN profiles (thread-local attribution sinks)
-    # ------------------------------------------------------------------
-    def attach_profile(self, profile: Any) -> None:
-        """Attach an EXPLAIN profile to the calling thread.
-
-        Core traversal call sites fetch it with :meth:`current_profile`
-        (guarded by the ``profiling`` fast-path flag) and charge their
-        per-level work into it -- the span context carries the profile,
-        so attribution needs no new globals and threads cannot mix
-        profiles. Must be paired with :meth:`detach_profile` in a
-        ``finally`` block.
-        """
-        self._local.profile = profile
-        with self._profiling_lock:
-            self.profiling += 1
-
-    def detach_profile(self) -> None:
-        self._local.profile = None
-        with self._profiling_lock:
-            self.profiling -= 1
-
-    def current_profile(self) -> Any:
-        """The profile attached to this thread, or None."""
-        return getattr(self._local, "profile", None)
 
     # ------------------------------------------------------------------
     # Reading traces back
@@ -449,7 +416,7 @@ TRACER = Tracer()
 
 
 def format_trace_tree(record: Dict[str, Any]) -> str:
-    """Render one span tree as indented text, one line per span/event.
+    """Render one span tree as indented text, one line per span.
 
     Used by ``stats --format traces``: offsets and durations are the
     tracer's microseconds, so a stitched cross-process tree reads on one

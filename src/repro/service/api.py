@@ -51,7 +51,11 @@ def _number(raw: Dict[str, Any], key: str) -> float:
     except KeyError:
         raise ProtocolError(f"missing required field {key!r}") from None
     if type(value) is float:
-        return value
+        # json.loads takes NaN and +-Infinity, and reads 1e400 as inf;
+        # x - x is 0.0 for every finite float and NaN for those.
+        if value - value == 0.0:
+            return value
+        raise ProtocolError(f"field {key!r} must be a finite number, got {value}")
     if type(value) is not int:  # exact types: JSON has no subclasses, and bool is one
         raise ProtocolError(
             f"field {key!r} must be a number, got {type(value).__name__}"

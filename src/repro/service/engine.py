@@ -15,9 +15,12 @@ shared stack safe and attributable:
   (:data:`repro.obs.trace.TRACER`; nested requests, e.g. a batch's
   members, become child spans), observes a per-op latency histogram and
   request counter in the process-wide
-  :class:`~repro.obs.metrics.MetricsRegistry`. With tracing disabled the
-  per-request cost is a couple of attribute checks -- no allocation. The
-  slow-query log in ``stats`` is the tracer's view of its retained roots.
+  :class:`~repro.obs.metrics.MetricsRegistry`. A sampled span's cost is
+  the paper's counters: ``traverse`` and ``apply`` carry the exact deltas
+  they were charged, and nothing below the engine records into the
+  tracer. With tracing disabled the per-request cost is a couple of
+  attribute checks -- no allocation. The slow-query log in ``stats`` is
+  the tracer's view of its retained roots.
 * **Latching** -- every traversal (and every counter swap) runs under one
   :class:`~repro.storage.latch.Latch` guarding the shared buffer pool, so
   N worker threads can issue queries concurrently without corrupting
@@ -276,8 +279,8 @@ class QueryEngine:
         if getattr(local, "active", False):
             local.lsn = self.store.last_lsn
             return
-        with TRACER.span("commit"):
-            self.store.commit()
+        with TRACER.span("commit") as span:
+            span.set_attr("fsync", self.store.commit())
 
     def execute_deferred(
         self, request, session: Optional[QuerySession] = None
@@ -326,8 +329,8 @@ class QueryEngine:
 
     def _cache_lookup(self, spec: QuerySpec, session: QuerySession) -> Tuple[bool, Any]:
         """``(hit, value)`` from the result cache for one read, tallied on
-        the session and marked in the trace; a spec that opts out of the
-        cache is a miss that consulted nothing.
+        the session and set on the request's span as ``cache``; a spec
+        that opts out of the cache is a miss that consulted nothing.
 
         The cache keeps its own hit/miss tally under the lock it takes
         anyway; the registry mirrors are synced at export.
@@ -338,11 +341,15 @@ class QueryEngine:
         if found[0]:
             session.cache_hits += 1
         if TRACER.enabled:
-            TRACER.event("cache_hit" if found[0] else "cache_miss")
+            TRACER.annotate(cache="hit" if found[0] else "miss")
         return found
 
     def _traverse(
-        self, session: QuerySession, spec: QuerySpec, cache: bool = False
+        self,
+        session: QuerySession,
+        spec: QuerySpec,
+        cache: bool = False,
+        profile: Optional[ExplainProfile] = None,
     ) -> Tuple[Any, MetricsCounters]:
         """Every read traversal: span, latch, attribution -- in one place.
 
@@ -357,15 +364,10 @@ class QueryEngine:
         is either cached before the invalidation or not at all.
         """
         with TRACER.span("traverse") as span:
-            with self._attributed(session) as scratch:
+            with self._attributed(session, span, profile) as scratch:
                 value = execute_spec(self.index, spec)
                 if cache and spec.use_cache:
                     self.cache.store(spec.cache_key(), value)
-            if span.recording:
-                # Span cost attribution: the exact scratch deltas this
-                # traversal was charged -- what the router's stitched
-                # tree compares against engine counters.
-                span.set_attr("counters", scratch.as_dict())
         return value, scratch
 
     def _dispatch(self, request, session: Optional[QuerySession]):
@@ -377,30 +379,42 @@ class QueryEngine:
     # Attribution
     # ------------------------------------------------------------------
     @contextmanager
-    def _attributed(self, session: QuerySession):
+    def _attributed(self, session: QuerySession, span=None, profile=None):
         """Run index work under the pool latch, charging ``session``.
 
         The shared context's counters are swapped for a scratch set for
-        the duration, then the scratch deltas are merged into both the
+        the duration, and its EXPLAIN ``profile`` for ``profile``; then
+        both are restored and the scratch deltas are merged into the
         session counters and the engine totals. The swap is safe because
         it happens under the same latch that serializes all pool traffic.
 
         Yields the scratch set: EXPLAIN reads the per-call deltas off it
         after the block exits (the merge leaves the scratch intact), so
         its "observed" figures are exactly what this query was charged --
-        no second query, no race with concurrent sessions.
+        no second query, no race with concurrent sessions. A recording
+        ``span`` gets the same deltas as ``counters`` -- what the
+        router's stitched tree compares against engine counters -- and,
+        when this acquisition had to wait for another holder,
+        ``latch_wait_us``.
         """
         with self.latch:
             ctx, pool = self.ctx, self.ctx.pool
             scratch = MetricsCounters()
-            saved_ctx, saved_pool = ctx.counters, pool.counters
+            saved = ctx.counters, pool.counters, ctx.profile
             ctx.counters = pool.counters = scratch
+            ctx.profile = profile
             try:
                 yield scratch
             finally:
-                ctx.counters, pool.counters = saved_ctx, saved_pool
+                ctx.counters, pool.counters, ctx.profile = saved
                 session.counters.merge(scratch)
                 self.totals.merge(scratch)
+                if span is not None and span.recording:
+                    span.set_attr("counters", scratch.as_dict())
+                    if self.latch.holder_wait:
+                        span.set_attr(
+                            "latch_wait_us", round(self.latch.holder_wait * 1e6, 1)
+                        )
 
     def _run(self, spec: QuerySpec, session: Optional[QuerySession]):
         if session is None:
@@ -419,11 +433,11 @@ class QueryEngine:
         """Run a read query with per-level attribution attached.
 
         The query executes through the *same* :meth:`_traverse`
-        the plain dispatch uses, with an :class:`ExplainProfile` parked
-        on this thread; the traversal hooks in the index code charge the
-        live counters through the profile's windows, so the per-level
-        figures are the real charges, not estimates. The cache is
-        bypassed both ways (no lookup, no store) -- EXPLAIN exists to
+        the plain dispatch uses, with an :class:`ExplainProfile` set on
+        the storage context for its duration; the traversal hooks in the
+        index code charge the live counters through the profile's
+        windows, so the per-level figures are the real charges, not
+        estimates. The cache is bypassed both ways (no lookup, no store) -- EXPLAIN exists to
         observe the traversal, and a cached answer has none.
         """
         if session is None:
@@ -433,11 +447,7 @@ class QueryEngine:
         prof = ExplainProfile(spec.op, self.index.name)
         wal_before = self.store.stats() if self.store is not None else None
         start = time.perf_counter()
-        TRACER.attach_profile(prof)
-        try:
-            value, scratch = self._traverse(session, spec)
-        finally:
-            TRACER.detach_profile()
+        value, scratch = self._traverse(session, spec, profile=prof)
         elapsed = time.perf_counter() - start
         observed = scratch.snapshot()
         attributed = prof.attributed()
@@ -504,10 +514,12 @@ class QueryEngine:
         """
         if session is None:
             session = self.session("maintenance")
-        with TRACER.span("apply"):
-            with self._attributed(session):
+        with TRACER.span("apply") as span:
+            with self._attributed(session, span):
                 result = apply()
                 self.cache.invalidate_all()
+                if span.recording and self.store is not None:
+                    span.set_attr("lsn", self.store.last_lsn)
         self._commit_barrier()
         return result
 

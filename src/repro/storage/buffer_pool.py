@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from repro.obs.trace import TRACER
 from repro.storage.counters import MetricsCounters
 from repro.storage.disk import DiskManager
 from repro.storage.policies import LRUPolicy, ReplacementPolicy
@@ -53,44 +52,9 @@ class BufferPool:
         if frame is not None:
             self.counters.buffer_hits += 1
             self._policy.record_access(page_id)
-            if TRACER.enabled:
-                TRACER.event("page_fetch", page=page_id, outcome="hit")
             return frame.payload
 
         self.counters.disk_reads += 1
-        if TRACER.enabled:
-            TRACER.event("page_fetch", page=page_id, outcome="miss")
-        payload = self.disk.read(page_id)
-        self._admit(page_id, payload, dirty=False)
-        return payload
-
-    def get_run(self, page_id: int, count: int) -> Any:
-        """Fetch a page charged as ``count`` back-to-back accesses.
-
-        Counter-, trace- and replacement-equivalent to calling
-        :meth:`get` ``count`` times in a row: the first access takes the
-        hit/miss decision, the remaining ``count - 1`` are buffer hits
-        on the now-resident page, and the policy sees one net access
-        position (LRU is idempotent under repeated touches). Exists so
-        the vectorized verify can collapse a run of same-page segment
-        fetches into one call without perturbing any measurement.
-        """
-        if count <= 0:
-            raise ValueError(f"count must be positive, got {count}")
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            self.counters.buffer_hits += count
-            self._policy.record_access(page_id)
-            if TRACER.enabled:
-                for _ in range(count):
-                    TRACER.event("page_fetch", page=page_id, outcome="hit")
-            return frame.payload
-        self.counters.disk_reads += 1
-        self.counters.buffer_hits += count - 1
-        if TRACER.enabled:
-            TRACER.event("page_fetch", page=page_id, outcome="miss")
-            for _ in range(count - 1):
-                TRACER.event("page_fetch", page=page_id, outcome="hit")
         payload = self.disk.read(page_id)
         self._admit(page_id, payload, dirty=False)
         return payload
@@ -98,16 +62,15 @@ class BufferPool:
     def get_runs(self, runs) -> None:
         """Charge an ordered sequence of ``(page_id, count)`` access runs.
 
-        Equivalent to calling :meth:`get_run` once per pair, in order,
-        discarding the payloads: same counters, same trace events, same
-        residency and replacement state afterwards. One call amortizes
-        the per-access overhead when a vectorized reader has already
-        planned a whole query's page traffic.
+        Each run is counter- and replacement-equivalent to calling
+        :meth:`get` ``count`` times in a row, the payloads discarded:
+        the first access takes the hit/miss decision, the remaining
+        ``count - 1`` are buffer hits on the now-resident page, and the
+        policy sees one net access position (LRU is idempotent under
+        repeated touches). One call amortizes the per-access overhead
+        when a vectorized reader has already planned a whole query's
+        page traffic.
         """
-        if TRACER.enabled:
-            for page_id, count in runs:
-                self.get_run(page_id, count)
-            return
         counters = self.counters
         frames = self._frames
         record = self._policy.record_access
@@ -192,7 +155,5 @@ class BufferPool:
             if victim_frame.dirty:
                 self.disk.write(victim, victim_frame.payload)
                 self.counters.disk_writes += 1
-                if TRACER.enabled:
-                    TRACER.event("page_write", page=victim, cause="evict")
         self._frames[page_id] = _Frame(payload, dirty)
         self._policy.record_access(page_id)

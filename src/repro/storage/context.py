@@ -9,7 +9,7 @@ one structure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
 from repro.geometry.segment import Segment
 from repro.storage.buffer_pool import BufferPool
@@ -27,6 +27,11 @@ class StorageContext:
     counters: MetricsCounters
     pool: BufferPool
     segments: SegmentTable
+    #: The EXPLAIN profile (a :class:`repro.obs.explain.ExplainProfile`)
+    #: the traversal running on this stack charges its per-level work
+    #: into, or None. The engine sets it under the pool latch, in the
+    #: same swap as the scratch counters, and restores it afterwards.
+    profile: Optional[Any] = field(default=None, init=False)
 
     @classmethod
     def create(

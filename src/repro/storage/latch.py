@@ -13,7 +13,6 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.obs.trace import TRACER
 from repro.sanitize import SANITIZER
 
 
@@ -23,7 +22,10 @@ class Latch:
     ``acquisitions`` counts every outermost acquire; ``contended`` counts
     the subset that had to wait because another thread held the latch,
     and ``wait_seconds`` sums how long those waited. All three are
-    maintained under the latch itself, so they are exact.
+    maintained under the latch itself, so they are exact. ``holder_wait``
+    is what the current holder's acquisition added to ``wait_seconds``
+    (0.0 uncontended): the engine reads it under the latch to say, on a
+    sampled trace's span, whether the request waited for another holder.
     """
 
     def __init__(self, name: str = "latch") -> None:
@@ -34,6 +36,7 @@ class Latch:
         self.acquisitions = 0
         self.contended = 0
         self.wait_seconds = 0.0
+        self.holder_wait = 0.0
 
     def acquire(self) -> None:
         me = threading.get_ident()
@@ -70,13 +73,10 @@ class Latch:
         so tests can verify that a failure here cannot leak the
         underlying lock)."""
         self.acquisitions += 1
+        self.holder_wait = waited or 0.0
         if waited is not None:
             self.contended += 1
             self.wait_seconds += waited
-            if TRACER.enabled:
-                # In a sampled trace: did this request wait for the latch
-                # holder, or do the work itself?
-                TRACER.event("latch_wait", dur_us=round(waited * 1e6, 1))
 
     def release(self) -> None:
         if self._holder != threading.get_ident():

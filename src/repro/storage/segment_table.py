@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Iterator, List
 
 from repro.geometry.segment import Segment
-from repro.obs.trace import TRACER
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.layout import SEGMENT_RECORD_BYTES, entries_per_page
 
@@ -88,8 +87,6 @@ class SegmentTable:
         if not 0 <= seg_id < self._count:
             raise IndexError(f"segment id {seg_id} out of range (0..{self._count - 1})")
         self.pool.counters.segment_comps += 1
-        if TRACER.enabled:
-            TRACER.event("segment_read", seg_id=seg_id)
         page = self.pool.get(self._page_ids[seg_id // self.per_page])
         return page[seg_id % self.per_page]
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.geometry import Segment
-from repro.obs.trace import TRACER
 from repro.sanitize import SANITIZER, make_lock
 from repro.wal.records import (
     FRAME,
@@ -213,8 +212,6 @@ class WriteAheadLog:
         self.last_lsn = record.lsn
         self.log_appends += 1
         self._pending += 1
-        if TRACER.enabled:
-            TRACER.event("wal_append", lsn=record.lsn)
         return record.lsn
 
     def log_insert(self, seg_id: int, segment: Segment) -> int:
@@ -266,8 +263,7 @@ class WriteAheadLog:
         try:
             if SANITIZER.enabled:  # reports any lock the *caller* holds
                 SANITIZER.note_blocking("fsync", "wal.log:_sync")
-            with TRACER.span("wal_fsync", pending=covered):
-                os.fsync(fd)
+            os.fsync(fd)
             synced = covered
         finally:
             with self._lock:

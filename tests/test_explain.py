@@ -19,10 +19,10 @@ import pytest
 from repro.analysis import check_index
 from repro.core import GuttmanRTree, RPlusTree, treesearch
 from repro.core.queries import QuerySpec
+from repro.core.queries.spec import execute_spec
 from repro.geometry import Point, Rect
 from repro.metric_names import COUNTER_FIELDS
 from repro.obs import (
-    TRACER,
     ExplainProfile,
     MetricsRegistry,
     format_explain,
@@ -167,12 +167,13 @@ class TestExactness:
                 assert report["result_count"] == len(want), case
                 assert plain.totals == explained.totals, case
                 # EXPLAIN reports a count, not ids: run the same
-                # dispatch with a profile attached to see them.
-                TRACER.attach_profile(ExplainProfile(req.op, kind))
+                # traversal with a profile set on the context to see them.
+                ctx = explained.index.ctx
+                ctx.profile = ExplainProfile(req.op, kind)
                 try:
-                    got = explained.execute(req)
+                    got = execute_spec(explained.index, req)
                 finally:
-                    TRACER.detach_profile()
+                    ctx.profile = None
                 assert got == want, case
 
     @pytest.mark.parametrize("kind", ["kdB", "grid"])

@@ -13,9 +13,15 @@ comprehensions and reads lower): ``PARENT`` on a checkout of the parent
 commit, ``CHANGE`` on the commit that made the path allocation-free and
 re-taken whenever a later commit lowers a row (the point rows: one frame
 fewer per query once the point search is called directly).
+
+The ``engine.*`` rows are the disabled-telemetry budget of the served
+path: the calls whose code lives in ``repro/obs/`` or
+``repro/sanitize.py`` that one read through ``QueryEngine.execute`` makes
+with the tracer, the profiler and the lock sanitizer all off.
 """
 
 import gc
+import os
 import random
 import sys
 
@@ -25,8 +31,14 @@ from repro.core.backends import resolve_backend
 from repro.core.queries import QuerySpec
 from repro.data.counties import generate_county
 from repro.geometry import Point, Rect, Segment
+from repro import obs, sanitize
 from repro.harness.experiment import build_structure
+from repro.obs import MetricsRegistry
+from repro.obs.profile import PROFILER
 from repro.obs.trace import TRACER
+from repro.sanitize import SANITIZER
+from repro.service import QueryEngine
+from tests.conftest import build_index, lattice_map
 
 PARENT_SHA = "73009e95f87fc388f4745ca59f3b148a5a956dff"
 N_OPS = 200
@@ -54,13 +66,27 @@ CHANGE = {
 BUDGET = {row: 1.0 for row in PARENT}
 BUDGET["PMR.window"] = 0.5
 
+#: Calls into ``repro/obs/`` and ``repro/sanitize.py`` per served read,
+#: telemetry off: the no-op ``traverse`` span (open, enter, exit) and the
+#: latency histogram.
+ENGINE = {
+    "engine.point": 4,
+    "engine.window": 4,
+    "engine.nearest": 4,
+}
+_TELEMETRY = (os.path.dirname(obs.__file__) + os.sep, sanitize.__file__)
 
-def count_calls(fn) -> int:
+
+def count_calls(fn, only=None) -> int:
+    """``call`` events while ``fn`` runs; with ``only``, just those whose
+    code file starts with one of its prefixes."""
     calls = 0
 
     def on_event(frame, event, arg):
         nonlocal calls
-        if event == "call":
+        if event == "call" and (
+            only is None or frame.f_code.co_filename.startswith(only)
+        ):
             calls += 1
 
     # A cyclic collection may run finalizers other tests left behind;
@@ -78,10 +104,11 @@ def count_calls(fn) -> int:
 
 def measure(kind: str):
     """``{row: calls}`` for one structure over the seeded operation set."""
-    assert not TRACER.enabled and not TRACER.profiling
+    assert not TRACER.enabled
     map_data = generate_county("cecil", 0.1)
     built = build_structure(kind, map_data)
     index, ctx = built.index, built.ctx
+    assert ctx.profile is None
     run = resolve_backend(None).run
     rng = random.Random(22)
     segments = map_data.segments
@@ -130,7 +157,40 @@ def test_call_budget(kind):
         )
 
 
+def measure_engine():
+    """``{row: calls per op}`` of served reads, telemetry off."""
+    assert not (TRACER.enabled or PROFILER.enabled or SANITIZER.enabled)
+    engine = QueryEngine(
+        build_index("R*", lattice_map(n=8)), registry=MetricsRegistry()
+    )
+    rng = random.Random(31)
+    specs = {
+        "point": lambda x, y: QuerySpec.point(Point(x, y)),
+        "window": lambda x, y: QuerySpec.window(Rect(x, y, x + 150, y + 150)),
+        "nearest": lambda x, y: QuerySpec.nearest(Point(x, y), k=3),
+    }
+    rows = {}
+    for op, make in specs.items():
+        engine.execute(make(-1.0, -1.0))  # resolves the op's metric handles
+        batch = [make(rng.uniform(0, 900), rng.uniform(0, 900)) for _ in range(N_OPS)]
+        calls = count_calls(lambda: [engine.execute(s) for s in batch], _TELEMETRY)
+        rows[f"engine.{op}"] = calls / N_OPS
+    return rows
+
+
+def test_disabled_telemetry_budget():
+    rows = measure_engine()
+    assert set(rows) == set(ENGINE)
+    for name, calls in rows.items():
+        assert calls <= ENGINE[name], (
+            f"{name}: {calls} calls into repro/obs and repro/sanitize.py per "
+            f"op, committed {ENGINE[name]}"
+        )
+
+
 if __name__ == "__main__":  # prints a column to commit above
     for kind in ("PMR", "R*"):
         for name, calls in measure(kind).items():
             print(f'    "{name}": {calls},')
+    for name, calls in measure_engine().items():
+        print(f'    "{name}": {calls:g},')

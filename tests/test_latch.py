@@ -91,33 +91,45 @@ def test_interrupt_in_contended_acquire_leaves_latch_usable():
 
 def test_contended_acquire_is_timed_and_shows_in_a_sampled_trace():
     """The contended branch alone pays for the clock: it adds to
-    ``wait_seconds`` and, inside a sampled trace, leaves a ``latch_wait``
-    event saying how long this request waited for the holder."""
+    ``wait_seconds`` and keeps that wait as ``holder_wait`` while held;
+    the engine sets it, inside a sampled trace, as ``latch_wait_us`` on
+    the span that took the latch. The latch itself records nothing into
+    any trace."""
+    from repro.core.queries import QuerySpec
+    from repro.geometry import Point
+    from repro.obs import MetricsRegistry
     from repro.obs.trace import TRACER
+    from repro.service import QueryEngine
+    from tests.conftest import build_index, lattice_map
 
     latch = Latch("timed")
-    with latch:  # uncontended: nothing timed, nothing traced
-        pass
+    with latch:  # uncontended: nothing timed
+        assert latch.holder_wait == 0.0
     assert latch.stats()["wait_seconds"] == 0.0 and latch.contended == 0
     latch._lock = FlakyLock()
+    with latch:
+        assert latch.holder_wait == latch.wait_seconds > 0.0
+    assert latch.contended == 1
+    assert latch.stats()["wait_seconds"] == latch.wait_seconds
+
+    engine = QueryEngine(
+        build_index("R*", lattice_map(n=6)), registry=MetricsRegistry()
+    )
+    engine.latch._lock = FlakyLock()  # every acquisition waits
     TRACER.clear()
     TRACER.arm(1.0)
     try:
-        root = TRACER.start_trace("window")
-        with latch:
-            pass
-        TRACER.finish_trace(root)
+        before = engine.latch.wait_seconds
+        engine.execute(QuerySpec.point(Point(100, 100)))
+        added = engine.latch.wait_seconds - before
+        (trace,) = TRACER.recent()
     finally:
         TRACER.disarm()
         TRACER.clear()
-    assert latch.contended == 1
-    assert latch.stats()["wait_seconds"] == latch.wait_seconds > 0.0
-    (event,) = root["spans"]
-    assert event["name"] == "latch_wait"
-    assert event["attrs"]["dur_us"] == round(latch.wait_seconds * 1e6, 1)
-    with latch:  # tracing off again: timed still, no trace to write to
-        pass
-    assert latch.contended == 2
+    (traverse,) = trace["spans"]
+    assert added > 0.0
+    assert abs(traverse["attrs"]["latch_wait_us"] - added * 1e6) <= 0.1
+    assert "latch_wait_us" not in trace["attrs"]
 
 
 def test_stats_failure_after_lock_obtained_backs_out_completely():

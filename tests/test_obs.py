@@ -19,7 +19,9 @@ class TestTracer:
         assert tracer.start_trace("point") is None
         with tracer.span("traverse") as span:
             span.set_error("ignored")
-        tracer.event("page_fetch", page=1)
+            span.set_attr("counters", {})
+        tracer.annotate(cache="hit")
+        assert not span.recording
         assert tracer.recent() == []
         assert tracer.stats()["started"] == 0
 
@@ -31,30 +33,43 @@ class TestTracer:
         tracer = Tracer()
         tracer.arm(1.0)
         root = tracer.start_trace("window", x1=0.0)
-        with tracer.span("traverse"):
-            tracer.event("page_fetch", page=3, outcome="miss")
-            tracer.event("segment_read", seg_id=7)
+        tracer.annotate(cache="miss")
+        with tracer.span("traverse") as span:
+            span.set_attr("counters", {"disk_reads": 3})
+            with tracer.span("inner", level=1):
+                tracer.annotate(visits=2)
         tracer.finish_trace(root)
         (trace,) = tracer.recent()
         assert trace["name"] == "window"
-        assert trace["attrs"] == {"x1": 0.0}
+        assert trace["attrs"] == {"x1": 0.0, "cache": "miss"}
         assert trace["dur_us"] >= 0.0
         (traverse,) = trace["spans"]
         assert traverse["name"] == "traverse"
-        assert [s["name"] for s in traverse["spans"]] == [
-            "page_fetch",
-            "segment_read",
-        ]
-        assert traverse["spans"][0]["attrs"] == {"page": 3, "outcome": "miss"}
-        assert trace["events"] == 3
+        assert traverse["attrs"] == {"counters": {"disk_reads": 3}}
+        (inner,) = traverse["spans"]
+        assert inner["name"] == "inner"
+        assert inner["attrs"] == {"level": 1, "visits": 2}
+        assert trace["events"] == 2
         assert trace["dropped"] == 0
+
+    def test_annotate_leaves_a_skeleton_alone(self):
+        """An unsampled root keeps the request's own attributes: what the
+        slow-query log shows is what the client sent."""
+        tracer = Tracer()
+        tracer.arm(0.0, slow_ms=0.0)
+        root = tracer.start_trace("point", x=1.0)
+        tracer.annotate(cache="hit")
+        tracer.finish_trace(root)
+        (trace,) = tracer.recent()
+        assert trace["sampled"] is False and trace["attrs"] == {"x": 1.0}
 
     def test_max_events_caps_a_trace(self):
         tracer = Tracer(max_events=4)
         tracer.arm(1.0)
         root = tracer.start_trace("window")
         for i in range(10):
-            tracer.event("page_fetch", page=i)
+            with tracer.span("member", i=i):
+                pass
         tracer.finish_trace(root)
         (trace,) = tracer.recent()
         assert len(trace["spans"]) == 4
@@ -101,7 +116,8 @@ class TestTracer:
             for _ in range(10):
                 root = tracer.start_trace(tag)
                 with tracer.span("traverse"):
-                    tracer.event("page_fetch")
+                    with tracer.span("apply"):
+                        pass
                 tracer.finish_trace(root)
 
         threads = [

@@ -250,6 +250,58 @@ def test_a_mode_nothing_runs_is_refused_before_any_engine(request, payload, fron
     assert moved() == before
 
 
+#: JSON's non-finite spellings ``json.loads`` accepts (the first three
+#: are not JSON at all), and one finite-looking literal it reads as inf.
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+NUMERIC_FIELDS = {
+    "point": {"x": 100, "y": 100},
+    "window": {"x1": 0, "y1": 0, "x2": 300, "y2": 300},
+    "nearest": {"x": 100, "y": 100},
+    "insert": {"x1": 5, "y1": 5, "x2": 30, "y2": 35},
+}
+
+
+def _non_finite_requests():
+    """Every numeric field of every op, in every spelling, as raw JSON."""
+    for op, fields in NUMERIC_FIELDS.items():
+        for name in fields:
+            for token in NON_FINITE:
+                pairs = [f'"op":"{op}"'] + [
+                    f'"{key}":{token if key == name else value}'
+                    for key, value in fields.items()
+                ]
+                yield "{" + ",".join(pairs) + "}"
+
+
+class TestNonFiniteNumbers:
+    """A coordinate must be finite: NaN or an infinity reaching an index
+    answers nonsense or, on an insert, corrupts it."""
+
+    def _assert_refused(self, protocol, requests):
+        for request in requests:
+            for line in (request, '{"op":"batch","requests":[%s]}' % request):
+                envelope = protocol.respond_line(line)
+                assert envelope["ok"] is False, line
+                assert envelope["error"]["code"] == "bad_args", (line, envelope)
+
+    def test_every_numeric_field_refuses_every_spelling(self, target):
+        self._assert_refused(Protocol(target), list(_non_finite_requests()))
+
+    @pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
+    def test_a_durable_store_logs_none_of_them(self, tmp_path, kind):
+        index = build_index(kind, lattice_map(n=8))
+        store = DurableStore.create(str(tmp_path / "store"), index, group_commit=1)
+        try:
+            protocol = Protocol(QueryEngine(index, store=store))
+            lsn = store.last_lsn
+            self._assert_refused(protocol, list(_non_finite_requests()))
+            assert store.last_lsn == lsn
+            check = protocol.respond_line(b'{"op":"check"}')
+            assert check["ok"] and check["result"]["clean"] is True, check
+        finally:
+            store.close()
+
+
 class TestTraceContext:
     @pytest.fixture()
     def traced(self):
@@ -637,6 +689,33 @@ class TestOnePolicyOnePlace:
         )
         store_module.open_durable(root).close()
         assert scanned == [log]
+
+    def test_nothing_below_the_engine_imports_the_tracer(self):
+        """The paper's counters are the only instrumentation below the
+        service layer: no geometry, storage, B-tree, core or WAL module
+        imports the tracer, the trace context or the profiler."""
+        banned = {"repro.obs.trace", "repro.obs.dtrace", "repro.obs.profile"}
+        offenders = []
+        for package in ("geometry", "storage", "btree", "core", "wal"):
+            for dirpath, _dirs, files in os.walk(os.path.join(self.SRC, package)):
+                for fname in files:
+                    if not fname.endswith(".py"):
+                        continue
+                    path = os.path.join(dirpath, fname)
+                    with open(path, encoding="utf-8") as fh:
+                        tree = ast.parse(fh.read())
+                    for node in ast.walk(tree):
+                        if isinstance(node, ast.Import):
+                            names = {alias.name for alias in node.names}
+                        elif isinstance(node, ast.ImportFrom) and node.module:
+                            names = {node.module} | {
+                                f"{node.module}.{alias.name}" for alias in node.names
+                            }
+                        else:
+                            continue
+                        if names & banned:
+                            offenders.append((os.path.relpath(path, self.SRC), node.lineno))
+        assert offenders == []
 
     def test_core_is_sans_io(self):
         with open(protocol_module.__file__, encoding="utf-8") as fh:

@@ -13,6 +13,7 @@ from repro.errors import NotDurableError, ProtocolError
 from repro.geometry import Point, Rect
 from repro.obs import TRACER, MetricsRegistry
 from repro.service import MapServer, Protocol, QueryEngine, send_request
+from repro.wal.store import DurableStore
 from repro.service.api import (
     PROTOCOL_VERSION,
     parse_batch_item,
@@ -202,11 +203,16 @@ class TestTraceShapes:
         engine = QueryEngine(
             build_index(kind, lattice_map(n=8)), registry=MetricsRegistry()
         )
+        session = engine.session("traced")
         TRACER.arm(1.0)
         try:
             TRACER.clear()
             engine.cold_start()
-            engine.execute(parse_request({**WINDOW_300, "use_cache": False}))
+            before = session.counters.snapshot()
+            engine.execute(
+                parse_request({**WINDOW_300, "use_cache": False}), session
+            )
+            delta = session.counters.since(before)
             engine.execute(parse_request(WINDOW_300))
             traces = TRACER.recent()
         finally:
@@ -220,16 +226,14 @@ class TestTraceShapes:
         assert trace["sampled"] is True and "parent_id" not in trace
         (traverse,) = trace["spans"]
         assert traverse["name"] == "traverse"
-        names = {s["name"] for s in traverse["spans"]}
+        # The page traffic is the paper's counters on the span that was
+        # charged them, equal to what the session was billed -- not a
+        # child record per access.
+        assert traverse["spans"] == []
+        assert traverse["attrs"]["counters"] == delta.as_dict()
         # A cold traversal must fault pages and read the segment table.
-        assert "page_fetch" in names
-        assert "segment_read" in names
-        outcomes = {
-            s["attrs"]["outcome"]
-            for s in traverse["spans"]
-            if s["name"] == "page_fetch"
-        }
-        assert "miss" in outcomes
+        assert delta.disk_reads > 0 and delta.segment_comps > 0
+        assert "latch_wait_us" not in traverse["attrs"]  # nobody held it
 
     def test_cache_hit_event(self, kind):
         engine = QueryEngine(
@@ -244,10 +248,44 @@ class TestTraceShapes:
         finally:
             TRACER.disarm()
         first, second = traces[-2:]
-        flat_first = [s["name"] for s in first["spans"]]
-        flat_second = [s["name"] for s in second["spans"]]
-        assert "cache_miss" in flat_first
-        assert flat_second == ["cache_hit"]  # no traversal on a hit
+        assert first["attrs"]["cache"] == "miss"
+        assert [s["name"] for s in first["spans"]] == ["traverse"]
+        assert second["attrs"]["cache"] == "hit"
+        assert second["spans"] == []  # no traversal on a hit
+
+
+class TestDurableTraceShapes:
+    def test_insert_trace_carries_counters_lsn_and_fsync(self, tmp_path):
+        """A sampled durable insert says, on the spans the engine opens,
+        what the storage and WAL layers did: the counter deltas its
+        session was billed, the LSN it logged and whether its commit
+        fsynced."""
+        index = build_index("R*", lattice_map(n=6))
+        store = DurableStore.create(str(tmp_path / "store"), index, group_commit=1)
+        engine = QueryEngine(index, store=store, registry=MetricsRegistry())
+        session = engine.session("writer")
+        TRACER.arm(1.0)
+        try:
+            TRACER.clear()
+            before = session.counters.snapshot()
+            engine.execute(
+                parse_request({"op": "insert", "x1": 5, "y1": 5, "x2": 9, "y2": 7}),
+                session,
+            )
+            delta = session.counters.since(before)
+            (trace,) = TRACER.recent()
+        finally:
+            TRACER.disarm()
+            TRACER.clear()
+            store.close()
+        assert trace["name"] == "insert"
+        apply, commit = trace["spans"]
+        assert apply["name"] == "apply" and commit["name"] == "commit"
+        assert apply["attrs"]["counters"] == delta.as_dict()
+        assert delta.bbox_comps > 0  # the insert descended the tree
+        assert apply["attrs"]["lsn"] == store.last_lsn == 1
+        assert commit["attrs"] == {"fsync": True}  # group_commit=1: inline
+        assert apply["spans"] == commit["spans"] == []
 
 
 class TestObservedEngine:

@@ -19,7 +19,7 @@ from repro.core.backends import SCALAR_BACKEND, ScalarBackend, resolve_backend
 from repro.core.queries.spec import QuerySpec
 from repro.core.vector import HAVE_NUMPY, VectorBackend
 from repro.geometry import Point, Rect
-from repro.obs import TRACER, ExplainProfile
+from repro.obs import ExplainProfile
 
 from .conftest import build_index, lattice_map
 
@@ -123,8 +123,9 @@ class TestSingleQueryParity:
 class TestEngineIntegration:
     def test_explain_on_another_thread_does_not_unfuse_a_batch(self):
         # A fused batch's cost must not depend on what another thread
-        # does: here, an EXPLAIN profile attached elsewhere, which a
-        # kernel consulting ``TRACER`` would see process-wide.
+        # does: here, an EXPLAIN profile that thread parked on the shared
+        # storage context, which a kernel consulting ``ctx.profile``
+        # would see.
         segs = lattice_map(n=16, pitch=60)
         specs = [
             QuerySpec.window(Rect(x, y, x + 150, y + 150))
@@ -139,12 +140,12 @@ class TestEngineIntegration:
             attached, release = threading.Event(), threading.Event()
 
             def hold_profile():
-                TRACER.attach_profile(ExplainProfile("window", "R*"))
+                idx.ctx.profile = ExplainProfile("window", "R*")
                 try:
                     attached.set()
                     release.wait(30)
                 finally:
-                    TRACER.detach_profile()
+                    idx.ctx.profile = None
 
             holder = threading.Thread(target=hold_profile)
             if explain_elsewhere:
