@@ -3,9 +3,9 @@
 ``python -m repro --help`` lists the commands -- the paper's tables and
 figures, the snapshot/durable-store/shard-set tools, the three servers
 (``serve``, ``shard-worker``, ``route``), the clients of a running
-server (``bench-serve``, ``stats``, ``profile``, ``explain --port``) and
-the checkers (``check``, ``lint``, ``bench``) -- and ``python -m repro
-<command> --help`` the options of one.
+server (``stats``, ``profile``, ``explain --port``) and the checkers
+(``check``, ``lint``, ``bench``) -- and ``python -m repro <command>
+--help`` the options of one.
 
 Exit codes: 0 = done / clean; 1 = findings (``check``: at least one
 *error*-severity finding, warnings alone exit 0), a counter regression,
@@ -162,30 +162,9 @@ def _serve(server, what: str, how: str, *closers) -> int:
     return 1 if SANITIZER.report()["potential_deadlocks"] else 0
 
 
-#: `serve` options only the asyncio front reads: its keyword -> the flag.
-_ASYNC_ONLY = {
-    "max_inflight_total": "--max-inflight",
-    "max_inflight_per_conn": "--max-inflight-conn",
-    "executor_workers": "--executor-workers",
-}
-
-
 def _cmd_serve(args) -> int:
     from repro.service import MapServer, QueryEngine
 
-    sizing = {
-        key: getattr(args, key)
-        for key in _ASYNC_ONLY
-        if getattr(args, key) is not None
-    }
-    if sizing and not args.use_async:
-        flags = ", ".join(_ASYNC_ONLY[key] for key in sizing)
-        print(
-            f"error: {flags} size the asyncio front end, which only --async "
-            "starts",
-            file=sys.stderr,
-        )
-        sys.exit(2)
     _arm_sanitizer(args)
     _arm_tracing(args)
     store = _open_or_create_store(args) if args.wal else None
@@ -198,11 +177,7 @@ def _cmd_serve(args) -> int:
         from repro.aio import AsyncMapServer
 
         server = AsyncMapServer(
-            engine,
-            host=args.host,
-            port=args.port,
-            idle_timeout=idle,
-            **sizing,
+            engine, host=args.host, port=args.port, idle_timeout=idle
         )
         how = (
             "-- asyncio front end: v1 newline JSON plus pipelined wire "
@@ -415,24 +390,6 @@ def _ask(address, payload: dict, timeout: float = 10.0):
     return response["result"]
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.service.loadgen import bench_serve, format_bench_report, parse_address
-
-    try:
-        report = bench_serve(
-            connect=[parse_address(spec) for spec in args.connect],
-            threads=args.threads,
-            requests=args.requests,
-            seed=args.seed,
-            pipeline=args.pipeline,
-            mutate_frac=args.mutate_frac,
-        )
-    except ValueError as exc:
-        sys.exit(f"error: {exc}")
-    print(format_bench_report(report))
-    return 1 if report.errors or not report.counters_consistent else 0
-
-
 def _cmd_stats(args) -> int:
     """Fetch metrics (and optionally traces) from a running server."""
     import json
@@ -485,16 +442,11 @@ def _render_traces(result) -> str:
 def _cmd_profile(args) -> int:
     """Sample a running server's (or routed shard set's) thread stacks."""
     from repro.obs.profile import collapsed_text
-    from repro.service.loadgen import parse_address
 
-    try:
-        address = parse_address(args.address)
-    except ValueError as exc:
-        sys.exit(f"error: {exc}")
     # A routed profile takes the window on every shard plus its own:
     # allow the window twice over, plus transport slack.
     profile = _ask(
-        address,
+        (args.host, args.port),
         {"op": "profile", "seconds": args.seconds, "hz": args.hz},
         timeout=args.seconds * 2 + 15.0,
     )
@@ -876,25 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=300.0,
         help="close a connection idle for this many seconds (0 = never)",
     )
-    p.add_argument(
-        "--max-inflight",
-        dest="max_inflight_total",
-        type=int,
-        help="global in-flight request cap before server_overloaded (--async only)",
-    )
-    p.add_argument(
-        "--max-inflight-conn",
-        dest="max_inflight_per_conn",
-        type=int,
-        help="per-connection in-flight cap before server_overloaded (--async only)",
-    )
-    p.add_argument(
-        "--executor-workers",
-        type=int,
-        help="threads for long and blocking requests (mutations, batch, "
-        "stats, check, big scans, routed scatter); short reads run on the "
-        "event loop thread itself (--async only)",
-    )
 
     p = command(
         "checkpoint",
@@ -908,39 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay a durable store's log and re-checkpoint it",
     )
     p.add_argument("--wal", required=True, help="durable-store directory")
-
-    p = command(
-        "bench-serve",
-        _cmd_bench_serve,
-        help="drive running server(s) with K connections",
-    )
-    p.add_argument(
-        "--connect",
-        action="append",
-        required=True,
-        metavar="HOST:PORT",
-        help="a running serve / shard-worker / route to drive; repeat the "
-        "flag to round-robin connections across addresses (e.g. a shard "
-        "router plus direct workers). The first one's stats op is read "
-        "before and after the load for the engine-side figures",
-    )
-    p.add_argument("--threads", type=int, default=4, help="connections")
-    p.add_argument("--requests", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--pipeline",
-        type=int,
-        default=8,
-        help="requests kept in flight per connection on servers that "
-        "accept the v2 upgrade",
-    )
-    p.add_argument(
-        "--mutate-frac",
-        type=float,
-        default=0.0,
-        help="share of requests that are inserts (a durable target's report "
-        "then carries the group-commit line)",
-    )
 
     p = command(
         "shard-init",
@@ -1013,10 +913,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "profile",
         _cmd_profile,
+        [_address(8765)],
         help="sampling-profile a running server or router (collapsed "
         "flamegraph stacks on stdout)",
     )
-    p.add_argument("address", help="host:port of a running server/router")
     p.add_argument("--seconds", type=float, default=1.0, help="sampling window")
     p.add_argument("--hz", type=int, default=97, help="sampling frequency")
     p.add_argument(

@@ -13,7 +13,7 @@ one remains the v1 oracle the protocol-equivalence suite compares
 against.
 """
 
-from repro.aio.client import AsyncMapClient, send_request_async
+from repro.aio.client import AsyncMapClient
 from repro.aio.commit import GroupCommitter
 from repro.aio.frames import (
     FLAG_RESPONSE,
@@ -41,5 +41,4 @@ __all__ = [
     "decode_header",
     "decode_payload",
     "encode_frame",
-    "send_request_async",
 ]

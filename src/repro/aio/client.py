@@ -1,15 +1,11 @@
-"""Async clients for both wire protocols.
+"""The async client of wire protocol v2.
 
 :class:`AsyncMapClient` is the pipelining v2 client: it negotiates the
 upgrade on connect, then any number of coroutines can ``await
 client.request(...)`` concurrently on one connection -- each call gets
 a fresh request id, the reader task resolves futures as response frames
-arrive, in whatever order the server finishes them.
-
-:func:`send_request_async` is the one-shot v1 convenience, the async
-twin of :func:`repro.service.server.send_request`, used where a single
-round trip is all that's needed (health probes, the async router's
-address refresh).
+arrive, in whatever order the server finishes them. The one-shot v1
+client is :func:`repro.service.server.send_request`.
 """
 
 from __future__ import annotations
@@ -28,28 +24,6 @@ from repro.aio.frames import (
 )
 
 _COMPACT = (",", ":")
-
-
-async def send_request_async(
-    address: Tuple[str, int], request: Dict[str, Any], timeout: float = 10.0
-) -> Dict[str, Any]:
-    """One v1 request/response round trip on a fresh connection."""
-    reader, writer = await asyncio.wait_for(
-        asyncio.open_connection(*address), timeout
-    )
-    try:
-        writer.write(json.dumps(request, separators=_COMPACT).encode() + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        if not line:
-            raise ConnectionError(f"server at {address} closed the connection")
-        return json.loads(line)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass  # close already took effect
 
 
 class AsyncMapClient:
@@ -82,19 +56,12 @@ class AsyncMapClient:
         self._reader_task: Optional[asyncio.Task] = None
 
     @classmethod
-    async def negotiate(
+    async def connect(
         cls, address: Tuple[str, int], timeout: float = 10.0
-    ) -> Tuple[
-        Optional["AsyncMapClient"], asyncio.StreamReader, asyncio.StreamWriter
-    ]:
-        """Open a connection and offer the v2 upgrade.
-
-        Returns ``(client, reader, writer)``. ``client`` is ``None`` when
-        the server refused (the threaded v1-only server answers the pin
-        with ``bad_args``): the refusal *is* the downgrade path, so the
-        connection is still a good v1 line connection the caller may
-        keep using through ``reader``/``writer``.
-        """
+    ) -> "AsyncMapClient":
+        """Open a connection and negotiate v2; ``ConnectionError`` if the
+        server refuses the upgrade (the threaded v1-only server answers
+        the pin with ``bad_args``)."""
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(*address), timeout
         )
@@ -104,23 +71,12 @@ class AsyncMapClient:
         line = await asyncio.wait_for(reader.readline(), timeout)
         ack = json.loads(line) if line else {}
         if not ack.get("ok") or ack.get("v") != PROTOCOL_VERSION_2:
-            return None, reader, writer
+            writer.close()
+            raise ConnectionError(f"server at {address} refused the v2 upgrade")
         client = cls(reader, writer)
         client._reader_task = asyncio.get_running_loop().create_task(
             client._read_loop()
         )
-        return client, reader, writer
-
-    @classmethod
-    async def connect(
-        cls, address: Tuple[str, int], timeout: float = 10.0
-    ) -> "AsyncMapClient":
-        """Open a connection and negotiate v2; raises if the server
-        refuses the upgrade (e.g. it is the threaded v1-only server)."""
-        client, _reader, writer = await cls.negotiate(address, timeout)
-        if client is None:
-            writer.close()
-            raise ConnectionError(f"server at {address} refused the v2 upgrade")
         return client
 
     async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:

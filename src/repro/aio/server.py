@@ -334,7 +334,7 @@ class AsyncMapServer:
         if self._fsync_executor is not None:
             self._fsync_executor.shutdown(wait=True, cancel_futures=True)
 
-    # -- background-thread mode (tests, benches, loadgen) ---------------
+    # -- background-thread mode (tests, benches) ------------------------
     def start_background(self) -> threading.Thread:
         """Run the event loop on a daemon thread; returns once bound."""
         self._thread_ready = threading.Event()

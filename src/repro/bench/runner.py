@@ -8,14 +8,22 @@ wall-clock percentiles that ride along for trending only.
 from __future__ import annotations
 
 import json
+import math
 from typing import Dict, List, Sequence
 
 from repro.metric_names import PAPER_METRICS
-from repro.service.loadgen import percentile
 
 #: Bump on any incompatible change to the record layout; the comparator
 #: refuses to gate across versions.
 BENCH_SCHEMA_VERSION = 1
+
+
+def percentile(sorted_values: List[float], q: float) -> float:
+    """The ``q``-quantile (0..1) of an ascending list (nearest-rank)."""
+    if not sorted_values:
+        return 0.0
+    rank = max(1, math.ceil(q * len(sorted_values)))
+    return sorted_values[rank - 1]
 
 
 def _wall_summary(wall_ms: List[float]) -> Dict[str, float]:

@@ -22,12 +22,6 @@ this package *serves* them:
   ``--wal DIR`` it serves a durable store (:mod:`repro.wal`): mutations
   are write-ahead logged before they are applied and
   ``{"op": "checkpoint"}`` folds the log into a fresh snapshot.
-* :mod:`repro.service.loadgen` -- ``python -m repro bench-serve
-  --connect``: the load generator, a pure client of running servers
-  (pipelined v2 where the server speaks it, closed-loop v1 lines where
-  it does not) reporting throughput and latency percentiles and, from
-  the movement of the target's ``stats`` op, cache hit rate, disk
-  accesses, latch contention and fsyncs per mutation.
 * :mod:`repro.service.api` -- the op table (:data:`OPS`, one row per
   op) and :func:`parse_request`, which turns a wire dict into the
   :class:`~repro.core.queries.spec.QuerySpec` (a read) or
@@ -51,21 +45,9 @@ from repro.service.server import MapServer, send_request
 from repro.service.snapshot import open_index, save_index, snapshot_info
 
 
-def __getattr__(name: str):
-    # The load generator drives both transports, so importing it pulls in
-    # asyncio, repro.aio and repro.shard; a server process that imports
-    # this package should not carry those (~6 MiB of peak RSS in `serve`).
-    if name in ("BenchReport", "bench_serve", "format_bench_report"):
-        from repro.service import loadgen
-
-        return getattr(loadgen, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "BatchExecutor",
     "BatchResult",
-    "BenchReport",
     "Command",
     "MapServer",
     "OPS",
@@ -74,9 +56,7 @@ __all__ = [
     "QueryEngine",
     "QuerySession",
     "ResultCache",
-    "bench_serve",
     "error_envelope",
-    "format_bench_report",
     "morton_key",
     "open_index",
     "parse_batch_item",

@@ -68,6 +68,7 @@ from repro.obs.trace import TRACER
 from repro.service.api import OPS, Command
 from repro.metric_names import COUNTER_FIELDS
 from repro.sanitize import SANITIZER, make_lock
+from repro.storage.codec import stored_segment
 from repro.storage.counters import MetricsCounters
 from repro.storage.latch import Latch
 
@@ -499,7 +500,10 @@ class QueryEngine:
 
         Durable mode logs the record (under the latch, so the LSN order
         is the apply order) and group-commits after the latch drops --
-        the mutation is durable before this method returns.
+        the mutation is durable before this method returns. A segment
+        outside the index's world is refused (``bad_args``) before
+        anything is stored, and the table keeps the endpoints rounded to
+        float32, as the disk does, so a reopened store answers alike.
         """
         return self.execute(Command("insert", **segment._asdict()), session=session)
 
@@ -536,6 +540,10 @@ class QueryEngine:
     def _apply_insert(
         self, segment: Segment, session: Optional[QuerySession]
     ) -> int:
+        extent = self.index.extent()
+        if not extent.contains_rect(segment.mbr()):
+            raise ProtocolError(f"{segment} lies outside the indexed world {extent}")
+        segment = stored_segment(segment)
         owned = self._owns(segment)
 
         def apply() -> int:

@@ -129,6 +129,12 @@ def decode_btree_node(data: bytes):
 # ----------------------------------------------------------------------
 # Segment table pages
 # ----------------------------------------------------------------------
+def stored_segment(segment: Segment) -> Segment:
+    """``segment`` as a segment-table page (and the WAL) holds it: its
+    endpoints rounded to float32."""
+    return Segment(*_SEG_ENTRY.unpack(_SEG_ENTRY.pack(*segment)))
+
+
 def encode_segment_page(segments: List[Segment], page_size: int) -> bytes:
     out = bytearray(_SEG_HEADER.pack(len(segments)))
     for s in segments:

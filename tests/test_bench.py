@@ -22,6 +22,7 @@ from repro.bench.compare import (
     KINDS,
     validate_e2e_record,
 )
+from repro.bench.runner import percentile
 from repro.bench.shard import (
     SHARD_BENCH_KIND,
     SHARD_BENCH_STRUCTURES,
@@ -135,6 +136,17 @@ class TestRecordSchema:
         assert load_record(path) == record
         with open(path) as fh:  # committed baselines must be stable JSON
             assert json.load(fh) == record
+
+
+class TestPercentile:
+    def test_empty(self):
+        assert percentile([], 0.5) == 0.0
+
+    def test_nearest_rank(self):
+        values = [1.0, 2.0, 3.0, 4.0]
+        assert percentile(values, 0.5) == 2.0
+        assert percentile(values, 0.99) == 4.0
+        assert percentile(values, 0.01) == 1.0
 
 
 class TestRegressionGate:

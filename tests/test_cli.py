@@ -129,7 +129,6 @@ IGNORED = [
     for cmd in (
         ["table1"], ["figure6"], ["occupancy"], ["generate"],
         ["snapshot", "--out", "x.snap"], ["serve"],
-        ["bench-serve", "--connect", "127.0.0.1:1"],
         ["shard-init", "--root", "x"], ["explain", "point"], ["check"],
     )
 ] + [
@@ -154,25 +153,6 @@ class TestEveryAcceptedOptionActs:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
-    def test_bench_serve_needs_a_server_to_connect_to(self, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            main(["bench-serve"])
-        assert exit_.value.code == 2
-        assert "--connect" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "gone",
-        ["--county", "--scale", "--structure", "--snapshot", "--cache-size",
-         "--trace", "--slow-ms", "--sanitize", "--async", "--wal"],
-    )
-    def test_bench_serve_starts_no_server(self, gone):
-        """The options that built, opened or served an index in-process
-        went with the in-process mode (``--queries``: see above)."""
-        with pytest.raises(SystemExit) as exit_:
-            main(["bench-serve", "--connect", "127.0.0.1:1", gone])
-        assert exit_.value.code == 2
-
-
     #: The three launchers, each with what it requires and nothing else.
     LAUNCHERS = {
         "serve": ["serve"],
@@ -191,36 +171,6 @@ class TestEveryAcceptedOptionActs:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "--trace-capacity" in err and "--slow-ms" in err
-
-    @pytest.mark.parametrize(
-        "flag", ["--max-inflight", "--max-inflight-conn", "--executor-workers"]
-    )
-    def test_an_asyncio_sizing_without_async_is_a_usage_error(self, capsys, flag):
-        """The threaded server used to start and read none of these."""
-        with pytest.raises(SystemExit) as exit_:
-            main(["serve", flag, "3"])
-        assert exit_.value.code == 2
-        err = capsys.readouterr().err
-        assert flag in err and "--async" in err
-
-    def test_an_asyncio_sizing_reaches_the_asyncio_front(self, monkeypatch):
-        import repro.aio
-
-        class Started(Exception):
-            pass
-
-        def front(engine, **kwargs):
-            raise Started(kwargs)
-
-        monkeypatch.setattr(repro.aio, "AsyncMapServer", front)
-        with pytest.raises(Started) as started:
-            main(["serve", "--async", "--county", "cecil", *SCALE,
-                  "--max-inflight", "5", "--max-inflight-conn", "3",
-                  "--executor-workers", "2"])
-        kwargs = started.value.args[0]
-        assert kwargs["max_inflight_total"] == 5
-        assert kwargs["max_inflight_per_conn"] == 3
-        assert kwargs["executor_workers"] == 2
 
     @pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
     def test_the_second_tracer_flag_is_gone(self, capsys, launcher):
@@ -270,7 +220,7 @@ class TestAskingARunningServer:
     def argvs(port):
         return {
             "stats": ["stats", "--port", str(port)],
-            "profile": ["profile", f"127.0.0.1:{port}", "--seconds", "0.1"],
+            "profile": ["profile", "--port", str(port), "--seconds", "0.1"],
             "explain": ["explain", "point", "--x", "1", "--y", "1", "--port", str(port)],
         }
 

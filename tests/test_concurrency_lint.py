@@ -389,7 +389,7 @@ def test_cc05_joined_thread_is_clean():
 
 
 def test_cc05_join_elsewhere_in_class_is_clean():
-    # Start in one method, join in another (the server/loadgen shape).
+    # Start in one method, join in another (the server shape).
     assert (
         lint(
             """

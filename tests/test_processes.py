@@ -17,6 +17,7 @@ failed test leaves running, so nothing here relies on pytest-timeout.
 import asyncio
 import json
 import os
+import random
 import re
 import shutil
 import signal
@@ -26,7 +27,6 @@ import pytest
 from repro.aio import AsyncMapClient
 from repro.obs import parse_prom_text
 from repro.service import send_request
-from repro.service.loadgen import _engine_stats
 
 from tests.conftest import run_cli
 
@@ -78,47 +78,80 @@ def start_worker(spawn, root, shard):
     )
 
 
+def engines(address):
+    """The ``stats`` of every engine behind ``address``: the server's
+    own, or one per shard behind a router."""
+    stats = send_request(address, {"op": "stats"})["result"]
+    return list(stats["shards"].values()) if "shards" in stats else [stats]
+
+
 def sanitizer_reports(address):
     """The sanitizer block of every engine behind ``address``."""
-    return [engine.get("sanitizer") for engine in _engine_stats(address)]
+    return [engine.get("sanitizer") for engine in engines(address)]
 
 
-def drive(address, speaks_v2):
+def seeded_mix(seed, n=20):
+    """``n`` requests at seeded sites inside the map, taking turns at
+    point, window, nearest and the insert of a short segment."""
+    rng = random.Random(seed)
+    requests = []
+    for i in range(n):
+        x, y = rng.uniform(0, WORLD - 100), rng.uniform(0, WORLD - 100)
+        requests.append([
+            {"op": "point", "x": x, "y": y},
+            {"op": "window", "x1": x, "y1": y, "x2": x + 100, "y2": y + 100},
+            {"op": "nearest", "x": x, "y": y, "k": 3},
+            {"op": "insert", "x1": x, "y1": y, "x2": x + 2, "y2": y + 2},
+        ][i % 4])
+    return requests
+
+
+def drive(address, speaks_v2, durable):
     """What every launcher x front must do for a client, whatever is
-    behind it: answer on each wire it speaks, carry ``bench-serve``'s
-    load without an error, and answer ``stats``, ``profile`` and
-    ``explain --port`` -- each client a ``python -m repro`` child too."""
-    host, port = address
-    at, port = f"{host}:{port}", str(port)
-
+    behind it: answer on each wire it speaks, carry a mutating load
+    without an error -- pipelined over v2 where the front takes the
+    upgrade, one line at a time over v1 where it refuses it -- with the
+    engines' own ``stats`` moving as that load says, and answer
+    ``stats``, ``profile`` and ``explain --port``, each client a
+    ``python -m repro`` child too."""
+    port = str(address[1])
     pong = send_request(address, {"op": "ping", "v": 1})
     assert (pong["ok"], pong["result"], pong["v"]) == (True, "pong", 1)
 
+    requests = seeded_mix(seed=0)
+    inserts = sum(request["op"] == "insert" for request in requests)
+
     async def pipelined():
-        client, _reader, writer = await AsyncMapClient.negotiate(address)
-        if client is None:  # the documented refusal: still a good v1 line
-            writer.close()
-            return None
+        client = await AsyncMapClient.connect(address)
         try:
-            point = {"op": "point", "x": 100.0, "y": 100.0}
             return await asyncio.wait_for(
-                asyncio.gather(*(client.request(point) for _ in range(16))), 30.0
+                asyncio.gather(*map(client.request, requests)), 30.0
             )
         finally:
             await client.close()
 
-    answers = asyncio.run(pipelined())
-    assert (answers is not None) == speaks_v2
-    assert answers is None or all(answer["ok"] for answer in answers)
+    before = engines(address)
+    if speaks_v2:
+        answers = asyncio.run(pipelined())
+    else:
+        with pytest.raises(ConnectionError, match="refused the v2 upgrade"):
+            asyncio.run(pipelined())
+        answers = [send_request(address, request) for request in requests]
+    after = engines(address)
+    assert [answer["ok"] for answer in answers] == [True] * len(requests), answers
+    assert all(engine["counters_consistent"] for engine in after)
 
-    report = ok(
-        run_cli(
-            "bench-serve", "--connect", at, "--requests", "60",
-            "--mutate-frac", "0.2", "--threads", "3", "--pipeline", "4",
+    def moved(name):
+        return sum(e.get("wal", {}).get(name, 0) for e in after) - sum(
+            e.get("wal", {}).get(name, 0) for e in before
         )
-    )
-    assert "(0 errors, 0 overloaded)" in report
-    assert "sums match totals: True" in report
+
+    # Every engine logs every insert (a shard's table is a replica); an
+    # ack waits for an fsync covering its record, and commits that
+    # arrive during one share the next.
+    appends, fsyncs = moved("log_appends"), moved("fsyncs")
+    assert appends == (inserts * len(after) if durable else 0)
+    assert (0 < fsyncs <= appends) if durable else fsyncs == 0
 
     json.loads(ok(run_cli("stats", "--port", port, "--format", "json")))
     families = parse_prom_text(ok(run_cli("stats", "--port", port, "--format", "prom")))
@@ -126,7 +159,7 @@ def drive(address, speaks_v2):
     traces = ok(run_cli("stats", "--port", port, "--format", "traces"))
     assert "traverse" in traces  # real span trees, not "(no buffered traces)"
 
-    done = run_cli("profile", at, "--seconds", "0.2")
+    done = run_cli("profile", "--port", port, "--seconds", "0.2")
     ok(done)
     assert "samples over" in done.stderr
     assert done.stdout.strip(), "no collapsed stacks"
@@ -138,7 +171,7 @@ def drive(address, speaks_v2):
         )
     )
     assert "attribution exact: True" in plan
-    return report, families, traces, done.stdout
+    return families, traces, done.stdout
 
 
 def interrupt(*children):
@@ -181,11 +214,10 @@ def test_serve(front, spawn, snapshot, tmp_path):
     }
     assert {op: counted[op] for op in sent} == sent
 
-    report, _families, _traces, _stacks = drive(address, speaks_v2)
-    assert report.startswith("map server benchmark -- R* over connect:")
-    # --wal made the engine durable: bench-serve's inserts were logged.
-    assert ("group commit" in report) == durable
+    # --wal made the engine durable: drive() checks its inserts were logged.
+    drive(address, speaks_v2, durable)
     stats = send_request(address, {"op": "stats"})["result"]
+    assert stats["index"]["kind"] == "R*"
     assert stats["durable"] is durable
     assert stats["counters_consistent"] is True
     assert stats["obs"]["tracing"]["enabled"] is True  # --trace-sample
@@ -247,16 +279,8 @@ def test_route_over_shard_workers(front, spawn, shard_set, tmp_path):
     for shard in SHARDS:
         assert f"shard:{shard}" in stitched
 
-    reads = ok(
-        run_cli(
-            "bench-serve", "--connect", "%s:%d" % address, "--threads", "4",
-            "--requests", "80",
-        )
-    )
-    assert "(0 errors, 0 overloaded)" in reads
-    report, families, traces, stacks = drive(address, front == "async")
-    assert report.startswith(f"map server benchmark -- routed[{len(SHARDS)}] over")
-    assert "group commit" in report  # every shard logs the fanned-out inserts
+    # Every shard is a durable store: each logs the fanned-out inserts.
+    families, traces, stacks = drive(address, front == "async", durable=True)
     assert "shard:" in traces
     assert "repro_trace_tail_discarded_total" in families
     assert "repro_trace_buffered" in families

@@ -5,11 +5,16 @@ import threading
 
 import pytest
 
+from repro.analysis import check_index
 from repro.core.queries import QuerySpec, execute_spec
+from repro.data import generate_county
 from repro.geometry import Point, Rect, Segment
-from repro.service import QueryEngine, ResultCache, parse_request
+from repro.harness.experiment import build_structure
+from repro.service import Protocol, QueryEngine, ResultCache, parse_request
+from repro.shard import LocalShardSet, RouterCore, init_shard_set
 from repro.storage import Latch
 from repro.storage.counters import MetricsCounters
+from repro.wal import DurableStore
 
 from tests.conftest import build_index, lattice_map
 
@@ -325,3 +330,103 @@ class TestLatch:
         assert stats["latch"]["acquisitions"] >= 1
         assert stats["latch"]["wait_seconds"] == 0.0  # one thread: never waited
         assert stats["pool"]["capacity"] == 16
+
+
+# ----------------------------------------------------------------------
+# What an insert stores
+# ----------------------------------------------------------------------
+PAPER_TRIO = ["R*", "R+", "PMR"]
+OUTSIDE = b'{"op":"insert","x1":20000,"y1":20000,"x2":20010,"y2":20010}'
+#: Finite, so the wire accepts it, and too large for a float32.
+HUGE = b'{"op":"insert","x1":1,"y1":1,"x2":1e300,"y2":2}'
+INSIDE = b'{"op":"insert","x1":100.1,"y1":100.1,"x2":101.3,"y2":101.7}'
+
+
+@pytest.fixture(scope="module")
+def cecil():
+    return generate_county("cecil", scale=0.01)
+
+
+def _refused(envelope):
+    assert envelope["ok"] is False, envelope
+    assert envelope["error"]["code"] == "bad_args", envelope
+    assert "outside" in envelope["error"]["message"]
+
+
+@pytest.mark.parametrize("kind", PAPER_TRIO)
+def test_an_insert_outside_the_world_is_refused(kind, cecil):
+    """It used to be acked and appended; R+ and PMR then indexed it
+    nowhere -- no query found it and ``check`` flagged the index."""
+    engine = QueryEngine(build_structure(kind, cecil).index)
+    protocol = Protocol(engine)
+    n = len(engine.ctx.segments)
+    for line in (OUTSIDE, HUGE):
+        _refused(protocol.respond_line(line))
+    assert len(engine.ctx.segments) == n
+    assert check_index(engine.index) == []
+    assert protocol.respond_line(INSIDE) == {"ok": True, "result": n}
+
+
+@pytest.mark.parametrize("kind", PAPER_TRIO)
+def test_a_durable_store_refuses_before_logging(kind, cecil, tmp_path):
+    """``x2: 1e300`` used to be appended to the table, then fail the log
+    append as ``internal``: the next insert was acked one id too far on,
+    and the store no longer opened."""
+    store = DurableStore.create(tmp_path / "store", build_structure(kind, cecil).index)
+    engine = QueryEngine(store.index, store=store)
+    protocol = Protocol(engine)
+    n, lsn = len(engine.ctx.segments), store.last_lsn
+    for line in (OUTSIDE, HUGE):
+        _refused(protocol.respond_line(line))
+    assert (len(engine.ctx.segments), store.last_lsn) == (n, lsn)
+    assert protocol.respond_line(INSIDE) == {"ok": True, "result": n}
+    assert check_index(engine.index) == []
+    store.close()
+    reopened = DurableStore.open(tmp_path / "store")
+    try:
+        assert len(reopened.index.ctx.segments) == n + 1
+        assert check_index(reopened.index) == []
+    finally:
+        reopened.close()
+
+
+def test_every_shard_refuses_an_insert_outside_the_world(cecil, tmp_path):
+    """Refused on every shard, the router relays the refusal: nothing was
+    applied anywhere, so no ``applied`` partial asks for a repair."""
+    init_shard_set(tmp_path, "R*", map_data=cecil, n_shards=2, page_size=2048)
+    with LocalShardSet(tmp_path) as shards:
+        core = RouterCore(tmp_path)
+        try:
+            for line in (OUTSIDE, HUGE):
+                envelope = core.protocol.respond_line(line)
+                _refused(envelope)
+                assert "partial" not in envelope
+            n = len(cecil.segments)
+            assert core.protocol.respond_line(INSIDE) == {"ok": True, "result": n}
+        finally:
+            core.close_clients()
+        assert {len(s.engine.ctx.segments) for s in shards.servers.values()} == {n + 1}
+
+
+@pytest.mark.parametrize("kind", PAPER_TRIO)
+def test_a_reopened_store_answers_as_the_live_one(kind, cecil, tmp_path):
+    """The live table kept the client's float64 endpoints while the log
+    and the pages keep float32: a point on the inserted endpoint found
+    it until the restart, and nothing after."""
+    probes = [
+        b'{"op":"point","x":100.1,"y":100.1,"use_cache":false}',
+        b'{"op":"point","x":101.3,"y":101.7,"use_cache":false}',
+        b'{"op":"window","x1":100.1,"y1":100.1,"x2":100.1,"y2":100.1,"use_cache":false}',
+        b'{"op":"nearest","x":100.1,"y":100.1,"k":1,"use_cache":false}',
+    ]
+    store = DurableStore.create(tmp_path / "store", build_structure(kind, cecil).index)
+    protocol = Protocol(QueryEngine(store.index, store=store))
+    assert protocol.respond_line(INSIDE)["ok"]
+    live = [protocol.respond_line(probe) for probe in probes]
+    store.close()
+    reopened = DurableStore.open(tmp_path / "store")
+    try:
+        protocol = Protocol(QueryEngine(reopened.index, store=reopened))
+        assert [protocol.respond_line(probe) for probe in probes] == live
+    finally:
+        reopened.close()

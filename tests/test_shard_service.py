@@ -9,13 +9,15 @@ exactly once.
 """
 
 import ast
+import asyncio
 import json
 import os
 import random
+import threading
 
 import pytest
 
-from repro.aio import AsyncShardRouter
+from repro.aio import AsyncMapClient, AsyncShardRouter
 from repro.analysis import check_shard_set
 from repro.core.queries import QuerySpec
 from repro.data.counties import generate_county
@@ -24,7 +26,6 @@ from repro import core
 from repro.metric_names import COUNTER_FIELDS
 from repro.obs.metrics import MetricsRegistry
 from repro.service.engine import QueryEngine
-from repro.service.loadgen import bench_serve, parse_address
 from repro.service.server import MapServer, send_request
 from repro.shard import (
     LocalShardSet,
@@ -406,81 +407,73 @@ class TestDegradationAndHealing:
         )
 
 
-class TestLoadgenConnect:
-    def test_parse_address(self):
-        assert parse_address("127.0.0.1:8765") == ("127.0.0.1", 8765)
-        with pytest.raises(ValueError):
-            parse_address("no-port")
-        with pytest.raises(ValueError):
-            parse_address("host:NaN")
-
-    def test_round_robin_across_addresses(self, service):
-        # Round-robin the read-only workload across the router and one
-        # worker address; every request must succeed.
-        worker_addr = next(iter(service.shards.servers.values())).address
-        addresses = [
-            service.addr,
-            (worker_addr[0], worker_addr[1]),
-        ]
-        report = bench_serve(
-            threads=2,
-            requests=24,
-            connect=addresses,
-            world_size=service.map_data.world_size,
-        )
-        assert report.errors == 0
-        assert report.requests == 24
-        assert report.source.startswith("connect:")
-
-    def test_connect_reports_routed_structure(self, service):
-        report = bench_serve(
-            threads=1,
-            requests=6,
-            connect=[service.addr],
-            world_size=service.map_data.world_size,
-        )
-        assert report.errors == 0
-        assert report.structure == f"routed[{N_SHARDS}]"
-        # Engine-side figures are summed over the shards: every request
-        # costs at least one shard a cache lookup and a latch acquisition.
-        assert report.cache["hits"] + report.cache["misses"] >= 6
-        assert report.latch["acquisitions"] >= 6
-        assert report.counters_consistent is True
-
-
 @pytest.mark.parametrize("front", ["route", "route --async"])
 def test_concurrent_mutations_keep_the_replicas_in_step(tmp_path, front):
     """The router orders the fan-outs of writes. Unordered, two inserts
     in flight reach two shards in opposite orders, each shard gives the
     next seg_id to a different segment, and the client is told ``shards
-    disagree on seg_id`` (2 of 5 seeds of this loop, before the lock).
-    Ten seeds, three connections -- or one with four in flight -- must
-    end with no error and one table on every shard."""
+    disagree on seg_id``. Ten seeds of concurrent inserts, over three
+    connections -- or one with four in flight -- must end with no error
+    and one table on every shard."""
     map_data = generate_county("cecil", scale=SCALE)
     root = str(tmp_path / "shards")
     init_shard_set(
         root, "R*", map_data=map_data, n_shards=N_SHARDS, page_size=PAGE_SIZE
     )
+
+    def inserts(seed, n=12):
+        rng = random.Random(seed)
+        sites = [rng.uniform(0, map_data.world_size - 2) for _ in range(2 * n)]
+        return [
+            {"op": "insert", "x1": x, "y1": y, "x2": x + 1.5, "y2": y + 0.5}
+            for x, y in zip(sites[::2], sites[1::2])
+        ]
+
+    def over_three_connections(address, requests):
+        shares = [requests[i::3] for i in range(3)]
+        answers = [[] for _ in shares]
+
+        def connection(i):
+            answers[i] = [send_request(address, r, timeout=30.0) for r in shares[i]]
+
+        threads = [threading.Thread(target=connection, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        return [answer for share in answers for answer in share]
+
+    async def four_in_flight(address, requests):
+        client = await AsyncMapClient.connect(address)
+        slots = asyncio.Semaphore(4)
+
+        async def one(request):
+            async with slots:
+                return await client.request(request)
+
+        try:
+            return await asyncio.wait_for(asyncio.gather(*map(one, requests)), 60.0)
+        finally:
+            await client.close()
+
     with LocalShardSet(root) as shards:
         if front == "route":
-            router, threads = ShardRouter(root), 3
+            router = ShardRouter(root)
             stop = router.close
         else:
-            router, threads = AsyncShardRouter(root), 1
+            router = AsyncShardRouter(root)
             stop = router.stop
         router.start_background()
         try:
             for seed in range(10):
-                report = bench_serve(
-                    connect=[router.address],
-                    threads=threads,
-                    pipeline=4,
-                    mutate_frac=0.2,
-                    requests=60,
-                    seed=seed,
-                    world_size=map_data.world_size,
-                )
-                assert report.errors == 0, (front, seed)
+                requests = inserts(seed)
+                if front == "route":
+                    answers = over_three_connections(router.address, requests)
+                else:
+                    answers = asyncio.run(four_in_flight(router.address, requests))
+                assert len(answers) == len(requests), (front, seed)
+                assert all(answer["ok"] for answer in answers), (front, seed, answers)
             stats = send_request(router.address, {"op": "stats"})["result"]
         finally:
             stop()
@@ -490,7 +483,7 @@ def test_concurrent_mutations_keep_the_replicas_in_step(tmp_path, front):
         ]
     sizes = {sid: entry["index"]["segments"] for sid, entry in stats["shards"].items()}
     assert len(sizes) == N_SHARDS and len(set(sizes.values())) == 1, sizes
-    assert sizes["s0"] > len(map_data.segments), "the runs inserted nothing"
+    assert sizes["s0"] == len(map_data.segments) + 10 * 12
     assert all(table == tables[0] for table in tables[1:])
     assert check_shard_set(root) == []
 
