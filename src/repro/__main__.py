@@ -503,59 +503,24 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Gate a bench record on a baseline; ``--routed`` runs the fresh one."""
+    """Gate a bench record on a baseline; the exit code is the verdict."""
     import json
 
-    from repro.bench import run_shard_bench, write_record
     from repro.bench.compare import EXIT_INCOMPARABLE, compare_records, load_record
-    from repro.metric_names import PAPER_METRICS
 
-    def load(path):
+    records = []
+    for path in (args.compare, args.record):
         try:
-            return load_record(path)
+            records.append(load_record(path))
         except FileNotFoundError:
             print(f"error: record not found: {path}", file=sys.stderr)
+            return EXIT_INCOMPARABLE
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read record {path}: {exc}", file=sys.stderr)
-        return None
-
-    if args.routed and args.record is None:
-        record = run_shard_bench(
-            {
-                "county": args.county,
-                "scale": args.scale,
-                "n_queries": args.queries,
-                "seed": args.seed,
-                "n_shards": args.n_shards,
-            }
-        )
-        if args.json:
-            write_record(record, args.json)
-            print(f"wrote {args.json} ({record['git_sha']})")
-        for name, entry in record["structures"].items():
-            totals = entry["totals"]
-            summary = ", ".join(f"{m}={totals[m]}" for m in PAPER_METRICS)
-            print(f"  {name}: {summary}")
-    elif args.record is not None and args.compare and not args.routed:
-        record = load(args.record)
-        if record is None:
             return EXIT_INCOMPARABLE
-    else:
-        print(
-            "error: give --routed to run the routed bench, or --compare "
-            "BASELINE RECORD to gate the BENCH_e2e.json that "
-            "benchmarks/e2e/run.py --out wrote (not both)",
-            file=sys.stderr,
-        )
-        return EXIT_INCOMPARABLE
-    if args.compare:
-        baseline = load(args.compare)
-        if baseline is None:
-            return EXIT_INCOMPARABLE
-        code, lines = compare_records(baseline, record, tolerance=args.tolerance)
-        print("\n".join(lines))
-        return code
-    return 0
+    code, lines = compare_records(*records)
+    print("\n".join(lines))
+    return code
 
 
 def _cmd_check(args) -> int:
@@ -621,13 +586,12 @@ def _cmd_lint(args) -> int:
     if not iter_python_files(args.paths):
         print(f"error: no python files under {args.paths}", file=sys.stderr)
         return 2
-    if args.concurrency:
-        findings = lint_concurrency_paths(args.paths)
-        title = f"concurrency lint {' '.join(args.paths)}"
-    else:
-        findings = lint_paths(args.paths)
-        title = f"lint {' '.join(args.paths)}"
-    print(format_findings(findings, title=title))
+    # Both passes report a file that does not parse, and an unjustified
+    # pragma, as the same RP00 finding: list each once.
+    findings = list(
+        dict.fromkeys(lint_paths(args.paths) + lint_concurrency_paths(args.paths))
+    )
+    print(format_findings(findings, title=f"lint {' '.join(args.paths)}"))
     return 1 if findings else 0
 
 
@@ -943,39 +907,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = command(
-        "bench", _cmd_bench, help="gate a BENCH_*.json record on a committed baseline"
+        "bench", _cmd_bench, help="gate a BENCH_e2e.json record on a committed baseline"
     )
     p.add_argument(
         "record",
-        nargs="?",
-        help="the fresh record to gate with --compare: the BENCH_e2e.json "
-        "that `benchmarks/e2e/run.py --workload paper_core --trace --out "
-        "DIR` wrote (its count-unit per-layer metrics gate at tolerance 0)",
+        help="the fresh record: the BENCH_e2e.json that `benchmarks/e2e/run.py "
+        "--workload paper_core --trace --out DIR` wrote (its count-unit "
+        "per-layer metrics gate at tolerance 0)",
     )
     p.add_argument(
         "--compare",
-        help="baseline BENCH_*.json to gate against (exit 1 on regression, "
+        required=True,
+        metavar="BASELINE",
+        help="committed BENCH_e2e.json to gate against (exit 1 on regression, "
         "2 if the records are not comparable)",
     )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.10,
-        help="relative headroom for the routed record's counters (default 10%%)",
-    )
-    p.add_argument(
-        "--routed",
-        action="store_true",
-        help="run the fresh record instead of reading one: five workloads "
-        "through a sharded service (one shard set per structure); emits a "
-        "repro-shard-bench record. The options below are its params",
-    )
-    p.add_argument("--county", default="cecil")
-    p.add_argument("--scale", type=float, default=0.02)
-    p.add_argument("--queries", type=int, default=25)
-    p.add_argument("--seed", type=int, default=1992)
-    p.add_argument("--n-shards", type=int, default=4)
-    p.add_argument("--json", help="write the routed record here")
 
     p = command(
         "check", _cmd_check, built, help="static index fsck (no queries executed)"
@@ -1004,11 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("paths", nargs="*", default=["src/"], help="files or directories")
     p.add_argument("--rules", action="store_true", help="list lint rules and exit")
-    p.add_argument(
-        "--concurrency",
-        action="store_true",
-        help="run the lock-discipline pass (CC01..CC05) instead of the RP rules",
-    )
     return parser
 
 

@@ -27,9 +27,9 @@ Two pillars, both producing structured
   every member store.
 
 CLI: ``python -m repro check`` (``--wal DIR`` for a durable store,
-``--shards DIR`` for a shard set), ``python -m repro lint``, and
-``python -m repro lint --concurrency``; service hook: ``{"op":
-"check"}`` against a running map server or shard router.
+``--shards DIR`` for a shard set) and ``python -m repro lint`` (the RP
+and CC passes together); service hook: ``{"op": "check"}`` against a
+running map server or shard router.
 """
 
 from importlib import import_module

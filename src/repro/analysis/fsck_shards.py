@@ -88,7 +88,6 @@ def _region_scan(
     """
     from repro.geometry import Rect
     from repro.service.snapshot import open_index
-    from repro.shard.manifest import segment_mbr
     from repro.wal.store import DurableStore
 
     findings: List[Finding] = []
@@ -99,7 +98,7 @@ def _region_scan(
     live = set(index.candidate_ids_in_rect(world))
     segments = {seg_id: table.peek(seg_id) for seg_id in live}
     for seg_id in sorted(live):
-        if not smap.covers(spec, segment_mbr(segments[seg_id])):
+        if not smap.covers(spec, segments[seg_id].mbr()):
             findings.append(
                 error(
                     SH04,
@@ -182,8 +181,6 @@ def check_shard_set(root: str, deep: bool = True) -> List[Finding]:
         # LSN all agree -- snapshots taken at different checkpoint times
         # legitimately see different live universes (SH03 covers real
         # divergence).
-        from repro.shard.manifest import segment_mbr
-
         global_live = set()
         for live in live_sets.values():
             global_live |= live
@@ -192,7 +189,7 @@ def check_shard_set(root: str, deep: bool = True) -> List[Finding]:
             if live is None:
                 continue
             for seg_id in sorted(global_live - live):
-                if smap.covers(spec, segment_mbr(seen_segments[seg_id])):
+                if smap.covers(spec, seen_segments[seg_id].mbr()):
                     findings.append(
                         error(
                             SH04,

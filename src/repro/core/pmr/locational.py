@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import Tuple
 
+from repro.core.interface import WORLD_SIZE
+
 _B = [
     0x5555555555555555,
     0x3333333333333333,
@@ -46,6 +48,13 @@ def _compact1by1(n: int) -> int:
 def interleave(x: int, y: int) -> int:
     """Morton code: x in the even bit positions, y in the odd ones."""
     return _part1by1(x) | (_part1by1(y) << 1)
+
+
+def morton_key(x: float, y: float) -> int:
+    """Z-order key of a coordinate, clamped into the paper's world."""
+    xi = min(max(int(x), 0), WORLD_SIZE - 1)
+    yi = min(max(int(y), 0), WORLD_SIZE - 1)
+    return interleave(xi, yi)
 
 
 def deinterleave(code: int) -> Tuple[int, int]:

@@ -75,16 +75,3 @@ def pseudo_angle(dx: float, dy: float) -> float:
     elif dy < 0:
         p = 4 + p  # quadrant IV
     return p
-
-
-def ccw_angle_from(base_dx: float, base_dy: float, dx: float, dy: float) -> float:
-    """Counter-clockwise angle (as a pseudo-angle in ``[0, 4)``) from the
-    direction ``(base_dx, base_dy)`` to the direction ``(dx, dy)``.
-
-    Zero means the directions coincide. Used by the enclosing-polygon walk
-    to pick the next edge around a shared vertex.
-    """
-    diff = pseudo_angle(dx, dy) - pseudo_angle(base_dx, base_dy)
-    if diff < 0:
-        diff += 4.0
-    return diff

@@ -3,9 +3,7 @@
 ``repro_build_info`` follows the Prometheus info-metric convention: the
 value is the constant 1 and the payload lives in the labels, so a
 dashboard can join any series against the version/SHA/page-geometry that
-produced it. The benchmark records embed :func:`git_sha` for the same
-reason -- a regression report that cannot say *which commit* regressed
-is not actionable.
+produced it.
 """
 
 from __future__ import annotations

@@ -37,7 +37,7 @@ from repro.service.api import (
     parse_batch_item,
     parse_request,
 )
-from repro.service.batch import BatchExecutor, BatchResult, morton_key
+from repro.service.batch import BatchExecutor, BatchResult
 from repro.service.cache import ResultCache
 from repro.service.engine import QueryEngine, QuerySession
 from repro.service.protocol import Protocol, error_envelope
@@ -57,7 +57,6 @@ __all__ = [
     "QuerySession",
     "ResultCache",
     "error_envelope",
-    "morton_key",
     "open_index",
     "parse_batch_item",
     "parse_request",

@@ -33,8 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.interface import WORLD_SIZE
-from repro.core.pmr.locational import interleave
+from repro.core.pmr.locational import morton_key
 from repro.core.queries.spec import QuerySpec
 from repro.service.api import OPS, parse_batch_item
 from repro.service.engine import QueryEngine, QuerySession
@@ -58,13 +57,6 @@ def _centroid(spec: QuerySpec) -> Tuple[float, float]:
     if spec.op == "window":
         return spec.to_rect().center()
     return spec.to_point()
-
-
-def morton_key(x: float, y: float) -> int:
-    """Z-order key of a coordinate, clamped into the paper's world."""
-    xi = min(max(int(x), 0), WORLD_SIZE - 1)
-    yi = min(max(int(y), 0), WORLD_SIZE - 1)
-    return interleave(xi, yi)
 
 
 @dataclass

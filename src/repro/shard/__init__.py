@@ -15,7 +15,6 @@ from repro.shard.manifest import (
     ShardMap,
     ShardSpec,
     cell_weights,
-    segment_mbr,
 )
 from repro.shard.rebalance import catch_up_shard, split_shard
 from repro.shard.router import (
@@ -52,7 +51,6 @@ __all__ = [
     "merge_nearest",
     "open_shard",
     "read_addr",
-    "segment_mbr",
     "serve_shard",
     "split_shard",
     "write_addr",

@@ -46,16 +46,6 @@ SHARD_MAP_VERSION = 1
 DEFAULT_ORDER = 3
 
 
-def segment_mbr(segment: Segment) -> Rect:
-    """The axis-aligned bounding rectangle of a segment."""
-    return Rect(
-        min(segment.x1, segment.x2),
-        min(segment.y1, segment.y2),
-        max(segment.x1, segment.x2),
-        max(segment.y1, segment.y2),
-    )
-
-
 @dataclass(frozen=True)
 class ShardSpec:
     """One shard: an id (also its store directory name) and its
@@ -179,7 +169,7 @@ class ShardMap:
         """The shard's ownership predicate in the shape
         :func:`repro.wal.store.replay_records` expects."""
         spec = self.shard(shard_id)
-        return lambda seg_id, segment: self.covers(spec, segment_mbr(segment))
+        return lambda seg_id, segment: self.covers(spec, segment.mbr())
 
     # ------------------------------------------------------------------
     # Construction and rebalancing

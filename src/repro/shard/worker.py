@@ -39,7 +39,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sanitize import make_lock
 from repro.service.engine import QueryEngine
 from repro.service.server import MapServer
-from repro.shard.manifest import ShardMap, cell_weights, segment_mbr
+from repro.shard.manifest import ShardMap, cell_weights
 from repro.storage.context import StorageContext
 from repro.wal.store import DurableStore, atomic_publish, open_durable
 
@@ -65,7 +65,7 @@ class ShardEngine(QueryEngine):
         self.covers = covers
 
     def _owns(self, segment) -> bool:
-        return self.covers(segment_mbr(segment))
+        return self.covers(segment.mbr())
 
     def _unindex(self, seg_id: int) -> bool:
         try:
@@ -131,7 +131,7 @@ def init_shard_set(
             seg_ids = ctx.load_segments(map_data.segments)
             for seg_id in seg_ids:
                 seg = ctx.segments.peek(seg_id)
-                if smap.covers(spec, segment_mbr(seg)):
+                if smap.covers(spec, seg.mbr()):
                     index.insert(seg_id)
         store = DurableStore.create(
             smap.store_path(root, spec.shard_id),
@@ -274,8 +274,8 @@ def serve_shard(
 class LocalShardSet:
     """Every shard of a set served in this process, one thread each.
 
-    The unit tests and the routed benchmark use this instead of real
-    worker processes: same stores, same wire protocol over loopback TCP,
+    The tests (the routed counter baseline among them) use this instead
+    of real worker processes: same stores, same wire protocol over loopback TCP,
     deterministic lifetime. Use as a context manager.
     """
 

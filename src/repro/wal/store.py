@@ -40,8 +40,7 @@ from functools import cached_property
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.sanitize import SANITIZER
-from repro.core.interface import WORLD_SIZE
-from repro.core.pmr.locational import interleave
+from repro.core.pmr.locational import morton_key
 from repro.geometry import Point, Segment
 from repro.storage.codec import CodecError, read_header, table_rows_crc
 from repro.wal.log import LogScan, WriteAheadLog, scan_log
@@ -197,14 +196,6 @@ def sound_store(root: str) -> StoreState:
     return state
 
 
-def _clamp(v: float) -> int:
-    return min(max(int(v), 0), WORLD_SIZE - 1)
-
-
-def _morton_key(s: Segment) -> int:
-    return interleave(_clamp((s.x1 + s.x2) / 2), _clamp((s.y1 + s.y2) / 2))
-
-
 @dataclass
 class ReplayResult:
     """What one replay pass did (``replayed_records`` is the acceptance
@@ -263,7 +254,9 @@ def replay_records(
         else:
             if pending.pop(record.seg_id, None) is None:
                 deletes.append(record.seg_id)
-    to_insert = sorted(pending, key=lambda sid: _morton_key(pending[sid]))
+    to_insert = sorted(
+        pending, key=lambda sid: morton_key(*pending[sid].mbr().center())
+    )
     for seg_id in to_insert:
         if index_filter is not None and not index_filter(seg_id, pending[seg_id]):
             continue

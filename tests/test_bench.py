@@ -1,9 +1,8 @@
 """The counter gate (``python -m repro bench --compare BASELINE RECORD``).
 
 No benchmark runs here: the gate is driven with synthetic records in the
-shape ``benchmarks/e2e/run.py --out`` writes (``BENCH_e2e.json``), with a
-hand-built routed record for the one tolerance-bearing kind, and with the
-committed paper-scale record ``benchmarks/results/BENCH_paper_core.json``.
+shape ``benchmarks/e2e/run.py --out`` writes (``BENCH_e2e.json``) and with
+the committed paper-scale record ``benchmarks/results/BENCH_paper_core.json``.
 """
 
 import copy
@@ -13,26 +12,18 @@ import os
 import pytest
 
 from repro.__main__ import main
-from repro.bench import BENCH_SCHEMA_VERSION, compare_records, load_record, write_record
+from repro.bench import compare_records, load_record
 from repro.bench.compare import (
-    E2E_KIND,
     EXIT_INCOMPARABLE,
     EXIT_OK,
     EXIT_REGRESSION,
-    KINDS,
+    gate_points,
     validate_e2e_record,
 )
-from repro.bench.runner import percentile
-from repro.bench.shard import (
-    SHARD_BENCH_KIND,
-    SHARD_BENCH_STRUCTURES,
-    SHARD_BENCH_WORKLOADS,
-    SHARD_DEFAULT_PARAMS,
-)
-from repro.metric_names import DISK_ACCESSES, PAPER_METRICS
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 COMMITTED = os.path.join(ROOT, "benchmarks", "results", "BENCH_paper_core.json")
+ROUTED = os.path.join(ROOT, "benchmarks", "results", "BENCH_shard_baseline.json")
 FIRST_FULL_RECORD = os.path.join(
     ROOT, "benchmarks", "e2e", "results", "BENCH_e2e_c1b3002.json"
 )
@@ -63,24 +54,6 @@ def e2e_record():
     }
 
 
-def routed_record():
-    counters = dict.fromkeys(PAPER_METRICS, 100)
-    wall = {"p50_ms": 1.0, "p90_ms": 2.0, "max_ms": 3.0}
-    entry = {
-        "workloads": {
-            w: {**counters, "wall": dict(wall)} for w in SHARD_BENCH_WORKLOADS
-        },
-        "totals": dict.fromkeys(PAPER_METRICS, 100 * len(SHARD_BENCH_WORKLOADS)),
-    }
-    return {
-        "schema_version": BENCH_SCHEMA_VERSION,
-        "kind": SHARD_BENCH_KIND,
-        "git_sha": "0000000",
-        "params": dict(SHARD_DEFAULT_PARAMS),
-        "structures": {s: copy.deepcopy(entry) for s in SHARD_BENCH_STRUCTURES},
-    }
-
-
 def metrics_of(record):
     return record["workloads"]["paper_core"]["per_layer"]["metrics"]
 
@@ -98,7 +71,7 @@ class TestRecordSchema:
     def test_every_structure_and_workload_present(self):
         """The committed record gates the paper's quantities for every
         structure and query type, and they are the first full record's."""
-        committed = dict(KINDS[E2E_KIND].gate_points(load_record(COMMITTED)))
+        committed = gate_points(load_record(COMMITTED))
         expected = {
             f"core.disk_accesses_per_query.{s}.{q}"
             for s in ("rstar", "rplus", "pmr")
@@ -113,7 +86,7 @@ class TestRecordSchema:
             for s in ("rstar", "rplus", "pmr")
         }
         assert {name for name, value in committed.items() if value} == expected
-        first = dict(KINDS[E2E_KIND].gate_points(load_record(FIRST_FULL_RECORD)))
+        first = gate_points(load_record(FIRST_FULL_RECORD))
         assert committed == first
 
     def test_validator_catches_damage(self, record):
@@ -130,24 +103,6 @@ class TestRecordSchema:
         broken["workloads"]["paper_core"]["per_layer"]["failed"] = 3
         assert any("failed" in p for p in validate_e2e_record(broken))
 
-    def test_write_and_load_round_trip(self, record, tmp_path):
-        path = str(tmp_path / "BENCH_test.json")
-        write_record(record, path)
-        assert load_record(path) == record
-        with open(path) as fh:  # committed baselines must be stable JSON
-            assert json.load(fh) == record
-
-
-class TestPercentile:
-    def test_empty(self):
-        assert percentile([], 0.5) == 0.0
-
-    def test_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 0.5) == 2.0
-        assert percentile(values, 0.99) == 4.0
-        assert percentile(values, 0.01) == 1.0
-
 
 class TestRegressionGate:
     def test_identical_records_pass(self, record):
@@ -160,9 +115,8 @@ class TestRegressionGate:
     def test_one_counter_raised_by_one_fails_naming_it(self, record, name):
         bad = copy.deepcopy(record)
         metrics_of(bad)[name]["value"] += 1
-        # the paper-scale counters are noise-free: no headroom, whatever
-        # tolerance the caller asks for
-        code, lines = compare_records(record, bad, tolerance=0.5)
+        # the paper-scale counters are noise-free: no headroom
+        code, lines = compare_records(record, bad)
         assert code == EXIT_REGRESSION
         assert [line for line in lines if "REGRESSION" in line and name in line]
         assert any(line.startswith("1 regression(s)") for line in lines)
@@ -173,19 +127,9 @@ class TestRegressionGate:
         for m in metrics_of(bad).values():
             if m["unit"] == "count":
                 m["value"] *= 1.2
-        code, lines = compare_records(baseline, bad, tolerance=0.10)
+        code, lines = compare_records(baseline, bad)
         assert code == EXIT_REGRESSION
         assert any(line.startswith("24 regression(s)") for line in lines)
-
-    def test_within_tolerance_passes(self):
-        """Only the routed record has headroom; beyond it, it fails."""
-        base = routed_record()
-        for factor, expected in ((1.05, EXIT_OK), (1.2, EXIT_REGRESSION)):
-            fresh = copy.deepcopy(base)
-            totals = fresh["structures"]["R*"]["totals"]
-            totals[DISK_ACCESSES] = int(totals[DISK_ACCESSES] * factor)
-            code, _ = compare_records(base, fresh, tolerance=0.10)
-            assert code == expected
 
     def test_improvement_passes_and_is_reported(self, record):
         better = copy.deepcopy(record)
@@ -213,13 +157,6 @@ class TestRegressionGate:
         assert code == EXIT_OK
         assert not any(name in line for name in TIMINGS for line in lines)
 
-    def test_routed_latency_growth_only_warns(self):
-        slower = routed_record()
-        slower["structures"]["PMR"]["workloads"]["window"]["wall"]["p50_ms"] *= 100
-        code, lines = compare_records(routed_record(), slower, tolerance=0.10)
-        assert code == EXIT_OK
-        assert any("warn" in line and "PMR/window/p50_ms" in line for line in lines)
-
     def test_param_mismatch_is_incomparable_not_regression(self, record):
         for damage in (
             lambda r: r["config"].update(page_size=2048),
@@ -233,11 +170,12 @@ class TestRegressionGate:
             assert code == EXIT_INCOMPARABLE
             assert any("not comparable" in line for line in lines)
 
-    def test_schema_mismatch_is_incomparable(self):
-        other = routed_record()
-        other["schema_version"] = BENCH_SCHEMA_VERSION + 1
-        code, _ = compare_records(routed_record(), other, tolerance=0.10)
+    def test_schema_mismatch_is_incomparable(self, record):
+        other = copy.deepcopy(record)
+        metrics_of(other)["storage.index_pages.rplus"] = 1200  # no unit
+        code, lines = compare_records(record, other)
         assert code == EXIT_INCOMPARABLE
+        assert "fresh record is invalid:" in lines
 
     def test_record_without_paper_core_per_layer_is_incomparable(self, record):
         end_to_end_only = copy.deepcopy(record)
@@ -253,10 +191,16 @@ class TestRegressionGate:
             assert any("paper_core.per_layer" in line for line in lines)
 
     def test_routed_record_against_paper_scale_record_is_incomparable(self, record):
-        for pair in ((record, routed_record()), (routed_record(), record)):
+        """The gate speaks one kind: the committed routed record, which
+        ``tests/test_bench_shard.py`` checks, is not a record it reads."""
+        routed = load_record(ROUTED)
+        for pair, invalid in (
+            ((record, routed), "fresh"),
+            ((routed, record), "baseline"),
+        ):
             code, lines = compare_records(*pair)
             assert code == EXIT_INCOMPARABLE
-            assert any("kind mismatch" in line for line in lines)
+            assert f"{invalid} record is invalid:" in lines
 
 
 class TestBenchCommand:
@@ -266,9 +210,9 @@ class TestBenchCommand:
     @pytest.fixture
     def paths(self, record, tmp_path):
         def path_of(name, rec):
-            path = str(tmp_path / name)
-            write_record(rec, path)
-            return path
+            path = tmp_path / name
+            path.write_text(json.dumps(rec))
+            return str(path)
 
         raised = copy.deepcopy(record)
         metrics_of(raised)["core.segment_comps_per_op.pmr"]["value"] += 1
@@ -299,11 +243,14 @@ class TestBenchCommand:
             assert "record not found" in out.err
 
     def test_a_record_to_gate_or_routed_is_required(self, paths, capsys):
+        """A record and a baseline are both required: the command runs
+        nothing itself, so anything less is a usage error."""
         for argv in (
             ["bench"],
             ["bench", "--compare", paths["same"]],
             ["bench", paths["same"]],
-            ["bench", "--routed", "--compare", paths["same"], paths["same"]],
         ):
-            assert main(argv) == EXIT_INCOMPARABLE
-            assert "benchmarks/e2e/run.py" in capsys.readouterr().err
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_INCOMPARABLE
+            assert "usage: " in capsys.readouterr().err

@@ -1,112 +1,283 @@
-"""Tests for the routed perf baseline (``bench --routed``)."""
+"""The routed counter baseline: five seeded workloads through a shard router.
+
+One shard set per structure (R*, R+, PMR), every shard served in this
+process (:class:`~repro.shard.LocalShardSet`), and a
+:class:`~repro.shard.RouterCore` driven on one thread in seeded order --
+so the paper's three counters, summed across shards by the router's
+``stats``, are deterministic. All 54 of them (3 structures x (5
+workloads + totals) x 3 counters) must equal
+``benchmarks/results/BENCH_shard_baseline.json``, which also supplies the
+parameters. A counter that moves either way is a change in behaviour,
+and the failure names it as ``structure/workload/metric: committed ->
+fresh``. The record's build timings and wall-clock percentiles are not
+read.
+"""
 
 import copy
 import json
+import random
+import tempfile
 from pathlib import Path
+from typing import Any, Dict, List
 
 import pytest
 
-from repro.__main__ import main
-from repro.bench.compare import EXIT_INCOMPARABLE, EXIT_OK, compare_records
-from repro.bench.shard import (
-    SHARD_BENCH_KIND,
-    SHARD_BENCH_STRUCTURES,
-    SHARD_BENCH_WORKLOADS,
-    run_shard_bench,
-    validate_shard_record,
-)
+from repro.bench.compare import EXIT_INCOMPARABLE, compare_records, load_record
+from repro.data.counties import generate_county
 from repro.metric_names import PAPER_METRICS
+from repro.shard import LocalShardSet, RouterCore, init_shard_set
 
-TINY = {"scale": 0.01, "n_queries": 3, "n_shards": 2}
+RESULTS = Path(__file__).parents[1] / "benchmarks" / "results"
+BASELINE = RESULTS / "BENCH_shard_baseline.json"
+
+STRUCTURES = ("R*", "R+", "PMR")
+#: Three scatter-gather reads, one batch mix, and one mutation round
+#: trip (inserts then deletes -- the replicated-table write fan-out).
+WORKLOADS = ("point", "window", "nearest", "batch", "mutate")
+
+
+def _workload_requests(map_data, n: int, seed: int) -> Dict[str, List[Dict[str, Any]]]:
+    """The five seeded request streams, as raw wire payloads.
+
+    Point queries hit actual segment endpoints (the paper's model:
+    queries are data-correlated); windows and nearest probes are uniform
+    over the world square. The mutate stream holds the inserts; their
+    deletes are built as the inserts return seg_ids.
+    """
+    rng = random.Random(seed)
+    world = map_data.world_size
+    segments = map_data.segments
+
+    points = []
+    for _ in range(n):
+        seg = segments[rng.randrange(len(segments))]
+        x, y = (seg.x1, seg.y1) if rng.random() < 0.5 else (seg.x2, seg.y2)
+        points.append({"op": "point", "x": x, "y": y})
+
+    windows = []
+    span = world * 0.03
+    for _ in range(n):
+        x = rng.uniform(0.0, world - span)
+        y = rng.uniform(0.0, world - span)
+        windows.append(
+            {"op": "window", "x1": x, "y1": y, "x2": x + span, "y2": y + span}
+        )
+
+    nearest = [
+        {
+            "op": "nearest",
+            "x": rng.uniform(0.0, world),
+            "y": rng.uniform(0.0, world),
+            "k": 2,
+        }
+        for _ in range(n)
+    ]
+
+    # The batches reshuffle the very requests the three read workloads
+    # ran first, so they bypass the result cache: the row has to price
+    # clip -> sub-batch -> Morton run -> positional merge, not 75 hits.
+    members = points + windows + nearest
+    rng.shuffle(members)
+    batches = [
+        {"op": "batch", "requests": members[base : base + 5], "use_cache": False}
+        for base in range(0, n * 3, 5)
+    ]
+
+    inserts = []
+    for _ in range(n):
+        x = rng.uniform(0.0, world * 0.9)
+        y = rng.uniform(0.0, world * 0.9)
+        inserts.append(
+            {
+                "op": "insert",
+                "x1": x,
+                "y1": y,
+                "x2": x + rng.uniform(1.0, world * 0.05),
+                "y2": y + rng.uniform(1.0, world * 0.05),
+            }
+        )
+
+    return {
+        "point": points,
+        "window": windows,
+        "nearest": nearest,
+        "batch": batches,
+        "mutate": inserts,
+    }
+
+
+def _respond(core: RouterCore, payload: Dict[str, Any]) -> Any:
+    response = core.respond(json.dumps(payload))
+    assert response["ok"], (payload["op"], response["error"])
+    return response["result"]
+
+
+def _run_workload(core: RouterCore, name: str, requests) -> Dict[str, int]:
+    """One workload's counter movement in the router's merged ``stats``."""
+    before = _respond(core, {"op": "stats"})["totals"]
+    results = [_respond(core, payload) for payload in requests]
+    if name == "mutate":
+        # Delete everything the workload inserted, so every structure
+        # starts and ends with the same live set.
+        for seg_id in results:
+            _respond(core, {"op": "delete", "seg_id": int(seg_id)})
+    after = _respond(core, {"op": "stats"})["totals"]
+    out = {"queries": len(requests) * (2 if name == "mutate" else 1)}
+    for metric in PAPER_METRICS:
+        out[metric] = after[metric] - before[metric]
+    return out
+
+
+def run_routed(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Build, serve and drive one shard set per structure; the result has
+    the committed record's ``structures`` shape."""
+    map_data = generate_county(params["county"], scale=params["scale"])
+    streams = _workload_requests(map_data, params["n_queries"], params["seed"])
+    structures: Dict[str, Any] = {}
+    for name in STRUCTURES:
+        with tempfile.TemporaryDirectory(prefix="repro-routed-") as root:
+            init_shard_set(
+                root,
+                name,
+                map_data=map_data,
+                n_shards=params["n_shards"],
+                page_size=params["page_size"],
+                pool_pages=params["pool_pages"],
+            )
+            with LocalShardSet(root):
+                core = RouterCore(root)
+                try:
+                    workloads = {
+                        w: _run_workload(core, w, streams[w]) for w in WORKLOADS
+                    }
+                finally:
+                    core.close_clients()
+        totals = {m: sum(w[m] for w in workloads.values()) for m in PAPER_METRICS}
+        structures[name] = {"workloads": workloads, "totals": totals}
+    return {"structures": structures}
+
+
+def counters(record: Dict[str, Any]) -> Dict[str, int]:
+    """Every gated counter of a record, by ``structure/workload/metric``."""
+    out = {}
+    for name, entry in record["structures"].items():
+        rows = {"totals": entry["totals"], **entry["workloads"]}
+        for row_name, row in rows.items():
+            for metric in PAPER_METRICS:
+                out[f"{name}/{row_name}/{metric}"] = row.get(metric)
+    return out
+
+
+def mismatches(committed: Dict[str, Any], fresh: Dict[str, Any]) -> List[str]:
+    """``label: committed -> fresh`` for every counter that differs or is
+    missing on one side (shown as ``None``)."""
+    want, got = counters(committed), counters(fresh)
+    return [
+        f"{label}: {want.get(label)} -> {got.get(label)}"
+        for label in sorted(want.keys() | got.keys())
+        if want.get(label) != got.get(label)
+    ]
 
 
 @pytest.fixture(scope="module")
-def record():
-    return run_shard_bench(TINY)
+def committed():
+    return load_record(str(BASELINE))
+
+
+@pytest.fixture(scope="module")
+def fresh(committed):
+    return run_routed(committed["params"])
+
+
+class TestCommittedBaseline:
+    def test_routed_counters_gate_on_the_committed_record(self, committed, fresh):
+        """All 54 counters equal the committed record. One that reads
+        *lower* is a finding too -- the ``batch`` row once read 0 for
+        every structure because each member was a result-cache hit."""
+        assert len(counters(committed)) == 54
+        moved = mismatches(committed, fresh)
+        assert not moved, "counters moved:\n" + "\n".join(moved)
+        for name, entry in committed["structures"].items():
+            row = entry["workloads"]["batch"]
+            assert row["segment_comps"] > 0 and row["bbox_comps"] > 0, (name, row)
 
 
 class TestRoutedRecord:
-    def test_record_validates(self, record):
-        assert validate_shard_record(record) == []
-        assert record["kind"] == SHARD_BENCH_KIND
+    def test_record_validates(self, committed):
+        """The committed record carries every parameter the driver reads
+        and an int for each of its 54 counters."""
+        assert set(committed["params"]) == {
+            "county",
+            "n_queries",
+            "n_shards",
+            "page_size",
+            "pool_pages",
+            "scale",
+            "seed",
+        }
+        values = counters(committed).values()
+        assert len(values) == 54 and all(isinstance(v, int) for v in values)
 
-    def test_every_structure_and_workload_present(self, record):
-        assert set(record["structures"]) == set(SHARD_BENCH_STRUCTURES)
-        for entry in record["structures"].values():
-            assert set(entry["workloads"]) == set(SHARD_BENCH_WORKLOADS)
-            assert entry["build"]["shards"] == TINY["n_shards"]
+    def test_every_structure_and_workload_present(self, committed, fresh):
+        for record in (committed, fresh):
+            assert set(record["structures"]) == set(STRUCTURES)
+            for entry in record["structures"].values():
+                assert set(entry["workloads"]) == set(WORKLOADS)
 
-    def test_totals_are_workload_sums(self, record):
-        for entry in record["structures"].values():
+    def test_totals_are_workload_sums(self, committed):
+        for entry in committed["structures"].values():
             for metric in PAPER_METRICS:
                 assert entry["totals"][metric] == sum(
-                    entry["workloads"][w][metric]
-                    for w in SHARD_BENCH_WORKLOADS
+                    entry["workloads"][w][metric] for w in WORKLOADS
                 )
 
-    def test_workloads_actually_ran(self, record):
-        for entry in record["structures"].values():
-            for w in SHARD_BENCH_WORKLOADS:
-                assert entry["workloads"][w]["queries"] > 0
+    def test_workloads_actually_ran(self, committed, fresh):
+        for name, entry in fresh["structures"].items():
+            for w in WORKLOADS:
+                ran = entry["workloads"][w]["queries"]
+                assert ran == committed["structures"][name]["workloads"][w]["queries"]
+                assert ran > 0
             # The read workloads must touch the disk counters.
             assert entry["totals"]["disk_accesses"] > 0
 
-    def test_self_comparison_is_clean_at_zero_tolerance(self, record):
-        code, lines = compare_records(record, record, tolerance=0.0)
-        assert code == EXIT_OK, "\n".join(lines)
+    def test_self_comparison_is_clean_at_zero_tolerance(self, committed):
+        assert mismatches(committed, copy.deepcopy(committed)) == []
 
 
 class TestGateKindSafety:
-    def test_cross_kind_comparison_refused(self, record):
-        paper_scale = {"config": {}, "workloads": {}}  # BENCH_e2e.json's shape
-        code, lines = compare_records(paper_scale, record)
+    def test_cross_kind_comparison_refused(self, committed):
+        """The comparer speaks only ``BENCH_e2e.json``: a routed record is
+        not comparable with the paper-scale one."""
+        paper_scale = load_record(str(RESULTS / "BENCH_paper_core.json"))
+        code, lines = compare_records(paper_scale, committed)
         assert code == EXIT_INCOMPARABLE
-        assert any("kind mismatch" in line for line in lines)
+        assert "fresh record is invalid:" in lines
 
     def test_unknown_kind_refused(self):
         bogus = {"kind": "repro-mystery-bench"}
         code, lines = compare_records(bogus, dict(bogus))
         assert code == EXIT_INCOMPARABLE
 
-    def test_regression_detected(self, record):
-        worse = copy.deepcopy(record)
-        name = SHARD_BENCH_STRUCTURES[0]
-        entry = worse["structures"][name]
-        entry["totals"]["disk_accesses"] = (
-            entry["totals"]["disk_accesses"] * 10 + 100
-        )
-        code, lines = compare_records(record, worse, tolerance=0.10)
-        assert code == 1
-        assert any("REGRESSION" in line for line in lines)
+    def test_regression_detected(self, committed):
+        """One counter raised by 1 and another lowered by 1: each fails,
+        by name."""
+        moved = copy.deepcopy(committed)
+        pmr = moved["structures"]["PMR"]
+        pmr["workloads"]["window"]["disk_accesses"] += 1
+        pmr["totals"]["bbox_comps"] -= 1
+        base = committed["structures"]["PMR"]
+        assert mismatches(committed, moved) == [
+            f"PMR/totals/bbox_comps: {base['totals']['bbox_comps']} -> "
+            f"{base['totals']['bbox_comps'] - 1}",
+            f"PMR/window/disk_accesses: {base['workloads']['window']['disk_accesses']}"
+            f" -> {base['workloads']['window']['disk_accesses'] + 1}",
+        ]
 
-    def test_missing_workload_fails_validation(self, record):
-        broken = copy.deepcopy(record)
-        name = SHARD_BENCH_STRUCTURES[0]
-        del broken["structures"][name]["workloads"]["mutate"]
-        assert any(
-            "mutate" in problem for problem in validate_shard_record(broken)
-        )
-
-
-class TestCommittedBaseline:
-    def test_routed_counters_gate_on_the_committed_record(self, capsys):
-        """``bench --routed --compare`` with the parameters the committed
-        record was written with (the CLI defaults): the paper's counters
-        are deterministic, so all 54 must equal it. One that reads
-        *lower* is a finding too -- the ``batch`` row once read 0 for
-        every structure because each member was a result-cache hit, and
-        the gate called that an improvement."""
-        baseline = (
-            Path(__file__).parents[1] / "benchmarks/results/BENCH_shard_baseline.json"
-        )
-        committed = baseline.read_bytes()
-        code = main(["bench", "--routed", "--compare", str(baseline), "--tolerance", "0"])
-        out = capsys.readouterr().out
-        assert code == EXIT_OK, out
-        assert "compared 54 counters at 0% tolerance" in out
-        assert "OK: no counter regressed" in out
-        assert "improved" not in out, out
-        assert baseline.read_bytes() == committed
-        for name, entry in json.loads(committed)["structures"].items():
-            row = entry["workloads"]["batch"]
-            assert row["segment_comps"] > 0 and row["bbox_comps"] > 0, (name, row)
+    def test_missing_workload_fails_validation(self, committed):
+        broken = copy.deepcopy(committed)
+        del broken["structures"]["R*"]["workloads"]["mutate"]
+        want = counters(committed)
+        assert mismatches(committed, broken) == [
+            f"R*/mutate/{m}: {want[f'R*/mutate/{m}']} -> None"
+            for m in sorted(PAPER_METRICS)
+        ]

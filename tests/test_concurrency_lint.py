@@ -490,6 +490,7 @@ def test_syntax_error_is_reported_not_raised():
 
 
 def test_cli_concurrency_flag(tmp_path, capsys):
+    """``lint`` runs the CC pass beside the RP rules; it has no flag."""
     from repro.__main__ import main
 
     dirty = tmp_path / "dirty.py"
@@ -505,11 +506,21 @@ def test_cli_concurrency_flag(tmp_path, capsys):
             """
         )
     )
-    assert main(["lint", "--concurrency", str(dirty)]) == 1
+    assert main(["lint", str(dirty)]) == 1
     assert "CC04" in capsys.readouterr().out
 
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n")
-    assert main(["lint", "--concurrency", str(clean)]) == 0
+    assert main(["lint", str(clean)]) == 0
     out = capsys.readouterr().out
     assert "clean: 0 findings" in out
+
+
+def test_cli_reports_a_finding_both_passes_make_once(tmp_path, capsys):
+    from repro.__main__ import main
+
+    broken = tmp_path / "broken.py"
+    broken.write_text("def broken(:\n")
+    assert main(["lint", str(broken)]) == 1
+    out = capsys.readouterr().out
+    assert out.count("RP00") == 1 and "1 finding(s)" in out

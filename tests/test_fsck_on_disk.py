@@ -43,7 +43,6 @@ from repro.errors import SnapshotError, WalError
 from repro.geometry import Rect, Segment
 from repro.service import QueryEngine, open_index, save_index
 from repro.shard import ShardMap, init_shard_set
-from repro.shard.manifest import segment_mbr
 from repro.shard.worker import addr_path, open_shard
 from repro.storage.codec import read_header
 from repro.wal import DeleteRecord, DurableStore, InsertRecord, frame_record, open_durable
@@ -326,7 +325,7 @@ def _owned_by(root):
         seg_id: {
             spec.shard_id
             for spec in smap.shards
-            if smap.covers(spec, segment_mbr(table.peek(seg_id)))
+            if smap.covers(spec, table.peek(seg_id).mbr())
         }
         for seg_id in table.iter_ids()
     }

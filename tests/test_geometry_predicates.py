@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Point, orientation, pseudo_angle, segments_intersect
-from repro.geometry.predicates import ccw_angle_from, collinear_point_on_segment
+from repro.geometry.predicates import collinear_point_on_segment
 
 coords = st.integers(min_value=-1000, max_value=1000)
 points = st.builds(Point, coords, coords)
@@ -103,19 +103,3 @@ class TestPseudoAngle:
     def test_scale_invariant(self, p, k):
         assert pseudo_angle(p.x, p.y) == pytest.approx(pseudo_angle(k * p.x, k * p.y))
 
-
-class TestCcwAngleFrom:
-    def test_zero_for_same_direction(self):
-        assert ccw_angle_from(1, 1, 2, 2) == 0.0
-
-    def test_quarter_turn(self):
-        assert ccw_angle_from(1, 0, 0, 1) == 1.0
-
-    def test_wraps(self):
-        assert ccw_angle_from(0, 1, 1, 0) == 3.0
-
-    @given(points.filter(lambda p: p != Point(0, 0)))
-    def test_range(self, p):
-        base = (1, 0)
-        v = ccw_angle_from(base[0], base[1], p.x, p.y)
-        assert 0.0 <= v < 4.0

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.service import BatchExecutor, QueryEngine, morton_key, parse_batch_item
+from repro.core.pmr.locational import morton_key
+from repro.service import BatchExecutor, QueryEngine, parse_batch_item
 from repro.service.batch import _centroid
 
 from tests.conftest import build_index, lattice_map

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.pmr.locational import hilbert_index, hilbert_point
 from repro.geometry import Rect, Segment
-from repro.shard import ShardMap, ShardSpec, cell_weights, segment_mbr
+from repro.shard import ShardMap, ShardSpec, cell_weights
 
 
 def make_map(n_shards=4, order=3, world_size=1024.0, **kwargs):
@@ -133,7 +133,7 @@ class TestRouting:
         spec = smap.shards[0]
         pred = smap.index_filter(spec.shard_id)
         seg = Segment(1.0, 1.0, 5.0, 5.0)
-        assert pred(0, seg) == smap.covers(spec, segment_mbr(seg))
+        assert pred(0, seg) == smap.covers(spec, seg.mbr())
 
 
 class TestPersistence:

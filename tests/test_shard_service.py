@@ -33,7 +33,6 @@ from repro.shard import (
     ShardMap,
     ShardRouter,
     init_shard_set,
-    segment_mbr,
 )
 from repro.storage.context import StorageContext
 
@@ -155,7 +154,7 @@ class TestBoundaryStraddlingSegment:
             (e1.ymin + e1.ymax) / 2,
         )
         covering = [
-            s for s in smap.shards if smap.covers(s, segment_mbr(seg))
+            s for s in smap.shards if smap.covers(s, seg.mbr())
         ]
         assert len(covering) >= 2, "crafted segment must straddle shards"
 
@@ -166,7 +165,7 @@ class TestBoundaryStraddlingSegment:
         seg_id = resp["result"]
         assert seg_id == service.oracle.insert_segment(seg)
         try:
-            rect = segment_mbr(seg)
+            rect = seg.mbr()
             resp = service.request(
                 {
                     "op": "window",
