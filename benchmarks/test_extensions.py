@@ -1,8 +1,5 @@
 """Ablations over the extension structures.
 
-* **PM family vs PMR** (Section 3): the PM1's geometric criteria force
-  far deeper decomposition than the PMR's probabilistic split-once rule
-  on the same map; PM2/PM3 sit between.
 * **STR bulk loading** (production extension): packing beats dynamic
   insertion on build disk accesses and page count while answering
   queries identically.
@@ -24,33 +21,6 @@ from repro.harness import build_structure
 from repro.storage import StorageContext
 
 from benchmarks.conftest import N_QUERIES, write_result
-
-
-def test_pm_family_vs_pmr(benchmark, county_maps):
-    """Decomposition granularity: PM1 >= PM2 >= PM3, all >> PMR."""
-    cecil = county_maps["cecil"]
-
-    def run():
-        out = {}
-        for name in ("PMR", "PM3", "PM2", "PM1"):
-            built = build_structure(name, cecil)
-            idx = built.index
-            out[name] = {
-                "buckets": len(idx.leaf_blocks()),
-                "depth": idx.depth(),
-                "entries": idx.entry_count(),
-                "size_kb": built.size_kbytes,
-                "build_s": built.build_seconds,
-            }
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        "extension_pm_family.txt", "\n".join(f"{k}: {v}" for k, v in out.items())
-    )
-    assert out["PM1"]["buckets"] >= out["PM2"]["buckets"] >= out["PM3"]["buckets"]
-    assert out["PM1"]["buckets"] > 2 * out["PMR"]["buckets"]
-    assert out["PM1"]["depth"] >= out["PMR"]["depth"]
 
 
 def test_str_bulk_loading(benchmark, county_maps):

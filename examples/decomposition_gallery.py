@@ -2,14 +2,15 @@
 """Gallery: how each structure carves up the same map (Figure 1-5 style).
 
 Renders a small county as ASCII art, then overlays the decompositions of
-the PMR quadtree, the PM1 quadtree, and the R*-tree's leaf MBRs — the
-pictures behind the paper's Figures 1, 2 and 5. Also shows STR bulk
-loading producing a tidier R-tree than dynamic insertion.
+the paper's three structures: the PMR quadtree's blocks, the R+-tree's
+leaves and the R*-tree's leaf MBRs — the pictures behind the paper's
+Figures 1, 2 and 5. Also shows STR bulk loading producing a tidier
+R-tree than dynamic insertion.
 
 Run:  python examples/decomposition_gallery.py
 """
 
-from repro import PM1Quadtree, PMRQuadtree, RStarTree, StorageContext, generate_county
+from repro import PMRQuadtree, RPlusTree, RStarTree, StorageContext, generate_county
 from repro.core.rtree import bulk_load_str
 from repro.viz import render_pmr_blocks, render_rtree_leaves
 
@@ -31,10 +32,10 @@ def main() -> None:
           f"depth {pmr.depth()}")
     print(render_pmr_blocks(pmr, width=72, height=30))
 
-    pm1 = build(PM1Quadtree, county.segments)
-    print(f"\nPM1 quadtree: {len(pm1.leaf_blocks())} buckets, "
-          f"depth {pm1.depth()} — the geometric criteria decompose far deeper")
-    print(render_pmr_blocks(pm1, width=72, height=30))
+    rplus = build(RPlusTree, county.segments)
+    print(f"\nR+-tree: {rplus.page_count()} pages, "
+          f"leaf occupancy {rplus.leaf_occupancy():.1f}/{rplus.capacity}")
+    print(render_rtree_leaves(rplus, county.world_size, width=72, height=30))
 
     rstar = build(RStarTree, county.segments)
     print(f"\nR*-tree (dynamic build): {rstar.page_count()} pages, "

@@ -31,16 +31,11 @@ paper-versus-measured record.
 
 from repro.core import (
     GuttmanRTree,
-    KDBTree,
     NNItem,
-    PM1Quadtree,
-    PM2Quadtree,
-    PM3Quadtree,
     PMRQuadtree,
     RPlusTree,
     RStarTree,
     SpatialIndex,
-    UniformGrid,
 )
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE
 from repro.core.backends import ScalarBackend, resolve_backend
@@ -76,14 +71,10 @@ __all__ = [
     "CodecError",
     "DiskManager",
     "GuttmanRTree",
-    "KDBTree",
     "MapData",
     "MetricsCounters",
     "NNItem",
     "NotDurableError",
-    "PM1Quadtree",
-    "PM2Quadtree",
-    "PM3Quadtree",
     "PMRQuadtree",
     "Point",
     "PolygonResult",
@@ -98,7 +89,6 @@ __all__ = [
     "SpatialIndex",
     "StorageContext",
     "WalError",
-    "UniformGrid",
     "WORLD_DEPTH",
     "WORLD_SIZE",
     "ScalarBackend",

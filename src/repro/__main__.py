@@ -677,7 +677,7 @@ def _address(port, port_help=None) -> argparse.ArgumentParser:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core import SERVABLE
+    from repro.core import STRUCTURES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -705,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=100,
         help="queries per workload (the paper used 1000)",
     )
-    structure.add_argument("--structure", default="R*", choices=list(SERVABLE))
+    structure.add_argument("--structure", default="R*", choices=list(STRUCTURES))
     # Index source: what to build, or the snapshot to open instead.
     built = [scale, county, structure]
     opened = _parent()

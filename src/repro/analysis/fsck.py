@@ -26,12 +26,11 @@ from functools import singledispatch
 from typing import BinaryIO, List, Union
 
 from repro.analysis.findings import FSCK_RULES, Finding
-from repro.analysis.fsck_grid import check_grid
 from repro.analysis.fsck_pmr import check_pmr
 from repro.analysis.fsck_rplus import check_rplus
 from repro.analysis.fsck_rtree import check_rtree
 from repro.analysis.fsck_storage import check_storage
-from repro.core import GuttmanRTree, PMRQuadtree, RPlusTree, UniformGrid
+from repro.core import GuttmanRTree, PMRQuadtree, RPlusTree
 from repro.storage.codec import read_header
 
 __all__ = ["check_index", "check_snapshot", "FSCK_RULES"]
@@ -40,15 +39,13 @@ __all__ = ["check_index", "check_snapshot", "FSCK_RULES"]
 @singledispatch
 def structure_rules(index) -> List[Finding]:
     """The rule set of ``index``'s own representation: registered per
-    class, inherited by its variants (R* runs the R-tree's, k-d-B the
-    R+'s, PM1/PM2/PM3 the PMR's)."""
+    class, inherited by its variants (R* runs the R-tree's)."""
     raise ValueError(f"no fsck rules are registered for {type(index).__name__}")
 
 
 structure_rules.register(GuttmanRTree, check_rtree)
 structure_rules.register(RPlusTree, check_rplus)
 structure_rules.register(PMRQuadtree, check_pmr)
-structure_rules.register(UniformGrid, check_grid)
 
 
 def check_index(index) -> List[Finding]:

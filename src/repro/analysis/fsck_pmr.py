@@ -10,15 +10,13 @@ that representation against each other without executing a single query:
   *leaf* block of the directory, computed from that block's geometry;
 * the **splitting rule** -- a block is split at most once past the
   threshold, so a leaf above ``max_depth`` never holds more than
-  ``threshold + depth`` q-edges (Section 3's occupancy bound; the PM
-  family states its geometric criteria instead, through the same
-  ``block_is_legal``);
+  ``threshold + depth`` q-edges (Section 3's occupancy bound, stated by
+  the index's ``block_is_legal``);
 * **completeness** -- a segment is stored in every leaf block a
   positive-length piece of it crosses.
 
 :func:`check_btree` is the first layer alone: ``BPlusTree.check_invariants``
-and the uniform grid's checker (:mod:`repro.analysis.fsck_grid`) run it
-on their own trees.
+runs it on its own tree.
 """
 
 from __future__ import annotations
@@ -42,13 +40,7 @@ PM09 = FSCK_RULES.register("PM09", "B-tree node occupancy outside its bounds")
 
 
 def check_pmr(index) -> List[Finding]:
-    """Verify a PMR quadtree snapshot/in-memory instance; returns findings.
-
-    The PM1/PM2/PM3 subclasses replace the probabilistic splitting rule
-    with geometric criteria, so what PM03 holds a leaf to is the index's
-    own ``block_is_legal``; every other rule checks representation
-    consistency and applies to the whole family.
-    """
+    """Verify a PMR quadtree snapshot/in-memory instance; returns findings."""
     findings: List[Finding] = []
     entries = check_btree(index.btree, findings)
     blocks = _check_directory(index, findings)
@@ -241,9 +233,7 @@ def _check_codes(
             detail = f"directory says {block.count} q-edges, B-tree holds"
             flag(PM04, block, f"{detail} {stored.get(code, 0)}")
         # A block at max_depth can never split, so no rule binds it.
-        if block.depth < index.max_depth and not index.block_is_legal(
-            block, held.get(code, []), table.peek
-        ):
+        if block.depth < index.max_depth and not index.block_is_legal(block):
             detail = f"{block.count} q-edges may not share an unsplit {index.name}"
             flag(PM03, block, f"{detail} block (threshold {index.threshold})")
     seg_ids = {seg_id for ids in held.values() for seg_id in ids}

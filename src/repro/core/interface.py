@@ -15,9 +15,19 @@ would, since the id is available in the node.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, Dict, Iterable, List, NamedTuple, Optional, Set, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Set,
+    Union,
+)
 
-from repro.errors import SnapshotError
 from repro.geometry import (
     Point,
     Rect,
@@ -25,7 +35,9 @@ from repro.geometry import (
     point_rect_distance2,
     rect_rect_distance2,
 )
-from repro.storage.context import StorageContext
+
+if TYPE_CHECKING:  # storage imports the R-tree node codec, which imports this
+    from repro.storage.context import StorageContext
 
 #: The paper's world: maps are normalized to a 16K x 16K region (2^28 pixels).
 WORLD_SIZE = 16384
@@ -73,13 +85,6 @@ class NNItem(NamedTuple):
     ref: Any
 
 
-def _no_snapshot(index: "SpatialIndex") -> SnapshotError:
-    return SnapshotError(
-        f"no snapshot support for {type(index).__name__}: it declares no "
-        f"navigational state (see repro.core.SERVABLE)"
-    )
-
-
 class SpatialIndex(ABC):
     """A disk-resident spatial index over a segment table.
 
@@ -113,19 +118,16 @@ class SpatialIndex(ABC):
     # ------------------------------------------------------------------
     # Declaration: parameters, navigational state, pages, world
     # ------------------------------------------------------------------
+    @abstractmethod
     def params(self) -> Dict[str, Any]:
         """What :meth:`reopen` needs to build an empty twin of this index
         (a manifest's ``params``)."""
-        raise _no_snapshot(self)
 
+    @abstractmethod
     def state(self) -> Dict[str, Any]:
         """The navigational state a snapshot must carry beside the pages,
         as manifest sections: ``state`` (root, height, counts, page ids),
-        plus whatever else navigates (the PMR's ``btree`` and ``blocks``).
-        Declaring it is what makes a structure snapshottable, hence
-        servable; a variant whose inherited one would not restore it
-        disclaims it (``state = SpatialIndex.state``)."""
-        raise _no_snapshot(self)
+        plus whatever else navigates (the PMR's ``btree`` and ``blocks``)."""
 
     @classmethod
     def reopen(cls, ctx: StorageContext, params: Dict[str, Any], state=None):
@@ -139,10 +141,10 @@ class SpatialIndex(ABC):
         index._open(params, state)
         return index
 
+    @abstractmethod
     def _open(self, params: Dict[str, Any], state) -> None:
         """Set the parameters, then bind to ``state`` -- or, given none,
         allocate the empty structure. Constructors end here too."""
-        raise _no_snapshot(self)
 
     def page_inventories(self) -> Dict[str, Set[int]]:
         """Every page this index answers for, by the codec kind of its

@@ -1,16 +1,10 @@
-"""The PMR quadtree, stored as a linear quadtree in a paged B-tree, and
-the PM1/PM2/PM3 quadtrees of the same family (Section 3)."""
+"""The PMR quadtree, stored as a linear quadtree in a paged B-tree."""
 
 from repro.core.pmr.blocks import PMRBlock
 from repro.core.pmr.locational import deinterleave, interleave, locational_code
-from repro.core.pmr.pm1 import PM1Quadtree
-from repro.core.pmr.pm23 import PM2Quadtree, PM3Quadtree
 from repro.core.pmr.pmr import PMRQuadtree
 
 __all__ = [
-    "PM1Quadtree",
-    "PM2Quadtree",
-    "PM3Quadtree",
     "PMRBlock",
     "PMRQuadtree",
     "deinterleave",

@@ -25,7 +25,7 @@ fewer segment comparisons; it is exercised by the ablation benchmarks.
 from __future__ import annotations
 
 import base64
-from typing import Any, Callable, Dict, List, Set
+from typing import Any, Dict, List, Set
 
 from repro.btree import BPlusTree, ScanStats
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
@@ -187,8 +187,13 @@ class PMRQuadtree(SpatialIndex):
         value = self._value(seg_id, seg)
         affected: List[PMRBlock] = []
         self._insert_into(self.root, seg, value, affected)
+        # The splitting rule: an affected block whose occupancy now
+        # exceeds the threshold is split **once, and only once** --
+        # children left above the threshold wait for the next insertion
+        # that touches them. Every affected block is a distinct leaf.
         for block in affected:
-            self._resolve_overflow(block)
+            if block.count > self.threshold and block.depth < self.max_depth:
+                self._split_block(block)
         self._seg_count += 1
 
     def _insert_into(
@@ -201,19 +206,6 @@ class PMRQuadtree(SpatialIndex):
         self.btree.insert(self.code_of(block), value)
         block.count += 1
         affected.append(block)
-
-    def _resolve_overflow(self, block: PMRBlock) -> None:
-        """The PMR splitting rule: an affected block whose occupancy now
-        exceeds the threshold is split **once, and only once** -- children
-        left above the threshold wait for the next insertion that touches
-        them. Subclasses (the PM family) override this with their own
-        decomposition criteria."""
-        if (
-            block.is_leaf
-            and block.count > self.threshold
-            and block.depth < self.max_depth
-        ):
-            self._split_block(block)
 
     def _split_block(self, block: PMRBlock) -> None:
         code = self.code_of(block)
@@ -252,14 +244,15 @@ class PMRQuadtree(SpatialIndex):
         return removed
 
     def _try_merge(self, block: PMRBlock) -> None:
-        """Merge the children back when the merged block would be legal
-        again (for the PMR: distinct occupancy below the threshold)."""
+        """The paper's rule: merge the children back when the splitting
+        threshold exceeds the distinct occupancy of the block and its
+        siblings."""
         if block.children is None or not all(c.is_leaf for c in block.children):
             return
         distinct: Set[Any] = set()
         for child in block.children:
             distinct.update(self.btree.scan_eq(self.code_of(child)))
-        if not self._should_merge(block, distinct):
+        if len(distinct) >= self.threshold:
             return
         for child in block.children:
             code = self.code_of(child)
@@ -270,11 +263,6 @@ class PMRQuadtree(SpatialIndex):
         for v in sorted(distinct, key=self.seg_id_of):
             self.btree.insert(code, v)
         block.count = len(distinct)
-
-    def _should_merge(self, block: PMRBlock, distinct: Set[Any]) -> bool:
-        """The paper's rule: merge when the splitting threshold exceeds
-        the occupancy of the block and its siblings."""
-        return len(distinct) < self.threshold
 
     # ------------------------------------------------------------------
     # Searches
@@ -484,11 +472,8 @@ class PMRQuadtree(SpatialIndex):
     # ------------------------------------------------------------------
     # The decomposition rule, stated for the fsck
     # ------------------------------------------------------------------
-    def block_is_legal(
-        self, block: PMRBlock, seg_ids: List[int], fetch: Callable[[int], Segment]
-    ) -> bool:
+    def block_is_legal(self, block: PMRBlock) -> bool:
         """May ``block`` (a leaf above ``max_depth``) stand unsplit?
         Section 3's bound: split once per insertion, so a bucket holds
-        at most threshold + depth q-edges. The PM family answers from
-        the geometry of ``seg_ids``, read through ``fetch``."""
+        at most threshold + depth q-edges."""
         return block.count <= self.threshold + block.depth

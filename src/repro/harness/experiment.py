@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
-
 from repro.core import STRUCTURES, SpatialIndex
 from repro.data.generator import MapData
 from repro.storage import MetricsSnapshot, StorageContext
-from repro.storage.policies import ReplacementPolicy
 
 
 @dataclass
@@ -39,7 +36,6 @@ def build_structure(
     map_data: MapData,
     page_size: int = 1024,
     pool_pages: int = 16,
-    policy: Optional[ReplacementPolicy] = None,
     **index_kwargs,
 ) -> BuiltStructure:
     """Load the segment table, then insert every segment one by one.
@@ -48,9 +44,7 @@ def build_structure(
     order); segments are inserted in map order, which for TIGER-like data
     means road by road.
     """
-    ctx = StorageContext.create(
-        page_size=page_size, pool_pages=pool_pages, policy=policy
-    )
+    ctx = StorageContext.create(page_size=page_size, pool_pages=pool_pages)
     try:
         cls = STRUCTURES[name]
     except KeyError:

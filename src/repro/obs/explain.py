@@ -24,8 +24,7 @@ traversal that is served, and the per-level figures are its real charges.
 Counter movement outside every window lands in no bucket. The engine
 compares the buckets' sum with the query's observed deltas and reports
 the difference as ``unattributed`` with ``exact: false`` -- which is what
-a structure that brackets nothing (kdB, the uniform grid) returns, and
-what a forgotten bracket in an instrumented one would.
+a forgotten bracket in a traversal returns.
 
 The profile object itself never mutates any ``MetricsCounters`` (it only
 reads them), keeping lint rule RP03's ownership story intact: counters

@@ -142,9 +142,8 @@ def compute_health(index) -> Dict[str, Any]:
     """Structural health of one index, as a JSON-ready dict.
 
     Chosen by what the index declares: one that owns ``(rect, ref)``
-    node pages (``page_inventories()``) gets the tree walk, one searched
-    by the stock PMR loops (``stock_search``) the directory walk, and
-    anything else its shape accessors. Reads only via ``disk.peek`` /
+    node pages (``page_inventories()``) gets the tree walk, the PMR
+    quadtree the directory walk. Reads only via ``disk.peek`` /
     in-memory state -- never through the buffer pool -- so no counter
     moves.
     """
@@ -152,16 +151,8 @@ def compute_health(index) -> Dict[str, Any]:
     node_pages = pages.get("rtree") or pages.get("rplus")
     if node_pages:
         report = _tree_health(index, node_pages)
-    elif index.stock_search == "pmr":
-        report = _pmr_health(index)
     else:
-        report = {
-            "kind": "generic",
-            "height": index.height(),
-            "pages": index.page_count(),
-            "entries": index.entry_count(),
-            "segments": index.segment_count(),
-        }
+        report = _pmr_health(index)
     report["structure"] = index.name
     return report
 

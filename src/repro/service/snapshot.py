@@ -13,9 +13,9 @@ same sections back to the class's ``reopen``, which binds the exact
 index object to the reloaded disk -- zero inserts, zero page
 allocations or writes, identical query answers and statistics.
 
-A structure is snapshottable when its class declares ``state()``
-(:data:`repro.core.SERVABLE`: the paper's three plus the Guttman
-baseline); nothing here knows one kind from another.
+Every row of :data:`repro.core.STRUCTURES` declares ``state()``, so
+every structure is snapshottable; nothing here knows one kind from
+another.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core import STRUCTURES
 from repro.errors import SnapshotError
 from repro.storage.codec import dump_database, load_pages, read_header
 from repro.storage.context import StorageContext
-from repro.storage.policies import ReplacementPolicy
 
 MANIFEST_VERSION = 1
 
@@ -54,7 +53,8 @@ def save_index(
     what its ``params()`` and ``state()`` return, and the segment-table
     head. Returns the number of pages written. Raises
     :class:`~repro.errors.SnapshotError` (a ``CodecError``) for an index
-    whose class declares no ``state()``.
+    whose ``state()`` cannot be written (a PMR built with
+    ``store_bboxes=True``).
 
     ``extra`` merges additional top-level keys into the manifest; the
     durability layer embeds ``{"wal": {"checkpoint_lsn": ...}}`` so a
@@ -86,7 +86,6 @@ def load_index(
     fh: BinaryIO,
     header: Dict[str, Any],
     pool_pages: int = 16,
-    policy: Optional[ReplacementPolicy] = None,
 ) -> Tuple[Any, list]:
     """Judge a snapshot by its ``header``, then bind the page area ``fh``
     stands at: ``(index, findings)``, the index ``None`` exactly when a
@@ -104,7 +103,6 @@ def load_index(
         ctx = StorageContext.from_disk(
             load_pages(fh, header),
             pool_pages=pool_pages,
-            policy=policy,
             segment_page_ids=manifest["segments"]["page_ids"],
             segment_count=manifest["segments"]["count"],
         )
@@ -124,11 +122,7 @@ def opened(index, findings):
     return index
 
 
-def open_index(
-    src: Union[str, os.PathLike, BinaryIO],
-    pool_pages: int = 16,
-    policy: Optional[ReplacementPolicy] = None,
-):
+def open_index(src: Union[str, os.PathLike, BinaryIO], pool_pages: int = 16):
     """Reopen a snapshot written by :func:`save_index` as a live index.
 
     The returned index is immediately queryable: no segment is
@@ -139,7 +133,7 @@ def open_index(
     when ``check`` reports a header-rule error.
     """
     with stream(src, "rb") as fh:
-        return opened(*load_index(fh, read_header(fh), pool_pages, policy))
+        return opened(*load_index(fh, read_header(fh), pool_pages))
 
 
 def empty_index_like(index, ctx: StorageContext):

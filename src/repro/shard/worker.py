@@ -32,7 +32,7 @@ import os
 import socket
 from typing import Any, Dict, Optional
 
-from repro.core import SERVABLE, STRUCTURES
+from repro.core import STRUCTURES
 from repro.core.interface import WORLD_SIZE
 from repro.geometry import Rect
 from repro.obs.metrics import MetricsRegistry
@@ -104,8 +104,10 @@ def init_shard_set(
     from repro.shard.manifest import DEFAULT_ORDER
 
     root = os.fspath(root)
-    if structure not in SERVABLE:
-        raise ValueError(f"shard sets serve one of {SERVABLE}, got {structure!r}")
+    if structure not in STRUCTURES:
+        raise ValueError(
+            f"shard sets serve one of {list(STRUCTURES)}, got {structure!r}"
+        )
     if os.path.exists(ShardMap.path(root)):
         raise FileExistsError(f"{root} already holds a shard map")
     if order is None:

@@ -7,8 +7,8 @@ package provides exactly that measurement apparatus:
 * :class:`~repro.storage.disk.DiskManager` -- a page-granular simulated
   disk (pages are Python payloads with byte-accounted layouts).
 * :class:`~repro.storage.buffer_pool.BufferPool` -- a fixed-capacity page
-  cache with pluggable replacement (LRU by default, as in the paper's
-  16-page least-recently-used pool), counting read misses and write-backs.
+  cache with least-recently-used replacement (the paper's 16-page LRU
+  pool), counting read misses and write-backs.
 * :class:`~repro.storage.counters.MetricsCounters` -- the three quantities
   the paper tabulates: disk accesses, segment comparisons, and bounding
   box / bounding bucket computations.
@@ -33,17 +33,13 @@ from repro.storage.layout import (
     SEGMENT_RECORD_BYTES,
     entries_per_page,
 )
-from repro.storage.policies import ClockPolicy, FIFOPolicy, LRUPolicy, ReplacementPolicy
 from repro.storage.segment_table import SegmentTable
 
 __all__ = [
     "BTREE_PAGE_HEADER_BYTES",
     "BufferPool",
-    "ClockPolicy",
     "CodecError",
     "DiskManager",
-    "FIFOPolicy",
-    "LRUPolicy",
     "Latch",
     "MetricsCounters",
     "MetricsSnapshot",
@@ -51,7 +47,6 @@ __all__ = [
     "PageNotAllocatedError",
     "RTREE_PAGE_HEADER_BYTES",
     "RTREE_TUPLE_BYTES",
-    "ReplacementPolicy",
     "SEGMENT_RECORD_BYTES",
     "SegmentTable",
     "StorageContext",

@@ -1,4 +1,4 @@
-"""Fixed-capacity page cache with pluggable replacement.
+"""Fixed-capacity page cache with least-recently-used replacement.
 
 All page traffic from the spatial indexes, the B-tree, and the segment
 table flows through a pool; a request for a non-resident page is the
@@ -7,12 +7,12 @@ paper's "disk access".
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
 from repro.storage.counters import MetricsCounters
 from repro.storage.disk import DiskManager
-from repro.storage.policies import LRUPolicy, ReplacementPolicy
 
 
 @dataclass
@@ -25,7 +25,10 @@ class BufferPool:
     """A pool of ``capacity`` page frames in front of a :class:`DiskManager`.
 
     The paper's configuration is 16 frames of 1 KiB pages with LRU
-    replacement; both knobs are swept in the Figure 6 reproduction.
+    replacement (Section 4); page size and pool size are swept in the
+    Figure 6 reproduction. The recency order is the order of the frame
+    table itself: a hit moves its frame to the end, an admit evicts from
+    the front.
     """
 
     def __init__(
@@ -33,15 +36,13 @@ class BufferPool:
         disk: DiskManager,
         capacity: int = 16,
         counters: Optional[MetricsCounters] = None,
-        policy: Optional[ReplacementPolicy] = None,
     ) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.disk = disk
         self.capacity = capacity
         self.counters = counters if counters is not None else MetricsCounters()
-        self._policy = policy if policy is not None else LRUPolicy()
-        self._frames: Dict[int, _Frame] = {}
+        self._frames: "OrderedDict[int, _Frame]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Core protocol
@@ -51,7 +52,7 @@ class BufferPool:
         frame = self._frames.get(page_id)
         if frame is not None:
             self.counters.buffer_hits += 1
-            self._policy.record_access(page_id)
+            self._frames.move_to_end(page_id)
             return frame.payload
 
         self.counters.disk_reads += 1
@@ -66,21 +67,21 @@ class BufferPool:
         :meth:`get` ``count`` times in a row, the payloads discarded:
         the first access takes the hit/miss decision, the remaining
         ``count - 1`` are buffer hits on the now-resident page, and the
-        policy sees one net access position (LRU is idempotent under
-        repeated touches). One call amortizes the per-access overhead
-        when a vectorized reader has already planned a whole query's
-        page traffic.
+        recency order sees one net access position (LRU is idempotent
+        under repeated touches). One call amortizes the per-access
+        overhead when a vectorized reader has already planned a whole
+        query's page traffic.
         """
         counters = self.counters
         frames = self._frames
-        record = self._policy.record_access
+        touch = frames.move_to_end
         read = self.disk.read
         for page_id, count in runs:
             if count <= 0:
                 raise ValueError(f"count must be positive, got {count}")
             if page_id in frames:
                 counters.buffer_hits += count
-                record(page_id)
+                touch(page_id)
             else:
                 counters.disk_reads += 1
                 counters.buffer_hits += count - 1
@@ -107,7 +108,6 @@ class BufferPool:
     def drop(self, page_id: int) -> None:
         """Discard a page from the pool without write-back (page freed)."""
         self._frames.pop(page_id, None)
-        self._policy.remove(page_id)
 
     def flush(self) -> None:
         """Write back every dirty page; residency is unchanged."""
@@ -121,8 +121,6 @@ class BufferPool:
         """Flush, then empty the pool (used to cold-start a measurement)."""
         self.flush()
         self._frames.clear()
-        while len(self._policy):
-            self._policy.evict()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -150,10 +148,8 @@ class BufferPool:
     # ------------------------------------------------------------------
     def _admit(self, page_id: int, payload: Any, dirty: bool) -> None:
         while len(self._frames) >= self.capacity:
-            victim = self._policy.evict()
-            victim_frame = self._frames.pop(victim)
+            victim, victim_frame = self._frames.popitem(last=False)
             if victim_frame.dirty:
                 self.disk.write(victim, victim_frame.payload)
                 self.counters.disk_writes += 1
         self._frames[page_id] = _Frame(payload, dirty)
-        self._policy.record_access(page_id)

@@ -15,7 +15,6 @@ from repro.geometry.segment import Segment
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.counters import MetricsCounters
 from repro.storage.disk import DiskManager
-from repro.storage.policies import ReplacementPolicy
 from repro.storage.segment_table import SegmentTable
 
 
@@ -34,16 +33,11 @@ class StorageContext:
     profile: Optional[Any] = field(default=None, init=False)
 
     @classmethod
-    def create(
-        cls,
-        page_size: int = 1024,
-        pool_pages: int = 16,
-        policy: Optional[ReplacementPolicy] = None,
-    ) -> "StorageContext":
+    def create(cls, page_size: int = 1024, pool_pages: int = 16) -> "StorageContext":
         """Build a fresh stack with the paper's defaults (1 KiB x 16, LRU)."""
         disk = DiskManager(page_size=page_size)
         counters = MetricsCounters()
-        pool = BufferPool(disk, capacity=pool_pages, counters=counters, policy=policy)
+        pool = BufferPool(disk, capacity=pool_pages, counters=counters)
         table = SegmentTable(pool)
         return cls(disk=disk, counters=counters, pool=pool, segments=table)
 
@@ -52,7 +46,6 @@ class StorageContext:
         cls,
         disk: DiskManager,
         pool_pages: int = 16,
-        policy: Optional[ReplacementPolicy] = None,
         segment_page_ids: Optional[List[int]] = None,
         segment_count: int = 0,
     ) -> "StorageContext":
@@ -62,7 +55,7 @@ class StorageContext:
         to those pages instead of starting empty.
         """
         counters = MetricsCounters()
-        pool = BufferPool(disk, capacity=pool_pages, counters=counters, policy=policy)
+        pool = BufferPool(disk, capacity=pool_pages, counters=counters)
         if segment_page_ids is None:
             table = SegmentTable(pool)
         else:

@@ -81,7 +81,7 @@ def render_segments(
 
 
 def render_pmr_blocks(pmr, width: int = 64, height: int = 32) -> str:
-    """Map plus the PMR (or PM) quadtree's leaf-block boundaries."""
+    """Map plus the PMR quadtree's leaf-block boundaries."""
     segments = [
         pmr.ctx.segments.peek(i) for i in range(len(pmr.ctx.segments))
     ]

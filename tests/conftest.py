@@ -22,15 +22,11 @@ from repro.storage import StorageContext
 TEST_WORLD = 1024
 TEST_DEPTH = 10
 
-ALL_STRUCTURES = ["R*", "R", "R+", "kdB", "PMR", "PM1", "grid"]
+ALL_STRUCTURES = ["R*", "R", "R+", "PMR"]
 
 
 #: What sizes a structure for the small test world beside its extent.
-_TEST_KWARGS = {
-    "PMR": {"max_depth": TEST_DEPTH},
-    "PM1": {"max_depth": TEST_DEPTH},
-    "grid": {"granularity": 16},
-}
+_TEST_KWARGS = {"PMR": {"max_depth": TEST_DEPTH}}
 
 
 def make_index(kind: str, ctx: StorageContext):

@@ -17,7 +17,6 @@ import pytest
 
 from tests.conftest import ALL_STRUCTURES, build_index, lattice_map
 from repro.analysis import FSCK_RULES, check_index, check_snapshot, has_errors
-from repro.analysis.fsck_grid import GR01, GR02
 from repro.analysis.fsck_pmr import (
     PM01,
     PM02,
@@ -72,7 +71,7 @@ def findings_for(findings, rule):
 # ----------------------------------------------------------------------
 # Clean on fresh builds and fresh snapshots
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["R*", "R", "R+", "PMR", "PM1"])
+@pytest.mark.parametrize("kind", ALL_STRUCTURES)
 def test_fresh_build_has_zero_findings(kind):
     assert check_index(build(kind)) == []
 
@@ -396,14 +395,6 @@ def _page_nobody_owns(idx):
     return idx.ctx.disk.allocate(RTreeNode(is_leaf=True))
 
 
-def _segment_dropped_from_a_cell(idx):
-    del _btree_leaves(idx)[0][1].entries[0]
-
-
-def _miscounted_grid_segments(idx):
-    idx._seg_count += 1
-
-
 #: ``(rule, structure, damage)``: the damage function corrupts a freshly
 #: built index in one way and returns the page the rule must anchor its
 #: finding to (``None`` for a whole-structure rule).
@@ -419,7 +410,6 @@ CORRUPTIONS = [
     (RX08, "R+", _capacity_below_a_leaf),
     (PM02, "PMR", _block_below_max_depth),
     (PM03, "PMR", _bucket_over_the_bound),
-    (PM03, "PM1", _qedge_of_a_segment_elsewhere),
     (PM04, "PMR", _directory_overcounts),
     (PM05, "PMR", _btree_overcounts),
     (PM06, "PMR", _qedge_pointing_off_the_table),
@@ -429,8 +419,6 @@ CORRUPTIONS = [
     (FS01, "R*", _inventory_page_never_allocated),
     (FS02, "R*", _allocated_page_on_the_free_list),
     (FS06, "R*", _page_nobody_owns),
-    (GR01, "grid", _segment_dropped_from_a_cell),
-    (GR02, "grid", _miscounted_grid_segments),
 ]
 
 #: The rules whose corruption case is one of the single tests above.

@@ -1,4 +1,4 @@
-"""Cross-cutting configuration tests: page sizes, pool sizes, policies.
+"""Cross-cutting configuration tests: page sizes and pool sizes.
 
 The Figure 6 sweep varies page size (512 B - 4 KiB) and pool size (8-32
 pages); these tests pin that every structure stays *correct* under every
@@ -9,39 +9,18 @@ import random
 
 import pytest
 
-from repro.core import GuttmanRTree, KDBTree, PMRQuadtree, RPlusTree, RStarTree, UniformGrid
+from repro.core import PMRQuadtree, RStarTree
 from repro.core.queries import QuerySpec, execute_spec
 from repro.geometry import Point, Rect
 from repro.storage import StorageContext
-from repro.storage.policies import ClockPolicy, FIFOPolicy
 
 from tests.conftest import (
-    TEST_DEPTH,
-    TEST_WORLD,
+    make_index,
     oracle_at_point,
     oracle_in_window,
     oracle_nearest_dist2,
     random_planar_segments,
 )
-
-WORLD = Rect(0, 0, TEST_WORLD, TEST_WORLD)
-
-
-def _make(kind, ctx):
-    if kind == "R*":
-        return RStarTree(ctx)
-    if kind == "R":
-        return GuttmanRTree(ctx)
-    if kind == "R+":
-        return RPlusTree(ctx, world=WORLD)
-    if kind == "kdB":
-        return KDBTree(ctx, world=WORLD)
-    if kind == "PMR":
-        return PMRQuadtree(ctx, max_depth=TEST_DEPTH, world_size=TEST_WORLD)
-    if kind == "grid":
-        return UniformGrid(ctx, granularity=16, world_size=TEST_WORLD)
-    raise KeyError(kind)
-
 
 @pytest.mark.parametrize("page_size", [512, 1024, 2048, 4096])
 @pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
@@ -49,7 +28,7 @@ def test_correct_under_every_page_size(kind, page_size):
     rng = random.Random(page_size)
     segs = random_planar_segments(rng)
     ctx = StorageContext.create(page_size=page_size, pool_pages=16)
-    idx = _make(kind, ctx)
+    idx = make_index(kind, ctx)
     for sid in ctx.load_segments(segs):
         idx.insert(sid)
     idx.check_invariants()
@@ -76,20 +55,6 @@ def test_correct_under_tiny_and_big_pools(pool_pages):
     idx.check_invariants()
     w = Rect(100, 100, 800, 800)
     assert set(execute_spec(idx, QuerySpec.window(w))) == set(oracle_in_window(segs, w))
-
-
-@pytest.mark.parametrize("policy_cls", [FIFOPolicy, ClockPolicy])
-@pytest.mark.parametrize("kind", ["R+", "PMR"])
-def test_correct_under_alternate_replacement_policies(kind, policy_cls):
-    rng = random.Random(99)
-    segs = random_planar_segments(rng)
-    ctx = StorageContext.create(policy=policy_cls())
-    idx = _make(kind, ctx)
-    for sid in ctx.load_segments(segs):
-        idx.insert(sid)
-    idx.check_invariants()
-    p = segs[0].end
-    assert set(execute_spec(idx, QuerySpec.point(p))) == set(oracle_at_point(segs, p))
 
 
 def test_smaller_pages_mean_more_pages():

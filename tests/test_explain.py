@@ -17,7 +17,13 @@ import sys
 import pytest
 
 from repro.analysis import check_index
-from repro.core import GuttmanRTree, RPlusTree, treesearch
+from repro.core import (
+    GuttmanRTree,
+    PMRQuadtree,
+    RPlusTree,
+    RStarTree,
+    treesearch,
+)
 from repro.core.queries import QuerySpec
 from repro.core.queries.spec import execute_spec
 from repro.geometry import Point, Rect
@@ -29,6 +35,7 @@ from repro.obs import (
     merge_attributed,
 )
 from repro.service import Command, QueryEngine, parse_request
+from repro.storage import StorageContext
 from repro.storage.counters import MetricsCounters
 
 from tests.conftest import build_index, lattice_map
@@ -94,6 +101,52 @@ GOLDEN_COUNTS = {
         "results": 18,
         "segment_fetches": 18,
     },
+}
+
+
+class UnbracketedSearch:
+    """A structure whose candidate search opens no EXPLAIN window: the
+    stock loops run with the context's profile hidden, as a forgotten
+    bracket would leave them."""
+
+    def _unbracketed(self, search, *args):
+        ctx = self.ctx
+        profile, ctx.profile = ctx.profile, None
+        try:
+            return search(*args)
+        finally:
+            ctx.profile = profile
+
+    def candidate_ids_at_point(self, p):
+        return self._unbracketed(super().candidate_ids_at_point, p)
+
+    def candidate_ids_in_rect(self, r):
+        return self._unbracketed(super().candidate_ids_in_rect, r)
+
+    def nn_expand(self, ref, p):
+        return self._unbracketed(super().nn_expand, ref, p)
+
+
+class UnbracketedRStarTree(UnbracketedSearch, RStarTree):
+    pass
+
+
+class UnbracketedRPlusTree(UnbracketedSearch, RPlusTree):
+    pass
+
+
+class UnbracketedPMRQuadtree(UnbracketedSearch, PMRQuadtree):
+    pass
+
+
+#: Subjects of the unattributed self-check. The k-d-B tree and the uniform
+#: grid, which searched in loops of their own with no window, are gone;
+#: their cases keep their ids and hide the window over the pages each
+#: shared -- the k-d-B tree the R+-tree's, the grid the PMR's B-tree.
+UNBRACKETED = {
+    "R*": UnbracketedRStarTree,
+    "kdB": UnbracketedRPlusTree,
+    "grid": UnbracketedPMRQuadtree,
 }
 
 
@@ -176,11 +229,15 @@ class TestExactness:
                     ctx.profile = None
                 assert got == want, case
 
-    @pytest.mark.parametrize("kind", ["kdB", "grid"])
+    @pytest.mark.parametrize("kind", list(UNBRACKETED))
     def test_unbracketed_work_surfaces_as_unattributed(self, kind):
         """The self-check: a structure whose traversal opens no window
         still moves the counters, and the report says by how much."""
-        engine = make_engine(kind)
+        ctx = StorageContext.create()
+        index = UNBRACKETED[kind](ctx)
+        for seg_id in ctx.load_segments(lattice_map(n=8)):
+            index.insert(seg_id)
+        engine = QueryEngine(index, registry=MetricsRegistry())
         for req in (
             point(100, 100),
             window(0, 0, 350, 350),

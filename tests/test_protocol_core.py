@@ -567,7 +567,7 @@ class TestOnePolicyOnePlace:
         """The structure owns its kind, parameters, navigational state
         and page inventory; the fsck is the only invariant checker."""
         from repro.__main__ import build_parser
-        from repro.core import SERVABLE, STRUCTURES
+        from repro.core import STRUCTURES
 
         src = [(path, line) for path, line in self._lines("src") if path.endswith(".py")]
         package = os.path.join("src", "repro", "")
@@ -580,7 +580,7 @@ class TestOnePolicyOnePlace:
                         assert asserts == [], path
         # One declaration: nothing outside the owning packages reads
         # underscored state of an index, a B-tree, a table or the disk...
-        owning = re.compile(r"core/(rtree|rplus|pmr|kdb|grid)|btree/|storage/")
+        owning = re.compile(r"core/(rtree|rplus|pmr)|btree/|storage/")
         reach_in = re.compile(r"(index|btree|table|disk)\._[a-z]")
         reaching = [
             (path, line)
@@ -606,10 +606,12 @@ class TestOnePolicyOnePlace:
             (path, line) for path, line in src if path in declared_to and guessing.search(line)
         ] == []
         # ... or keeps a second name -> class table, a second node class,
-        # a second checker's helper, or the blind page overwrite.
+        # a second checker's helper, the blind page overwrite, a list of
+        # the servable rows, or a pluggable replacement policy.
         gone = re.compile(
             r"class RPlusNode|_KINDS|_discard_bootstrap|SHARD_STRUCTURES"
             r"|def _make_index|def _leaf_refs|def _inventories|def put\("
+            r"|SERVABLE|_no_snapshot|ReplacementPolicy"
         )
         layers = re.compile(r"(core|service|shard|analysis|storage)/")
         assert [
@@ -617,15 +619,17 @@ class TestOnePolicyOnePlace:
             for path, line in src
             if layers.match(path[len(package):]) and gone.search(line)
         ] == []
-        # What can be served is what the one table's classes declare.
-        assert [STRUCTURES[name].name for name in SERVABLE] == ["R*", "R+", "PMR", "R"]
+        # The one table holds what the paper compares, plus the R*-tree's
+        # base class; every row can be served.
+        assert list(STRUCTURES) == ["R*", "R+", "PMR", "R"]
+        assert [cls.name for cls in STRUCTURES.values()] == list(STRUCTURES)
         choices = [
             sub._option_string_actions["--structure"].choices
             for action in build_parser()._subparsers._group_actions
             for sub in action.choices.values()
             if "--structure" in sub._option_string_actions
         ]
-        assert choices and all(c == list(SERVABLE) for c in choices)
+        assert choices and all(c == list(STRUCTURES) for c in choices)
 
     def test_on_disk_state_is_read_once_and_judged_once(self, tmp_path, monkeypatch):
         """One reader per persisted artefact, and the fsck rules are the

@@ -6,7 +6,7 @@ extent. The rule -- fewest extents cut, ties by evenness, candidates
 visited in the same ``set`` order -- is the same, so twin trees built
 over the same map must hold the same pages with the same regions and
 entries, and the build must move every ``MetricsCounters`` field
-identically. ``KDBTree`` inherits the search, so it is checked too.
+identically.
 """
 
 import random
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import STRUCTURES, KDBTree, RPlusTree
+from repro.core import STRUCTURES, RPlusTree
 from repro.data.counties import generate_county
 from repro.geometry import Rect
 from repro.harness.experiment import build_structure
@@ -76,15 +76,6 @@ class ParentScanRPlus(RPlusTree):
     _choose_split_line = parent_scan
 
 
-class ParentScanKDB(KDBTree):
-    """``KDBTree`` with the parent commit's O(n) rescan per candidate."""
-
-    _choose_split_line = parent_scan
-
-
-PARENTS = {"R+": ParentScanRPlus, "kdB": ParentScanKDB}
-
-
 def pages(index):
     """Every page of the tree: leafness and entries -- the child regions
     of an internal node, the segment MBRs of a leaf -- by page id."""
@@ -102,14 +93,14 @@ def county_maps():
 
 @pytest.mark.parametrize("page_size", [512, 1024, 2048])
 @pytest.mark.parametrize("county", ["cecil", "baltimore"])
-@pytest.mark.parametrize("kind", ["R+", "kdB"])
+@pytest.mark.parametrize("kind", ["R+"])
 def test_same_tree_same_build_counters(
     county_maps, monkeypatch, kind, county, page_size
 ):
     new = build_structure(kind, county_maps[county], page_size=page_size)
-    monkeypatch.setitem(STRUCTURES, kind, PARENTS[kind])
+    monkeypatch.setitem(STRUCTURES, kind, ParentScanRPlus)
     old = build_structure(kind, county_maps[county], page_size=page_size)
-    assert type(old.index) is PARENTS[kind]
+    assert type(old.index) is ParentScanRPlus
 
     assert new.build_metrics == old.build_metrics
     assert new.index.root_id == old.index.root_id

@@ -1,4 +1,4 @@
-"""Tests for the disk manager, buffer pool, and replacement policies."""
+"""Tests for the disk manager, the buffer pool and its LRU replacement."""
 
 import pytest
 from hypothesis import given
@@ -6,10 +6,7 @@ from hypothesis import strategies as st
 
 from repro.storage import (
     BufferPool,
-    ClockPolicy,
     DiskManager,
-    FIFOPolicy,
-    LRUPolicy,
     MetricsCounters,
     PageNotAllocatedError,
 )
@@ -168,60 +165,17 @@ class TestBufferPoolBasics:
 
 
 class TestPolicies:
-    def test_lru_evicts_least_recent(self):
-        p = LRUPolicy()
-        for pid in (1, 2, 3):
-            p.record_access(pid)
-        p.record_access(1)
-        assert p.evict() == 2
-
-    def test_fifo_ignores_reaccess(self):
-        p = FIFOPolicy()
-        for pid in (1, 2, 3):
-            p.record_access(pid)
-        p.record_access(1)
-        assert p.evict() == 1
-
-    def test_clock_gives_second_chance(self):
-        p = ClockPolicy()
-        for pid in (1, 2, 3):
-            p.record_access(pid)
-        p.record_access(1)  # sets referenced bit on 1
-        assert p.evict() == 2  # 1 gets a second chance
-
-    def test_evict_empty_raises(self):
-        for p in (LRUPolicy(), FIFOPolicy(), ClockPolicy()):
-            with pytest.raises(LookupError):
-                p.evict()
-
-    def test_remove_absent_is_noop(self):
-        for p in (LRUPolicy(), FIFOPolicy(), ClockPolicy()):
-            p.record_access(1)
-            p.remove(99)
-            assert len(p) == 1
-
-    def test_contains_and_len(self):
-        for p in (LRUPolicy(), FIFOPolicy(), ClockPolicy()):
-            p.record_access(5)
-            assert 5 in p
-            assert 6 not in p
-            assert len(p) == 1
-            p.remove(5)
-            assert 5 not in p
-            assert len(p) == 0
-
     @given(
         st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=200),
         st.integers(min_value=1, max_value=4),
     )
     def test_policies_never_exceed_capacity_in_pool(self, accesses, capacity):
-        for policy in (LRUPolicy(), FIFOPolicy(), ClockPolicy()):
-            disk = DiskManager()
-            pids = [disk.allocate(i) for i in range(10)]
-            pool = BufferPool(disk, capacity=capacity, policy=policy)
-            for a in accesses:
-                assert pool.get(pids[a]) == a
-                assert len(pool) <= capacity
+        disk = DiskManager()
+        pids = [disk.allocate(i) for i in range(10)]
+        pool = BufferPool(disk, capacity=capacity)
+        for a in accesses:
+            assert pool.get(pids[a]) == a
+            assert len(pool) <= capacity
 
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=200))
     def test_lru_pool_matches_reference_simulation(self, accesses):
