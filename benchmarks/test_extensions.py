@@ -1,23 +1,17 @@
-"""Ablations over the extension structures.
+"""Ablation over the extension structures.
 
-* **STR bulk loading** (production extension): packing beats dynamic
-  insertion on build disk accesses and page count while answering
-  queries identically.
-* **Hilbert vs Morton locational codes** (linear-quadtree layout): both
-  are correct; Hilbert clusters window scans into at most as many
-  B-tree runs on average.
+**STR bulk loading** (production extension): packing beats dynamic
+insertion on build disk accesses and page count while answering queries
+identically.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
 from repro.core.queries import QuerySpec, execute_spec
 from repro.core.rtree import RStarTree, bulk_load_str
 from repro.data.query_points import random_windows
-from repro.harness import build_structure
 from repro.storage import StorageContext
 
 from benchmarks.conftest import N_QUERIES, write_result
@@ -64,40 +58,3 @@ def test_str_bulk_loading(benchmark, county_maps):
     assert out["packed"]["pages"] < out["dynamic"]["pages"]
     assert out["packed"]["build_reads"] <= out["dynamic"]["build_reads"]
     assert out["packed"]["occupancy"] > out["dynamic"]["occupancy"]
-
-
-def test_hilbert_vs_morton_curve(benchmark, county_maps):
-    baltimore = county_maps["baltimore"]
-
-    def run():
-        out = {}
-        rng = random.Random(57)
-        windows = random_windows(N_QUERIES, rng, area_fraction=0.001)
-        for curve in ("morton", "hilbert"):
-            built = build_structure("PMR", baltimore, curve=curve)
-            built.ctx.pool.clear()
-            before = built.ctx.counters.snapshot()
-            results = sum(
-                len(execute_spec(built.index, QuerySpec.window(w))) for w in windows
-            )
-            delta = built.ctx.counters.since(before)
-            out[curve] = {
-                "window_disk": delta.disk_reads / len(windows),
-                "window_bbox": delta.bbox_comps / len(windows),
-                "results": results,
-                "pages": built.index.page_count(),
-            }
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        "extension_hilbert.txt", "\n".join(f"{k}: {v}" for k, v in out.items())
-    )
-    assert out["hilbert"]["results"] == out["morton"]["results"]
-    # Same buckets are examined either way; the curve only affects layout.
-    assert out["hilbert"]["window_bbox"] == pytest.approx(
-        out["morton"]["window_bbox"]
-    )
-    # Hilbert clustering should not cost more disk than Morton (allowing
-    # a little noise at reduced scale).
-    assert out["hilbert"]["window_disk"] <= out["morton"]["window_disk"] * 1.15

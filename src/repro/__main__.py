@@ -1,7 +1,8 @@
 """Command-line driver: ``python -m repro <command> [options]``.
 
-``python -m repro --help`` lists the commands -- the paper's tables and
-figures, the snapshot/durable-store/shard-set tools, the three servers
+``python -m repro --help`` lists the commands -- ``report`` (every table
+and figure of the paper) and ``generate`` (one synthetic map), the
+snapshot/durable-store/shard-set tools, the three servers
 (``serve``, ``shard-worker``, ``route``), the clients of a running
 server (``stats``, ``profile``, ``explain --port``) and the checkers
 (``check``, ``lint``, ``bench``) -- and ``python -m repro <command>
@@ -595,54 +596,6 @@ def _cmd_lint(args) -> int:
     return 1 if findings else 0
 
 
-def _cmd_table1(args) -> int:
-    # Imports deferred, here as everywhere, so `--help` stays instant.
-    from repro.harness import format_table1, table1
-
-    print(format_table1(table1(scale=args.scale)))
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    from repro.harness import format_table2
-    from repro.harness.query_stats import county_query_stats
-
-    stats = county_query_stats(args.county, scale=args.scale, n_queries=args.queries)
-    print(format_table2(stats, county=args.county))
-    return 0
-
-
-def _cmd_figure6(args) -> int:
-    from repro.harness import figure6_sweep, format_figure6
-
-    print(format_figure6(figure6_sweep(county=args.county, scale=args.scale)))
-    return 0
-
-
-def _cmd_figure789(args) -> int:
-    from repro.harness import format_normalized, normalized_ranges
-    from repro.harness.normalized import collect_all_counties
-    from repro.metric_names import BBOX_COMPS, DISK_ACCESSES, SEGMENT_COMPS
-
-    metric, title, structures, baseline = {
-        "figure7": (BBOX_COMPS, "bounding box computations", ("R+",), "R*"),
-        "figure8": (DISK_ACCESSES, "disk accesses", ("R+", "R*"), "PMR"),
-        "figure9": (SEGMENT_COMPS, "segment comparisons", ("R+", "R*"), "PMR"),
-    }[args.command]
-    per_county = collect_all_counties(scale=args.scale, n_queries=args.queries)
-    ranges = normalized_ranges(per_county, metric, structures, baseline)
-    title = f"Figure {args.command[-1]}: relative {title}"
-    print(format_normalized(ranges, title, baseline=baseline))
-    return 0
-
-
-def _cmd_occupancy(args) -> int:
-    from repro.harness import format_occupancy, occupancy_report
-
-    print(format_occupancy(occupancy_report(county=args.county, scale=args.scale)))
-    return 0
-
-
 def _cmd_generate(args) -> int:
     from repro.data import generate_county
     from repro.data.stats import map_statistics
@@ -759,12 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
         "connection; adds the pipelined wire protocol v2",
     )
 
-    command("table1", _cmd_table1, [scale], help="build statistics")
-    command("table2", _cmd_table2, [scale, queries, county], help="per-query metrics")
-    command("figure6", _cmd_figure6, [scale, county], help="page/buffer sweep")
-    for name in ("figure7", "figure8", "figure9"):
-        command(name, _cmd_figure789, [scale, queries], help="normalized ranges")
-    command("occupancy", _cmd_occupancy, [scale, county], help="Concluding Remarks")
     command("generate", _cmd_generate, [scale, county], help="inspect a synthetic map")
     p = command("report", _cmd_report, [scale, queries], help="every table and figure")
     p.add_argument("--out", help="write markdown here")

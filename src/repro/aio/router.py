@@ -30,10 +30,9 @@ class AsyncShardRouter(AsyncMapServer):
         host: str = "127.0.0.1",
         port: int = 0,
         timeout: float = 5.0,
-        **kwargs: Any,
     ) -> None:
         self.core = RouterCore(root, timeout=timeout)
-        super().__init__(self.core, host=host, port=port, **kwargs)
+        super().__init__(self.core, host=host, port=port)
 
     async def shutdown(self) -> None:
         await super().shutdown()

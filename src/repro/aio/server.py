@@ -22,7 +22,7 @@ read no parallelism; it only costs two cross-core wake-ups per request
   ``batch``, ``checkpoint``, ``check``, ``stats``, ``profile``, big
   windows, every request of a router target (blocking scatter), and any
   read that arrives while a worker is busy -- runs on the bounded
-  **executor** (``executor_workers`` threads);
+  **executor** (:data:`EXECUTOR_WORKERS` threads);
 * WAL fsyncs have their own single thread.
 
 What the loop thread may never do: wait on a lock a worker can hold,
@@ -47,8 +47,8 @@ Per connection:
   *is* the correlation; a v2 frame completed while a v1 slot -- the
   upgrade ack -- is still open queues behind it).
 
-Admission control: past ``max_inflight_per_conn`` (or the global
-``max_inflight_total`` high-water mark) a request is answered
+Admission control: past :data:`MAX_INFLIGHT_PER_CONN` (or the global
+:data:`MAX_INFLIGHT_TOTAL` high-water mark) a request is answered
 immediately with a structured ``server_overloaded`` error -- it never
 queues, so a saturated server stays responsive and its queues bounded.
 
@@ -91,6 +91,13 @@ from repro.aio.frames import (
 from repro.service.api import PROTOCOL_VERSION
 from repro.service.protocol import Protocol, Request
 from repro.service.server import _COMPACT, DEFAULT_IDLE_TIMEOUT, MAX_LINE_BYTES
+
+#: Admitted requests one connection may have in flight, and all of them
+#: together; past either the request is answered ``server_overloaded``.
+MAX_INFLIGHT_PER_CONN = 64
+MAX_INFLIGHT_TOTAL = 1024
+#: Threads of the executor that runs long and blocking requests.
+EXECUTOR_WORKERS = 4
 
 
 class _WireReader:
@@ -212,9 +219,10 @@ class AsyncMapServer:
     router (see :mod:`repro.service.protocol`). Use
     :meth:`start_background` from synchronous code (tests, benches) or
     ``await`` :meth:`start` / :meth:`serve_forever` from an event loop
-    (the CLI). ``executor_workers`` is the number of threads for long
-    and blocking requests; short reads run on the loop thread (see the
-    module docstring).
+    (the CLI). :data:`EXECUTOR_WORKERS` threads run long and blocking
+    requests; short reads run on the loop thread (see the module
+    docstring). The size caps and in-flight limits are this module's
+    constants, read when a server starts or a connection opens.
     """
 
     def __init__(
@@ -224,21 +232,11 @@ class AsyncMapServer:
         port: int = 0,
         *,
         idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
-        max_line_bytes: int = MAX_LINE_BYTES,
-        max_frame_bytes: int = MAX_FRAME_BYTES,
-        max_inflight_per_conn: int = 64,
-        max_inflight_total: int = 1024,
-        executor_workers: int = 4,
     ) -> None:
         self.protocol = Protocol(target, (PROTOCOL_VERSION, PROTOCOL_VERSION_2))
         self.host = host
         self.port = port
         self.idle_timeout = idle_timeout
-        self.max_line_bytes = max_line_bytes
-        self.max_frame_bytes = max_frame_bytes
-        self.max_inflight_per_conn = max_inflight_per_conn
-        self.max_inflight_total = max_inflight_total
-        self.executor_workers = executor_workers
         self.registry = target.registry
         self.committer: Optional[GroupCommitter] = None
         self.address: Tuple[str, int] = (host, port)
@@ -254,7 +252,6 @@ class AsyncMapServer:
         #: Bounded (fairness: the executor's own queue is FIFO across
         #: connections), and zero is what lets a short read run inline.
         self._in_executor = 0
-        self._executor_handoffs = max(2, executor_workers * 2)
         self._loop_hold_max = 0.0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -293,8 +290,9 @@ class AsyncMapServer:
         """Bind the listening socket and start the scheduler."""
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
-            max_workers=self.executor_workers, thread_name_prefix="aio-engine"
+            max_workers=EXECUTOR_WORKERS, thread_name_prefix="aio-engine"
         )
+        self._executor_handoffs = max(2, EXECUTOR_WORKERS * 2)
         store = getattr(self.protocol.target, "store", None)
         if store is not None:
             # Fsyncs get their own single thread so a burst of engine
@@ -389,7 +387,7 @@ class AsyncMapServer:
         conn_id = next(self._conn_ids)
         conn = _Conn(
             conn_id,
-            _WireReader(reader, self.max_line_bytes, self.max_frame_bytes),
+            _WireReader(reader, MAX_LINE_BYTES, MAX_FRAME_BYTES),
             writer,
             self.protocol.session(f"aconn-{conn_id}"),
             task,
@@ -456,7 +454,7 @@ class AsyncMapServer:
             wire = conn.mode  # the framing this request is answered in
             if kind == "oversized":
                 self._c_oversized.inc()
-                limit = self.max_line_bytes if wire == 1 else self.max_frame_bytes
+                limit = conn.wire.max_line if wire == 1 else conn.wire.max_frame
                 request_id = value if value is not None else 0
                 self._respond(
                     conn, self.protocol.oversized(limit), wire, request_id
@@ -490,8 +488,8 @@ class AsyncMapServer:
     def _admit(self, conn: _Conn, req: _Req) -> None:
         self._c_requests[req.wire].inc()
         if (
-            conn.inflight >= self.max_inflight_per_conn
-            or self._inflight_total >= self.max_inflight_total
+            conn.inflight >= MAX_INFLIGHT_PER_CONN
+            or self._inflight_total >= MAX_INFLIGHT_TOTAL
         ):
             self._c_overloaded.inc()
             envelope = self.protocol.failed(
@@ -499,8 +497,8 @@ class AsyncMapServer:
                 ServerOverloadedError(
                     f"server overloaded: connection has {conn.inflight} "
                     f"requests in flight "
-                    f"(limits: {self.max_inflight_per_conn}/connection, "
-                    f"{self.max_inflight_total} total); retry later"
+                    f"(limits: {MAX_INFLIGHT_PER_CONN}/connection, "
+                    f"{MAX_INFLIGHT_TOTAL} total); retry later"
                 ),
             )
             self._respond(conn, envelope, req.wire, req.request_id)

@@ -10,7 +10,7 @@ Two pillars, both producing structured
   plus the storage bookkeeping (inventories, free list, segment table)
   without executing queries or moving a counter.
 * :mod:`repro.analysis.lint` -- an AST pass enforcing the measurement
-  discipline of this codebase (RP01..RP05; see the module docstring
+  discipline of this codebase (RP01, RP03..RP05; see the module docstring
   for the rules and the suppression syntax).
 * :mod:`repro.analysis.concurrency` -- a whole-program lock-discipline
   pass (CC01..CC05): lock-order inversions, blocking calls under a

@@ -25,8 +25,8 @@ the project call graph, and reports:
   ``__init__`` is exempt (construction precedes sharing).
 * **CC04** -- a lock used outside a ``with`` block: bare ``.acquire()``
   calls, and bare ``.release()`` calls outside a ``finally``, leak the
-  lock on any exception between them (the generalization of RP02 from
-  ``Latch`` to every lock-like object).
+  lock on any exception between them. Every lock-like receiver counts,
+  the storage :class:`~repro.storage.latch.Latch` included.
 * **CC05** -- an unowned thread: ``threading.Thread(...)`` started with
   neither ``daemon=True`` nor any ``.join()`` in the creating function
   or class. Such a thread can outlive shutdown and keep the process (or
@@ -51,9 +51,9 @@ stored callables. The runtime sanitizer (:mod:`repro.sanitize`) is the
 complement that sees exactly what executes.
 
 The lock primitives themselves (``repro/storage/latch.py``,
-``repro/sanitize.py``) are exempt, as the latch module already is for
-RP02: they *implement* acquire/release and mutate their own bookkeeping
-under manually-managed locks by construction.
+``repro/sanitize.py``) are exempt: they *implement* acquire/release and
+mutate their own bookkeeping under manually-managed locks by
+construction.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ _BLOCKING_CALLS = frozenset(
 #: at most this many project classes define ``m``.
 _MAX_METHOD_CANDIDATES = 2
 
-#: Files that implement the lock primitives (exempt, like RP02's latch
-#: exemption): they necessarily acquire/release manually.
+#: Files that implement the lock primitives (exempt): they necessarily
+#: acquire/release manually.
 _EXEMPT_SUFFIXES = ("repro/storage/latch.py", "repro/sanitize.py")
 
 

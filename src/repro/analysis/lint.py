@@ -12,9 +12,6 @@ invariant of this repository:
   ``disk._pages`` access outside ``repro.storage``. Page traffic on
   measured paths must flow through the :class:`BufferPool`; the
   sanctioned uncounted bypass is ``disk.peek`` (instrumentation only).
-* **RP02** -- a :class:`~repro.storage.latch.Latch` must be held via
-  ``with``; bare ``latch.acquire()``/``latch.release()`` pairs leak the
-  latch on any exception between them.
 * **RP03** -- :class:`MetricsCounters` fields may only be mutated by
   their owning layer: the I/O fields (``disk_reads``, ``disk_writes``,
   ``buffer_hits``) in ``repro.storage``, the comparison fields
@@ -50,7 +47,6 @@ from repro.metric_names import COMP_FIELDS, COUNTER_FIELDS, DISK_ACCESSES, IO_FI
 
 RP00 = LINT_RULES.register("RP00", "lint disable pragma without a justification")
 RP01 = LINT_RULES.register("RP01", "DiskManager access bypasses the buffer pool")
-RP02 = LINT_RULES.register("RP02", "Latch acquired/released outside a with block")
 RP03 = LINT_RULES.register("RP03", "MetricsCounters field mutated outside its layer")
 RP04 = LINT_RULES.register("RP04", "bare except / except Exception: pass")
 RP05 = LINT_RULES.register("RP05", "float literal in a grid-coordinate position")
@@ -63,7 +59,6 @@ _GRID_CALLS = frozenset(
     {
         "PMRBlock",
         "locational_code",
-        "hilbert_code",
         "hilbert_index",
         "interleave",
         "deinterleave",
@@ -107,7 +102,6 @@ class _Scope:
         p = _norm(path)
         self.in_storage = "/repro/storage/" in p or p.endswith("repro/storage")
         self.in_core = "/repro/core/" in p
-        self.is_latch_module = p.endswith("repro/storage/latch.py")
         self.is_metric_names = p.endswith("repro/metric_names.py")
 
 
@@ -121,15 +115,14 @@ class _Visitor(ast.NodeVisitor):
     def _flag(self, rule: str, node: ast.AST, detail: str) -> None:
         self.raw.append((rule, getattr(node, "lineno", 0), detail))
 
-    # -- RP01 / RP02: method-call rules --------------------------------
+    # -- RP01: page traffic outside the buffer pool --------------------
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
-            target = _chain_tail(func.value)
             if (
                 not self.scope.in_storage
                 and func.attr in ("read", "write")
-                and target == "disk"
+                and _chain_tail(func.value) == "disk"
             ):
                 self._flag(
                     RP01,
@@ -137,17 +130,6 @@ class _Visitor(ast.NodeVisitor):
                     f"`{_dotted(func)}(...)` bypasses the buffer pool; route "
                     f"page traffic through pool.get/put or use disk.peek for "
                     f"uncounted instrumentation",
-                )
-            if (
-                not self.scope.is_latch_module
-                and func.attr in ("acquire", "release")
-                and "latch" in target
-            ):
-                self._flag(
-                    RP02,
-                    node,
-                    f"`{_dotted(func)}()` -- hold the latch with a `with` "
-                    f"block so it cannot leak on an exception",
                 )
         self.generic_visit(node)
 

@@ -135,10 +135,19 @@ class SpatialIndex(ABC):
         and :meth:`state` returned. With ``state`` (the manifest; keys it
         does not own are ignored) it is bound to the pages already on
         ``ctx.disk`` -- nothing allocated, nothing written; without, it
-        is the empty twin."""
+        is the empty twin. ``params`` must carry exactly the keys
+        :meth:`params` declares: a key this build does not read would be
+        silently dropped, so it is refused (``ValueError``) instead."""
         index = cls.__new__(cls)
         index.ctx = ctx
         index._open(params, state)
+        declared = index.params()
+        if params.keys() != declared.keys():
+            odd = sorted(params.keys() ^ declared.keys())
+            raise ValueError(
+                f"{cls.name} params {', '.join(map(repr, odd))} differ from the "
+                f"declared {sorted(declared)}: write the snapshot again with this build"
+            )
         return index
 
     @abstractmethod

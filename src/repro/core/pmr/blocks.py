@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional
 
-from repro.core.pmr.locational import locational_code
 from repro.geometry import Rect, Segment
 from repro.geometry.clipping import segment_intersects_box
 
@@ -24,7 +23,7 @@ class PMRBlock:
     ``count`` is the number of q-edge entries stored under this block's
     locational code in the B-tree; it is meaningful only for leaves.
     Children are ordered SW, SE, NW, NE (Morton order). ``lcode`` is the
-    block's locational code on its tree's curve, remembered by
+    block's Morton locational code, remembered by
     :meth:`PMRQuadtree.code_of` on first use: navigational state, never
     serialised.
     """
@@ -42,9 +41,6 @@ class PMRBlock:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
-
-    def code(self, max_depth: int) -> int:
-        return locational_code(self.bx, self.by, self.depth, max_depth)
 
     def rect(self, world_size: int) -> Rect:
         size = world_size >> self.depth

@@ -117,16 +117,3 @@ def hilbert_point(order: int, d: int) -> Tuple[int, int]:
         t //= 4
         s *= 2
     return x, y
-
-
-def hilbert_code(bx: int, by: int, depth: int, max_depth: int) -> int:
-    """Hilbert-curve analogue of :func:`locational_code`.
-
-    Self-similarity gives the Hilbert curve the same property Morton
-    codes rely on: every quadtree block occupies one contiguous run of
-    ``4^(max_depth - depth)`` cells along the curve, so the block's key
-    is its depth-level Hilbert index scaled to full resolution. Hilbert
-    ordering keeps more spatially-adjacent blocks adjacent on B-tree
-    pages; the curve ablation measures the effect on window queries.
-    """
-    return hilbert_index(depth, bx, by) << (2 * (max_depth - depth))

@@ -31,7 +31,7 @@ from repro.btree import BPlusTree, ScanStats
 from repro.core.interface import WORLD_DEPTH, WORLD_SIZE, NNItem, SpatialIndex, query_lower_bound
 from repro.core.interface import NNQuery, SegmentQuery
 from repro.core.pmr.blocks import PMRBlock, decode_directory, encode_directory
-from repro.core.pmr.locational import hilbert_code, locational_code
+from repro.core.pmr.locational import locational_code
 from repro.errors import SnapshotError
 from repro.geometry import Point, Rect, Segment
 from repro.obs.explain import (
@@ -51,11 +51,6 @@ from repro.storage.layout import (
     entries_per_page,
 )
 
-#: Space-filling curves available for the locational codes. Both keep a
-#: block's descendants in one contiguous code interval, which the window
-#: decomposition and the linear-quadtree layout rely on.
-_CODE_FUNCTIONS = {"morton": locational_code, "hilbert": hilbert_code}
-
 
 class PMRQuadtree(SpatialIndex):
     name = "PMR"
@@ -71,7 +66,6 @@ class PMRQuadtree(SpatialIndex):
         max_depth: int = WORLD_DEPTH,
         world_size: int = WORLD_SIZE,
         store_bboxes: bool = False,
-        curve: str = "morton",
     ) -> None:
         super().__init__(ctx)
         if threshold < 1:
@@ -80,17 +74,12 @@ class PMRQuadtree(SpatialIndex):
             raise ValueError(f"max_depth must be >= 1, got {max_depth}")
         if world_size & (world_size - 1):
             raise ValueError(f"world_size must be a power of two, got {world_size}")
-        if curve not in _CODE_FUNCTIONS:
-            raise ValueError(
-                f"curve must be one of {sorted(_CODE_FUNCTIONS)}, got {curve!r}"
-            )
         self.store_bboxes = store_bboxes
         self._open(
             {
                 "threshold": threshold,
                 "max_depth": max_depth,
                 "world_size": world_size,
-                "curve": curve,
             },
             None,
         )
@@ -103,7 +92,6 @@ class PMRQuadtree(SpatialIndex):
             "threshold": self.threshold,
             "max_depth": self.max_depth,
             "world_size": self.world_size,
-            "curve": self.curve,
         }
 
     def state(self) -> Dict[str, Any]:
@@ -122,8 +110,6 @@ class PMRQuadtree(SpatialIndex):
         self.threshold = params["threshold"]
         self.max_depth = params["max_depth"]
         self.world_size = params["world_size"]
-        self.curve = params["curve"]
-        self._code_fn = _CODE_FUNCTIONS[self.curve]
         entry_bytes = PMR_TUPLE_BYTES + (
             PMR_BBOX_EXTRA_BYTES if self.store_bboxes else 0
         )
@@ -162,7 +148,7 @@ class PMRQuadtree(SpatialIndex):
     def code_of(self, block: PMRBlock) -> int:
         code = block.lcode
         if code is None:
-            code = block.lcode = self._code_fn(
+            code = block.lcode = locational_code(
                 block.bx, block.by, block.depth, self.max_depth
             )
         return code

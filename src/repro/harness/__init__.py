@@ -8,7 +8,7 @@ tables and figures.
   polygon x 2 point models, range).
 * :mod:`~repro.harness.build_stats` -- Table 1 (size / build disk
   accesses / build cpu seconds per county and structure).
-* :mod:`~repro.harness.query_stats` -- per-county query measurements
+* :mod:`~repro.harness.query_stats` -- one map's query measurements
   (Table 2 is the Charles county instance).
 * :mod:`~repro.harness.normalized` -- the normalized ranges plotted in
   Figures 7-9.
@@ -24,7 +24,6 @@ from repro.harness.build_stats import BuildRow, table1
 from repro.harness.experiment import BuiltStructure, build_structure
 from repro.harness.normalized import NormalizedRange, normalized_ranges
 from repro.harness.occupancy import occupancy_report, pmr_threshold_sweep
-from repro.harness.query_stats import county_query_stats
 from repro.harness.surveys import PolygonSurvey, polygon_size_survey
 from repro.harness.sweeps import figure6_sweep
 from repro.harness.tables import (
@@ -45,7 +44,6 @@ __all__ = [
     "QueryStats",
     "WORKLOAD_NAMES",
     "build_structure",
-    "county_query_stats",
     "figure6_sweep",
     "format_figure6",
     "format_normalized",

@@ -9,9 +9,8 @@ the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.data import generate_county
 from repro.data.generator import MapData
 from repro.harness.experiment import build_structure
 from repro.harness.workloads import QueryStats, QueryWorkloads, run_workloads
@@ -52,26 +51,3 @@ def map_query_stats(
             )
         out[name] = run_workloads(built, workloads)
     return out
-
-
-def county_query_stats(
-    county: str = "charles",
-    scale: float = 0.1,
-    structures: Sequence[str] = ("PMR", "R+", "R*"),
-    n_queries: int = 200,
-    seed: int = 1992,
-) -> Dict[str, Dict[str, QueryStats]]:
-    """Regenerate a Table 2-style measurement for one county.
-
-    The window area grows as ``0.0001 / scale`` so that a window covers
-    the same share of the road network as the paper's 0.01 % does at the
-    paper's 50 000-segment scale.
-    """
-    map_data = generate_county(county, scale=scale)
-    return map_query_stats(
-        map_data,
-        structures=structures,
-        n_queries=n_queries,
-        seed=seed,
-        window_area_fraction=min(0.0001 / scale, 0.01),
-    )

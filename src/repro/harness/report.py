@@ -110,5 +110,7 @@ def full_report(
 
     text = "\n".join(sections)
     if out_path is not None:
-        Path(out_path).write_text(text)
+        out = Path(out_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text)
     return text

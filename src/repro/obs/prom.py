@@ -7,9 +7,9 @@ into the `text exposition format
 as cumulative ``_bucket{le=...}`` series plus ``_sum`` and ``_count``.
 
 :func:`parse_prom_text` is a deliberately strict reader of that same
-format, used by the unit tests and the CI ``observability-smoke`` job to
-assert the server's export actually parses -- the exporter and its proof
-live together so they cannot drift apart.
+format, used by the unit tests and the process tests to assert the
+server's export actually parses -- the exporter and its proof live
+together so they cannot drift apart.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Design constraints, in priority order:
    access. ``tests/test_hot_path_budget.py`` pins how many calls into
    ``repro/obs/`` a served read makes with tracing off.
 2. **Traces are bounded.** Finished traces land in a ring buffer
-   (``capacity`` traces); within a trace, at most ``max_events`` child
+   (``capacity`` traces); within a trace, at most :data:`MAX_EVENTS` child
    records are kept and the rest are counted in ``dropped`` -- a batch
    of a million members cannot balloon a trace.
 3. **Threads do not interleave.** The active span stack is
@@ -40,6 +40,9 @@ from typing import Any, Dict, List, Optional
 from repro.obs import dtrace
 from repro.obs.clock import now_us, wall_now_us
 from repro.sanitize import make_lock
+
+#: Child records one trace keeps; the rest are counted in ``dropped``.
+MAX_EVENTS = 512
 
 
 class _SpanHandle:
@@ -93,17 +96,13 @@ class Tracer:
          "attrs": {...}, "spans": [...], "events": 37, "dropped": 0}
 
     ``events`` counts every child span *attempted*; ``dropped`` the
-    subset discarded once ``max_events`` was reached.
+    subset discarded once :data:`MAX_EVENTS` was reached.
     """
 
-    def __init__(self, capacity: int = 64, max_events: int = 512) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
+    def __init__(self) -> None:
         self.enabled = False
-        self.capacity = capacity
-        self.max_events = max_events
+        #: Finished traces kept; :meth:`arm` resizes the ring.
+        self.capacity = 64
         #: Head-sampling rate: the share of locally rooted requests that
         #: record full detail. Every root gets trace/span ids; an
         #: unsampled one keeps only its skeleton, and
@@ -123,7 +122,7 @@ class Tracer:
         #: observer's own saturation, mirrored into the registry as
         #: ``repro_trace_dropped_total`` at export time.
         self.evicted = 0
-        self._ring: "deque[Dict[str, Any]]" = deque(maxlen=capacity)
+        self._ring: "deque[Dict[str, Any]]" = deque(maxlen=self.capacity)
         self._ring_lock = make_lock("obs.trace.ring")
         self._local = threading.local()
 
@@ -275,7 +274,7 @@ class Tracer:
     def _admit(self, detail: bool = True) -> Optional[List[Dict[str, Any]]]:
         """This thread's span stack, if the trace open on it takes one
         more child record; None on a thread with no active trace, for
-        ``detail`` on an unsampled skeleton, and past ``max_events``
+        ``detail`` on an unsampled skeleton, and past :data:`MAX_EVENTS`
         (counted in ``dropped``)."""
         stack = getattr(self._local, "stack", None)
         if not stack:
@@ -284,7 +283,7 @@ class Tracer:
         if detail and not root["sampled"]:
             return None
         root["events"] += 1
-        if root["events"] > self.max_events:
+        if root["events"] > MAX_EVENTS:
             root["dropped"] += 1
             return None
         return stack
@@ -335,7 +334,7 @@ class Tracer:
         any) into the active trace. A leg is part of the router's
         skeleton: it is kept on an unsampled root too, so a tail-retained
         slow request still says which process took the time. Counts
-        against ``max_events`` like any other child.
+        against :data:`MAX_EVENTS` like any other child.
         """
         stack = self._admit(detail=False)
         if stack is not None:
@@ -401,7 +400,7 @@ class Tracer:
         return {
             "enabled": self.enabled,
             "capacity": self.capacity,
-            "max_events": self.max_events,
+            "max_events": MAX_EVENTS,
             "buffered": buffered,
             "started": self.started,
             "finished": self.finished,

@@ -111,8 +111,10 @@ class BatchExecutor:
         """Run a batch, returning results in arrival order.
 
         ``order`` is ``"morton"`` (sorted by centroid Z-order key) or
-        ``"arrival"``. The result carries the metric deltas the whole
-        batch charged to ``session``.
+        ``"arrival"``. The members run under a private engine session,
+        folded into ``session`` when the batch ends, so the result's
+        metrics are what the batch alone charged -- not what another
+        request of ``session`` ran meanwhile on another thread.
         """
         if order not in _ORDERS:
             raise ValueError(f"order must be one of {_ORDERS}, got {order!r}")
@@ -124,14 +126,15 @@ class BatchExecutor:
                 if not _is_mutation(request):
                     request.use_cache = False
         results: List[Any] = [None] * len(typed)
-        before = session.counters.snapshot()
-        for idx in self._schedule(typed, order):
-            results[idx] = self.engine.execute(typed[idx], session=session)
-        return BatchResult(
-            results=results,
-            order=order,
-            metrics=session.counters.since(before),
-        )
+        private = self.engine.session()
+        before = private.counters.snapshot()
+        try:
+            for idx in self._schedule(typed, order):
+                results[idx] = self.engine.execute(typed[idx], session=private)
+            metrics = private.counters.since(before)
+        finally:
+            self.engine.retire(private, into=session)
+        return BatchResult(results=results, order=order, metrics=metrics)
 
     def compare_orders(
         self, requests: List[Request], session: Optional[QuerySession] = None

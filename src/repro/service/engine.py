@@ -165,13 +165,16 @@ class QueryEngine:
                 session = self._sessions[name] = QuerySession(name)
             return session
 
-    def retire(self, session: QuerySession) -> None:
-        """Fold an ended connection's session into the ``closed`` row.
+    def retire(
+        self, session: QuerySession, into: Optional[QuerySession] = None
+    ) -> None:
+        """Fold ``session`` into ``into``: by default the ``closed`` row
+        of ended connections, or the session a batch ran privately for.
 
         Under the latch, where :meth:`_attributed` merges, so no charge
         is lost between the fold and the swap; a request of that
-        connection still running (the async server's executor outlives
-        the socket) then charges the row directly, and
+        session still running (the async server's executor outlives
+        the socket) then charges ``into`` directly, and
         :meth:`counters_consistent` stays exact.
         """
         with self.latch:
@@ -179,13 +182,14 @@ class QueryEngine:
                 if self._sessions.get(session.name) is not session:
                     return
                 del self._sessions[session.name]
-                if self._closed is None:
-                    self._closed = QuerySession("closed")
-                closed = self._closed
-                closed.counters.merge(session.counters)
-                closed.queries += session.queries
-                closed.cache_hits += session.cache_hits
-                session.counters = closed.counters
+                if into is None:
+                    if self._closed is None:
+                        self._closed = QuerySession("closed")
+                    into = self._closed
+                into.counters.merge(session.counters)
+                into.queries += session.queries
+                into.cache_hits += session.cache_hits
+                session.counters = into.counters
 
     def sessions(self) -> List[QuerySession]:
         """Live connections, named Python sessions and, once a

@@ -86,7 +86,6 @@ def serve_json_lines(
     protocol: Protocol,
     session: Any,
     idle_timeout: Optional[float],
-    max_line_bytes: int,
 ) -> None:
     """The blocking v1 request loop: one line in, one line out.
 
@@ -98,6 +97,7 @@ def serve_json_lines(
     dumps = json.dumps
     write, flush = handler.wfile.write, handler.wfile.flush
     readline = handler.rfile.readline
+    max_line_bytes = MAX_LINE_BYTES
     if idle_timeout is not None:
         handler.connection.settimeout(idle_timeout)
     while True:
@@ -144,9 +144,7 @@ class _Handler(socketserver.StreamRequestHandler):
         protocol = server.protocol
         session = protocol.session(f"conn-{next(server.connection_ids)}")
         try:
-            serve_json_lines(
-                self, protocol, session, server.idle_timeout, server.max_line_bytes
-            )
+            serve_json_lines(self, protocol, session, server.idle_timeout)
         finally:
             protocol.end_session(session)
 
@@ -173,13 +171,11 @@ class LineServer(socketserver.ThreadingTCPServer):
         host: str,
         port: int,
         idle_timeout: Optional[float],
-        max_line_bytes: int,
         thread_name: str,
     ) -> None:
         super().__init__((host, port), _Handler)
         self.protocol = protocol
         self.idle_timeout = idle_timeout
-        self.max_line_bytes = max_line_bytes
         self.connection_ids = itertools.count(1)
         self._thread_name = thread_name
         self._serve_thread: Optional[threading.Thread] = None
@@ -228,11 +224,8 @@ class MapServer(LineServer):
         host: str = "127.0.0.1",
         port: int = 0,
         idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
-        max_line_bytes: int = MAX_LINE_BYTES,
     ) -> None:
-        super().__init__(
-            Protocol(engine), host, port, idle_timeout, max_line_bytes, "map-server"
-        )
+        super().__init__(Protocol(engine), host, port, idle_timeout, "map-server")
         self.engine = engine
 
     def respond(self, line: Any, session) -> Optional[Envelope]:

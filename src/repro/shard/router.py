@@ -83,12 +83,7 @@ from repro.obs.trace import TRACER
 from repro.sanitize import make_condition, make_lock
 from repro.service.api import OPS, Command, parse_batch_item, parse_request
 from repro.service.protocol import Envelope, Protocol
-from repro.service.server import (
-    _COMPACT,
-    DEFAULT_IDLE_TIMEOUT,
-    MAX_LINE_BYTES,
-    LineServer,
-)
+from repro.service.server import _COMPACT, DEFAULT_IDLE_TIMEOUT, LineServer
 from repro.shard.manifest import ShardMap, ShardSpec
 from repro.shard.worker import read_addr
 
@@ -885,18 +880,10 @@ class ShardRouter(LineServer, RouterCore):
         host: str = "127.0.0.1",
         port: int = 0,
         timeout: float = 5.0,
-        idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
-        max_line_bytes: int = MAX_LINE_BYTES,
     ) -> None:
         RouterCore.__init__(self, root, timeout=timeout)
         LineServer.__init__(
-            self,
-            self.protocol,
-            host,
-            port,
-            idle_timeout,
-            max_line_bytes,
-            "shard-router",
+            self, self.protocol, host, port, DEFAULT_IDLE_TIMEOUT, "shard-router"
         )
 
     def close(self) -> None:

@@ -25,6 +25,7 @@ from repro.aio import (
     decode_payload,
     encode_frame,
 )
+from repro.aio.server import MAX_INFLIGHT_PER_CONN
 from repro.obs.metrics import MetricsRegistry
 from repro.service import MapServer, QueryEngine, send_request
 
@@ -59,18 +60,20 @@ class GateBackend:
 
 
 @pytest.fixture()
-def server():
+def server(monkeypatch):
+    monkeypatch.setattr("repro.aio.server.EXECUTOR_WORKERS", 2)
     engine = QueryEngine(build_index("R*", lattice_map(n=8)))
-    srv = AsyncMapServer(engine, executor_workers=2)
+    srv = AsyncMapServer(engine)
     srv.start_background()
     yield srv
     srv.stop()
 
 
 @pytest.fixture()
-def gated():
+def gated(monkeypatch):
+    monkeypatch.setattr("repro.aio.server.EXECUTOR_WORKERS", 2)
     backend = GateBackend(gated=("slow",))
-    srv = AsyncMapServer(backend, executor_workers=2)
+    srv = AsyncMapServer(backend)
     srv.start_background()
     yield srv, backend.gates["slow"]
     backend.gates["slow"].set()  # never leave an executor thread parked
@@ -282,6 +285,58 @@ class TestPipelining:
 
         asyncio.run(main())
 
+    def test_a_pipelining_client_cannot_starve_its_neighbour(self, gated, monkeypatch):
+        """Round-robin, not FIFO: a request of connection B admitted
+        behind 30 of connection A's is answered before A's last. Both
+        workers are parked on the gate while everything is admitted, and
+        every wait is on an event, never on a sleep."""
+        srv, gate = gated
+        n = 30
+        admitted = []
+        all_of_a, b_too = threading.Event(), threading.Event()
+        admit = srv._admit
+
+        def admit_and_count(conn, req):
+            admit(conn, req)
+            admitted.append(conn.conn_id)
+            if len(admitted) == n:
+                all_of_a.set()
+            elif len(admitted) > n:
+                b_too.set()
+
+        monkeypatch.setattr(srv, "_admit", admit_and_count)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            a = await AsyncMapClient.connect(srv.address)
+            b = await AsyncMapClient.connect(srv.address)
+            answered = []
+
+            def track(label, coro):
+                future = asyncio.ensure_future(coro)
+                future.add_done_callback(lambda _f: answered.append(label))
+                return future
+
+            try:
+                ops = ["slow", "slow"] + ["fast"] * (n - 2)
+                a_futures = [track(f"a{i}", a.request({"op": op})) for i, op in enumerate(ops)]
+                assert await loop.run_in_executor(None, all_of_a.wait, 10.0)
+                b_future = track("b", b.request({"op": "fast"}))
+                assert await loop.run_in_executor(None, b_too.wait, 10.0)
+                assert not any(f.done() for f in a_futures)  # A is parked
+                gate.set()
+                results = await asyncio.gather(*a_futures, b_future)
+                assert all(r["ok"] for r in results)
+            finally:
+                await a.close()
+                await b.close()
+            return answered
+
+        answered = asyncio.run(main())
+        assert len(set(admitted)) == 2
+        # Under a FIFO scheduler B would be answered last of all.
+        assert answered.index("b") < answered.index(f"a{n - 1}")
+
 
 def _settles(predicate, timeout=2.0):
     """The loop thread finishes a request just after writing its answer:
@@ -462,11 +517,11 @@ class TestDispatch:
 
 
 class TestAdmissionControl:
-    def test_per_connection_cap(self):
+    def test_per_connection_cap(self, monkeypatch):
+        monkeypatch.setattr("repro.aio.server.EXECUTOR_WORKERS", 2)
+        monkeypatch.setattr("repro.aio.server.MAX_INFLIGHT_PER_CONN", 2)
         backend = GateBackend(gated=("slow",))
-        srv = AsyncMapServer(
-            backend, executor_workers=2, max_inflight_per_conn=2
-        )
+        srv = AsyncMapServer(backend)
         srv.start_background()
         gate = backend.gates["slow"]
         try:
@@ -495,11 +550,11 @@ class TestAdmissionControl:
             gate.set()
             srv.stop()
 
-    def test_global_cap_spans_connections(self):
+    def test_global_cap_spans_connections(self, monkeypatch):
+        monkeypatch.setattr("repro.aio.server.EXECUTOR_WORKERS", 2)
+        monkeypatch.setattr("repro.aio.server.MAX_INFLIGHT_TOTAL", 1)
         backend = GateBackend(gated=("slow",))
-        srv = AsyncMapServer(
-            backend, executor_workers=2, max_inflight_total=1
-        )
+        srv = AsyncMapServer(backend)
         srv.start_background()
         gate = backend.gates["slow"]
         try:
@@ -640,9 +695,9 @@ class TestWireGuards:
             # Over the mark by at most the responses already in flight.
             response = 4096
             assert transport.get_write_buffer_size() <= (
-                high + (srv.max_inflight_per_conn + 1) * response
+                high + (MAX_INFLIGHT_PER_CONN + 1) * response
             )
-            assert len(conn.pending) <= srv.max_inflight_per_conn
+            assert len(conn.pending) <= MAX_INFLIGHT_PER_CONN
             # The peer starts reading: everything is answered, by id.
             answered = set()
             while len(answered) < n:
@@ -656,9 +711,10 @@ class TestWireGuards:
             sock.close()
             srv.stop()
 
-    def test_async_oversized_v1_line(self):
+    def test_async_oversized_v1_line(self, monkeypatch):
+        monkeypatch.setattr("repro.aio.server.MAX_LINE_BYTES", 512)
         engine = QueryEngine(build_index("R*", lattice_map(n=4)))
-        srv = AsyncMapServer(engine, max_line_bytes=512)
+        srv = AsyncMapServer(engine)
         srv.start_background()
         try:
             with socket.create_connection(srv.address, timeout=10) as sock:
@@ -674,9 +730,10 @@ class TestWireGuards:
         finally:
             srv.stop()
 
-    def test_threaded_oversized_v1_line(self):
+    def test_threaded_oversized_v1_line(self, monkeypatch):
+        monkeypatch.setattr("repro.service.server.MAX_LINE_BYTES", 512)
         engine = QueryEngine(build_index("R*", lattice_map(n=4)))
-        srv = MapServer(engine, max_line_bytes=512)
+        srv = MapServer(engine)
         srv.start_background()
         try:
             with socket.create_connection(srv.address, timeout=10) as sock:
@@ -693,9 +750,10 @@ class TestWireGuards:
             srv.shutdown()
             srv.server_close()
 
-    def test_oversized_v2_frame_answers_its_id(self):
+    def test_oversized_v2_frame_answers_its_id(self, monkeypatch):
+        monkeypatch.setattr("repro.aio.server.MAX_FRAME_BYTES", 512)
         engine = QueryEngine(build_index("R*", lattice_map(n=4)))
-        srv = AsyncMapServer(engine, max_frame_bytes=512)
+        srv = AsyncMapServer(engine)
         srv.start_background()
         try:
             with socket.create_connection(srv.address, timeout=10) as sock:
@@ -740,7 +798,7 @@ class TestGroupCommit:
         index = build_index("R*", lattice_map(n=6))
         store = DurableStore.create(tmp_path / "store", index, group_commit=1)
         engine = QueryEngine(index, store=store)
-        srv = AsyncMapServer(engine, executor_workers=4)
+        srv = AsyncMapServer(engine)
         srv.start_background()
         try:
             fsyncs_before = store.wal.stats()["fsyncs"]

@@ -1,7 +1,7 @@
 """The project AST linter: every RP rule fires, suppression discipline holds.
 
 Each rule is exercised with a minimal source snippet under a path that
-puts it in the right scope (rules RP01–RP03 and RP05 are scoped to
+puts it in the right scope (rules RP01, RP03 and RP05 are scoped to
 layers of the ``src/repro`` tree). The capstone test lints the real
 ``src/`` tree and requires it clean — with zero suppression pragmas.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 
 from repro.analysis import lint_paths, lint_source
-from repro.analysis.lint import RP00, RP01, RP02, RP03, RP04, RP05, iter_python_files
+from repro.analysis.lint import RP00, RP01, RP03, RP04, RP05, iter_python_files
 
 CORE = "src/repro/core/rtree/node.py"
 STORAGE = "src/repro/storage/buffer_pool.py"
@@ -44,24 +44,6 @@ def test_rp01_allowed_inside_storage_and_for_peek():
     assert lint_source("payload = self.disk.read(pid)\n", STORAGE) == []
     assert lint_source("node = self.ctx.disk.peek(pid)\n", CORE) == []
     assert lint_source("node = self.ctx.pool.get(pid)\n", CORE) == []
-
-
-# ----------------------------------------------------------------------
-# RP02: bare latch acquire/release
-# ----------------------------------------------------------------------
-def test_rp02_bare_acquire_release():
-    src = "self.latch.acquire()\ndo_work()\nself.latch.release()\n"
-    findings = lint_source(src, SERVICE)
-    assert [f.rule for f in findings] == [RP02, RP02]
-
-
-def test_rp02_with_block_is_clean():
-    assert lint_source("with self.latch:\n    do_work()\n", SERVICE) == []
-
-
-def test_rp02_exempts_the_latch_module_itself():
-    src = "self._lock.acquire()\n"
-    assert lint_source(src, "src/repro/storage/latch.py") == []
 
 
 # ----------------------------------------------------------------------
@@ -170,10 +152,10 @@ def test_unjustified_disable_is_rp00_and_does_not_suppress():
 
 def test_disable_only_covers_named_rules():
     src = (
-        "self.latch.acquire()  "
-        "# repro-lint: disable=RP01 -- wrong rule named on purpose\n"
+        "node = self.ctx.disk.read(pid)  "
+        "# repro-lint: disable=RP04 -- wrong rule named on purpose\n"
     )
-    assert rules_of(lint_source(src, SERVICE)) == {RP02}
+    assert rules_of(lint_source(src, SERVICE)) == {RP01}
 
 
 def test_syntax_error_is_reported_not_raised():

@@ -1,5 +1,6 @@
 """Tests for the ``python -m repro`` command-line driver."""
 
+import inspect
 import json
 import socket
 import socketserver
@@ -8,6 +9,12 @@ import threading
 import pytest
 
 from repro.__main__ import main
+from repro.aio import AsyncMapServer
+from repro.core.pmr import PMRQuadtree
+from repro.obs import Tracer
+from repro.service import MapServer
+from repro.shard import ShardRouter
+from repro.storage import StorageContext
 
 
 def run_cli(capsys, *args):
@@ -17,37 +24,49 @@ def run_cli(capsys, *args):
 
 
 SCALE = ("--scale", "0.01")
-SMALL = (*SCALE, "--queries", "5")
+
+#: Every subcommand: ``report`` is the one that reproduces the paper.
+SUBCOMMANDS = {
+    "generate", "report", "snapshot", "checkpoint", "recover",
+    "shard-init", "shard-split", "shard-catchup", "serve", "shard-worker",
+    "route", "stats", "profile", "explain", "bench", "check", "lint",
+}
+
+
+class TestSurface:
+    """An option or entry point exists only where a caller needs it."""
+
+    def test_help_offers_exactly_the_subcommands(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        usage = capsys.readouterr().out
+        offered = usage[usage.index("{") + 1 : usage.index("}")].split(",")
+        assert len(offered) == len(SUBCOMMANDS)
+        assert set(offered) == SUBCOMMANDS
+
+    def test_a_per_artefact_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["table1"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'table1'" in capsys.readouterr().err
+
+    def test_the_pmr_has_no_curve(self):
+        with pytest.raises(TypeError):
+            PMRQuadtree(StorageContext.create(), curve="morton")
+
+    @pytest.mark.parametrize(
+        "cls", [PMRQuadtree, AsyncMapServer, MapServer, ShardRouter, Tracer]
+    )
+    def test_no_constructor_takes_a_limit_only_tests_set(self, cls):
+        gone = {
+            "curve", "max_line_bytes", "max_frame_bytes", "max_inflight_per_conn",
+            "max_inflight_total", "executor_workers", "max_events",
+        }
+        assert not gone & set(inspect.signature(cls).parameters)
 
 
 class TestCLI:
-    def test_table1(self, capsys):
-        rc, out = run_cli(capsys, "table1", *SCALE)
-        assert rc == 0
-        assert "map name" in out and "charles" in out
-
-    def test_table2(self, capsys):
-        rc, out = run_cli(capsys, "table2", "--county", "cecil", *SMALL)
-        assert rc == 0
-        assert "cecil county" in out
-        assert "Point1" in out and "Range" in out
-
-    def test_figure6(self, capsys):
-        rc, out = run_cli(capsys, "figure6", "--county", "cecil", *SCALE)
-        assert rc == 0
-        assert "page size" in out and "PMR" in out
-
-    @pytest.mark.parametrize("figure", ["figure7", "figure8", "figure9"])
-    def test_figures(self, capsys, figure):
-        rc, out = run_cli(capsys, figure, *SMALL)
-        assert rc == 0
-        assert "min" in out and "avg" in out and "max" in out
-
-    def test_occupancy(self, capsys):
-        rc, out = run_cli(capsys, "occupancy", "--county", "cecil", *SCALE)
-        assert rc == 0
-        assert "threshold" in out
-
     def test_generate(self, capsys):
         rc, out = run_cli(capsys, "generate", "--county", "garrett", *SCALE)
         assert rc == 0
@@ -127,13 +146,13 @@ class TestShardCLI:
 IGNORED = [
     (cmd, "--queries")
     for cmd in (
-        ["table1"], ["figure6"], ["occupancy"], ["generate"],
+        ["generate"],
         ["snapshot", "--out", "x.snap"], ["serve"],
         ["shard-init", "--root", "x"], ["explain", "point"], ["check"],
     )
 ] + [
     (cmd, "--county")
-    for cmd in (["table1"], ["figure7"], ["figure8"], ["figure9"], ["report"])
+    for cmd in (["report"],)
 ] + [
     (["checkpoint", "--wal", "x"], "--group-commit"),
     (["recover", "--wal", "x"], "--group-commit"),

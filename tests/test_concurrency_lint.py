@@ -321,6 +321,35 @@ def test_cc04_release_in_finally_still_flags_acquire_only():
     assert findings[0].page_id == 7
 
 
+LATCH_HOLDER = """
+    class Engine:
+        def run(self):
+            self.latch.acquire()
+            do_work()
+            self.latch.release()
+    """
+
+
+def test_cc04_bare_latch_acquire_release():
+    findings = lint(LATCH_HOLDER)
+    assert [f.rule for f in findings] == [CC04, CC04]
+    assert [f.page_id for f in findings] == [4, 6]
+
+
+def test_cc04_latch_with_block_is_clean():
+    src = """
+        class Engine:
+            def run(self):
+                with self.latch:
+                    do_work()
+        """
+    assert lint(src) == []
+
+
+def test_cc04_exempts_the_latch_module_itself():
+    assert lint(LATCH_HOLDER, "src/repro/storage/latch.py") == []
+
+
 def test_cc04_with_block_is_clean():
     assert (
         lint(

@@ -79,7 +79,7 @@ class TestTraceContext:
             ctx.sampled,
         )
 
-    def test_v2_trailer_roundtrip(self):
+    def test_v2_context_rides_in_the_payload(self):
         """v2 has no trailer: the context rides in the frame's payload as
         the same ``"tc"`` field, and the frame sets no flag bit for it."""
         ctx = dtrace.TraceContext(dtrace.new_trace_id(), dtrace.new_span_id(), True)
@@ -110,7 +110,7 @@ class TestTraceContext:
     def test_malformed_contexts_degrade_to_none(self, raw):
         assert dtrace.TraceContext.from_wire(raw) is None
 
-    def test_short_trailer_degrades_to_none(self):
+    def test_a_flagged_request_frame_is_bad_args(self):
         """What a client still sending the old 25-byte trailer gets: a
         structured ``bad_args`` for the flag bit it sets -- not a JSON
         parse error on the stray bytes, and never a crash."""
@@ -190,7 +190,7 @@ class TestClockAnchor:
 # Tail-based retention
 # ----------------------------------------------------------------------
 class TestTailSampling:
-    def test_legacy_mode_is_unchanged(self, tracer):
+    def test_full_sampling_records_ids_and_detail(self, tracer):
         """There is one mode: ``arm(1.0)`` records what the id-less
         record-everything mode recorded, and every root has ids."""
         tracer.arm(1.0)

@@ -134,6 +134,11 @@ def _free_list_claims_a_referenced_page(path):
     edit_header(path, change)
 
 
+def _hilbert_curve_param(path):
+    """A PMR header as a build that had the ``curve`` option wrote it."""
+    edit_header(path, lambda h: h["manifest"]["params"].update(curve="hilbert"))
+
+
 def _unknown_manifest_version(path):
     edit_header(path, lambda h: h["manifest"].update(version=7))
 
@@ -374,6 +379,7 @@ ON_DISK_DAMAGE = [
     ("pmr", _flipped_segment_page_byte, "FS01", ERROR, None),
     ("pmr", _flipped_btree_page_byte, "FS01", ERROR, None),
     ("pmr", _truncated_page_area, "FS01", ERROR, None),
+    ("pmr", _hilbert_curve_param, "FS01", ERROR, None),
     ("snapshot", _free_list_claims_a_dumped_page, "FS02", ERROR, None),
     ("snapshot", _free_list_claims_a_referenced_page, "FS03", ERROR, None),
     ("store", _manifest_missing, "FS09", ERROR, None),
@@ -499,6 +505,14 @@ def test_format_refusal_names_both_numbers_and_the_remedy(damage, theirs, tmp_pa
     assert finding.rule == "FS01"
     for said in (f"format {theirs}", "format 3", "`snapshot`", "re-create the store"):
         assert said in finding.detail
+
+
+def test_a_param_this_build_does_not_read_is_refused_by_name(tmp_path):
+    path, _ = make_pmr_snapshot(tmp_path)
+    _hilbert_curve_param(path)
+    (finding,) = check_snapshot(path)
+    assert finding.rule == "FS01"
+    assert "'curve'" in finding.detail
 
 
 def test_every_on_disk_rule_has_a_damage_row():

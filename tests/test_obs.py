@@ -63,8 +63,9 @@ class TestTracer:
         (trace,) = tracer.recent()
         assert trace["sampled"] is False and trace["attrs"] == {"x": 1.0}
 
-    def test_max_events_caps_a_trace(self):
-        tracer = Tracer(max_events=4)
+    def test_max_events_caps_a_trace(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.trace.MAX_EVENTS", 4)
+        tracer = Tracer()
         tracer.arm(1.0)
         root = tracer.start_trace("window")
         for i in range(10):
@@ -77,8 +78,8 @@ class TestTracer:
         assert trace["dropped"] == 6
 
     def test_ring_buffer_bounds_finished_traces(self):
-        tracer = Tracer(capacity=3)
-        tracer.arm(1.0)
+        tracer = Tracer()
+        tracer.arm(1.0, capacity=3)
         for i in range(7):
             root = tracer.start_trace(f"op{i}")
             tracer.finish_trace(root)
@@ -109,7 +110,7 @@ class TestTracer:
         assert not tracer.active()
 
     def test_threads_build_separate_trees(self):
-        tracer = Tracer(capacity=64)
+        tracer = Tracer()
         tracer.arm(1.0)
 
         def worker(tag):
@@ -136,9 +137,7 @@ class TestTracer:
 
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
-            Tracer(capacity=0)
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
+            Tracer().arm(1.0, capacity=0)
 
 
 class TestLatencyHistogram:
@@ -192,8 +191,8 @@ class TestSlowQueryLog:
         assert (view["recorded"], view["buffered"], view["entries"]) == (0, 0, [])
 
     def test_threshold_and_capacity(self):
-        tracer = Tracer(capacity=2)
-        tracer.arm(0.0, slow_ms=1.0)
+        tracer = Tracer()
+        tracer.arm(0.0, slow_ms=1.0, capacity=2)
         self._finish(tracer, "point", 0.5)  # under: a discarded skeleton
         assert tracer.slow_queries()["entries"] == []
         kept = [self._finish(tracer, "window", 2.0, i=i) for i in range(3)]

@@ -58,7 +58,7 @@ class TestLocationalCodes:
         children = parent.split()
         intervals = []
         for c in children:
-            lo = c.code(3)
+            lo = locational_code(c.bx, c.by, c.depth, 3)
             intervals.append((lo, lo + 4 ** (3 - c.depth)))
         intervals.sort()
         assert intervals[0][0] == 0

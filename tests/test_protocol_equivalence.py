@@ -178,8 +178,9 @@ def oracle():
 
 
 @pytest.fixture()
-def async_server():
-    srv = AsyncMapServer(_fresh_engine(), executor_workers=2)
+def async_server(monkeypatch):
+    monkeypatch.setattr("repro.aio.server.EXECUTOR_WORKERS", 2)
+    srv = AsyncMapServer(_fresh_engine())
     srv.start_background()
     yield srv
     srv.stop()

@@ -64,13 +64,16 @@ class TestBasics:
         with pytest.raises(ValueError):
             RPlusTree(ctx, capacity=2)
 
-    def test_reopens_params_written_with_a_split_rule(self):
+    def test_refuses_params_written_with_a_split_rule(self):
         """Snapshots written before the one split rule carry a
-        ``split_rule`` key in their params; reopening ignores it."""
+        ``split_rule`` key in their params. No key this build does not
+        read is dropped in silence: reopening refuses, naming it; the
+        declared params alone still reopen the same tree."""
         idx = build(lattice_map(n=6, pitch=110), capacity=8)
         params = {**idx.params(), "split_rule": "min_cut"}
-        again = RPlusTree.reopen(idx.ctx, params, idx.state())
-        assert again.params() == idx.params()
+        with pytest.raises(ValueError, match="'split_rule'"):
+            RPlusTree.reopen(idx.ctx, params, idx.state())
+        again = RPlusTree.reopen(idx.ctx, idx.params(), idx.state())
         assert set(again.candidate_ids_in_rect(WORLD)) == set(range(60))
         again.check_invariants()
 

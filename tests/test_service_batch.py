@@ -91,3 +91,38 @@ class TestMortonKey:
         assert _centroid(parse_batch_item({"op": "nearest", "x": 1, "y": 2})) == (1.0, 2.0)
         with pytest.raises(ValueError):  # no centroid: it cannot be in a batch
             parse_batch_item({"op": "stats"})
+
+
+class TestBatchAttribution:
+    def test_another_request_of_the_session_is_not_the_batchs(self, engine, monkeypatch):
+        """On ``serve --async`` two requests of one connection can run on
+        two executor threads at once. One landing between two members of
+        a batch is charged to the session, never reported as the batch's."""
+        caller = engine.session("conn")
+        execute = engine.execute
+        interleaved = []
+
+        def execute_then_interleave(request, session=None):
+            result = execute(request, session=session)
+            if not interleaved:
+                before = engine.totals.snapshot()
+                whole_map = {"op": "window", "x1": 0, "y1": 0, "x2": 2000, "y2": 2000}
+                execute(parse_batch_item(whole_map), session=caller)
+                interleaved.append(engine.totals.since(before))
+            return result
+
+        monkeypatch.setattr(engine, "execute", execute_then_interleave)
+        engine.cold_start()
+        before = engine.totals.snapshot()
+        result = engine.batch.execute(
+            shuffled_point_requests(5), session=caller, use_cache=False
+        )
+        everything = engine.totals.since(before)
+        (window,) = interleaved
+        assert window.disk_accesses > 0
+        assert result.disk_accesses == everything.disk_accesses - window.disk_accesses
+        # The private session is folded into the caller's: nothing lost.
+        assert caller.counters.since(before).disk_accesses == everything.disk_accesses
+        assert caller.queries == 5 + 1
+        assert [s.name for s in engine.sessions()] == ["conn"]
+        assert engine.counters_consistent()

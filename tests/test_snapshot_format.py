@@ -70,15 +70,14 @@ def assert_codec_holds(index):
 @settings(max_examples=100, deadline=None)
 @given(
     threshold=st.integers(1, 8),
-    curve=st.sampled_from(["morton", "hilbert"]),
     seed=st.integers(0, 2**32 - 1),
     n_ops=st.integers(0, 300),
 )
-def test_directory_round_trips_on_grown_trees(threshold, curve, seed, n_ops):
+def test_directory_round_trips_on_grown_trees(threshold, seed, n_ops):
     rng = random.Random(seed)
     ctx = StorageContext.create()
     index = PMRQuadtree(
-        ctx, threshold=threshold, max_depth=TEST_DEPTH, world_size=TEST_WORLD, curve=curve
+        ctx, threshold=threshold, max_depth=TEST_DEPTH, world_size=TEST_WORLD
     )
     live = []
     for _ in range(n_ops):
@@ -173,9 +172,8 @@ def _drive(index, rng):
         ("R*", {}),
         ("R+", {"page_size": 2048}),  # overflows a 1 KiB page on this map
         ("PMR", {}),
-        ("PMR", {"curve": "hilbert"}),
     ],
-    ids=["R*", "R+", "PMR-morton", "PMR-hilbert"],
+    ids=["R*", "R+", "PMR-morton"],
 )
 def test_reopened_index_is_indistinguishable_from_one_never_saved(cecil, kind, kwargs):
     never_saved = build_structure(kind, cecil, **kwargs).index

@@ -86,5 +86,10 @@ class TestFullReport:
             ]
         )
         assert rc == 0
-        assert out.exists()
-        assert "Table 1" in out.read_text()
+        text = out.read_text()
+        # What each per-artefact command printed, `report` now renders.
+        for marker in (
+            "Table 1", "map name", "Point1", "Range", "page size",
+            "min", "avg", "max", "threshold",
+        ):
+            assert marker in text, marker
