@@ -3,9 +3,14 @@
 :class:`AsyncMapClient` is the pipelining v2 client: it negotiates the
 upgrade on connect, then any number of coroutines can ``await
 client.request(...)`` concurrently on one connection -- each call gets
-a fresh request id, the reader task resolves futures as response frames
-arrive, in whatever order the server finishes them. The one-shot v1
-client is :func:`repro.service.server.send_request`.
+a fresh request id, writes its frame, and awaits one future. The client
+is the connection's :class:`asyncio.Protocol`: ``data_received``
+resolves the futures as response frames arrive, in whatever order the
+server finishes them. No reader task runs and no lock is taken; a
+``request`` waits before writing only while the transport is paused,
+so a server that stops reading holds at most the transport's
+high-water mark plus one frame of ours. The one-shot v1 client is
+:func:`repro.service.server.send_request`.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.aio.frames import (
+    FRAME_HEADER,
     HEADER_BYTES,
     PROTOCOL_VERSION_2,
-    decode_header,
     decode_payload,
     encode_frame,
 )
@@ -26,7 +31,7 @@ from repro.aio.frames import (
 _COMPACT = (",", ":")
 
 
-class AsyncMapClient:
+class AsyncMapClient(asyncio.Protocol):
     """A pipelined v2 connection: many outstanding requests, one socket.
 
     Usage::
@@ -40,20 +45,24 @@ class AsyncMapClient:
 
     ``request`` returns the full response envelope (``{"ok": ...}``);
     callers decide whether an ``ok: false`` is an exception. If the
-    server drops the connection, every outstanding and future request
-    fails with :class:`ConnectionError`.
+    server drops the connection, or sends a frame that is not a JSON
+    object, every outstanding and future request fails with a
+    :class:`ConnectionError` that says which.
     """
 
-    def __init__(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._reader = reader
-        self._writer = writer
+    def __init__(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._transport: Optional[asyncio.Transport] = None
+        self._buf = bytearray()
         self._ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
-        self._write_lock = asyncio.Lock()
-        self._closed = False
-        self._reader_task: Optional[asyncio.Task] = None
+        #: The upgrade ack (a v1 line), until it has arrived.
+        self._ack: Optional[asyncio.Future] = self._loop.create_future()
+        self._paused = False
+        self._writable: List[asyncio.Future] = []
+        self._lost = self._loop.create_future()
+        #: Why requests fail: ``None`` while the connection serves.
+        self._error: Optional[str] = None
 
     @classmethod
     async def connect(
@@ -62,21 +71,20 @@ class AsyncMapClient:
         """Open a connection and negotiate v2; ``ConnectionError`` if the
         server refuses the upgrade (the threaded v1-only server answers
         the pin with ``bad_args``)."""
-        reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(*address), timeout
+        loop = asyncio.get_running_loop()
+        transport, client = await asyncio.wait_for(
+            loop.create_connection(cls, *address), timeout
         )
         hello = {"op": "ping", "v": PROTOCOL_VERSION_2}
-        writer.write(json.dumps(hello, separators=_COMPACT).encode() + b"\n")
-        await writer.drain()
-        line = await asyncio.wait_for(reader.readline(), timeout)
-        ack = json.loads(line) if line else {}
+        transport.write(json.dumps(hello, separators=_COMPACT).encode() + b"\n")
+        try:
+            ack = await asyncio.wait_for(client._ack, timeout)
+        except BaseException:
+            transport.abort()
+            raise
         if not ack.get("ok") or ack.get("v") != PROTOCOL_VERSION_2:
-            writer.close()
+            transport.abort()
             raise ConnectionError(f"server at {address} refused the v2 upgrade")
-        client = cls(reader, writer)
-        client._reader_task = asyncio.get_running_loop().create_task(
-            client._read_loop()
-        )
         return client
 
     async def request(self, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -86,57 +94,93 @@ class AsyncMapClient:
         field (:meth:`repro.obs.dtrace.TraceContext.to_wire`), exactly as
         on a v1 line.
         """
-        if self._closed:
-            raise ConnectionError("client is closed")
+        while self._paused and self._error is None:
+            waiter = self._loop.create_future()
+            self._writable.append(waiter)
+            await waiter
+        if self._error is not None:
+            raise ConnectionError(self._error)
         request_id = next(self._ids)
-        future = asyncio.get_running_loop().create_future()
+        future = self._loop.create_future()
         self._pending[request_id] = future
-        frame = encode_frame(request_id, payload)
-        async with self._write_lock:
-            self._writer.write(frame)
-            await self._writer.drain()
+        self._transport.write(encode_frame(request_id, payload))
         return await future
 
-    async def _read_loop(self) -> None:
-        buf = bytearray()
-        error: Exception = ConnectionError("connection closed by server")
-        try:
-            while True:
-                while len(buf) < HEADER_BYTES:
-                    chunk = await self._reader.read(65536)
-                    if not chunk:
-                        return
-                    buf.extend(chunk)
-                _flags, length, request_id = decode_header(
-                    bytes(buf[:HEADER_BYTES])
-                )
-                total = HEADER_BYTES + length
-                while len(buf) < total:
-                    chunk = await self._reader.read(65536)
-                    if not chunk:
-                        return
-                    buf.extend(chunk)
-                payload = decode_payload(bytes(buf[HEADER_BYTES:total]))
-                del buf[:total]
-                future = self._pending.pop(request_id, None)
-                if future is not None and not future.done():
-                    future.set_result(payload)
-        except (ConnectionError, OSError) as exc:
-            error = exc
-        finally:
-            self._closed = True  # repro-lint: disable=CC03 -- event-loop confined: only the loop thread runs this coroutine; _write_lock serializes the socket, not this flag
-            for future in self._pending.values():
-                if not future.done():
-                    future.set_exception(error)
-            self._pending.clear()
-
     async def close(self) -> None:
-        self._closed = True  # repro-lint: disable=CC03 -- event-loop confined: close() runs on the same loop as the reader task
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            await asyncio.gather(self._reader_task, return_exceptions=True)
-        self._writer.close()
-        try:
-            await self._writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass  # socket already dead; nothing held open
+        self._fail("client is closed")
+        self._transport.close()
+        await self._lost
+
+    # ------------------------------------------------------------------
+    # asyncio.Protocol
+    # ------------------------------------------------------------------
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+
+    def data_received(self, data: bytes) -> None:
+        buf = self._buf
+        buf += data
+        if self._ack is not None:
+            i = buf.find(b"\n")
+            if i < 0:
+                return
+            try:
+                ack = json.loads(buf[:i])
+            except ValueError:
+                ack = {}
+            del buf[: i + 1]
+            if not self._ack.done():
+                self._ack.set_result(ack if isinstance(ack, dict) else {})
+            self._ack = None
+        pending = self._pending
+        while len(buf) >= HEADER_BYTES:
+            _flags, length, request_id = FRAME_HEADER.unpack_from(buf)
+            total = HEADER_BYTES + length
+            if len(buf) < total:
+                return
+            try:
+                payload = decode_payload(buf[HEADER_BYTES:total])
+            except ValueError as exc:
+                # The stream cannot be trusted past a bad frame.
+                self._fail(
+                    f"malformed response frame for request {request_id}: {exc}"
+                )
+                self._transport.abort()
+                return
+            del buf[:total]
+            future = pending.pop(request_id, None)
+            if future is not None and not future.done():
+                future.set_result(payload)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._fail(
+            "connection closed by server" if exc is None else f"connection lost: {exc}"
+        )
+        if self._ack is not None and not self._ack.done():
+            self._ack.set_exception(ConnectionError(self._error))
+        self._lost.set_result(None)
+
+    def pause_writing(self) -> None:
+        self._paused = True
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._wake_writers()
+
+    # ------------------------------------------------------------------
+    def _fail(self, reason: str) -> None:
+        """Fail every outstanding request, and every later one, with
+        ``reason`` -- the first reason given."""
+        if self._error is None:
+            self._error = reason
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(ConnectionError(self._error))
+        self._pending.clear()
+        self._wake_writers()
+
+    def _wake_writers(self) -> None:
+        waiters, self._writable = self._writable, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)

@@ -28,24 +28,36 @@ read no parallelism; it only costs two cross-core wake-ups per request
 What the loop thread may never do: wait on a lock a worker can hold,
 fsync, or scatter over sockets.
 
-Per connection:
+Each connection is one :class:`asyncio.Protocol` (:class:`_Conn`), so a
+short read costs callbacks only -- no task, no future, no extra turn of
+the loop:
 
-* a **reader** coroutine parses lines/frames off the socket (same size
-  caps as the threaded server), runs admission control, and appends
-  accepted requests to the connection's pending deque. It awaits the
-  transport's ``drain()`` before each read, so a peer that does not
-  read its responses stops being read from (backpressure);
+* ``data_received`` feeds the connection's sans-IO :class:`_Splitter`,
+  which cuts v1 lines and v2 frames off its buffer under the same size
+  caps as the threaded server (an oversized payload is counted down as
+  it arrives, never buffered); each request goes through admission
+  control onto the connection's pending deque;
+* **backpressure**: ``pause_writing`` -- the transport's write buffer
+  passed its high-water mark because the peer does not read its
+  responses -- pauses *reading* that peer, and ``resume_writing``
+  resumes it;
 * an **idle timer** -- one re-armed ``call_at`` keyed on the last
-  *complete* request, so a frame trickled byte by byte still times out;
-* one global **scheduler** drains the pending deques round-robin -- one
-  request per connection per pass, yielding to the loop between passes
-  -- so a client pipelining thousands of requests cannot starve its
-  neighbours, nor inline work starve accepts, reads and timers;
-* responses are written straight to the transport: v2 frames in
-  completion order carrying their request id, v1 lines through the
-  connection's ordered slots (the protocol has no ids, arrival order
-  *is* the correlation; a v2 frame completed while a v1 slot -- the
-  upgrade ack -- is still open queues behind it).
+  *complete* request, so a frame trickled byte by byte still times out
+  -- closes the transport, and ``connection_lost`` ends the session.
+
+One **scheduling pass** serves the pending deques round-robin, one
+request per ready connection. It runs straight from ``data_received``
+when no pass is pending; while connections stay ready the next pass is
+one ``call_soon`` away, so a client pipelining thousands of requests
+cannot starve its neighbours, nor inline work starve accepts, reads and
+timers. At the executor hand-off cap the pass stops where it is, and
+the next worker to return resumes it.
+
+Responses are written straight to the transport: v2 frames in
+completion order carrying their request id, v1 lines through the
+connection's ordered slots (the protocol has no ids, arrival order *is*
+the correlation; a v2 frame completed while a v1 slot -- the upgrade
+ack -- is still open queues behind it).
 
 Admission control: past :data:`MAX_INFLIGHT_PER_CONN` (or the global
 :data:`MAX_INFLIGHT_TOTAL` high-water mark) a request is answered
@@ -82,10 +94,10 @@ from repro.errors import ServerOverloadedError
 from repro.metric_names import SERVER_DISPATCH_TOTAL, SERVER_LOOP_HOLD_SECONDS
 from repro.aio.commit import GroupCommitter
 from repro.aio.frames import (
+    FRAME_HEADER,
     HEADER_BYTES,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION_2,
-    decode_header,
     encode_frame,
 )
 from repro.service.api import PROTOCOL_VERSION
@@ -100,70 +112,72 @@ MAX_INFLIGHT_TOTAL = 1024
 EXECUTOR_WORKERS = 4
 
 
-class _WireReader:
-    """Buffered reads off one socket: v1 lines, v2 frames, bounded drains.
+class _Splitter:
+    """Cuts v1 lines and v2 frames off one connection's bytes, sans IO.
 
-    Owns its buffer so an oversized request can be discarded chunk by
-    chunk without ever holding more than one read's worth of it, and so
-    switching a connection from line framing to v2 frames mid-stream
-    (negotiation) loses no pipelined bytes.
+    Owns the connection's buffer, so switching from line framing to v2
+    frames mid-stream (negotiation) loses no pipelined bytes. Nothing
+    past a cap is kept: a v1 line longer than ``max_line`` is discarded
+    up to its newline, and the payload of a frame longer than
+    ``max_frame`` is counted down as it arrives.
     """
 
-    def __init__(self, reader: asyncio.StreamReader, max_line: int, max_frame: int) -> None:
-        self._reader = reader
+    __slots__ = ("max_line", "max_frame", "_buf", "_overflowed", "_skip", "_skip_id")
+
+    def __init__(self, max_line: int, max_frame: int) -> None:
         self.max_line = max_line
         self.max_frame = max_frame
         self._buf = bytearray()
+        self._overflowed = False  # v1: past the cap, discard to the newline
+        self._skip = 0  # v2: payload bytes of an oversized frame still due
+        self._skip_id: Optional[int] = None  # ... and that frame's request id
 
-    async def _fill(self) -> bool:
-        chunk = await self._reader.read(65536)
-        if not chunk:
-            return False
-        self._buf.extend(chunk)
-        return True
+    def feed(self, data: bytes) -> None:
+        if self._skip:  # then the buffer is empty
+            take = min(self._skip, len(data))
+            self._skip -= take
+            data = data[take:]
+        self._buf += data
 
-    async def read_line(self) -> Tuple[str, Any]:
-        """``("line", bytes)``, ``("oversized", None)``, or ``("eof", None)``."""
-        overflowed = False
-        while True:
-            i = self._buf.find(b"\n")
-            if i >= 0:
-                oversized = overflowed or i > self.max_line
-                line = None if oversized else bytes(self._buf[:i])
-                del self._buf[: i + 1]
-                if oversized:
-                    return ("oversized", None)
-                return ("line", line)
-            if len(self._buf) > self.max_line:
-                overflowed = True  # discard-until-newline mode
-                del self._buf[:]
-            if not await self._fill():
-                return ("eof", None)
-
-    async def read_frame(self) -> Tuple[str, Any]:
-        """``("frame", (flags, request_id, body))``, ``("oversized",
-        request_id)``, or ``("eof", None)`` on a torn frame."""
-        while len(self._buf) < HEADER_BYTES:
-            if not await self._fill():
-                return ("eof", None)
-        flags, length, request_id = decode_header(bytes(self._buf[:HEADER_BYTES]))
-        if length > self.max_frame:
-            del self._buf[:HEADER_BYTES]
-            need = length
-            while need:
-                take = min(need, len(self._buf))
-                del self._buf[:take]
-                need -= take
-                if need and not await self._fill():
-                    return ("eof", None)
-            return ("oversized", request_id)
-        total = HEADER_BYTES + length
-        while len(self._buf) < total:
-            if not await self._fill():
-                return ("eof", None)  # torn frame: nothing to answer
-        body = bytes(self._buf[HEADER_BYTES:total])
-        del self._buf[:total]
-        return ("frame", (flags, request_id, body))
+    def cut(self, mode: int) -> Optional[Tuple[str, Any]]:
+        """The next request in framing ``mode`` (1 = lines, 2 = frames),
+        or ``None`` until more bytes arrive: ``("line", bytes)``,
+        ``("frame", (flags, request_id, body))``, or ``("oversized",
+        request_id)`` -- ``None`` for a line, which has no id."""
+        buf = self._buf
+        if mode == 1:
+            i = buf.find(b"\n")
+            if i < 0:
+                if len(buf) > self.max_line:
+                    self._overflowed = True
+                    del buf[:]
+                return None
+            oversized = self._overflowed or i > self.max_line
+            line = None if oversized else bytes(buf[:i])
+            del buf[: i + 1]
+            if oversized:
+                self._overflowed = False
+                return ("oversized", None)
+            return ("line", line)
+        if self._skip_id is None:
+            if len(buf) < HEADER_BYTES:
+                return None
+            flags, length, request_id = FRAME_HEADER.unpack_from(buf)
+            total = HEADER_BYTES + length
+            if length <= self.max_frame:
+                if len(buf) < total:
+                    return None  # a torn frame stays unanswered at EOF
+                body = bytes(buf[HEADER_BYTES:total])
+                del buf[:total]
+                return ("frame", (flags, request_id, body))
+            take = min(total, len(buf))
+            del buf[:take]
+            self._skip = total - take
+            self._skip_id = request_id
+        if self._skip:
+            return None
+        request_id, self._skip_id = self._skip_id, None
+        return ("oversized", request_id)
 
 
 class _Req:
@@ -177,13 +191,16 @@ class _Req:
         self.slot: Optional[List[Optional[bytes]]] = None  # v1 ordering slot
 
 
-class _Conn:
+class _Conn(asyncio.Protocol):
+    """One connection: its state, and the transport's callbacks, which
+    the server handles."""
+
     __slots__ = (
+        "server",
+        "transport",
         "conn_id",
-        "wire",
-        "writer",
+        "splitter",
         "session",
-        "task",
         "mode",
         "pending",
         "in_ready",
@@ -191,15 +208,16 @@ class _Conn:
         "ordered",
         "last_request",
         "idle_timer",
+        "paused",
         "closed",
     )
 
-    def __init__(self, conn_id, wire, writer, session, task, now) -> None:
-        self.conn_id = conn_id
-        self.wire = wire
-        self.writer = writer
-        self.session = session
-        self.task = task  # the connection's reader task
+    def __init__(self, server: "AsyncMapServer") -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.conn_id = 0
+        self.splitter = _Splitter(MAX_LINE_BYTES, MAX_FRAME_BYTES)
+        self.session = None
         self.mode = 1  # until a request pins "v": 2
         self.pending: Deque[_Req] = deque()
         self.in_ready = False
@@ -207,9 +225,32 @@ class _Conn:
         # Responses that must leave in order: one-element slots, filled
         # (``[bytes]``) or still waiting for their request (``[None]``).
         self.ordered: Deque[List[Optional[bytes]]] = deque()
-        self.last_request = now
+        self.last_request = 0.0
         self.idle_timer: Optional[asyncio.TimerHandle] = None
+        self.paused = False  # the peer is not reading: neither do we
         self.closed = False
+
+    def connection_made(self, transport) -> None:
+        self.server._opened(self, transport)
+
+    def data_received(self, data: bytes) -> None:
+        self.server._received(self, data)
+
+    def eof_received(self) -> None:
+        self.server._close(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._close(self)
+
+    def pause_writing(self) -> None:
+        self.paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.transport.resume_reading()
+        # Requests already in the buffer are not announced again.
+        self.server._loop.call_soon(self.server._received, self, b"")
 
 
 class AsyncMapServer:
@@ -246,6 +287,9 @@ class AsyncMapServer:
         self._conn_ids = itertools.count(1)
         self._conns: Set[_Conn] = set()
         self._ready: Deque[_Conn] = deque()
+        #: A pass is scheduled, or stopped at the hand-off cap (stalled).
+        self._pass_pending = False
+        self._stalled = False
         self._queued = 0
         self._inflight_total = 0
         #: Requests handed to the executor whose worker has not returned.
@@ -257,11 +301,7 @@ class AsyncMapServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._fsync_executor: Optional[ThreadPoolExecutor] = None
-        self._sched_task: Optional[asyncio.Task] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
         self._run_tasks: Set[asyncio.Task] = set()
-        self._work: Optional[asyncio.Event] = None
-        self._worker_done: Optional[asyncio.Event] = None
         self._stop_event: Optional[asyncio.Event] = None
         self._thread: Optional[threading.Thread] = None
         self._thread_ready: Optional[threading.Event] = None
@@ -287,7 +327,7 @@ class AsyncMapServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind the listening socket and start the scheduler."""
+        """Bind the listening socket and start the executors."""
         self._loop = asyncio.get_running_loop()
         self._executor = ThreadPoolExecutor(
             max_workers=EXECUTOR_WORKERS, thread_name_prefix="aio-engine"
@@ -301,13 +341,10 @@ class AsyncMapServer:
                 max_workers=1, thread_name_prefix="aio-fsync"
             )
             self.committer = GroupCommitter(store, self._loop, self._fsync_executor)
-        self._work = asyncio.Event()
-        self._worker_done = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._client_connected, self.host, self.port
+        self._server = await self._loop.create_server(
+            lambda: _Conn(self), self.host, self.port
         )
         self.address = self._server.sockets[0].getsockname()[:2]
-        self._sched_task = self._loop.create_task(self._scheduler())
 
     async def serve_forever(self) -> None:
         if self._server is None:
@@ -319,14 +356,14 @@ class AsyncMapServer:
         """Close the listener, sever connections, stop the workers."""
         if self._server is not None:
             self._server.close()
+        for conn in list(self._conns):
+            self._close(conn)
+            conn.transport.abort()  # severed: unsent responses are dropped
+        if self._server is not None:
             await self._server.wait_closed()
-        if self._sched_task is not None:
-            self._sched_task.cancel()
-        for task in list(self._run_tasks) + list(self._conn_tasks):
+        for task in list(self._run_tasks):
             task.cancel()
-        await asyncio.gather(
-            *self._run_tasks, *self._conn_tasks, return_exceptions=True
-        )
+        await asyncio.gather(*self._run_tasks, return_exceptions=True)
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
         if self._fsync_executor is not None:
@@ -379,48 +416,38 @@ class AsyncMapServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _client_connected(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        conn_id = next(self._conn_ids)
-        conn = _Conn(
-            conn_id,
-            _WireReader(reader, MAX_LINE_BYTES, MAX_FRAME_BYTES),
-            writer,
-            self.protocol.session(f"aconn-{conn_id}"),
-            task,
-            self._loop.time(),
-        )
+    def _opened(self, conn: _Conn, transport) -> None:
+        conn.transport = transport
+        conn.conn_id = next(self._conn_ids)
+        conn.session = self.protocol.session(f"aconn-{conn.conn_id}")
+        conn.last_request = self._loop.time()
         self._conns.add(conn)
         self._g_connections.set(len(self._conns))
         if self.idle_timeout is not None:
             self._arm_idle_timer(conn)
-        try:
-            await self._read_loop(conn)
-        except asyncio.CancelledError:
-            pass  # idle timer or shutdown cancelled us; tear down below
-        finally:
-            conn.closed = True
-            # Folding the session takes the engine latch: here, like a
-            # short read, only while no worker can be holding it.
-            if conn.session is None or self._in_executor == 0:
-                self.protocol.end_session(conn.session)
-            else:
-                self._loop.run_in_executor(
-                    self._executor, self.protocol.end_session, conn.session
-                )
-            if conn.idle_timer is not None:
-                conn.idle_timer.cancel()
-            self._conns.discard(conn)
-            self._g_connections.set(len(self._conns))
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (asyncio.CancelledError, ConnectionError, OSError):
-                pass  # peer already gone; the close still released the fd
-            self._conn_tasks.discard(task)
+
+    def _close(self, conn: _Conn) -> None:
+        """Stop serving a connection and end its session; idempotent.
+
+        Requests of it still pending are dropped unanswered as the pass
+        reaches them.
+        """
+        if conn.closed:
+            return
+        conn.closed = True
+        # Folding the session takes the engine latch: here, like a
+        # short read, only while no worker can be holding it.
+        if conn.session is None or self._in_executor == 0:
+            self.protocol.end_session(conn.session)
+        else:
+            self._loop.run_in_executor(
+                self._executor, self.protocol.end_session, conn.session
+            )
+        if conn.idle_timer is not None:
+            conn.idle_timer.cancel()
+        self._conns.discard(conn)
+        self._g_connections.set(len(self._conns))
+        conn.transport.close()  # after what is already written
 
     def _arm_idle_timer(self, conn: _Conn) -> None:
         conn.idle_timer = self._loop.call_at(
@@ -433,36 +460,30 @@ class AsyncMapServer:
             self._arm_idle_timer(conn)  # a request completed since arming
         else:
             self._c_idle_timeouts.inc()
-            conn.task.cancel()  # idle connection: close it cleanly
+            self._close(conn)  # idle connection: close it cleanly
 
-    async def _read_loop(self, conn: _Conn) -> None:
-        while True:
-            try:
-                # Backpressure: while the peer is not reading its
-                # responses (transport above its high-water mark), stop
-                # reading its requests.
-                await conn.writer.drain()
-                if conn.mode == 1:
-                    kind, value = await conn.wire.read_line()
-                else:
-                    kind, value = await conn.wire.read_frame()
-            except (ConnectionError, OSError):
-                return
-            if kind == "eof":
-                return
+    def _received(self, conn: _Conn, data: bytes) -> None:
+        """Cut every whole request out of what arrived and admit it --
+        until the peer stops reading its responses -- then serve."""
+        splitter = conn.splitter
+        splitter.feed(data)
+        protocol = self.protocol
+        while not (conn.paused or conn.closed):
+            cut = splitter.cut(conn.mode)
+            if cut is None:
+                break
+            kind, value = cut
             now = conn.last_request = self._loop.time()
             wire = conn.mode  # the framing this request is answered in
             if kind == "oversized":
                 self._c_oversized.inc()
-                limit = conn.wire.max_line if wire == 1 else conn.wire.max_frame
+                limit = splitter.max_line if wire == 1 else splitter.max_frame
                 request_id = value if value is not None else 0
-                self._respond(
-                    conn, self.protocol.oversized(limit), wire, request_id
-                )
+                self._respond(conn, protocol.oversized(limit), wire, request_id)
                 continue
             if wire == 1:
                 request_id = 0
-                request = self.protocol.decode_line(value)
+                request = protocol.decode_line(value)
                 if request is None:
                     continue  # blank line: no reply is owed
                 if request.version == PROTOCOL_VERSION_2:
@@ -472,15 +493,15 @@ class AsyncMapServer:
                     conn.mode = 2
             else:
                 flags, request_id, body = value
-                request = self.protocol.decode_frame(body, flags)
+                request = protocol.decode_frame(body, flags)
             if request.error is not None:
-                # Undecodable: nothing to queue or block on, so the
-                # reader answers in place.
-                self._respond(
-                    conn, self.protocol.run(request)[0], wire, request_id
-                )
+                # Undecodable: nothing to queue or block on, so it is
+                # answered in place.
+                self._respond(conn, protocol.run(request)[0], wire, request_id)
                 continue
             self._admit(conn, _Req(request, wire, request_id, now))
+        if self._ready and not self._pass_pending:
+            self._pass()
 
     # ------------------------------------------------------------------
     # Admission, scheduling, dispatch
@@ -517,60 +538,62 @@ class AsyncMapServer:
         if not conn.in_ready:
             conn.in_ready = True
             self._ready.append(conn)
-        self._work.set()
 
-    async def _scheduler(self) -> None:
-        """Round-robin drain: one request per ready connection per pass.
+    def _pass(self) -> None:
+        """Round-robin: one request of every ready connection.
 
-        Every pass is preceded by exactly one yield to the loop, so
-        requests run inline cannot starve accepts, reads and timers.
+        Runs straight from ``data_received`` when no pass is pending.
+        While connections stay ready the next pass is one loop iteration
+        away, so requests run inline cannot starve accepts, reads and
+        timers. At the executor hand-off cap the pass stops, and
+        :meth:`_worker_returned` resumes it.
         """
+        self._pass_pending = False
         ready = self._ready
-        while True:
-            if ready:
-                await asyncio.sleep(0)
+        for _ in range(len(ready)):
+            # In _ready <=> in_ready <=> pending is non-empty.
+            conn = ready[0]
+            if not conn.closed and self._in_executor >= self._executor_handoffs:
+                # Stopping before the pop keeps the round-robin order honest.
+                self._pass_pending = self._stalled = True
+                return
+            ready.popleft()
+            req = conn.pending.popleft()
+            self._queued -= 1
+            self._g_queue_depth.set(self._queued)
+            if conn.pending:
+                ready.append(conn)
             else:
-                self._work.clear()
-                await self._work.wait()
-            for _ in range(len(ready)):
-                # In _ready <=> in_ready <=> pending is non-empty.
-                conn = ready.popleft()
-                req = conn.pending.popleft()
-                self._queued -= 1
-                self._g_queue_depth.set(self._queued)
-                if conn.pending:
-                    ready.append(conn)
-                else:
-                    conn.in_ready = False
-                self._h_queue_wait.observe(self._loop.time() - req.arrived)
-                if conn.closed:
-                    self._finish(conn)  # peer gone: nobody to answer
-                elif self._in_executor == 0 and self.protocol.is_short(req.request):
-                    self._run_on_loop(conn, req)
-                else:
-                    # Waiting here (not in the task) keeps the
-                    # round-robin order honest.
-                    while self._in_executor >= self._executor_handoffs:
-                        self._worker_done.clear()
-                        await self._worker_done.wait()
-                    self._in_executor += 1
-                    worker = self._loop.run_in_executor(
-                        self._executor,
-                        self.protocol.run,
-                        req.request,
-                        conn.session,
-                        self.committer is not None,
-                    )
-                    worker.add_done_callback(self._worker_returned)
-                    task = self._loop.create_task(
-                        self._answer_from_executor(conn, req, worker)
-                    )
-                    self._run_tasks.add(task)
-                    task.add_done_callback(self._run_tasks.discard)
+                conn.in_ready = False
+            self._h_queue_wait.observe(self._loop.time() - req.arrived)
+            if conn.closed:
+                self._finish(conn)  # peer gone: nobody to answer
+            elif self._in_executor == 0 and self.protocol.is_short(req.request):
+                self._run_on_loop(conn, req)
+            else:
+                self._in_executor += 1
+                worker = self._loop.run_in_executor(
+                    self._executor,
+                    self.protocol.run,
+                    req.request,
+                    conn.session,
+                    self.committer is not None,
+                )
+                worker.add_done_callback(self._worker_returned)
+                task = self._loop.create_task(
+                    self._answer_from_executor(conn, req, worker)
+                )
+                self._run_tasks.add(task)
+                task.add_done_callback(self._run_tasks.discard)
+        if ready:
+            self._pass_pending = True
+            self._loop.call_soon(self._pass)
 
     def _worker_returned(self, _worker: asyncio.Future) -> None:
         self._in_executor -= 1
-        self._worker_done.set()
+        if self._stalled:
+            self._stalled = False
+            self._pass()
 
     def _run_on_loop(self, conn: _Conn, req: _Req) -> None:
         """A short read, run where it stands: no worker is inside the
@@ -642,7 +665,7 @@ class AsyncMapServer:
     @staticmethod
     def _write(conn: _Conn, data: bytes) -> None:
         if not conn.closed:  # else the peer is gone: nowhere to go
-            conn.writer.write(data)
+            conn.transport.write(data)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -8,6 +8,7 @@ tests *control* which request finishes first instead of racing timers.
 """
 
 import asyncio
+import contextlib
 import errno
 import json
 import socket
@@ -516,6 +517,150 @@ class TestDispatch:
                     assert request_id == i and payload["result"] == "pong"
 
 
+def _count_loop_work(loop):
+    """Count the tasks and futures ``loop`` creates from now on."""
+    counts = {"tasks": 0, "futures": 0}
+    create_future = loop.create_future
+
+    def counted_future():
+        counts["futures"] += 1
+        return create_future()
+
+    def counted_task(loop, coro, **kwargs):
+        counts["tasks"] += 1
+        return asyncio.Task(coro, loop=loop, **kwargs)
+
+    loop.create_future = counted_future
+    loop.set_task_factory(counted_task)
+    return counts
+
+
+class TestLoopWork:
+    """What one request costs the event loops, beyond its callbacks."""
+
+    def test_a_short_v2_read_creates_no_task_and_no_future(self, server):
+        """On the server a short read is callbacks only; the client's
+        ``request`` creates its one response future and nothing else."""
+        reads = [
+            {"op": "point", "x": 100, "y": 100},
+            {"op": "window", "x1": 0, "y1": 0, "x2": 150, "y2": 150},
+            {"op": "nearest", "x": 100, "y": 100, "k": 1},
+        ]
+        on_server = {}
+        installed = threading.Event()
+
+        def install():
+            on_server.update(counts=_count_loop_work(server._loop))
+            installed.set()
+
+        async def main():
+            client = await AsyncMapClient.connect(server.address)
+            try:
+                server._loop.call_soon_threadsafe(install)
+                assert installed.wait(5.0)
+                on_client = _count_loop_work(asyncio.get_running_loop())
+                for raw in reads:
+                    assert (await client.request(raw))["ok"]
+                return dict(on_client)
+            finally:
+                await client.close()
+
+        before = _dispatched(server)
+        on_client = asyncio.run(main())
+        assert on_client == {"tasks": 0, "futures": len(reads)}
+        assert _settles(lambda: server.stats()["inflight"] == 0)
+        assert _dispatched(server)["loop"] == before["loop"] + 1 + len(reads)
+        assert on_server["counts"] == {"tasks": 0, "futures": 0}
+
+
+@contextlib.contextmanager
+def _v2_peer(handle):
+    """A one-connection stand-in for a v2 server, on a thread: it acks
+    the upgrade, then ``handle(sock, fh)`` has the connection. Its
+    receive buffer is small, so what it does not read backs up."""
+    listener = socket.socket()
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        sock, _ = listener.accept()
+        with sock, sock.makefile("rb") as fh:
+            fh.readline()
+            sock.sendall(b'{"ok":true,"result":"pong","v":2}\n')
+            handle(sock, fh)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[:2]
+    finally:
+        thread.join(timeout=10.0)
+        listener.close()
+
+
+class TestClient:
+    def test_a_malformed_response_frame_fails_the_connection_by_name(self):
+        """A response frame that is not JSON leaves the stream untrusted:
+        the pending request and every later one fail naming the bad
+        frame, and the client closes its transport."""
+
+        def answer_garbage(sock, fh):
+            _flags, request_id, _payload = _recv_frame(fh)
+            sock.sendall(FRAME_HEADER.pack(1, 8, request_id) + b"not json")
+            fh.read()  # until the client hangs up
+
+        with _v2_peer(answer_garbage) as address:
+
+            async def main():
+                client = await AsyncMapClient.connect(address)
+                try:
+                    with pytest.raises(ConnectionError, match="malformed response frame"):
+                        await asyncio.wait_for(client.request({"op": "ping"}), 5.0)
+                    assert client._transport.is_closing()
+                    with pytest.raises(ConnectionError, match="malformed response frame"):
+                        await client.request({"op": "ping"})
+                finally:
+                    await client.close()
+
+            asyncio.run(main())
+
+    def test_requests_wait_while_the_server_does_not_read(self):
+        """Large frames pipelined at a peer that reads nothing: the
+        requests past the transport's high-water mark wait unwritten,
+        so the client holds at most the mark plus one frame. When the
+        peer goes, the written and the waiting requests all fail."""
+        release = threading.Event()
+        n, junk = 40, "x" * 65536
+
+        with _v2_peer(lambda _sock, _fh: release.wait(20.0)) as address:
+
+            async def main():
+                client = await AsyncMapClient.connect(address)
+                transport = client._transport
+                sock = transport.get_extra_info("socket")
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+                payload = {"op": "ping", "junk": junk}
+                frame = len(encode_frame(n, payload))
+                requests = [
+                    asyncio.ensure_future(client.request(payload)) for _ in range(n)
+                ]
+                try:
+                    for _ in range(20):  # everything that can be written is
+                        await asyncio.sleep(0.01)
+                    _low, high = transport.get_write_buffer_limits()
+                    assert transport.get_write_buffer_size() <= high + frame
+                    assert 0 < len(client._pending) < n  # the rest wait
+                    assert not any(r.done() for r in requests)
+                finally:
+                    release.set()
+                results = await asyncio.gather(*requests, return_exceptions=True)
+                assert all(isinstance(r, ConnectionError) for r in results), results
+                await client.close()
+
+            asyncio.run(main())
+
+
 class TestAdmissionControl:
     def test_per_connection_cap(self, monkeypatch):
         monkeypatch.setattr("repro.aio.server.EXECUTOR_WORKERS", 2)
@@ -690,7 +835,7 @@ class TestWireGuards:
                     last, stable_since = seen.value, time.monotonic()
             assert 0 < seen.value < n
             (conn,) = srv._conns
-            transport = conn.writer.transport
+            transport = conn.transport
             _low, high = transport.get_write_buffer_limits()
             # Over the mark by at most the responses already in flight.
             response = 4096
