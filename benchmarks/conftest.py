@@ -1,4 +1,8 @@
-"""Shared configuration for the paper-reproduction benchmarks.
+"""Shared configuration for the ablation and extension benchmarks.
+
+The paper's own tables and figures are not re-derived here: they are the
+committed ``REPORT.json`` (``python -m repro report --out REPORT.md``),
+and ``tests/test_paper_claims.py`` asserts their claims on it.
 
 Scale knobs (environment variables):
 
@@ -8,10 +12,9 @@ Scale knobs (environment variables):
 * ``REPRO_QUERIES`` -- queries per workload (default 100; the paper ran
   1000).
 
-Each benchmark writes the table/figure it reproduces to
-``benchmarks/results/`` and asserts the paper's *shape* claims (who wins,
-by roughly what factor); absolute values differ from the 1992 hardware by
-construction.
+Each benchmark writes what it measures to ``benchmarks/results/`` and
+asserts a *shape* claim (who wins, by roughly what factor); absolute
+values differ from the 1992 hardware by construction.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import Dict
 import pytest
 
 from repro.data import COUNTY_NAMES, generate_county
-from repro.harness.normalized import collect_all_counties
 
 SCALE = float(os.environ.get("REPRO_SCALE", "0.05"))
 N_QUERIES = int(os.environ.get("REPRO_QUERIES", "100"))
@@ -44,12 +46,3 @@ def county_maps() -> Dict[str, "MapData"]:
     """All six synthetic counties at the configured scale."""
     return {name: generate_county(name, scale=SCALE) for name in COUNTY_NAMES}
 
-
-@pytest.fixture(scope="session")
-def all_county_stats():
-    """Query stats for every county and structure (Figures 7-9 input).
-
-    Collected once per session; the three figure benchmarks reduce it
-    along different metrics.
-    """
-    return collect_all_counties(scale=SCALE, n_queries=N_QUERIES)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.harness.query_stats import map_query_stats
+from repro.harness import build_structure, query_stats
 
 from benchmarks.conftest import N_QUERIES, SCALE, write_result
 
@@ -20,9 +20,11 @@ _cache = {}
 
 def _runs(county_maps):
     if "runs" not in _cache:
+        charles = county_maps["charles"]
+        built = {name: build_structure(name, charles) for name in ("PMR", "R+", "R*")}
         _cache["runs"] = {
-            seed: map_query_stats(
-                county_maps["charles"],
+            seed: query_stats(
+                built,
                 n_queries=max(50, N_QUERIES // 2),
                 seed=seed,
                 window_area_fraction=min(0.0001 / SCALE, 0.01),

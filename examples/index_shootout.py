@@ -9,9 +9,8 @@ e.g.  python examples/index_shootout.py charles 0.05
 import sys
 
 from repro.data import generate_county
-from repro.harness import format_table2
-from repro.harness.build_stats import build_row
-from repro.harness.query_stats import map_query_stats
+from repro.harness import format_table1, format_table2, measure_county
+from repro.harness.normalized import by_structure
 
 
 def main() -> None:
@@ -21,22 +20,16 @@ def main() -> None:
     map_data = generate_county(county, scale=scale)
     print(f"{county}: {len(map_data)} segments (scale {scale})\n")
 
-    print("— build statistics (Table 1 row) —")
-    row = build_row(map_data, structures=("R*", "R+", "PMR"))
-    print(f"{'':6s}{'size KB':>9s}{'accesses':>10s}{'cpu s':>8s}")
-    for s in ("R*", "R+", "PMR"):
-        print(
-            f"{s:6s}{row.size_kbytes[s]:>9.0f}{row.disk_accesses[s]:>10d}"
-            f"{row.cpu_seconds[s]:>8.2f}"
-        )
-
-    print("\n— query statistics (Table 2) —")
-    stats = map_query_stats(
+    county_record = measure_county(
         map_data,
         n_queries=100,
         window_area_fraction=min(0.0001 / scale, 0.01),
     )
-    print(format_table2(stats, county=county))
+    print("— build statistics (Table 1 row) —")
+    print(format_table1([county_record["table1"]]))
+
+    print("\n— query statistics (Table 2) —")
+    print(format_table2(by_structure(county_record["workloads"]), county=county))
 
 
 if __name__ == "__main__":

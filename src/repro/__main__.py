@@ -605,10 +605,16 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from pathlib import Path
+
     from repro.harness.report import full_report
 
     text = full_report(scale=args.scale, n_queries=args.queries, out_path=args.out)
-    print(f"report written to {args.out}" if args.out else text)
+    if args.out:
+        record = Path(args.out).with_suffix(".json")
+        print(f"report written to {args.out}, its record to {record}")
+    else:
+        print(text)
     return 0
 
 
@@ -618,6 +624,21 @@ def _cmd_report(args) -> int:
 def _parent() -> argparse.ArgumentParser:
     """A group of options several commands share (an argparse *parent*)."""
     return argparse.ArgumentParser(add_help=False)
+
+
+def _scale(text: str) -> float:
+    """``--scale``: a fraction of the paper's map, in (0, 1]."""
+    value = float(text)
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
 
 
 def _address(port, port_help=None) -> argparse.ArgumentParser:
@@ -631,6 +652,7 @@ def _address(port, port_help=None) -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.core import STRUCTURES
+    from repro.data import COUNTY_NAMES
 
     parser = argparse.ArgumentParser(
         prog="python -m repro",
@@ -647,14 +669,14 @@ def build_parser() -> argparse.ArgumentParser:
     scale, county, queries, structure = _parent(), _parent(), _parent(), _parent()
     scale.add_argument(
         "--scale",
-        type=float,
+        type=_scale,
         default=0.05,
         help="fraction of the paper's ~50 000 segments per county",
     )
-    county.add_argument("--county", default="charles")
+    county.add_argument("--county", default="charles", choices=COUNTY_NAMES)
     queries.add_argument(
         "--queries",
-        type=int,
+        type=_at_least_one,
         default=100,
         help="queries per workload (the paper used 1000)",
     )
@@ -714,7 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("generate", _cmd_generate, [scale, county], help="inspect a synthetic map")
     p = command("report", _cmd_report, [scale, queries], help="every table and figure")
-    p.add_argument("--out", help="write markdown here")
+    p.add_argument(
+        "--out", help="write the markdown here and the JSON record beside it"
+    )
 
     p = command(
         "snapshot", _cmd_snapshot, built, help="build an index and save it to disk"

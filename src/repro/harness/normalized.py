@@ -14,11 +14,9 @@ orders of magnitude smaller and would flatten the plot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.data import COUNTY_NAMES, generate_county
-from repro.harness.query_stats import map_query_stats
-from repro.harness.workloads import WORKLOAD_NAMES, QueryStats
+from repro.harness.workloads import WORKLOAD_NAMES
 
 
 @dataclass
@@ -46,46 +44,38 @@ class NormalizedRange:
         )
 
 
-def collect_all_counties(
-    scale: float = 0.05,
-    n_queries: int = 100,
-    structures: Sequence[str] = ("PMR", "R+", "R*"),
-    counties: Optional[Sequence[str]] = None,
-    seed: int = 1992,
-) -> Dict[str, Dict[str, Dict[str, QueryStats]]]:
-    """``{county: {structure: {workload: stats}}}`` over all counties."""
-    out = {}
-    for county in counties if counties is not None else COUNTY_NAMES:
-        map_data = generate_county(county, scale=scale)
-        out[county] = map_query_stats(
-            map_data,
-            structures=structures,
-            n_queries=n_queries,
-            seed=seed,
-            window_area_fraction=min(0.0001 / scale, 0.01),
-        )
+def by_structure(rows: List[Dict[str, Any]]) -> Dict[str, Dict[str, Dict[str, Any]]]:
+    """A county's workload rows of a record as ``{structure: {workload: row}}``."""
+    out: Dict[str, Dict[str, Dict[str, Any]]] = {}
+    for row in rows:
+        out.setdefault(row["structure"], {})[row["workload"]] = row
     return out
 
 
 def normalized_ranges(
-    per_county: Dict[str, Dict[str, Dict[str, QueryStats]]],
+    record: Dict[str, Any],
     metric: str,
     structures: Sequence[str] = ("R+", "R*"),
     baseline: str = "PMR",
 ) -> List[NormalizedRange]:
-    """Reduce raw per-county stats to the figures' normalized ranges.
+    """Reduce a record's per-county workload rows to the figures'
+    normalized ranges.
 
     ``metric`` is one of ``disk_accesses``, ``segment_comps``,
     ``bbox_comps``. Use ``baseline="R*"`` with ``structures=("R+",)``
     for Figure 7.
     """
+    per_county = {
+        name: by_structure(county["workloads"])
+        for name, county in record["counties"].items()
+    }
     ranges: List[NormalizedRange] = []
     for structure in structures:
         for workload in WORKLOAD_NAMES:
             values = []
-            for county, by_structure in per_county.items():
-                base = by_structure[baseline][workload].metric(metric)
-                val = by_structure[structure][workload].metric(metric)
+            for stats in per_county.values():
+                base = stats[baseline][workload][metric]
+                val = stats[structure][workload][metric]
                 if base == 0:
                     continue  # degenerate map; nothing to normalize
                 values.append(val / base)

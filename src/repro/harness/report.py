@@ -1,30 +1,181 @@
-"""One-call full reproduction report.
+"""The reproduction record: every county measured once, then rendered.
 
-``full_report`` regenerates every table and figure at a chosen scale and
-renders them into a single markdown document -- the programmatic
-equivalent of running the whole benchmark suite, for notebooks and the
-``python -m repro report`` command.
+``measure_county`` builds R*, R+ and the PMR quadtree over one county
+once, at the paper's 1 KiB pages and 16-page pool, and takes everything
+the paper reports from those builds while they are alive: the county's
+Table 1 row, its seven workload rows (Table 2, Figures 7-9) and its
+occupancy row (Concluding Remarks). Only the PMR thresholds other than
+the default and Figure 6's other page/pool cells need builds of their
+own. ``measure`` runs it over the counties into one JSON-able record;
+``repro.harness.tables.render`` is the only thing that turns a record
+into markdown. ``python -m repro report --out REPORT.md`` writes both
+(the record as ``REPORT.json``).
 """
 
 from __future__ import annotations
 
+import json
 import time
+from dataclasses import asdict
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
-from repro.harness.build_stats import table1
-from repro.harness.normalized import collect_all_counties, normalized_ranges
-from repro.harness.occupancy import occupancy_report
-from repro.harness.sweeps import figure6_sweep
-from repro.harness.tables import (
-    format_figure6,
-    format_normalized,
-    format_normalized_bars,
-    format_occupancy,
-    format_table1,
-    format_table2,
-)
-from repro.metric_names import BBOX_COMPS, DISK_ACCESSES, SEGMENT_COMPS
+from repro.data import COUNTY_NAMES, generate_county
+from repro.data.generator import MapData
+from repro.harness.experiment import BuiltStructure, build_structure
+from repro.harness.tables import render
+from repro.harness.workloads import QueryStats, QueryWorkloads, run_workloads
+from repro.metric_names import DISK_READS, DISK_WRITES
+
+STRUCTURES = ("R*", "R+", "PMR")
+PAGE_SIZE = 1024
+POOL_PAGES = 16
+#: Seeds the query workloads of every county.
+SEED = 1992
+#: The PMR splitting thresholds of the occupancy analysis.
+THRESHOLDS = (2, 4, 8, 16, 32, 64)
+#: Figure 6: the structures and (page size, pool pages) grid it sweeps.
+SWEPT = ("R+", "PMR")
+PAGE_SIZES = (512, 1024, 2048, 4096)
+POOL_SIZES = (8, 16, 32)
+
+
+def query_stats(
+    built: Dict[str, BuiltStructure],
+    n_queries: int,
+    seed: int = 1992,
+    window_area_fraction: float = 0.0001,
+) -> Dict[str, Dict[str, QueryStats]]:
+    """``{structure: {workload: stats}}``: every structure answers the
+    same queries, whose 2-stage points come from the PMR decomposition."""
+    pmr = built["PMR"]
+    workloads = QueryWorkloads.generate(
+        pmr.map_data,
+        pmr.index,
+        n_queries,
+        seed=seed,
+        window_area_fraction=window_area_fraction,
+    )
+    return {name: run_workloads(b, workloads) for name, b in built.items()}
+
+
+def _figure6_cells(map_data: MapData, built: Dict[str, BuiltStructure]):
+    """Build disk accesses over the page/pool grid; the (1024, 16) cells
+    are the county's own builds."""
+    cells = []
+    for name in SWEPT:
+        for page_size in PAGE_SIZES:
+            for pool_pages in POOL_SIZES:
+                if (page_size, pool_pages) == (PAGE_SIZE, POOL_PAGES):
+                    b = built[name]
+                else:
+                    b = build_structure(
+                        name, map_data, page_size=page_size, pool_pages=pool_pages
+                    )
+                cells.append(
+                    {
+                        "structure": name,
+                        "page_size": page_size,
+                        "pool_pages": pool_pages,
+                        DISK_READS: b.build_metrics.disk_reads,
+                        "pages": b.index.page_count(),
+                    }
+                )
+    return cells
+
+
+def measure_county(
+    map_data: MapData,
+    n_queries: int,
+    window_area_fraction: float = 0.0001,
+    figure6: bool = False,
+) -> Dict[str, Any]:
+    """One county's ``table1`` row, ``workloads`` rows and ``occupancy``
+    row (plus its ``figure6`` cells if asked), each structure built once."""
+    built = {
+        name: build_structure(
+            name, map_data, page_size=PAGE_SIZE, pool_pages=POOL_PAGES
+        )
+        for name in STRUCTURES
+    }
+    table1 = {
+        "county": map_data.name,
+        "segments": len(map_data),
+        "pages": {s: b.index.page_count() for s, b in built.items()},
+        DISK_READS: {s: b.build_metrics.disk_reads for s, b in built.items()},
+        DISK_WRITES: {s: b.build_metrics.disk_writes for s, b in built.items()},
+        "seconds": {s: b.build_seconds for s, b in built.items()},
+    }
+    stats = query_stats(built, n_queries, SEED, window_area_fraction)
+    workloads = [asdict(s) for by_w in stats.values() for s in by_w.values()]
+
+    pmr = built["PMR"]
+    buckets = []
+    for threshold in THRESHOLDS:
+        if threshold == pmr.index.threshold:
+            b = pmr
+        else:
+            b = build_structure(
+                "PMR",
+                map_data,
+                page_size=PAGE_SIZE,
+                pool_pages=POOL_PAGES,
+                threshold=threshold,
+            )
+        buckets.append(
+            {
+                "threshold": threshold,
+                "occupancy": b.index.bucket_occupancy(),
+                "buckets": len(b.index.leaf_blocks()),
+                "pages": b.index.page_count(),
+            }
+        )
+    occupancy = {
+        "county": map_data.name,
+        "R*": built["R*"].index.leaf_occupancy(),
+        "R+": built["R+"].index.leaf_occupancy(),
+        "PMR": buckets,
+    }
+    out = {"table1": table1, "workloads": workloads, "occupancy": occupancy}
+    if figure6:
+        out["figure6"] = _figure6_cells(map_data, built)
+    return out
+
+
+def measure(
+    scale: float = 0.05,
+    n_queries: int = 100,
+    counties: Optional[Sequence[str]] = None,
+) -> Dict[str, Any]:
+    """The record: every county measured by ``measure_county``, Figure 6
+    on cecil (or the first county when cecil is not among them)."""
+    started = time.perf_counter()
+    names = list(counties) if counties is not None else list(COUNTY_NAMES)
+    swept = "cecil" if "cecil" in names else names[0]
+    record: Dict[str, Any] = {
+        "config": {
+            "counties": names,
+            "scale": scale,
+            "queries": n_queries,
+            "seed": SEED,
+            "page_size": PAGE_SIZE,
+            "pool_pages": POOL_PAGES,
+        },
+        "counties": {},
+    }
+    for name in names:
+        record["counties"][name] = measure_county(
+            generate_county(name, scale=scale),
+            n_queries,
+            window_area_fraction=min(0.0001 / scale, 0.01),
+            figure6=name == swept,
+        )
+    record["figure6"] = {
+        "county": swept,
+        "cells": record["counties"][swept].pop("figure6"),
+    }
+    record["elapsed_seconds"] = time.perf_counter() - started
+    return record
 
 
 def full_report(
@@ -33,84 +184,17 @@ def full_report(
     counties: Optional[Sequence[str]] = None,
     out_path: Optional[Union[str, Path]] = None,
 ) -> str:
-    """Build every structure over every county and render all results.
+    """Measure every county and render the record as markdown.
 
-    Returns the markdown text; also writes it to ``out_path`` if given.
-    At the default scale this takes on the order of a minute; at
-    ``scale=1.0`` expect tens of minutes (see EXPERIMENTS.md).
+    With ``out_path`` the markdown is written there and the record beside
+    it with the suffix ``.json``. At the default scale this takes on the
+    order of a minute; at ``scale=1.0`` expect tens of minutes.
     """
-    started = time.perf_counter()
-    sections = [
-        "# Reproduction report",
-        "",
-        f"Hoel & Samet, SIGMOD 1992 — regenerated at scale {scale} with "
-        f"{n_queries} queries per workload.",
-        "",
-        "## Table 1 — building statistics",
-        "```",
-        format_table1(table1(scale=scale, counties=counties)),
-        "```",
-    ]
-
-    per_county = collect_all_counties(
-        scale=scale, n_queries=n_queries, counties=counties
-    )
-
-    charles_key = "charles" if "charles" in per_county else next(iter(per_county))
-    sections += [
-        f"## Table 2 — query statistics ({charles_key})",
-        "```",
-        format_table2(per_county[charles_key], county=charles_key),
-        "```",
-    ]
-
-    figure_specs = [
-        (
-            "Figure 7 — relative bounding box computations",
-            normalized_ranges(
-                per_county, BBOX_COMPS, structures=("R+",), baseline="R*"
-            ),
-            "R*",
-        ),
-        (
-            "Figure 8 — relative disk accesses",
-            normalized_ranges(per_county, DISK_ACCESSES),
-            "PMR",
-        ),
-        (
-            "Figure 9 — relative segment comparisons",
-            normalized_ranges(per_county, SEGMENT_COMPS),
-            "PMR",
-        ),
-    ]
-    for title, ranges, baseline in figure_specs:
-        sections += [
-            f"## {title}",
-            "```",
-            format_normalized(ranges, title, baseline=baseline),
-            "",
-            format_normalized_bars(ranges, title, baseline=baseline),
-            "```",
-        ]
-
-    sweep_county = charles_key if counties else "cecil"
-    sections += [
-        "## Figure 6 — page/buffer sweep",
-        "```",
-        format_figure6(figure6_sweep(county=sweep_county, scale=scale)),
-        "```",
-        "## Occupancy (Concluding Remarks)",
-        "```",
-        format_occupancy(occupancy_report(county=sweep_county, scale=scale)),
-        "```",
-        "",
-        f"_Generated in {time.perf_counter() - started:.1f} s._",
-        "",
-    ]
-
-    text = "\n".join(sections)
+    record = measure(scale=scale, n_queries=n_queries, counties=counties)
+    text = render(record)
     if out_path is not None:
         out = Path(out_path)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(text)
+        out.with_suffix(".json").write_text(json.dumps(record, indent=1) + "\n")
     return text

@@ -1,16 +1,14 @@
 """Plain-text renderings of the reproduced tables and figures, in the
-paper's row/column layout."""
+paper's row/column layout, and ``render``: the one markdown writer, from
+a record of ``repro.harness.report.measure``."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.harness.build_stats import BuildRow
-from repro.harness.normalized import NormalizedRange
-from repro.harness.occupancy import OccupancyReport
-from repro.harness.sweeps import SweepCell, sweep_as_grid
-from repro.harness.workloads import WORKLOAD_NAMES, QueryStats
-from repro.metric_names import BBOX_COMPS, DISK_ACCESSES, SEGMENT_COMPS
+from repro.harness.normalized import NormalizedRange, by_structure, normalized_ranges
+from repro.harness.workloads import WORKLOAD_NAMES
+from repro.metric_names import BBOX_COMPS, DISK_ACCESSES, DISK_READS, SEGMENT_COMPS
 
 _METRIC_LABELS = {
     DISK_ACCESSES: "disk accesses",
@@ -20,7 +18,9 @@ _METRIC_LABELS = {
 
 
 def format_table1(
-    rows: List[BuildRow], structures: Sequence[str] = ("R*", "R+", "PMR")
+    rows: List[Dict[str, Any]],
+    page_size: int = 1024,
+    structures: Sequence[str] = ("R*", "R+", "PMR"),
 ) -> str:
     """Table 1: size (Kbytes) | disk accesses | cpu seconds, per county."""
     header1 = (
@@ -38,23 +38,26 @@ def format_table1(
     lines = [header1, header2, "-" * len(header2)]
     for row in rows:
         line = (
-            f"{row.county:14s}{row.segments:>7d} |"
-            + "".join(f"{row.size_kbytes[s]:>8.0f}" for s in structures)
+            f"{row['county']:14s}{row['segments']:>7d} |"
+            + "".join(
+                f"{row['pages'][s] * page_size / 1024:>8.0f}" for s in structures
+            )
             + "|"
-            + "".join(f"{row.disk_accesses[s]:>8d}" for s in structures)
+            + "".join(f"{row[DISK_READS][s]:>8d}" for s in structures)
             + "|"
-            + "".join(f"{row.cpu_seconds[s]:>8.2f}" for s in structures)
+            + "".join(f"{row['seconds'][s]:>8.2f}" for s in structures)
         )
         lines.append(line)
     return "\n".join(lines)
 
 
 def format_table2(
-    stats: Dict[str, Dict[str, QueryStats]],
+    stats: Dict[str, Dict[str, Dict[str, Any]]],
     structures: Sequence[str] = ("PMR", "R+", "R*"),
     county: str = "charles",
 ) -> str:
-    """Table 2: per-workload metric rows for one county."""
+    """Table 2: per-workload metric rows for one county
+    (``stats`` is ``{structure: {workload: row}}``)."""
     width = 18 + 12 * len(structures)
     lines = [
         f"{county} county".center(width),
@@ -67,7 +70,7 @@ def format_table2(
             lines.append(
                 f"{workload:<18s}{label:<20s}"
                 + "".join(
-                    f"{stats[s][workload].metric(metric):>12.2f}"
+                    f"{stats[s][workload][metric]:>12.2f}"
                     for s in structures
                 )
             )
@@ -131,11 +134,21 @@ def format_normalized_bars(
     return "\n".join(lines)
 
 
-def format_figure6(cells: List[SweepCell]) -> str:
+def figure6_grid(cells: List[Dict[str, Any]]) -> Dict[str, Dict[Tuple[int, int], int]]:
+    """``{structure: {(page_size, pool_pages): build disk accesses}}``."""
+    grid: Dict[str, Dict[Tuple[int, int], int]] = {}
+    for c in cells:
+        grid.setdefault(c["structure"], {})[(c["page_size"], c["pool_pages"])] = c[
+            DISK_READS
+        ]
+    return grid
+
+
+def format_figure6(cells: List[Dict[str, Any]]) -> str:
     """Figure 6 as a grid: build disk accesses per (page size, pool size)."""
-    grid = sweep_as_grid(cells)
-    page_sizes = sorted({c.page_size for c in cells})
-    pool_sizes = sorted({c.pool_pages for c in cells})
+    grid = figure6_grid(cells)
+    page_sizes = sorted({c["page_size"] for c in cells})
+    pool_sizes = sorted({c["pool_pages"] for c in cells})
     lines = ["Build disk accesses by page size and buffer size"]
     for structure, values in grid.items():
         lines.append(f"\n{structure}:")
@@ -152,20 +165,93 @@ def format_figure6(cells: List[SweepCell]) -> str:
     return "\n".join(lines)
 
 
-def format_occupancy(report: OccupancyReport) -> str:
+def equalizing_threshold(occupancy: Dict[str, Any]) -> int:
+    """The swept PMR threshold whose bucket occupancy comes closest to
+    the R-tree leaf-page occupancies (the paper estimates ~64)."""
+    target = (occupancy["R*"] + occupancy["R+"]) / 2
+    return min(
+        occupancy["PMR"], key=lambda row: abs(row["occupancy"] - target)
+    )["threshold"]
+
+
+def format_occupancy(occupancy: Dict[str, Any], page_size: int = 1024) -> str:
     lines = [
-        f"Average page/bucket occupancy ({report.county})",
-        f"  R*-tree leaf pages : {report.rstar_leaf_occupancy:.1f} segments/page",
-        f"  R+-tree leaf pages : {report.rplus_leaf_occupancy:.1f} segments/page",
+        f"Average page/bucket occupancy ({occupancy['county']})",
+        f"  R*-tree leaf pages : {occupancy['R*']:.1f} segments/page",
+        f"  R+-tree leaf pages : {occupancy['R+']:.1f} segments/page",
         "  PMR bucket occupancy by splitting threshold:",
     ]
-    for threshold, occ in sorted(report.pmr_bucket_occupancy.items()):
-        size = report.pmr_size_kbytes[threshold]
+    for row in occupancy["PMR"]:
+        threshold, occ = row["threshold"], row["occupancy"]
         lines.append(
             f"    threshold {threshold:>3d}: {occ:>6.1f} segs/bucket "
-            f"(~{occ / threshold:.2f}x), index {size:.0f} KB"
+            f"(~{occ / threshold:.2f}x), index "
+            f"{row['pages'] * page_size / 1024:.0f} KB"
         )
-    lines.append(
-        f"  occupancy-equalizing threshold: {report.equalizing_threshold()}"
-    )
+    lines.append(f"  occupancy-equalizing threshold: {equalizing_threshold(occupancy)}")
     return "\n".join(lines)
+
+
+def render(record: Dict[str, Any]) -> str:
+    """The reproduction report, as markdown, from a measured record."""
+    cfg = record["config"]
+    counties = record["counties"]
+    page_size = cfg["page_size"]
+    charles = "charles" if "charles" in counties else next(iter(counties))
+    sections = [
+        "# Reproduction report",
+        "",
+        f"Hoel & Samet, SIGMOD 1992 — regenerated at scale {cfg['scale']} with "
+        f"{cfg['queries']} queries per workload.",
+        "",
+        "## Table 1 — building statistics",
+        "```",
+        format_table1([c["table1"] for c in counties.values()], page_size),
+        "```",
+        f"## Table 2 — query statistics ({charles})",
+        "```",
+        format_table2(by_structure(counties[charles]["workloads"]), county=charles),
+        "```",
+    ]
+    figure_specs = [
+        (
+            "Figure 7 — relative bounding box computations",
+            normalized_ranges(record, BBOX_COMPS, structures=("R+",), baseline="R*"),
+            "R*",
+        ),
+        (
+            "Figure 8 — relative disk accesses",
+            normalized_ranges(record, DISK_ACCESSES),
+            "PMR",
+        ),
+        (
+            "Figure 9 — relative segment comparisons",
+            normalized_ranges(record, SEGMENT_COMPS),
+            "PMR",
+        ),
+    ]
+    for title, ranges, baseline in figure_specs:
+        sections += [
+            f"## {title}",
+            "```",
+            format_normalized(ranges, title, baseline=baseline),
+            "",
+            format_normalized_bars(ranges, title, baseline=baseline),
+            "```",
+        ]
+    sections += [
+        "## Figure 6 — page/buffer sweep",
+        "```",
+        format_figure6(record["figure6"]["cells"]),
+        "```",
+        "## Occupancy (Concluding Remarks)",
+        "```",
+        "\n\n".join(
+            format_occupancy(c["occupancy"], page_size) for c in counties.values()
+        ),
+        "```",
+        "",
+        f"_Generated in {record['elapsed_seconds']:.1f} s._",
+        "",
+    ]
+    return "\n".join(sections)

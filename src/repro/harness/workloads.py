@@ -11,6 +11,7 @@ tree heights).
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -47,6 +48,7 @@ class QueryStats:
     disk_accesses: float
     segment_comps: float
     bbox_comps: float
+    seconds: float = 0.0  # wall clock for the whole batch
 
     def metric(self, name: str) -> float:
         return getattr(self, name)
@@ -95,10 +97,12 @@ class QueryWorkloads:
 def _measure(built: BuiltStructure, workload: str, runs) -> QueryStats:
     built.ctx.pool.clear()
     before = built.ctx.counters.snapshot()
+    start = time.perf_counter()
     n = 0
     for run in runs:
         run()
         n += 1
+    seconds = time.perf_counter() - start
     delta = built.ctx.counters.since(before)
     return QueryStats(
         workload=workload,
@@ -107,6 +111,7 @@ def _measure(built: BuiltStructure, workload: str, runs) -> QueryStats:
         disk_accesses=delta.disk_reads / max(n, 1),
         segment_comps=delta.segment_comps / max(n, 1),
         bbox_comps=delta.bbox_comps / max(n, 1),
+        seconds=seconds,
     )
 
 

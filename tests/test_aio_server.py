@@ -799,9 +799,10 @@ class TestWireGuards:
             srv.stop()
 
     def test_a_peer_that_never_reads_is_not_read_from(self):
-        """10 000 pipelined requests, no response read: the reader stops
-        at ``drain()``, so what the server holds for the connection is
-        bounded by the transport's high-water mark, not by the peer."""
+        """10 000 pipelined requests, no response read: once the write
+        buffer passes its high-water mark, ``pause_writing`` calls
+        ``pause_reading()``, so what the server holds for the connection
+        is bounded by the transport's high-water mark, not by the peer."""
         n = 10_000
         engine = QueryEngine(
             build_index("R*", lattice_map(n=8)), registry=MetricsRegistry()

@@ -172,6 +172,34 @@ class TestEveryAcceptedOptionActs:
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    #: A map-building command line with a value no map can have: it used
+    #: to end in a traceback and exit 1 (which ``check`` keeps for error
+    #: findings), or in a report of zeros.
+    BAD_VALUES = [
+        (["generate"], "--county", "nosuch"),
+        (["report"], "--scale", "0"),
+        (["snapshot", "--out", "x.snap"], "--scale", "0"),
+        (["explain", "point"], "--scale", "0"),
+        (["shard-init", "--root", "x"], "--scale", "0"),
+        (["check"], "--scale", "2"),
+        (["generate"], "--scale", "nan"),
+        (["report"], "--queries", "0"),
+        (["report"], "--queries", "-5"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, flag, value",
+        BAD_VALUES,
+        ids=[f"{c[0]}{f}={v}" for c, f, v in BAD_VALUES],
+    )
+    def test_a_value_no_map_can_have_is_a_usage_error(
+        self, capsys, argv, flag, value
+    ):
+        with pytest.raises(SystemExit) as exit_:
+            main([*argv, flag, value])
+        assert exit_.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+
     #: The three launchers, each with what it requires and nothing else.
     LAUNCHERS = {
         "serve": ["serve"],

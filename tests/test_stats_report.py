@@ -1,12 +1,14 @@
 """Tests for map statistics and the full-report generator."""
 
+import json
+
 import pytest
 
 from repro.data import generate_county
 from repro.data.generator import MapData
 from repro.data.stats import map_statistics
 from repro.geometry import Segment
-from repro.harness.report import full_report
+from repro.harness import full_report, render
 
 
 class TestMapStatistics:
@@ -58,6 +60,18 @@ class TestFullReport:
         )
         assert out.exists()
         assert out.read_text() == text
+        # The markdown is the rendering of the record written beside it.
+        record = json.loads(out.with_suffix(".json").read_text())
+        assert render(record) == text
+        assert record["config"] == {
+            "counties": ["cecil", "charles"],
+            "scale": 0.01,
+            "queries": 5,
+            "seed": 1992,
+            "page_size": 1024,
+            "pool_pages": 16,
+        }
+        assert record["figure6"]["county"] == "cecil"
         for marker in (
             "Table 1",
             "Table 2",
@@ -86,6 +100,7 @@ class TestFullReport:
             ]
         )
         assert rc == 0
+        assert out.with_suffix(".json").exists()
         text = out.read_text()
         # What each per-artefact command printed, `report` now renders.
         for marker in (
