@@ -23,7 +23,6 @@ from typing import (
     Iterable,
     List,
     NamedTuple,
-    Optional,
     Set,
     Union,
 )
@@ -96,7 +95,7 @@ class SpatialIndex(ABC):
     A class *declares* itself, once, so that nothing outside it guesses
     its kind from its attributes: :meth:`params` / :meth:`state` /
     :meth:`reopen` (what a snapshot records and reads back),
-    :meth:`page_inventories`, :meth:`extent` and :attr:`stock_search`.
+    :meth:`page_inventories` and :meth:`extent`.
     Whether an instance still honours its invariants is not the class's
     business but the fsck's (:func:`repro.analysis.check_index`);
     :meth:`check_invariants` is the tests' spelling of it.
@@ -105,12 +104,6 @@ class SpatialIndex(ABC):
     #: Short display name used in tables ("R*", "R+", "PMR", ...): the
     #: class's row of :data:`repro.core.STRUCTURES` and a snapshot's kind.
     name: ClassVar[str] = "abstract"
-
-    #: The stock loops that search this class -- ``"rtree"``
-    #: (:mod:`repro.core.treesearch` over ``(rect, ref)`` pages) or
-    #: ``"pmr"`` (directory walk plus B-tree scans) -- or ``None`` for
-    #: loops of its own, which the vector kernel leaves to the scalar path.
-    stock_search: ClassVar[Optional[str]] = None
 
     def __init__(self, ctx: StorageContext) -> None:
         self.ctx = ctx

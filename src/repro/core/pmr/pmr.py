@@ -54,7 +54,6 @@ from repro.storage.layout import (
 
 class PMRQuadtree(SpatialIndex):
     name = "PMR"
-    stock_search = "pmr"
     #: ``store_bboxes=True`` is a constructor-only variant: a reopened
     #: tree never has it (its tuples do not serialize).
     store_bboxes = False

@@ -102,7 +102,7 @@ def iter_nearest(
 def scalar_nearest_segment(
     index: SpatialIndex, p: Point
 ) -> Optional[Tuple[int, float]]:
-    """Scalar reference implementation of query 3."""
+    """Query 3: the nearest segment to ``p``, or ``None``."""
     for seg_id, dist2 in iter_nearest(index, p):
         return seg_id, dist2
     return None
@@ -111,14 +111,11 @@ def scalar_nearest_segment(
 def scalar_nearest_k(
     index: SpatialIndex, p: Point, k: int
 ) -> "list[Tuple[int, float]]":
-    """Scalar reference implementation of k-nearest.
+    """The ``k`` nearest segments to ``p``, nearest first.
 
     Costs no more than a single nearest-neighbour query plus the extra
     expansion needed for the additional results -- the advantage of the
-    incremental formulation over repeated range guessing. Both backends
-    share this heap-driven search: its cost is dominated by node
-    expansions and per-candidate geometry fetches that must stay
-    charge-identical, so there is nothing to batch.
+    incremental formulation over repeated range guessing.
     """
     out = []
     for seg_id, dist2 in iter_nearest(index, p):

@@ -42,7 +42,7 @@ def fetch_unique(
 def scalar_incident_segments(
     index: SpatialIndex, p: Point
 ) -> List[Tuple[int, Segment]]:
-    """Scalar reference implementation of the incidence lookup.
+    """The incidence lookup: every segment with an endpoint at ``p``.
 
     The polygon traversal (query 4) calls this once per vertex and needs
     the directions of the incident edges, so the fetched geometry is

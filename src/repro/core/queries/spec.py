@@ -13,12 +13,14 @@ modes, the cache key -- is decided in this module and nowhere else.
 
 from __future__ import annotations
 
+from math import isfinite
 from operator import attrgetter
 from typing import Any, Dict, Optional, Tuple
 
 # A module object, not a name: repro.core.backends imports the query
 # modules, so it may still be loading here; execute_spec reads it late.
 from repro.core import backends
+from repro.core.interface import WORLD_SIZE
 from repro.geometry import Point, Rect
 
 #: Spatial predicates a window spec accepts.
@@ -116,10 +118,23 @@ class QuerySpec:
 
     @classmethod
     def nearest(cls, p: Point, k: int = 1) -> "QuerySpec":
-        """Query 3: the ``k`` nearest segments to ``p``."""
+        """Query 3: the ``k`` nearest segments to ``p``.
+
+        ``p`` must lie near enough to the world ``[0, WORLD_SIZE]^2``
+        that its squared distance to the far corner is a finite float:
+        from farther away every distance in the answer would be ``inf``,
+        which JSON cannot carry.
+        """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        return cls("nearest", *p, k=int(k))
+        x, y = p
+        dx = max(abs(x), abs(x - WORLD_SIZE))
+        dy = max(abs(y), abs(y - WORLD_SIZE))
+        if not isfinite(dx * dx + dy * dy):
+            raise ValueError(
+                f"point ({x}, {y}) is too far from the world for a finite distance"
+            )
+        return cls("nearest", x, y, k=int(k))
 
     @classmethod
     def polygon(

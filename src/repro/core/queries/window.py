@@ -3,9 +3,7 @@
 Callers build a :class:`~repro.core.queries.spec.QuerySpec` and execute
 it through :class:`~repro.core.backends.ScalarBackend`, which runs the
 implementation here -- candidate generation through the index, then the
-dedup/fetch/verify loop. The vector kernel (:mod:`repro.core.vector`)
-replaces the loop with an array pass that charges the same storage
-traffic.
+dedup/fetch/verify loop.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from repro.geometry.clipping import segment_intersects_box
 def scalar_window_query(
     index: SpatialIndex, window: Rect, mode: str = "intersects"
 ) -> List[int]:
-    """The scalar reference implementation of query 5.
+    """Query 5, the paper's scalar per-entry traversal.
 
     ``mode`` selects the spatial predicate (validated where the plan is
     built, :meth:`QuerySpec.window`):

@@ -103,7 +103,6 @@ class NodeTree(SpatialIndex):
     the loops above. Guttman's R-tree, the R*-tree and the R+-tree are
     insertion and split policies over it."""
 
-    stock_search = "rtree"
     root_id: int
     _height: int
     _page_ids: Set[int]

@@ -60,33 +60,6 @@ class BufferPool:
         self._admit(page_id, payload, dirty=False)
         return payload
 
-    def get_runs(self, runs) -> None:
-        """Charge an ordered sequence of ``(page_id, count)`` access runs.
-
-        Each run is counter- and replacement-equivalent to calling
-        :meth:`get` ``count`` times in a row, the payloads discarded:
-        the first access takes the hit/miss decision, the remaining
-        ``count - 1`` are buffer hits on the now-resident page, and the
-        recency order sees one net access position (LRU is idempotent
-        under repeated touches). One call amortizes the per-access
-        overhead when a vectorized reader has already planned a whole
-        query's page traffic.
-        """
-        counters = self.counters
-        frames = self._frames
-        touch = frames.move_to_end
-        read = self.disk.read
-        for page_id, count in runs:
-            if count <= 0:
-                raise ValueError(f"count must be positive, got {count}")
-            if page_id in frames:
-                counters.buffer_hits += count
-                touch(page_id)
-            else:
-                counters.disk_reads += 1
-                counters.buffer_hits += count - 1
-                self._admit(page_id, read(page_id), dirty=False)
-
     def create(self, payload: Any) -> int:
         """Allocate a new page born dirty in the pool (no read charged)."""
         page_id = self.disk.allocate(payload)

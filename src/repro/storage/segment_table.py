@@ -94,9 +94,9 @@ class SegmentTable:
     def page_ids(self) -> List[int]:
         """The table's page ids in slot order (read-only by convention).
 
-        ``seg_id // per_page`` indexes this list; exposed so batched
-        readers (the vectorized verify) can plan run-collapsed page
-        access without reaching into private state.
+        ``seg_id // per_page`` indexes this list; the snapshot writer, the
+        fsck and the page inventories read it without reaching into
+        private state.
         """
         return self._page_ids
 

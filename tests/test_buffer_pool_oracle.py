@@ -1,11 +1,11 @@
 """The parent's policy-driven pool is the oracle of the ordered-frame pool.
 
-``PolicyPool`` keeps, unchanged but for the removed ``policy=`` knob,
-the buffer pool that delegated replacement to a separate ``LRUPolicy``
-object before the recency order became the order of the pool's own
-frame table. The two must be indistinguishable: replaying one random
-sequence of ``get`` / ``create`` / ``mark_dirty`` / ``drop`` / ``flush``
-/ ``clear`` / ``get_runs`` calls on both, every step leaves equal
+``PolicyPool`` keeps, unchanged but for the removed ``policy=`` knob and
+``get_runs`` call, the buffer pool that delegated replacement to a
+separate ``LRUPolicy`` object before the recency order became the order
+of the pool's own frame table. The two must be indistinguishable:
+replaying one random sequence of ``get`` / ``create`` / ``mark_dirty`` /
+``drop`` / ``flush`` / ``clear`` calls on both, every step leaves equal
 counters, equal physical disk traffic, the same resident set and the
 same dirty set.
 """
@@ -73,22 +73,6 @@ class PolicyPool:
         self._admit(page_id, payload, dirty=False)
         return payload
 
-    def get_runs(self, runs) -> None:
-        counters = self.counters
-        frames = self._frames
-        record = self._policy.record_access
-        read = self.disk.read
-        for page_id, count in runs:
-            if count <= 0:
-                raise ValueError(f"count must be positive, got {count}")
-            if page_id in frames:
-                counters.buffer_hits += count
-                record(page_id)
-            else:
-                counters.disk_reads += 1
-                counters.buffer_hits += count - 1
-                self._admit(page_id, read(page_id), dirty=False)
-
     def create(self, payload: Any) -> int:
         page_id = self.disk.allocate(payload)
         self._admit(page_id, payload, dirty=True)
@@ -145,10 +129,6 @@ _STEP = st.one_of(
     st.tuples(st.just("get"), _PAGE),
     st.tuples(st.sampled_from(["create", "mark_dirty", "drop"]), _PAGE),
     st.tuples(st.sampled_from(["flush", "clear"]), st.none()),
-    st.tuples(
-        st.just("get_runs"),
-        st.lists(st.tuples(_PAGE, st.integers(1, 3)), max_size=6),
-    ),
 )
 
 
@@ -157,8 +137,6 @@ def _apply(pool, step, n):
     ids = pool.disk.allocated_ids()
     if op == "create":
         return pool.create(f"page {n}")
-    if op == "get_runs":
-        return pool.get_runs([(ids[i % len(ids)], count) for i, count in arg])
     if op in ("flush", "clear"):
         return getattr(pool, op)()
     return getattr(pool, op)(ids[arg % len(ids)])

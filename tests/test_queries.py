@@ -5,12 +5,15 @@ query -- the paper's premise is that the structures differ in cost, never
 in results.
 """
 
+import ast
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backends import SCALAR_BACKEND, ScalarBackend, resolve_backend
 from repro.core.queries import (
     QuerySpec,
     execute_spec,
@@ -266,3 +269,44 @@ def test_legacy_query_shims_are_gone(name):
         assert name not in module.__all__
     with pytest.raises(ImportError):
         exec(f"from repro.core.queries import {name}")
+
+
+class TestOneTraversal:
+    """Every query takes one scalar traversal, and nothing in the package
+    needs numpy."""
+
+    def test_every_backend_name_resolves_to_the_scalar_backend(self):
+        for name in (None, "scalar"):
+            assert resolve_backend(name) is SCALAR_BACKEND
+            assert resolve_backend(name).name == "scalar"
+        # The registered benchmark still asks for "vector" and times its
+        # run_batch; that is the same traversal under the old name.
+        alias = resolve_backend("vector")
+        assert isinstance(alias, ScalarBackend) and alias.name == "vector"
+        index = build_index("PMR", lattice_map(n=6))
+        specs = [QuerySpec.window(Rect(x, x, x + 200, x + 150)) for x in (0, 300, 700)]
+        assert alias.run_batch(index, specs) == [SCALAR_BACKEND.run(index, s) for s in specs]
+        alias.invalidate()
+        with pytest.raises(ValueError):
+            resolve_backend("simd")
+
+    def test_no_module_imports_numpy(self):
+        src = os.path.join(os.path.dirname(__file__), "..", "src", "repro")
+        offenders = []
+        for dirpath, _dirs, files in os.walk(src):
+            for fname in files:
+                if not fname.endswith(".py"):
+                    continue
+                path = os.path.join(dirpath, fname)
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if isinstance(node, ast.Import):
+                        names = [alias.name for alias in node.names]
+                    elif isinstance(node, ast.ImportFrom) and node.module:
+                        names = [node.module]
+                    else:
+                        continue
+                    if any(name.split(".")[0] == "numpy" for name in names):
+                        offenders.append((os.path.relpath(path, src), node.lineno))
+        assert offenders == []
