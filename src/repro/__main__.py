@@ -250,9 +250,14 @@ _SIZES = (
 
 def _cmd_snapshot(args) -> int:
     from repro.service.snapshot import save_index, snapshot_sizes
+    from repro.storage import CodecError
 
     index = _build(args)
-    pages = save_index(index, args.out)
+    try:
+        pages = save_index(index, args.out)
+    except (CodecError, OSError) as exc:
+        print(f"error: cannot save {args.structure} snapshot: {exc}", file=sys.stderr)
+        return 1
     print(
         f"saved {args.structure} over {args.county} (scale {args.scale}): "
         f"{pages} pages -> {args.out}"

@@ -27,8 +27,7 @@ from repro.aio.frames import (
     decode_payload,
     encode_frame,
 )
-
-_COMPACT = (",", ":")
+from repro.service.protocol import encode_json
 
 
 class AsyncMapClient(asyncio.Protocol):
@@ -76,7 +75,7 @@ class AsyncMapClient(asyncio.Protocol):
             loop.create_connection(cls, *address), timeout
         )
         hello = {"op": "ping", "v": PROTOCOL_VERSION_2}
-        transport.write(json.dumps(hello, separators=_COMPACT).encode() + b"\n")
+        transport.write(encode_json(hello).encode() + b"\n")
         try:
             ack = await asyncio.wait_for(client._ack, timeout)
         except BaseException:

@@ -48,6 +48,8 @@ import json
 import struct
 from typing import Any, Dict, Tuple
 
+from repro.service.protocol import encode_json
+
 #: Protocol version clients pin (``{"v": 2}``) to negotiate framing.
 PROTOCOL_VERSION_2 = 2
 
@@ -63,14 +65,12 @@ FLAG_RESPONSE = 0x01
 #: line cap: one request may carry a big batch, but not the heap.
 MAX_FRAME_BYTES = 1 << 20
 
-_COMPACT = (",", ":")
-
 
 def encode_frame(
     request_id: int, payload: Dict[str, Any], response: bool = False
 ) -> bytes:
     """One v2 frame: header + compact JSON payload."""
-    body = json.dumps(payload, separators=_COMPACT).encode("utf-8")
+    body = encode_json(payload).encode("utf-8")
     flags = FLAG_RESPONSE if response else 0
     return FRAME_HEADER.pack(flags, len(body), request_id) + body
 

@@ -83,7 +83,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import threading
 import time
 from collections import deque
@@ -101,8 +100,8 @@ from repro.aio.frames import (
     encode_frame,
 )
 from repro.service.api import PROTOCOL_VERSION
-from repro.service.protocol import Protocol, Request
-from repro.service.server import _COMPACT, DEFAULT_IDLE_TIMEOUT, MAX_LINE_BYTES
+from repro.service.protocol import Protocol, Request, encode_json
+from repro.service.server import DEFAULT_IDLE_TIMEOUT, MAX_LINE_BYTES
 
 #: Admitted requests one connection may have in flight, and all of them
 #: together; past either the request is answered ``server_overloaded``.
@@ -634,7 +633,7 @@ class AsyncMapServer:
     @staticmethod
     def _encode(envelope: Dict[str, Any], wire: int, request_id: int) -> bytes:
         if wire == 1:
-            return json.dumps(envelope, separators=_COMPACT).encode("utf-8") + b"\n"
+            return encode_json(envelope).encode("utf-8") + b"\n"
         return encode_frame(request_id, envelope, response=True)
 
     def _send(self, conn: _Conn, req: _Req, envelope: Dict[str, Any]) -> None:

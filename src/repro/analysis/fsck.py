@@ -65,6 +65,6 @@ def check_snapshot(src: Union[str, os.PathLike, BinaryIO]) -> List[Finding]:
     """
     from repro.service.snapshot import load_index, stream
 
-    with stream(src, "rb") as fh:
+    with stream(src) as fh:
         index, findings = load_index(fh, read_header(fh))
     return findings if index is None else findings + check_index(index)

@@ -25,15 +25,16 @@ def fetch_unique(
     index: SpatialIndex, candidates: List[int], prof
 ) -> Tuple[List[int], List[Segment]]:
     """The dedup/fetch pass queries 1, 2 and 5 share: each candidate id
-    once, first-seen order, with its geometry. Under EXPLAIN the pass
+    once, first-seen order, with its geometry, fetched in one
+    :meth:`~repro.storage.segment_table.SegmentTable.fetch_many` (one
+    pool lookup per run of ids on one table page). Under EXPLAIN the pass
     is one ``segment_table`` window, one visit per id fetched -- the
     profile is consulted per query, never per candidate."""
     unique = list(dict.fromkeys(candidates))
-    fetch = index.ctx.segments.fetch
     explained = prof is not None and unique
     if explained:
         prof.open(index.ctx.counters)
-    segs = list(map(fetch, unique))
+    segs = index.ctx.segments.fetch_many(unique)
     if explained:
         prof.close_cause(CAUSE_SEGMENT_TABLE, visits=len(unique))
     return unique, segs

@@ -21,9 +21,15 @@ the measurement.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Set
+from typing import Any, List, Optional, Set
 
-from repro.core.interface import NNItem, NNQuery, SpatialIndex, query_lower_bound
+from repro.core.interface import (
+    NNItem,
+    NNQuery,
+    SegmentQuery,
+    SpatialIndex,
+    query_lower_bound,
+)
 from repro.geometry import Point, Rect
 from repro.storage.context import StorageContext
 from repro.storage.layout import (
@@ -36,17 +42,22 @@ from repro.storage.layout import (
 def search_tree(
     ctx: StorageContext,
     root_id: int,
-    matches: Callable[[Rect, Any], bool],
-    query: Any,
+    qx1: float,
+    qy1: float,
+    qx2: float,
+    qy2: float,
 ) -> List[int]:
-    """Refs of the leaf entries whose rectangle ``matches`` the query.
+    """Refs of the leaf entries whose rectangle meets the closed window
+    ``[qx1, qx2] x [qy1, qy2]``.
 
-    ``matches`` is the :class:`Rect` predicate the search descends by:
-    ``Rect.contains_point`` for a point query, ``Rect.intersects`` for a
-    window.
+    The test is closed intersection, made on the unpacked entry in place
+    with no call per entry. A point query is the zero-extent window
+    ``(px, py, px, py)``: closed containment of a point is closed
+    intersection with that degenerate rectangle, so both searches run
+    this one loop.
     """
     prof = ctx.profile
-    pool = ctx.pool
+    get = ctx.pool.get
     counters = ctx.counters
     out: List[int] = []
     stack = [root_id]
@@ -54,11 +65,16 @@ def search_tree(
         page_id = stack.pop()
         if prof is not None:
             prof.open(counters)
-        node = pool.get(page_id)
-        counters.bbox_comps += len(node.entries)
-        matched = [ref for r, ref in node.entries if matches(r, query)]
+        node = get(page_id)
+        entries = node.entries
+        counters.bbox_comps += len(entries)
+        matched = [
+            ref
+            for (x1, y1, x2, y2), ref in entries
+            if x1 <= qx2 and qx1 <= x2 and y1 <= qy2 and qy1 <= y2
+        ]
         if prof is not None:
-            prof.close_node(page_id, len(node.entries), matched, node.is_leaf)
+            prof.close_node(page_id, len(entries), matched, node.is_leaf)
         if node.is_leaf:
             out.extend(matched)
         else:
@@ -73,28 +89,44 @@ def expand_node(ctx: StorageContext, ref: Any, p: NNQuery) -> List[NNItem]:
     of its entry rectangles: the node MBR for Guttman/R*, and for R+ the
     content bound (its stored regions are partition tiles, which say
     nothing about where in the tile the segments lie).
+
+    For a point query an inner node's children are bounded in place by
+    :func:`~repro.geometry.point_rect_distance2`'s own float operations,
+    and the items are built by ``tuple.__new__`` (a C call, where
+    ``NNItem(...)`` is a Python-level ``__new__``).
     """
     prof = ctx.profile
     if prof is not None:
         prof.open(ctx.counters)
     node = ctx.pool.get(ref)
-    n = len(node.entries)
+    entries = node.entries
+    n = len(entries)
     ctx.counters.bbox_comps += n
     if prof is not None:
-        prof.close_node(ref, n, [child for _, child in node.entries], node.is_leaf)
+        prof.close_node(ref, n, [child for _, child in entries], node.is_leaf)
+    new = tuple.__new__
     if node.is_leaf:
         # As in the paper's implementations, examining a leaf examines
         # its segments: candidates inherit the leaf's own lower bound,
         # so every entry of a leaf nearer than the answer is fetched
         # and compared (per-entry MBR distances would prune further,
         # but would not reproduce the measured segment comparisons).
-        if not node.entries:
+        if not entries:
             return []
-        d = query_lower_bound(p, Rect.union_of(r for r, _ in node.entries))
-        return [NNItem(d, True, child) for _, child in node.entries]
-    return [
-        NNItem(query_lower_bound(p, r), False, child) for r, child in node.entries
-    ]
+        d = query_lower_bound(p, Rect.union_of([r for r, _ in entries]))
+        return [new(NNItem, (d, True, child)) for _, child in entries]
+    if isinstance(p, SegmentQuery):
+        return [
+            NNItem(query_lower_bound(p, r), False, child) for r, child in entries
+        ]
+    px, py = p
+    items: List[NNItem] = []
+    append = items.append
+    for (x1, y1, x2, y2), child in entries:
+        dx = x1 - px if px < x1 else px - x2 if px > x2 else 0.0
+        dy = y1 - py if py < y1 else py - y2 if py > y2 else 0.0
+        append(new(NNItem, (dx * dx + dy * dy, False, child)))
+    return items
 
 
 class NodeTree(SpatialIndex):
@@ -118,10 +150,11 @@ class NodeTree(SpatialIndex):
         return capacity
 
     def candidate_ids_at_point(self, p: Point) -> List[int]:
-        return search_tree(self.ctx, self.root_id, Rect.contains_point, p)
+        px, py = p
+        return search_tree(self.ctx, self.root_id, px, py, px, py)
 
     def candidate_ids_in_rect(self, rect: Rect) -> List[int]:
-        return search_tree(self.ctx, self.root_id, Rect.intersects, rect)
+        return search_tree(self.ctx, self.root_id, *rect)
 
     def nn_start(self, p: Point) -> List[NNItem]:
         return [NNItem(0.0, False, self.root_id)]

@@ -48,6 +48,13 @@ from repro.service.api import OPS, PROTOCOL_VERSION, parse_request
 
 Envelope = Dict[str, Any]
 
+#: The wire's one JSON encoder, compact and built once: ``json.dumps(x,
+#: separators=(",", ":"))`` builds a new ``JSONEncoder`` on every call,
+#: and responses carry segment lists, so the default ``", "``/``": "``
+#: padding would cost encode time and wire bytes. Its output is
+#: ``json.dumps(x, separators=(",", ":"))``'s, byte for byte.
+encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
 #: The most result rows a request may be *expected* to return and still
 #: count as short. Measured at the paper's scale (50 998 segments, 1 KiB
 #: pages, 16-page pool) 256 rows is <= ~4 ms of traversal on R* and PMR:

@@ -64,7 +64,7 @@ import threading
 from typing import Any, Dict, Optional, Tuple
 
 from repro.service.engine import QueryEngine
-from repro.service.protocol import Envelope, Protocol
+from repro.service.protocol import Envelope, Protocol, encode_json
 
 #: Close a connection that has sent nothing for this long (seconds).
 #: A stalled client used to pin its handler thread forever; both the
@@ -75,10 +75,6 @@ DEFAULT_IDLE_TIMEOUT = 300.0
 #: longer is drained and answered with a ``frame_too_large`` error
 #: instead of being buffered whole -- one client cannot exhaust memory.
 MAX_LINE_BYTES = 1 << 20
-
-#: Compact separators: responses carry segment lists, so the default
-#: ``", "``/``": "`` padding costs real encode time and wire bytes.
-_COMPACT = (",", ":")
 
 
 def serve_json_lines(
@@ -94,7 +90,6 @@ def serve_json_lines(
     oversized line is drained in bounded chunks and answered with a
     structured ``frame_too_large`` error, never buffered whole.
     """
-    dumps = json.dumps
     write, flush = handler.wfile.write, handler.wfile.flush
     readline = handler.rfile.readline
     max_line_bytes = MAX_LINE_BYTES
@@ -119,7 +114,7 @@ def serve_json_lines(
             response = protocol.respond_line(raw, session)
             if response is None:
                 continue  # blank line: no reply is owed
-        write(dumps(response, separators=_COMPACT).encode("utf-8") + b"\n")
+        write(encode_json(response).encode("utf-8") + b"\n")
         flush()
 
 

@@ -29,15 +29,16 @@ from repro.core import STRUCTURES
 from repro.errors import SnapshotError
 from repro.storage.codec import dump_database, load_pages, read_header
 from repro.storage.context import StorageContext
+from repro.wal.store import atomic_publish
 
 MANIFEST_VERSION = 1
 
 
-def stream(target: Union[str, os.PathLike, BinaryIO], mode: str):
-    """``target`` as a context manager: a path is opened in ``mode`` (and
-    closed), a caller's own stream is passed through and left open."""
+def stream(target: Union[str, os.PathLike, BinaryIO]):
+    """``target`` as a context manager to read from: a path is opened
+    (and closed), a caller's own stream is passed through and left open."""
     if isinstance(target, (str, os.PathLike)):
-        return open(target, mode)
+        return open(target, "rb")
     return contextlib.nullcontext(target)
 
 
@@ -54,7 +55,11 @@ def save_index(
     head. Returns the number of pages written. Raises
     :class:`~repro.errors.SnapshotError` (a ``CodecError``) for an index
     whose ``state()`` cannot be written (a PMR built with
-    ``store_bboxes=True``).
+    ``store_bboxes=True``), and ``CodecError`` for a node its page cannot
+    hold. A path ``dest`` is replaced all or nothing
+    (:func:`~repro.wal.store.atomic_publish`): a refused save leaves the
+    file that was there untouched. A stream ``dest`` (the checkpoint's
+    own temp file) is written in place.
 
     ``extra`` merges additional top-level keys into the manifest; the
     durability layer embeds ``{"wal": {"checkpoint_lsn": ...}}`` so a
@@ -78,7 +83,11 @@ def save_index(
         manifest.update(extra)
     ctx.pool.flush()
     inventories = index.page_inventories()
-    with stream(dest, "wb") as fh:
+    if isinstance(dest, (str, os.PathLike)):
+        target = atomic_publish(os.fspath(dest))
+    else:
+        target = contextlib.nullcontext(dest)
+    with target as fh:
         return dump_database(ctx.disk, fh, manifest, ctx.pool, inventories)
 
 
@@ -132,7 +141,7 @@ def open_index(src: Union[str, os.PathLike, BinaryIO], pool_pages: int = 16):
     (:class:`~repro.errors.SnapshotError` carrying the findings) exactly
     when ``check`` reports a header-rule error.
     """
-    with stream(src, "rb") as fh:
+    with stream(src) as fh:
         return opened(*load_index(fh, read_header(fh), pool_pages))
 
 
@@ -160,7 +169,7 @@ def snapshot_sizes(path: str, segments: int) -> Dict[str, Any]:
 
 def snapshot_info(src: Union[str, os.PathLike, BinaryIO]) -> Dict[str, Any]:
     """Read only the manifest of a snapshot (no page decoding)."""
-    with stream(src, "rb") as fh:
+    with stream(src) as fh:
         manifest = read_header(fh).get("manifest")
     if manifest is None:
         raise SnapshotError("snapshot has no index manifest")

@@ -82,8 +82,8 @@ from repro.obs.prom import merge_prom_texts
 from repro.obs.trace import TRACER
 from repro.sanitize import make_condition, make_lock
 from repro.service.api import OPS, Command, parse_batch_item, parse_request
-from repro.service.protocol import Envelope, Protocol
-from repro.service.server import _COMPACT, DEFAULT_IDLE_TIMEOUT, LineServer
+from repro.service.protocol import Envelope, Protocol, encode_json
+from repro.service.server import DEFAULT_IDLE_TIMEOUT, LineServer
 from repro.shard.manifest import ShardMap, ShardSpec
 from repro.shard.worker import read_addr
 
@@ -210,7 +210,7 @@ class ShardClient:
         -- the ``profile`` op legitimately takes its sampling window to
         answer, which the default would cut short.
         """
-        line = json.dumps(payload, separators=_COMPACT).encode("utf-8") + b"\n"
+        line = encode_json(payload).encode("utf-8") + b"\n"
         with self._lock:
             fresh = self._sock is None
             if fresh:

@@ -7,8 +7,9 @@ segments are usually in proximity, they will be stored close to each
 other"): maps are generated road-by-road, so consecutive ids are usually
 spatial neighbours.
 
-Each access through :meth:`SegmentTable.fetch` is one of the paper's
-*segment comparisons* and may fault a table page into the buffer pool.
+Each access through :meth:`SegmentTable.fetch` (or each id of a
+:meth:`SegmentTable.fetch_many`) is one of the paper's *segment
+comparisons* and may fault a table page into the buffer pool.
 """
 
 from __future__ import annotations
@@ -89,6 +90,43 @@ class SegmentTable:
         self.pool.counters.segment_comps += 1
         page = self.pool.get(self._page_ids[seg_id // self.per_page])
         return page[seg_id % self.per_page]
+
+    def fetch_many(self, seg_ids: List[int]) -> List[Segment]:
+        """``[self.fetch(i) for i in seg_ids]``, charged identically.
+
+        Every id is validated first: an out-of-range one raises
+        ``IndexError`` before anything is charged. Then one segment
+        comparison per id, and one :meth:`BufferPool.get` per run of
+        consecutive ids on the same table page; the rest of the run is
+        charged as buffer hits. A repeated ``get`` of the page the last
+        one made most-recently-used is exactly such a hit and moves no
+        LRU order, so disk reads, hits, residency and recency all equal
+        the per-id loop's.
+        """
+        count = self._count
+        if seg_ids and (min(seg_ids) < 0 or max(seg_ids) >= count):
+            bad = next(i for i in seg_ids if not 0 <= i < count)
+            raise IndexError(f"segment id {bad} out of range (0..{count - 1})")
+        counters = self.pool.counters
+        counters.segment_comps += len(seg_ids)
+        get = self.pool.get
+        page_ids = self._page_ids
+        per_page = self.per_page
+        out: List[Segment] = []
+        append = out.append
+        slot_page = -1
+        page: List[Segment] = []
+        hits = 0
+        for seg_id in seg_ids:
+            at = seg_id // per_page
+            if at == slot_page:
+                hits += 1
+            else:
+                slot_page = at
+                page = get(page_ids[at])
+            append(page[seg_id % per_page])
+        counters.buffer_hits += hits
+        return out
 
     @property
     def page_ids(self) -> List[int]:

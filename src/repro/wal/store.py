@@ -70,13 +70,19 @@ def _fsync_dir(root: str) -> None:
 @contextlib.contextmanager
 def atomic_publish(path: str) -> Iterator[Any]:
     """Replace ``path`` with what the body writes to the yielded binary
-    stream, all or nothing: temp file, flush + fsync, ``os.replace``,
-    directory fsync. A body that raises (the crash hooks) replaces nothing."""
+    stream, all or nothing: temp file beside it, flush + fsync,
+    ``os.replace``, directory fsync. A body that raises (a refused
+    snapshot, the crash hooks) replaces nothing and leaves no temp file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        yield fh
-        fh.flush()
-        os.fsync(fh.fileno())
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
     _fsync_dir(os.path.dirname(path) or ".")
 

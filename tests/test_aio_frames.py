@@ -112,3 +112,28 @@ class TestPayloadValidation:
         from repro.service.server import MAX_LINE_BYTES
 
         assert MAX_FRAME_BYTES == MAX_LINE_BYTES
+
+
+#: Envelopes of every shape the wire carries: floats, nested lists,
+#: non-ASCII text and an error object.
+ENVELOPES = [
+    {"ok": True, "result": list(range(40)), "v": 2},
+    {"ok": True, "result": [[17, 0.1 + 0.2], [3, 1e-300], [9, 12345678.125]]},
+    {"ok": True, "result": {"nested": [[1, [2, [3.5, -0.0]]], {"k": None}]}},
+    {"ok": True, "result": {"county": "Saint Mary’s été 水"}},
+    {"ok": False, "error": {"code": "bad_args", "message": "x must be finite",
+                            "partial": [1, 2], "shard": "s0"}},
+]
+
+
+class TestCompactEncoder:
+    """One encoder, built once, serves every writer of the wire."""
+
+    @pytest.mark.parametrize("envelope", ENVELOPES)
+    def test_byte_identical_to_compact_dumps(self, envelope):
+        from repro.service.protocol import encode_json
+
+        expected = json.dumps(envelope, separators=(",", ":"))
+        assert encode_json(envelope) == expected
+        frame = encode_frame(5, envelope, response=True)
+        assert frame[HEADER_BYTES:] == expected.encode("utf-8")

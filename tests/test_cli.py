@@ -74,6 +74,35 @@ class TestCLI:
         assert "degrees" in out
         assert "noded planar map: True" in out
 
+    def test_a_refused_snapshot_is_reported_and_replaces_nothing(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        import repro.__main__ as cli
+        from repro.core.rtree import RStarTree
+        from repro.data import generate_county
+
+        # A node its page cannot hold (the R+ overflow on a county map):
+        # the page codec refuses it in the middle of the write.
+        ctx = StorageContext.create()
+        tree = RStarTree(ctx, capacity=80)
+        for seg_id in ctx.load_segments(generate_county("cecil", 0.01).segments[:80]):
+            tree.insert(seg_id)
+        monkeypatch.setattr(cli, "_build", lambda args: tree)
+        victim = tmp_path / "victim.snap"
+        victim.write_bytes(b"an earlier snapshot")
+        rc = main([
+            "snapshot", "--county", "cecil", *SCALE,
+            "--structure", "R*", "--out", str(victim),
+        ])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith(
+            "error: cannot save R* snapshot: node with 80 entries needs "
+        )
+        assert captured.err.endswith("; page is 1024\n")
+        assert victim.read_bytes() == b"an earlier snapshot"
+        assert [p.name for p in tmp_path.iterdir()] == ["victim.snap"]
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["not-a-command"])

@@ -14,7 +14,12 @@ commit, ``CHANGE`` on the commit that made the path allocation-free and
 re-taken whenever a later commit lowers a row (the point rows: one frame
 fewer per query once the point search is called directly; every row once
 a buffer-pool hit stopped calling a replacement-policy object; the PMR
-insert and delete rows once the split and merge rules were inlined).
+insert and delete rows once the split and merge rules were inlined; the
+R-tree rows once node entries were tested in place, and the window and
+point rows once a candidate list was fetched in one
+``SegmentTable.fetch_many``). The R+ rows and the R-tree nearest rows
+were added with that last change; their ``PARENT`` is its parent
+commit's count.
 
 The ``engine.*`` rows are the disabled-telemetry budget of the served
 path: the calls whose code lives in ``repro/obs/`` or
@@ -44,6 +49,7 @@ from tests.conftest import build_index, lattice_map
 
 PARENT_SHA = "73009e95f87fc388f4745ca59f3b148a5a956dff"
 N_OPS = 200
+KINDS = ("PMR", "R*", "R+")
 
 #: Total ``call`` events over ``N_OPS`` operations of each row.
 PARENT = {
@@ -54,15 +60,24 @@ PARENT = {
     "PMR.delete": 83285,
     "R*.window": 188194,
     "R*.point": 26626,
+    # Measured at 3d724d0239127d8ab46858e310c726de70088a5b.
+    "R*.nearest": 91332,
+    "R+.window": 98324,
+    "R+.point": 19972,
+    "R+.nearest": 75194,
 }
 CHANGE = {
-    "PMR.window": 80549,
-    "PMR.point": 7884,
+    "PMR.window": 51799,
+    "PMR.point": 7050,
     "PMR.nearest": 30360,
     "PMR.insert": 24079,
     "PMR.delete": 27711,
-    "R*.window": 95638,
-    "R*.point": 24467,
+    "R*.window": 26842,
+    "R*.point": 5337,
+    "R*.nearest": 40291,
+    "R+.window": 27505,
+    "R+.point": 5246,
+    "R+.nearest": 34807,
 }
 #: What the change had to reach, as a fraction of the parent's count.
 BUDGET = {row: 1.0 for row in PARENT}
@@ -139,15 +154,15 @@ def measure(kind: str):
 
     row("window", lambda: [run(index, QuerySpec.window(w)) for w in windows])
     row("point", lambda: [run(index, QuerySpec.point(p)) for p in points])
+    row("nearest", lambda: [run(index, QuerySpec.nearest(p)) for p in anywhere])
     if kind == "PMR":
-        row("nearest", lambda: [run(index, QuerySpec.nearest(p)) for p in anywhere])
         ids = ctx.load_segments(new)
         row("insert", lambda: [index.insert(i) for i in ids])
         row("delete", lambda: [index.delete(i) for i in ids])
     return rows
 
 
-@pytest.mark.parametrize("kind", ["PMR", "R*"])
+@pytest.mark.parametrize("kind", KINDS)
 def test_call_budget(kind):
     rows = measure(kind)
     assert set(rows) <= set(CHANGE), "run `python tests/test_hot_path_budget.py`"
@@ -191,7 +206,7 @@ def test_disabled_telemetry_budget():
 
 
 if __name__ == "__main__":  # prints a column to commit above
-    for kind in ("PMR", "R*"):
+    for kind in KINDS:
         for name, calls in measure(kind).items():
             print(f'    "{name}": {calls},')
     for name, calls in measure_engine().items():

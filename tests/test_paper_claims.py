@@ -327,7 +327,10 @@ class TestTable2:
             # R*-tree beats the R+-tree even though the R+-tree wins the
             # constituent point queries (locality beats disjointness).
             assert rstar[w]["disk_accesses"] < rplus[w]["disk_accesses"], w
-            # PMR needs the fewest disk accesses of all.
+            # The paper has the PMR fewest of all; the record has R* just
+            # below it (charles: 84.71 vs 85.39 two-stage, 115.55 vs
+            # 117.67 one-stage) and R+ far above both. The bound holds
+            # the PMR within 10 % of R*.
             assert pmr[w]["disk_accesses"] <= rstar[w]["disk_accesses"] * 1.1, w
 
 

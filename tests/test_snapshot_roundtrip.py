@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro import core
+from repro.core.rtree import RStarTree
 from repro.core.queries import (
     QuerySpec,
     execute_spec,
@@ -157,6 +158,26 @@ class TestManifest:
         index = build_structure("PMR", county, store_bboxes=True).index
         with pytest.raises(CodecError, match="store_bboxes"):
             save_index(index, io.BytesIO())
+
+    def test_a_refused_save_leaves_the_old_file(self, tmp_path, county):
+        path = tmp_path / "victim.snap"
+        save_index(build_structure("R*", county).index, path)
+        before = path.read_bytes()
+        # Refused mid-write: a node its page cannot hold (80 entries of
+        # 20 bytes on a 1 KiB page), as an R+ overflow is.
+        ctx = StorageContext.create()
+        over = RStarTree(ctx, capacity=80)
+        for seg_id in ctx.load_segments(county.segments[:80]):
+            over.insert(seg_id)
+        with pytest.raises(CodecError, match="page is 1024"):
+            save_index(over, path)
+        # Refused before a byte is written.
+        pmr = build_structure("PMR", county, store_bboxes=True).index
+        with pytest.raises(CodecError, match="store_bboxes"):
+            save_index(pmr, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["victim.snap"]
+        assert open_index(path).entry_count() > 0
 
     def test_plain_dump_rejected_by_open(self, county):
         from repro.storage.codec import dump_database
