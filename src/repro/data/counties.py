@@ -16,8 +16,9 @@ Character calibration:
   mixes.
 
 Segment counts default to the paper's (about 46-51 thousand per county)
-scaled by ``scale``; the benchmarks run at a reduced scale so the whole
-suite completes in minutes of pure Python (see EXPERIMENTS.md).
+scaled by ``scale``. The committed reproduction record (REPORT.json) and
+the e2e benchmarks run at scale 1.0; tests and quick checks use smaller
+scales (see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ _PAPER_COUNTS: Dict[str, int] = {
 COUNTY_NAMES: List[str] = sorted(_PAPER_COUNTS)
 
 
+def _require_county(name: str) -> None:
+    if name not in _PAPER_COUNTS:
+        raise KeyError(f"unknown county {name!r}; choose from {COUNTY_NAMES}")
+
+
 def county_profile(name: str, target_segments: int, world_size: int = 16384) -> GeneratorSpec:
     """The generator parameters of one synthetic county."""
+    _require_county(name)
     base_seed = 0x51630 + sum(ord(c) for c in name)
     if name == "baltimore":
         return GeneratorSpec(
@@ -79,30 +86,29 @@ def county_profile(name: str, target_segments: int, world_size: int = 16384) -> 
             walk_fraction=0.70,
             tandem_probability=0.5,
         )
-    if name in ("cecil", "garrett", "washington"):
-        tweaks = {
-            "cecil": (0.08, 0.55, 0.35),
-            "garrett": (0.05, 0.65, 0.45),
-            "washington": (0.06, 0.55, 0.35),
-        }
-        background, walk_fraction, tandem = tweaks[name]
-        return GeneratorSpec(
-            kind="rural",
-            target_segments=target_segments,
-            seed=base_seed,
-            world_size=world_size,
-            blobs=[(0.5, 0.35, 0.08, 0.8)],
-            background=background,
-            walk_fraction=walk_fraction,
-            tandem_probability=tandem,
-        )
-    raise KeyError(f"unknown county {name!r}; choose from {COUNTY_NAMES}")
+    # cecil, garrett and washington: rural with varying mixes.
+    background, walk_fraction, tandem = {
+        "cecil": (0.08, 0.55, 0.35),
+        "garrett": (0.05, 0.65, 0.45),
+        "washington": (0.06, 0.55, 0.35),
+    }[name]
+    return GeneratorSpec(
+        kind="rural",
+        target_segments=target_segments,
+        seed=base_seed,
+        world_size=world_size,
+        blobs=[(0.5, 0.35, 0.08, 0.8)],
+        background=background,
+        walk_fraction=walk_fraction,
+        tandem_probability=tandem,
+    )
 
 
 def generate_county(
     name: str, scale: float = 1.0, world_size: int = 16384
 ) -> MapData:
     """Generate one synthetic county at a fraction of the paper's size."""
+    _require_county(name)
     if not 0 < scale <= 1.0:
         raise ValueError(f"scale must be in (0, 1], got {scale}")
     target = max(64, int(_PAPER_COUNTS[name] * scale))

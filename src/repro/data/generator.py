@@ -24,11 +24,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress, filterfalse, repeat
+from operator import lt
 from typing import Dict, Iterable, List, Set, Tuple
 
+from repro.core.pmr.locational import interleave
 from repro.geometry import Point, Segment
 
 _Edge = Tuple[Tuple[int, int], Tuple[int, int]]  # lattice vertices, ordered
+
+#: Share of a full lattice's ~2n^2 edges each kind of county aims to use.
+_FILL = {"urban": 0.75, "suburban": 0.55, "rural": 0.30}
 
 
 @dataclass
@@ -64,151 +70,226 @@ class MapData:
         )
 
 
-def _edge_key(a: Tuple[int, int], b: Tuple[int, int]) -> _Edge:
-    return (a, b) if a <= b else (b, a)
+#: Jitter bound as a fraction of the pitch; must stay below ~0.35 for
+#: the planarity argument (disjoint lattice edges are >= 1 pitch apart,
+#: each endpoint moves < jitter*pitch, so segments cannot touch).
+_JITTER = 0.30
 
 
-def _morton2(x: int, y: int) -> int:
-    """Bit-interleave two small non-negative ints (edge-ordering key)."""
-    out = 0
-    for bit in range(16):
-        out |= ((x >> bit) & 1) << (2 * bit)
-        out |= ((y >> bit) & 1) << (2 * bit + 1)
+def _lattice_points(
+    n: int, world_size: int, rng: random.Random
+) -> List[Tuple[int, int]]:
+    """A jittered n x n lattice inside the world square: vertex ``(i, j)``
+    is entry ``i * n + j``, its ``(x, y)`` on the integer grid."""
+    pitch = world_size / (n + 1)
+    # Vertex by vertex, row-major, x then y: (k + 1) * pitch plus a jitter
+    # of rng.uniform(-_JITTER, _JITTER) * pitch. uniform(a, b) is
+    # a + (b - a) * random(), so the draws come first, in one list.
+    rand = rng.random
+    draws = [rand() for _ in range(2 * n * n)]
+    lo = -_JITTER
+    span = _JITTER - lo
+    offset = [(k + 1) * pitch for k in range(n)]
+    xs = [
+        round(offset[k // n] + (lo + span * r) * pitch)
+        for k, r in enumerate(draws[0::2])
+    ]
+    ys = [
+        round(offset[k % n] + (lo + span * r) * pitch)
+        for k, r in enumerate(draws[1::2])
+    ]
+    top = world_size - 1
+    for coords in (xs, ys):
+        if min(coords) < 0 or max(coords) > top:
+            coords[:] = [min(max(c, 0), top) for c in coords]
+    return list(zip(xs, ys))
+
+
+def _field_edges(
+    n: int,
+    blobs: List[Tuple[float, float, float, float]],
+    background: float,
+    rng: random.Random,
+) -> Set[_Edge]:
+    """The lattice edges one ``random()`` draw each keeps.
+
+    The draws run vertex by vertex, row-major, the ``+i`` edge before the
+    ``+j`` edge. Edge ``e`` is kept when its draw is below a smooth
+    density field at e's midpoint: the max of Gaussian blobs
+    ``(cx, cy, radius, peak)`` in unit coordinates over ``background``,
+    capped at 1 (a cap a draw in [0, 1) never reaches, so it is not
+    applied). A midpoint is ``((a + 2) / (2 (n + 1)), (b + 2) / (2 (n + 1)))``
+    for the sums ``a`` of its endpoints' i and ``b`` of their j.
+    """
+    rand = rng.random
+    exp = math.exp
+    sums = range(2 * n - 1)
+    denom = 2 * (n + 1)
+    terms = [
+        (
+            peak,
+            2 * radius * radius,
+            [((a + 2) / denom - cx) ** 2 for a in sums],
+            [((b + 2) / denom - cy) ** 2 for b in sums],
+        )
+        for cx, cy, radius, peak in blobs
+    ]
+    keep: Set[_Edge] = set()
+    row = [(0, j) for j in range(n)]
+    for i in range(n):
+        if i + 1 < n:
+            # The row's edges in draw order: +i edges (a = 2i + 1, b = 2j)
+            # at even places, +j edges (a = 2i, b = 2j + 1) at odd ones.
+            below = [(i + 1, j) for j in range(n)]
+            edges: List[_Edge] = [None] * (2 * n - 1)  # type: ignore[list-item]
+            edges[0::2] = zip(row, below)
+            edges[1::2] = zip(row, row[1:])
+            levels = []
+            for peak, two_r2, du, dv in terms:
+                level = [0.0] * (2 * n - 1)
+                at = du[2 * i + 1]
+                level[0::2] = [peak * exp(-(at + d) / two_r2) for d in dv[0::2]]
+                at = du[2 * i]
+                level[1::2] = [peak * exp(-(at + d) / two_r2) for d in dv[1::2]]
+                levels.append(level)
+        else:
+            below = row
+            edges = list(zip(row, row[1:]))
+            levels = [
+                [peak * exp(-(du[2 * i] + d) / two_r2) for d in dv[1::2]]
+                for peak, two_r2, du, dv in terms
+            ]
+        draws = [rand() for _ in edges]
+        field = map(max, repeat(background), *levels) if levels else repeat(background)
+        keep.update(compress(edges, map(lt, draws, field)))
+        row = below
+    return keep
+
+
+def _neighbours(i: int, j: int, last: int) -> List[Tuple[int, int]]:
+    """Lattice neighbours of ``(i, j)`` in the order -i, +i, -j, +j."""
+    out = []
+    if i > 0:
+        out.append((i - 1, j))
+    if i < last:
+        out.append((i + 1, j))
+    if j > 0:
+        out.append((i, j - 1))
+    if j < last:
+        out.append((i, j + 1))
     return out
 
 
-class _Lattice:
-    """A jittered n x n lattice inside the world square."""
-
-    #: Jitter bound as a fraction of the pitch; must stay below ~0.35 for
-    #: the planarity argument (disjoint lattice edges are >= 1 pitch apart,
-    #: each endpoint moves < jitter*pitch, so segments cannot touch).
-    JITTER = 0.30
-
-    def __init__(self, n: int, world_size: int, rng: random.Random) -> None:
-        self.n = n
-        self.world_size = world_size
-        pitch = world_size / (n + 1)
-        self.points: Dict[Tuple[int, int], Point] = {}
-        for i in range(n):
-            for j in range(n):
-                x = (i + 1) * pitch + rng.uniform(-self.JITTER, self.JITTER) * pitch
-                y = (j + 1) * pitch + rng.uniform(-self.JITTER, self.JITTER) * pitch
-                self.points[(i, j)] = Point(
-                    min(max(int(round(x)), 0), world_size - 1),
-                    min(max(int(round(y)), 0), world_size - 1),
-                )
-
-    def neighbours(self, v: Tuple[int, int]) -> List[Tuple[int, int]]:
-        i, j = v
-        out = []
-        if i > 0:
-            out.append((i - 1, j))
-        if i < self.n - 1:
-            out.append((i + 1, j))
-        if j > 0:
-            out.append((i, j - 1))
-        if j < self.n - 1:
-            out.append((i, j + 1))
-        return out
-
-    def all_edges(self) -> Iterable[_Edge]:
-        for i in range(self.n):
-            for j in range(self.n):
-                if i + 1 < self.n:
-                    yield ((i, j), (i + 1, j))
-                if j + 1 < self.n:
-                    yield ((i, j), (i, j + 1))
-
-    def segment(self, edge: _Edge) -> Segment:
-        a = self.points[edge[0]]
-        b = self.points[edge[1]]
-        return Segment(a.x, a.y, b.x, b.y)
-
-
-def _density_field(
-    blobs: List[Tuple[float, float, float, float]], background: float
-) -> "_FieldFn":
-    """A smooth [0, 1] field: max of Gaussian blobs over a background.
-
-    Each blob is (cx, cy, radius, peak) in unit coordinates.
-    """
-
-    def field(u: float, v: float) -> float:
-        best = background
-        for cx, cy, radius, peak in blobs:
-            d2 = (u - cx) ** 2 + (v - cy) ** 2
-            value = peak * math.exp(-d2 / (2 * radius * radius))
-            if value > best:
-                best = value
-        return min(best, 1.0)
-
-    return field
-
-
-_FieldFn = "Callable[[float, float], float]"
-
-
-def _select_field_edges(
-    lattice: _Lattice, field, rng: random.Random
-) -> Set[_Edge]:
-    selected: Set[_Edge] = set()
-    n = lattice.n
-    for edge in lattice.all_edges():
-        (i1, j1), (i2, j2) = edge
-        u = (i1 + i2 + 2) / (2 * (n + 1))
-        v = (j1 + j2 + 2) / (2 * (n + 1))
-        if rng.random() < field(u, v):
-            selected.add(edge)
-    return selected
-
-
 def _random_walk(
-    lattice: _Lattice, rng: random.Random, length: int, straightness: float = 0.75
+    n: int, rng: random.Random, length: int, straightness: float = 0.75
 ) -> List[_Edge]:
-    """A self-avoiding-ish meander: momentum-biased walk on the lattice."""
-    n = lattice.n
-    v = (rng.randrange(n), rng.randrange(n))
-    prev_dir: Tuple[int, int] = (0, 0)
+    """A self-avoiding-ish meander: momentum-biased walk on the lattice.
+
+    After the first step, a ``random()`` below ``straightness`` keeps the
+    direction when the straight step stays on the lattice; every other
+    step is ``rng.choice`` over :func:`_neighbours`.
+    """
+    rand = rng.random
+    choice = rng.choice
+    last = n - 1
+    i, j = rng.randrange(n), rng.randrange(n)
+    di = dj = 0
     edges: List[_Edge] = []
     for _ in range(length):
-        options = lattice.neighbours(v)
-        if not options:
-            break
-        if prev_dir != (0, 0) and rng.random() < straightness:
-            straight = (v[0] + prev_dir[0], v[1] + prev_dir[1])
-            if straight in options:
-                nxt = straight
-            else:
-                nxt = rng.choice(options)
+        if (di or dj) and rand() < straightness and (
+            0 <= i + di <= last and 0 <= j + dj <= last
+        ):
+            ni, nj = i + di, j + dj
         else:
-            nxt = rng.choice(options)
-        edges.append(_edge_key(v, nxt))
-        prev_dir = (nxt[0] - v[0], nxt[1] - v[1])
-        v = nxt
+            ni, nj = choice(_neighbours(i, j, last))
+        # An edge is ordered (lower vertex, upper vertex).
+        if ni + nj > i + j:
+            edges.append(((i, j), (ni, nj)))
+        else:
+            edges.append(((ni, nj), (i, j)))
+        di, dj = ni - i, nj - j
+        i, j = ni, nj
     return edges
 
 
+def _tandem(edges: List[_Edge], n: int, offset: Tuple[int, int]) -> List[_Edge]:
+    """The same path shifted by one lattice cell (a stream beside a road).
+
+    The offset is (1, 0) or (0, 1) and an edge's upper vertex is its
+    second, so only that vertex can leave the lattice.
+    """
+    di, dj = offset
+    return [
+        ((i1 + di, j1 + dj), (i2 + di, j2 + dj))
+        for (i1, j1), (i2, j2) in edges
+        if i2 + di < n and j2 + dj < n
+    ]
+
+
+def _open_edges(
+    v: Tuple[int, int], last: int, selected: Set[_Edge]
+) -> List[_Edge]:
+    """The edges from ``v`` to its :func:`_neighbours` not yet selected."""
+    i, j = v
+    out = []
+    if i > 0:
+        out.append(((i - 1, j), v))
+    if i < last:
+        out.append((v, (i + 1, j)))
+    if j > 0:
+        out.append(((i, j - 1), v))
+    if j < last:
+        out.append((v, (i, j + 1)))
+    return list(filterfalse(selected.__contains__, out))
+
+
+#: Frontier block length: an insert walks ~len/_BLOCK blocks and moves
+#: ~_BLOCK entries, instead of ~len/2 entries of one list.
+_BLOCK = 4096
+
+
+def _insert(blocks: List[list], k: int, item) -> None:
+    """Insert ``item`` at position ``k`` of the concatenation of ``blocks``."""
+    for b, block in enumerate(blocks):
+        if k <= len(block):
+            block.insert(k, item)
+            if len(block) > 2 * _BLOCK:
+                blocks[b : b + 1] = [block[:_BLOCK], block[_BLOCK:]]
+            return
+        k -= len(block)
+    blocks.append([item])  # only when every block is empty: k == 0
+
+
 def _grow_network(
-    lattice: _Lattice, selected: Set[_Edge], need: int, rng: random.Random
+    n: int, selected: Set[_Edge], need: int, rng: random.Random
 ) -> None:
-    """Add ``need`` edges that extend or branch off the existing network."""
+    """Add ``need`` edges that extend or branch off the existing network.
+
+    The frontier is a shuffled list that pops from its end and takes each
+    new vertex's open edges at ``rng.randrange(len + 1)``; it is held in
+    blocks of about :data:`_BLOCK` entries, which give the same sequence.
+    """
     if need <= 0:
         return
     vertices = {v for e in selected for v in e}
     if not vertices:
-        v = (rng.randrange(lattice.n), rng.randrange(lattice.n))
+        v = (rng.randrange(n), rng.randrange(n))
         vertices.add(v)
-    frontier = [
-        _edge_key(v, w)
-        for v in vertices
-        for w in lattice.neighbours(v)
-        if _edge_key(v, w) not in selected
-    ]
+    last = n - 1
+    frontier: List[_Edge] = []
+    for v in vertices:
+        frontier += _open_edges(v, last, selected)
     rng.shuffle(frontier)
+    size = len(frontier)
+    blocks = [frontier[k : k + _BLOCK] for k in range(0, size, _BLOCK)]
+    randrange = rng.randrange
     added = 0
-    while frontier and added < need:
-        edge = frontier.pop()
+    while size and added < need:
+        tail = blocks[-1]
+        edge = tail.pop()
+        if not tail:
+            blocks.pop()
+        size -= 1
         if edge in selected:
             continue
         selected.add(edge)
@@ -216,25 +297,9 @@ def _grow_network(
         for v in edge:
             if v not in vertices:
                 vertices.add(v)
-                extensions = [
-                    _edge_key(v, w)
-                    for w in lattice.neighbours(v)
-                    if _edge_key(v, w) not in selected
-                ]
-                for e in extensions:
-                    frontier.insert(rng.randrange(len(frontier) + 1), e)
-
-
-def _tandem(edges: List[_Edge], lattice: _Lattice, offset: Tuple[int, int]) -> List[_Edge]:
-    """The same path shifted by one lattice cell (a stream beside a road)."""
-    n = lattice.n
-    out: List[_Edge] = []
-    for (a, b) in edges:
-        a2 = (a[0] + offset[0], a[1] + offset[1])
-        b2 = (b[0] + offset[0], b[1] + offset[1])
-        if 0 <= a2[0] < n and 0 <= a2[1] < n and 0 <= b2[0] < n and 0 <= b2[1] < n:
-            out.append(_edge_key(a2, b2))
-    return out
+                for e in _open_edges(v, last, selected):
+                    _insert(blocks, randrange(size + 1), e)
+                    size += 1
 
 
 @dataclass
@@ -256,78 +321,90 @@ def generate_map(name: str, spec: GeneratorSpec) -> MapData:
     """Generate a planar map of roughly ``spec.target_segments`` segments."""
     if spec.target_segments < 8:
         raise ValueError(f"target_segments too small: {spec.target_segments}")
+    if spec.kind not in _FILL:
+        raise ValueError(f"unknown kind {spec.kind!r}; choose from {sorted(_FILL)}")
     rng = random.Random(spec.seed)
+    target = spec.target_segments
 
     # Lattice sized so that the field + walks can reach the target count:
     # a full n x n lattice has ~2n^2 edges; aim to use about `fill` of them.
-    fill = {"urban": 0.75, "suburban": 0.55, "rural": 0.30}[spec.kind]
-    n = max(8, int(math.sqrt(spec.target_segments / (2 * fill))))
-    lattice = _Lattice(n, spec.world_size, rng)
+    n = max(8, int(math.sqrt(target / (2 * _FILL[spec.kind]))))
+    points = _lattice_points(n, spec.world_size, rng)
 
     selected: Set[_Edge] = set()
 
-    walk_budget = int(spec.target_segments * spec.walk_fraction)
+    walk_budget = int(target * spec.walk_fraction)
     while walk_budget > 0 and len(selected) < walk_budget:
         length = rng.randint(n, 3 * n)
-        walk = _random_walk(lattice, rng, length)
+        walk = _random_walk(n, rng, length)
         selected.update(walk)
         if walk and rng.random() < spec.tandem_probability:
             offset = rng.choice([(1, 0), (0, 1)])
-            selected.update(_tandem(walk, lattice, offset))
+            selected.update(_tandem(walk, n, offset))
 
-    field_fn = _density_field(spec.blobs, spec.background)
-    selected.update(_select_field_edges(lattice, field_fn, rng))
+    # One merge of a separate set, not an add per edge: the two leave the
+    # set in different iteration orders, and _grow_network reads that one.
+    selected.update(_field_edges(n, spec.blobs, spec.background, rng))
 
     # Trim or top up toward the target for comparable Table 1 rows.
-    selected_list = sorted(selected)
-    if len(selected_list) > spec.target_segments:
-        rng.shuffle(selected_list)
-        selected_list = selected_list[: spec.target_segments]
+    edges: Iterable[_Edge]
+    if len(selected) > target:
+        edges = sorted(selected)
+        rng.shuffle(edges)
+        del edges[target:]
     else:
         # Grow the road network from its own frontier (roads extend and
         # branch) rather than sprinkling isolated edges, which would
         # shred the large rural faces the profiles are calibrated for.
-        _grow_network(
-            lattice, selected, spec.target_segments - len(selected_list), rng
-        )
-        selected_list = sorted(selected)
-        if len(selected_list) > spec.target_segments:
-            rng.shuffle(selected_list)
-            selected_list = selected_list[: spec.target_segments]
+        # It adds at most the shortfall, so nothing is left to trim.
+        _grow_network(n, selected, target - len(selected), rng)
+        edges = selected
 
     # Emit in Z-order of the edge midpoint: TIGER files group the chains
     # of an area together, which gives the segment table the 2-d locality
     # the paper's measurements rely on ("since the segments are usually
     # in proximity, they will be stored close to each other"); Morton
-    # order is the scan order that preserves that locality best.
-    selected_list.sort(key=lambda e: _morton2(e[0][0] + e[1][0], e[0][1] + e[1][1]))
-    segments = [lattice.segment(e) for e in selected_list]
+    # order is the scan order that preserves that locality best. The
+    # midpoint sums (i1 + i2, j1 + j2) of two lattice edges differ, so
+    # the keys are distinct and fix the order whatever order ``edges``
+    # is in.
+    spread = [interleave(s, 0) for s in range(2 * n - 1)]
+    order = sorted(
+        [
+            (spread[i1 + i2] | spread[j1 + j2] << 1, i1 * n + j1, i2 * n + j2)
+            for (i1, j1), (i2, j2) in edges
+        ]
+    )
+    new = tuple.__new__
+    # Drop any degenerate segments produced by extreme jitter collisions.
+    segments = [
+        new(Segment, points[a] + points[b])
+        for _, a, b in order
+        if points[a] != points[b]
+    ]
 
     # Urban shortcut streets: diagonals across otherwise-empty cells. A
     # diagonal of a lattice cell can only meet cell-boundary segments at
     # its endpoints, so planarity is preserved.
     if spec.diagonal_fraction > 0:
-        selected_set = set(selected_list)
-        want = int(len(segments) * spec.diagonal_fraction)
+        kept = set(edges)
+        want = int(len(order) * spec.diagonal_fraction)
         cells = [(i, j) for i in range(n - 1) for j in range(n - 1)]
         rng.shuffle(cells)
         added = 0
-        for (i, j) in cells:
+        for i, j in cells:
             if added >= want:
                 break
-            corners = [(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)]
-            cell_edges = [
-                _edge_key(corners[0], corners[1]),
-                _edge_key(corners[0], corners[2]),
-                _edge_key(corners[1], corners[3]),
-                _edge_key(corners[2], corners[3]),
-            ]
-            if all(e in selected_set for e in cell_edges):
-                a = lattice.points[corners[0]]
-                b = lattice.points[corners[3]]
-                segments.append(Segment(a.x, a.y, b.x, b.y))
+            c0, c1, c2, c3 = (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)
+            if (
+                (c0, c1) in kept
+                and (c0, c2) in kept
+                and (c1, c3) in kept
+                and (c2, c3) in kept
+            ):
+                a, b = points[i * n + j], points[(i + 1) * n + j + 1]
+                if a != b:
+                    segments.append(new(Segment, a + b))
                 added += 1
 
-    # Drop any degenerate segments produced by extreme jitter collisions.
-    segments = [s for s in segments if not s.is_degenerate()]
     return MapData(name=name, segments=segments, world_size=spec.world_size)

@@ -90,6 +90,10 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_map("t", self._small_spec(target_segments=4))
 
+    def test_rejects_unknown_kind_by_name(self):
+        with pytest.raises(ValueError, match="unknown kind 'forest'"):
+            generate_map("t", self._small_spec(kind="forest"))
+
     def test_no_duplicate_segments(self):
         m = generate_map("t", self._small_spec())
         keys = {tuple(sorted([(s.x1, s.y1), (s.x2, s.y2)])) for s in m.segments}
@@ -132,6 +136,10 @@ class TestMapData:
 
 
 class TestCounties:
+    def test_unknown_county_names_the_choices(self):
+        with pytest.raises(KeyError, match="unknown county 'nowhere'; choose from"):
+            generate_county("nowhere")
+
     def test_all_counties_named(self):
         assert COUNTY_NAMES == sorted(
             ["anne_arundel", "baltimore", "cecil", "charles", "garrett", "washington"]

@@ -21,6 +21,15 @@ point rows once a candidate list was fetched in one
 were added with that last change; their ``PARENT`` is its parent
 commit's count.
 
+The ``generate.cecil`` row is the set-up path: every call of one
+``generate_county("cecil", 0.1)``. Its ``PARENT`` was measured at
+9a85b35 (a ``field``, ``_edge_key``, ``neighbours`` or ``Point`` call
+per lattice vertex, edge or walk step), its ``CHANGE`` once the
+generator's loops made no call per edge; what is left is mostly
+``random.Random``'s own Python frames (``shuffle``, ``choice``,
+``randrange``). Re-take it with this file's ``__main__`` on a checkout
+of each commit.
+
 The ``engine.*`` rows are the disabled-telemetry budget of the served
 path: the calls whose code lives in ``repro/obs/`` or
 ``repro/sanitize.py`` that one read through ``QueryEngine.execute`` makes
@@ -65,6 +74,8 @@ PARENT = {
     "R+.window": 98324,
     "R+.point": 19972,
     "R+.nearest": 75194,
+    # Measured at 9a85b35caa0cbb134a0921cd36abf8888fd83970.
+    "generate.cecil": 129759,
 }
 CHANGE = {
     "PMR.window": 51799,
@@ -78,10 +89,12 @@ CHANGE = {
     "R+.window": 27505,
     "R+.point": 5246,
     "R+.nearest": 34807,
+    "generate.cecil": 19840,
 }
 #: What the change had to reach, as a fraction of the parent's count.
 BUDGET = {row: 1.0 for row in PARENT}
 BUDGET["PMR.window"] = 0.5
+BUDGET["generate.cecil"] = 0.5
 
 #: Calls into ``repro/obs/`` and ``repro/sanitize.py`` per served read,
 #: telemetry off: the no-op ``traverse`` span (open, enter, exit) and the
@@ -174,6 +187,20 @@ def test_call_budget(kind):
         )
 
 
+def measure_generate():
+    """``{row: calls}`` of one county generation."""
+    return {"generate.cecil": count_calls(lambda: generate_county("cecil", 0.1))}
+
+
+def test_generate_budget():
+    for name, calls in measure_generate().items():
+        assert CHANGE[name] <= BUDGET[name] * PARENT[name], name
+        assert calls <= CHANGE[name], (
+            f"{name}: {calls} calls, committed {CHANGE[name]} "
+            f"(parent {PARENT[name]})"
+        )
+
+
 def measure_engine():
     """``{row: calls per op}`` of served reads, telemetry off."""
     assert not (TRACER.enabled or PROFILER.enabled or SANITIZER.enabled)
@@ -209,5 +236,7 @@ if __name__ == "__main__":  # prints a column to commit above
     for kind in KINDS:
         for name, calls in measure(kind).items():
             print(f'    "{name}": {calls},')
+    for name, calls in measure_generate().items():
+        print(f'    "{name}": {calls},')
     for name, calls in measure_engine().items():
         print(f'    "{name}": {calls:g},')
