@@ -7,6 +7,8 @@ cannot batch *across* connections: each handler thread calls
 loop the shape inverts naturally -- while one fsync is in flight, every
 mutation that lands meanwhile just parks a future here, and the next
 fsync covers them all. One disk flush per *batch*, not per request.
+Each batch calls ``wal.sync()``, so ``N`` is not consulted here: every
+ack follows an fsync that covers it, whatever the store's ``N``.
 
 Commit-before-ack is preserved per request: a waiter's future resolves
 only once an fsync has covered its LSN (or fails with the exception the

@@ -323,17 +323,24 @@ def generate_map(name: str, spec: GeneratorSpec) -> MapData:
         raise ValueError(f"target_segments too small: {spec.target_segments}")
     if spec.kind not in _FILL:
         raise ValueError(f"unknown kind {spec.kind!r}; choose from {sorted(_FILL)}")
-    rng = random.Random(spec.seed)
     target = spec.target_segments
 
     # Lattice sized so that the field + walks can reach the target count:
     # a full n x n lattice has ~2n^2 edges; aim to use about `fill` of them.
     n = max(8, int(math.sqrt(target / (2 * _FILL[spec.kind]))))
+    # The walks run until they have drawn walk_budget distinct edges, so
+    # a budget past the lattice's 2n(n-1) edges would never be met.
+    walk_budget = int(target * spec.walk_fraction)
+    if spec.walk_fraction < 0 or walk_budget > 2 * n * (n - 1):
+        raise ValueError(
+            f"walk_fraction {spec.walk_fraction} asks for {walk_budget} walk "
+            f"edges; the {n}x{n} lattice has {2 * n * (n - 1)}"
+        )
+    rng = random.Random(spec.seed)
     points = _lattice_points(n, spec.world_size, rng)
 
     selected: Set[_Edge] = set()
 
-    walk_budget = int(target * spec.walk_fraction)
     while walk_budget > 0 and len(selected) < walk_budget:
         length = rng.randint(n, 3 * n)
         walk = _random_walk(n, rng, length)

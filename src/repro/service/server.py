@@ -135,7 +135,7 @@ def _drain_line(readline, chunk: int) -> bool:
 
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        server: "LineServer" = self.server  # type: ignore[assignment]
+        server: "MapServer" = self.server  # type: ignore[assignment]
         protocol = server.protocol
         session = protocol.session(f"conn-{next(server.connection_ids)}")
         try:
@@ -144,13 +144,15 @@ class _Handler(socketserver.StreamRequestHandler):
             protocol.end_session(session)
 
 
-class LineServer(socketserver.ThreadingTCPServer):
-    """The threaded transport: v1 lines, a thread per connection.
+class MapServer(socketserver.ThreadingTCPServer):
+    """A threaded map server over one :class:`QueryEngine`: v1 lines, a
+    thread per connection.
 
     It owns the listening socket, the handler threads, the idle timeout
-    and the line cap; what a line *means* is ``protocol``'s business.
-    The map server and the shard router are this class over an engine
-    and a router target respectively.
+    and the line cap; what a line *means* is the protocol core's
+    business. Worker threads (one per connection) share the engine's
+    buffer pool under its latch; the cache and batch executor are
+    shared too.
     """
 
     allow_reuse_address = True
@@ -162,23 +164,26 @@ class LineServer(socketserver.ThreadingTCPServer):
 
     def __init__(
         self,
-        protocol: Protocol,
-        host: str,
-        port: int,
-        idle_timeout: Optional[float],
-        thread_name: str,
+        engine: QueryEngine,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
     ) -> None:
         super().__init__((host, port), _Handler)
-        self.protocol = protocol
+        self.engine = engine
+        self.protocol = Protocol(engine)
         self.idle_timeout = idle_timeout
         self.connection_ids = itertools.count(1)
-        self._thread_name = thread_name
         self._serve_thread: Optional[threading.Thread] = None
 
     @property
     def address(self) -> Tuple[str, int]:
         host, port = self.server_address[:2]
         return host, port
+
+    def respond(self, line: Any, session) -> Optional[Envelope]:
+        """One wire request -> one envelope; never raises."""
+        return self.protocol.respond_line(line, session)
 
     def start_background(self) -> threading.Thread:
         """Serve on a daemon thread; returns the (started) thread.
@@ -188,7 +193,7 @@ class LineServer(socketserver.ThreadingTCPServer):
         orderly shutdown must not race the accept loop.
         """
         thread = threading.Thread(
-            target=self.serve_forever, name=self._thread_name, daemon=True
+            target=self.serve_forever, name="map-server", daemon=True
         )
         self._serve_thread = thread
         thread.start()
@@ -198,34 +203,12 @@ class LineServer(socketserver.ThreadingTCPServer):
         """Deterministic shutdown: stop serving, close the socket, and
         join the background accept thread. After stop() returns, no
         server-owned thread is live (handler threads are daemons tied to
-        connections, which ``server_close`` severs in subclasses)."""
+        their connections)."""
         self.shutdown()
         self.server_close()
         if self._serve_thread is not None:
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
-
-
-class MapServer(LineServer):
-    """A threaded map server over one :class:`QueryEngine`.
-
-    Worker threads (one per connection) share the engine's buffer pool
-    under its latch; the cache and batch executor are shared too.
-    """
-
-    def __init__(
-        self,
-        engine: QueryEngine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
-    ) -> None:
-        super().__init__(Protocol(engine), host, port, idle_timeout, "map-server")
-        self.engine = engine
-
-    def respond(self, line: Any, session) -> Optional[Envelope]:
-        """One wire request -> one envelope; never raises."""
-        return self.protocol.respond_line(line, session)
 
 
 def send_request(

@@ -3,9 +3,8 @@
 Both operations work on the durable state on disk and end with an
 atomic manifest swap (epoch + 1 for a split), so the running router
 picks up the new world with one ``{"op": "reload"}`` -- the drain gate
-in :class:`~repro.shard.router.RouterCore`, which the threaded and the
-asyncio router both serve, guarantees no request is in flight across
-the swap.
+in :class:`~repro.shard.router.RouterCore`, which the router serves,
+guarantees no request is in flight across the swap.
 
 **Split** (:func:`split_shard`): the parent's Hilbert range is cut at
 the weighted midpoint (per-cell live-segment counts), and each child is

@@ -1,11 +1,12 @@
 """The scatter-gather router: one wire endpoint over N shard workers.
 
-``python -m repro route`` serves the same newline-JSON protocol as a
-single :class:`~repro.service.server.MapServer`, but behind it sits a
-shard set. Every request takes one path: :data:`ROUTES` says which
-shards it touches and how their answers fold, :meth:`RouterCore._scatter`
-sends the legs concurrently, :meth:`RouterCore._gather` merges them or
-raises. The table, as the code states it:
+``python -m repro route`` serves the same wire protocol as ``serve
+--async`` (v1 newline JSON, and v2 frames after the upgrade), but
+behind it sits a shard set. Every request takes one path:
+:data:`ROUTES` says which shards it touches and how their answers fold,
+:meth:`RouterCore._scatter` sends the legs concurrently,
+:meth:`RouterCore._gather` merges them or raises. The table, as the
+code states it:
 
 ==========  ==========================  ===========================  =========
 op          shards                      merge of the ok answers      partial
@@ -67,6 +68,7 @@ from typing import (
     Tuple,
 )
 
+from repro.aio.server import AsyncMapServer
 from repro.errors import ERROR_CODES, ProtocolError, ShardUnavailableError
 from repro.metric_names import (
     COUNTER_FIELDS,
@@ -83,7 +85,6 @@ from repro.obs.trace import TRACER
 from repro.sanitize import make_condition, make_lock
 from repro.service.api import OPS, Command, parse_batch_item, parse_request
 from repro.service.protocol import Envelope, Protocol, encode_json
-from repro.service.server import DEFAULT_IDLE_TIMEOUT, LineServer
 from repro.shard.manifest import ShardMap, ShardSpec
 from repro.shard.worker import read_addr
 
@@ -381,12 +382,10 @@ class RouterCore:
 
     It is a *target* of the protocol core
     (:mod:`repro.service.protocol`): :class:`ShardRouter` serves it over
-    the threaded line transport and
-    :class:`repro.aio.router.AsyncShardRouter` over the asyncio server,
-    so both fronts decode, route, merge and answer identically -- one
-    implementation, two transports. All methods here are thread-safe:
-    the drain gate is a condition variable and the scatter pool is
-    shared.
+    the asyncio server, and :meth:`respond` answers one wire line
+    in-process with no socket at all. All methods here are thread-safe
+    (the server's executor calls them concurrently): the drain gate is a
+    condition variable and the scatter pool is shared.
     """
 
     def __init__(self, root: str, timeout: float = 5.0) -> None:
@@ -865,14 +864,18 @@ class RouterCore:
         return merged
 
 
-class ShardRouter(LineServer, RouterCore):
+class ShardRouter(AsyncMapServer):
     """Scatter-gather front end over the shard set rooted at ``root``.
 
-    The threaded line transport with a :class:`RouterCore` as its
-    protocol target: one handler thread per client connection, same
-    idle timeout and line cap as the threaded map server. ``python -m
-    repro route --async`` serves the identical core behind the asyncio
-    server instead."""
+    The asyncio server with a :class:`RouterCore` as its protocol
+    target, reachable over v1 lines and v2 frames: a pipelining client
+    can hold many routed requests in flight on one connection. No routed
+    request is short, so each runs on the server's executor, which is
+    where blocking scatter belongs. Routed requests have no LSN to defer
+    -- durability lives in the shard workers -- so the server never
+    engages its group committer. Shutting down also releases the core's
+    shard connections and scatter pool.
+    """
 
     def __init__(
         self,
@@ -881,15 +884,9 @@ class ShardRouter(LineServer, RouterCore):
         port: int = 0,
         timeout: float = 5.0,
     ) -> None:
-        RouterCore.__init__(self, root, timeout=timeout)
-        LineServer.__init__(
-            self, self.protocol, host, port, DEFAULT_IDLE_TIMEOUT, "shard-router"
-        )
+        self.core = RouterCore(root, timeout=timeout)
+        super().__init__(self.core, host=host, port=port)
 
-    def close(self) -> None:
-        """Shut down deterministically: stop serving and join the accept
-        thread, then release every client connection and the scatter
-        pool. After close() returns no router thread is live and no
-        socket is open."""
-        self.stop()
-        self.close_clients()
+    async def shutdown(self) -> None:
+        await super().shutdown()
+        self.core.close_clients()

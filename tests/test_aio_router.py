@@ -1,10 +1,10 @@
-"""The async scatter-gather router against a live local shard set.
+"""The scatter-gather router's asyncio front against a live local shard set.
 
-Same :class:`RouterCore` as the threaded router, served by the asyncio
-front end: routed answers must match the threaded router's exactly,
+:class:`ShardRouter` serves one :class:`RouterCore` over v1 lines and
+v2 frames: pipelined v2 answers must match v1 answers exactly,
 pipelined v2 requests fan out concurrently, ``reload`` drains and swaps
-under in-flight traffic, and a down shard degrades to the same
-structured partial the threaded router serves.
+under in-flight traffic, and a down shard degrades to a structured
+partial.
 """
 
 import asyncio
@@ -12,7 +12,7 @@ import socket
 
 import pytest
 
-from repro.aio import AsyncMapClient, AsyncShardRouter
+from repro.aio import AsyncMapClient
 from repro.data.counties import generate_county
 from repro.service.server import send_request
 from repro.shard import LocalShardSet, ShardRouter, init_shard_set
@@ -34,15 +34,12 @@ def shard_root(tmp_path_factory):
 
 
 @pytest.fixture()
-def routers(shard_root):
+def routed(shard_root):
     root, shards, map_data = shard_root
-    threaded = ShardRouter(root)
-    threaded.start_background()
-    async_router = AsyncShardRouter(root)
-    async_router.start_background()
-    yield threaded, async_router, shards, map_data
-    async_router.stop()
-    threaded.close()
+    router = ShardRouter(root)
+    router.start_background()
+    yield router, shards, map_data
+    router.stop()
 
 
 def _v2(address, ops):
@@ -57,13 +54,13 @@ def _v2(address, ops):
 
 
 class TestRoutedEquivalence:
-    def test_v1_ping(self, routers):
-        _threaded, async_router, _shards, _map_data = routers
-        r = send_request(async_router.address, {"op": "ping"})
+    def test_v1_ping(self, routed):
+        router, _shards, _map_data = routed
+        r = send_request(router.address, {"op": "ping"})
         assert r == {"ok": True, "result": "pong"}
 
-    def test_window_matches_threaded_router(self, routers):
-        threaded, async_router, _shards, map_data = routers
+    def test_v2_answers_match_v1_lines(self, routed):
+        router, _shards, map_data = routed
         world = map_data.world_size
         queries = [
             {"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world},
@@ -71,26 +68,26 @@ class TestRoutedEquivalence:
             {"op": "point", "x": world / 2, "y": world / 2},
             {"op": "nearest", "x": world / 4, "y": world / 4, "k": 5},
         ]
-        golden = [send_request(threaded.address, q) for q in queries]
-        piped = _v2(async_router.address, queries)
+        golden = [send_request(router.address, q) for q in queries]
+        piped = _v2(router.address, queries)
         for q, want, got in zip(queries, golden, piped):
-            assert want == got, f"async router diverged on {q}"
+            assert want == got, f"v2 diverged from v1 on {q}"
 
-    def test_stats_sees_every_shard(self, routers):
-        _threaded, async_router, _shards, _map_data = routers
-        (r,) = _v2(async_router.address, [{"op": "stats"}])
+    def test_stats_sees_every_shard(self, routed):
+        router, _shards, _map_data = routed
+        (r,) = _v2(router.address, [{"op": "stats"}])
         assert r["ok"], r
         assert sorted(r["result"]["shards"]) == [
             f"s{i}" for i in range(N_SHARDS)
         ]
         assert r["result"]["counters_consistent"] is True
 
-    def test_reload_under_pipelined_traffic(self, routers):
-        _threaded, async_router, _shards, map_data = routers
+    def test_reload_under_pipelined_traffic(self, routed):
+        router, _shards, map_data = routed
         world = map_data.world_size
         window = {"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world}
         results = _v2(
-            async_router.address, [window, {"op": "reload"}, window, window]
+            router.address, [window, {"op": "reload"}, window, window]
         )
         assert all(r["ok"] for r in results), results
         reload_result = results[1]["result"]
@@ -98,14 +95,14 @@ class TestRoutedEquivalence:
         assert len(reload_result["shards"]) == N_SHARDS
         assert results[0]["result"] == results[2]["result"] == results[3]["result"]
 
-    def test_down_shard_degrades_to_structured_partial(self, routers):
-        _threaded, async_router, shards, map_data = routers
+    def test_down_shard_degrades_to_structured_partial(self, routed):
+        router, shards, map_data = routed
         world = map_data.world_size
-        down = sorted(async_router.clients)[0]
+        down = sorted(router.core.clients)[0]
         shards.stop(down)
         try:
             (resp,) = _v2(
-                async_router.address,
+                router.address,
                 [{"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world}],
             )
             assert not resp["ok"], resp
@@ -116,16 +113,16 @@ class TestRoutedEquivalence:
             shards.start(down)
         # Healed: the router re-reads the worker's published address.
         (resp,) = _v2(
-            async_router.address,
+            router.address,
             [{"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world}],
         )
         assert resp["ok"], resp
 
 
 class TestRequestCounters:
-    """``route`` and ``route --async`` count identically -- above all the
-    requests that never decode (``op="invalid"``), which the async front
-    used to drop from ``repro_router_requests_total``."""
+    """Every request counts in ``repro_router_requests_total`` -- above
+    all the ones that never decode (``op="invalid"``), which the asyncio
+    front used to drop."""
 
     BAD_SCRIPT = (
         b"this is not json\n"
@@ -154,25 +151,21 @@ class TestRequestCounters:
                     fh.readline() for _ in range(self.BAD_SCRIPT.count(b"\n"))
                 ]
 
-    def test_bad_requests_count_the_same_on_both_routers(self, routers):
-        threaded, async_router, _shards, _map_data = routers
-        deltas = []
-        for router, registry in (
-            (threaded, threaded.registry),
-            (async_router, async_router.core.registry),
-        ):
-            before = self._counts(registry)
-            replies = self._drive(router.address)
-            assert all(replies), "every request owes a reply"
-            after = self._counts(registry)
-            deltas.append(
-                {
-                    labels: after[labels] - before.get(labels, 0)
-                    for labels in after
-                    if after[labels] != before.get(labels, 0)
-                }
-            )
-        assert deltas[0] == deltas[1]
-        invalid = (("op", "invalid"), ("status", "error"))
-        assert deltas[0][invalid] == 3
-        assert deltas[0][(("op", "ping"), ("status", "error"))] == 1  # refused pin
+    def test_bad_requests_are_counted(self, routed):
+        router, _shards, _map_data = routed
+        before = self._counts(router.core.registry)
+        replies = self._drive(router.address)
+        assert all(replies), "every request owes a reply"
+        after = self._counts(router.core.registry)
+        delta = {
+            labels: after[labels] - before.get(labels, 0)
+            for labels in after
+            if after[labels] != before.get(labels, 0)
+        }
+        assert delta == {
+            (("op", "invalid"), ("status", "error")): 3,
+            (("op", "ping"), ("status", "error")): 1,  # refused pin
+            (("op", "bogus"), ("status", "error")): 1,
+            (("op", "insert"), ("status", "error")): 1,
+            (("op", "ping"), ("status", "ok")): 1,
+        }

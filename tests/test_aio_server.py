@@ -987,6 +987,32 @@ class TestGroupCommit:
             srv.stop()
             store.close()
 
+    def test_only_the_threaded_server_reads_the_threshold(self, tmp_path):
+        """``group_commit=N`` defers fsyncs in ``DurableStore.commit()``,
+        which only the threaded server calls per ack: at N = 8, five
+        sequential acked inserts cost it no fsync. The asyncio server's
+        committer syncs before every ack, so the same five cost five."""
+        from repro.wal import DurableStore
+
+        fsyncs = {}
+        for front in (MapServer, AsyncMapServer):
+            index = build_index("R*", lattice_map(n=4))
+            store = DurableStore.create(
+                tmp_path / front.__name__, index, group_commit=8
+            )
+            server = front(QueryEngine(index, store=store))
+            server.start_background()
+            try:
+                before = store.wal.stats()["fsyncs"]
+                for i in range(1, 6):
+                    insert = {"op": "insert", "x1": i, "y1": i, "x2": i + 2, "y2": i + 2}
+                    assert send_request(server.address, insert)["ok"]
+                fsyncs[front.__name__] = store.wal.stats()["fsyncs"] - before
+            finally:
+                server.stop()
+                store.close()
+        assert fsyncs == {"MapServer": 0, "AsyncMapServer": 5}
+
     def test_a_failed_fsync_fails_the_ack_and_frees_the_slot(self, tmp_path):
         """``wal.sync`` raising must not strand its waiters: the mutation
         is answered ``ok: false`` (no fsync, no ack), its in-flight slot

@@ -90,6 +90,23 @@ class TestGenerator:
         with pytest.raises(ValueError):
             generate_map("t", self._small_spec(target_segments=4))
 
+    @pytest.mark.parametrize("walk_fraction", [2.0, -0.1])
+    def test_rejects_a_walk_budget_no_lattice_can_meet(
+        self, monkeypatch, walk_fraction
+    ):
+        """The walks draw edges until the budget is met: past the
+        lattice's 2n(n-1) edges that loop never ended."""
+
+        def no_rng(seed):
+            raise AssertionError("refused only after drawing from the rng")
+
+        monkeypatch.setattr(random, "Random", no_rng)
+        spec = GeneratorSpec(
+            kind="urban", target_segments=100, seed=1, walk_fraction=walk_fraction
+        )
+        with pytest.raises(ValueError, match="walk_fraction"):
+            generate_map("t", spec)
+
     def test_rejects_unknown_kind_by_name(self):
         with pytest.raises(ValueError, match="unknown kind 'forest'"):
             generate_map("t", self._small_spec(kind="forest"))

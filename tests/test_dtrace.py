@@ -373,7 +373,7 @@ class TestStitchedTraces:
             try:
                 yield router, shards
             finally:
-                router.close()
+                router.stop()
 
     @staticmethod
     def _spans_named(rec, prefix):
@@ -606,7 +606,7 @@ class TestStitchedTraces:
                     for entry in shard_stats["obs"]["slow_queries"]["entries"]
                 }
             finally:
-                router.close()
+                router.stop()
         assert resp["ok"] and resp["tc"]["f"] == 0  # unsampled, and yet:
         labelled = [
             entry
@@ -723,7 +723,7 @@ class TestProfiler:
                     router.address, {"op": "profile", "seconds": seconds, "hz": hz}
                 )
             finally:
-                router.close()
+                router.stop()
         assert resp["ok"], resp
         profile = resp["result"]
         assert profile["unavailable"] == []

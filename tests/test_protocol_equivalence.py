@@ -10,8 +10,9 @@ reads, mutations, every error class -- through three transports:
 Deterministic ops must produce *identical* envelopes; ``stats`` (which
 leaks session names and timings) is compared on its deterministic
 projection. This is the suite that keeps the async server from drifting
-semantically from the threaded one. The same three transports are then
-compared in front of the shard router (:class:`TestRoutedEquivalence`).
+semantically from the threaded one. In front of the shard router, which
+serves from the asyncio server only, its v1 answers are the golden its
+v2 answers must match (:class:`TestRoutedEquivalence`).
 """
 
 import asyncio
@@ -27,7 +28,6 @@ from repro.aio import (
     HEADER_BYTES,
     AsyncMapClient,
     AsyncMapServer,
-    AsyncShardRouter,
     decode_header,
     decode_payload,
     encode_frame,
@@ -365,58 +365,52 @@ def _portless(envelope):
 
 @pytest.fixture(scope="module")
 def routed_sets(tmp_path_factory):
-    """Three byte-identical shard sets, one per transport under test
-    (the script mutates, so the runs cannot share one)."""
+    """Two byte-identical shard sets, one per wire under test (the
+    script mutates, so the runs cannot share one)."""
     base = tmp_path_factory.mktemp("routed_golden")
     map_data = generate_county("cecil", scale=0.01)
-    roots = [base / name for name in ("threaded", "async_v1", "async_v2")]
+    roots = [base / name for name in ("v1", "v2")]
     init_shard_set(
         roots[0], "R*", map_data=map_data, n_shards=ROUTED_SHARDS, page_size=2048
     )
-    for copy in roots[1:]:
-        shutil.copytree(roots[0], copy)
+    shutil.copytree(roots[0], roots[1])
     return roots, map_data.world_size
 
 
 class TestRoutedEquivalence:
-    def test_three_transports_answer_identically(self, routed_sets):
+    def test_v2_frames_answer_as_v1_lines(self, routed_sets):
+        """The router's v1 run is the golden: its v2 run must match it
+        envelope for envelope, degraded answer included."""
         roots, world = routed_sets
         ops = _scaled(ROUTED_OPS, world)
         window = {"op": "window", "x1": 0, "y1": 0, "x2": world, "y2": world}
         runs = []
         degraded = []
-        for root, make_router, run_script in (
-            (roots[0], ShardRouter, _run_script_v1),
-            (roots[1], AsyncShardRouter, _run_script_v1),
-            (roots[2], AsyncShardRouter, _run_script_v2),
-        ):
+        for root, run_script in ((roots[0], _run_script_v1), (roots[1], _run_script_v2)):
             with LocalShardSet(root) as shards:
-                router = make_router(root)
+                router = ShardRouter(root)
                 router.start_background()
                 try:
                     runs.append(run_script(router.address, ops))
-                    down = sorted(router.clients)[0]
+                    down = sorted(router.core.clients)[0]
                     shards.stop(down)
                     if run_script is _run_script_v1:
                         degraded.append(send_request(router.address, window))
                     else:
                         degraded.extend(_run_script_v2(router.address, [window]))
                 finally:
-                    (router.close if make_router is ShardRouter else router.stop)()
+                    router.stop()
         golden = runs[0]
         codes = {e["error"]["code"] for e in golden if not e["ok"]}
         assert {"unknown_op", "bad_args", "unknown_seg"} <= codes
-        compare = TestEquivalence()._compare
-        compare(golden, runs[1], "async-router-v1", ops)
-        compare(golden, runs[2], "async-router-v2", ops)
+        TestEquivalence()._compare(golden, runs[1], "router-v2", ops)
 
         want = _portless(degraded[0])
         assert want["error"]["code"] == "shard_unavailable"
         assert want["error"]["shard"] == "s0"
         assert want["partial"]["shards"] == ["s1", "s2"]
         assert want["partial"]["result"]
-        for got in degraded[1:]:
-            assert _portless(got) == want
+        assert _portless(degraded[1]) == want
 
 
 # ----------------------------------------------------------------------

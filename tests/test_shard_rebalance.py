@@ -90,7 +90,7 @@ class TestSplitUnderTraffic:
                 assert resp["ok"], resp
                 assert resp["result"] == sorted(set(base) | {new_id})
             finally:
-                router.close()
+                router.stop()
 
 
 class TestCatchUp:
@@ -135,7 +135,7 @@ class TestCatchUp:
                 }
                 assert len(lsns) == 1, "replicated logs must agree after heal"
             finally:
-                router.close()
+                router.stop()
 
     def test_noop_when_already_caught_up(self, shard_root):
         root, _ = shard_root

@@ -17,7 +17,7 @@ import threading
 
 import pytest
 
-from repro.aio import AsyncMapClient, AsyncShardRouter
+from repro.aio import AsyncMapClient
 from repro.analysis import check_shard_set
 from repro.core.queries import QuerySpec
 from repro.data.counties import generate_county
@@ -76,7 +76,7 @@ class RoutedService:
         return send_request(self.addr, payload)
 
     def close(self):
-        self.router.close()
+        self.router.stop()
         self.shards.__exit__(None, None, None)
 
 
@@ -382,7 +382,7 @@ class TestCounterMerge:
 class TestDegradationAndHealing:
     def test_down_shard_reports_structured_partial(self, service):
         world = service.map_data.world_size
-        down = sorted(service.router.clients)[0]
+        down = sorted(service.router.core.clients)[0]
         service.shards.stop(down)
         try:
             resp = service.request(
@@ -411,9 +411,10 @@ def test_concurrent_mutations_keep_the_replicas_in_step(tmp_path, front):
     """The router orders the fan-outs of writes. Unordered, two inserts
     in flight reach two shards in opposite orders, each shard gives the
     next seg_id to a different segment, and the client is told ``shards
-    disagree on seg_id``. Ten seeds of concurrent inserts, over three
-    connections -- or one with four in flight -- must end with no error
-    and one table on every shard."""
+    disagree on seg_id``. Ten seeds of concurrent inserts, over three v1
+    connections (``route``) -- or one v2 connection with four in flight
+    (``route --async``; both spellings serve the same router) -- must
+    end with no error and one table on every shard."""
     map_data = generate_county("cecil", scale=SCALE)
     root = str(tmp_path / "shards")
     init_shard_set(
@@ -457,12 +458,7 @@ def test_concurrent_mutations_keep_the_replicas_in_step(tmp_path, front):
             await client.close()
 
     with LocalShardSet(root) as shards:
-        if front == "route":
-            router = ShardRouter(root)
-            stop = router.close
-        else:
-            router = AsyncShardRouter(root)
-            stop = router.stop
+        router = ShardRouter(root)
         router.start_background()
         try:
             for seed in range(10):
@@ -475,7 +471,7 @@ def test_concurrent_mutations_keep_the_replicas_in_step(tmp_path, front):
                 assert all(answer["ok"] for answer in answers), (front, seed, answers)
             stats = send_request(router.address, {"op": "stats"})["result"]
         finally:
-            stop()
+            router.stop()
         tables = [
             [server.engine.ctx.segments.peek(i) for i in range(len(server.engine.ctx.segments))]
             for server in shards.servers.values()
@@ -538,14 +534,14 @@ class DegradedService:
         self.shards.__enter__()
         self.router = ShardRouter(root)
         self.router.start_background()
-        self.bad = sorted(self.router.clients)[0]
-        self.survivors = sorted(set(self.router.clients) - {self.bad})
+        self.bad = sorted(self.router.core.clients)[0]
+        self.survivors = sorted(set(self.router.core.clients) - {self.bad})
         if mode == "stopped":
             self.shards.stop(self.bad)
             self.code = "shard_unavailable"
         else:
-            self.router.clients[self.bad].close()
-            self.router.clients[self.bad] = _RelayingClient(
+            self.router.core.clients[self.bad].close()
+            self.router.core.clients[self.bad] = _RelayingClient(
                 self.bad, self.smap.store_path(root, self.bad)
             )
             self.code = RELAYED_ERROR["code"]
@@ -577,7 +573,7 @@ class DegradedService:
         raise AssertionError("no cell corner is shared with the failing shard")
 
     def close(self):
-        self.router.close()
+        self.router.stop()
         self.shards.__exit__(None, None, None)
 
 
