@@ -1,15 +1,11 @@
-"""Durability benchmarks: group-commit write throughput and recovery time.
+"""Durability benchmark: recovery time.
 
-Two claims the WAL subsystem makes measurable:
-
-* group commit amortizes the dominant durability cost -- with a batch of
-  32 the same mutation stream issues a fraction of the fsyncs that
-  commit-per-record does, at equal logical state;
-* recovery time grows with the *suffix* of the log past the checkpoint,
-  not with database size: recovering a freshly checkpointed store
-  replays exactly the post-checkpoint records (asserted through the
-  ``replayed_records`` counter), and the space-filling-curve bulk apply
-  keeps a long-log recovery queryable-correct.
+The claim the WAL subsystem makes measurable: recovery time grows with
+the *suffix* of the log past the checkpoint, not with database size.
+Recovering a freshly checkpointed store replays exactly the
+post-checkpoint records (asserted through the ``replayed_records``
+counter), and the space-filling-curve bulk apply keeps a long-log
+recovery queryable-correct.
 """
 
 from __future__ import annotations
@@ -27,12 +23,12 @@ from benchmarks.conftest import write_result
 N_MUTATIONS = 200
 
 
-def _fresh_store(root, group_commit=1):
+def _fresh_store(root):
     ctx = StorageContext.create()
     index = make_index("R*", ctx)
     for seg_id in ctx.load_segments(base_map()):
         index.insert(seg_id)
-    return DurableStore.create(root, index, group_commit=group_commit)
+    return DurableStore.create(root, index)
 
 
 def _mutation_stream(n=N_MUTATIONS):
@@ -47,44 +43,12 @@ def _mutation_stream(n=N_MUTATIONS):
     ]
 
 
-def test_group_commit_write_throughput(benchmark, tmp_path):
-    segments = _mutation_stream()
-
-    def run():
-        out = {}
-        for batch in (1, 32):
-            root = tmp_path / f"store-gc{batch}"
-            shutil.rmtree(root, ignore_errors=True)
-            store = _fresh_store(root, group_commit=batch)
-            engine = QueryEngine(store.index, store=store)
-            for seg in segments:
-                engine.insert_segment(seg)
-            stats = store.stats()
-            store.close()
-            out[batch] = {
-                "log_appends": stats["log_appends"],
-                "fsyncs": stats["fsyncs"],
-            }
-        return out
-
-    out = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        "wal_group_commit.txt",
-        "\n".join(f"group_commit={k}: {v}" for k, v in out.items()),
-    )
-    assert out[1]["log_appends"] == out[32]["log_appends"] == N_MUTATIONS
-    # Commit-per-record fsyncs once per mutation; a batch of 32 fsyncs
-    # ~N/32 times plus the final close-time sync.
-    assert out[1]["fsyncs"] >= N_MUTATIONS
-    assert out[32]["fsyncs"] <= N_MUTATIONS // 32 + 2
-
-
 def test_recovery_replays_only_the_suffix(benchmark, tmp_path):
     segments = _mutation_stream()
 
     def build(root, checkpoint_after):
         shutil.rmtree(root, ignore_errors=True)
-        store = _fresh_store(root, group_commit=32)
+        store = _fresh_store(root)
         engine = QueryEngine(store.index, store=store)
         for i, seg in enumerate(segments):
             engine.insert_segment(seg)

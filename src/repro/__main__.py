@@ -53,7 +53,7 @@ def _open_or_create_store(args):
 
     try:
         if DurableStore.exists(args.wal):
-            store = DurableStore.open(args.wal, group_commit=args.group_commit)
+            store = DurableStore.open(args.wal)
             print(
                 f"recovered durable store {args.wal}: checkpoint LSN "
                 f"{store.checkpoint_lsn}, last LSN {store.last_lsn}, "
@@ -61,9 +61,7 @@ def _open_or_create_store(args):
                 flush=True,
             )
             return store
-        store = DurableStore.create(
-            args.wal, _build_or_open(args), group_commit=args.group_commit
-        )
+        store = DurableStore.create(args.wal, _build_or_open(args))
         print(f"created durable store {args.wal} at LSN 0", flush=True)
         return store
     except (WalError, CodecError) as exc:  # a store or snapshot rule refused it
@@ -132,7 +130,6 @@ def _serve(server, what: str, how: str, *closers) -> int:
     asyncio one (bound by ``start()``). Harnesses read the listening
     address from the banner's `` on HOST:PORT``.
     """
-    import asyncio
     import inspect
 
     from repro.sanitize import SANITIZER
@@ -148,6 +145,8 @@ def _serve(server, what: str, how: str, *closers) -> int:
 
     try:
         if inspect.iscoroutinefunction(server.serve_forever):
+            import asyncio  # only here: a threaded server never loads it
+
             asyncio.run(serve_async())
         else:
             banner()
@@ -199,13 +198,7 @@ def _cmd_shard_worker(args) -> int:
     _arm_sanitizer(args)
     _arm_tracing(args)
     try:
-        server = serve_shard(
-            args.root,
-            args.shard,
-            host=args.host,
-            port=args.port,
-            group_commit=args.group_commit,
-        )
+        server = serve_shard(args.root, args.shard, host=args.host, port=args.port)
     except (KeyError, ValueError) as exc:  # unknown shard; SH / FS rule refusal
         sys.exit(f"error: cannot open shard {args.shard}: {exc}")
     return _serve(
@@ -690,15 +683,17 @@ def build_parser() -> argparse.ArgumentParser:
     root, shard = _parent(), _parent()
     root.add_argument("--root", required=True, help="shard-set directory")
     shard.add_argument("--shard", required=True, help="shard id from the manifest")
-    # What `serve` and `shard-worker` pass to the engine they start.
-    engine = _parent()
-    engine.add_argument(
+    # `serve` and `shard-worker` still accept --group-commit 1, as the
+    # benchmark's command lines pass it; nothing reads it.
+    commit = _parent()
+    commit.add_argument(
         "--group-commit",
         type=int,
+        choices=(1,),
         default=1,
-        help="fsync once per N logged records (1 = every commit); read by "
-        "the threaded 'serve --wal' and by shard-worker -- on 'serve "
-        "--async' every ack follows an fsync that covers it",
+        help="accepted only because the benchmark's command lines pass it; "
+        "1 is its only value, as every front acks a mutation only after an "
+        "fsync covers it (concurrent commits share fsyncs)",
     )
     telemetry = _parent()
     telemetry.add_argument(
@@ -752,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "serve",
         _cmd_serve,
-        [*built, opened, _address(8765), engine, telemetry, use_async],
+        [*built, opened, _address(8765), commit, telemetry, use_async],
         help="serve an index over JSON-over-TCP",
     )
     p.add_argument("--cache-size", type=int, default=256)
@@ -794,12 +789,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="Hilbert curve order (default: sized from the segment count)",
     )
     p.add_argument("--page-size", type=int, default=1024)
-    p.add_argument("--pool-pages", type=int, default=16)
+    p.add_argument(
+        "--pool-pages",
+        type=int,
+        default=16,
+        help="buffer-pool pages for the build only (it moves no stored "
+        "byte but the snapshot header's I/O tallies); every worker opens "
+        "its shard with a 16-page pool",
+    )
 
     command(
         "shard-worker",
         _cmd_shard_worker,
-        [root, shard, _address(0, "0 = ephemeral"), engine, telemetry],
+        [root, shard, _address(0, "0 = ephemeral"), commit, telemetry],
         help="serve one shard of a set (publishes shard.addr)",
     )
 

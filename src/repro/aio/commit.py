@@ -1,14 +1,13 @@
 """Cross-connection group commit for the async server.
 
-The WAL already batches fsyncs *within* one caller (``group_commit=N``
-defers the fsync until N records are pending), but the threaded server
-cannot batch *across* connections: each handler thread calls
-``store.commit()`` inline and blocks until its own fsync. On an event
-loop the shape inverts naturally -- while one fsync is in flight, every
-mutation that lands meanwhile just parks a future here, and the next
-fsync covers them all. One disk flush per *batch*, not per request.
-Each batch calls ``wal.sync()``, so ``N`` is not consulted here: every
-ack follows an fsync that covers it, whatever the store's ``N``.
+Every front acks a mutation only after an fsync covers it, through one
+call, ``store.commit()``. On the threaded server each handler thread
+makes that call inline; threads that arrive while an fsync is in flight
+wait for it and then cover whatever is still pending, so they share
+fsyncs. On an event loop the same sharing takes no thread per waiter --
+while one fsync is in flight, every mutation that lands meanwhile just
+parks a future here, and the next fsync covers them all. One disk flush
+per *batch*, not per request.
 
 Commit-before-ack is preserved per request: a waiter's future resolves
 only once an fsync has covered its LSN (or fails with the exception the
@@ -68,7 +67,7 @@ class GroupCommitter:
                 target = self.store.last_lsn
                 try:
                     await self._loop.run_in_executor(
-                        self._executor, self.store.wal.sync
+                        self._executor, self.store.commit
                     )
                 except Exception as exc:
                     # No fsync, no ack: every waiter of this batch gets

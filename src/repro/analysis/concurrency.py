@@ -17,8 +17,8 @@ the project call graph, and reports:
 * **CC02** -- a blocking operation (``os.fsync``, socket
   send/recv/connect/accept, ``subprocess``, ``sleep``, ``join``) while
   holding a lock or latch: every other thread needing that lock stalls
-  for the I/O's duration. Intentional cases (the WAL's group-commit
-  fsync) carry a justified pragma.
+  for the I/O's duration. Intentional cases (the WAL's rotation fsync)
+  carry a justified pragma.
 * **CC03** -- lockset violation: a field of a lock-owning class is
   mutated in two or more methods, but at least one mutation site holds
   none of the class's own locks. Two threads in those methods race.

@@ -45,7 +45,7 @@ What is recorded:
 * ``held_across_blocking`` — counts of blocking operations (fsync,
   socket I/O, …) executed while holding a tracked lock, keyed by
   ``(operation, site, held-locks)``. These are *counters*, not
-  failures: the WAL's group-commit fsync under its lock and the
+  failures: the WAL's rotation fsync under its lock and the
   checkpoint's fsyncs under the buffer-pool latch are sanctioned (and
   carry static-pass pragmas); the runtime tally makes the cost visible
   in docs/metrics.md rather than silently absorbed.

@@ -41,7 +41,7 @@ shared stack safe and attributable:
 * **Durability (optional)** -- constructed with a
   :class:`~repro.wal.store.DurableStore`, every mutation is logged to
   the write-ahead log *then* applied, both under the latch so LSN order
-  matches apply order; the fsync (group-commit batched) happens after
+  matches apply order; the fsync (shared by concurrent commits) happens after
   the latch is released, and only then is the caller acked. A crash at
   any point replays the logged suffix on recovery
   (:func:`repro.wal.open_durable`).
@@ -271,8 +271,9 @@ class QueryEngine:
     def _commit_barrier(self) -> None:
         """Make the just-logged mutation durable -- or defer that duty.
 
-        The ordinary path fsyncs inline (through the WAL's group-commit
-        batching), so a mutation is durable before ``execute`` returns.
+        The ordinary path fsyncs inline (``store.commit()``; concurrent
+        callers share an fsync), so a mutation is durable before
+        ``execute`` returns.
         Inside :meth:`execute_deferred` the barrier instead records the
         mutation's LSN and returns immediately: the caller (the async
         server's cross-connection group committer) owns durability and

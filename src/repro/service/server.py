@@ -63,6 +63,7 @@ import socketserver
 import threading
 from typing import Any, Dict, Optional, Tuple
 
+from repro.sanitize import make_lock
 from repro.service.engine import QueryEngine
 from repro.service.protocol import Envelope, Protocol, encode_json
 
@@ -144,6 +145,33 @@ class _Handler(socketserver.StreamRequestHandler):
             protocol.end_session(session)
 
 
+class _LiveConnections:
+    """The accepted sockets a threaded server has not yet shut down."""
+
+    def __init__(self) -> None:
+        self._socks: set = set()
+        self._lock = make_lock("service.server.conns")
+
+    def add(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._socks.add(sock)
+
+    def discard(self, sock: socket.socket) -> None:
+        with self._lock:
+            self._socks.discard(sock)
+
+    def sever(self) -> None:
+        """Shut every one down, so its peer reads EOF at once."""
+        with self._lock:
+            socks, self._socks = self._socks, set()
+        for sock in socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                continue  # already torn down by the handler thread
+            sock.close()
+
+
 class MapServer(socketserver.ThreadingTCPServer):
     """A threaded map server over one :class:`QueryEngine`: v1 lines, a
     thread per connection.
@@ -153,6 +181,12 @@ class MapServer(socketserver.ThreadingTCPServer):
     business. Worker threads (one per connection) share the engine's
     buffer pool under its latch; the cache and batch executor are
     shared too.
+
+    It tracks its accepted connections, and ``server_close()`` severs
+    every one still open: a stopped server looks to its peers exactly
+    like a killed process, and pooled connections (a shard router's)
+    die mid-stream instead of being kept alive by lingering handler
+    threads.
     """
 
     allow_reuse_address = True
@@ -169,6 +203,7 @@ class MapServer(socketserver.ThreadingTCPServer):
         port: int = 0,
         idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
     ) -> None:
+        self._conns = _LiveConnections()
         super().__init__((host, port), _Handler)
         self.engine = engine
         self.protocol = Protocol(engine)
@@ -180,6 +215,19 @@ class MapServer(socketserver.ThreadingTCPServer):
     def address(self) -> Tuple[str, int]:
         host, port = self.server_address[:2]
         return host, port
+
+    def get_request(self):
+        sock, addr = super().get_request()
+        self._conns.add(sock)
+        return sock, addr
+
+    def shutdown_request(self, request) -> None:
+        self._conns.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._conns.sever()
 
     def respond(self, line: Any, session) -> Optional[Envelope]:
         """One wire request -> one envelope; never raises."""

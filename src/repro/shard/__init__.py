@@ -11,49 +11,39 @@ Rebalancing (:mod:`repro.shard.rebalance`) splits a hot shard through
 the checkpoint/WAL machinery and swaps the manifest epoch atomically.
 """
 
-from repro.shard.manifest import (
-    DEFAULT_ORDER,
-    SHARD_MAP_NAME,
-    ShardMap,
-    ShardSpec,
-    cell_weights,
-)
-from repro.shard.rebalance import catch_up_shard, split_shard
-from repro.shard.router import (
-    RouterCore,
-    ShardClient,
-    ShardRouter,
-    merge_id_lists,
-    merge_nearest,
-)
-from repro.shard.worker import (
-    LocalShardSet,
-    ShardEngine,
-    init_shard_set,
-    open_shard,
-    read_addr,
-    serve_shard,
-    write_addr,
-)
+from importlib import import_module
 
-__all__ = [
-    "DEFAULT_ORDER",
-    "SHARD_MAP_NAME",
-    "LocalShardSet",
-    "RouterCore",
-    "ShardClient",
-    "ShardEngine",
-    "ShardMap",
-    "ShardRouter",
-    "ShardSpec",
-    "catch_up_shard",
-    "cell_weights",
-    "init_shard_set",
-    "merge_id_lists",
-    "merge_nearest",
-    "open_shard",
-    "read_addr",
-    "serve_shard",
-    "split_shard",
-    "write_addr",
-]
+#: Where each public name lives. Nothing is imported until a name is
+#: first read: a shard worker (``serve_shard``), which serves from the
+#: threaded server, never loads the router and with it asyncio.
+_EXPORTS = {
+    "DEFAULT_ORDER": "manifest",
+    "SHARD_MAP_NAME": "manifest",
+    "ShardMap": "manifest",
+    "ShardSpec": "manifest",
+    "cell_weights": "manifest",
+    "catch_up_shard": "rebalance",
+    "split_shard": "rebalance",
+    "RouterCore": "router",
+    "ShardClient": "router",
+    "ShardRouter": "router",
+    "merge_id_lists": "router",
+    "merge_nearest": "router",
+    "LocalShardSet": "worker",
+    "ShardEngine": "worker",
+    "init_shard_set": "worker",
+    "open_shard": "worker",
+    "read_addr": "worker",
+    "serve_shard": "worker",
+    "write_addr": "worker",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)

@@ -44,12 +44,7 @@ from repro.wal.records import InsertRecord
 from repro.wal.store import DurableStore, open_durable, replay_records, sound_store
 
 
-def split_shard(
-    root: str,
-    shard_id: str,
-    pool_pages: int = 16,
-    group_commit: int = 1,
-) -> Dict[str, Any]:
+def split_shard(root: str, shard_id: str) -> Dict[str, Any]:
     """Split ``shard_id`` into two children and swap in the new epoch.
 
     Run against the on-disk store while the worker for ``shard_id`` is
@@ -63,7 +58,7 @@ def split_shard(
     parent_root = smap.store_path(root, shard_id)
     parent = sound_store(parent_root)
     paths = DurableStore.paths(parent_root)
-    snap_index = open_index(paths["snapshot"], pool_pages=pool_pages)
+    snap_index = open_index(paths["snapshot"])
     table = snap_index.ctx.segments
     world = Rect(0.0, 0.0, smap.world_size, smap.world_size)
     live = sorted(set(snap_index.candidate_ids_in_rect(world)))
@@ -76,9 +71,7 @@ def split_shard(
 
     results = []
     for child in children:
-        ctx = StorageContext.create(
-            page_size=snap_index.ctx.page_size, pool_pages=pool_pages
-        )
+        ctx = StorageContext.create(page_size=snap_index.ctx.page_size)
         child_index = empty_index_like(snap_index, ctx)
         for seg_id in range(len(table)):
             ctx.segments.append(table.peek(seg_id))
@@ -92,13 +85,11 @@ def split_shard(
             parent.checkpoint_lsn,
             index_filter=covers,
         )
-        store = DurableStore.create(
+        DurableStore.create(
             new_map.store_path(root, child.shard_id),
             child_index,
-            group_commit=group_commit,
             base_lsn=parent.last_lsn,
-        )
-        store.close()
+        ).close()
         results.append(
             {
                 "id": child.shard_id,
@@ -117,12 +108,7 @@ def split_shard(
 
 
 def catch_up_shard(
-    root: str,
-    shard_id: str,
-    donor: Optional[str] = None,
-    pool_pages: int = 16,
-    group_commit: int = 1,
-    checkpoint: bool = True,
+    root: str, shard_id: str, donor: Optional[str] = None
 ) -> Dict[str, Any]:
     """Replay a lagging shard's missed mutations from a peer's WAL.
 
@@ -150,12 +136,7 @@ def catch_up_shard(
     donor_state = sound_store(smap.store_path(root, donor))
     donor_checkpoint, donor_records = donor_state.checkpoint_lsn, donor_state.suffix
 
-    store = open_durable(
-        target_root,
-        pool_pages=pool_pages,
-        group_commit=group_commit,
-        index_filter=smap.index_filter(shard_id),
-    )
+    store = open_durable(target_root, index_filter=smap.index_filter(shard_id))
     try:
         behind_from = store.last_lsn
         needed = [r for r in donor_records if r.lsn > behind_from]
@@ -185,7 +166,7 @@ def catch_up_shard(
             behind_from,
             index_filter=smap.index_filter(shard_id),
         )
-        folded = store.checkpoint() if checkpoint and needed else None
+        folded = store.checkpoint() if needed else None
     finally:
         store.close()
     return {

@@ -29,14 +29,12 @@ from __future__ import annotations
 
 import json
 import os
-import socket
 from typing import Any, Dict, Optional
 
 from repro.core import STRUCTURES
 from repro.core.interface import WORLD_SIZE
 from repro.geometry import Rect
 from repro.obs.metrics import MetricsRegistry
-from repro.sanitize import make_lock
 from repro.service.engine import QueryEngine
 from repro.service.server import MapServer
 from repro.shard.manifest import ShardMap, cell_weights
@@ -91,7 +89,6 @@ def init_shard_set(
     world_size: Optional[float] = None,
     page_size: int = 1024,
     pool_pages: int = 16,
-    group_commit: int = 1,
 ) -> ShardMap:
     """Create a shard set: the manifest plus one durable store per shard.
 
@@ -135,12 +132,7 @@ def init_shard_set(
                 seg = ctx.segments.peek(seg_id)
                 if smap.covers(spec, seg.mbr()):
                     index.insert(seg_id)
-        store = DurableStore.create(
-            smap.store_path(root, spec.shard_id),
-            index,
-            group_commit=group_commit,
-        )
-        store.close()
+        DurableStore.create(smap.store_path(root, spec.shard_id), index).close()
     smap.save(root)
     return smap
 
@@ -148,44 +140,6 @@ def init_shard_set(
 # ----------------------------------------------------------------------
 # Serving
 # ----------------------------------------------------------------------
-class ShardServer(MapServer):
-    """A :class:`MapServer` that tracks its live connections.
-
-    ``server_close()`` also severs every accepted connection, so a
-    stopped worker looks to the router exactly like a killed process:
-    pooled connections die mid-stream instead of being kept alive by
-    lingering handler threads (which is what the in-process harness
-    would otherwise do)."""
-
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        self._conns: set = set()
-        self._conns_lock = make_lock("shard.server.conns")
-        super().__init__(*args, **kwargs)
-
-    def get_request(self):
-        sock, addr = super().get_request()
-        with self._conns_lock:
-            self._conns.add(sock)
-        return sock, addr
-
-    def shutdown_request(self, request) -> None:
-        with self._conns_lock:
-            self._conns.discard(request)
-        super().shutdown_request(request)
-
-    def server_close(self) -> None:
-        super().server_close()
-        with self._conns_lock:
-            conns = list(self._conns)
-            self._conns.clear()
-        for sock in conns:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                continue  # already torn down by the handler thread
-            sock.close()
-
-
 def addr_path(store_root: str) -> str:
     return os.path.join(os.fspath(store_root), SHARD_ADDR_NAME)
 
@@ -203,13 +157,7 @@ def read_addr(store_root: str) -> Dict[str, Any]:
         return json.load(fh)
 
 
-def open_shard(
-    root: str,
-    shard_id: str,
-    pool_pages: int = 16,
-    group_commit: int = 1,
-    cache_capacity: int = 256,
-):
+def open_shard(root: str, shard_id: str):
     """Recover one shard's store and wrap it in a :class:`ShardEngine`.
 
     Returns ``(shard_map, engine)``. Recovery passes the shard's
@@ -231,10 +179,7 @@ def open_shard(
         )
     spec = smap.shard(shard_id)
     store = open_durable(
-        smap.store_path(root, shard_id),
-        pool_pages=pool_pages,
-        group_commit=group_commit,
-        index_filter=smap.index_filter(shard_id),
+        smap.store_path(root, shard_id), index_filter=smap.index_filter(shard_id)
     )
     engine = ShardEngine(
         store.index,
@@ -242,32 +187,23 @@ def open_shard(
         covers=lambda rect: smap.covers(spec, rect),
         store=store,
         registry=MetricsRegistry(),
-        cache_capacity=cache_capacity,
     )
     return smap, engine
 
 
 def serve_shard(
-    root: str,
-    shard_id: str,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    pool_pages: int = 16,
-    group_commit: int = 1,
+    root: str, shard_id: str, host: str = "127.0.0.1", port: int = 0
 ) -> MapServer:
     """Open a shard and bind its server (not yet serving).
 
     The bound address is published to ``shard.addr``; call
     ``serve_forever()`` (the CLI worker) or ``start_background()``
-    (tests and the in-process harness) on the returned server.
+    (tests and the in-process harness) on the returned server. Its
+    ``server_close()`` severs every live connection, so a stopped worker
+    looks to the router exactly like a killed process.
     """
-    smap, engine = open_shard(
-        root,
-        shard_id,
-        pool_pages=pool_pages,
-        group_commit=group_commit,
-    )
-    server = ShardServer(engine, host=host, port=port)
+    smap, engine = open_shard(root, shard_id)
+    server = MapServer(engine, host=host, port=port)
     bound_host, bound_port = server.address
     write_addr(smap.store_path(root, shard_id), bound_host, bound_port)
     return server
@@ -281,9 +217,8 @@ class LocalShardSet:
     deterministic lifetime. Use as a context manager.
     """
 
-    def __init__(self, root: str, **kwargs: Any) -> None:
+    def __init__(self, root: str) -> None:
         self.root = os.fspath(root)
-        self.kwargs = kwargs
         self.servers: Dict[str, MapServer] = {}
 
     def __enter__(self) -> "LocalShardSet":
@@ -293,7 +228,7 @@ class LocalShardSet:
         return self
 
     def start(self, shard_id: str) -> MapServer:
-        server = serve_shard(self.root, shard_id, **self.kwargs)
+        server = serve_shard(self.root, shard_id)
         server.start_background()
         self.servers[shard_id] = server
         return server

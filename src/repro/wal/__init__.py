@@ -8,7 +8,8 @@ gap:
 * :mod:`repro.wal.records` -- logical mutation records (insert/delete
   with monotonically increasing LSNs), length-prefixed and CRC-checked.
 * :mod:`repro.wal.log` -- :class:`WriteAheadLog`: append-only file,
-  fsynced group-commit batching, torn-tail-tolerant scanning.
+  one sync call that fsyncs before every ack (concurrent callers share
+  an fsync), torn-tail-tolerant scanning.
 * :mod:`repro.wal.store` -- :class:`DurableStore`: the checkpoint +
   manifest + log directory, atomic checkpointing that folds the log
   into a fresh snapshot, and :func:`open_durable` crash recovery that

@@ -162,7 +162,6 @@ def build_live_store(
     root: str,
     kind: str,
     steps: List[Step],
-    group_commit: int = 1,
     crash_checkpoint_at: Optional[str] = None,
 ) -> Tuple[DurableStore, List[Segment], bool]:
     """Create a durable store and drive the script through an engine.
@@ -179,7 +178,7 @@ def build_live_store(
     index = make_index(kind, ctx)
     for seg_id in ctx.load_segments(base):
         index.insert(seg_id)
-    store = DurableStore.create(root, index, group_commit=group_commit)
+    store = DurableStore.create(root, index)
     engine = QueryEngine(index, store=store)
     crashed = False
     for op, arg in steps:

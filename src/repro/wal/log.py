@@ -1,4 +1,4 @@
-"""The append-only, CRC-checked, group-committed write-ahead log.
+"""The append-only, CRC-checked write-ahead log.
 
 One log file (``repro.wal``) per durable store. The file starts with a
 16-byte header -- magic + the *base LSN*, i.e. the LSN of the checkpoint
@@ -10,14 +10,13 @@ Durability protocol:
 * :meth:`WriteAheadLog.log_insert` / :meth:`~WriteAheadLog.log_delete`
   assign the next LSN and buffer the frame; each counts as one
   ``log_appends``.
-* :meth:`WriteAheadLog.commit` hands everything appended so far to the
-  OS (a killed process loses nothing it acknowledged) and makes it
-  durable: with ``group_commit == 1`` every commit fsyncs; with a larger
-  batch size the fsync is deferred until ``group_commit`` records are
-  pending (or someone calls :meth:`sync` explicitly), trading a bounded
-  number of acknowledged-but-lost records on *power* failure for far
-  fewer fsyncs. ``fsyncs`` counts the actual syscalls, none of which
-  runs under the log lock.
+* :meth:`WriteAheadLog.sync` is the one durability call: it hands
+  everything appended so far to the OS and fsyncs it, so a record is
+  durable before any front acknowledges it. Callers that arrive while
+  another fsync is in flight wait for it, then cover whatever is still
+  pending -- concurrent committers share fsyncs, and one that finds its
+  record already covered issues none. ``fsyncs`` counts the actual
+  syscalls, none of which runs under the log lock.
 * :func:`scan_log` reads a log back tolerating a *torn tail*: a final
   record cut mid-frame, mid-payload, or failing its CRC ends the scan at
   the last good boundary instead of failing recovery.
@@ -135,7 +134,7 @@ def scan_log(path: str) -> LogScan:
 
 
 class WriteAheadLog:
-    """One append-only log file with group-commit batching.
+    """One append-only log file whose concurrent syncs share fsyncs.
 
     Thread-safe: appends, flushes, and rotation serialize on an internal
     lock, fsyncs run one at a time outside it (the engine additionally
@@ -143,15 +142,10 @@ class WriteAheadLog:
     always matches apply order).
     """
 
-    def __init__(
-        self, path: str, base_lsn: int, last_lsn: int, group_commit: int = 1
-    ) -> None:
-        if group_commit < 1:
-            raise ValueError(f"group_commit must be >= 1, got {group_commit}")
+    def __init__(self, path: str, base_lsn: int, last_lsn: int) -> None:
         self.path = os.fspath(path)
         self.base_lsn = base_lsn
         self.last_lsn = last_lsn
-        self.group_commit = group_commit
         self.log_appends = 0
         self.fsyncs = 0
         self._pending = 0
@@ -166,21 +160,17 @@ class WriteAheadLog:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def create(
-        cls, path: str, base_lsn: int = 0, group_commit: int = 1
-    ) -> "WriteAheadLog":
+    def create(cls, path: str, base_lsn: int = 0) -> "WriteAheadLog":
         """Create a fresh log whose records will follow ``base_lsn``."""
         path = os.fspath(path)
         with open(path, "xb") as fh:
             fh.write(HEADER.pack(MAGIC, base_lsn))
             fh.flush()
             os.fsync(fh.fileno())
-        return cls(path, base_lsn=base_lsn, last_lsn=base_lsn, group_commit=group_commit)
+        return cls(path, base_lsn=base_lsn, last_lsn=base_lsn)
 
     @classmethod
-    def open(
-        cls, path: str, scan: LogScan, group_commit: int = 1, repair: bool = True
-    ) -> "WriteAheadLog":
+    def open(cls, path: str, scan: LogScan, repair: bool = True) -> "WriteAheadLog":
         """Reopen an existing log for appending.
 
         ``scan`` is the caller's :func:`scan_log` of ``path``, the one it
@@ -197,12 +187,7 @@ class WriteAheadLog:
                 fh.truncate(scan.valid_bytes)
                 fh.flush()
                 os.fsync(fh.fileno())
-        return cls(
-            path,
-            base_lsn=scan.base_lsn,
-            last_lsn=scan.last_lsn,
-            group_commit=group_commit,
-        )
+        return cls(path, base_lsn=scan.base_lsn, last_lsn=scan.last_lsn)
 
     # ------------------------------------------------------------------
     # Appending
@@ -227,42 +212,28 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
-    def commit(self) -> bool:
-        """Make appends durable per the group-commit policy.
-
-        Returns whether an fsync actually ran: with ``group_commit > 1``
-        the records ride along with a later batch's sync instead -- but
-        are handed to the OS here, so an acknowledged record survives
-        the death of this process whatever the batch size.
-        """
-        return self._sync(self.group_commit)
-
-    def sync(self) -> None:
-        """Unconditionally fsync anything pending (checkpoint/close path)."""
-        self._sync(1)
-
-    def _sync(self, threshold: int) -> bool:
-        """Flush; then fsync if at least ``threshold`` records are pending.
+    def sync(self) -> bool:
+        """Flush, then fsync whatever is pending; returns whether one ran.
 
         The log lock is held to hand the frames to the OS and again to
         settle the tallies, never across the fsync: an append (made under
         the engine latch) does not queue behind the disk. Fsyncs run one
-        at a time; a second caller waits, then covers what is left.
+        at a time; a second caller waits, then covers what is left --
+        nothing, when the first one's fsync already covered its record.
         """
         with self._lock:
             while self._flushing:  # releases the log lock while waiting
                 self._flushed.wait()
             covered = self._pending
-            if covered:
-                self._fh.flush()
-            if covered < threshold:
+            if not covered:
                 return False
+            self._fh.flush()
             self._flushing = True
             fd = self._fh.fileno()
         synced = 0
         try:
             if SANITIZER.enabled:  # reports any lock the *caller* holds
-                SANITIZER.note_blocking("fsync", "wal.log:_sync")
+                SANITIZER.note_blocking("fsync", "wal.log:sync")
             os.fsync(fd)
             synced = covered
         finally:
@@ -322,7 +293,6 @@ class WriteAheadLog:
         return {
             "base_lsn": self.base_lsn,
             "last_lsn": self.last_lsn,
-            "group_commit": self.group_commit,
             "log_appends": self.log_appends,
             "fsyncs": self.fsyncs,
             "pending": self._pending,

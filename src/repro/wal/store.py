@@ -51,6 +51,18 @@ LOG_NAME = "repro.wal"
 MANIFEST_NAME = "repro.checkpoint"
 MANIFEST_VERSION = 1
 
+
+def _one_commit_rule(group_commit: int) -> None:
+    """Refuse a batched commit: every front acks only after an fsync
+    covers the mutation, so 1 is the keyword's only value. The keyword
+    stays only because ``benchmarks/e2e`` still passes it."""
+    if group_commit != 1:
+        raise ValueError(
+            f"group_commit={group_commit!r}: every mutation is fsynced before "
+            "its ack, so 1 is the only accepted value"
+        )
+
+
 class SimulatedCrash(RuntimeError):
     """Raised by the checkpoint crash hooks (crash-injection tests only)."""
 
@@ -341,7 +353,9 @@ class DurableStore:
         shard split materializes each child at the parent's last LSN so
         the children's logs stay comparable with their peers' (the
         replicated mutation stream numbers every store identically).
+        ``group_commit`` accepts 1 only (:func:`_one_commit_rule`).
         """
+        _one_commit_rule(group_commit)
         root = os.fspath(root)
         os.makedirs(root, exist_ok=True)
         if cls.exists(root):
@@ -352,9 +366,7 @@ class DurableStore:
         store = cls(
             root,
             index,
-            wal=WriteAheadLog.create(
-                paths["log"], base_lsn=base_lsn, group_commit=group_commit
-            ),
+            wal=WriteAheadLog.create(paths["log"], base_lsn=base_lsn),
             checkpoint_lsn=base_lsn,
         )
         store._write_snapshot(base_lsn)
@@ -376,10 +388,12 @@ class DurableStore:
         an error. The snapshot's embedded checkpoint LSN decides where
         replay starts; a torn final log record is truncated away
         (``repair``), and a log that was never rotated after a checkpoint
-        merely gets its already-folded prefix skipped.
+        merely gets its already-folded prefix skipped. ``group_commit``
+        accepts 1 only (:func:`_one_commit_rule`).
         """
         from repro.service.snapshot import load_index, opened
 
+        _one_commit_rule(group_commit)
         state = sound_store(root)
         paths = cls.paths(root)
         embedded = state.checkpoint_lsn
@@ -389,16 +403,12 @@ class DurableStore:
         if state.scan is None:
             # A crash between checkpoint and log creation: nothing to
             # replay; start a fresh tail at the checkpoint.
-            wal = WriteAheadLog.create(
-                paths["log"], base_lsn=embedded, group_commit=group_commit
-            )
+            wal = WriteAheadLog.create(paths["log"], base_lsn=embedded)
             return cls(state.root, index, wal, checkpoint_lsn=embedded)
         replay = replay_records(
             index, state.scan.records, embedded, index_filter=index_filter
         )
-        wal = WriteAheadLog.open(
-            paths["log"], state.scan, group_commit=group_commit, repair=repair
-        )
+        wal = WriteAheadLog.open(paths["log"], state.scan, repair=repair)
         return cls(state.root, index, wal, checkpoint_lsn=embedded, replay=replay)
 
     # ------------------------------------------------------------------
@@ -411,15 +421,12 @@ class DurableStore:
         return self.wal.log_delete(seg_id)
 
     def commit(self) -> bool:
-        """Group-commit barrier, called before the client is acked.
+        """The commit barrier every front passes before it acks a mutation.
 
-        Returns whether an fsync ran. With ``group_commit == 1`` (the
-        default) it always does: the mutation is durable before the ack.
-        With ``group_commit == N > 1`` the fsync waits until N records
-        are pending, so up to N - 1 acknowledged mutations can be lost
-        on power failure (the trade :mod:`repro.wal.log` documents).
+        Returns whether an fsync ran: none when a concurrent caller's
+        fsync already covered everything logged (:meth:`WriteAheadLog.sync`).
         """
-        return self.wal.commit()
+        return self.wal.sync()
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -942,7 +942,7 @@ class TestGroupCommit:
         from repro.wal import DurableStore
 
         index = build_index("R*", lattice_map(n=6))
-        store = DurableStore.create(tmp_path / "store", index, group_commit=1)
+        store = DurableStore.create(tmp_path / "store", index)
         engine = QueryEngine(index, store=store)
         srv = AsyncMapServer(engine)
         srv.start_background()
@@ -987,31 +987,41 @@ class TestGroupCommit:
             srv.stop()
             store.close()
 
-    def test_only_the_threaded_server_reads_the_threshold(self, tmp_path):
-        """``group_commit=N`` defers fsyncs in ``DurableStore.commit()``,
-        which only the threaded server calls per ack: at N = 8, five
-        sequential acked inserts cost it no fsync. The asyncio server's
-        committer syncs before every ack, so the same five cost five."""
+    def test_every_front_fsyncs_before_each_ack(self, tmp_path):
+        """One commit rule: five sequential acked inserts cost five
+        fsyncs on the threaded server, on the asyncio server and on a
+        shard worker -- no front acks a mutation before an fsync covers
+        it."""
+        from repro.data import generate_county
+        from repro.shard import LocalShardSet, init_shard_set
         from repro.wal import DurableStore
+
+        def five_inserts(address, store) -> int:
+            before = store.wal.stats()["fsyncs"]
+            for i in range(1, 6):
+                insert = {"op": "insert", "x1": i, "y1": i, "x2": i + 2, "y2": i + 2}
+                assert send_request(address, insert)["ok"]
+            return store.wal.stats()["fsyncs"] - before
 
         fsyncs = {}
         for front in (MapServer, AsyncMapServer):
             index = build_index("R*", lattice_map(n=4))
-            store = DurableStore.create(
-                tmp_path / front.__name__, index, group_commit=8
-            )
+            store = DurableStore.create(tmp_path / front.__name__, index)
             server = front(QueryEngine(index, store=store))
             server.start_background()
             try:
-                before = store.wal.stats()["fsyncs"]
-                for i in range(1, 6):
-                    insert = {"op": "insert", "x1": i, "y1": i, "x2": i + 2, "y2": i + 2}
-                    assert send_request(server.address, insert)["ok"]
-                fsyncs[front.__name__] = store.wal.stats()["fsyncs"] - before
+                fsyncs[front.__name__] = five_inserts(server.address, store)
             finally:
                 server.stop()
                 store.close()
-        assert fsyncs == {"MapServer": 0, "AsyncMapServer": 5}
+        root = str(tmp_path / "shards")
+        init_shard_set(
+            root, "R*", map_data=generate_county("cecil", scale=0.01), n_shards=2
+        )
+        with LocalShardSet(root) as shards:
+            worker = shards.servers["s0"]
+            fsyncs["worker"] = five_inserts(worker.address, worker.engine.store)
+        assert fsyncs == {"MapServer": 5, "AsyncMapServer": 5, "worker": 5}
 
     def test_a_failed_fsync_fails_the_ack_and_frees_the_slot(self, tmp_path):
         """``wal.sync`` raising must not strand its waiters: the mutation
@@ -1020,7 +1030,7 @@ class TestGroupCommit:
         from repro.wal import DurableStore
 
         index = build_index("R*", lattice_map(n=4))
-        store = DurableStore.create(tmp_path / "store", index, group_commit=1)
+        store = DurableStore.create(tmp_path / "store", index)
         engine = QueryEngine(index, store=store)
         srv = AsyncMapServer(engine)
         srv.start_background()
@@ -1060,7 +1070,7 @@ class TestGroupCommit:
         from repro.wal import DurableStore
 
         index = build_index("R*", lattice_map(n=4))
-        store = DurableStore.create(tmp_path / "store", index, group_commit=1)
+        store = DurableStore.create(tmp_path / "store", index)
         engine = QueryEngine(index, store=store)
         srv = AsyncMapServer(engine)
         srv.start_background()

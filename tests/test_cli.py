@@ -65,6 +65,36 @@ class TestSurface:
         }
         assert not gone & set(inspect.signature(cls).parameters)
 
+    @pytest.mark.parametrize(
+        "func",
+        [
+            "repro.wal.log:WriteAheadLog.__init__",
+            "repro.wal.log:WriteAheadLog.create",
+            "repro.wal.log:WriteAheadLog.open",
+            "repro.wal.crashtest:build_live_store",
+            "repro.shard:init_shard_set",
+            "repro.shard:open_shard",
+            "repro.shard:serve_shard",
+            "repro.shard:split_shard",
+            "repro.shard:catch_up_shard",
+            "repro.shard:LocalShardSet",
+        ],
+    )
+    def test_no_shard_or_log_signature_takes_a_setting_no_caller_sets(self, func):
+        """Every commit fsyncs before its ack, so the log has no batch
+        threshold, and a worker opens its shard one way."""
+        import importlib
+
+        module, _, path = func.partition(":")
+        target = importlib.import_module(module)
+        for attr in path.split("."):
+            target = getattr(target, attr)
+        params = set(inspect.signature(target).parameters)
+        gone = {"group_commit", "cache_capacity", "checkpoint", "kwargs"}
+        if func != "repro.shard:init_shard_set":  # sizes the build's pool
+            gone.add("pool_pages")
+        assert not gone & params
+
 
 class TestCLI:
     def test_generate(self, capsys):
@@ -247,6 +277,15 @@ class TestEveryAcceptedOptionActs:
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "--trace-capacity" in err and "--slow-ms" in err
+
+    @pytest.mark.parametrize("launcher", ["serve", "shard-worker"])
+    def test_a_batched_group_commit_is_a_usage_error(self, capsys, launcher):
+        """Every front acks only after an fsync covers the mutation:
+        ``--group-commit`` is accepted with its one value, 1, only."""
+        with pytest.raises(SystemExit) as exit_:
+            main([*self.LAUNCHERS[launcher], "--group-commit", "2"])
+        assert exit_.value.code == 2
+        assert "argument --group-commit: invalid choice: 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("launcher", sorted(LAUNCHERS))
     def test_the_second_tracer_flag_is_gone(self, capsys, launcher):

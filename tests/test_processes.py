@@ -376,3 +376,46 @@ def test_sigkilled_worker_degrades_diverges_and_heals(spawn, shard_set, tmp_path
     assert "clean: 0 findings" in ok(run_cli("check", "--shards", root))
     assert router.stop(signal.SIGINT) == 0, router.output
     interrupt(*workers.values())
+
+
+_WORKER_IMPORTS = """
+import json, os, signal, sys, threading
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from repro.__main__ import _serve
+from repro.service import send_request
+from repro.shard import serve_shard
+
+server = serve_shard(sys.argv[1], "s0")
+
+def ping_then_interrupt():
+    ok = send_request(server.address, {"op": "ping"})["ok"]
+    print(json.dumps({"pinged": ok}), flush=True)
+    os.kill(os.getpid(), signal.SIGINT)
+
+threading.Thread(target=ping_then_interrupt, daemon=True).start()
+code = _serve(server, "worker", "", server.server_close, server.engine.store.close)
+loaded = sorted(m for m in sys.modules if m == "asyncio" or m.startswith("repro.aio"))
+print(json.dumps({"exit": code, "loaded": loaded}), flush=True)
+"""
+
+
+def test_a_shard_worker_never_loads_asyncio(shard_set, tmp_path):
+    """A worker serves from the threaded server: opening it through
+    ``serve_shard`` and serving it through the CLI's ``_serve`` until
+    Ctrl-C loads neither asyncio nor ``repro.aio``."""
+    import subprocess
+    import sys
+
+    root = shutil.copytree(shard_set, str(tmp_path / "set"))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _WORKER_IMPORTS, root],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
+    lines = [json.loads(line) for line in child.stdout.splitlines() if line[:1] == "{"]
+    assert lines[0] == {"pinged": True}
+    assert lines[-1] == {"exit": 0, "loaded": []}

@@ -290,7 +290,7 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize("kind", ["R*", "R+", "PMR"])
     def test_a_durable_store_logs_none_of_them(self, tmp_path, kind):
         index = build_index(kind, lattice_map(n=8))
-        store = DurableStore.create(str(tmp_path / "store"), index, group_commit=1)
+        store = DurableStore.create(str(tmp_path / "store"), index)
         try:
             protocol = Protocol(QueryEngine(index, store=store))
             lsn = store.last_lsn
@@ -378,7 +378,7 @@ class TestDeferredCommit:
     @pytest.fixture()
     def durable(self, tmp_path):
         index = build_index("R*", lattice_map(n=8))
-        store = DurableStore.create(str(tmp_path / "store"), index, group_commit=1)
+        store = DurableStore.create(str(tmp_path / "store"), index)
         yield QueryEngine(index, store=store), store
         store.close()
 

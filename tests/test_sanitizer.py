@@ -126,16 +126,16 @@ class TestBlocking:
 
         wal = WriteAheadLog.create(str(tmp_path / "repro.wal"))
         wal.log_insert(1, Segment(0, 0, 10, 10))
-        wal.commit()
+        wal.sync()
         # The log's own lock is never held across the fsync ...
         assert sanitizer.report()["held_across_blocking"] == {}
         # ... but a lock the *caller* commits under still is reported.
         with TrackedLock("caller"):
             wal.log_insert(2, Segment(0, 0, 10, 10))
-            wal.commit()
+            wal.sync()
         wal.close()
         held = sanitizer.report()["held_across_blocking"]
-        assert list(held) == ["fsync@wal.log:_sync holding caller"]
+        assert list(held) == ["fsync@wal.log:sync holding caller"]
 
 
 # ----------------------------------------------------------------------
@@ -245,18 +245,29 @@ class TestShutdown:
         """Stopping the router and every worker joins their accept, loop
         and scatter threads and closes every worker's port, connections
         the router pooled included -- a stopped worker looks like a dead
-        one."""
+        one. A stopped threaded ``serve`` is the same server: its open
+        connection is severed, and its port refuses."""
         import socket
 
         from repro.data import generate_county
-        from repro.service import send_request
+        from repro.service import MapServer, QueryEngine, send_request
         from repro.shard import LocalShardSet, ShardRouter, init_shard_set
+
+        from tests.conftest import build_index, lattice_map
 
         root = str(tmp_path)
         init_shard_set(
             root, "R*", map_data=generate_county("cecil", scale=0.01), n_shards=2
         )
         before = set(threading.enumerate())
+        serve = MapServer(QueryEngine(build_index("R*", lattice_map(n=4))))
+        serve.start_background()
+        live = socket.create_connection(serve.address, timeout=5)
+        live.sendall(b'{"op": "ping"}\n')
+        assert b'"pong"' in live.recv(4096)
+        serve.stop()
+        assert live.recv(4096) == b""  # severed, not left to an idle timeout
+        live.close()
         with LocalShardSet(root) as shards:
             router = ShardRouter(root)
             router.start_background()
@@ -281,7 +292,7 @@ class TestShutdown:
             and t.name.startswith(("map-server", "aio-", "shard-scatter"))
         ]
         assert lingering == []
-        for address in [*addresses, router.address]:
+        for address in [*addresses, router.address, serve.address]:
             with pytest.raises(ConnectionRefusedError):
                 socket.create_connection(address, timeout=5).close()
 

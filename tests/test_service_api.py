@@ -261,7 +261,7 @@ class TestDurableTraceShapes:
         session was billed, the LSN it logged and whether its commit
         fsynced."""
         index = build_index("R*", lattice_map(n=6))
-        store = DurableStore.create(str(tmp_path / "store"), index, group_commit=1)
+        store = DurableStore.create(str(tmp_path / "store"), index)
         engine = QueryEngine(index, store=store, registry=MetricsRegistry())
         session = engine.session("writer")
         TRACER.arm(1.0)
@@ -284,7 +284,7 @@ class TestDurableTraceShapes:
         assert apply["attrs"]["counters"] == delta.as_dict()
         assert delta.bbox_comps > 0  # the insert descended the tree
         assert apply["attrs"]["lsn"] == store.last_lsn == 1
-        assert commit["attrs"] == {"fsync": True}  # group_commit=1: inline
+        assert commit["attrs"] == {"fsync": True}  # inline, before the ack
         assert apply["spans"] == commit["spans"] == []
 
 

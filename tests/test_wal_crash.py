@@ -41,10 +41,11 @@ _LOG_COMMIT_DIE = """
 import os, signal, sys
 from repro.geometry import Segment
 from repro.wal.log import WriteAheadLog
-wal = WriteAheadLog.create(sys.argv[1], group_commit=8)
+wal = WriteAheadLog.create(sys.argv[1])
 for seg_id in range(5):
     wal.log_insert(seg_id, Segment(seg_id, 0, seg_id + 1, 1))
-    wal.commit()  # below the batch size: no fsync, but the ack leaves
+    wal.sync()  # the ack leaves only after this
+wal.log_insert(5, Segment(5, 0, 6, 1))  # never synced, never acked
 os.kill(os.getpid(), signal.SIGKILL)
 """
 
@@ -53,10 +54,10 @@ class TestKillDashNine:
     """A real process, real sockets, and an honest SIGKILL."""
 
     def test_group_commit_acks_survive_a_process_kill(self, tmp_path):
-        """``--group-commit N`` may lose acknowledged records on *power*
-        failure only: every commit hands its frames to the OS, so a
-        killed process leaves all five (0 of 5 before the fix, when they
-        died in Python's userspace buffer)."""
+        """Every acked record survives a SIGKILL: the sync before each
+        ack hands its frames to the OS and fsyncs them. The record
+        appended after the last sync was never acked, and it dies in
+        Python's userspace buffer with the process."""
         log = str(tmp_path / "repro.wal")
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         child = subprocess.run(

@@ -171,40 +171,32 @@ class TestWriteAheadLog:
 
 class TestGroupCommit:
     def test_every_commit_fsyncs_at_batch_one(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "repro.wal", group_commit=1)
+        """Each sync after an append fsyncs; one with nothing pending
+        (and the close after it) issues none."""
+        wal = WriteAheadLog.create(tmp_path / "repro.wal")
         for i in range(3):
             wal.log_delete(i)
-            assert wal.commit() is True
+            assert wal.sync() is True
         assert wal.fsyncs == 3
+        assert wal.sync() is False
         wal.close()
-
-    def test_batched_commits_defer_fsync(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "repro.wal", group_commit=4)
-        synced = []
-        for _ in range(6):
-            wal.log_delete(0)
-            synced.append(wal.commit())
-        assert wal.fsyncs == 1  # one batch of 4; 2 records still pending
-        assert synced.count(True) == 1
-        wal.sync()
-        assert wal.fsyncs == 2
-        wal.close()
-        assert wal.fsyncs == 2  # close with nothing pending adds no sync
+        assert wal.fsyncs == 3
 
     def test_concurrent_committers_share_fsyncs_and_lose_nothing(self, tmp_path):
         """More committers than cores on a shortened switch interval: the
         fsync runs outside the log lock, so appends land while one is in
-        flight -- yet when ``commit()`` returns its record is in the
-        file, the tallies settle to zero pending, and no LSN is lost."""
+        flight -- yet when ``sync()`` returns its record is in the
+        file, the tallies settle to zero pending, no LSN is lost, and
+        committers that waited on another's fsync share it."""
         path = tmp_path / "repro.wal"
-        wal = WriteAheadLog.create(path, group_commit=1)
+        wal = WriteAheadLog.create(path)
         workers, each = 8, 25
         failures = []
 
         def committer(worker):
             for i in range(each):
                 lsn = wal.log_insert(worker * each + i, Segment(0, 0, 1, 1))
-                wal.commit()
+                wal.sync()
                 if scan_log(path).last_lsn < lsn:
                     failures.append(lsn)
 
@@ -224,15 +216,11 @@ class TestGroupCommit:
         assert failures == []
         stats = wal.stats()
         assert stats["pending"] == 0 and stats["log_appends"] == workers * each
-        assert 0 < stats["fsyncs"] <= workers * each
+        assert 0 < stats["fsyncs"] < workers * each  # waiters shared fsyncs
         wal.close()
         scan = scan_log(path)
         assert check_wal(path) == []
         assert len(scan.records) == workers * each and scan.tail_error is None
-
-    def test_group_commit_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            WriteAheadLog.create(tmp_path / "repro.wal", group_commit=0)
 
 
 class TestRotation:
@@ -250,11 +238,12 @@ class TestRotation:
         assert [r.lsn for r in scan.records] == [3]
 
     def test_stats_counters(self, tmp_path):
-        wal = WriteAheadLog.create(tmp_path / "repro.wal", group_commit=2)
+        wal = WriteAheadLog.create(tmp_path / "repro.wal")
         wal.log_insert(0, Segment(0, 0, 1, 1))
-        wal.commit()
+        assert wal.stats()["pending"] == 1  # appended, not yet synced
+        wal.sync()
         stats = wal.stats()
-        assert stats["log_appends"] == 1
-        assert stats["pending"] == 1  # below the batch size: not yet synced
+        assert stats["log_appends"] == 1 and stats["fsyncs"] == 1
+        assert stats["pending"] == 0
         assert stats["last_lsn"] == 1
         wal.close()

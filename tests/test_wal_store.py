@@ -15,12 +15,12 @@ from repro.wal.records import DeleteRecord, InsertRecord
 from repro.wal.store import LOG_NAME, MANIFEST_NAME
 
 
-def build_store(root, kind="R*", group_commit=1):
+def build_store(root, kind="R*"):
     ctx = StorageContext.create()
     index = make_index(kind, ctx)
     for seg_id in ctx.load_segments(base_map()):
         index.insert(seg_id)
-    return DurableStore.create(root, index, group_commit=group_commit)
+    return DurableStore.create(root, index)
 
 
 class TestDurableStore:
@@ -40,6 +40,26 @@ class TestDurableStore:
         build_store(root).close()
         with pytest.raises(FileExistsError):
             build_store(root)
+
+    def test_group_commit_accepts_only_one(self, tmp_path):
+        """Every front acks a mutation only after an fsync covers it: the
+        keyword survives for callers that pass 1, and the log has no
+        batch threshold and no second commit call."""
+        from repro.wal.log import WriteAheadLog
+
+        ctx = StorageContext.create()
+        index = make_index("R*", ctx)
+        with pytest.raises(ValueError, match="fsynced before its ack"):
+            DurableStore.create(tmp_path / "batched", index, group_commit=2)
+        assert not (tmp_path / "batched").exists()  # refused before any write
+        root = tmp_path / "store"
+        DurableStore.create(root, index, group_commit=1).close()
+        with pytest.raises(ValueError, match="1 is the only accepted value"):
+            DurableStore.open(root, group_commit=32)
+        store = DurableStore.open(root, group_commit=1)
+        assert "group_commit" not in store.stats()
+        store.close()
+        assert not hasattr(WriteAheadLog, "commit")
 
     def test_mutations_survive_reopen(self, tmp_path):
         root = tmp_path / "store"
