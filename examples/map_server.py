@@ -7,7 +7,8 @@ This example runs the full service lifecycle instead:
 1. build an R*-tree over a synthetic county and **save** it as a
    queryable snapshot (pages + manifest);
 2. **reopen** the snapshot -- no rebuild inserts, identical statistics;
-3. serve it over JSON-over-TCP to a few concurrent clients;
+3. serve it over JSON-over-TCP to a few concurrent clients, from the
+   asyncio server that ``python -m repro serve`` runs;
 4. execute a shuffled query batch in arrival order and in Morton order
    and compare the buffer-pool misses.
 
@@ -21,14 +22,9 @@ import socket
 import threading
 
 from repro import generate_county
+from repro.aio import AsyncMapServer
 from repro.harness.experiment import build_structure
-from repro.service import (
-    BatchExecutor,
-    MapServer,
-    QueryEngine,
-    open_index,
-    save_index,
-)
+from repro.service import BatchExecutor, QueryEngine, open_index, save_index
 
 
 def main() -> None:
@@ -54,7 +50,7 @@ def main() -> None:
 
     # --- 3: concurrent clients over TCP -------------------------------
     engine = QueryEngine(served, cache_capacity=128)
-    server = MapServer(engine)  # ephemeral port
+    server = AsyncMapServer(engine)  # ephemeral port
     server.start_background()
     host, port = server.address
 
@@ -85,8 +81,7 @@ def main() -> None:
         f"cache hit rate {stats['cache']['hit_rate']:.0%}, "
         f"counters consistent: {stats['counters_consistent']}"
     )
-    server.shutdown()
-    server.server_close()
+    server.stop()
 
     # --- 4: batch scheduling study ------------------------------------
     rng = random.Random(7)

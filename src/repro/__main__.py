@@ -163,7 +163,8 @@ def _serve(server, what: str, how: str, *closers) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from repro.service import MapServer, QueryEngine
+    from repro.aio import AsyncMapServer
+    from repro.service import QueryEngine
 
     _arm_sanitizer(args)
     _arm_tracing(args)
@@ -173,23 +174,12 @@ def _cmd_serve(args) -> int:
     what = f"serving {index.name} ({len(index.ctx.segments)} segments)"
     closers = [store.close] if store is not None else []
     idle = args.idle_timeout if args.idle_timeout > 0 else None
-    if args.use_async:
-        from repro.aio import AsyncMapServer
-
-        server = AsyncMapServer(
-            engine, host=args.host, port=args.port, idle_timeout=idle
-        )
-        how = (
-            "-- asyncio front end: v1 newline JSON plus pipelined wire "
-            'protocol v2 (pin {"v": 2})'
-        )
-        return _serve(server, what, how, *closers)
-    server = MapServer(engine, host=args.host, port=args.port, idle_timeout=idle)
+    server = AsyncMapServer(engine, host=args.host, port=args.port, idle_timeout=idle)
     how = (
-        "-- newline-delimited JSON, e.g. "
-        '{"op": "window", "x1": 0, "y1": 0, "x2": 500, "y2": 500}'
+        "-- asyncio front end: v1 newline JSON plus pipelined wire "
+        'protocol v2 (pin {"v": 2})'
     )
-    return _serve(server, what, how, server.server_close, *closers)
+    return _serve(server, what, how, *closers)
 
 
 def _cmd_shard_worker(args) -> int:
@@ -724,13 +714,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the runtime lock-order sanitizer (report on exit; "
         "exit 1 on a potential deadlock)",
     )
-    use_async = _parent()
-    use_async.add_argument(
+    inert_async = _parent()
+    inert_async.add_argument(
         "--async",
-        dest="use_async",
         action="store_true",
-        help="serve from one asyncio event loop instead of a thread per "
-        "connection; adds the pipelined wire protocol v2",
+        help="accepted and ignored: the server always runs one asyncio "
+        "event loop (v1 lines and pipelined wire protocol v2)",
     )
 
     command("generate", _cmd_generate, [scale, county], help="inspect a synthetic map")
@@ -747,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "serve",
         _cmd_serve,
-        [*built, opened, _address(8765), commit, telemetry, use_async],
+        [*built, opened, _address(8765), commit, telemetry, inert_async],
         help="serve an index over JSON-over-TCP",
     )
     p.add_argument("--cache-size", type=int, default=256)
@@ -808,18 +797,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "route",
         _cmd_route,
-        [root, _address(8765), telemetry],
+        [root, _address(8765), telemetry, inert_async],
         help="scatter-gather router over a shard set's workers",
     )
     p.add_argument(
         "--timeout", type=float, default=5.0, help="per-shard request timeout, seconds"
-    )
-    p.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="accepted and ignored: the router always serves from one "
-        "asyncio event loop (v1 lines and pipelined wire protocol v2)",
     )
 
     command(

@@ -7,11 +7,11 @@ short reads on the loop thread, long and blocking requests on a bounded
 executor -- and adds the negotiated length-prefixed v2 framing for
 pipelining, admission control with structured ``server_overloaded``
 errors, per-client fair scheduling, and backpressure-aware group commit
-across connections. ``serve --async`` and the shard router
-(:mod:`repro.shard`) serve from it. Both servers call the same protocol
-core (:mod:`repro.service.protocol`); the threaded one remains ``serve``
-without ``--async``, every shard worker, and the v1 oracle the
-protocol-equivalence suite compares against.
+across connections. ``serve`` and the shard router (:mod:`repro.shard`)
+serve from it. Both servers call the same protocol core
+(:mod:`repro.service.protocol`) and read a v1 connection one request at
+a time; the threaded one remains every shard worker and the v1 oracle
+the protocol-equivalence suite compares against.
 """
 
 from repro.aio.client import AsyncMapClient

@@ -53,16 +53,21 @@ cannot starve its neighbours, nor inline work starve accepts, reads and
 timers. At the executor hand-off cap the pass stops where it is, and
 the next worker to return resumes it.
 
-Responses are written straight to the transport: v2 frames in
-completion order carrying their request id, v1 lines through the
-connection's ordered slots (the protocol has no ids, arrival order *is*
-the correlation; a v2 frame completed while a v1 slot -- the upgrade
-ack -- is still open queues behind it).
+A v1 connection is read one request at a time, as the threaded server
+reads it: while its request is in flight nothing more is cut from its
+buffer (and past one line's worth the transport stops reading), so its
+answers leave in arrival order -- the protocol has no ids, order *is*
+the correlation -- and it never has more than one request to admit.
+The upgrade line is a v1 request too, so its ack precedes every v2
+frame. v2 frames are cut as they arrive, run concurrently and are
+answered in completion order, each carrying its request id; every
+response is written straight to the transport.
 
-Admission control: past :data:`MAX_INFLIGHT_PER_CONN` (or the global
-:data:`MAX_INFLIGHT_TOTAL` high-water mark) a request is answered
-immediately with a structured ``server_overloaded`` error -- it never
-queues, so a saturated server stays responsive and its queues bounded.
+Admission control: past :data:`MAX_INFLIGHT_PER_CONN` (which only a v2
+connection can reach) or the global :data:`MAX_INFLIGHT_TOTAL`
+high-water mark, a request is answered immediately with a structured
+``server_overloaded`` error -- it never queues, so a saturated server
+stays responsive and its queues bounded.
 
 Durability: mutations run through the engine's deferred commit barrier
 (:meth:`~repro.service.engine.QueryEngine.execute_deferred`) and then
@@ -87,7 +92,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Deque, Dict, Optional, Set, Tuple
 
 from repro.errors import ServerOverloadedError
 from repro.metric_names import SERVER_DISPATCH_TOTAL, SERVER_LOOP_HOLD_SECONDS
@@ -138,6 +143,9 @@ class _Splitter:
             data = data[take:]
         self._buf += data
 
+    def __len__(self) -> int:
+        return len(self._buf)
+
     def cut(self, mode: int) -> Optional[Tuple[str, Any]]:
         """The next request in framing ``mode`` (1 = lines, 2 = frames),
         or ``None`` until more bytes arrive: ``("line", bytes)``,
@@ -180,14 +188,13 @@ class _Splitter:
 
 
 class _Req:
-    __slots__ = ("request", "wire", "request_id", "arrived", "slot")
+    __slots__ = ("request", "wire", "request_id", "arrived")
 
     def __init__(self, request: Request, wire, request_id, arrived) -> None:
         self.request = request
         self.wire = wire  # 1 = line framing, 2 = v2 frames
         self.request_id = request_id
         self.arrived = arrived
-        self.slot: Optional[List[Optional[bytes]]] = None  # v1 ordering slot
 
 
 class _Conn(asyncio.Protocol):
@@ -204,7 +211,7 @@ class _Conn(asyncio.Protocol):
         "pending",
         "in_ready",
         "inflight",
-        "ordered",
+        "v1_busy",
         "last_request",
         "idle_timer",
         "paused",
@@ -221,9 +228,7 @@ class _Conn(asyncio.Protocol):
         self.pending: Deque[_Req] = deque()
         self.in_ready = False
         self.inflight = 0
-        # Responses that must leave in order: one-element slots, filled
-        # (``[bytes]``) or still waiting for their request (``[None]``).
-        self.ordered: Deque[List[Optional[bytes]]] = deque()
+        self.v1_busy = False  # a v1 request is in flight: cut nothing more
         self.last_request = 0.0
         self.idle_timer: Optional[asyncio.TimerHandle] = None
         self.paused = False  # the peer is not reading: neither do we
@@ -463,11 +468,12 @@ class AsyncMapServer:
 
     def _received(self, conn: _Conn, data: bytes) -> None:
         """Cut every whole request out of what arrived and admit it --
-        until the peer stops reading its responses -- then serve."""
+        until the peer stops reading its responses, or a v1 request is
+        in flight -- then serve."""
         splitter = conn.splitter
         splitter.feed(data)
         protocol = self.protocol
-        while not (conn.paused or conn.closed):
+        while not (conn.paused or conn.closed or conn.v1_busy):
             cut = splitter.cut(conn.mode)
             if cut is None:
                 break
@@ -499,6 +505,10 @@ class AsyncMapServer:
                 self._respond(conn, protocol.run(request)[0], wire, request_id)
                 continue
             self._admit(conn, _Req(request, wire, request_id, now))
+        if conn.v1_busy and len(splitter) > splitter.max_line:
+            # What the peer sends behind its v1 request waits in its
+            # socket, as on the threaded server; _finish reads on.
+            conn.transport.pause_reading()
         if self._ready and not self._pass_pending:
             self._pass()
 
@@ -526,11 +536,8 @@ class AsyncMapServer:
         conn.inflight += 1
         self._inflight_total += 1
         self._g_inflight.set(self._inflight_total)
-        if req.wire == 1:
-            # v1 has no request ids: the response slot is reserved *now*
-            # so responses leave in arrival order however execution lands.
-            req.slot = [None]
-            conn.ordered.append(req.slot)
+        # A v2 request is admitted only once no v1 one is in flight.
+        conn.v1_busy = req.wire == 1
         conn.pending.append(req)
         self._queued += 1
         self._g_queue_depth.set(self._queued)
@@ -599,7 +606,8 @@ class AsyncMapServer:
         executor, so no lock it takes can be held by another thread."""
         start = time.perf_counter()
         try:
-            self._send(conn, req, self.protocol.run(req.request, conn.session)[0])
+            envelope = self.protocol.run(req.request, conn.session)[0]
+            self._respond(conn, envelope, req.wire, req.request_id)
         finally:
             self._finish(conn)
             held = time.perf_counter() - start
@@ -618,7 +626,7 @@ class AsyncMapServer:
                     await self.committer.wait_durable(lsn)
             except Exception as exc:  # commit-before-ack: no fsync, no ack
                 envelope = self.protocol.failed(req.request, exc)
-            self._send(conn, req, envelope)
+            self._respond(conn, envelope, req.wire, req.request_id)
         finally:
             self._finish(conn)
 
@@ -626,45 +634,28 @@ class AsyncMapServer:
         conn.inflight -= 1
         self._inflight_total -= 1
         self._g_inflight.set(self._inflight_total)
+        if conn.v1_busy:
+            # Answered: read the connection's next request.
+            conn.v1_busy = False
+            if not conn.paused:
+                conn.transport.resume_reading()
+            self._loop.call_soon(self._received, conn, b"")
 
     # ------------------------------------------------------------------
     # Responses
     # ------------------------------------------------------------------
     @staticmethod
-    def _encode(envelope: Dict[str, Any], wire: int, request_id: int) -> bytes:
-        if wire == 1:
-            return encode_json(envelope).encode("utf-8") + b"\n"
-        return encode_frame(request_id, envelope, response=True)
-
-    def _send(self, conn: _Conn, req: _Req, envelope: Dict[str, Any]) -> None:
-        """The response of an admitted request."""
-        if req.slot is None:
-            self._respond(conn, envelope, req.wire, req.request_id)
-            return
-        req.slot[0] = self._encode(envelope, req.wire, req.request_id)
-        ordered = conn.ordered
-        while ordered and ordered[0][0] is not None:
-            self._write(conn, ordered.popleft()[0])
-
     def _respond(
-        self, conn: _Conn, envelope: Dict[str, Any], wire: int, request_id: int
+        conn: _Conn, envelope: Dict[str, Any], wire: int, request_id: int
     ) -> None:
-        """A response with no reserved slot: a v2 frame, or the reader's
-        own answers (parse errors, admission, oversized). Straight to
-        the transport -- unless ordered slots are open, which it may not
-        overtake: a v1 answer is then later in arrival order, and a v2
-        frame must not precede the upgrade ack.
-        """
-        data = self._encode(envelope, wire, request_id)
-        if conn.ordered:
-            conn.ordered.append([data])
+        """Encode in the request's framing and write to the transport."""
+        if conn.closed:
+            return  # the peer is gone: nowhere to go
+        if wire == 1:
+            data = encode_json(envelope).encode("utf-8") + b"\n"
         else:
-            self._write(conn, data)
-
-    @staticmethod
-    def _write(conn: _Conn, data: bytes) -> None:
-        if not conn.closed:  # else the peer is gone: nowhere to go
-            conn.transport.write(data)
+            data = encode_frame(request_id, envelope, response=True)
+        conn.transport.write(data)
 
     # ------------------------------------------------------------------
     # Introspection

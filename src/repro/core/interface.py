@@ -20,7 +20,6 @@ from typing import (
     Any,
     ClassVar,
     Dict,
-    Iterable,
     List,
     NamedTuple,
     Set,
@@ -183,11 +182,6 @@ class SpatialIndex(ABC):
     @abstractmethod
     def delete(self, seg_id: int) -> None:
         """Remove a segment from the index (not from the segment table)."""
-
-    def bulk_load(self, seg_ids: Iterable[int]) -> None:
-        """Insert many segments one by one (the paper builds dynamically)."""
-        for seg_id in seg_ids:
-            self.insert(seg_id)
 
     # ------------------------------------------------------------------
     # Candidate generation for the queries

@@ -116,14 +116,6 @@ class Rect(NamedTuple):
             self.ymax if self.ymax >= other.ymax else other.ymax,
         )
 
-    def expanded_to_point(self, p: Point) -> "Rect":
-        return Rect(
-            self.xmin if self.xmin <= p.x else p.x,
-            self.ymin if self.ymin <= p.y else p.y,
-            self.xmax if self.xmax >= p.x else p.x,
-            self.ymax if self.ymax >= p.y else p.y,
-        )
-
     def intersection(self, other: "Rect") -> Optional["Rect"]:
         """The overlap rectangle, or ``None`` when disjoint."""
         xmin = self.xmin if self.xmin >= other.xmin else other.xmin

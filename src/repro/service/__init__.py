@@ -18,12 +18,12 @@ this package *serves* them:
 * :mod:`repro.service.protocol` -- :class:`Protocol`, the sans-IO core
   every transport calls: request bytes in, response envelope out.
 * :mod:`repro.service.server` -- :class:`MapServer`, the threaded
-  line-delimited-JSON transport (``python -m repro serve`` without
-  ``--async``, and every shard worker; the shard router serves from
-  :mod:`repro.aio`). With
-  ``--wal DIR`` it serves a durable store (:mod:`repro.wal`): mutations
-  are write-ahead logged before they are applied and
-  ``{"op": "checkpoint"}`` folds the log into a fresh snapshot.
+  line-delimited-JSON transport of every shard worker (``python -m
+  repro serve`` and the shard router serve from :mod:`repro.aio`).
+  A worker, like ``serve --wal DIR``, serves a durable store
+  (:mod:`repro.wal`): mutations are write-ahead logged before they are
+  applied and ``{"op": "checkpoint"}`` folds the log into a fresh
+  snapshot.
 * :mod:`repro.service.api` -- the op table (:data:`OPS`, one row per
   op) and :func:`parse_request`, which turns a wire dict into the
   :class:`~repro.core.queries.spec.QuerySpec` (a read) or

@@ -3,7 +3,9 @@
 This module is IO only -- the listening socket, blocking ``readline``
 with its idle timeout and size cap, the handler threads. What a line
 means is decided by the protocol core (:mod:`repro.service.protocol`),
-which the asyncio transport (:mod:`repro.aio.server`) calls too.
+which the asyncio transport (:mod:`repro.aio.server`) calls too. It is
+the transport of every shard worker; ``python -m repro serve`` runs the
+asyncio one.
 
 Protocol: newline-delimited JSON objects, one request per line, one
 response per line, over a plain TCP connection. Each connection gets its
@@ -79,23 +81,20 @@ MAX_LINE_BYTES = 1 << 20
 
 
 def serve_json_lines(
-    handler: socketserver.StreamRequestHandler,
-    protocol: Protocol,
-    session: Any,
-    idle_timeout: Optional[float],
+    handler: socketserver.StreamRequestHandler, protocol: Protocol, session: Any
 ) -> None:
     """The blocking v1 request loop: one line in, one line out.
 
-    Reads newline-delimited requests with an idle timeout (a stalled
-    client no longer pins its thread forever) and a line-size cap: an
-    oversized line is drained in bounded chunks and answered with a
-    structured ``frame_too_large`` error, never buffered whole.
+    Reads newline-delimited requests with an idle timeout
+    (:data:`DEFAULT_IDLE_TIMEOUT`, read as the connection opens: a
+    stalled client no longer pins its thread forever) and a line-size
+    cap: an oversized line is drained in bounded chunks and answered
+    with a structured ``frame_too_large`` error, never buffered whole.
     """
     write, flush = handler.wfile.write, handler.wfile.flush
     readline = handler.rfile.readline
     max_line_bytes = MAX_LINE_BYTES
-    if idle_timeout is not None:
-        handler.connection.settimeout(idle_timeout)
+    handler.connection.settimeout(DEFAULT_IDLE_TIMEOUT)
     while True:
         try:
             raw = readline(max_line_bytes + 1)
@@ -140,7 +139,7 @@ class _Handler(socketserver.StreamRequestHandler):
         protocol = server.protocol
         session = protocol.session(f"conn-{next(server.connection_ids)}")
         try:
-            serve_json_lines(self, protocol, session, server.idle_timeout)
+            serve_json_lines(self, protocol, session)
         finally:
             protocol.end_session(session)
 
@@ -197,17 +196,12 @@ class MapServer(socketserver.ThreadingTCPServer):
     request_queue_size = 128
 
     def __init__(
-        self,
-        engine: QueryEngine,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
+        self, engine: QueryEngine, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self._conns = _LiveConnections()
         super().__init__((host, port), _Handler)
         self.engine = engine
         self.protocol = Protocol(engine)
-        self.idle_timeout = idle_timeout
         self.connection_ids = itertools.count(1)
         self._serve_thread: Optional[threading.Thread] = None
 

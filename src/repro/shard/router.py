@@ -1,7 +1,7 @@
 """The scatter-gather router: one wire endpoint over N shard workers.
 
-``python -m repro route`` serves the same wire protocol as ``serve
---async`` (v1 newline JSON, and v2 frames after the upgrade), but
+``python -m repro route`` serves the same wire protocol as ``serve``
+(v1 newline JSON, and v2 frames after the upgrade), but
 behind it sits a shard set. Every request takes one path:
 :data:`ROUTES` says which shards it touches and how their answers fold,
 :meth:`RouterCore._scatter` sends the legs concurrently,

@@ -154,11 +154,54 @@ class TestV1Compat:
             with sock.makefile("rwb") as fh:
                 fh.write(b'{"op": "slow"}\n{"op": "fast"}\n')
                 fh.flush()
-                # "fast" finishes first on the executor; the ordered
-                # writer may not release it until "slow" answers.
+                # "fast" is not even read off the connection until
+                # "slow" has answered.
                 threading.Timer(0.3, gate.set).start()
                 assert json.loads(fh.readline())["result"] == "slow"
                 assert json.loads(fh.readline())["result"] == "fast"
+
+    def test_v1_lines_behind_a_request_wait_in_the_socket(self, monkeypatch):
+        """While a v1 request is in flight, past one line's worth of
+        buffered bytes the server stops reading the connection: what the
+        peer pipelines behind it waits in the sockets, as it does in
+        front of the threaded server, not in the server's memory."""
+        monkeypatch.setattr("repro.aio.server.EXECUTOR_WORKERS", 2)
+        monkeypatch.setattr("repro.aio.server.MAX_LINE_BYTES", 4096)
+        backend = GateBackend(gated=("slow",))
+        srv = AsyncMapServer(backend)
+        srv.start_background()
+        srv._server.sockets[0].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 8192)
+        gate = backend.gates["slow"]
+        n = 5000
+        line = json.dumps({"op": "fast", "pad": "x" * 100}).encode() + b"\n"
+        sock = socket.socket()
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 8192)
+        try:
+            sock.connect(srv.address)
+            sender = threading.Thread(
+                target=sock.sendall, args=(b'{"op": "slow"}\n' + line * n,), daemon=True
+            )
+            sender.start()
+            deadline = time.monotonic() + 10.0
+            while not srv._conns or next(iter(srv._conns)).transport.is_reading():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            (conn,) = srv._conns
+            assert conn.v1_busy and conn.inflight == 1
+            # One line's worth plus at most one read of the transport.
+            assert len(conn.splitter) <= 4096 + 256 * 1024 < n * len(line)
+            assert sender.is_alive()  # the rest has not left the peer
+            gate.set()
+            fh = sock.makefile("rb")
+            assert json.loads(fh.readline())["result"] == "slow"
+            for _ in range(n):
+                assert json.loads(fh.readline())["result"] == "fast"
+            sender.join(timeout=10.0)
+            assert not sender.is_alive()
+        finally:
+            gate.set()
+            sock.close()
+            srv.stop()
 
 
 class TestNegotiation:
@@ -749,9 +792,10 @@ class TestWireGuards:
         finally:
             srv.stop()
 
-    def test_threaded_idle_timeout_closes_connection(self):
+    def test_threaded_idle_timeout_closes_connection(self, monkeypatch):
+        monkeypatch.setattr("repro.service.server.DEFAULT_IDLE_TIMEOUT", 0.3)
         engine = QueryEngine(build_index("R*", lattice_map(n=4)))
-        srv = MapServer(engine, idle_timeout=0.3)
+        srv = MapServer(engine)
         srv.start_background()
         try:
             with socket.create_connection(srv.address, timeout=10) as sock:

@@ -101,9 +101,6 @@ class TestCombinators:
     def test_enlargement_positive(self):
         assert Rect(0, 0, 2, 2).enlargement(Rect(2, 0, 4, 2)) == 4
 
-    def test_expanded_to_point(self):
-        assert Rect(0, 0, 2, 2).expanded_to_point(Point(5, -1)) == Rect(0, -1, 5, 2)
-
 
 class TestProperties:
     @given(rects(), rects())

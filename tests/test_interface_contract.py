@@ -60,22 +60,6 @@ class TestPopulatedContract:
         text = repr(idx)
         assert type(idx).__name__ in text
 
-    def test_bulk_load_helper_equivalent(self, any_structure):
-        ctx1 = StorageContext.create()
-        a = make_index(any_structure, ctx1)
-        ids = ctx1.load_segments(SEGS)
-        a.bulk_load(ids)
-
-        ctx2 = StorageContext.create()
-        b = make_index(any_structure, ctx2)
-        for sid in ctx2.load_segments(SEGS):
-            b.insert(sid)
-
-        w = Rect(0, 0, TEST_WORLD, TEST_WORLD)
-        assert set(execute_spec(a, QuerySpec.window(w))) == set(
-            execute_spec(b, QuerySpec.window(w))
-        )
-
     def test_candidates_never_false_negative_on_endpoints(self, any_structure):
         idx = build_index(any_structure, SEGS)
         for i, s in enumerate(SEGS):

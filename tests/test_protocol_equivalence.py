@@ -35,7 +35,7 @@ from repro.aio import (
 from repro.data.counties import generate_county
 from repro.obs import dtrace
 from repro.obs.trace import TRACER
-from repro.service import MapServer, QueryEngine, send_request
+from repro.service import MapServer, Protocol, QueryEngine, send_request
 from repro.shard import LocalShardSet, ShardRouter, init_shard_set
 
 from tests.conftest import build_index, lattice_map
@@ -106,6 +106,20 @@ def _run_script_v1(address, ops=GOLDEN_OPS):
                     inserted = envelope["result"]
                 envelopes.append(envelope)
     return envelopes
+
+
+def _run_script_v1_in_one_write(address, ops):
+    """The whole script as one write down one v1 connection, then every
+    reply read back. The one ``INSERTED`` id is resolved up front: every
+    engine here is built the same, so it assigns the same id."""
+    insert = next(op for op in ops if op["op"] == "insert")
+    inserted = Protocol(_fresh_engine()).respond_line(json.dumps(insert))["result"]
+    lines = b"".join(json.dumps(_resolve(op, inserted)).encode() + b"\n" for op in ops)
+    with socket.create_connection(address, timeout=10) as sock:
+        with sock.makefile("rwb") as fh:
+            fh.write(lines)
+            fh.flush()
+            return [json.loads(fh.readline()) for _ in ops]
 
 
 def _run_script_v2(address, ops=GOLDEN_OPS):
@@ -215,6 +229,17 @@ class TestEquivalence:
         golden = _run_script_v1(oracle.address)
         candidate = _run_script_v2(async_server.address)
         self._compare(golden, candidate, "async-v2")
+
+    def test_deep_v1_pipelining_answers_alike(self, oracle, async_server):
+        """100 pings and then the script, all in one write: v1 has no
+        request ids, so each server reads the connection one request at
+        a time and answers every line, in order -- however deep the
+        client pipelines, it cannot trip an in-flight cap."""
+        ops = [{"op": "ping"}] * 100 + GOLDEN_OPS
+        golden = _run_script_v1_in_one_write(oracle.address, ops)
+        assert golden[:100] == [{"ok": True, "result": "pong"}] * 100
+        candidate = _run_script_v1_in_one_write(async_server.address, ops)
+        self._compare(golden, candidate, "async-v1-pipelined", ops)
 
     def test_error_codes_cover_every_class(self, oracle):
         codes = {

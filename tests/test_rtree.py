@@ -188,13 +188,6 @@ class TestRTreeStructure:
         idx.candidate_ids_at_point(Point(100, 100))
         assert ctx.counters.bbox_comps > before
 
-    def test_bulk_load_helper(self, cls):
-        segs = lattice_map(n=4, pitch=150)
-        ctx = StorageContext.create()
-        idx = cls(ctx)
-        idx.bulk_load(ctx.load_segments(segs))
-        assert idx.entry_count() == len(segs)
-
 
 class TestRStarSpecifics:
     def test_reinsertion_happens(self):

@@ -95,7 +95,7 @@ class TestMortonKey:
 
 class TestBatchAttribution:
     def test_another_request_of_the_session_is_not_the_batchs(self, engine, monkeypatch):
-        """On ``serve --async`` two requests of one connection can run on
+        """On ``serve`` two v2 requests of one connection can run on
         two executor threads at once. One landing between two members of
         a batch is charged to the session, never reported as the batch's."""
         caller = engine.session("conn")
